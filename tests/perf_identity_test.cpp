@@ -22,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/campus_experiment.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
 #include "src/faults/fault_injector.h"
@@ -299,6 +300,62 @@ TEST(PerfIdentityTest, GoldenTraceReplayJournalMatchesGolden) {
   EXPECT_EQ(result.budget_scale_min, 0.9);
   ExpectMatchesGolden("trace_replay_decision_journal.csv",
                       experiment.controller()->journal().ToCsv());
+}
+
+// --- Saturated campus ----------------------------------------------------
+//
+// The goldens above never queue: fig10's rows place every job on submit.
+// This 4-DC campus runs DC 0 at target 1.25, so its controller freezes
+// enough capacity to back up the queue, every completion drains it through
+// failed placements, and spillover moves jobs through TakePending. The
+// golden pins the placement path under saturation: each DC's
+// DecisionJournal CSV plus its scheduler counters.
+
+std::string RunSaturatedCampus() {
+  ExperimentConfig config;
+  config.seed = kSeed + 47;
+  config.topology.num_rows = 1;
+  config.topology.racks_per_row = 10;
+  config.topology.servers_per_rack = 42;
+  config.topology.power_model.rated_watts = 250.0;
+  config.topology.power_model.idle_fraction = 0.65;
+  config.over_provision_ratio = 0.25;
+  config.controller.effect = FreezeEffectModel(0.05);
+  config.controller.et = EtEstimator::Constant(0.02);
+  // The diurnal peak inside the short window, where a full day would put it.
+  config.workload.arrivals.peak_hour = 2.0;
+  config.warmup = SimTime::Minutes(30);
+  config.duration = SimTime::Hours(2);
+  config.campus.enabled = true;
+  config.campus.num_datacenters = 4;
+  config.campus.dc_target_power = {1.25, 0.95, 0.90, 0.85};
+  config.campus.allocator.policy = CampusAllocPolicy::kHeadroom;
+  config.campus.enable_spillover = true;
+  config.campus.spillover_queue_threshold = 4;
+  config.campus.spillover_max_jobs_per_pass = 16;
+
+  CampusExperiment experiment(config);
+  const CampusResult result = experiment.Run();
+  EXPECT_GT(result.dcs[0].jobs_spilled_out, 0u)
+      << "DC 0 must back up and spill, or this golden pins no queue";
+  std::ostringstream out;
+  for (size_t i = 0; i < result.dcs.size(); ++i) {
+    const DataCenterId id(static_cast<int32_t>(i));
+    const Scheduler& scheduler = experiment.scheduler(id);
+    const CampusDcResult& dc = result.dcs[i];
+    out << "# dc" << i << " submitted=" << scheduler.jobs_submitted()
+        << " placed=" << scheduler.jobs_placed()
+        << " completed=" << scheduler.jobs_completed()
+        << " spilled_out=" << dc.jobs_spilled_out
+        << " spilled_in=" << dc.jobs_spilled_in
+        << " queued=" << dc.final_queue_length << "\n";
+    out << experiment.controller(id).journal().ToCsv();
+  }
+  return out.str();
+}
+
+TEST(PerfIdentityTest, SaturatedCampusJournalMatchesGolden) {
+  ExpectMatchesGolden("campus_saturated_journal.csv", RunSaturatedCampus());
 }
 
 }  // namespace

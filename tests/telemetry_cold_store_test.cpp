@@ -17,17 +17,10 @@
 #include "src/telemetry/cold_store.h"
 #include "src/telemetry/mmap_segment.h"
 #include "src/telemetry/timeseries_db.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
-
-// Fresh scratch directory per test (removed up front so reruns start clean).
-std::string ScratchDir(const std::string& name) {
-  const std::string dir = ::testing::TempDir() + "ampere_cold_" + name;
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir;
-}
 
 std::vector<TimePoint> MakePoints(size_t n, int64_t start_us = 1000,
                                   int64_t step_us = 60'000'000) {
@@ -60,7 +53,8 @@ void ExpectSamePoints(const std::vector<TimePoint>& got,
 // --- Segment round-trip ---------------------------------------------------
 
 TEST(MmapSegment, RoundTripsSamplesBitExactly) {
-  const std::string dir = ScratchDir("segment_roundtrip");
+  const ScratchDir scratch("segment_roundtrip");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   const uint64_t key = StoreSeriesKey("power/total");
   auto writer = SegmentWriter::Create(path, key, 4, 1024);
@@ -94,7 +88,8 @@ TEST(MmapSegment, RoundTripsSamplesBitExactly) {
 }
 
 TEST(MmapSegment, GrowsByDoublingAndReportsFullAtCap) {
-  const std::string dir = ScratchDir("segment_growth");
+  const ScratchDir scratch("segment_growth");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   auto writer = SegmentWriter::Create(path, 7, 2, 16);
   ASSERT_NE(writer, nullptr);
@@ -111,7 +106,8 @@ TEST(MmapSegment, GrowsByDoublingAndReportsFullAtCap) {
 }
 
 TEST(MmapSegment, SealPacksFileToCommittedSamples) {
-  const std::string dir = ScratchDir("segment_pack");
+  const ScratchDir scratch("segment_pack");
+  const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   auto writer = SegmentWriter::Create(path, 7, 1024, 4096);
   ASSERT_NE(writer, nullptr);
@@ -128,7 +124,7 @@ TEST(MmapSegment, SealPacksFileToCommittedSamples) {
 class SegmentCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ScratchDir("segment_corrupt");
+    dir_ = scratch_.path();
     path_ = dir_ + "/seg.seg";
     auto writer = SegmentWriter::Create(path_, StoreSeriesKey("s"), 4, 256);
     ASSERT_NE(writer, nullptr);
@@ -178,6 +174,7 @@ class SegmentCorruptionTest : public ::testing::Test {
     return opened.status.error;
   }
 
+  const ScratchDir scratch_{"segment_corrupt"};
   std::string dir_;
   std::string path_;
 };
@@ -285,7 +282,8 @@ TEST_F(SegmentCorruptionTest, MidWriteKillIsTruncated) {
 // --- Cold store: spill policy + stitched reads ----------------------------
 
 TEST(ColdStore, SpillKeepsHotTierUnderBudgetAndHistoryLossless) {
-  const std::string dir = ScratchDir("spill_budget");
+  const ScratchDir scratch("spill_budget");
+  const std::string& dir = scratch.path();
   ColdStoreConfig config;
   config.dir = dir;
   config.segment_samples = 16;
@@ -318,7 +316,8 @@ TEST(ColdStore, SpillKeepsHotTierUnderBudgetAndHistoryLossless) {
 }
 
 TEST(ColdStore, QueryStitchedSlicesRangesAcrossTiers) {
-  const std::string dir = ScratchDir("stitched_range");
+  const ScratchDir scratch("stitched_range");
+  const std::string& dir = scratch.path();
   ColdStoreConfig config;
   config.dir = dir;
   config.segment_samples = 8;
@@ -347,7 +346,8 @@ TEST(ColdStore, QueryStitchedSlicesRangesAcrossTiers) {
 }
 
 TEST(ColdStore, AppendBatchSpillsLikePointAppends) {
-  const std::string dir = ScratchDir("batch_spill");
+  const ScratchDir scratch("batch_spill");
+  const std::string& dir = scratch.path();
   ColdStoreConfig config;
   config.dir = dir;
   auto created = ColdStore::Create(config);
@@ -366,7 +366,8 @@ TEST(ColdStore, AppendBatchSpillsLikePointAppends) {
 }
 
 TEST(ColdStore, ReservePointsClampsToHotBudget) {
-  const std::string dir = ScratchDir("reserve_clamp");
+  const ScratchDir scratch("reserve_clamp");
+  const std::string& dir = scratch.path();
   auto created = ColdStore::Create(ColdStoreConfig{dir, 64, 16});
   ASSERT_TRUE(created.status.ok()) << created.status.message;
   TimeSeriesDb db;
@@ -382,7 +383,8 @@ TEST(ColdStore, ReservePointsClampsToHotBudget) {
 // --- Instant restart ------------------------------------------------------
 
 TEST(ColdStore, OpenExistingServesIdenticalBytesWithoutResimulating) {
-  const std::string dir = ScratchDir("restart");
+  const ScratchDir scratch("restart");
+  const std::string& dir = scratch.path();
   const std::vector<TimePoint> points = MakePoints(200);
   uint64_t cold_count = 0;
   {
@@ -423,7 +425,8 @@ TEST(ColdStore, OpenExistingServesIdenticalBytesWithoutResimulating) {
 }
 
 TEST(ColdStore, FlushIsDurableWhileStoreStaysLive) {
-  const std::string dir = ScratchDir("flush_live");
+  const ScratchDir scratch("flush_live");
+  const std::string& dir = scratch.path();
   auto created = ColdStore::Create(ColdStoreConfig{dir});
   ASSERT_TRUE(created.status.ok()) << created.status.message;
   const std::vector<TimePoint> points = MakePoints(20);
@@ -449,7 +452,7 @@ TEST(ColdStore, FlushIsDurableWhileStoreStaysLive) {
 class ManifestCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ScratchDir("manifest_corrupt");
+    dir_ = scratch_.path();
     auto created = ColdStore::Create(ColdStoreConfig{dir_, 16, 4});
     ASSERT_TRUE(created.status.ok()) << created.status.message;
     created.store->AppendBatch("power/total", MakePoints(40));
@@ -476,6 +479,7 @@ class ManifestCorruptionTest : public ::testing::Test {
     return opened.status.error;
   }
 
+  const ScratchDir scratch_{"manifest_corrupt"};
   std::string dir_;
   std::string manifest_;
 };

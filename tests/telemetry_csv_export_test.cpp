@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -71,8 +72,10 @@ TEST(CsvExportTest, FileExport) {
   TimeSeriesDb db;
   db.Append("x", SimTime::Minutes(1), 5.0);
   std::vector<std::string> series{"x"};
-  ExportCsvFile(db, series, "/tmp/ampere_csv_test.csv");
-  std::ifstream in("/tmp/ampere_csv_test.csv");
+  const ScratchDir scratch("csv_export");
+  const std::string path = scratch.path() + "/export.csv";
+  ExportCsvFile(db, series, path);
+  std::ifstream in(path);
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "minutes,x");

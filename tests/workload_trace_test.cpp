@@ -7,6 +7,7 @@
 
 #include "src/common/check.h"
 #include "src/sched/scheduler.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -63,7 +64,8 @@ TEST(TraceCsvTest, SkipsEmptyLines) {
 }
 
 TEST(TraceCsvTest, FileRoundTrip) {
-  const char* path = "/tmp/ampere_trace_test.csv";
+  const ScratchDir scratch("trace_csv");
+  const std::string path = scratch.path() + "/trace.csv";
   WriteJobTraceFile(path, SmallTrace());
   auto trace = ReadJobTraceFile(path);
   EXPECT_EQ(trace.size(), 3u);
