@@ -358,6 +358,101 @@ void BM_SchedulerPlacement(benchmark::State& state) {
 }
 BENCHMARK(BM_SchedulerPlacement);
 
+// --- Placement on a saturated DC ------------------------------------------
+//
+// Each timed iteration is one drain pass over a backed-up queue, the work a
+// task completion does on a starved DC: Unfreeze on a server whose
+// candidacy does not change re-drains the pending queue until
+// drain_failure_limit (2) placements have failed. Nothing is placed, so the
+// DC stays saturated; each case hard-asserts that the passes place nothing
+// and allocate nothing.
+
+// Queues `count` jobs of `demand` behind a DC on which none of them fits.
+void QueueUnplaceableJobs(Rig& rig, Resources demand, int count) {
+  for (int i = 0; i < count; ++i) {
+    JobSpec job;
+    job.id = JobId(1'000'000 + i);
+    job.demand = demand;
+    job.duration = SimTime::Minutes(9);
+    rig.scheduler.Submit(job);
+  }
+  AMPERE_CHECK(rig.scheduler.queue_length() == static_cast<size_t>(count))
+      << "a queued job was placed; the DC is not saturated";
+}
+
+void TimeDrainPasses(benchmark::State& state, Rig& rig, bool refreeze) {
+  const ServerId poke(0);
+  auto pass = [&] {
+    rig.scheduler.Unfreeze(poke);
+    if (refreeze) {
+      rig.scheduler.Freeze(poke);
+    }
+  };
+  for (int i = 0; i < 4; ++i) {
+    pass();  // Warmup.
+  }
+  const uint64_t placed_before = rig.scheduler.jobs_placed();
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    pass();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "saturated drain pass allocated";
+  AMPERE_CHECK(rig.scheduler.jobs_placed() == placed_before)
+      << "saturated drain pass placed a job";
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(SchedulerConfig{}
+                                                   .drain_failure_limit));
+}
+
+// Arg(0): every server frozen (server 0 also reserved, so unfreezing it
+// adds no candidate). Arg(1): every server full. Either way every probe
+// fails and the candidate list's per-axis maxima rule the scan out.
+void BM_PlacementNoFitSaturated(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  Rig rig(1);
+  const bool all_frozen = state.range(0) == 0;
+  for (int32_t s = 0; s < rig.dc.num_servers(); ++s) {
+    if (all_frozen) {
+      rig.scheduler.Freeze(ServerId(s));
+    } else {
+      rig.dc.PlaceTask(ServerId(s), TaskSpec{JobId(s), Resources{16.0, 8.0},
+                                             SimTime::Hours(1000)});
+    }
+  }
+  if (all_frozen) {
+    rig.dc.SetReserved(ServerId(0), true);
+  }
+  QueueUnplaceableJobs(rig, Resources{1.0, 2.0}, 64);
+  TimeDrainPasses(state, rig, /*refreeze=*/all_frozen);
+  state.SetLabel(all_frozen ? "all_frozen" : "all_full");
+}
+BENCHMARK(BM_PlacementNoFitSaturated)->Arg(0)->Arg(1);
+
+// The case the per-axis maxima cannot rule out: even servers have CPU but
+// no memory free, odd servers memory but no CPU, so a job needing both
+// fits the maxima and no server. Every failure is 16 probes plus a
+// first-fit scan over the whole dense free-capacity array.
+void BM_PlacementScanDense(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  Rig rig(1);
+  for (int32_t s = 0; s < rig.dc.num_servers(); ++s) {
+    const Resources demand =
+        s % 2 == 0 ? Resources{1.0, 64.0} : Resources{16.0, 1.0};
+    rig.dc.PlaceTask(ServerId(s),
+                     TaskSpec{JobId(s), demand, SimTime::Hours(1000)});
+  }
+  const Resources job{2.0, 4.0};
+  AMPERE_CHECK(rig.dc.MaxSchedulableFree().Fits(job))
+      << "the per-axis maxima must admit the job, or nothing is scanned";
+  QueueUnplaceableJobs(rig, job, 64);
+  TimeDrainPasses(state, rig, /*refreeze=*/false);
+  state.SetLabel("full_scan_per_failure");
+}
+BENCHMARK(BM_PlacementScanDense);
+
 // One 420-server row under a loaded fleet, with a monitor group registered
 // and a controller ready to tick — shared by the tick-latency and the
 // obs-overhead benches so both measure the identical decision path.

@@ -1,6 +1,7 @@
 #include "src/cluster/datacenter.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -9,6 +10,23 @@
 #include "src/obs/flight_recorder.h"
 
 namespace ampere {
+namespace {
+
+constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+
+// A server's free-capacity index entry: its free capacity while it is a
+// candidate, −inf on both axes (fits nothing) otherwise.
+Resources FreeEntry(const Server& server) {
+  return server.SchedulableState() ? server.Available()
+                                   : Resources{kNegInf, kNegInf};
+}
+
+Resources AxisMax(const Resources& a, const Resources& b) {
+  return {std::max(a.cpu_cores, b.cpu_cores),
+          std::max(a.memory_gb, b.memory_gb)};
+}
+
+}  // namespace
 
 DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
     : sim_(sim), ladder_(config.ladder),
@@ -105,6 +123,52 @@ DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
                                &soa_utilization_[i]);
     servers_[i].RecomputePowerCache();
   }
+
+  // The free-capacity index's entries: every server starts as an empty
+  // candidate, its whole capacity free. The max tree is built on first use.
+  schedulable_free_.assign(total_servers, config.server_capacity);
+}
+
+void DataCenter::RefreshSchedulable(ServerId id) {
+  schedulable_free_[id.index()] = FreeEntry(servers_[id.index()]);
+  if (rebuild_free_tree_) {
+    return;  // The next MaxSchedulableFree() rebuilds every node anyway.
+  }
+  // Capped at the capacity reserved on the first build: never allocates.
+  if (stale_leaves_.size() < servers_.size()) {
+    stale_leaves_.push_back(id.index());
+  } else {
+    rebuild_free_tree_ = true;
+  }
+}
+
+const Resources& DataCenter::MaxSchedulableFree() {
+  if (rebuild_free_tree_) {
+    // Allocates on the first call only.
+    free_max_.resize(servers_.size());
+    stale_leaves_.reserve(servers_.size());
+    for (size_t node = servers_.size() - 1; node >= 1; --node) {
+      free_max_[node] = AxisMax(FreeNode(2 * node), FreeNode(2 * node + 1));
+    }
+    rebuild_free_tree_ = false;
+  } else {
+    for (size_t leaf : stale_leaves_) {
+      // Recompute each ancestor from its children, stopping at the first
+      // whose value does not change: the ones above it are current for
+      // this leaf, and every other changed leaf climbs its own path.
+      for (size_t node = (servers_.size() + leaf) >> 1; node >= 1;
+           node >>= 1) {
+        const Resources max =
+            AxisMax(FreeNode(2 * node), FreeNode(2 * node + 1));
+        if (max == free_max_[node]) {
+          break;
+        }
+        free_max_[node] = max;
+      }
+    }
+  }
+  stale_leaves_.clear();
+  return FreeNode(1);
 }
 
 bool DataCenter::PlaceTask(ServerId id, const TaskSpec& spec) {
@@ -132,6 +196,7 @@ bool DataCenter::PlaceTask(ServerId id, const TaskSpec& spec) {
                          << " already on server " << id.value();
   server.allocated_ += spec.demand;
   AMPERE_CHECK(server.capacity_.Fits(server.allocated_));
+  RefreshSchedulable(id);
 
   RefreshServerPower(id, old_power, old_dynamic);
   EnforceServerCap(id);
@@ -150,6 +215,7 @@ void DataCenter::CompleteTask(ServerId id, JobId job) {
   server.allocated_ -= server.tasks_.task_at(slot).demand;
   AMPERE_CHECK(server.allocated_.NonNegative());
   server.tasks_.EraseAt(slot);
+  RefreshSchedulable(id);
 
   RefreshServerPower(id, old_power, old_dynamic);
   EnforceServerCap(id);
@@ -161,10 +227,12 @@ void DataCenter::CompleteTask(ServerId id, JobId job) {
 
 void DataCenter::SetFrozen(ServerId id, bool frozen) {
   servers_[id.index()].frozen_ = frozen;
+  RefreshSchedulable(id);
 }
 
 void DataCenter::SetReserved(ServerId id, bool reserved) {
   servers_[id.index()].reserved_ = reserved;
+  RefreshSchedulable(id);
 }
 
 void DataCenter::SleepServer(ServerId id) {
@@ -182,6 +250,7 @@ void DataCenter::SleepServer(ServerId id) {
   }
   server.asleep_ = true;
   server.waking_ = false;
+  RefreshSchedulable(id);
   server.sleep_watts_ = sleep_watts_;  // Clear any boot-draw override.
   RefreshServerPower(id, old_power, old_dynamic);
   EnforceRowCap(server.row());
@@ -195,6 +264,7 @@ void DataCenter::WakeServer(ServerId id) {
   double old_power = server.power_watts();
   double old_dynamic = server.dynamic_watts_at_full_freq();
   server.waking_ = true;
+  RefreshSchedulable(id);
   // Boot draw: the machine burns idle power while it comes up, which is
   // why aggressive consolidation has a power (and latency) cost on wake.
   server.sleep_watts_ = server.idle_watts();
@@ -208,6 +278,7 @@ void DataCenter::WakeServer(ServerId id) {
         --asleep_servers_;
         s.asleep_ = false;
         s.waking_ = false;
+        RefreshSchedulable(id);
         s.sleep_watts_ = sleep_watts_;
         RefreshServerPower(id, before_power, before_dynamic);
         EnforceRowCap(s.row());

@@ -120,6 +120,24 @@ class DataCenter {
     return racks_[id.index()].server_range;
   }
 
+  // --- Candidate-list free-capacity index ---
+  // Free capacity (capacity − allocated) of every candidate server
+  // (Server::SchedulableState()), indexed by server id; −inf on both axes
+  // for a non-candidate. `schedulable_free()[i].Fits(demand)` is therefore
+  // exactly "server i is a candidate and has room", read from one dense
+  // array instead of Server objects.
+  std::span<const Resources> schedulable_free() const {
+    return schedulable_free_;
+  }
+  // Per-axis maxima over schedulable_free(), the root of a max tree over
+  // it. A demand that does not fit these fits no candidate: float addition
+  // is monotone, so d > max + eps implies d > free_i + eps for every server.
+  // Mutations only write their entry; the tree is built on the first call
+  // and catches up on later calls from the entries written since. Only
+  // placements whose random probes all failed ask, so a DC that never
+  // saturates never builds it.
+  const Resources& MaxSchedulableFree();
+
   // Attaches a thread pool for the batch passes (currently the periodic
   // exact resummation); null (the default) or a single-threaded pool keeps
   // the exact serial path. Results are bit-identical either way: shards
@@ -258,6 +276,19 @@ class DataCenter {
   };
 
   void CompleteTask(ServerId id, JobId job);
+  // Rewrites server `id`'s free-capacity entry and queues it for the max
+  // tree (see MaxSchedulableFree). Called after every mutation of
+  // allocated_/frozen_/reserved_/asleep_/waking_, all of which happen in
+  // this class.
+  void RefreshSchedulable(ServerId id);
+  // Node k of the max tree over the n = num_servers() entries: inner nodes
+  // are [1, n), node k's children are 2k and 2k + 1, and node n + i is
+  // entry i. Every node but 1 has the parent k / 2, so node 1 is the root
+  // (entry 0 itself when n = 1).
+  const Resources& FreeNode(size_t k) const {
+    return k < servers_.size() ? free_max_[k]
+                               : schedulable_free_[k - servers_.size()];
+  }
   // Recomputes a server's power and folds the delta into aggregates.
   void RefreshServerPower(ServerId id, double old_power, double old_dynamic);
   // Applies the RAPL decision for a row if its throttle step changed
@@ -299,6 +330,15 @@ class DataCenter {
   std::vector<double> soa_power_watts_;
   std::vector<double> soa_dynamic_full_watts_;
   std::vector<double> soa_utilization_;
+  // Free-capacity index (see schedulable_free()) and the inner nodes of
+  // the per-axis max tree over it (see FreeNode; empty until first use).
+  std::vector<Resources> schedulable_free_;
+  std::vector<Resources> free_max_;
+  // Entries written since the last MaxSchedulableFree(), repeats allowed,
+  // capped at the server count. Unused while a whole rebuild is due: before
+  // the first call, and after the cap was reached.
+  std::vector<size_t> stale_leaves_;
+  bool rebuild_free_tree_ = true;
   DvfsLadder ladder_;
   bool capping_enabled_;
   CappingMode capping_mode_;

@@ -37,6 +37,8 @@ struct Resources {
            o.memory_gb <= memory_gb + kEpsilon;
   }
 
+  constexpr bool operator==(const Resources&) const = default;
+
   constexpr bool NonNegative() const {
     return cpu_cores >= -kEpsilon && memory_gb >= -kEpsilon;
   }

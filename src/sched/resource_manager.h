@@ -39,10 +39,10 @@ class ResourceManager {
   bool IsCandidate(ServerId id) const {
     return dc_->server(id).SchedulableState();
   }
-  // Candidate AND has room for `demand`.
+  // Candidate AND has room for `demand`. Reads the data center's
+  // free-capacity index, whose entry is −inf for a non-candidate.
   bool CanHost(ServerId id, const Resources& demand) const {
-    const Server& server = dc_->server(id);
-    return server.SchedulableState() && server.CanFit(demand);
+    return dc_->schedulable_free()[id.index()].Fits(demand);
   }
 
   // --- Container claims ---

@@ -36,22 +36,25 @@ std::vector<JobSpec> Scheduler::TakePending(size_t max_jobs) {
     return taken;
   }
   taken.reserve(std::min(max_jobs, pending_.size()));
-  // One pass over the queue, oldest first: movable jobs are taken (up to the
-  // budget), row-pinned jobs and the post-budget tail are kept in their
-  // original relative order.
-  std::deque<JobSpec> kept;
-  while (!pending_.empty()) {
-    JobSpec job = pending_.front();
-    pending_.pop_front();
-    if (taken.size() < max_jobs && !job.row_affinity.has_value()) {
-      taken.push_back(job);
-      ++jobs_spilled_out_;
-      AMPERE_COUNTER_ADD("sched.jobs_spilled_out", 1);
+  // Oldest first, stopping once the budget is spent: movable jobs are
+  // taken, row-pinned ones are compacted to the front of the scanned
+  // prefix, and the prefix's vacated tail is erased. The pinned jobs and
+  // the unscanned rest keep their original relative order.
+  size_t kept = 0;
+  size_t scanned = 0;
+  for (; scanned < pending_.size() && taken.size() < max_jobs; ++scanned) {
+    if (pending_[scanned].row_affinity.has_value()) {
+      pending_[kept++] = pending_[scanned];
     } else {
-      kept.push_back(job);
+      taken.push_back(pending_[scanned]);
     }
   }
-  pending_ = std::move(kept);
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(kept),
+                 pending_.begin() + static_cast<std::ptrdiff_t>(scanned));
+  jobs_spilled_out_ += taken.size();
+  if (!taken.empty()) {
+    AMPERE_COUNTER_ADD("sched.jobs_spilled_out", taken.size());
+  }
   return taken;
 }
 
@@ -105,37 +108,49 @@ RpcResult Scheduler::TryUnfreeze(ServerId id) {
   return result;
 }
 
-bool Scheduler::Eligible(const Server& server, const JobSpec& job) const {
+bool Scheduler::Eligible(ServerId id, const JobSpec& job) const {
   // The low level's candidate list plus the job's own constraints.
-  if (!rm_.CanHost(server.id(), job.demand)) {
+  if (!rm_.CanHost(id, job.demand)) {
     return false;
   }
-  return !job.row_affinity.has_value() || server.row() == *job.row_affinity;
+  return !job.row_affinity.has_value() || dc_->row_of(id) == *job.row_affinity;
 }
 
 ServerId Scheduler::ScanFrom(size_t start, const JobSpec& job) const {
-  size_t n = static_cast<size_t>(dc_->num_servers());
-  for (size_t i = 0; i < n; ++i) {
-    ServerId id(static_cast<int32_t>((start + i) % n));
-    if (Eligible(dc_->server(id), job)) {
-      return id;
+  // First fit in circular order from `start` over the dense free-capacity
+  // array: [start, n), then [0, start).
+  auto first_fit = [this, &job](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) {
+      const ServerId id(static_cast<int32_t>(i));
+      if (Eligible(id, job)) {
+        return id;
+      }
     }
-  }
-  return ServerId();
+    return ServerId();
+  };
+  const ServerId id =
+      first_fit(start, static_cast<size_t>(dc_->num_servers()));
+  return id.valid() ? id : first_fit(0, start);
 }
 
 ServerId Scheduler::PickRandomFit(const JobSpec& job) {
   int64_t n = dc_->num_servers();
   for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
     ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
-    if (Eligible(dc_->server(id), job)) {
+    if (Eligible(id, job)) {
       return id;
     }
   }
   // Random probing failed (cluster nearly full or mostly frozen); fall back
   // to a scan from a random origin so placement stays work-conserving
-  // without biasing toward low server ids.
-  return ScanFrom(static_cast<size_t>(rng_.UniformInt(0, n - 1)), job);
+  // without biasing toward low server ids. The origin is drawn even when
+  // the candidates' per-axis maxima rule the scan out, so the RNG stream
+  // does not depend on whether it runs.
+  const auto origin = static_cast<size_t>(rng_.UniformInt(0, n - 1));
+  if (!dc_->MaxSchedulableFree().Fits(job.demand)) {
+    return ServerId();
+  }
+  return ScanFrom(origin, job);
 }
 
 ServerId Scheduler::PickLeastLoaded(const JobSpec& job) {
@@ -150,10 +165,10 @@ ServerId Scheduler::PickLeastLoaded(const JobSpec& job) {
        found < config_.least_loaded_choices;
        ++attempt) {
     ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
-    const Server& server = dc_->server(id);
-    if (!Eligible(server, job)) {
+    if (!Eligible(id, job)) {
       continue;
     }
+    const Server& server = dc_->server(id);
     ++found;
     if (server.utilization() < best_util) {
       best_util = server.utilization();
@@ -202,7 +217,7 @@ ServerId Scheduler::PickRowOrdered(const JobSpec& job, bool hottest_first) {
     auto n = static_cast<int64_t>(servers.size());
     for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
       ServerId id = servers[static_cast<size_t>(rng_.UniformInt(0, n - 1))];
-      if (Eligible(dc_->server(id), job)) {
+      if (Eligible(id, job)) {
         return id;
       }
     }

@@ -151,7 +151,7 @@ class Scheduler : public JobSink {
   // Runs one RPC through the injector's failure/latency model with the
   // bounded retry/backoff policy. Always succeeds without an injector.
   RpcResult RunRpc();
-  bool Eligible(const Server& server, const JobSpec& job) const;
+  bool Eligible(ServerId id, const JobSpec& job) const;
   // Returns the chosen server or an invalid id.
   ServerId PickServer(const JobSpec& job);
   ServerId PickRandomFit(const JobSpec& job);

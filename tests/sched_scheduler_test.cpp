@@ -197,5 +197,71 @@ TEST(SchedulerTest, OversizedJobStaysQueuedWithoutBlockingOthers) {
   EXPECT_EQ(f.scheduler.jobs_placed(), 1u);
 }
 
+TEST(SchedulerTest, HopelessSubmitAdvancesRngLikeTheFailingScan) {
+  // With every server frozen the probes fail and the free-capacity root
+  // rules the scan out; the scheduler must still consume exactly the draws
+  // of a failing scan: sample_attempts probes plus one scan origin.
+  Fixture f;
+  Rng mirror(17);  // The scheduler's stream, replayed alongside it.
+  const int64_t n = f.dc.num_servers();
+  const int draws_per_failure = SchedulerConfig{}.sample_attempts + 1;
+  ServerId placed;
+  f.scheduler.SetPlacementListener(
+      [&placed](const JobSpec&, ServerId server) { placed = server; });
+  for (int round = 0; round < 8; ++round) {
+    for (int32_t s = 0; s < n; ++s) {
+      f.scheduler.Freeze(ServerId(s));
+    }
+    f.scheduler.Submit(MakeJob(2 * round));
+    ASSERT_EQ(f.scheduler.queue_length(), 1u);
+    for (int draw = 0; draw < draws_per_failure; ++draw) {
+      mirror.UniformInt(0, n - 1);
+    }
+    // Clear the queue so unfreezing drains nothing, then observe the next
+    // draw: on an idle, unfrozen DC the first probe always succeeds.
+    ASSERT_EQ(f.scheduler.TakePending(1).size(), 1u);
+    for (int32_t s = 0; s < n; ++s) {
+      f.scheduler.Unfreeze(ServerId(s));
+    }
+    f.scheduler.Submit(MakeJob(2 * round + 1));
+    ASSERT_EQ(placed.value(), mirror.UniformInt(0, n - 1)) << "round "
+                                                           << round;
+    f.sim.RunUntil(f.sim.now() + SimTime::Hours(1));  // Back to idle.
+  }
+}
+
+TEST(SchedulerTest, TakePendingSkipsPinnedJobsAndKeepsOrder) {
+  Fixture f;
+  for (int32_t s = 0; s < f.dc.num_servers(); ++s) {
+    f.scheduler.Freeze(ServerId(s));
+  }
+  // Queue: 0 pinned, 1, 2 pinned, 3, 4, 5 pinned, 6.
+  for (int32_t i = 0; i < 7; ++i) {
+    JobSpec job = MakeJob(i);
+    if (i == 0 || i == 2 || i == 5) {
+      job.row_affinity = RowId(0);
+    }
+    f.scheduler.Submit(job);
+  }
+  ASSERT_EQ(f.scheduler.queue_length(), 7u);
+  std::vector<int32_t> taken;
+  for (const JobSpec& job : f.scheduler.TakePending(2)) {
+    taken.push_back(job.id.value());
+  }
+  EXPECT_EQ(taken, (std::vector<int32_t>{1, 3}));
+  EXPECT_EQ(f.scheduler.jobs_spilled_out(), 2u);
+  // What stays queued keeps its order: drain it one job at a time.
+  std::vector<int32_t> rest;
+  f.scheduler.SetPlacementListener(
+      [&rest](const JobSpec& job, ServerId) {
+        rest.push_back(job.id.value());
+      });
+  for (int32_t s = 0; s < f.dc.num_servers(); ++s) {
+    f.scheduler.Unfreeze(ServerId(s));
+  }
+  EXPECT_EQ(rest, (std::vector<int32_t>{0, 2, 4, 5, 6}));
+  EXPECT_TRUE(f.scheduler.TakePending(4).empty());
+}
+
 }  // namespace
 }  // namespace ampere
