@@ -453,6 +453,52 @@ void BM_PlacementScanDense(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementScanDense);
 
+// --- Task lifecycle at fleet depth -----------------------------------------
+//
+// A 6,720-server DC (16 rows, the hyperscale tier) holding ~30 k running
+// tasks, the depth the hyperscale closed loop runs at. Each iteration is one
+// Step that fires the earliest completion plus the placement of a fresh
+// task on the server it freed, so the running count, every server's task
+// table and the queue depth stay constant: a steady state in which the task
+// storage and the event queue must recycle. The case hard-asserts a zero
+// allocation delta over the timed region.
+void BM_TaskChurnHyperscaleDepth(benchmark::State& state) {
+  constexpr int kRunningTasks = 30'000;
+  Simulation sim;
+  DataCenter dc(Rig::Topology(16), &sim);
+  Rng rng(7);
+  int32_t next_job = 0;
+  ServerId freed;
+  dc.SetTaskCompletionListener([&freed](ServerId id, JobId) { freed = id; });
+  auto place = [&](ServerId id) {
+    const TaskSpec spec{JobId(next_job++), Resources{2.0, 4.0},
+                        SimTime::Micros(rng.UniformInt(60'000'000,
+                                                       1'020'000'000))};
+    AMPERE_CHECK(dc.PlaceTask(id, spec)) << "churn placement did not fit";
+  };
+  for (int i = 0; i < kRunningTasks; ++i) {
+    place(ServerId(i % dc.num_servers()));
+  }
+  auto cycle = [&] {
+    sim.Step();
+    place(freed);
+  };
+  for (int i = 0; i < kRunningTasks; ++i) {
+    cycle();  // Warmup: every record and queue entry recycled once.
+  }
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    cycle();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "task churn allocated in steady state";
+  AMPERE_CHECK(sim.pending_events() == static_cast<size_t>(kRunningTasks))
+      << "churn changed the running-task count";
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("place_step_complete_zero_alloc");
+}
+BENCHMARK(BM_TaskChurnHyperscaleDepth);
+
 // One 420-server row under a loaded fleet, with a monitor group registered
 // and a controller ready to tick — shared by the tick-latency and the
 // obs-overhead benches so both measure the identical decision path.

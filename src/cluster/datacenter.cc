@@ -35,6 +35,7 @@ DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
       sleep_watts_(config.power_model.rated_watts * config.sleep_fraction),
       wake_latency_(config.wake_latency) {
   AMPERE_CHECK(sim != nullptr);
+  event_target_ = sim->RegisterTarget(this);
   AMPERE_CHECK(config.num_rows >= 1);
   AMPERE_CHECK(config.racks_per_row >= 1);
   AMPERE_CHECK(config.servers_per_rack >= 1);
@@ -182,18 +183,29 @@ bool DataCenter::PlaceTask(ServerId id, const TaskSpec& spec) {
   double old_power = server.power_watts();
   double old_dynamic = server.dynamic_watts_at_full_freq();
 
-  Server::RunningTask task;
-  task.demand = spec.demand;
-  task.remaining_work = spec.work;
-  task.last_update = sim_->now();
-  SimTime wall = spec.work * (1.0 / server.frequency());
-  task.completion = sim_->ScheduleAfter(
-      wall, [this, id, job = spec.job] { CompleteTask(id, job); });
-  // Single probe: TryEmplace both detects the duplicate (was a separate
-  // contains() before) and appends.
-  const bool inserted = server.tasks_.TryEmplace(spec.job, std::move(task));
+  // The record this task takes: the most recently freed one, else a new
+  // one. It is claimed only once the job is known not to be a duplicate.
+  const uint32_t index = free_tasks_.empty()
+                             ? static_cast<uint32_t>(tasks_.size())
+                             : free_tasks_.back();
+  // Single probe: TryEmplace both detects the duplicate and appends.
+  const bool inserted = server.tasks_.TryEmplace(spec.job, index);
   AMPERE_CHECK(inserted) << "job " << spec.job.value()
                          << " already on server " << id.value();
+  if (index == tasks_.size()) {
+    tasks_.emplace_back();
+  } else {
+    free_tasks_.pop_back();
+  }
+  const SimTime now = sim_->now();
+  TaskRecord& task = tasks_[index];
+  task.server = id;
+  task.job = spec.job;
+  task.demand = spec.demand;
+  task.remaining_work = spec.work;
+  task.last_update = now;
+  task.seq = sim_->ScheduleTargetAt(
+      now + spec.work * (1.0 / server.frequency()), event_target_, index);
   server.allocated_ += spec.demand;
   AMPERE_CHECK(server.capacity_.Fits(server.allocated_));
   RefreshSchedulable(id);
@@ -204,7 +216,10 @@ bool DataCenter::PlaceTask(ServerId id, const TaskSpec& spec) {
   return true;
 }
 
-void DataCenter::CompleteTask(ServerId id, JobId job) {
+void DataCenter::CompleteTask(uint32_t index) {
+  TaskRecord& task = tasks_[index];
+  const ServerId id = task.server;
+  const JobId job = task.job;
   Server& server = servers_[id.index()];
   const size_t slot = server.tasks_.Find(job);
   AMPERE_CHECK(slot != Server::TaskTable::kNotFound);
@@ -212,9 +227,11 @@ void DataCenter::CompleteTask(ServerId id, JobId job) {
   double old_power = server.power_watts();
   double old_dynamic = server.dynamic_watts_at_full_freq();
 
-  server.allocated_ -= server.tasks_.task_at(slot).demand;
+  server.allocated_ -= task.demand;
   AMPERE_CHECK(server.allocated_.NonNegative());
   server.tasks_.EraseAt(slot);
+  task.seq = kFreeTask;
+  free_tasks_.push_back(index);
   RefreshSchedulable(id);
 
   RefreshServerPower(id, old_power, old_dynamic);
@@ -394,46 +411,42 @@ void DataCenter::SetServerFrequency(ServerId id, double freq) {
   if (server.frequency_ == freq) {
     return;
   }
-  // Maintain the row's capped-server count and capped-time clock on 1.0
-  // crossings.
-  RowState& row_state = rows_[server.row().index()];
-  if (server.frequency_ == 1.0 && freq < 1.0) {
-    if (row_state.capped_server_count == 0) {
-      row_state.capped_since = sim_->now();
-    }
-    ++row_state.capped_server_count;
-  } else if (server.frequency_ < 1.0 && freq == 1.0) {
-    AMPERE_CHECK(row_state.capped_server_count > 0);
-    --row_state.capped_server_count;
-    if (row_state.capped_server_count == 0) {
-      row_state.capped_total += sim_->now() - row_state.capped_since;
-    }
-  }
-  double old_freq = server.frequency_;
   double old_power = server.power_watts();
   double old_dynamic = server.dynamic_watts_at_full_freq();
-  SimTime now = sim_->now();
-  // Reconcile each task's remaining full-speed work consumed at the old
-  // frequency, then reschedule its completion at the new frequency. The
-  // walk is in task-table insertion order (placement order), so the
-  // rescheduled completions' tie-break order is deterministic.
-  for (size_t t = 0; t < server.tasks_.size(); ++t) {
-    Server::RunningTask& task = server.tasks_.task_at(t);
-    SimTime consumed = (now - task.last_update) * old_freq;
+  RetimeServer(server, rows_[server.row().index()], freq);
+  RefreshServerPower(id, old_power, old_dynamic);
+}
+
+void DataCenter::RetimeServer(Server& server, RowState& row, double freq) {
+  const SimTime now = sim_->now();
+  if (server.frequency_ == 1.0 && freq < 1.0) {
+    if (row.capped_server_count == 0) {
+      row.capped_since = now;
+    }
+    ++row.capped_server_count;
+  } else if (server.frequency_ < 1.0 && freq == 1.0) {
+    AMPERE_CHECK(row.capped_server_count > 0);
+    --row.capped_server_count;
+    if (row.capped_server_count == 0) {
+      row.capped_total += now - row.capped_since;
+    }
+  }
+  // The walk is in task-table insertion order (placement order), so the
+  // rescheduled completions' seqs, and thus their tie-breaks, are
+  // deterministic. The arithmetic is ScheduleAfter's: now + wall.
+  for (uint32_t index : server.tasks_.records()) {
+    TaskRecord& task = tasks_[index];
+    const SimTime consumed = (now - task.last_update) * server.frequency_;
     task.remaining_work =
         std::max(SimTime(), task.remaining_work - consumed);
     task.last_update = now;
-    task.completion.Cancel();
-    SimTime wall = task.remaining_work * (1.0 / freq);
-    // A task whose remaining work rounds to zero completes immediately
-    // (strictly after this event, preserving causality).
-    task.completion = sim_->ScheduleAfter(
-        wall, [this, id, job_id = server.tasks_.job_at(t)] {
-          CompleteTask(id, job_id);
-        });
+    sim_->RetireTargetEvent();
+    // A task whose remaining work rounds to zero completes at `now`, still
+    // strictly after this event (its seq is newer).
+    task.seq = sim_->ScheduleTargetAt(
+        now + task.remaining_work * (1.0 / freq), event_target_, index);
   }
   server.frequency_ = freq;
-  RefreshServerPower(id, old_power, old_dynamic);
 }
 
 void DataCenter::ApplyRowFrequency(RowId row_id, double freq) {
@@ -449,45 +462,16 @@ void DataCenter::ApplyRowFrequency(RowId row_id, double freq) {
     return;
   }
 
-  // Pass 1 — per-server bookkeeping, ascending id order exactly like the
-  // per-server loop this replaces: capped-count 1.0-crossings, task
-  // reconciliation, completion rescheduling. ScheduleAfter is called in the
-  // same order as before, so event sequence numbers (and thus tie-breaks)
-  // are unchanged.
-  const SimTime now = sim_->now();
+  // Pass 1 — per-server bookkeeping in ascending id order, exactly like
+  // the per-server loop: completions are rescheduled in the same order, so
+  // event sequence numbers (and thus tie-breaks) match that path.
   uint64_t n_changed = 0;
   for (ServerId id : row.servers) {
     Server& server = servers_[id.index()];
     if (server.frequency_ == freq) {
       continue;
     }
-    if (server.frequency_ == 1.0 && freq < 1.0) {
-      if (row.capped_server_count == 0) {
-        row.capped_since = now;
-      }
-      ++row.capped_server_count;
-    } else if (server.frequency_ < 1.0 && freq == 1.0) {
-      AMPERE_CHECK(row.capped_server_count > 0);
-      --row.capped_server_count;
-      if (row.capped_server_count == 0) {
-        row.capped_total += now - row.capped_since;
-      }
-    }
-    const double old_freq = server.frequency_;
-    for (size_t t = 0; t < server.tasks_.size(); ++t) {
-      Server::RunningTask& task = server.tasks_.task_at(t);
-      SimTime consumed = (now - task.last_update) * old_freq;
-      task.remaining_work =
-          std::max(SimTime(), task.remaining_work - consumed);
-      task.last_update = now;
-      task.completion.Cancel();
-      SimTime wall = task.remaining_work * (1.0 / freq);
-      task.completion = sim_->ScheduleAfter(
-          wall, [this, id, job_id = server.tasks_.job_at(t)] {
-            CompleteTask(id, job_id);
-          });
-    }
-    server.frequency_ = freq;
+    RetimeServer(server, row, freq);
     ++n_changed;
   }
   if (n_changed == 0) {

@@ -66,7 +66,10 @@ struct TopologyConfig {
   SimTime wake_latency = SimTime::Seconds(30);
 };
 
-class DataCenter {
+// Task completions are typed events (Simulation::ScheduleTargetAt) over a
+// dense per-DC task pool: the queue entry names a pool record, and the
+// DataCenter is the EventTarget that checks and fires it.
+class DataCenter final : private EventTarget {
  public:
   // `sim` must outlive the DataCenter.
   DataCenter(const TopologyConfig& config, Simulation* sim);
@@ -168,6 +171,10 @@ class DataCenter {
   // draw) and the server becomes schedulable after wake_latency. No-op if
   // the server is already awake or waking.
   void WakeServer(ServerId id);
+
+  // Task-pool records ever created: the high-water mark of concurrently
+  // running tasks (introspection for tests and benches).
+  size_t task_pool_size() const { return tasks_.size(); }
 
   // Invoked whenever a task completes; receives (server, job).
   void SetTaskCompletionListener(std::function<void(ServerId, JobId)> cb) {
@@ -275,7 +282,27 @@ class DataCenter {
     SimTime capped_total;
   };
 
-  void CompleteTask(ServerId id, JobId job);
+  // One running task. Records live in the dense pool tasks_ and are
+  // recycled through free_tasks_; Server::TaskTable names them by index.
+  struct TaskRecord {
+    ServerId server;
+    JobId job;
+    uint64_t seq = kFreeTask;  // Its queued completion; kFreeTask if free.
+    Resources demand;
+    SimTime remaining_work;  // At full frequency.
+    SimTime last_update;     // When remaining_work was last reconciled.
+  };
+  // Seq value of a free record; never minted (seqs are below 2^kSeqBits).
+  static constexpr uint64_t kFreeTask = ~uint64_t{0};
+
+  // EventTarget: a queued completion is live while its record still holds
+  // the seq it was queued with.
+  bool Live(uint32_t index, uint64_t seq) const override {
+    return tasks_[index].seq == seq;
+  }
+  void Fire(uint32_t index) override { CompleteTask(index); }
+
+  void CompleteTask(uint32_t index);
   // Rewrites server `id`'s free-capacity entry and queues it for the max
   // tree (see MaxSchedulableFree). Called after every mutation of
   // allocated_/frozen_/reserved_/asleep_/waking_, all of which happen in
@@ -301,6 +328,12 @@ class DataCenter {
   // and rescheduling their completions; maintains the row's capped-server
   // count and capped-time clock.
   void SetServerFrequency(ServerId id, double freq);
+  // The power-free part of a frequency change, shared by the per-server and
+  // per-row paths: the row's capped-server count and capped-time clock on
+  // 1.0 crossings, then each running task in task-table order consumes its
+  // work at the old frequency and has its completion rescheduled at the new
+  // one, then the new frequency is stored. Requires freq != the current.
+  void RetimeServer(Server& server, RowState& row, double freq);
   // Bulk counterpart of SetServerFrequency for a whole row at one uniform
   // frequency — the shape of every kRowUniform enforcement step and of the
   // capping release path. Per-server bookkeeping (capped-count crossings,
@@ -321,6 +354,7 @@ class DataCenter {
   }
 
   Simulation* sim_;
+  uint32_t event_target_;  // This DC's id for sim_->ScheduleTargetAt.
   ThreadPool* pool_ = nullptr;  // Not owned; see SetThreadPool.
   // Owns one model per generation; servers point into this vector, which is
   // never resized after construction.
@@ -355,6 +389,10 @@ class DataCenter {
   size_t asleep_servers_ = 0;
   obs::DomainId obs_domain_ = 0;
   std::function<void(ServerId, JobId)> completion_listener_;
+  // Task pool: one record per running task, indexed by the typed
+  // completion events, plus the free records' indices.
+  std::vector<TaskRecord> tasks_;
+  std::vector<uint32_t> free_tasks_;
 };
 
 }  // namespace ampere

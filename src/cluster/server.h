@@ -8,7 +8,7 @@
 #define SRC_CLUSTER_SERVER_H_
 
 #include <cstddef>
-#include <utility>
+#include <cstdint>
 #include <vector>
 
 #include "src/cluster/resources.h"
@@ -119,23 +119,14 @@ class Server {
     *soa_dynamic_full_watts_ = power_model_->DynamicPowerAt(u, 1.0);
   }
 
-  struct RunningTask {
-    Resources demand;
-    SimTime remaining_work;  // At full frequency.
-    SimTime last_update;     // When remaining_work was last reconciled.
-    Simulation::EventHandle completion;
-  };
-
-  // Insertion-ordered running-task table on flat storage. A server hosts a
-  // handful of tasks (batch containers plus at most one resident service),
-  // so a linear scan over a dense key array beats a hash table: lookup
-  // touches one or two cache lines of keys instead of a bucket array plus a
-  // chained node, insertion is a push_back, and the whole table is two
-  // contiguous blocks instead of a node forest — which also shrinks the
-  // Server object itself, the dominant cache footprint at fleet scale.
-  // Iteration order is insertion order: stable, deterministic, and
-  // independent of key values, which the frequency-reconcile walk in
-  // DataCenter::SetServerFrequency relies on for reproducible completion
+  // Insertion-ordered running-task table on flat storage: (job, index of
+  // the task's record in the owning DataCenter's task pool) pairs. A server
+  // hosts a handful of tasks (batch containers plus at most one resident
+  // service), so a linear scan over a dense key array beats a hash table:
+  // lookup touches one or two cache lines of keys, and insertion is a
+  // push_back. Iteration order is insertion order: stable, deterministic,
+  // and independent of key values, which the frequency-reconcile walk in
+  // DataCenter::RetimeServer relies on for reproducible completion
   // rescheduling.
   class TaskTable {
    public:
@@ -153,30 +144,28 @@ class Server {
       return kNotFound;
     }
 
-    // Appends (job, task); returns false (and drops the task) if the job is
-    // already present.
-    bool TryEmplace(JobId job, RunningTask&& task) {
+    // Appends (job, record); returns false if the job is already present.
+    bool TryEmplace(JobId job, uint32_t record) {
       if (Find(job) != kNotFound) {
         return false;
       }
       jobs_.push_back(job);
-      tasks_.push_back(std::move(task));
+      records_.push_back(record);
       return true;
     }
 
-    JobId job_at(size_t i) const { return jobs_[i]; }
-    RunningTask& task_at(size_t i) { return tasks_[i]; }
-    const RunningTask& task_at(size_t i) const { return tasks_[i]; }
+    // Pool indices of the running tasks, in insertion order.
+    const std::vector<uint32_t>& records() const { return records_; }
 
     // Removes entry `i`, preserving the insertion order of the rest.
     void EraseAt(size_t i) {
       jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
-      tasks_.erase(tasks_.begin() + static_cast<std::ptrdiff_t>(i));
+      records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(i));
     }
 
    private:
     std::vector<JobId> jobs_;
-    std::vector<RunningTask> tasks_;
+    std::vector<uint32_t> records_;
   };
 
   ServerId id_;

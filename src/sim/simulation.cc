@@ -58,35 +58,52 @@ void Simulation::SchedulePeriodic(SimTime start, SimTime interval,
   ScheduleAt(start, [rearm, start] { rearm.Fire(start); });
 }
 
-bool Simulation::Step() {
-  while (!heap_.empty()) {
-    const QueueEntry entry = heap_.front();
-    HeapPop();
-    if (EntryStale(entry)) {
-      // Cancelled (the slot was retired, possibly re-minted since): the
-      // live-event count was settled at cancel time.
-      continue;
-    }
-    --live_events_;
-    AMPERE_CHECK(entry.time >= now_);
-    now_ = entry.time;
-    ++processed_events_;
-    Slot& slot = slots_[entry.slot()];
-    // Clear the seq token before invoking: the event is now "fired", so a
-    // Cancel() or pending() from inside its own callback behaves like the
-    // old shared-state handles (no-op / false). The slot is only returned
-    // to the free list after the callback finishes, so events scheduled by
-    // the callback cannot alias the still-running slot.
-    slot.seq = kNoEvent;
-    try {
-      slot.callback.Invoke();
-    } catch (...) {
-      slot.callback.Reset();
-      free_list_.push_back(entry.slot());
-      throw;
-    }
+uint32_t Simulation::RegisterTarget(EventTarget* target) {
+  AMPERE_CHECK(target != nullptr);
+  AMPERE_CHECK(targets_.size() < kMaxTargets)
+      << "event target overflow: at most " << kMaxTargets << " targets";
+  targets_.push_back(target);
+  return static_cast<uint32_t>(targets_.size() - 1);
+}
+
+void Simulation::FireHead() {
+  const QueueEntry entry = heap_.front();
+  HeapPop();
+  --live_events_;
+  AMPERE_CHECK(entry.time >= now_);
+  now_ = entry.time;
+  ++processed_events_;
+  if (entry.typed()) {
+    // The target's own record is the event's state; Fire() retires it.
+    targets_[entry.target()]->Fire(entry.index());
+    return;
+  }
+  Slot& slot = slots_[entry.slot()];
+  // Clear the seq token before invoking: the event is now "fired", so a
+  // Cancel() or pending() from inside its own callback behaves like the
+  // old shared-state handles (no-op / false). The slot is only returned
+  // to the free list after the callback finishes, so events scheduled by
+  // the callback cannot alias the still-running slot.
+  slot.seq = kNoEvent;
+  try {
+    slot.callback.Invoke();
+  } catch (...) {
     slot.callback.Reset();
     free_list_.push_back(entry.slot());
+    throw;
+  }
+  slot.callback.Reset();
+  free_list_.push_back(entry.slot());
+}
+
+bool Simulation::Step() {
+  while (!heap_.empty()) {
+    if (EntryStale(heap_.front())) {
+      // Cancelled or rescheduled: the live-event count was settled then.
+      HeapPop();
+      continue;
+    }
+    FireHead();
     return true;
   }
   return false;
@@ -100,8 +117,8 @@ void Simulation::RunUntil(SimTime until) {
   AMPERE_SPAN("sim.run_until");
   const uint64_t processed_before = processed_events_;
   while (!heap_.empty()) {
-    // Discard stale (cancelled) entries first: Step() would skip past them
-    // to the next live event, which may lie beyond the boundary.
+    // Discard stale entries before the boundary test: a stale head may lie
+    // before `until` while the next live event lies beyond it.
     if (EntryStale(heap_.front())) {
       HeapPop();
       continue;
@@ -109,7 +126,7 @@ void Simulation::RunUntil(SimTime until) {
     if (heap_.front().time > until) {
       break;
     }
-    Step();
+    FireHead();
   }
   now_ = until;
   AMPERE_COUNTER_ADD("sim.events", processed_events_ - processed_before);

@@ -2,18 +2,26 @@
 //
 // A single-threaded event core drives the data-center model: job arrivals
 // and completions are point events, while the power monitor and the Ampere
-// controller are periodic tasks on a one-minute cadence. Completion events
-// are cancellable because DVFS power capping changes server speed, which
-// requires rescheduling every affected task's completion.
+// controller are periodic tasks on a one-minute cadence. Events fire in
+// strict (time, seq) order, where seq is a counter minted once per schedule
+// call, so the pop sequence is a pure function of the schedule calls.
 //
-// Hot-path design: events live in a slab of pooled slots recycled through a
-// free list, each slot holding its callback in small-buffer storage sized
-// for the closures the model actually schedules (completion lambdas,
-// periodic re-arms). The steady state allocates nothing per event — no
-// shared_ptr control block, no std::function heap node. Handles are
-// generation-checked PODs: cancelling an already-fired, already-cancelled,
-// or recycled event is a safe no-op, exactly like the previous
-// shared-state handles, with cancel O(1).
+// Two kinds of event share that order and that counter:
+//
+// - Closures (ScheduleAt/ScheduleAfter/SchedulePeriodic): arrivals,
+//   periodic ticks, wake-ups. Each lives in a slab of pooled slots recycled
+//   through a free list, its callback in small-buffer storage sized for the
+//   closures the model schedules, so the steady state allocates nothing per
+//   event. Handles are generation-checked PODs: cancelling an already-fired,
+//   already-cancelled or recycled event is a safe no-op, with cancel O(1).
+// - Typed events (RegisterTarget/ScheduleTargetAt): task completions. The
+//   queue entry holds only (target, index) and the seq; the owner keeps the
+//   event's state in its own dense records, decides liveness by comparing
+//   the seq it stored for `index` (EventTarget::Live) and runs the event
+//   (EventTarget::Fire). No slot, callback or handle is involved, so a fleet
+//   with tens of thousands of running tasks carries no per-task closure. An
+//   owner that reschedules stores the new seq (the old entry turns stale)
+//   and calls RetireTargetEvent().
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
@@ -31,6 +39,21 @@
 #include "src/common/time.h"
 
 namespace ampere {
+
+// The owner of a family of typed events (see Simulation::ScheduleTargetAt).
+// `index` names one of the owner's records; `seq` is the value
+// ScheduleTargetAt returned for it. A target must outlive its queued events.
+class EventTarget {
+ public:
+  // True if `seq` is still the event queued for record `index`, false once
+  // the owner has fired, rescheduled or freed it.
+  virtual bool Live(uint32_t index, uint64_t seq) const = 0;
+  // Runs the event of record `index`; called only after Live() said true.
+  virtual void Fire(uint32_t index) = 0;
+
+ protected:
+  ~EventTarget() = default;
+};
 
 class Simulation {
  public:
@@ -72,15 +95,13 @@ class Simulation {
   // without touching the heap.
   template <typename F>
   EventHandle ScheduleAt(SimTime at, F&& callback) {
-    AMPERE_CHECK(at >= now_) << "scheduling into the past: at="
-                             << at.ToString() << " now=" << now_.ToString();
+    CheckNotPast(at);
+    const uint64_t seq = MintSeq();
     const uint32_t slot_index = AllocSlot();
-    const uint64_t seq = next_seq_++;
-    AMPERE_CHECK(seq < (uint64_t{1} << kSeqBits)) << "event seq overflow";
     Slot& slot = slots_[slot_index];
     slot.callback.Emplace(std::forward<F>(callback));
     slot.seq = seq;
-    HeapPush(QueueEntry{at, (seq << kSlotBits) | slot_index});
+    HeapPush(QueueEntry{at, (seq << kLowBits) | slot_index});
     ++live_events_;
     return EventHandle(this, slot_index, seq);
   }
@@ -98,6 +119,55 @@ class Simulation {
   void SchedulePeriodic(SimTime start, SimTime interval,
                         std::function<void(SimTime)> callback);
 
+  // --- Typed events ---
+  // Limits of the packed queue entry (see QueueEntry): at most kMaxTargets
+  // registered targets, record indices below kMaxTargetIndex, and kMaxSeq
+  // schedule calls over the simulation's life. Each is CHECKed.
+  //
+  // Headroom over the largest current tiers: 64 targets against a 4-DC
+  // campus; 2M records per target against ~120k running tasks on the
+  // 26,880-server tier; 2^36 seqs against ~7M events per simulated
+  // hyperscale day.
+  static constexpr int kTargetBits = 6;
+  static constexpr int kTargetIndexBits = 21;
+  static constexpr int kLowBits = 1 + kTargetBits + kTargetIndexBits;
+  static constexpr int kSeqBits = 64 - kLowBits;
+  static constexpr size_t kMaxTargets = size_t{1} << kTargetBits;
+  static constexpr uint32_t kMaxTargetIndex = uint32_t{1}
+                                              << kTargetIndexBits;
+  static constexpr uint64_t kMaxSeq = uint64_t{1} << kSeqBits;
+
+  // Registers `target` (not owned) and returns its id for ScheduleTargetAt.
+  uint32_t RegisterTarget(EventTarget* target);
+
+  // Queues a typed event for record `index` of target `target_id` at `at`
+  // (>= now()) and returns its seq, drawn from the same counter as the
+  // closures'. The owner stores the seq for EventTarget::Live.
+  uint64_t ScheduleTargetAt(SimTime at, uint32_t target_id, uint32_t index) {
+    CheckNotPast(at);
+    AMPERE_CHECK(target_id < targets_.size())
+        << "unregistered event target " << target_id;
+    AMPERE_CHECK(index < kMaxTargetIndex)
+        << "typed event index overflow: " << index;
+    const uint64_t seq = MintSeq();
+    HeapPush(QueueEntry{at, (seq << kLowBits) | kTypedFlag |
+                                (uint64_t{target_id} << kTargetIndexBits) |
+                                index});
+    ++live_events_;
+    return seq;
+  }
+
+  // Settles the pending-event count after the owner retired a queued typed
+  // event (stored a new seq or freed the record before it fired). The stale
+  // entry is discarded when it reaches the head, like a cancelled closure.
+  void RetireTargetEvent() {
+    AMPERE_CHECK(live_events_ > 0);
+    --live_events_;
+  }
+
+  // Lets tests reach the seq limit without minting 2^kSeqBits events.
+  void SkipSeqsForTesting(uint64_t n) { next_seq_ += n; }
+
   // Executes the next event, advancing the clock to it. Returns false when
   // the queue is empty.
   bool Step();
@@ -109,12 +179,12 @@ class Simulation {
   // Runs to queue exhaustion. Periodic tasks never exhaust; use RunUntil.
   void RunToCompletion();
 
-  // Pre-sizes the event pool and queue for `expected_live` concurrently
-  // scheduled events (capacity hint; the pool grows on demand regardless).
+  // Pre-sizes the closure pool and the queue for `expected_live`
+  // concurrently scheduled closures (capacity hint; both grow on demand).
   void ReserveEvents(size_t expected_live);
 
-  // Introspection for tests/benches: slots ever created (high-water mark of
-  // concurrently live events) and slots currently on the free list.
+  // Introspection for tests/benches: closure slots ever created (high-water
+  // mark of concurrently live closures) and slots currently on the free list.
   size_t slab_size() const { return slots_.size(); }
   size_t free_slots() const { return free_list_.size(); }
 
@@ -186,17 +256,16 @@ class Simulation {
     alignas(std::max_align_t) unsigned char buffer_[kInlineBytes];
   };
 
-  // Queue entries pack (seq, slot) into one word: seq in the high bits,
-  // slot index in the low kSlotBits. Sequence numbers are globally unique,
-  // so comparing packed words compares seqs (the slot bits can only break a
-  // tie that never happens), and a slot's current seq doubles as its
-  // generation token — an entry or handle whose seq no longer matches the
-  // slot's is stale. The packing halves the entry to 16 bytes: the pop's
-  // sift-down touches half the cache lines of the 32-byte layout it
-  // replaces, which is where most of the queue time goes at fleet scale.
-  static constexpr int kSlotBits = 22;       // 4M concurrently live events.
-  static constexpr int kSeqBits = 64 - kSlotBits;
-  static constexpr uint64_t kSlotMask = (uint64_t{1} << kSlotBits) - 1;
+  // Queue entries pack the seq and the event's address into one word: seq
+  // in the high kSeqBits, then kLowBits holding a typed flag plus either a
+  // closure's slot index (2^27 slots) or a typed event's (target, index).
+  // Seqs are globally unique, so comparing packed words compares seqs (the
+  // low bits can only break a tie that never happens), and the seq doubles
+  // as a generation token: an entry whose seq no longer matches its slot's
+  // (or its target record's) is stale. The packing keeps the entry at 16
+  // bytes, so the pop's sift-down touches few cache lines.
+  static constexpr uint64_t kTypedFlag = uint64_t{1} << (kLowBits - 1);
+  static constexpr uint64_t kSlotMask = kTypedFlag - 1;
   // Token value meaning "no queued event owns this slot"; real seqs are
   // checked against kSeqBits so they never collide with it.
   static constexpr uint64_t kNoEvent = ~uint64_t{0};
@@ -212,10 +281,20 @@ class Simulation {
 
   struct QueueEntry {
     SimTime time;
-    uint64_t key;  // (seq << kSlotBits) | slot.
+    // (seq << kLowBits) | slot for a closure;
+    // (seq << kLowBits) | kTypedFlag | (target << kTargetIndexBits) | index
+    // for a typed event.
+    uint64_t key;
 
-    uint64_t seq() const { return key >> kSlotBits; }
+    uint64_t seq() const { return key >> kLowBits; }
+    bool typed() const { return (key & kTypedFlag) != 0; }
     uint32_t slot() const { return static_cast<uint32_t>(key & kSlotMask); }
+    uint32_t target() const {
+      return static_cast<uint32_t>((key & kSlotMask) >> kTargetIndexBits);
+    }
+    uint32_t index() const {
+      return static_cast<uint32_t>(key & (kMaxTargetIndex - 1));
+    }
   };
 
   // (time, seq) is a strict total order — seq is unique — so the pop
@@ -296,9 +375,25 @@ class Simulation {
     free_list_.push_back(index);
   }
 
+  void CheckNotPast(SimTime at) const {
+    AMPERE_CHECK(at >= now_) << "scheduling into the past: at="
+                             << at.ToString() << " now=" << now_.ToString();
+  }
+
+  uint64_t MintSeq() {
+    AMPERE_CHECK(next_seq_ < kMaxSeq) << "event seq overflow";
+    return next_seq_++;
+  }
+
   bool EntryStale(const QueueEntry& entry) const {
+    if (entry.typed()) {
+      return !targets_[entry.target()]->Live(entry.index(), entry.seq());
+    }
     return slots_[entry.slot()].seq != entry.seq();
   }
+
+  // Pops the (live) head and runs it.
+  void FireHead();
 
   void CancelEvent(uint32_t slot_index, uint64_t seq);
   bool EventPending(uint32_t slot_index, uint64_t seq) const {
@@ -313,6 +408,7 @@ class Simulation {
   // firing may schedule new events while its own slot is still in use).
   std::deque<Slot> slots_;
   std::vector<uint32_t> free_list_;
+  std::vector<EventTarget*> targets_;  // Not owned; indexed by target id.
   // 4-ary min-heap on (time, packed seq/slot); see Earlier()/HeapPush()/
   // HeapPop().
   std::vector<QueueEntry> heap_;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <vector>
+
 #include "src/common/check.h"
 
 namespace ampere {
@@ -100,6 +103,45 @@ TEST(CampusTest, RejectsEmptyCampus) {
   CampusConfig config = SmallCampus(0);
   Simulation sim;
   EXPECT_THROW(Campus(config, &sim), CheckFailure);
+}
+
+TEST(CampusTest, EachCompletionReachesItsOwnDataCenter) {
+  Simulation sim;
+  Campus campus(SmallCampus(), &sim);
+  // (listener's DC, server, job, time) per completion.
+  std::vector<std::tuple<int, int32_t, int32_t, SimTime>> completions;
+  for (int d = 0; d < campus.num_datacenters(); ++d) {
+    campus.dc(DataCenterId(d)).SetTaskCompletionListener(
+        [&completions, &sim, d](ServerId s, JobId j) {
+          completions.emplace_back(d, s.value(), j.value(), sim.now());
+        });
+  }
+  // The same server id and interleaved durations in every DC, so each DC's
+  // pool hands out the same record indices.
+  for (int32_t k = 0; k < 3; ++k) {
+    for (int d = 0; d < campus.num_datacenters(); ++d) {
+      ASSERT_TRUE(campus.dc(DataCenterId(d))
+                      .PlaceTask(ServerId(k),
+                                 TaskSpec{JobId(100 * d + k),
+                                          Resources{2.0, 2.0},
+                                          SimTime::Minutes(10 - 3 * k + d)}));
+    }
+  }
+  EXPECT_EQ(sim.pending_events(), 12u);
+  sim.RunToCompletion();
+  ASSERT_EQ(completions.size(), 12u);
+  for (const auto& [d, server, job, at] : completions) {
+    const int32_t k = job % 100;
+    EXPECT_EQ(job / 100, d);
+    EXPECT_EQ(server, k);
+    EXPECT_EQ(at, SimTime::Minutes(10 - 3 * k + d));
+  }
+  for (int d = 0; d < campus.num_datacenters(); ++d) {
+    for (int32_t k = 0; k < 3; ++k) {
+      EXPECT_EQ(campus.dc(DataCenterId(d)).server(ServerId(k)).num_tasks(),
+                0u);
+    }
+  }
 }
 
 }  // namespace

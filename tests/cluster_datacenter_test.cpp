@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <vector>
 
 #include "src/common/check.h"
@@ -317,6 +318,131 @@ TEST(DataCenterTest, ResummateSnapsAggregatesToExactSums) {
   // Resummation is idempotent.
   dc.ResummatePowerAggregates();
   EXPECT_EQ(dc.total_power_watts(), dc.ExactTotalPowerWatts());
+}
+
+// --- Task pool and typed completions ---
+
+// Sum of running tasks over every server.
+size_t RunningTasks(const DataCenter& dc) {
+  size_t n = 0;
+  for (int32_t s = 0; s < dc.num_servers(); ++s) {
+    n += dc.server(ServerId(s)).num_tasks();
+  }
+  return n;
+}
+
+TEST(DataCenterTaskPoolTest, TwoFrequencyStepsCompleteEachTaskOnceOnTime) {
+  Simulation sim;
+  DataCenter dc(CappedTopology(), &sim);
+  // A 10 W slack: any running task pins the row at the ladder minimum, so
+  // completions do not move the throttle until the last one.
+  dc.SetRowCappingBudget(RowId(0), 4 * 162.5 + 10.0);
+  std::map<int32_t, std::vector<SimTime>> completions;
+  dc.SetTaskCompletionListener([&](ServerId, JobId job) {
+    completions[job.value()].push_back(sim.now());
+  });
+  // One closure queued beside the completions.
+  bool other_fired = false;
+  sim.ScheduleAt(SimTime::Minutes(90), [&] { other_fired = true; });
+  const std::vector<SimTime> work = {SimTime::Minutes(10),
+                                     SimTime::Minutes(12),
+                                     SimTime::Minutes(14),
+                                     SimTime::Minutes(16)};
+  for (int32_t s = 0; s < 4; ++s) {
+    ASSERT_TRUE(dc.PlaceTask(
+        ServerId(s), TaskSpec{JobId(s), Resources{16.0, 16.0},
+                              work[static_cast<size_t>(s)]}));
+  }
+  const double f = dc.row_throttle(RowId(0));
+  ASSERT_LT(f, 1.0);
+  EXPECT_EQ(sim.pending_events(), RunningTasks(dc) + 1);
+
+  // Step 1 at 3 min: release to full speed.
+  sim.RunUntil(SimTime::Minutes(3));
+  dc.SetCappingEnabled(false);
+  EXPECT_EQ(sim.pending_events(), RunningTasks(dc) + 1);
+  // Step 2 at 5 min: back to the same throttle.
+  sim.RunUntil(SimTime::Minutes(5));
+  dc.SetCappingEnabled(true);
+  ASSERT_EQ(dc.row_throttle(RowId(0)), f);
+  EXPECT_EQ(sim.pending_events(), RunningTasks(dc) + 1);
+
+  while (RunningTasks(dc) > 0) {
+    ASSERT_TRUE(sim.Step());
+    EXPECT_EQ(sim.pending_events(), RunningTasks(dc) + (other_fired ? 0 : 1));
+  }
+  EXPECT_FALSE(other_fired);
+  ASSERT_EQ(completions.size(), 4u);
+  for (int32_t s = 0; s < 4; ++s) {
+    // The reconcile's own arithmetic: 3 min at f, 2 min at 1.0, the rest
+    // at f from 5 min.
+    SimTime remaining =
+        work[static_cast<size_t>(s)] - SimTime::Minutes(3) * f;
+    remaining = remaining - SimTime::Minutes(2) * 1.0;
+    ASSERT_EQ(completions[s].size(), 1u) << "job " << s;
+    EXPECT_EQ(completions[s][0], SimTime::Minutes(5) + remaining * (1.0 / f))
+        << "job " << s;
+  }
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunToCompletion();
+  EXPECT_TRUE(other_fired);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(DataCenterTaskPoolTest, ReusedRecordNeverFiresAStaleCompletion) {
+  Simulation sim;
+  DataCenter dc(CappedTopology(), &sim);
+  std::vector<std::pair<int32_t, SimTime>> completions;
+  dc.SetTaskCompletionListener([&](ServerId, JobId job) {
+    completions.emplace_back(job.value(), sim.now());
+  });
+  ASSERT_TRUE(dc.PlaceTask(ServerId(0), TaskSpec{JobId(1),
+                                                 Resources{16.0, 16.0},
+                                                 SimTime::Minutes(10)}));
+  // Throttle, then release at 2 min: job 1's record is rescheduled twice,
+  // leaving stale entries at 10 min and at 10 min / f.
+  dc.SetRowCappingBudget(RowId(0), 4 * 162.5 + 10.0);
+  const double f = dc.row_throttle(RowId(0));
+  ASSERT_LT(f, 1.0);
+  sim.RunUntil(SimTime::Minutes(2));
+  dc.SetRowCappingBudget(RowId(0), 4 * 162.5 + 200.0);
+  ASSERT_EQ(dc.row_throttle(RowId(0)), 1.0);
+  const SimTime done1 = SimTime::Minutes(2) +
+                        (SimTime::Minutes(10) - SimTime::Minutes(2) * f);
+  ASSERT_LT(done1, SimTime::Minutes(10) * (1.0 / f));
+  sim.RunUntil(done1);
+  ASSERT_EQ(completions.size(), 1u);
+  EXPECT_EQ(completions[0], (std::pair<int32_t, SimTime>{1, done1}));
+
+  // Job 2 on another server takes over job 1's record while the stale
+  // 10 min / f entry is still queued.
+  ASSERT_TRUE(dc.PlaceTask(ServerId(1), TaskSpec{JobId(2),
+                                                 Resources{16.0, 16.0},
+                                                 SimTime::Minutes(20)}));
+  EXPECT_EQ(dc.task_pool_size(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(done1 + SimTime::Minutes(19));
+  EXPECT_EQ(completions.size(), 1u);
+  EXPECT_EQ(dc.server(ServerId(1)).num_tasks(), 1u);
+  sim.RunToCompletion();
+  ASSERT_EQ(completions.size(), 2u);
+  EXPECT_EQ(completions[1],
+            (std::pair<int32_t, SimTime>{2, done1 + SimTime::Minutes(20)}));
+  EXPECT_EQ(dc.task_pool_size(), 1u);
+}
+
+TEST(DataCenterTaskPoolTest, SleepRejectsServerWithTasksUntilTheyComplete) {
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  ASSERT_TRUE(dc.PlaceTask(ServerId(2), TaskSpec{JobId(1),
+                                                 Resources{1.0, 1.0},
+                                                 SimTime::Minutes(5)}));
+  EXPECT_THROW(dc.SleepServer(ServerId(2)), CheckFailure);
+  EXPECT_FALSE(dc.server(ServerId(2)).asleep());
+  sim.RunUntil(SimTime::Minutes(5));
+  EXPECT_EQ(dc.server(ServerId(2)).num_tasks(), 0u);
+  dc.SleepServer(ServerId(2));
+  EXPECT_TRUE(dc.server(ServerId(2)).asleep());
 }
 
 }  // namespace

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/rng.h"
 
 namespace ampere {
 namespace {
@@ -285,6 +290,322 @@ TEST(SimulationTest, EventsScheduledDuringRunExecute) {
   sim.RunToCompletion();
   EXPECT_EQ(depth, 5);
   EXPECT_EQ(sim.now(), SimTime::Seconds(4));
+}
+
+// --- Typed events -----------------------------------------------------------
+
+// A typed-event owner with `n` records. A queued record stores the seq its
+// event was queued with; firing it frees the record and logs its label.
+class LabelTarget final : public EventTarget {
+ public:
+  static constexpr uint64_t kFree = ~uint64_t{0};
+
+  LabelTarget(Simulation* sim, size_t n, std::vector<int>* log)
+      : sim_(sim), id_(sim->RegisterTarget(this)), seqs_(n, kFree),
+        labels_(n, -1), log_(log) {}
+
+  // Queues record `index` at `at`, retiring its queued event first if it
+  // has one (a reschedule). Returns the new event's seq.
+  uint64_t Schedule(SimTime at, uint32_t index, int label) {
+    if (queued(index)) {
+      sim_->RetireTargetEvent();
+    }
+    labels_[index] = label;
+    seqs_[index] = sim_->ScheduleTargetAt(at, id_, index);
+    return seqs_[index];
+  }
+
+  // Frees a queued record without firing it.
+  void Free(uint32_t index) {
+    seqs_[index] = kFree;
+    sim_->RetireTargetEvent();
+  }
+
+  bool queued(uint32_t index) const { return seqs_[index] != kFree; }
+  int label(uint32_t index) const { return labels_[index]; }
+  uint32_t id() const { return id_; }
+
+  bool Live(uint32_t index, uint64_t seq) const override {
+    return index < seqs_.size() && seqs_[index] == seq;
+  }
+  void Fire(uint32_t index) override {
+    seqs_[index] = kFree;
+    log_->push_back(labels_[index]);
+  }
+
+ private:
+  Simulation* sim_;
+  uint32_t id_;
+  std::vector<uint64_t> seqs_;
+  std::vector<int> labels_;
+  std::vector<int>* log_;
+};
+
+// Runs `fn` and expects it to fail an AMPERE_CHECK whose message contains
+// `message`.
+template <typename F>
+void ExpectCheckFailure(F&& fn, const std::string& message) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected a CheckFailure containing: " << message;
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(SimulationTypedEventTest, TypedAndClosureEventsShareOneSeqOrder) {
+  Simulation sim;
+  std::vector<int> log;
+  LabelTarget target(&sim, 4, &log);
+  sim.ScheduleAt(SimTime::Seconds(2), [&] { log.push_back(0); });
+  EXPECT_EQ(target.Schedule(SimTime::Seconds(2), 0, 1), 1u);
+  sim.ScheduleAt(SimTime::Seconds(1), [&] { log.push_back(2); });
+  EXPECT_EQ(target.Schedule(SimTime::Seconds(1), 3, 3), 3u);
+  EXPECT_EQ(sim.pending_events(), 4u);
+  sim.RunToCompletion();
+  EXPECT_EQ(log, (std::vector<int>{2, 3, 0, 1}));
+  EXPECT_EQ(sim.processed_events(), 4u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulationTypedEventTest, RescheduleFiresOnceAtTheNewTime) {
+  Simulation sim;
+  std::vector<int> log;
+  LabelTarget target(&sim, 1, &log);
+  target.Schedule(SimTime::Seconds(5), 0, 7);
+  target.Schedule(SimTime::Seconds(9), 0, 7);  // Retires the 5 s event.
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(SimTime::Seconds(8));
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.processed_events(), 0u);
+  sim.RunToCompletion();
+  EXPECT_EQ(log, (std::vector<int>{7}));
+  EXPECT_EQ(sim.now(), SimTime::Seconds(9));
+  EXPECT_EQ(sim.processed_events(), 1u);
+}
+
+TEST(SimulationTypedEventTest, RunUntilHonorsBoundaryPastStaleTypedHead) {
+  Simulation sim;
+  std::vector<int> log;
+  LabelTarget target(&sim, 2, &log);
+  target.Schedule(SimTime::Seconds(1), 0, 0);
+  target.Schedule(SimTime::Seconds(100), 1, 1);
+  target.Free(0);
+  sim.RunUntil(SimTime::Seconds(10));
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.now(), SimTime::Seconds(10));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunUntil(SimTime::Seconds(200));
+  EXPECT_EQ(log, (std::vector<int>{1}));
+}
+
+// Randomly interleaves closures and typed events — schedules, cancels,
+// reschedules, frees, zero-delay events, same-microsecond ties, single
+// steps and RunUntil boundaries — against a reference list fired in
+// (time, seq) order, where seq counts schedule calls of either kind.
+TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
+  struct RefEvent {
+    SimTime time;
+    uint64_t seq;
+    int label;
+  };
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    SCOPED_TRACE(seed);
+    Simulation sim;
+    Rng rng(seed);
+    std::vector<int> log;
+    std::vector<std::unique_ptr<LabelTarget>> targets;
+    targets.push_back(std::make_unique<LabelTarget>(&sim, 6, &log));
+    targets.push_back(std::make_unique<LabelTarget>(&sim, 6, &log));
+    std::vector<std::pair<Simulation::EventHandle, int>> closures;
+    std::vector<RefEvent> ref;  // Live events.
+    uint64_t next_seq = 0;
+    int next_label = 0;
+    uint64_t processed = 0;
+
+    auto unref = [&ref](int label) {
+      const auto it = std::find_if(ref.begin(), ref.end(),
+                                   [label](const RefEvent& e) {
+                                     return e.label == label;
+                                   });
+      if (it == ref.end()) {
+        return false;
+      }
+      ref.erase(it);
+      return true;
+    };
+    // Mostly ties and zero delays, sometimes a spread.
+    auto pick_time = [&] {
+      switch (rng.UniformInt(0, 2)) {
+        case 0:
+          return sim.now();
+        case 1:
+          return sim.now() + SimTime::Micros(rng.UniformInt(0, 3));
+        default:
+          return sim.now() + SimTime::Micros(rng.UniformInt(0, 50));
+      }
+    };
+    // Removes and returns the reference's earliest live events up to
+    // `until`, in (time, seq) order.
+    auto expect_fired = [&](SimTime until, size_t max_events) {
+      std::vector<int> labels;
+      while (labels.size() < max_events && !ref.empty()) {
+        const auto it = std::min_element(
+            ref.begin(), ref.end(), [](const RefEvent& a, const RefEvent& b) {
+              return a.time != b.time ? a.time < b.time : a.seq < b.seq;
+            });
+        if (it->time > until) {
+          break;
+        }
+        labels.push_back(it->label);
+        ref.erase(it);
+      }
+      processed += labels.size();
+      return labels;
+    };
+
+    for (int op = 0; op < 400; ++op) {
+      const auto logged = static_cast<std::ptrdiff_t>(log.size());
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+        case 1:
+        case 2: {  // Schedule a closure.
+          const SimTime at = pick_time();
+          const int label = next_label++;
+          closures.emplace_back(
+              sim.ScheduleAt(at, [&log, label] { log.push_back(label); }),
+              label);
+          ref.push_back({at, next_seq++, label});
+          break;
+        }
+        case 3:
+        case 4:
+        case 5: {  // Schedule or reschedule a typed record.
+          LabelTarget& target = *targets[static_cast<size_t>(rng.UniformInt(0, 1))];
+          const auto index = static_cast<uint32_t>(rng.UniformInt(0, 5));
+          if (target.queued(index)) {
+            ASSERT_TRUE(unref(target.label(index)));
+          }
+          const SimTime at = pick_time();
+          const int label = next_label++;
+          ASSERT_EQ(target.Schedule(at, index, label), next_seq);
+          ref.push_back({at, next_seq++, label});
+          break;
+        }
+        case 6: {  // Cancel a closure (possibly already fired/cancelled).
+          if (closures.empty()) {
+            break;
+          }
+          auto& [handle, label] = closures[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(closures.size()) - 1))];
+          const bool live = unref(label);
+          ASSERT_EQ(handle.pending(), live);
+          handle.Cancel();
+          ASSERT_FALSE(handle.pending());
+          break;
+        }
+        case 7: {  // Free a queued typed record without firing it.
+          LabelTarget& target = *targets[static_cast<size_t>(rng.UniformInt(0, 1))];
+          const auto index = static_cast<uint32_t>(rng.UniformInt(0, 5));
+          if (target.queued(index)) {
+            ASSERT_TRUE(unref(target.label(index)));
+            target.Free(index);
+          }
+          break;
+        }
+        case 8: {  // One step.
+          const bool had_live = !ref.empty();
+          const std::vector<int> want = expect_fired(SimTime::Max(), 1);
+          ASSERT_EQ(sim.Step(), had_live);
+          ASSERT_EQ(std::vector<int>(log.begin() + logged, log.end()), want);
+          break;
+        }
+        default: {  // RunUntil a boundary at or past now.
+          const SimTime until =
+              sim.now() + SimTime::Micros(rng.UniformInt(0, 20));
+          const std::vector<int> want = expect_fired(until, ref.size());
+          sim.RunUntil(until);
+          ASSERT_EQ(std::vector<int>(log.begin() + logged, log.end()), want);
+          ASSERT_EQ(sim.now(), until);
+          break;
+        }
+      }
+      ASSERT_EQ(sim.pending_events(), ref.size()) << "after op " << op;
+      ASSERT_EQ(sim.processed_events(), processed) << "after op " << op;
+    }
+    const auto logged = static_cast<std::ptrdiff_t>(log.size());
+    const std::vector<int> want = expect_fired(SimTime::Max(), ref.size());
+    sim.RunToCompletion();
+    EXPECT_EQ(std::vector<int>(log.begin() + logged, log.end()), want);
+    EXPECT_EQ(sim.pending_events(), 0u);
+    EXPECT_EQ(sim.processed_events(), processed);
+  }
+}
+
+TEST(SimulationTypedEventTest, TargetCountLimitIsChecked) {
+  Simulation sim;
+  std::vector<int> log;
+  std::vector<std::unique_ptr<LabelTarget>> targets;
+  for (size_t i = 0; i < Simulation::kMaxTargets; ++i) {
+    targets.push_back(std::make_unique<LabelTarget>(&sim, 1, &log));
+  }
+  EXPECT_EQ(targets.back()->id(), Simulation::kMaxTargets - 1);
+  ExpectCheckFailure([&] { LabelTarget extra(&sim, 1, &log); },
+                     "event target overflow");
+  ExpectCheckFailure(
+      [&] {
+        sim.ScheduleTargetAt(SimTime(),
+                             static_cast<uint32_t>(Simulation::kMaxTargets),
+                             0);
+      },
+      "unregistered event target");
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // The largest target id packs and unpacks intact.
+  targets.back()->Schedule(SimTime(), 0, 9);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(log, (std::vector<int>{9}));
+}
+
+// Fires every entry it is handed and remembers the index.
+class ProbeTarget final : public EventTarget {
+ public:
+  bool Live(uint32_t, uint64_t) const override { return true; }
+  void Fire(uint32_t index) override { fired_index = index; }
+  uint32_t fired_index = 0;
+};
+
+TEST(SimulationTypedEventTest, TargetIndexLimitIsChecked) {
+  Simulation sim;
+  ProbeTarget target;
+  const uint32_t id = sim.RegisterTarget(&target);
+  ExpectCheckFailure(
+      [&] { sim.ScheduleTargetAt(SimTime(), id, Simulation::kMaxTargetIndex); },
+      "typed event index overflow");
+  EXPECT_EQ(sim.pending_events(), 0u);
+  // The largest index packs and unpacks intact.
+  sim.ScheduleTargetAt(SimTime(), id, Simulation::kMaxTargetIndex - 1);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(target.fired_index, Simulation::kMaxTargetIndex - 1);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.processed_events(), 1u);
+}
+
+TEST(SimulationTypedEventTest, SeqLimitIsChecked) {
+  Simulation sim;
+  std::vector<int> log;
+  LabelTarget target(&sim, 1, &log);
+  sim.SkipSeqsForTesting(Simulation::kMaxSeq - 1);
+  EXPECT_EQ(target.Schedule(SimTime::Seconds(1), 0, 5),
+            Simulation::kMaxSeq - 1);
+  ExpectCheckFailure([&] { sim.ScheduleAt(SimTime(), [] {}); },
+                     "event seq overflow");
+  ExpectCheckFailure([&] { sim.ScheduleTargetAt(SimTime(), target.id(), 0); },
+                     "event seq overflow");
+  // The last seq still fires.
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.RunToCompletion();
+  EXPECT_EQ(log, (std::vector<int>{5}));
 }
 
 }  // namespace
