@@ -30,6 +30,7 @@
 #include "src/common/rng.h"
 #include "src/common/span_kernels.h"
 #include "src/core/controller.h"
+#include "src/core/experiment.h"
 #include "src/control/pcp.h"
 #include "src/control/spcp.h"
 #include "src/faults/fault_injector.h"
@@ -498,6 +499,60 @@ void BM_TaskChurnHyperscaleDepth(benchmark::State& state) {
   state.SetLabel("place_step_complete_zero_alloc");
 }
 BENCHMARK(BM_TaskChurnHyperscaleDepth);
+
+// --- One arrival minute at fleet scale --------------------------------------
+//
+// One BatchWorkload at the arrival rate that drives the 6,720-server tier to
+// 0.98 normalized power (~2,340 jobs a minute). Each iteration is one
+// simulated minute: the GenerateMinute step, then one step per arrival it
+// queued, each submitting to a counting sink. Bursts and the AR modulation
+// are off so no minute outgrows the buffers the warm hour around the
+// diurnal peak sized; the case hard-asserts a zero allocation delta over
+// the timed region.
+class CountingSink final : public JobSink {
+ public:
+  void Submit(const JobSpec&) override { ++submitted; }
+  uint64_t submitted = 0;
+};
+
+void BM_ArrivalMinuteHyperscale(benchmark::State& state) {
+  Simulation sim;
+  CountingSink sink;
+  JobIdAllocator ids;
+  BatchWorkloadParams params;
+  params.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
+      Rig::Topology(16), params, /*target_normalized_power=*/0.98,
+      /*over_provision_ratio=*/0.25);
+  params.arrivals.ar_sigma = 0.0;
+  params.arrivals.burst_prob = 0.0;
+  BatchWorkload workload(params, &sim, &sink, &ids, Rng(11));
+  workload.Start(SimTime::Hours(13.5));  // Warm through the 14:00 peak.
+  auto minute = [&] {
+    const uint64_t before = workload.jobs_generated();
+    sim.Step();  // GenerateMinute.
+    for (uint64_t n = workload.jobs_generated() - before; n > 0; --n) {
+      sim.Step();
+    }
+  };
+  for (int i = 0; i < 60; ++i) {
+    minute();
+  }
+  const uint64_t jobs_before = workload.jobs_generated();
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    minute();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "arrival minute allocated in steady state";
+  AMPERE_CHECK(sink.submitted == workload.jobs_generated())
+      << "a generated arrival did not reach the sink";
+  const uint64_t jobs = workload.jobs_generated() - jobs_before;
+  state.SetItemsProcessed(static_cast<int64_t>(jobs));
+  state.counters["jobs_per_minute"] =
+      static_cast<double>(jobs) / static_cast<double>(state.iterations());
+  state.SetLabel("generate_and_fire_zero_alloc");
+}
+BENCHMARK(BM_ArrivalMinuteHyperscale);
 
 // One 420-server row under a loaded fleet, with a monitor group registered
 // and a controller ready to tick — shared by the tick-latency and the

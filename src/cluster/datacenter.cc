@@ -434,7 +434,7 @@ void DataCenter::RetimeServer(Server& server, RowState& row, double freq) {
   // The walk is in task-table insertion order (placement order), so the
   // rescheduled completions' seqs, and thus their tie-breaks, are
   // deterministic. The arithmetic is ScheduleAfter's: now + wall.
-  for (uint32_t index : server.tasks_.records()) {
+  server.tasks_.ForEachRecord([&](uint32_t index) {
     TaskRecord& task = tasks_[index];
     const SimTime consumed = (now - task.last_update) * server.frequency_;
     task.remaining_work =
@@ -445,7 +445,7 @@ void DataCenter::RetimeServer(Server& server, RowState& row, double freq) {
     // strictly after this event (its seq is newer).
     task.seq = sim_->ScheduleTargetAt(
         now + task.remaining_work * (1.0 / freq), event_target_, index);
-  }
+  });
   server.frequency_ = freq;
 }
 

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/cluster/resources.h"
@@ -31,6 +32,10 @@ class DataCenter;
 
 class Server {
  public:
+  // Running tasks a server holds without heap storage; more spill to the
+  // heap. Mean occupancy on the paper's 16-core servers is ~4.4 tasks.
+  static constexpr size_t kInlineTasks = 8;
+
   Server(ServerId id, RackId rack, RowId row, Resources capacity,
          const ServerPowerModel* power_model);
 
@@ -119,26 +124,38 @@ class Server {
     *soa_dynamic_full_watts_ = power_model_->DynamicPowerAt(u, 1.0);
   }
 
-  // Insertion-ordered running-task table on flat storage: (job, index of
-  // the task's record in the owning DataCenter's task pool) pairs. A server
-  // hosts a handful of tasks (batch containers plus at most one resident
-  // service), so a linear scan over a dense key array beats a hash table:
-  // lookup touches one or two cache lines of keys, and insertion is a
-  // push_back. Iteration order is insertion order: stable, deterministic,
-  // and independent of key values, which the frequency-reconcile walk in
-  // DataCenter::RetimeServer relies on for reproducible completion
-  // rescheduling.
+  // Insertion-ordered running-task table: (job, index of the task's record
+  // in the owning DataCenter's task pool) pairs. A server hosts a handful of
+  // tasks (batch containers plus at most one resident service), so the
+  // first kInlineTasks entries live inside the Server and a linear scan over
+  // them beats a hash table: placement and completion touch no separately
+  // allocated storage. A server hosting more spills the rest, in order, to
+  // a heap vector allocated on its first spill. Iteration order is
+  // insertion order: stable, deterministic, and independent of key values,
+  // which the frequency-reconcile walk in DataCenter::RetimeServer relies
+  // on for reproducible completion rescheduling.
   class TaskTable {
    public:
     static constexpr size_t kNotFound = static_cast<size_t>(-1);
 
-    size_t size() const { return jobs_.size(); }
-    bool empty() const { return jobs_.empty(); }
+    // The inline entries are left uninitialized: a DataCenter builds
+    // thousands of servers, and only the count needs a value.
+    TaskTable() {}
 
+    // Invariant: entries spill only once the inline part is full.
+    size_t size() const { return inline_size_ + spilled(); }
+    bool empty() const { return inline_size_ == 0; }
+
+    // Position of `job` in insertion order, or kNotFound.
     size_t Find(JobId job) const {
-      for (size_t i = 0; i < jobs_.size(); ++i) {
-        if (jobs_[i] == job) {
+      for (size_t i = 0; i < inline_size_; ++i) {
+        if (inline_[i].job == job.value()) {
           return i;
+        }
+      }
+      for (size_t i = 0; i < spilled(); ++i) {
+        if ((*spill_)[i].job == job.value()) {
+          return kInlineTasks + i;
         }
       }
       return kNotFound;
@@ -149,35 +166,72 @@ class Server {
       if (Find(job) != kNotFound) {
         return false;
       }
-      jobs_.push_back(job);
-      records_.push_back(record);
+      if (inline_size_ < kInlineTasks) {
+        inline_[inline_size_++] = Entry{job.value(), record};
+      } else {
+        if (spill_ == nullptr) {
+          spill_ = std::make_unique<std::vector<Entry>>();
+        }
+        spill_->push_back(Entry{job.value(), record});
+      }
       return true;
     }
 
-    // Pool indices of the running tasks, in insertion order.
-    const std::vector<uint32_t>& records() const { return records_; }
+    // Calls `f(record)` for each running task's pool index, in insertion
+    // order.
+    template <typename F>
+    void ForEachRecord(F&& f) const {
+      for (size_t i = 0; i < inline_size_; ++i) {
+        f(inline_[i].record);
+      }
+      for (size_t i = 0; i < spilled(); ++i) {
+        f((*spill_)[i].record);
+      }
+    }
 
     // Removes entry `i`, preserving the insertion order of the rest.
     void EraseAt(size_t i) {
-      jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(i));
-      records_.erase(records_.begin() + static_cast<std::ptrdiff_t>(i));
+      if (i >= kInlineTasks) {
+        spill_->erase(spill_->begin() +
+                      static_cast<std::ptrdiff_t>(i - kInlineTasks));
+        return;
+      }
+      for (size_t j = i + 1; j < inline_size_; ++j) {
+        inline_[j - 1] = inline_[j];
+      }
+      if (spilled() == 0) {
+        --inline_size_;
+        return;
+      }
+      // The oldest spilled entry moves up to keep the inline part full.
+      inline_[kInlineTasks - 1] = spill_->front();
+      spill_->erase(spill_->begin());
     }
 
    private:
-    std::vector<JobId> jobs_;
-    std::vector<uint32_t> records_;
+    struct Entry {
+      int32_t job;  // JobId::value().
+      uint32_t record;
+    };
+
+    size_t spilled() const { return spill_ == nullptr ? 0 : spill_->size(); }
+
+    uint32_t inline_size_ = 0;
+    Entry inline_[kInlineTasks];  // First inline_size_ entries are set.
+    // Behind a pointer so a server that never spills pays 8 bytes for it.
+    std::unique_ptr<std::vector<Entry>> spill_;
   };
 
   ServerId id_;
   RackId rack_;
   RowId row_;
-  Resources capacity_;
-  Resources allocated_;
-  const ServerPowerModel* power_model_;  // Not owned; outlives the server.
   bool frozen_ = false;
   bool reserved_ = false;
   bool asleep_ = false;
   bool waking_ = false;
+  Resources capacity_;
+  Resources allocated_;
+  const ServerPowerModel* power_model_;  // Not owned; outlives the server.
   double frequency_ = 1.0;
   double sleep_watts_ = 0.0;  // Set by the owning DataCenter.
   // Slots into the owning DataCenter's SoA arrays (set by AttachSoaSlots

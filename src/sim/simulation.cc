@@ -66,7 +66,13 @@ uint32_t Simulation::RegisterTarget(EventTarget* target) {
   return static_cast<uint32_t>(targets_.size() - 1);
 }
 
-void Simulation::FireHead() {
+uint32_t Simulation::RegisterStream(EventTarget* target) {
+  AMPERE_CHECK(target != nullptr);
+  streams_.push_back(Stream{target, {}});
+  return static_cast<uint32_t>(streams_.size() - 1);
+}
+
+void Simulation::FireHeapHead() {
   const QueueEntry entry = heap_.front();
   HeapPop();
   --live_events_;
@@ -96,17 +102,35 @@ void Simulation::FireHead() {
   free_list_.push_back(entry.slot());
 }
 
-bool Simulation::Step() {
-  while (!heap_.empty()) {
-    if (EntryStale(heap_.front())) {
-      // Cancelled or rescheduled: the live-event count was settled then.
-      HeapPop();
-      continue;
+void Simulation::FireStreamHead() {
+  Stream& stream = streams_[head_stream_];
+  const QueueEntry entry = stream.queue.front();
+  stream.queue.pop_front();
+  // Re-elect before firing, so appends from inside Fire() see a current
+  // head_stream_. Stream heads never tie: seqs are unique.
+  head_stream_ = kNoStream;
+  for (uint32_t s = 0; s < streams_.size(); ++s) {
+    RingQueue<QueueEntry>& queue = streams_[s].queue;
+    if (!queue.empty() &&
+        (head_stream_ == kNoStream ||
+         Earlier(queue.front(), streams_[head_stream_].queue.front()))) {
+      head_stream_ = s;
     }
-    FireHead();
-    return true;
   }
-  return false;
+  --live_events_;
+  AMPERE_CHECK(entry.time >= now_);
+  now_ = entry.time;
+  ++processed_events_;
+  stream.target->Fire(entry.index());
+}
+
+bool Simulation::Step() {
+  const Source source = NextSource();
+  if (source == Source::kNone) {
+    return false;
+  }
+  Fire(source);
+  return true;
 }
 
 void Simulation::RunUntil(SimTime until) {
@@ -116,17 +140,13 @@ void Simulation::RunUntil(SimTime until) {
   // whole drain plus a delta counter of events processed inside it.
   AMPERE_SPAN("sim.run_until");
   const uint64_t processed_before = processed_events_;
-  while (!heap_.empty()) {
-    // Discard stale entries before the boundary test: a stale head may lie
-    // before `until` while the next live event lies beyond it.
-    if (EntryStale(heap_.front())) {
-      HeapPop();
-      continue;
-    }
-    if (heap_.front().time > until) {
-      break;
-    }
-    FireHead();
+  // NextSource() discards stale heap heads before the boundary test: a
+  // stale head may lie before `until` while the next live event lies
+  // beyond it.
+  for (Source source = NextSource();
+       source != Source::kNone && NextTime(source) <= until;
+       source = NextSource()) {
+    Fire(source);
   }
   now_ = until;
   AMPERE_COUNTER_ADD("sim.events", processed_events_ - processed_before);
@@ -134,15 +154,6 @@ void Simulation::RunUntil(SimTime until) {
 
 void Simulation::RunToCompletion() {
   while (Step()) {
-  }
-}
-
-void Simulation::ReserveEvents(size_t expected_live) {
-  free_list_.reserve(expected_live);
-  heap_.reserve(expected_live);
-  while (slots_.size() < expected_live) {
-    slots_.emplace_back();
-    free_list_.push_back(static_cast<uint32_t>(slots_.size() - 1));
   }
 }
 

@@ -6,10 +6,10 @@
 // strict (time, seq) order, where seq is a counter minted once per schedule
 // call, so the pop sequence is a pure function of the schedule calls.
 //
-// Two kinds of event share that order and that counter:
+// Three kinds of event share that order and that counter:
 //
-// - Closures (ScheduleAt/ScheduleAfter/SchedulePeriodic): arrivals,
-//   periodic ticks, wake-ups. Each lives in a slab of pooled slots recycled
+// - Closures (ScheduleAt/ScheduleAfter/SchedulePeriodic): periodic ticks,
+//   wake-ups, one-off markers. Each lives in a slab of pooled slots recycled
 //   through a free list, its callback in small-buffer storage sized for the
 //   closures the model schedules, so the steady state allocates nothing per
 //   event. Handles are generation-checked PODs: cancelling an already-fired,
@@ -22,6 +22,12 @@
 //   with tens of thousands of running tasks carries no per-task closure. An
 //   owner that reschedules stores the new seq (the old entry turns stale)
 //   and calls RetireTargetEvent().
+// - Stream events (RegisterStream/ScheduleStreamAt): job arrivals. An owner
+//   that appends its events in non-decreasing time order gets a FIFO of its
+//   own instead of heap entries: append order is (time, seq) order because
+//   seqs only grow, so the FIFO head is the stream's earliest event and the
+//   core only compares stream heads with the heap head. Stream events cannot
+//   be cancelled; each one calls EventTarget::Fire exactly once.
 
 #ifndef SRC_SIM_SIMULATION_H_
 #define SRC_SIM_SIMULATION_H_
@@ -36,17 +42,20 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/ring_queue.h"
 #include "src/common/time.h"
 
 namespace ampere {
 
-// The owner of a family of typed events (see Simulation::ScheduleTargetAt).
-// `index` names one of the owner's records; `seq` is the value
-// ScheduleTargetAt returned for it. A target must outlive its queued events.
+// The owner of a family of typed events (see Simulation::ScheduleTargetAt)
+// or of an event stream (see Simulation::ScheduleStreamAt). `index` names
+// one of the owner's records; `seq` is the value the schedule call returned
+// for it. A target must outlive its queued events.
 class EventTarget {
  public:
   // True if `seq` is still the event queued for record `index`, false once
-  // the owner has fired, rescheduled or freed it.
+  // the owner has fired, rescheduled or freed it. Never asked of a stream
+  // event, which is always live.
   virtual bool Live(uint32_t index, uint64_t seq) const = 0;
   // Runs the event of record `index`; called only after Live() said true.
   virtual void Fire(uint32_t index) = 0;
@@ -165,6 +174,38 @@ class Simulation {
     --live_events_;
   }
 
+  // --- Stream events ---
+  // Registers `target` (not owned) as the owner of a new, empty event
+  // stream and returns the stream's id for ScheduleStreamAt.
+  uint32_t RegisterStream(EventTarget* target);
+
+  // Appends an event for record `index` at `at` (>= now()) to stream
+  // `stream` and returns its seq, drawn from the shared counter. `at` must
+  // not precede the stream's last queued event. When it fires, the stream's
+  // target gets Fire(index).
+  uint64_t ScheduleStreamAt(uint32_t stream, SimTime at, uint32_t index) {
+    CheckNotPast(at);
+    AMPERE_CHECK(stream < streams_.size())
+        << "unregistered event stream " << stream;
+    AMPERE_CHECK(index < kMaxTargetIndex)
+        << "stream event index overflow: " << index;
+    RingQueue<QueueEntry>& queue = streams_[stream].queue;
+    AMPERE_CHECK(queue.empty() || at >= queue.back().time)
+        << "stream event out of order: at=" << at.ToString()
+        << " before the stream's last queued event at "
+        << queue.back().time.ToString();
+    const uint64_t seq = MintSeq();
+    const QueueEntry entry{at, (seq << kLowBits) | index};
+    if (queue.empty() &&
+        (head_stream_ == kNoStream ||
+         Earlier(entry, streams_[head_stream_].queue.front()))) {
+      head_stream_ = stream;
+    }
+    queue.push_back(entry);
+    ++live_events_;
+    return seq;
+  }
+
   // Lets tests reach the seq limit without minting 2^kSeqBits events.
   void SkipSeqsForTesting(uint64_t n) { next_seq_ += n; }
 
@@ -178,10 +219,6 @@ class Simulation {
 
   // Runs to queue exhaustion. Periodic tasks never exhaust; use RunUntil.
   void RunToCompletion();
-
-  // Pre-sizes the closure pool and the queue for `expected_live`
-  // concurrently scheduled closures (capacity hint; both grow on demand).
-  void ReserveEvents(size_t expected_live);
 
   // Introspection for tests/benches: closure slots ever created (high-water
   // mark of concurrently live closures) and slots currently on the free list.
@@ -283,7 +320,8 @@ class Simulation {
     SimTime time;
     // (seq << kLowBits) | slot for a closure;
     // (seq << kLowBits) | kTypedFlag | (target << kTargetIndexBits) | index
-    // for a typed event.
+    // for a typed event; (seq << kLowBits) | index for a stream event (the
+    // stream is the queue holding the entry).
     uint64_t key;
 
     uint64_t seq() const { return key >> kLowBits; }
@@ -392,8 +430,47 @@ class Simulation {
     return slots_[entry.slot()].seq != entry.seq();
   }
 
-  // Pops the (live) head and runs it.
-  void FireHead();
+  // Where the next event comes from: the heap head or head_stream_'s head.
+  enum class Source { kNone, kHeap, kStream };
+
+  // Returns the source of the earliest pending event, or kNone when nothing
+  // is pending. A stream head earlier than the heap head wins without the
+  // heap head's liveness being asked; otherwise stale heap heads are
+  // dropped until a live one or an earlier stream head turns up.
+  Source NextSource() {
+    for (;;) {
+      if (heap_.empty()) {
+        return head_stream_ == kNoStream ? Source::kNone : Source::kStream;
+      }
+      if (head_stream_ != kNoStream &&
+          Earlier(streams_[head_stream_].queue.front(), heap_.front())) {
+        return Source::kStream;
+      }
+      if (!EntryStale(heap_.front())) {
+        return Source::kHeap;
+      }
+      // Cancelled or rescheduled: the live-event count was settled then.
+      HeapPop();
+    }
+  }
+
+  SimTime NextTime(Source source) {
+    return source == Source::kStream ? streams_[head_stream_].queue.front().time
+                                     : heap_.front().time;
+  }
+
+  void Fire(Source source) {
+    if (source == Source::kStream) {
+      FireStreamHead();
+    } else {
+      FireHeapHead();
+    }
+  }
+
+  // Pops the (live) heap head and runs it.
+  void FireHeapHead();
+  // Pops head_stream_'s head, re-elects head_stream_ and runs the event.
+  void FireStreamHead();
 
   void CancelEvent(uint32_t slot_index, uint64_t seq);
   bool EventPending(uint32_t slot_index, uint64_t seq) const {
@@ -409,6 +486,17 @@ class Simulation {
   std::deque<Slot> slots_;
   std::vector<uint32_t> free_list_;
   std::vector<EventTarget*> targets_;  // Not owned; indexed by target id.
+  // Event streams, indexed by stream id. Each queue holds its stream's
+  // pending events in (time, seq) order, keyed like a closure entry but
+  // with the record index in the low bits.
+  struct Stream {
+    EventTarget* target;  // Not owned.
+    RingQueue<QueueEntry> queue;
+  };
+  static constexpr uint32_t kNoStream = ~uint32_t{0};
+  std::vector<Stream> streams_;
+  // The non-empty stream with the earliest head, kNoStream if all are empty.
+  uint32_t head_stream_ = kNoStream;
   // 4-ary min-heap on (time, packed seq/slot); see Earlier()/HeapPush()/
   // HeapPop().
   std::vector<QueueEntry> heap_;

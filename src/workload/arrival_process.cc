@@ -26,7 +26,8 @@ double ArrivalProcess::CurrentRatePerMin(SimTime t) const {
   return params_.base_rate_per_min * diurnal * modulation * burst;
 }
 
-std::vector<SimTime> ArrivalProcess::SampleMinute(SimTime minute_start) {
+void ArrivalProcess::SampleMinute(SimTime minute_start,
+                                  std::vector<SimTime>* offsets) {
   // Advance the slow modulation once per minute.
   ar_state_ = params_.ar_rho * ar_state_ +
               rng_.Normal(0.0, params_.ar_sigma);
@@ -34,13 +35,11 @@ std::vector<SimTime> ArrivalProcess::SampleMinute(SimTime minute_start) {
 
   double rate = CurrentRatePerMin(minute_start);
   int64_t n = rng_.Poisson(rate);
-  std::vector<SimTime> offsets;
-  offsets.reserve(static_cast<size_t>(n));
+  offsets->clear();
   for (int64_t i = 0; i < n; ++i) {
-    offsets.push_back(SimTime::Seconds(rng_.Uniform(0.0, 60.0)));
+    offsets->push_back(SimTime::Seconds(rng_.Uniform(0.0, 60.0)));
   }
-  std::sort(offsets.begin(), offsets.end());
-  return offsets;
+  std::sort(offsets->begin(), offsets->end());
 }
 
 }  // namespace ampere

@@ -40,8 +40,10 @@ class ArrivalProcess {
   double CurrentRatePerMin(SimTime t) const;
 
   // Samples arrival offsets (relative to `minute_start`) for one 1-minute
-  // window and advances the AR/burst state. Offsets are sorted.
-  std::vector<SimTime> SampleMinute(SimTime minute_start);
+  // window into `offsets`, replacing its contents, and advances the
+  // AR/burst state. Offsets are sorted. Reusing one buffer across minutes
+  // keeps the steady state allocation-free.
+  void SampleMinute(SimTime minute_start, std::vector<SimTime>* offsets);
 
  private:
   ArrivalProcessParams params_;

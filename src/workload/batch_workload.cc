@@ -4,13 +4,27 @@
 
 namespace ampere {
 
+ArrivalStream::ArrivalStream(Simulation* sim, JobSink* sink)
+    : sim_(sim), sink_(sink) {
+  AMPERE_CHECK(sim != nullptr && sink != nullptr);
+  stream_ = sim_->RegisterStream(this);
+}
+
+void ArrivalStream::Fire(uint32_t) {
+  // Pop before submitting: the sink may queue further arrivals.
+  const JobSpec job = pending_.front();
+  pending_.pop_front();
+  ++jobs_submitted_;
+  sink_->Submit(job);
+}
+
 BatchWorkload::BatchWorkload(const BatchWorkloadParams& params,
                              Simulation* sim, JobSink* sink,
                              JobIdAllocator* ids, Rng rng)
-    : params_(params), sim_(sim), sink_(sink), ids_(ids), rng_(rng),
-      arrivals_(params.arrivals, rng_.Fork(1)),
+    : params_(params), sim_(sim), ids_(ids), rng_(rng),
+      arrivals_(params.arrivals, rng_.Fork(1)), stream_(sim, sink),
       durations_(params.durations) {
-  AMPERE_CHECK(sim != nullptr && sink != nullptr && ids != nullptr);
+  AMPERE_CHECK(ids != nullptr);
   if (params_.demands.empty()) {
     params_.demands = {
         {Resources{1.0, 2.0}, 0.4},
@@ -30,15 +44,15 @@ void BatchWorkload::Start(SimTime at) {
 }
 
 void BatchWorkload::GenerateMinute(SimTime minute_start) {
-  for (SimTime offset : arrivals_.SampleMinute(minute_start)) {
+  arrivals_.SampleMinute(minute_start, &offsets_);
+  for (SimTime offset : offsets_) {
     JobSpec job;
     job.id = ids_->Next();
     job.demand = SampleDemand();
     job.duration = durations_.Sample(rng_);
     job.row_affinity = params_.row_affinity;
     ++jobs_generated_;
-    sim_->ScheduleAt(minute_start + offset,
-                     [this, job] { sink_->Submit(job); });
+    stream_.Add(minute_start + offset, job);
   }
 }
 

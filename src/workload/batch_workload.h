@@ -12,6 +12,7 @@
 #include <optional>
 #include <vector>
 
+#include "src/common/ring_queue.h"
 #include "src/common/rng.h"
 #include "src/sim/simulation.h"
 #include "src/workload/arrival_process.h"
@@ -27,6 +28,40 @@ class JobIdAllocator {
 
  private:
   int32_t next_ = 0;
+};
+
+// Submits jobs to a sink at their arrival instants through one Simulation
+// event stream: a queued job costs one FIFO slot here and one stream entry,
+// with no closure and no event-heap entry. Jobs must be added in
+// non-decreasing arrival order, which every arrival source produces: it
+// generates a minute's arrivals sorted, at the start of that minute.
+class ArrivalStream final : public EventTarget {
+ public:
+  // `sim` and `sink` must outlive the stream, and the stream must outlive
+  // its queued arrivals.
+  ArrivalStream(Simulation* sim, JobSink* sink);
+  ArrivalStream(const ArrivalStream&) = delete;
+  ArrivalStream& operator=(const ArrivalStream&) = delete;
+
+  // Queues `job` for submission at `at`, which must be >= now() and not
+  // before the last queued arrival.
+  void Add(SimTime at, const JobSpec& job) {
+    sim_->ScheduleStreamAt(stream_, at, 0);
+    pending_.push_back(job);
+  }
+
+  uint64_t jobs_submitted() const { return jobs_submitted_; }
+
+  bool Live(uint32_t, uint64_t) const override { return true; }
+  // Submits the oldest queued job.
+  void Fire(uint32_t index) override;
+
+ private:
+  Simulation* sim_;
+  JobSink* sink_;
+  uint32_t stream_;
+  RingQueue<JobSpec> pending_;
+  uint64_t jobs_submitted_ = 0;
 };
 
 // A job size class and its sampling weight.
@@ -62,10 +97,11 @@ class BatchWorkload {
 
   BatchWorkloadParams params_;
   Simulation* sim_;
-  JobSink* sink_;
   JobIdAllocator* ids_;
   Rng rng_;
   ArrivalProcess arrivals_;
+  std::vector<SimTime> offsets_;  // One minute's arrival offsets, reused.
+  ArrivalStream stream_;
   DurationModel durations_;
   double total_weight_ = 0.0;
   uint64_t jobs_generated_ = 0;

@@ -103,10 +103,12 @@ std::vector<TraceRecord> SampleTrace(const BatchWorkloadParams& params,
   Rng local = rng.Fork(2);
 
   std::vector<TraceRecord> trace;
+  std::vector<SimTime> offsets;
   int64_t minutes = static_cast<int64_t>(duration.minutes());
   for (int64_t m = 0; m < minutes; ++m) {
     SimTime minute_start = SimTime::Minutes(static_cast<double>(m));
-    for (SimTime offset : arrivals.SampleMinute(minute_start)) {
+    arrivals.SampleMinute(minute_start, &offsets);
+    for (SimTime offset : offsets) {
       TraceRecord r;
       r.submit_minutes = (minute_start + offset).minutes();
       r.duration_minutes = durations.Sample(local).minutes();

@@ -382,9 +382,8 @@ void TraceRecorder::Submit(const JobSpec& job) {
 TraceArrivalProcess::TraceArrivalProcess(
     std::shared_ptr<const TraceData> trace, Simulation* sim, JobSink* sink,
     JobIdAllocator* ids)
-    : trace_(std::move(trace)), sim_(sim), sink_(sink), ids_(ids) {
-  AMPERE_CHECK(trace_ != nullptr && sim != nullptr && sink != nullptr &&
-               ids != nullptr);
+    : trace_(std::move(trace)), sim_(sim), ids_(ids), stream_(sim, sink) {
+  AMPERE_CHECK(trace_ != nullptr && ids != nullptr);
 }
 
 void TraceArrivalProcess::Start(SimTime at) {
@@ -416,10 +415,7 @@ void TraceArrivalProcess::SubmitMinute(SimTime minute_start) {
     if (record.row_affinity >= 0) {
       job.row_affinity = RowId(record.row_affinity);
     }
-    sim_->ScheduleAt(SimTime::Micros(record.submit_us), [this, job] {
-      ++jobs_submitted_;
-      sink_->Submit(job);
-    });
+    stream_.Add(SimTime::Micros(record.submit_us), job);
   }
 }
 

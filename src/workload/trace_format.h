@@ -148,9 +148,10 @@ class TraceRecorder : public JobSink {
 
 // Drop-in arrival source that replays a trace through a JobSink. Mirrors
 // BatchWorkload's event pattern exactly — one periodic per-minute batch
-// task that allocates JobIds at the minute boundary and schedules each
-// submission at its recorded instant — so a replayed run's event-queue seq
-// numbers (and thus all tie-breaking) match the recording run's.
+// task that allocates JobIds at the minute boundary and queues each
+// submission at its recorded instant on an ArrivalStream — so a replayed
+// run's event seq numbers (and thus all tie-breaking) match the recording
+// run's.
 class TraceArrivalProcess {
  public:
   // `sim`, `sink`, and `ids` must outlive the process. `trace` must have
@@ -162,17 +163,16 @@ class TraceArrivalProcess {
   void Start(SimTime at);
 
   size_t jobs_total() const { return trace_->jobs.size(); }
-  uint64_t jobs_submitted() const { return jobs_submitted_; }
+  uint64_t jobs_submitted() const { return stream_.jobs_submitted(); }
 
  private:
   void SubmitMinute(SimTime minute_start);
 
   std::shared_ptr<const TraceData> trace_;
   Simulation* sim_;
-  JobSink* sink_;
   JobIdAllocator* ids_;
+  ArrivalStream stream_;
   size_t cursor_ = 0;
-  uint64_t jobs_submitted_ = 0;
   bool started_ = false;
 };
 

@@ -445,5 +445,100 @@ TEST(DataCenterTaskPoolTest, SleepRejectsServerWithTasksUntilTheyComplete) {
   EXPECT_TRUE(dc.server(ServerId(2)).asleep());
 }
 
+// --- Task table spill --------------------------------------------------------
+//
+// A server keeps its first Server::kInlineTasks tasks inline and
+// spills the rest to the heap. 40 quarter-core tasks on one server cross
+// that boundary several times over.
+
+constexpr int kSpillTasks = 40;
+static_assert(kSpillTasks > 2 * static_cast<int>(Server::kInlineTasks));
+
+// Job ids in insertion order, deliberately not sorted by value.
+JobId SpillJob(int position) {
+  return JobId(100 + (position * 17) % kSpillTasks);
+}
+
+TEST(DataCenterTaskTableTest, InsertionOrderSurvivesSpillEraseAndRetime) {
+  Simulation sim;
+  DataCenter dc(CappedTopology(), &sim);
+  // A 10 W slack: any running task pins the row at the ladder minimum.
+  dc.SetRowCappingBudget(RowId(0), 4 * 162.5 + 10.0);
+  std::vector<int32_t> completed;
+  dc.SetTaskCompletionListener(
+      [&](ServerId, JobId job) { completed.push_back(job.value()); });
+  // Positions 2 (inline) and 30 (spilled) finish early; every other task
+  // has the same work, so after the retimes below they all complete at one
+  // instant, in the order of the walk that rescheduled them last.
+  const int kInlineEarly = 2;
+  const int kSpilledEarly = 30;
+  for (int p = 0; p < kSpillTasks; ++p) {
+    const bool early = p == kInlineEarly || p == kSpilledEarly;
+    ASSERT_TRUE(dc.PlaceTask(
+        ServerId(0),
+        TaskSpec{SpillJob(p), Resources{0.25, 0.5},
+                 early ? SimTime::Minutes(1) : SimTime::Minutes(20)}));
+  }
+  ASSERT_EQ(dc.server(ServerId(0)).num_tasks(),
+            static_cast<size_t>(kSpillTasks));
+  ASSERT_LT(dc.row_throttle(RowId(0)), 1.0);
+
+  // Erase one inline and one spilled entry (the inline erase pulls the
+  // oldest spilled entry up into the inline part).
+  sim.RunUntil(SimTime::Minutes(3));
+  EXPECT_EQ(completed, (std::vector<int32_t>{SpillJob(kInlineEarly).value(),
+                                             SpillJob(kSpilledEarly).value()}));
+  EXPECT_EQ(dc.server(ServerId(0)).num_tasks(),
+            static_cast<size_t>(kSpillTasks - 2));
+  completed.clear();
+
+  // Two retimes of the whole table: release to full speed, then re-cap.
+  dc.SetCappingEnabled(false);
+  sim.RunUntil(SimTime::Minutes(5));
+  dc.SetCappingEnabled(true);
+  ASSERT_LT(dc.row_throttle(RowId(0)), 1.0);
+
+  sim.RunToCompletion();
+  std::vector<int32_t> want;
+  for (int p = 0; p < kSpillTasks; ++p) {
+    if (p != kInlineEarly && p != kSpilledEarly) {
+      want.push_back(SpillJob(p).value());
+    }
+  }
+  EXPECT_EQ(completed, want);
+  EXPECT_EQ(dc.server(ServerId(0)).num_tasks(), 0u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(DataCenterTaskTableTest, DuplicateJobRejectedInlineAndSpilled) {
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  for (int p = 0; p < kSpillTasks; ++p) {
+    ASSERT_TRUE(dc.PlaceTask(ServerId(0), TaskSpec{SpillJob(p),
+                                                   Resources{0.25, 0.5},
+                                                   SimTime::Minutes(20)}));
+  }
+  const Resources before = dc.server(ServerId(0)).allocated();
+  for (int p : {0, static_cast<int>(Server::kInlineTasks) - 1,
+                static_cast<int>(Server::kInlineTasks),
+                kSpillTasks - 1}) {
+    EXPECT_THROW(dc.PlaceTask(ServerId(0), TaskSpec{SpillJob(p),
+                                                    Resources{0.25, 0.5},
+                                                    SimTime::Minutes(5)}),
+                 CheckFailure)
+        << "position " << p;
+  }
+  EXPECT_EQ(dc.server(ServerId(0)).num_tasks(),
+            static_cast<size_t>(kSpillTasks));
+  EXPECT_EQ(dc.server(ServerId(0)).allocated(), before);
+  EXPECT_EQ(sim.pending_events(), static_cast<size_t>(kSpillTasks));
+  // A new job still appends after the spilled entries.
+  EXPECT_TRUE(dc.PlaceTask(ServerId(0), TaskSpec{JobId(999),
+                                                 Resources{0.25, 0.5},
+                                                 SimTime::Minutes(5)}));
+  EXPECT_EQ(dc.server(ServerId(0)).num_tasks(),
+            static_cast<size_t>(kSpillTasks + 1));
+}
+
 }  // namespace
 }  // namespace ampere

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -246,22 +247,6 @@ TEST(SimulationPoolTest, OversizedCallbackFallsBackToHeapAndFires) {
   EXPECT_EQ(sum, expected);
 }
 
-TEST(SimulationPoolTest, ReserveEventsPreCreatesSlots) {
-  Simulation sim;
-  sim.ReserveEvents(64);
-  EXPECT_EQ(sim.slab_size(), 64u);
-  EXPECT_EQ(sim.free_slots(), 64u);
-  std::vector<Simulation::EventHandle> handles;
-  for (int i = 0; i < 64; ++i) {
-    handles.push_back(sim.ScheduleAt(SimTime::Seconds(1), [] {}));
-  }
-  // All 64 draws came from the reserve; the slab did not grow.
-  EXPECT_EQ(sim.slab_size(), 64u);
-  EXPECT_EQ(sim.free_slots(), 0u);
-  sim.RunToCompletion();
-  EXPECT_EQ(sim.free_slots(), 64u);
-}
-
 TEST(SimulationPoolTest, CancelInsideOwnCallbackIsNoop) {
   Simulation sim;
   Simulation::EventHandle handle;
@@ -354,6 +339,44 @@ void ExpectCheckFailure(F&& fn, const std::string& message) {
   }
 }
 
+// A stream owner: queues labels in append order and logs each as its event
+// fires. The label doubles as the event's record index.
+class StreamLabels final : public EventTarget {
+ public:
+  StreamLabels(Simulation* sim, std::vector<int>* log)
+      : sim_(sim), id_(sim->RegisterStream(this)), log_(log) {}
+
+  uint64_t Append(SimTime at, int label) {
+    const uint64_t seq =
+        sim_->ScheduleStreamAt(id_, at, static_cast<uint32_t>(label));
+    labels_.push_back(label);
+    last_ = at;
+    return seq;
+  }
+
+  bool empty() const { return labels_.empty(); }
+  // Time of the last appended event.
+  SimTime last() const { return last_; }
+  uint32_t id() const { return id_; }
+
+  bool Live(uint32_t, uint64_t) const override {
+    ADD_FAILURE() << "Live() asked of a stream event";
+    return true;
+  }
+  void Fire(uint32_t index) override {
+    EXPECT_EQ(index, static_cast<uint32_t>(labels_.front()));
+    log_->push_back(labels_.front());
+    labels_.pop_front();
+  }
+
+ private:
+  Simulation* sim_;
+  uint32_t id_;
+  std::vector<int>* log_;
+  std::deque<int> labels_;
+  SimTime last_;
+};
+
 TEST(SimulationTypedEventTest, TypedAndClosureEventsShareOneSeqOrder) {
   Simulation sim;
   std::vector<int> log;
@@ -400,10 +423,11 @@ TEST(SimulationTypedEventTest, RunUntilHonorsBoundaryPastStaleTypedHead) {
   EXPECT_EQ(log, (std::vector<int>{1}));
 }
 
-// Randomly interleaves closures and typed events — schedules, cancels,
-// reschedules, frees, zero-delay events, same-microsecond ties, single
-// steps and RunUntil boundaries — against a reference list fired in
-// (time, seq) order, where seq counts schedule calls of either kind.
+// Randomly interleaves closures, typed events and one to four streams —
+// schedules, cancels, reschedules, frees, stream appends, zero-delay
+// events, same-microsecond ties across all three kinds, single steps and
+// RunUntil boundaries — against a reference list fired in (time, seq)
+// order, where seq counts schedule calls of every kind.
 TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
   struct RefEvent {
     SimTime time;
@@ -418,6 +442,10 @@ TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
     std::vector<std::unique_ptr<LabelTarget>> targets;
     targets.push_back(std::make_unique<LabelTarget>(&sim, 6, &log));
     targets.push_back(std::make_unique<LabelTarget>(&sim, 6, &log));
+    std::vector<std::unique_ptr<StreamLabels>> streams;
+    for (uint64_t i = 0; i <= seed % 4; ++i) {
+      streams.push_back(std::make_unique<StreamLabels>(&sim, &log));
+    }
     std::vector<std::pair<Simulation::EventHandle, int>> closures;
     std::vector<RefEvent> ref;  // Live events.
     uint64_t next_seq = 0;
@@ -467,7 +495,7 @@ TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
 
     for (int op = 0; op < 400; ++op) {
       const auto logged = static_cast<std::ptrdiff_t>(log.size());
-      switch (rng.UniformInt(0, 9)) {
+      switch (rng.UniformInt(0, 12)) {
         case 0:
         case 1:
         case 2: {  // Schedule a closure.
@@ -519,6 +547,19 @@ TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
           const std::vector<int> want = expect_fired(SimTime::Max(), 1);
           ASSERT_EQ(sim.Step(), had_live);
           ASSERT_EQ(std::vector<int>(log.begin() + logged, log.end()), want);
+          break;
+        }
+        case 9:
+        case 10: {  // Append to a stream, no earlier than its last event.
+          StreamLabels& stream = *streams[static_cast<size_t>(
+              rng.UniformInt(0, static_cast<int64_t>(streams.size()) - 1))];
+          SimTime at = pick_time();
+          if (!stream.empty() && at < stream.last()) {
+            at = stream.last();
+          }
+          const int label = next_label++;
+          ASSERT_EQ(stream.Append(at, label), next_seq);
+          ref.push_back({at, next_seq++, label});
           break;
         }
         default: {  // RunUntil a boundary at or past now.
@@ -606,6 +647,155 @@ TEST(SimulationTypedEventTest, SeqLimitIsChecked) {
   EXPECT_EQ(sim.pending_events(), 1u);
   sim.RunToCompletion();
   EXPECT_EQ(log, (std::vector<int>{5}));
+}
+
+// --- Stream events ---------------------------------------------------------
+
+TEST(SimulationStreamTest, StreamsShareTheSeqOrderWithHeapEvents) {
+  Simulation sim;
+  std::vector<int> log;
+  LabelTarget target(&sim, 2, &log);
+  StreamLabels a(&sim, &log);
+  StreamLabels b(&sim, &log);
+  EXPECT_EQ(a.Append(SimTime::Seconds(1), 0), 0u);
+  sim.ScheduleAt(SimTime::Seconds(1), [&] { log.push_back(1); });
+  EXPECT_EQ(b.Append(SimTime::Seconds(1), 2), 2u);
+  target.Schedule(SimTime::Seconds(1), 0, 3);
+  EXPECT_EQ(a.Append(SimTime::Seconds(1), 4), 4u);
+  EXPECT_EQ(b.Append(SimTime::Seconds(3), 5), 5u);
+  EXPECT_EQ(a.Append(SimTime::Seconds(2), 6), 6u);
+  sim.ScheduleAt(SimTime::Micros(500), [&] { log.push_back(7); });
+  EXPECT_EQ(sim.pending_events(), 8u);
+  sim.RunToCompletion();
+  EXPECT_EQ(log, (std::vector<int>{7, 0, 1, 2, 3, 4, 6, 5}));
+  EXPECT_EQ(sim.processed_events(), 8u);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.now(), SimTime::Seconds(3));
+}
+
+// A stream owner whose every event appends a follow-up, at the same
+// instant, to itself or to a second stream until `remaining` runs out.
+class ChainStreams final : public EventTarget {
+ public:
+  ChainStreams(Simulation* sim, std::vector<int>* log)
+      : sim_(sim), log_(log) {
+    ids_[0] = sim->RegisterStream(this);
+    ids_[1] = sim->RegisterStream(this);
+  }
+  void Append(int stream, uint32_t label) {
+    sim_->ScheduleStreamAt(ids_[stream], sim_->now(), label);
+  }
+  bool Live(uint32_t, uint64_t) const override { return true; }
+  void Fire(uint32_t label) override {
+    log_->push_back(static_cast<int>(label));
+    if (remaining > 0) {
+      --remaining;
+      Append(static_cast<int>(label % 2), label + 10);
+    }
+  }
+  int remaining = 4;
+
+ private:
+  Simulation* sim_;
+  std::vector<int>* log_;
+  uint32_t ids_[2] = {0, 0};
+};
+
+TEST(SimulationStreamTest, FireMayAppendToAnyStreamAtTheSameInstant) {
+  Simulation sim;
+  std::vector<int> log;
+  ChainStreams chain(&sim, &log);
+  chain.Append(0, 1);                                         // seq 0
+  sim.ScheduleAt(SimTime(), [&] { log.push_back(100); });    // seq 1
+  chain.Append(1, 2);                                         // seq 2
+  sim.RunToCompletion();
+  // 1 appends 11 (seq 3) to stream 1, 2 appends 12 (seq 4) to stream 0,
+  // 11 appends 21 (seq 5) to stream 1, 12 appends 22 (seq 6) to stream 0.
+  EXPECT_EQ(log, (std::vector<int>{1, 100, 2, 11, 12, 21, 22}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.processed_events(), 7u);
+}
+
+TEST(SimulationStreamTest, RunUntilHonorsBoundaryPastStaleHeapHead) {
+  Simulation sim;
+  std::vector<int> log;
+  LabelTarget target(&sim, 1, &log);
+  StreamLabels stream(&sim, &log);
+  target.Schedule(SimTime::Seconds(1), 0, 0);
+  auto cancelled =
+      sim.ScheduleAt(SimTime::Seconds(2), [&] { log.push_back(1); });
+  stream.Append(SimTime::Seconds(100), 2);
+  target.Free(0);
+  cancelled.Cancel();
+  sim.RunUntil(SimTime::Seconds(10));
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(sim.now(), SimTime::Seconds(10));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.processed_events(), 0u);
+  sim.RunUntil(SimTime::Seconds(100));
+  EXPECT_EQ(log, (std::vector<int>{2}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_FALSE(sim.Step());
+}
+
+TEST(SimulationStreamTest, OutOfOrderAppendIsChecked) {
+  Simulation sim;
+  std::vector<int> log;
+  StreamLabels stream(&sim, &log);
+  stream.Append(SimTime::Seconds(5), 0);
+  ExpectCheckFailure([&] { stream.Append(SimTime::Seconds(4), 1); },
+                     "stream event out of order");
+  // A tie with the last queued event is in order.
+  stream.Append(SimTime::Seconds(5), 2);
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunToCompletion();
+  EXPECT_EQ(log, (std::vector<int>{0, 2}));
+  // A drained stream accepts any time at or after now.
+  ExpectCheckFailure([&] { stream.Append(SimTime::Seconds(4), 3); },
+                     "scheduling into the past");
+  stream.Append(SimTime::Seconds(5), 4);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(log, (std::vector<int>{0, 2, 4}));
+}
+
+TEST(SimulationStreamTest, UnregisteredStreamAndIndexOverflowAreChecked) {
+  Simulation sim;
+  ExpectCheckFailure([&] { sim.ScheduleStreamAt(0, SimTime(), 0); },
+                     "unregistered event stream 0");
+  ProbeTarget target;
+  const uint32_t id = sim.RegisterStream(&target);
+  ExpectCheckFailure([&] { sim.ScheduleStreamAt(id + 1, SimTime(), 0); },
+                     "unregistered event stream 1");
+  ExpectCheckFailure(
+      [&] { sim.ScheduleStreamAt(id, SimTime(), Simulation::kMaxTargetIndex); },
+      "stream event index overflow");
+  EXPECT_EQ(sim.pending_events(), 0u);
+  sim.ScheduleStreamAt(id, SimTime(), Simulation::kMaxTargetIndex - 1);
+  EXPECT_TRUE(sim.Step());
+  EXPECT_EQ(target.fired_index, Simulation::kMaxTargetIndex - 1);
+}
+
+// Thousands of appends through a small backlog wrap the stream's ring many
+// times; a backlog larger than the ring grows it mid-wrap. Order holds
+// throughout.
+TEST(SimulationStreamTest, RingWrapAndGrowthKeepFifoOrder) {
+  Simulation sim;
+  std::vector<int> log;
+  StreamLabels stream(&sim, &log);
+  int next = 0;
+  std::vector<int> want;
+  for (int round = 0; round < 200; ++round) {
+    const int backlog = round % 50 == 49 ? 100 : 3;
+    for (int i = 0; i < backlog; ++i) {
+      want.push_back(next);
+      stream.Append(SimTime::Micros(next), next);
+      ++next;
+    }
+    sim.Step();
+    sim.Step();
+  }
+  sim.RunToCompletion();
+  EXPECT_EQ(log, want);
 }
 
 }  // namespace

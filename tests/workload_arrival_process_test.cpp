@@ -18,20 +18,27 @@ ArrivalProcessParams FlatParams(double rate) {
   return p;
 }
 
+// One minute's offsets in a fresh buffer.
+std::vector<SimTime> Sample(ArrivalProcess& proc, SimTime minute_start) {
+  std::vector<SimTime> offsets;
+  proc.SampleMinute(minute_start, &offsets);
+  return offsets;
+}
+
 TEST(ArrivalProcessTest, FlatRateProducesExpectedMeanCount) {
   ArrivalProcess proc(FlatParams(200.0), Rng(1));
   double total = 0.0;
   const int minutes = 2000;
   for (int m = 0; m < minutes; ++m) {
     total += static_cast<double>(
-        proc.SampleMinute(SimTime::Minutes(m)).size());
+        Sample(proc, SimTime::Minutes(m)).size());
   }
   EXPECT_NEAR(total / minutes, 200.0, 2.0);
 }
 
 TEST(ArrivalProcessTest, OffsetsWithinMinuteAndSorted) {
   ArrivalProcess proc(FlatParams(500.0), Rng(2));
-  auto offsets = proc.SampleMinute(SimTime::Minutes(10));
+  auto offsets = Sample(proc, SimTime::Minutes(10));
   ASSERT_FALSE(offsets.empty());
   SimTime prev;
   for (SimTime t : offsets) {
@@ -62,7 +69,7 @@ TEST(ArrivalProcessTest, ArModulationWandersButStaysCentered) {
   OnlineStats counts;
   for (int m = 0; m < 5000; ++m) {
     counts.Add(static_cast<double>(
-        proc.SampleMinute(SimTime::Minutes(m)).size()));
+        Sample(proc, SimTime::Minutes(m)).size()));
   }
   EXPECT_NEAR(counts.mean(), 100.0, 4.0);
   // AR modulation inflates variance beyond pure Poisson (~100).
@@ -79,7 +86,7 @@ TEST(ArrivalProcessTest, BurstsRaiseTailCounts) {
   for (int m = 0; m < minutes; ++m) {
     // With bursts, some minutes should see ~2x the base rate; 160 is > 5
     // sigma for a Poisson(100), so only burst minutes land here.
-    if (proc.SampleMinute(SimTime::Minutes(m)).size() > 160) {
+    if (Sample(proc, SimTime::Minutes(m)).size() > 160) {
       ++high_minutes;
     }
   }
@@ -87,9 +94,19 @@ TEST(ArrivalProcessTest, BurstsRaiseTailCounts) {
   EXPECT_NEAR(frac, 0.05, 0.02);
 }
 
+TEST(ArrivalProcessTest, ReusedBufferMatchesFreshBuffers) {
+  ArrivalProcess fresh(FlatParams(300.0), Rng(7));
+  ArrivalProcess reused(FlatParams(300.0), Rng(7));
+  std::vector<SimTime> buffer(1000, SimTime::Hours(5));  // Stale contents.
+  for (int m = 0; m < 50; ++m) {
+    reused.SampleMinute(SimTime::Minutes(m), &buffer);
+    ASSERT_EQ(buffer, Sample(fresh, SimTime::Minutes(m))) << "minute " << m;
+  }
+}
+
 TEST(ArrivalProcessTest, ZeroRateProducesNoArrivals) {
   ArrivalProcess proc(FlatParams(0.0), Rng(6));
-  EXPECT_TRUE(proc.SampleMinute(SimTime()).empty());
+  EXPECT_TRUE(Sample(proc, SimTime()).empty());
 }
 
 }  // namespace
