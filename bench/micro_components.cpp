@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -40,6 +41,7 @@
 #include "src/obs/span.h"
 #include "src/sched/scheduler.h"
 #include "src/telemetry/power_monitor.h"
+#include "src/workload/arrival_process.h"
 #include "src/workload/batch_workload.h"
 
 // --- Global allocation counter ------------------------------------------
@@ -500,28 +502,28 @@ void BM_TaskChurnHyperscaleDepth(benchmark::State& state) {
 }
 BENCHMARK(BM_TaskChurnHyperscaleDepth);
 
-// --- One arrival minute at fleet scale --------------------------------------
+// --- One arrival minute ----------------------------------------------------
 //
-// One BatchWorkload at the arrival rate that drives the 6,720-server tier to
-// 0.98 normalized power (~2,340 jobs a minute). Each iteration is one
-// simulated minute: the GenerateMinute step, then one step per arrival it
-// queued, each submitting to a counting sink. Bursts and the AR modulation
-// are off so no minute outgrows the buffers the warm hour around the
-// diurnal peak sized; the case hard-asserts a zero allocation delta over
-// the timed region.
+// One BatchWorkload at the arrival rate that drives a `rows`-row DC to 0.98
+// normalized power: ~2,340 jobs a minute on the 16-row (6,720-server) tier,
+// ~150 on one 420-server row. Each iteration is one simulated minute: the
+// GenerateMinute step, then one step per arrival it queued, each submitting
+// to a counting sink. Bursts and the AR modulation are off so no minute
+// outgrows the buffers the warm hour around the diurnal peak sized; the
+// case hard-asserts a zero allocation delta over the timed region.
 class CountingSink final : public JobSink {
  public:
   void Submit(const JobSpec&) override { ++submitted; }
   uint64_t submitted = 0;
 };
 
-void BM_ArrivalMinuteHyperscale(benchmark::State& state) {
+void ArrivalMinute(benchmark::State& state, int rows) {
   Simulation sim;
   CountingSink sink;
   JobIdAllocator ids;
   BatchWorkloadParams params;
   params.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
-      Rig::Topology(16), params, /*target_normalized_power=*/0.98,
+      Rig::Topology(rows), params, /*target_normalized_power=*/0.98,
       /*over_provision_ratio=*/0.25);
   params.arrivals.ar_sigma = 0.0;
   params.arrivals.burst_prob = 0.0;
@@ -552,7 +554,48 @@ void BM_ArrivalMinuteHyperscale(benchmark::State& state) {
       static_cast<double>(jobs) / static_cast<double>(state.iterations());
   state.SetLabel("generate_and_fire_zero_alloc");
 }
+
+void BM_ArrivalMinuteHyperscale(benchmark::State& state) {
+  ArrivalMinute(state, 16);
+}
 BENCHMARK(BM_ArrivalMinuteHyperscale);
+
+void BM_ArrivalMinuteRow(benchmark::State& state) { ArrivalMinute(state, 1); }
+BENCHMARK(BM_ArrivalMinuteRow);
+
+// Sorting one minute's arrival offsets: std::sort (Arg 0) against
+// RadixSortTimes (Arg 1), at the row's ~150 and the 6,720-server tier's
+// ~2,300 arrivals a minute. Each iteration copies the next of 64 unsorted
+// minutes into the buffer first, so both arms pay the copy, and the branch
+// predictor cannot learn one input's comparisons.
+void BM_SortArrivalOffsets(benchmark::State& state) {
+  const bool radix = state.range(0) == 1;
+  constexpr size_t kMinutes = 64;
+  Rng rng(13);
+  std::vector<std::vector<SimTime>> minutes(kMinutes);
+  for (std::vector<SimTime>& unsorted : minutes) {
+    for (int64_t i = 0; i < state.range(1); ++i) {
+      unsorted.push_back(SimTime::Seconds(rng.Uniform(0.0, 60.0)));
+    }
+  }
+  std::vector<SimTime> times;
+  std::vector<SimTime> scratch;
+  size_t next = 0;
+  for (auto _ : state) {
+    const std::vector<SimTime>& unsorted = minutes[next++ % kMinutes];
+    times.assign(unsorted.begin(), unsorted.end());
+    if (radix) {
+      RadixSortTimes(&times, &scratch);
+    } else {
+      std::sort(times.begin(), times.end());
+    }
+    benchmark::DoNotOptimize(times.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(1));
+  state.SetLabel(radix ? "radix" : "std_sort");
+}
+BENCHMARK(BM_SortArrivalOffsets)->ArgsProduct({{0, 1}, {150, 2300}});
 
 // One 420-server row under a loaded fleet, with a monitor group registered
 // and a controller ready to tick — shared by the tick-latency and the
@@ -577,6 +620,10 @@ struct ControllerTickRig {
     AmpereControllerConfig config;
     config.effect = FreezeEffectModel(0.05);
     config.et = EtEstimator::Constant(0.02);
+    // The one sample must stay fresh: with the default limits every tick
+    // from the seventh minute on would be a blackout skip.
+    config.stale_after = SimTime::Hours(1e6);
+    config.blackout_after = SimTime::Hours(1e6);
     controller = std::make_unique<AmpereController>(&rig.scheduler, &monitor,
                                                     config);
     controller->AddDomain({"row", all, 420 * 250.0 / 1.25});
@@ -597,6 +644,67 @@ void BM_ControllerTick420Servers(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ControllerTick420Servers);
+
+// --- Controller tick at the hyperscale domain size -------------------------
+//
+// One 3,360-server control domain, the experiment half of the 6,720-server
+// tier. Loads come from four task sizes, so the quantized readings tie in
+// large groups and ids break the ties. The budget holds the freezing ratio
+// near 30 % and power does not change between ticks (the staleness limits
+// are lifted so the one sample stays fresh), so after the first tick the
+// frozen set is stable: each iteration is the selection and reconciliation
+// of a tick that changes nothing. Once the journal ring has wrapped, the
+// case hard-asserts a zero allocation delta and an unchanged frozen set
+// over the timed region.
+void BM_ControllerTickHyperscale(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  Rig rig(8);
+  std::vector<ServerId> all;
+  Rng rng(5);
+  for (int32_t s = 0; s < rig.dc.num_servers(); ++s) {
+    all.push_back(ServerId(s));
+    const double cores = 4.0 * static_cast<double>(rng.UniformInt(1, 4));
+    rig.dc.PlaceTask(ServerId(s), TaskSpec{JobId(s), Resources{cores, cores},
+                                           SimTime::Hours(1000)});
+  }
+  rig.monitor.RegisterGroup("experiment", all);
+  rig.monitor.SampleOnce(SimTime::Minutes(1));
+  AmpereControllerConfig config;
+  config.effect = FreezeEffectModel(0.05);
+  config.et = EtEstimator::Constant(0.02);
+  config.journal_capacity = 256;
+  config.stale_after = SimTime::Hours(1e6);
+  config.blackout_after = SimTime::Hours(1e6);
+  AmpereController controller(&rig.scheduler, &rig.monitor, config);
+  // p = 1 - E_t + kr * 0.3, so u = 0.3.
+  controller.AddDomain({"experiment", all,
+                        rig.monitor.LatestGroupWatts("experiment") / 0.995});
+  int64_t minute = 2;
+  auto tick = [&] {
+    controller.Tick(SimTime::Minutes(static_cast<double>(minute++)));
+  };
+  for (int i = 0; i < 512; ++i) {
+    tick();  // Warmup: the journal ring wraps; gauges are registered.
+  }
+  const uint64_t freeze_ops = controller.freeze_ops();
+  const uint64_t unfreeze_ops = controller.unfreeze_ops();
+  AMPERE_CHECK(controller.frozen_count(0) > 0) << "nothing froze";
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    tick();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "stable controller tick allocated";
+  AMPERE_CHECK(controller.freeze_ops() == freeze_ops &&
+               controller.unfreeze_ops() == unfreeze_ops)
+      << "the frozen set changed on a stable tick";
+  state.SetItemsProcessed(state.iterations());
+  state.counters["frozen"] =
+      static_cast<double>(controller.frozen_count(0));
+  state.SetLabel("stable_tick_zero_alloc");
+}
+BENCHMARK(BM_ControllerTickHyperscale);
 
 // obs_overhead: the same tick loop with instrumentation on (Arg 1) and with
 // the obs runtime kill switch off (Arg 0). Disabled, every AMPERE_SPAN /

@@ -12,6 +12,26 @@
 #include "src/obs/span.h"
 
 namespace ampere {
+namespace {
+
+// The power policies' strict order: watts descending (ascending for
+// kLowestPower), ids ascending among equal watts.
+struct RankOrder {
+  bool lowest_first;
+  bool operator()(const std::pair<double, ServerId>& a,
+                  const std::pair<double, ServerId>& b) const {
+    if (a.first != b.first) {
+      return lowest_first ? a.first < b.first : a.first > b.first;
+    }
+    return a.second < b.second;
+  }
+};
+
+RankOrder OrderFor(FreezeSelection selection) {
+  return RankOrder{selection == FreezeSelection::kLowestPower};
+}
+
+}  // namespace
 
 AmpereController::AmpereController(Scheduler* scheduler,
                                    const PowerMonitor* monitor,
@@ -25,55 +45,49 @@ AmpereController::AmpereController(Scheduler* scheduler,
                config.max_freeze_ratio <= 1.0);
 }
 
-std::vector<ServerId> AmpereController::RankServers(
-    const ControlDomain& domain) {
-  std::vector<ServerId> ranked = domain.servers;
-  // Power readings are stable for the whole sort (no mutation happens
-  // between comparisons), so the power-ranked policies sort (watts, id)
-  // pairs read once per server instead of calling LatestServerWatts()
-  // O(n log n) times from the comparator. The comparators below return the
-  // same result for every pair as the previous read-in-comparator form, so
-  // std::sort — a deterministic algorithm — produces the identical
-  // permutation.
-  auto sort_by_key = [&](bool highest_first) {
-    std::vector<std::pair<double, ServerId>> keyed;
-    keyed.reserve(ranked.size());
-    for (ServerId id : ranked) {
-      keyed.emplace_back(monitor_->LatestServerWatts(id), id);
-    }
-    std::sort(keyed.begin(), keyed.end(),
-              [highest_first](const std::pair<double, ServerId>& a,
-                              const std::pair<double, ServerId>& b) {
-                if (a.first != b.first) {
-                  return highest_first ? a.first > b.first : a.first < b.first;
-                }
-                return a.second < b.second;  // Deterministic tie-break.
-              });
-    for (size_t i = 0; i < keyed.size(); ++i) {
-      ranked[i] = keyed[i].second;
-    }
-  };
-  switch (config_.selection) {
-    case FreezeSelection::kHighestPower:
-      sort_by_key(/*highest_first=*/true);
-      break;
-    case FreezeSelection::kLowestPower:
-      sort_by_key(/*highest_first=*/false);
-      break;
-    case FreezeSelection::kRandom:
-      for (size_t i = ranked.size(); i > 1; --i) {
-        size_t j = static_cast<size_t>(
-            selection_rng_.UniformInt(0, static_cast<int64_t>(i) - 1));
-        std::swap(ranked[i - 1], ranked[j]);
-      }
-      break;
+void AmpereController::SelectTop(const ControlDomain& domain,
+                                 size_t n_freeze) {
+  // Power readings are stable for the whole selection (nothing mutates them
+  // between comparisons), so each server's watts are read once into the
+  // (watts, id) buffer. The pool stamps grow here too, on first use.
+  ranked_.clear();
+  size_t stamps = pool_stamp_.size();
+  for (ServerId id : domain.servers) {
+    ranked_.emplace_back(monitor_->LatestServerWatts(id), id);
+    stamps = std::max(stamps, id.index() + 1);
   }
-  return ranked;
+  pool_stamp_.resize(stamps, 0u);
+  if (config_.selection == FreezeSelection::kRandom) {
+    // A full Fisher-Yates shuffle of the domain order: every tick that
+    // selects draws n - 1 values from the selection stream.
+    for (size_t i = ranked_.size(); i > 1; --i) {
+      size_t j = static_cast<size_t>(
+          selection_rng_.UniformInt(0, static_cast<int64_t>(i) - 1));
+      std::swap(ranked_[i - 1], ranked_[j]);
+    }
+    return;
+  }
+  // The order is strict (ids break watt ties), so the n_freeze-th element
+  // and the set before it are exactly a full sort's.
+  std::nth_element(ranked_.begin(),
+                   ranked_.begin() + static_cast<ptrdiff_t>(n_freeze - 1),
+                   ranked_.end(), OrderFor(config_.selection));
+}
+
+void AmpereController::SortRanked(size_t first, size_t last) {
+  if (config_.selection == FreezeSelection::kRandom) {
+    return;
+  }
+  std::sort(ranked_.begin() + static_cast<ptrdiff_t>(first),
+            ranked_.begin() + static_cast<ptrdiff_t>(last),
+            OrderFor(config_.selection));
 }
 
 void AmpereController::AddDomain(ControlDomain domain) {
   AMPERE_CHECK(!domain.servers.empty());
   AMPERE_CHECK(domain.budget_watts > 0.0);
+  drift_gauges_.push_back({"controller.model_rmse." + domain.group,
+                           "controller.et_margin_util." + domain.group});
   domains_.push_back(std::move(domain));
   frozen_.emplace_back();
   predictors_.emplace_back(config_.predictor);
@@ -235,42 +249,54 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
     // Rank the domain's servers most-preferred-to-freeze first. The paper's
     // policy (highest power first) costs the least spare capacity (§3.5) and
     // maximizes the drain effect; alternatives serve the ablation bench.
-    std::vector<ServerId> ranked = RankServers(domain);
-    n_freeze = std::min(n_freeze, ranked.size());
+    n_freeze = std::min(n_freeze, n);
+    SelectTop(domain, n_freeze);
 
     // Candidate pool S: the n_freeze top servers, expanded by a hysteresis
     // band so small power decays do not churn the frozen set (Algorithm 1,
     // lines 7-10). For the power-ranked paper policy the band is r_stable
-    // times the weakest top-set member's power; for the ablation policies the
-    // pool simply retains currently frozen servers.
-    // Sized up front to avoid incremental rehashing; the pool is only ever
-    // queried (contains/size), never iterated, so its bucket layout cannot
-    // influence any decision.
-    std::unordered_set<ServerId> pool;
-    pool.reserve(ranked.size() + frozen_set.size());
+    // times the weakest top-set member's power; the servers above it are
+    // the next ones in rank order, so the pool is a rank prefix, gathered
+    // here (unsorted) into ranked_[0, pool_end). For the ablation policies
+    // the pool simply retains currently frozen servers.
+    if (++pool_epoch_ == 0) {  // Wrapped: no stale stamp may match.
+      std::fill(pool_stamp_.begin(), pool_stamp_.end(), 0u);
+      pool_epoch_ = 1;
+    }
+    auto stamp = [&](ServerId id) {
+      if (!InPool(id)) {
+        pool_stamp_[id.index()] = pool_epoch_;
+        ++pool_size;
+      }
+    };
+    for (size_t i = 0; i < n_freeze; ++i) {
+      stamp(ranked_[i].second);
+    }
+    size_t pool_end = n_freeze;
     if (config_.selection == FreezeSelection::kHighestPower) {
-      double p_min_top = monitor_->LatestServerWatts(ranked[n_freeze - 1]);
-      p_threshold = config_.r_stable * p_min_top;
-      for (size_t i = 0; i < ranked.size(); ++i) {
-        if (i < n_freeze ||
-            monitor_->LatestServerWatts(ranked[i]) > p_threshold) {
-          pool.insert(ranked[i]);
-        }
+      p_threshold = config_.r_stable * ranked_[n_freeze - 1].first;
+      pool_end = static_cast<size_t>(
+          std::partition(ranked_.begin() + static_cast<ptrdiff_t>(n_freeze),
+                         ranked_.end(),
+                         [p_threshold](const auto& entry) {
+                           return entry.first > p_threshold;
+                         }) -
+          ranked_.begin());
+      for (size_t i = n_freeze; i < pool_end; ++i) {
+        stamp(ranked_[i].second);
       }
     } else {
-      for (size_t i = 0; i < n_freeze; ++i) {
-        pool.insert(ranked[i]);
+      for (ServerId id : frozen_set) {
+        stamp(id);
       }
-      pool.insert(frozen_set.begin(), frozen_set.end());
     }
-    pool_size = static_cast<uint32_t>(pool.size());
 
     // Unfreeze servers that dropped out of the pool (lines 11-12). A lost
     // unfreeze RPC (after the scheduler's bounded retries) leaves the server
     // frozen — it stays in the cached set so bookkeeping matches the
     // scheduler's flags, and the next tick retries naturally.
     for (auto it = frozen_set.begin(); it != frozen_set.end();) {
-      if (!pool.contains(*it)) {
+      if (!InPool(*it)) {
         if (RpcUnfreeze(*it)) {
           ++unfreeze_ops_;
           it = frozen_set.erase(it);
@@ -296,21 +322,24 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
         }
       }
     } else if (frozen_set.size() < n_freeze) {
-      // Too few: freeze the highest-power pool members not yet frozen
-      // (lines 15-16). `ranked` is already in descending power order. A
-      // lost freeze RPC skips to the next-ranked candidate, so the target
-      // count is usually still met from the hysteresis pool; if the pool
-      // runs out the tick ends under target and the journal records the
-      // give-ups — the next tick re-solves from fresh power and retries.
-      for (ServerId id : ranked) {
-        if (frozen_set.size() >= n_freeze) {
-          break;
+      // Too few: freeze the highest-ranked pool members not yet frozen
+      // (lines 15-16), walking the pool in rank order. A lost freeze RPC
+      // skips to the next-ranked candidate, so the target count is usually
+      // still met from the hysteresis tail — sorted only once the walk
+      // reaches it; if the pool runs out the tick ends under target and the
+      // journal records the give-ups — the next tick re-solves from fresh
+      // power and retries. Pool members ranked below the top set under the
+      // ablation policies are all frozen already, so their walk ends at
+      // n_freeze.
+      SortRanked(0, n_freeze);
+      for (size_t i = 0; i < pool_end && frozen_set.size() < n_freeze; ++i) {
+        if (i == n_freeze) {
+          SortRanked(n_freeze, pool_end);
         }
-        if (pool.contains(id) && !frozen_set.contains(id)) {
-          if (RpcFreeze(id)) {
-            ++freeze_ops_;
-            frozen_set.insert(id);
-          }
+        const ServerId id = ranked_[i].second;
+        if (!frozen_set.contains(id) && RpcFreeze(id)) {
+          ++freeze_ops_;
+          frozen_set.insert(id);
         }
       }
     }
@@ -400,11 +429,11 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
     // at minute cadence) resolved records of this domain.
     if (auto rmse =
             journal_.RollingModelRmse(config_.drift_window, domain.group)) {
-      obs::GaugeSet("controller.model_rmse." + domain.group, *rmse);
+      obs::GaugeSet(drift_gauges_[domain_index].model_rmse, *rmse);
     }
     if (auto util = journal_.RollingEtMarginUtilization(config_.drift_window,
                                                         domain.group)) {
-      obs::GaugeSet("controller.et_margin_util." + domain.group, *util);
+      obs::GaugeSet(drift_gauges_[domain_index].et_margin_util, *util);
     }
   }
 

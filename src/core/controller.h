@@ -11,6 +11,11 @@
 //   4. reconciles the actual frozen set through the scheduler's only two
 //      power-control APIs: Freeze and Unfreeze.
 //
+// Step 3 is linear in the domain size: a selection (std::nth_element) finds
+// the n_freeze-th server under the policy's strict order, pool membership is
+// an epoch stamp per server, and only the prefix the freeze loop walks is
+// ever sorted. The decisions equal a full sort's, server for server.
+//
 // The controller is stateless in the paper's sense: everything it needs is
 // re-derivable from the monitor and the scheduler's frozen flags, so a
 // replacement instance can take over at any tick (§3.2). The cached frozen
@@ -23,6 +28,7 @@
 #include <optional>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -177,16 +183,40 @@ class AmpereController {
   bool RpcFreeze(ServerId id);
   bool RpcUnfreeze(ServerId id);
   void AccountRpc(const RpcResult& result);
-  // Domain servers ordered most-preferred-to-freeze first per the
-  // configured selection policy.
-  std::vector<ServerId> RankServers(const ControlDomain& domain);
+  // Fills ranked_ with the domain's (watts, id) pairs and orders it so its
+  // first n_freeze entries are the most-preferred-to-freeze servers under
+  // the selection policy, with the n_freeze-th at index n_freeze - 1; the
+  // prefix itself is left unsorted for the power policies (see SortRanked).
+  // Grows pool_stamp_ to cover the domain's ids.
+  void SelectTop(const ControlDomain& domain, size_t n_freeze);
+  // Puts ranked_[first, last) in policy order. No-op for kRandom, whose
+  // ranked_ is already the shuffled order.
+  void SortRanked(size_t first, size_t last);
+  bool InPool(ServerId id) const {
+    return pool_stamp_[id.index()] == pool_epoch_;
+  }
 
   Scheduler* scheduler_;
   const PowerMonitor* monitor_;
   AmpereControllerConfig config_;
   Rng selection_rng_{1};
   std::vector<ControlDomain> domains_;
+  // Iteration order of these sets picks which extra servers are released
+  // and the order unfreezes reach the scheduler, so they stay hash sets.
   std::vector<std::unordered_set<ServerId>> frozen_;
+  // Per-tick selection scratch, reused across ticks and domains: the
+  // domain's (watts, id) pairs in selection order, and the candidate pool
+  // as one stamp per server (a server is in the pool when its stamp equals
+  // the current epoch).
+  std::vector<std::pair<double, ServerId>> ranked_;
+  std::vector<uint32_t> pool_stamp_;
+  uint32_t pool_epoch_ = 0;
+  // Model-drift gauge names per domain, built once in AddDomain.
+  struct DriftGaugeNames {
+    std::string model_rmse;
+    std::string et_margin_util;
+  };
+  std::vector<DriftGaugeNames> drift_gauges_;
   std::vector<OnlineEtPredictor> predictors_;  // One per domain if enabled.
   obs::DecisionJournal journal_;
   obs::DomainId obs_domain_ = 0;

@@ -10,7 +10,7 @@ namespace ampere {
 namespace obs {
 
 namespace internal {
-thread_local FlightRecorder* t_current_recorder = nullptr;
+constinit thread_local FlightRecorder* t_current_recorder = nullptr;
 }  // namespace internal
 
 namespace {

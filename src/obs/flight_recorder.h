@@ -164,7 +164,8 @@ class FlightRecorder {
 // --- Current-recorder scoping --------------------------------------------
 
 namespace internal {
-extern thread_local FlightRecorder* t_current_recorder;
+// constinit for the same reason as t_current_domain (metrics.h).
+extern constinit thread_local FlightRecorder* t_current_recorder;
 }  // namespace internal
 
 // The recorder instrumentation on this thread currently appends to, or

@@ -23,7 +23,7 @@ void SetEnabled(bool enabled) {
 // --- Metric-name domains -------------------------------------------------
 
 namespace internal {
-thread_local DomainId t_current_domain = 0;
+constinit thread_local DomainId t_current_domain = 0;
 }  // namespace internal
 
 namespace {

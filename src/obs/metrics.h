@@ -79,7 +79,10 @@ void SetEnabled(bool enabled);
 using DomainId = uint32_t;  // 0 = root: no prefix.
 
 namespace internal {
-extern thread_local DomainId t_current_domain;
+// constinit: the variable is known to be statically initialized, so other
+// translation units access it directly instead of through a TLS init
+// wrapper (which UBSan builds saw as a null pointer).
+extern constinit thread_local DomainId t_current_domain;
 }  // namespace internal
 
 // Interns `prefix` (e.g. "dc0/") and returns its handle; repeated calls

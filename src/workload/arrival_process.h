@@ -50,7 +50,17 @@ class ArrivalProcess {
   mutable Rng rng_;
   double ar_state_ = 0.0;
   bool burst_active_ = false;
+  std::vector<SimTime> sort_scratch_;  // RadixSortTimes' second buffer.
 };
+
+// Sorts non-negative times ascending in O(n): an LSD radix sort on their
+// microsecond counts, 9 bits a pass, only as many passes as the largest
+// value needs (three for offsets within a minute). Times are plain
+// integers, so equal ones are indistinguishable and the result equals
+// std::sort's. `scratch` is the second buffer; the two may be swapped, and
+// it is grown to `times`'s capacity, so reusing the pair allocates only
+// when `times` itself outgrows its capacity.
+void RadixSortTimes(std::vector<SimTime>* times, std::vector<SimTime>* scratch);
 
 }  // namespace ampere
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/stats/descriptive.h"
@@ -107,6 +108,49 @@ TEST(ArrivalProcessTest, ReusedBufferMatchesFreshBuffers) {
 TEST(ArrivalProcessTest, ZeroRateProducesNoArrivals) {
   ArrivalProcess proc(FlatParams(0.0), Rng(6));
   EXPECT_TRUE(Sample(proc, SimTime()).empty());
+}
+
+// RadixSortTimes against std::sort on minute offsets: uniform draws, heavy
+// duplicates, and the extreme offsets 0 and 59.999999 s, at every size the
+// workloads reach and beyond. Stale scratch contents must not leak in.
+TEST(RadixSortTimesTest, MatchesStdSort) {
+  Rng rng(17);
+  std::vector<SimTime> scratch(7, SimTime::Hours(3));
+  for (size_t n : {0u, 1u, 2u, 150u, 2300u, 100'000u}) {
+    for (int variant = 0; variant < 3; ++variant) {
+      std::vector<SimTime> times;
+      for (size_t i = 0; i < n; ++i) {
+        int64_t us = rng.UniformInt(0, 59'999'999);
+        if (variant == 1) {
+          us = rng.UniformInt(0, 7) * 1'000'000;  // Few distinct values.
+        } else if (variant == 2 && i % 3 != 2) {
+          us = i % 3 == 0 ? 0 : 59'999'999;
+        }
+        times.push_back(SimTime::Micros(us));
+      }
+      std::vector<SimTime> expected = times;
+      std::sort(expected.begin(), expected.end());
+      RadixSortTimes(&times, &scratch);
+      ASSERT_EQ(times, expected) << "n=" << n << " variant=" << variant;
+    }
+  }
+}
+
+// Keys wider than a minute take more passes; a day-scale spread and the
+// largest representable time still sort exactly.
+TEST(RadixSortTimesTest, WideKeysSortExactly) {
+  Rng rng(18);
+  std::vector<SimTime> times;
+  for (int i = 0; i < 5000; ++i) {
+    times.push_back(SimTime::Micros(rng.UniformInt(0, 86'400'000'000)));
+  }
+  times.push_back(SimTime::Micros(INT64_MAX));
+  times.push_back(SimTime());
+  std::vector<SimTime> expected = times;
+  std::sort(expected.begin(), expected.end());
+  std::vector<SimTime> scratch;
+  RadixSortTimes(&times, &scratch);
+  EXPECT_EQ(times, expected);
 }
 
 }  // namespace
