@@ -269,14 +269,6 @@ void BM_ResummateRowSpan(benchmark::State& state) {
   for (size_t i = 0; i < kServers; ++i) {
     watts[i] = 162.5 + 0.25 * static_cast<double>(i % 41);
   }
-  // The dispatcher must match the portable kernel bit-for-bit (vaddpd is
-  // four independent IEEE adds) — pin it here too, at both an aligned and
-  // a ragged length.
-  for (size_t n : {kServers, size_t{417}, size_t{3}, size_t{1}}) {
-    AMPERE_CHECK(span_kernels::SumBlocked4(watts.data(), n) ==
-                 span_kernels::SumBlocked4Portable(watts.data(), n))
-        << "blocked4 dispatcher diverged from portable at n=" << n;
-  }
   const bool use_blocked = state.range(0) != 0;
   const uint64_t allocs_before = AllocCount();
   for (auto _ : state) {

@@ -76,10 +76,4 @@ bool Campus::AnyBreakerTripped() const {
   return false;
 }
 
-void Campus::SetThreadPool(ThreadPool* pool) {
-  for (const auto& dc : dcs_) {
-    dc->SetThreadPool(pool);
-  }
-}
-
 }  // namespace ampere

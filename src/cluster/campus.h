@@ -24,7 +24,6 @@
 
 #include "src/cluster/datacenter.h"
 #include "src/common/ids.h"
-#include "src/common/thread_pool.h"
 #include "src/sim/simulation.h"
 
 namespace ampere {
@@ -75,10 +74,6 @@ class Campus {
 
   // True if any DC's breaker tripped.
   bool AnyBreakerTripped() const;
-
-  // Attaches one pool to every DC's batch passes (see
-  // DataCenter::SetThreadPool); null detaches.
-  void SetThreadPool(ThreadPool* pool);
 
   Simulation* sim() const { return sim_; }
 

@@ -1,10 +1,11 @@
 // Campus-federation experiment: N controlled experiments under one contract.
 //
 // A CampusExperiment runs the §4.1.2 controlled-experiment methodology in
-// every data center of a Campus simultaneously — one scheduler, monitor,
-// workload generator, and Ampere controller per DC, all bound to ONE shared
-// Simulation and ONE shared TimeSeriesDb (per-DC series prefixes keep the
-// namespaces disjoint) — and adds the two campus-level behaviors:
+// every data center of a Campus simultaneously — per DC one DcRuntime (the
+// wiring ControlledExperiment builds once) and one workload generator, all
+// bound to ONE shared Simulation and ONE shared TimeSeriesDb (per-DC series
+// prefixes keep the namespaces disjoint) — and adds the two campus-level
+// behaviors:
 //
 //   1. Hierarchical budget allocation. Every re-plan interval the
 //      CampusBudgetAllocator reads each DC's observed experiment-group
@@ -37,7 +38,9 @@
 #include "src/cluster/campus.h"
 #include "src/common/rng.h"
 #include "src/control/campus_allocator.h"
+#include "src/core/dc_runtime.h"
 #include "src/core/experiment.h"
+#include "src/core/run_artifacts.h"
 #include "src/obs/journal.h"
 
 namespace ampere {
@@ -129,47 +132,30 @@ class CampusExperiment {
   Campus& campus() { return campus_; }
   TimeSeriesDb& db() { return db_; }
   CampusBudgetAllocator& allocator() { return *allocator_; }
-  Scheduler& scheduler(DataCenterId id) { return *dcs_[id.index()]->scheduler; }
-  PowerMonitor& monitor(DataCenterId id) { return *dcs_[id.index()]->monitor; }
+  Scheduler& scheduler(DataCenterId id) { return runtime(id).scheduler(); }
+  PowerMonitor& monitor(DataCenterId id) { return runtime(id).monitor(); }
   AmpereController& controller(DataCenterId id) {
-    return *dcs_[id.index()]->controller;
+    return *runtime(id).controller();
   }
   const ExperimentConfig& config() const { return config_; }
   // Null unless config.obs requested recording.
-  obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
+  obs::FlightRecorder* flight_recorder() { return artifacts_.recorder(); }
 
  private:
-  // Everything one DC owns. Construction order within the struct follows
-  // the borrow graph (scheduler borrows the DC, monitor borrows DC + db,
-  // controller borrows scheduler + monitor).
-  struct DcState {
-    DataCenterId id;
-    std::unique_ptr<Scheduler> scheduler;
-    std::unique_ptr<PowerMonitor> monitor;
+  // One DC of the campus: its runtime (streams 100+k / 300+k, series under
+  // DcPrefix, obs domain "dcK/"), its workload (stream 200+k) and the jobs
+  // spillover moved into it.
+  struct DcSlot {
+    std::unique_ptr<DcRuntime> runtime;
     std::unique_ptr<BatchWorkload> workload;
-    std::unique_ptr<AmpereController> controller;
-    std::vector<ServerId> experiment_servers;
-    std::vector<ServerId> control_servers;
-    double experiment_budget_watts = 0.0;  // Initial (pre-allocator) share.
-    double control_budget_watts = 0.0;
-    double experiment_rated_watts = 0.0;   // Allocator clamp ceiling.
     uint64_t jobs_spilled_in = 0;
-    GroupReport experiment_report;
-    GroupReport control_report;
-    uint64_t window_thru_experiment = 0;
-    uint64_t window_thru_control = 0;
-    uint64_t minute_thru_experiment = 0;
-    uint64_t minute_thru_control = 0;
   };
 
   static CampusConfig MakeCampusConfig(const ExperimentConfig& config);
+  DcRuntime& runtime(DataCenterId id) { return *dcs_[id.index()].runtime; }
   void BuildDc(DataCenterId id);
-  void InstallMetricsRecorder(DcState& dc, SimTime from, SimTime to);
   void SpilloverPass(SimTime now);
   void ReplanBudgets(SimTime now);
-  // Anomaly sink: dumps the recorder window + metrics + the allocator's
-  // journal tail (the campus-level audit log) into config.obs.postmortem_dir.
-  void WritePostmortem(const obs::TimelineEvent& trigger);
 
   ExperimentConfig config_;
   Rng rng_;
@@ -178,17 +164,14 @@ class CampusExperiment {
   std::unique_ptr<ThreadPool> pool_;
   Simulation sim_;
   Campus campus_;
-  // Cold tier (null unless config.storage.enabled()); declared before db_
-  // because the shared db spills into it from its append paths.
-  std::unique_ptr<ColdStore> cold_store_;
+  // Recorder, postmortems (tailing the allocator's journal) and the shared
+  // cold tier; declared before db_ because the db spills into the store.
+  RunArtifacts artifacts_;
   TimeSeriesDb db_;
   JobIdAllocator ids_;  // Shared: JobIds are campus-unique.
-  std::vector<std::unique_ptr<DcState>> dcs_;
+  std::vector<DcSlot> dcs_;
   std::unique_ptr<CampusBudgetAllocator> allocator_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::vector<std::string> artifacts_;  // Postmortems, in trigger order.
   uint64_t spillover_jobs_ = 0;
-  bool counting_ = false;
   // Budget-schedule state: the scale in force now and the scale the last
   // re-plan used. A minute-tick mismatch triggers an extra mid-window
   // re-plan so curtailment propagates within one minute.

@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <unordered_set>
 
 #include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
-#include "src/obs/trace_export.h"
 
 namespace ampere {
 
@@ -62,41 +59,23 @@ ExperimentResult RunExperimentToResult(const ExperimentConfig& config) {
 }
 
 ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
-    : config_(config), rng_(config.seed), sim_(),
-      dc_(config.topology, &sim_), db_(),
-      scheduler_(&dc_, config.scheduler, rng_.Fork(1)),
-      monitor_(&dc_, &db_, config.monitor, rng_.Fork(2)) {
-  if (config_.jobs >= 2) {
-    // jobs lanes total: this (simulation) thread plus jobs-1 pool workers.
-    // The pool is instance-owned, so concurrent experiments each get their
-    // own; attaching it never changes results (see ExperimentConfig::jobs).
-    pool_ = std::make_unique<ThreadPool>(config_.jobs - 1);
-    dc_.SetThreadPool(pool_.get());
-    monitor_.SetThreadPool(pool_.get());
-  }
-  if (config_.storage.enabled()) {
-    // Persistent cold tier: the db spills past the hot budget into mmap'd
-    // segments under store_dir. Pure storage plumbing — the control loop
-    // reads the monitor's caches, so results are identical with it off.
-    ColdStoreConfig cold;
-    cold.dir = config_.storage.store_dir;
-    cold.segment_samples =
-        config_.storage.segment_samples > 0
-            ? config_.storage.segment_samples
-            : std::max<size_t>(16384, config_.storage.hot_budget_samples);
-    auto opened = ColdStore::Create(cold);
-    AMPERE_CHECK(opened.status.ok())
-        << "cannot create cold store: " << opened.status.message;
-    cold_store_ = std::move(opened.store);
-    db_.AttachColdStore(cold_store_.get(),
-                        config_.storage.hot_budget_samples);
-  }
+    : config_(config), rng_(config.seed),
+      // jobs lanes total: this (simulation) thread plus jobs-1 workers.
+      pool_(config.jobs >= 2 ? std::make_unique<ThreadPool>(config.jobs - 1)
+                             : nullptr),
+      sim_(), dc_(config.topology, &sim_), artifacts_(config_, "run"), db_(),
+      runtime_(config_,
+               {.scheduler_stream = 1, .monitor_stream = 2,
+                .series_prefix = "", .obs_domain = 0},
+               &dc_, &sim_, &db_, rng_, pool_.get()) {
+  artifacts_.OpenColdStore(&db_);
   // Arrival source: synthetic generator by default, trace replay when the
   // config asks. A recording run interposes the TraceRecorder as the sink —
   // a pass-through decorator, so recording never perturbs the run.
-  JobSink* sink = &scheduler_;
+  JobSink* sink = &runtime_.scheduler();
   if (config_.trace.recording()) {
-    trace_recorder_ = std::make_unique<TraceRecorder>(&sim_, &scheduler_);
+    trace_recorder_ =
+        std::make_unique<TraceRecorder>(&sim_, &runtime_.scheduler());
     trace_recorder_->set_seed(config_.seed);
     trace_recorder_->SetClasses(config_.workload.demands);
     sink = trace_recorder_.get();
@@ -116,9 +95,6 @@ ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
     workload_ = std::make_unique<BatchWorkload>(config_.workload, &sim_,
                                                 sink, &ids_, rng_.Fork(3));
   }
-  SplitGroups();
-  monitor_.RegisterGroup(kExperimentGroup, experiment_servers_);
-  monitor_.RegisterGroup(kControlGroup, control_servers_);
 
   if (config_.faults.any()) {
     // Pre-generate the whole run's fault schedule (seeded independently of
@@ -128,82 +104,11 @@ ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
         config_.warmup + config_.duration + config_.monitor.interval;
     injector_ = std::make_unique<faults::FaultInjector>(
         faults::FaultPlan::Generate(config_.faults, horizon));
-    monitor_.AttachFaultInjector(injector_.get());
-    scheduler_.AttachFaultInjector(injector_.get());
+    runtime_.monitor().AttachFaultInjector(injector_.get());
+    runtime_.scheduler().AttachFaultInjector(injector_.get());
   }
-
-  if (config_.obs.enabled()) {
-    recorder_ =
-        std::make_unique<obs::FlightRecorder>(config_.obs.recorder_capacity);
-    recorder_->SetAnomalyPolicy(config_.obs.anomaly);
-    if (!config_.obs.postmortem_dir.empty()) {
-      recorder_->SetAnomalySink(
-          [this](const obs::TimelineEvent& trigger) {
-            WritePostmortem(trigger);
-          });
-    }
-  }
-
-  if (config_.enable_ampere) {
-    controller_ = std::make_unique<AmpereController>(&scheduler_, &monitor_,
-                                                     config_.controller);
-    ControlDomain domain;
-    domain.group = kExperimentGroup;
-    domain.servers = experiment_servers_;
-    domain.budget_watts = experiment_budget_watts_;
-    controller_->AddDomain(std::move(domain));
-  }
-
-  // Throughput accounting: a "placement" is a job accepted onto a group's
-  // server (§4.1.3 counts accepted jobs as the throughput indicator).
-  scheduler_.SetPlacementListener(
-      [this](const JobSpec&, ServerId server) {
-        if (!counting_) {
-          return;
-        }
-        bool is_experiment = (server.value() % 2) == 0;
-        if (is_experiment) {
-          ++window_thru_experiment_;
-          ++minute_thru_experiment_;
-        } else {
-          ++window_thru_control_;
-          ++minute_thru_control_;
-        }
-      });
-
-  experiment_report_.name = kExperimentGroup;
-  experiment_report_.budget_watts = experiment_budget_watts_;
-  control_report_.name = kControlGroup;
-  control_report_.budget_watts = control_budget_watts_;
-}
-
-void ControlledExperiment::SplitGroups() {
-  // Parity split: even server ids form the experiment group, odd ids the
-  // control group — a uniformly random, product-independent partition
-  // (§4.1.2). Reserved servers never join either group.
-  for (int32_t s = 0; s < dc_.num_servers(); ++s) {
-    ServerId id(s);
-    if (dc_.server(id).reserved()) {
-      continue;
-    }
-    if (s % 2 == 0) {
-      experiment_servers_.push_back(id);
-    } else {
-      control_servers_.push_back(id);
-    }
-  }
-  AMPERE_CHECK(!experiment_servers_.empty() && !control_servers_.empty());
-
-  double rated = dc_.power_model().rated_watts();
-  double scale = 1.0 + config_.over_provision_ratio;
-  double exp_rated =
-      static_cast<double>(experiment_servers_.size()) * rated;
-  double ctl_rated = static_cast<double>(control_servers_.size()) * rated;
-  experiment_budget_watts_ =
-      config_.scale_experiment_budget ? exp_rated / scale : exp_rated;
-  control_budget_watts_ =
-      config_.scale_control_budget ? ctl_rated / scale : ctl_rated;
-  current_experiment_budget_ = experiment_budget_watts_;
+  artifacts_.SetPostmortemJournal(
+      controller() != nullptr ? &controller()->journal() : nullptr);
 }
 
 void ControlledExperiment::StartBaseline() {
@@ -216,43 +121,7 @@ void ControlledExperiment::StartBaseline() {
     workload_->Start(SimTime());
   }
   // First sample lands at t = 1 min, once some workload exists.
-  monitor_.Start(SimTime::Minutes(1));
-}
-
-void ControlledExperiment::InstallMetricsRecorder(SimTime from, SimTime to) {
-  // Runs 2 s after each minute's monitor sample (and after the controller's
-  // +1 s tick), so the record reflects this minute's decision.
-  sim_.SchedulePeriodic(
-      from + SimTime::Seconds(2), SimTime::Minutes(1), [this, to](SimTime t) {
-        if (t >= to) {
-          return;
-        }
-        double exp_watts = monitor_.LatestGroupWatts(kExperimentGroup);
-        double ctl_watts = monitor_.LatestGroupWatts(kControlGroup);
-
-        MinutePoint exp_point;
-        exp_point.time = t;
-        exp_point.power_watts = exp_watts;
-        exp_point.normalized_power = exp_watts / current_experiment_budget_;
-        exp_point.freeze_ratio =
-            controller_ != nullptr ? controller_->freeze_ratio(0) : 0.0;
-        exp_point.violation = exp_point.normalized_power > 1.0;
-        exp_point.placements =
-            static_cast<uint32_t>(minute_thru_experiment_);
-        experiment_report_.minutes.push_back(exp_point);
-
-        MinutePoint ctl_point;
-        ctl_point.time = t;
-        ctl_point.power_watts = ctl_watts;
-        ctl_point.normalized_power = ctl_watts / control_budget_watts_;
-        ctl_point.freeze_ratio = 0.0;
-        ctl_point.violation = ctl_point.normalized_power > 1.0;
-        ctl_point.placements = static_cast<uint32_t>(minute_thru_control_);
-        control_report_.minutes.push_back(ctl_point);
-
-        minute_thru_experiment_ = 0;
-        minute_thru_control_ = 0;
-      });
+  runtime_.monitor().Start(SimTime::Minutes(1));
 }
 
 ExperimentResult ControlledExperiment::Run() {
@@ -260,16 +129,13 @@ ExperimentResult ControlledExperiment::Run() {
   // Install the flight recorder (if configured) for the whole closed loop.
   // Recording is passive — nothing downstream reads the recorder during the
   // run — so results are bit-identical with or without it.
-  obs::ScopedFlightRecorder scoped_recorder(recorder_.get());
+  obs::ScopedFlightRecorder scoped_recorder(artifacts_.recorder());
   StartBaseline();
   SimTime measure_start = config_.warmup;
   SimTime end = config_.warmup + config_.duration;
 
-  if (controller_ != nullptr) {
-    // Tick 1 s after the monitor samples so decisions see fresh data.
-    controller_->Start(&sim_, measure_start + SimTime::Seconds(1));
-  }
-  if (controller_ != nullptr && !config_.budget_schedule.IsConstant()) {
+  runtime_.StartMeasuring(measure_start, end);
+  if (controller() != nullptr && !config_.budget_schedule.IsConstant()) {
     // P(t): re-target the domain budget each minute between the monitor's
     // sample (:00) and the controller's tick (+1 s), so every decision
     // rides the current cap. Gated on a non-constant schedule — fixed-cap
@@ -282,48 +148,25 @@ ExperimentResult ControlledExperiment::Run() {
           }
           const double scale =
               config_.budget_schedule.ScaleAt(t - measure_start);
-          current_experiment_budget_ = experiment_budget_watts_ * scale;
           budget_scale_min_ = std::min(budget_scale_min_, scale);
-          controller_->SetDomainBudget(0, current_experiment_budget_);
+          runtime_.SetExperimentBudget(runtime_.experiment_budget_watts() *
+                                       scale);
         });
   }
-  InstallMetricsRecorder(measure_start, end);
-  sim_.ScheduleAt(measure_start, [this] { counting_ = true; });
+  sim_.ScheduleAt(measure_start, [this] { runtime_.StartCounting(); });
 
   sim_.RunUntil(end);
 
-  experiment_report_.throughput_jobs = window_thru_experiment_;
-  control_report_.throughput_jobs = window_thru_control_;
-  experiment_report_.Finalize();
-  control_report_.Finalize();
-
   ExperimentResult result;
-  result.experiment = experiment_report_;
-  result.control = control_report_;
-  result.throughput_ratio =
-      window_thru_control_ > 0
-          ? static_cast<double>(window_thru_experiment_) /
-                static_cast<double>(window_thru_control_)
-          : 0.0;
-  result.gain_tpw =
-      GainInTpw(result.throughput_ratio, config_.over_provision_ratio);
-  result.jobs_submitted = scheduler_.jobs_submitted();
-  result.jobs_completed = scheduler_.jobs_completed();
-  result.final_queue_length = scheduler_.queue_length();
-  result.breaker_tripped = dc_.AnyBreakerTripped();
-
+  runtime_.FillResult(result);
   if (injector_ != nullptr) {
     result.fault_counts = injector_->counts();
   }
-  if (controller_ != nullptr) {
-    result.degraded_ticks = controller_->degraded_ticks();
-    result.blackout_skips = controller_->blackout_skips();
-    result.stale_fallbacks = controller_->stale_fallbacks();
-    result.rpc_giveups = controller_->rpc_giveups();
-  }
-
-  if (controller_ != nullptr) {
-    result.journal = controller_->journal().Summarize();
+  if (AmpereController* controller = this->controller()) {
+    result.degraded_ticks = controller->degraded_ticks();
+    result.blackout_skips = controller->blackout_skips();
+    result.stale_fallbacks = controller->stale_fallbacks();
+    result.rpc_giveups = controller->rpc_giveups();
     // Re-export the audit-path aggregates as gauges so a harness run's obs
     // snapshot carries the journal summary alongside the span profile.
     if (obs::Enabled()) {
@@ -344,25 +187,7 @@ ExperimentResult ControlledExperiment::Run() {
     }
   }
 
-  if (recorder_ != nullptr) {
-    result.timeline_events = recorder_->total_appended();
-    if (!config_.obs.trace_path.empty()) {
-      const std::string label =
-          config_.obs.run_label.empty() ? "run" : config_.obs.run_label;
-      if (obs::WriteChromeTraceFile(*recorder_, config_.obs.trace_path,
-                                    label)) {
-        // The trace leads the artifact list; postmortems follow in trigger
-        // order (artifacts_ collected them as the sink fired).
-        result.artifacts.push_back(config_.obs.trace_path);
-      } else {
-        AMPERE_LOG(kWarning) << "failed to write trace artifact "
-                          << config_.obs.trace_path;
-      }
-    }
-    result.artifacts.insert(result.artifacts.end(), artifacts_.begin(),
-                            artifacts_.end());
-  }
-
+  result.timeline_events = artifacts_.ExportTimeline(result.artifacts);
   result.budget_scale_min = budget_scale_min_;
   if (trace_workload_ != nullptr) {
     result.trace_jobs_replayed = trace_workload_->jobs_submitted();
@@ -379,20 +204,9 @@ ExperimentResult ControlledExperiment::Run() {
       }
     }
   }
-  if (cold_store_ != nullptr) {
-    // Seal every active segment so the store is fully on disk and reopenable
-    // (the OpenExisting instant-restart path) before the process exits.
-    const StoreStatus flushed = cold_store_->Flush();
-    AMPERE_CHECK(flushed.ok())
-        << "cold store flush failed: " << flushed.message;
-    result.cold_samples_spilled = db_.samples_spilled();
-    result.cold_segments = cold_store_->total_segments();
-    result.artifacts.push_back(cold_store_->ManifestPath());
-    AMPERE_LOG(kInfo) << "cold store: spilled "
-                      << result.cold_samples_spilled << " samples into "
-                      << result.cold_segments << " segments under "
-                      << cold_store_->dir();
-  }
+  artifacts_.FlushColdStore(db_, result.artifacts,
+                            result.cold_samples_spilled,
+                            result.cold_segments);
   return result;
 }
 
@@ -400,39 +214,6 @@ std::shared_ptr<const TraceData> ControlledExperiment::RecordedTrace() const {
   AMPERE_CHECK(trace_recorder_ != nullptr)
       << "RecordedTrace needs config.trace.recording()";
   return std::make_shared<const TraceData>(trace_recorder_->trace());
-}
-
-void ControlledExperiment::WritePostmortem(const obs::TimelineEvent& trigger) {
-  const std::string label =
-      config_.obs.run_label.empty() ? "run" : config_.obs.run_label;
-  std::string safe_label = label;
-  for (char& c : safe_label) {
-    if (c == '/' || c == '\\' || c == ' ') c = '-';
-  }
-  std::error_code ec;
-  std::filesystem::create_directories(config_.obs.postmortem_dir, ec);
-  const std::string path = config_.obs.postmortem_dir + "/postmortem_" +
-                           safe_label + "_" +
-                           std::to_string(recorder_->anomalies_fired()) +
-                           ".json";
-  const std::string json = BuildPostmortemJson(
-      trigger, *recorder_, obs::CurrentMetrics()->Snapshot(),
-      controller_ != nullptr ? &controller_->journal() : nullptr,
-      config_.obs.postmortem, label);
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    AMPERE_LOG(kWarning) << "failed to open postmortem artifact " << path;
-    return;
-  }
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  std::fclose(f);
-  if (ok) {
-    artifacts_.push_back(path);
-    AMPERE_LOG(kInfo) << "postmortem (" << obs::TimelineEventTypeName(
-                             trigger.type)
-                      << " @ " << trigger.time.minutes() << " min) -> "
-                      << path;
-  }
 }
 
 std::vector<FuSample> ControlledExperiment::RunFuCalibration(
@@ -479,8 +260,8 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
         if (now >= end) {
           return;
         }
-        double exp_watts = monitor_.LatestGroupWatts(kExperimentGroup);
-        double ctl_watts = monitor_.LatestGroupWatts(kControlGroup);
+        double exp_watts = monitor().LatestGroupWatts(kExperimentGroup);
+        double ctl_watts = monitor().LatestGroupWatts(kControlGroup);
         // Sampling precedes the phase transition below, so at the tick that
         // applies a freeze `holding` is still false (no partial interval is
         // sampled) and the first sampled delta covers the first full frozen
@@ -491,9 +272,9 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
           // group's shortfall from that trend is the freezing effect
           // (§3.4). Normalized to the budget.
           double delta_ctl =
-              (ctl_watts - state->prev_ctl) / control_budget_watts_;
+              (ctl_watts - state->prev_ctl) / control_budget_watts();
           double delta_exp =
-              (exp_watts - state->prev_exp) / experiment_budget_watts_;
+              (exp_watts - state->prev_exp) / experiment_budget_watts();
           state->samples.push_back(
               FuSample{state->current_u, delta_ctl - delta_exp});
         }
@@ -504,7 +285,7 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
         if (state->holding && state->minute_in_phase >= state->hold_minutes) {
           // Hold over: release and rest so the groups re-equalize.
           for (ServerId id : state->frozen) {
-            scheduler_.Unfreeze(id);
+            scheduler().Unfreeze(id);
           }
           state->frozen.clear();
           state->holding = false;
@@ -518,21 +299,21 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
           ++state->level_index;
           auto target = static_cast<size_t>(
               std::floor(state->current_u *
-                         static_cast<double>(experiment_servers_.size())));
-          std::vector<ServerId> ranked = experiment_servers_;
+                         static_cast<double>(experiment_servers().size())));
+          std::vector<ServerId> ranked = experiment_servers();
           switch (state->selection) {
             case FreezeSelection::kHighestPower:
               std::sort(ranked.begin(), ranked.end(),
                         [this](ServerId a, ServerId b) {
-                          return monitor_.LatestServerWatts(a) >
-                                 monitor_.LatestServerWatts(b);
+                          return monitor().LatestServerWatts(a) >
+                                 monitor().LatestServerWatts(b);
                         });
               break;
             case FreezeSelection::kLowestPower:
               std::sort(ranked.begin(), ranked.end(),
                         [this](ServerId a, ServerId b) {
-                          return monitor_.LatestServerWatts(a) <
-                                 monitor_.LatestServerWatts(b);
+                          return monitor().LatestServerWatts(a) <
+                                 monitor().LatestServerWatts(b);
                         });
               break;
             case FreezeSelection::kRandom:
@@ -544,7 +325,7 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
               break;
           }
           for (size_t i = 0; i < target && i < ranked.size(); ++i) {
-            scheduler_.Freeze(ranked[i]);
+            scheduler().Freeze(ranked[i]);
             state->frozen.insert(ranked[i]);
           }
           state->holding = true;
@@ -554,7 +335,7 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
 
   sim_.RunUntil(end);
   for (ServerId id : state->frozen) {
-    scheduler_.Unfreeze(id);
+    scheduler().Unfreeze(id);
   }
   return state->samples;
 }

@@ -32,7 +32,9 @@
 #include "src/control/budget_schedule.h"
 #include "src/control/campus_allocator.h"
 #include "src/core/controller.h"
+#include "src/core/dc_runtime.h"
 #include "src/core/metrics.h"
+#include "src/core/run_artifacts.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
 #include "src/obs/flight_recorder.h"
@@ -260,8 +262,8 @@ ExperimentResult RunExperimentToResult(const ExperimentConfig& config);
 
 class ControlledExperiment {
  public:
-  static constexpr const char* kExperimentGroup = "experiment";
-  static constexpr const char* kControlGroup = "control";
+  static constexpr const char* kExperimentGroup = DcRuntime::kExperimentGroup;
+  static constexpr const char* kControlGroup = DcRuntime::kControlGroup;
 
   explicit ControlledExperiment(const ExperimentConfig& config);
 
@@ -288,10 +290,10 @@ class ControlledExperiment {
   // --- Component access for custom benches and tests ---
   Simulation& sim() { return sim_; }
   DataCenter& dc() { return dc_; }
-  Scheduler& scheduler() { return scheduler_; }
-  PowerMonitor& monitor() { return monitor_; }
+  Scheduler& scheduler() { return runtime_.scheduler(); }
+  PowerMonitor& monitor() { return runtime_.monitor(); }
   TimeSeriesDb& db() { return db_; }
-  AmpereController* controller() { return controller_.get(); }
+  AmpereController* controller() { return runtime_.controller(); }
   // The synthetic generator; null when config.trace replays a trace (use
   // trace_workload() there).
   BatchWorkload& workload() { return *workload_; }
@@ -308,27 +310,25 @@ class ControlledExperiment {
   faults::FaultInjector* fault_injector() { return injector_.get(); }
   // Null unless config.obs.enabled(). Installed as the thread's current
   // recorder only while Run() executes.
-  obs::FlightRecorder* flight_recorder() { return recorder_.get(); }
+  obs::FlightRecorder* flight_recorder() { return artifacts_.recorder(); }
   // Null unless config.storage.enabled().
-  ColdStore* cold_store() { return cold_store_.get(); }
+  ColdStore* cold_store() { return artifacts_.cold_store(); }
   const std::vector<ServerId>& experiment_servers() const {
-    return experiment_servers_;
+    return runtime_.experiment_servers();
   }
   const std::vector<ServerId>& control_servers() const {
-    return control_servers_;
+    return runtime_.control_servers();
   }
-  double experiment_budget_watts() const { return experiment_budget_watts_; }
-  double control_budget_watts() const { return control_budget_watts_; }
+  double experiment_budget_watts() const {
+    return runtime_.experiment_budget_watts();
+  }
+  double control_budget_watts() const {
+    return runtime_.control_budget_watts();
+  }
   const ExperimentConfig& config() const { return config_; }
 
  private:
-  void SplitGroups();
   void StartBaseline();  // Workload + monitor.
-  // Installs the per-minute metrics recorder for [from, to).
-  void InstallMetricsRecorder(SimTime from, SimTime to);
-  // Anomaly sink: snapshots the recorder window + metrics + journal tail
-  // into config.obs.postmortem_dir. Appends the path to artifacts_.
-  void WritePostmortem(const obs::TimelineEvent& trigger);
 
   ExperimentConfig config_;
   Rng rng_;
@@ -337,41 +337,20 @@ class ControlledExperiment {
   std::unique_ptr<ThreadPool> pool_;
   Simulation sim_;
   DataCenter dc_;
-  // Cold tier (null unless config.storage.enabled()); declared before db_
-  // because the db spills into it from its append paths.
-  std::unique_ptr<ColdStore> cold_store_;
+  // Recorder, postmortems and the cold tier; declared before db_ because
+  // the db spills into the cold store from its append paths.
+  RunArtifacts artifacts_;
   TimeSeriesDb db_;
-  Scheduler scheduler_;
-  PowerMonitor monitor_;
+  // Scheduler, monitor, groups, controller and the per-minute recorder on
+  // RNG streams 1 and 2 with the historical (unprefixed) series names.
+  DcRuntime runtime_;
   JobIdAllocator ids_;
   std::unique_ptr<BatchWorkload> workload_;
   // Trace record/replay (null unless the config section asks for them).
   std::unique_ptr<TraceRecorder> trace_recorder_;
   std::unique_ptr<TraceArrivalProcess> trace_workload_;
-  std::unique_ptr<AmpereController> controller_;
   std::unique_ptr<faults::FaultInjector> injector_;
-  std::unique_ptr<obs::FlightRecorder> recorder_;
-  std::vector<std::string> artifacts_;
-
-  std::vector<ServerId> experiment_servers_;
-  std::vector<ServerId> control_servers_;
-  double experiment_budget_watts_ = 0.0;
-  double control_budget_watts_ = 0.0;
-  // The budget currently in force for the experiment domain:
-  // experiment_budget_watts_ scaled by the schedule (equal to it, exactly,
-  // under the constant schedule). Metrics normalize against this so a
-  // curtailed minute counts violations against the curtailed cap.
-  double current_experiment_budget_ = 0.0;
   double budget_scale_min_ = 1.0;
-
-  // Metrics state.
-  GroupReport experiment_report_;
-  GroupReport control_report_;
-  uint64_t window_thru_experiment_ = 0;
-  uint64_t window_thru_control_ = 0;
-  uint64_t minute_thru_experiment_ = 0;
-  uint64_t minute_thru_control_ = 0;
-  bool counting_ = false;
 };
 
 }  // namespace ampere

@@ -99,9 +99,6 @@ class ResultTable {
 // for --csv / --json output.
 void WriteFile(const std::string& path, const std::string& contents);
 
-// JSON string escaping (exposed for tests).
-std::string JsonEscape(std::string_view s);
-
 }  // namespace harness
 }  // namespace ampere
 

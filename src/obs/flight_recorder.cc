@@ -5,6 +5,7 @@
 #include <cstdlib>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 
 namespace ampere {
 namespace obs {
@@ -22,27 +23,6 @@ std::string FormatDouble(double value) {
     if (std::strtod(buf, nullptr) == value) break;
   }
   return buf;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "src/common/check.h"
+#include "src/common/json.h"
 
 namespace ampere {
 namespace obs {
@@ -99,39 +100,6 @@ std::string FormatDouble(double value) {
     if (std::strtod(buf, nullptr) == value) break;
   }
   return buf;
-}
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char hex[8];
-          std::snprintf(hex, sizeof(hex), "\\u%04x", c);
-          out += hex;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 // Prometheus metric names: '.' and other non-alphanumerics become '_'.

@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/json.h"
 #include "src/common/log.h"
 #include "src/common/log_capture.h"
 #include "src/common/rng.h"
@@ -379,6 +380,7 @@ TEST(JsonEscapeTest, EscapesControlAndQuotes) {
   EXPECT_EQ(JsonEscape("a\"b"), "a\\\"b");
   EXPECT_EQ(JsonEscape("a\\b"), "a\\\\b");
   EXPECT_EQ(JsonEscape("a\nb"), "a\\nb");
+  EXPECT_EQ(JsonEscape("a\tb\r"), "a\\tb\\r");
   EXPECT_EQ(JsonEscape(std::string(1, '\x01')), "\\u0001");
 }
 

@@ -22,6 +22,7 @@
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_export.h"
+#include "src/telemetry/cold_store.h"
 #include "tests/scratch_dir.h"
 
 namespace ampere {
@@ -441,6 +442,92 @@ TEST(PostmortemArtifactTest, ChaosRunWritesValidatedPostmortem) {
   ASSERT_NE(tail_pos, std::string::npos);
   EXPECT_NE(postmortem.find("\"observed_watts\"", tail_pos),
             std::string::npos);
+}
+
+TEST(PostmortemArtifactTest, CampusRunWritesTraceThenPostmortemsThenManifest) {
+#ifdef AMPERE_OBS_DISABLED
+  GTEST_SKIP() << "instrumentation macros compiled out";
+#endif
+  // A 2-DC campus whose DC 0 runs hot (target 1.25), so its experiment
+  // group violates and the anomaly sink fires campus postmortems.
+  ExperimentConfig config;
+  config.seed = 20160414;
+  config.topology.num_rows = 1;
+  config.topology.racks_per_row = 3;
+  config.topology.servers_per_rack = 8;  // 24 servers per DC.
+  config.controller.effect = FreezeEffectModel(0.05);
+  config.controller.et = EtEstimator::Constant(0.02);
+  config.warmup = SimTime::Minutes(30);
+  config.duration = SimTime::Hours(1);
+  config.campus.enabled = true;
+  config.campus.num_datacenters = 2;
+  config.campus.dc_target_power = {1.25, 0.85};
+
+  const ScratchDir scratch("campus_artifacts");
+  const std::string& dir = scratch.path();
+  config.obs.trace_path = dir + "/campus.trace.json";
+  config.obs.postmortem_dir = dir + "/postmortems";
+  config.storage.store_dir = dir + "/store";
+  config.storage.hot_budget_samples = 16;
+
+  CampusExperiment experiment(config);
+  const CampusResult result = experiment.Run();
+  // Trace first, then at least one postmortem, then the manifest last.
+  ASSERT_GE(result.artifacts.size(), 3u);
+  EXPECT_EQ(result.artifacts.front(), config.obs.trace_path);
+  EXPECT_TRUE(JsonBalanced(ReadFileOrEmpty(result.artifacts.front())));
+  const std::string manifest = result.artifacts.back();
+  EXPECT_EQ(manifest.rfind(config.storage.store_dir, 0), 0u) << manifest;
+  EXPECT_GT(result.cold_samples_spilled, 0u);
+
+  // Postmortems are numbered in trigger order under the default label, and
+  // carry the allocator's campus/dcK records as their journal tail.
+  bool saw_allocator_records = false;
+  for (size_t i = 1; i + 1 < result.artifacts.size(); ++i) {
+    EXPECT_EQ(result.artifacts[i], config.obs.postmortem_dir +
+                                       "/postmortem_campus_" +
+                                       std::to_string(i) + ".json");
+    const std::string postmortem = ReadFileOrEmpty(result.artifacts[i]);
+    ASSERT_FALSE(postmortem.empty()) << result.artifacts[i];
+    EXPECT_TRUE(JsonBalanced(postmortem));
+    EXPECT_NE(postmortem.find("\"run\":\"campus\""), std::string::npos);
+    const size_t tail = postmortem.find("\"journal_tail\":[");
+    ASSERT_NE(tail, std::string::npos);
+    if (postmortem.find("\"domain\":\"campus/dc0\"", tail) !=
+            std::string::npos &&
+        postmortem.find("\"domain\":\"campus/dc1\"", tail) !=
+            std::string::npos) {
+      saw_allocator_records = true;
+    }
+  }
+  EXPECT_TRUE(saw_allocator_records);
+
+  // The store reopens through the instant-restart path while the run's
+  // writer is still alive, so the run itself must have flushed it.
+  ColdStoreConfig reopen;
+  reopen.dir = config.storage.store_dir;
+  const ColdStore::OpenResult reopened = ColdStore::OpenExisting(reopen);
+  ASSERT_TRUE(reopened.status.ok()) << reopened.status.message;
+  EXPECT_EQ(reopened.store->ManifestPath(), manifest);
+  EXPECT_EQ(reopened.store->total_segments(), result.cold_segments);
+}
+
+TEST(JsonEscapeArtifactTest, TabInRunLabelIsEscapedInTraceAndPostmortem) {
+  FlightRecorder recorder(8);
+  recorder.Append(SimTime::Minutes(1), Type::kCapacityViolation, 1.02);
+  const std::string label = "run\tone\x01";
+  const std::string trace = BuildChromeTraceJson(recorder, label);
+  EXPECT_NE(trace.find("\"run\":\"run\\tone\\u0001\""), std::string::npos)
+      << trace;
+  EXPECT_EQ(trace.find('\t'), std::string::npos);
+
+  MetricsRegistry registry;
+  const std::string postmortem =
+      BuildPostmortemJson(recorder.All().back(), recorder, registry.Snapshot(),
+                          nullptr, PostmortemConfig{}, label);
+  EXPECT_NE(postmortem.find("\"run\":\"run\\tone\\u0001\""), std::string::npos)
+      << postmortem;
+  EXPECT_EQ(postmortem.find('\t'), std::string::npos);
 }
 
 TEST(RecorderIdentityTest, ClosedLoopIsBitIdenticalWithRecorderOnOrOff) {

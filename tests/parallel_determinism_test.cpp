@@ -273,10 +273,9 @@ TEST(BatchedKernelIdentityTest, NoiseSpanReproducesPinnedValues) {
   EXPECT_DOUBLE_EQ(z[1], 0.77187129066730675);
 }
 
-TEST(BatchedKernelIdentityTest, SumBlocked4DispatcherMatchesPortable) {
-  // In a TU compiled without -mavx2 this pins dispatcher == portable; the
-  // companion TU (span_kernels_avx2_test.cpp, compiled with -mavx2) pins
-  // intrinsic == portable on AVX2 hardware. Together: same bits everywhere.
+TEST(BatchedKernelIdentityTest, SumKernelsMatchHandRolledOrders) {
+  // Both reductions are pinned against hand-rolled accumulations of their
+  // documented association, so a "smart" rewrite cannot sneak in.
   Rng rng(kSeed);
   std::vector<double> x(423);
   for (double& v : x) {
@@ -284,12 +283,17 @@ TEST(BatchedKernelIdentityTest, SumBlocked4DispatcherMatchesPortable) {
   }
   for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
                    size_t{42}, size_t{417}, size_t{420}, size_t{423}}) {
-    EXPECT_EQ(span_kernels::SumBlocked4(x.data(), n),
-              span_kernels::SumBlocked4Portable(x.data(), n))
-        << "n=" << n;
+    double lanes[4] = {0.0, 0.0, 0.0, 0.0};
+    const size_t main = n - n % 4;
+    for (size_t i = 0; i < main; ++i) {
+      lanes[i % 4] += x[i];
+    }
+    double blocked = (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]);
+    for (size_t i = main; i < n; ++i) {
+      blocked += x[i];
+    }
+    EXPECT_EQ(span_kernels::SumBlocked4(x.data(), n), blocked) << "n=" << n;
   }
-  // SumSequential is the plain left-to-right loop — pin it against a
-  // hand-rolled accumulation so a "smart" rewrite cannot sneak in.
   double expected = 0.0;
   for (size_t i = 0; i < 417; ++i) {
     expected += x[i];
