@@ -401,8 +401,9 @@ void TimeDrainPasses(benchmark::State& state, Rig& rig, bool refreeze) {
 }
 
 // Arg(0): every server frozen (server 0 also reserved, so unfreezing it
-// adds no candidate). Arg(1): every server full. Either way every probe
-// fails and the candidate list's per-axis maxima rule the scan out.
+// adds no candidate). Arg(1): every server full. Either way the candidate
+// list's per-axis maxima rule every job out: after the first failure the
+// scheduler is in saturation mode and each attempt only skips its draws.
 void BM_PlacementNoFitSaturated(benchmark::State& state) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);
@@ -447,6 +448,80 @@ void BM_PlacementScanDense(benchmark::State& state) {
   state.SetLabel("full_scan_per_failure");
 }
 BENCHMARK(BM_PlacementScanDense);
+
+// A 420-server DC in the state the controller's freeze leaves a hot DC in:
+// three of every four servers frozen, the rest full of running jobs, and a
+// backlog of 64 queued jobs of the three default demand profiles. Each
+// iteration fires one completion, whose drain pass then tries the backlog
+// until two placements fail, and tops the backlog back up to 64 with
+// fresh submissions (each one a placement attempt of its own). The attempts
+// mix every outcome of a saturated DC: demands the per-axis maxima rule out
+// (draws only), probes that all miss before a first-fit scan, and probes
+// that hit. The case hard-asserts that completions and their drains
+// allocate nothing; only the top-up's queue growth may.
+void BM_PlacementSaturatedDrain(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  Rig rig(1);
+  // Every candidate first holds the most tasks it ever can (16 one-core
+  // jobs), so its task table, the task pool and the event queue reach
+  // their peak size before the timed region.
+  for (int32_t s = 0; s < rig.dc.num_servers(); ++s) {
+    if (s % 4 != 0) {
+      rig.scheduler.Freeze(ServerId(s));
+      continue;
+    }
+    for (int k = 0; k < 16; ++k) {
+      AMPERE_CHECK(rig.dc.PlaceTask(
+          ServerId(s), TaskSpec{JobId(-1 - k), Resources{1.0, 2.0},
+                                SimTime::Seconds(1 + s % 60)}));
+    }
+  }
+  constexpr Resources kDemands[] = {{1.0, 2.0}, {2.0, 4.0}, {4.0, 8.0}};
+  constexpr size_t kBacklog = 64;
+  int32_t next_job = 0;
+  auto top_up = [&] {
+    while (rig.scheduler.queue_length() < kBacklog) {
+      JobSpec job;
+      job.id = JobId(next_job);
+      job.demand = kDemands[next_job % 3];
+      job.duration = SimTime::Seconds(60 + 37 * (next_job % 17));
+      ++next_job;
+      rig.scheduler.Submit(job);
+    }
+  };
+  uint64_t drain_allocs = 0;
+  auto cycle = [&] {
+    const uint64_t allocs_before = AllocCount();
+    AMPERE_CHECK(rig.sim.Step()) << "no running job left to complete";
+    drain_allocs += AllocCount() - allocs_before;
+    top_up();
+  };
+  top_up();
+  for (int i = 0; i < 5'000; ++i) {
+    cycle();  // Warmup: the fillers complete, the backlog takes over.
+  }
+  drain_allocs = 0;
+  const uint64_t placed_before = rig.scheduler.jobs_placed();
+  const uint64_t submitted_before = rig.scheduler.jobs_submitted();
+  for (auto _ : state) {
+    cycle();
+  }
+  AMPERE_CHECK(drain_allocs == 0)
+      << "completions and their drain passes allocated " << drain_allocs
+      << " times";
+  const auto per_iteration = [&state](uint64_t count) {
+    return benchmark::Counter(static_cast<double>(count) /
+                              static_cast<double>(state.iterations()));
+  };
+  state.counters["placed"] =
+      per_iteration(rig.scheduler.jobs_placed() - placed_before);
+  state.counters["submitted"] =
+      per_iteration(rig.scheduler.jobs_submitted() - submitted_before);
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel("complete_drain_zero_alloc");
+}
+BENCHMARK(BM_PlacementSaturatedDrain);
 
 // --- Task lifecycle at fleet depth -----------------------------------------
 //

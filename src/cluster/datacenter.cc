@@ -1,6 +1,7 @@
 #include "src/cluster/datacenter.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 #include <utility>
 
@@ -126,50 +127,132 @@ DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
   }
 
   // The free-capacity index's entries: every server starts as an empty
-  // candidate, its whole capacity free. The max tree is built on first use.
+  // candidate, its whole capacity free, and the padding fits nothing. The
+  // max tree is built on first use.
   schedulable_free_.assign(total_servers, config.server_capacity);
+  const size_t blocks = (total_servers + kFreeBlock - 1) / kFreeBlock;
+  schedulable_free_.resize(std::bit_ceil(blocks) * kFreeBlock,
+                           Resources{kNegInf, kNegInf});
 }
 
 void DataCenter::RefreshSchedulable(ServerId id) {
   schedulable_free_[id.index()] = FreeEntry(servers_[id.index()]);
-  if (rebuild_free_tree_) {
-    return;  // The next MaxSchedulableFree() rebuilds every node anyway.
+  if (free_max_.empty()) {
+    return;  // The first MaxSchedulableFree() builds every node.
   }
-  // Capped at the capacity reserved on the first build: never allocates.
-  if (stale_leaves_.size() < servers_.size()) {
-    stale_leaves_.push_back(id.index());
-  } else {
-    rebuild_free_tree_ = true;
+  // Within the capacity reserved on the first build: never allocates.
+  const size_t block = id.index() / kFreeBlock;
+  if (stale_block_[block] == 0) {
+    stale_block_[block] = 1;
+    stale_blocks_.push_back(block);
   }
 }
 
-const Resources& DataCenter::MaxSchedulableFree() {
-  if (rebuild_free_tree_) {
-    // Allocates on the first call only.
-    free_max_.resize(servers_.size());
-    stale_leaves_.reserve(servers_.size());
-    for (size_t node = servers_.size() - 1; node >= 1; --node) {
-      free_max_[node] = AxisMax(FreeNode(2 * node), FreeNode(2 * node + 1));
-    }
-    rebuild_free_tree_ = false;
-  } else {
-    for (size_t leaf : stale_leaves_) {
-      // Recompute each ancestor from its children, stopping at the first
-      // whose value does not change: the ones above it are current for
-      // this leaf, and every other changed leaf climbs its own path.
-      for (size_t node = (servers_.size() + leaf) >> 1; node >= 1;
-           node >>= 1) {
-        const Resources max =
-            AxisMax(FreeNode(2 * node), FreeNode(2 * node + 1));
-        if (max == free_max_[node]) {
-          break;
-        }
-        free_max_[node] = max;
-      }
+Resources DataCenter::BlockMax(size_t block) const {
+  // Four independent running maxima keep the dependency chain short.
+  const Resources* entry = &schedulable_free_[block * kFreeBlock];
+  Resources a = entry[0];
+  Resources b = entry[1];
+  Resources c = entry[2];
+  Resources d = entry[3];
+  for (size_t j = 4; j < kFreeBlock; j += 4) {
+    a = AxisMax(a, entry[j]);
+    b = AxisMax(b, entry[j + 1]);
+    c = AxisMax(c, entry[j + 2]);
+    d = AxisMax(d, entry[j + 3]);
+  }
+  return AxisMax(AxisMax(a, b), AxisMax(c, d));
+}
+
+size_t DataCenter::FirstFitInBlock(size_t block, size_t from,
+                                   const Resources& demand) const {
+  const size_t begin = block * kFreeBlock;
+  for (size_t i = begin + from; i < begin + kFreeBlock; ++i) {
+    if (schedulable_free_[i].Fits(demand)) {
+      return i;
     }
   }
-  stale_leaves_.clear();
-  return FreeNode(1);
+  return schedulable_free_.size();
+}
+
+const Resources& DataCenter::MaxSchedulableFree() {
+  const size_t blocks = schedulable_free_.size() / kFreeBlock;
+  if (free_max_.empty()) {
+    // The first call builds the tree; the only allocation.
+    free_max_.resize(2 * blocks);
+    stale_block_.assign(blocks, 0);
+    stale_blocks_.reserve(blocks);
+    for (size_t b = 0; b < blocks; ++b) {
+      free_max_[blocks + b] = BlockMax(b);
+    }
+    for (size_t node = blocks - 1; node >= 1; --node) {
+      free_max_[node] = AxisMax(free_max_[2 * node], free_max_[2 * node + 1]);
+    }
+    return free_max_[1];
+  }
+  for (size_t block : stale_blocks_) {
+    // Recompute the block, then each ancestor from its children, stopping
+    // at the first node whose value does not change: the ones above it are
+    // current for this block, and every other changed block climbs its own
+    // path.
+    stale_block_[block] = 0;
+    size_t node = blocks + block;
+    Resources max = BlockMax(block);
+    while (max != free_max_[node]) {
+      free_max_[node] = max;
+      node >>= 1;
+      if (node == 0) {
+        break;
+      }
+      max = AxisMax(free_max_[2 * node], free_max_[2 * node + 1]);
+    }
+  }
+  stale_blocks_.clear();
+  return free_max_[1];
+}
+
+size_t DataCenter::FirstFitFrom(size_t begin, const Resources& demand) const {
+  const size_t blocks = free_max_.size() / 2;
+  const size_t none = schedulable_free_.size();
+  // The rest of `begin`'s own block first.
+  size_t node = blocks + begin / kFreeBlock;
+  size_t found = FirstFitInBlock(node - blocks, begin % kFreeBlock, demand);
+  for (;;) {
+    if (found != none) {
+      return found;
+    }
+    // `node` is ruled out: move to the next node to its right, the right
+    // sibling of its nearest ancestor-or-self that is a left child.
+    // Climbing past the root (node 1, odd) leaves node 0: nothing fits.
+    while ((node & 1) != 0) {
+      node >>= 1;
+    }
+    if (node == 0) {
+      return none;
+    }
+    ++node;
+    // Enter fitting nodes at their left child down to a block, whose
+    // entries then decide; a node ruled out stops the descent.
+    while (node < blocks && free_max_[node].Fits(demand)) {
+      node *= 2;
+    }
+    found = node >= blocks && free_max_[node].Fits(demand)
+                ? FirstFitInBlock(node - blocks, 0, demand)
+                : none;
+  }
+}
+
+ServerId DataCenter::FirstSchedulableFit(size_t origin,
+                                         const Resources& demand) const {
+  AMPERE_DCHECK(!free_max_.empty() && stale_blocks_.empty());
+  const size_t none = schedulable_free_.size();
+  size_t index = FirstFitFrom(origin, demand);
+  if (index == none && origin > 0) {
+    // Nothing fits at or after the origin, so the first fit from 0 (if
+    // any) lies before it.
+    index = FirstFitFrom(0, demand);
+  }
+  return index == none ? ServerId() : ServerId(static_cast<int32_t>(index));
 }
 
 bool DataCenter::PlaceTask(ServerId id, const TaskSpec& spec) {

@@ -130,16 +130,24 @@ class DataCenter final : private EventTarget {
   // exactly "server i is a candidate and has room", read from one dense
   // array instead of Server objects.
   std::span<const Resources> schedulable_free() const {
-    return schedulable_free_;
+    return {schedulable_free_.data(), servers_.size()};
   }
   // Per-axis maxima over schedulable_free(), the root of a max tree over
   // it. A demand that does not fit these fits no candidate: float addition
   // is monotone, so d > max + eps implies d > free_i + eps for every server.
-  // Mutations only write their entry; the tree is built on the first call
-  // and catches up on later calls from the entries written since. Only
-  // placements whose random probes all failed ask, so a DC that never
-  // saturates never builds it.
+  // Mutations only write their entry (and, once the tree exists, note its
+  // block); the tree is built on the first call and catches up on later
+  // calls from the blocks written since. Only a random-fit scheduler whose
+  // probes have missed asks (see Scheduler::PickRandomFit), so a DC that
+  // never saturates never builds it.
   const Resources& MaxSchedulableFree();
+  // The first server at or after `origin` in circular order (origin ..
+  // n − 1, then 0 .. origin − 1) whose schedulable_free() entry fits
+  // `demand`, or an invalid id: exactly a linear first-fit scan, found by
+  // descending the max tree and skipping every subtree whose per-axis
+  // maxima rule the demand out. Requires the tree to be current, i.e. no
+  // mutation since the last MaxSchedulableFree().
+  ServerId FirstSchedulableFit(size_t origin, const Resources& demand) const;
 
   // Attaches a thread pool for the batch passes (currently the periodic
   // exact resummation); null (the default) or a single-threaded pool keeps
@@ -303,19 +311,28 @@ class DataCenter final : private EventTarget {
   void Fire(uint32_t index) override { CompleteTask(index); }
 
   void CompleteTask(uint32_t index);
-  // Rewrites server `id`'s free-capacity entry and queues it for the max
-  // tree (see MaxSchedulableFree). Called after every mutation of
+  // Rewrites server `id`'s free-capacity entry and queues its block for the
+  // max tree (see MaxSchedulableFree). Called after every mutation of
   // allocated_/frozen_/reserved_/asleep_/waking_, all of which happen in
   // this class.
   void RefreshSchedulable(ServerId id);
-  // Node k of the max tree over the n = num_servers() entries: inner nodes
-  // are [1, n), node k's children are 2k and 2k + 1, and node n + i is
-  // entry i. Every node but 1 has the parent k / 2, so node 1 is the root
-  // (entry 0 itself when n = 1).
-  const Resources& FreeNode(size_t k) const {
-    return k < servers_.size() ? free_max_[k]
-                               : schedulable_free_[k - servers_.size()];
-  }
+  // The max tree's leaves are blocks of kFreeBlock consecutive entries, so
+  // the bottom of a descent is one short loop over contiguous entries
+  // instead of four levels of tree nodes. Node b + p is block b's per-axis
+  // max, p = free_max_.size() / 2 the block count, a power of two (the
+  // entries are padded to p blocks); inner nodes are [1, p), node k's
+  // children are 2k and 2k + 1, so node 1 is the root and every node
+  // covers one contiguous entry range, in order.
+  static constexpr size_t kFreeBlock = 16;
+  // Per-axis max over block `block`'s entries.
+  Resources BlockMax(size_t block) const;
+  // The first entry of block `block`, from its `from`-th on, that fits
+  // `demand`, or schedulable_free_.size() if none does.
+  size_t FirstFitInBlock(size_t block, size_t from,
+                         const Resources& demand) const;
+  // The first entry at or after `begin` that fits `demand`, or
+  // schedulable_free_.size() if none does (see FirstSchedulableFit).
+  size_t FirstFitFrom(size_t begin, const Resources& demand) const;
   // Recomputes a server's power and folds the delta into aggregates.
   void RefreshServerPower(ServerId id, double old_power, double old_dynamic);
   // Applies the RAPL decision for a row if its throttle step changed
@@ -364,15 +381,15 @@ class DataCenter final : private EventTarget {
   std::vector<double> soa_power_watts_;
   std::vector<double> soa_dynamic_full_watts_;
   std::vector<double> soa_utilization_;
-  // Free-capacity index (see schedulable_free()) and the inner nodes of
-  // the per-axis max tree over it (see FreeNode; empty until first use).
+  // Free-capacity index (see schedulable_free()), padded with −inf entries
+  // to a power-of-two number of blocks, and the per-axis max tree over its
+  // blocks (see kFreeBlock; empty until first use).
   std::vector<Resources> schedulable_free_;
   std::vector<Resources> free_max_;
-  // Entries written since the last MaxSchedulableFree(), repeats allowed,
-  // capped at the server count. Unused while a whole rebuild is due: before
-  // the first call, and after the cap was reached.
-  std::vector<size_t> stale_leaves_;
-  bool rebuild_free_tree_ = true;
+  // Blocks written since the last MaxSchedulableFree(), each listed once
+  // (stale_block_ marks the listed ones). Unused until the tree is built.
+  std::vector<size_t> stale_blocks_;
+  std::vector<uint8_t> stale_block_;
   DvfsLadder ladder_;
   bool capping_enabled_;
   CappingMode capping_mode_;

@@ -32,43 +32,34 @@ Rng Rng::Fork(uint64_t stream_id) const {
   return Rng(mix ^ (0xA0761D6478BD642FULL * (stream_id + 1)));
 }
 
-uint64_t Rng::NextU64() {
-  uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
 double Rng::NextDouble() {
   // 53 high bits -> [0, 1).
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
 
-int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
-  uint64_t range = static_cast<uint64_t>(hi - lo) + 1;
+void Rng::CacheRange(uint64_t range) {
+  cached_range_ = range;
+  cached_limit_ = ~uint64_t{0} - (~uint64_t{0} % range);
+}
+
+void Rng::SkipUniformInt(int64_t lo, int64_t hi, int count) {
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
   if (range == 0) {
-    // Full-range request: [INT64_MIN, INT64_MAX].
-    return static_cast<int64_t>(NextU64());
+    // Full range: every draw is accepted.
+    for (int i = 0; i < count; ++i) {
+      NextU64();
+    }
+    return;
   }
-  // Rejection sampling to avoid modulo bias. The rejection limit is a pure
-  // function of the range; memoizing it serves the dominant pattern (the
-  // scheduler drawing over a fixed server count on every call) one 64-bit
-  // division cheaper, with a draw sequence identical to recomputing it.
   if (range != cached_range_) {
-    cached_range_ = range;
-    cached_limit_ = ~uint64_t{0} - (~uint64_t{0} % range);
+    CacheRange(range);
   }
   const uint64_t limit = cached_limit_;
-  uint64_t v;
-  do {
-    v = NextU64();
-  } while (v >= limit);
-  return lo + static_cast<int64_t>(v % range);
+  for (int i = 0; i < count; ++i) {
+    while (NextU64() >= limit) {
+    }
+  }
 }
 
 double Rng::Exponential(double mean) {

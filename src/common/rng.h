@@ -17,6 +17,7 @@
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cmath>
@@ -47,6 +48,12 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);
 
+  // Advances the stream exactly as `count` calls of UniformInt(lo, hi)
+  // would, with the same NextU64 draws and rejections, without computing
+  // the values: for a caller that must consume draws whose results cannot
+  // matter.
+  void SkipUniformInt(int64_t lo, int64_t hi, int count);
+
   bool Bernoulli(double p) { return NextDouble() < p; }
 
   // Exponential with the given mean (not rate). Requires mean > 0.
@@ -69,6 +76,9 @@ class Rng {
  private:
   Rng() = default;
 
+  // Sets the UniformInt memo below for `range`.
+  void CacheRange(uint64_t range);
+
   uint64_t s_[4] = {};
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;
@@ -77,6 +87,43 @@ class Rng {
   uint64_t cached_range_ = 0;
   uint64_t cached_limit_ = 0;
 };
+
+// Inline, so a caller drawing in a loop (the scheduler's probes) keeps the
+// state in registers between draws.
+inline uint64_t Rng::NextU64() {
+  const uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+  const uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = std::rotl(s_[3], 45);
+  return result;
+}
+
+inline int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
+  // Unsigned, so the full range wraps to 0 instead of overflowing.
+  const uint64_t range =
+      static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
+  if (range == 0) {
+    // Full-range request: [INT64_MIN, INT64_MAX].
+    return static_cast<int64_t>(NextU64());
+  }
+  // Rejection sampling to avoid modulo bias. The rejection limit is a pure
+  // function of the range; memoizing it serves the dominant pattern (the
+  // scheduler drawing over a fixed server count on every call) one 64-bit
+  // division cheaper, with a draw sequence identical to recomputing it.
+  if (range != cached_range_) [[unlikely]] {
+    CacheRange(range);
+  }
+  const uint64_t limit = cached_limit_;
+  uint64_t v;
+  do {
+    v = NextU64();
+  } while (v >= limit);
+  return static_cast<int64_t>(static_cast<uint64_t>(lo) + v % range);
+}
 
 // --- Counter-based (stateless) streams ------------------------------------
 //

@@ -212,14 +212,13 @@ CampusResult CampusExperiment::Run() {
   for (const DcSlot& dc : dcs_) {
     dc.workload->Start(SimTime());
   }
+  const SimTime measure_start = config_.warmup;
+  const SimTime end = config_.warmup + config_.duration;
   // Monitors fire at the same instants; the event queue's FIFO seq order
   // makes DC 0 sample first every minute, deterministically.
   for (const DcSlot& dc : dcs_) {
-    dc.runtime->monitor().Start(SimTime::Minutes(1));
+    dc.runtime->StartMonitor(end);
   }
-
-  const SimTime measure_start = config_.warmup;
-  const SimTime end = config_.warmup + config_.duration;
 
   for (const DcSlot& dc : dcs_) {
     dc.runtime->StartMeasuring(measure_start, end);

@@ -90,6 +90,16 @@ DcRuntime::DcRuntime(const ExperimentConfig& config, const DcWiring& wiring,
   control_report_.budget_watts = control_budget_watts_;
 }
 
+void DcRuntime::StartMonitor(SimTime end) {
+  const SimTime first = SimTime::Minutes(1);
+  if (end >= first) {
+    monitor_.PreallocateSamples(
+        static_cast<size_t>((end - first).micros() /
+                            monitor_.interval().micros()) +
+        1);
+  }
+  monitor_.Start(first);
+}
 
 void DcRuntime::SetExperimentBudget(double watts) {
   current_experiment_budget_ = watts;

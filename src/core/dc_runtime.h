@@ -49,6 +49,10 @@ class DcRuntime {
   DcRuntime(const DcRuntime&) = delete;
   DcRuntime& operator=(const DcRuntime&) = delete;
 
+  // Starts the monitor's samples at t = 1 min with every series it records
+  // reserved up front for the samples through `end`; grown by doubling
+  // instead, a day's ~1,470 points would end in 2,048-point buffers.
+  void StartMonitor(SimTime end);
   // Over the measured window [start, end): the controller (if any) ticks
   // 1 s after each minute's sample, so decisions see fresh data, and the
   // recorder logs both groups 2 s after it, after the decision.

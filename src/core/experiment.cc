@@ -111,7 +111,7 @@ ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
       controller() != nullptr ? &controller()->journal() : nullptr);
 }
 
-void ControlledExperiment::StartBaseline() {
+void ControlledExperiment::StartBaseline(SimTime end) {
   // Replay mirrors the generator's event pattern (same Start slot, same
   // per-minute batch task), so a replayed run's event ordering matches the
   // recording run's.
@@ -121,7 +121,7 @@ void ControlledExperiment::StartBaseline() {
     workload_->Start(SimTime());
   }
   // First sample lands at t = 1 min, once some workload exists.
-  runtime_.monitor().Start(SimTime::Minutes(1));
+  runtime_.StartMonitor(end);
 }
 
 ExperimentResult ControlledExperiment::Run() {
@@ -130,9 +130,9 @@ ExperimentResult ControlledExperiment::Run() {
   // Recording is passive — nothing downstream reads the recorder during the
   // run — so results are bit-identical with or without it.
   obs::ScopedFlightRecorder scoped_recorder(artifacts_.recorder());
-  StartBaseline();
   SimTime measure_start = config_.warmup;
   SimTime end = config_.warmup + config_.duration;
+  StartBaseline(end);
 
   runtime_.StartMeasuring(measure_start, end);
   if (controller() != nullptr && !config_.budget_schedule.IsConstant()) {
@@ -224,7 +224,7 @@ std::vector<FuSample> ControlledExperiment::RunFuCalibration(
   AMPERE_CHECK(rest >= SimTime::Minutes(1));
   AMPERE_CHECK(!config_.enable_ampere)
       << "calibration requires the closed-loop controller disabled";
-  StartBaseline();
+  StartBaseline(config_.warmup + total);
   sim_.RunUntil(config_.warmup);
 
   // The periodic task outlives this function body (it stays armed in the

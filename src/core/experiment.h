@@ -328,7 +328,8 @@ class ControlledExperiment {
   const ExperimentConfig& config() const { return config_; }
 
  private:
-  void StartBaseline();  // Workload + monitor.
+  // Workload + monitor, its series reserved for the samples through `end`.
+  void StartBaseline(SimTime end);
 
   ExperimentConfig config_;
   Rng rng_;

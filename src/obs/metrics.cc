@@ -499,19 +499,20 @@ uint64_t* MetricsRegistry::CounterCell(std::string_view name) {
   return &FindOrInsert(shard.counters, name);
 }
 
-void CounterSite::Rebind(MetricsRegistry& registry) {
+void CounterSite::Rebind(MetricsRegistry& registry, Binding& binding) {
   // Read the epoch before resolving the cell: if a Reset() lands in
   // between, the cached epoch is already stale and the next Add() simply
-  // rebinds again — the site can cache an old cell for at most one call.
+  // rebinds again — a binding can cache an old cell for at most one call.
   // The cell is resolved under the *current domain's* prefixed name; the
   // registry copies the name into its map, so no prefixed storage needs to
   // outlive this call.
   const uint64_t epoch = registry.epoch();
   const DomainId domain = internal::t_current_domain;
-  cell_ = registry.CounterCell(ApplyDomain(name_));
-  registry_id_ = registry.id();
-  epoch_ = epoch;
-  domain_ = domain;
+  binding.cell = registry.CounterCell(ApplyDomain(name_));
+  binding.registry_id = registry.id();
+  binding.epoch = epoch;
+  binding.domain = domain;
+  ++rebinds_;
 }
 
 void MetricsRegistry::GaugeSet(std::string_view name, double value) {

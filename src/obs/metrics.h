@@ -294,19 +294,22 @@ void SpanRecord(std::string_view name, double duration_ns);
 // The generic CounterAdd pays a thread-local shard lookup, a mutex lock and
 // a string hash probe on every call — fine at minute cadence, too heavy for
 // per-event sites inside the simulation loop (job submitted, task placed).
-// A CounterSite caches the resolved cell pointer per (call site, thread):
-// the steady-state Add() is two loads, two compares and a relaxed
-// increment, with no lock and no hashing. The AMPERE_COUNTER_ADD macro
-// below declares one `static thread_local` site per expansion.
+// A CounterSite caches resolved cell pointers per (call site, thread), one
+// binding per metrics domain in a small direct-mapped table indexed by the
+// interned DomainId: a campus's DCs switch domain on nearly every event,
+// and each DC keeps its own binding. The steady-state Add() is a table
+// index, three compares and a relaxed increment. A miss (first use of a
+// domain, two domains sharing a slot, a registry switch or a Reset())
+// rebinds through the locked, hashing path.
 //
 // Correctness: shards are single-writer (the owning thread), so the
 // unlocked increment cannot lose updates; Snapshot() on another thread
 // reads the cell through std::atomic_ref, making the unlocked write/read
 // pair race-free. A registry switch (ScopedMetricsRegistry), a Reset(), or
-// a domain switch (ScopedMetricsDomain) is detected by comparing the cached
-// registry id, epoch, and domain, after which the site rebinds through the
-// normal locked path — a site caches the cell of its *domain-prefixed*
-// name, so "controller.ticks" emitted under domain "dc0/" lands in
+// a domain switch (ScopedMetricsDomain) is detected by comparing the
+// binding's registry id, epoch, and domain, after which it rebinds — a
+// binding caches the cell of its *domain-prefixed* name, so
+// "controller.ticks" emitted under domain "dc0/" lands in
 // dc0/controller.ticks.
 //
 // `name` must point at storage that outlives the site (string literals at
@@ -317,23 +320,37 @@ class CounterSite {
 
   void Add(uint64_t delta) {
     MetricsRegistry* registry = CurrentMetrics();
-    if (registry->id() != registry_id_ || registry->epoch() != epoch_ ||
-        internal::t_current_domain != domain_) [[unlikely]] {
-      Rebind(*registry);
+    const DomainId domain = internal::t_current_domain;
+    Binding& binding = bindings_[domain % kBindings];
+    if (registry->id() != binding.registry_id ||
+        registry->epoch() != binding.epoch || domain != binding.domain)
+        [[unlikely]] {
+      Rebind(*registry, binding);
     }
-    std::atomic_ref<uint64_t> cell(*cell_);
+    std::atomic_ref<uint64_t> cell(*binding.cell);
     cell.store(cell.load(std::memory_order_relaxed) + delta,
                std::memory_order_relaxed);
   }
 
+  // Rebinds so far: locked lookups taken by Add(). Zero misses after warm-up
+  // is the property the table exists for.
+  uint64_t rebinds() const { return rebinds_; }
+
  private:
-  void Rebind(MetricsRegistry& registry);
+  // Enough for the root plus a campus of DCs without two sharing a slot.
+  static constexpr size_t kBindings = 8;
+  struct Binding {
+    uint64_t* cell = nullptr;
+    uint64_t registry_id = 0;  // 0 is never a live registry id.
+    uint64_t epoch = 0;
+    DomainId domain = 0;
+  };
+
+  void Rebind(MetricsRegistry& registry, Binding& binding);
 
   std::string_view name_;
-  uint64_t* cell_ = nullptr;
-  uint64_t registry_id_ = 0;  // 0 is never a live registry id.
-  uint64_t epoch_ = 0;
-  DomainId domain_ = 0;
+  uint64_t rebinds_ = 0;
+  Binding bindings_[kBindings];
 };
 
 }  // namespace obs

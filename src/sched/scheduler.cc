@@ -134,13 +134,23 @@ ServerId Scheduler::ScanFrom(size_t start, const JobSpec& job) const {
 }
 
 ServerId Scheduler::PickRandomFit(const JobSpec& job) {
-  int64_t n = dc_->num_servers();
+  const int64_t n = dc_->num_servers();
+  // Saturated (the last random-fit placement's probes all missed): ask the
+  // candidates' per-axis maxima first. A demand they rule out fits no
+  // server, so no probe and no scan can succeed; the attempt only consumes
+  // its draws, the probes' and the scan origin's, exactly as if it ran.
+  if (saturated_ && !dc_->MaxSchedulableFree().Fits(job.demand)) {
+    rng_.SkipUniformInt(0, n - 1, config_.sample_attempts + 1);
+    return ServerId();
+  }
   for (int attempt = 0; attempt < config_.sample_attempts; ++attempt) {
     ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
     if (Eligible(id, job)) {
+      saturated_ = false;
       return id;
     }
   }
+  saturated_ = true;
   // Random probing failed (cluster nearly full or mostly frozen); fall back
   // to a scan from a random origin so placement stays work-conserving
   // without biasing toward low server ids. The origin is drawn even when
@@ -150,7 +160,11 @@ ServerId Scheduler::PickRandomFit(const JobSpec& job) {
   if (!dc_->MaxSchedulableFree().Fits(job.demand)) {
     return ServerId();
   }
-  return ScanFrom(origin, job);
+  // The tree is current here, so the first fit is a descent of it; a
+  // row-pinned job keeps the linear scan, which also checks the row.
+  return job.row_affinity.has_value()
+             ? ScanFrom(origin, job)
+             : dc_->FirstSchedulableFit(origin, job.demand);
 }
 
 ServerId Scheduler::PickLeastLoaded(const JobSpec& job) {

@@ -171,6 +171,10 @@ class Scheduler : public JobSink {
   obs::DomainId obs_domain_ = 0;
   std::deque<JobSpec> pending_;
   size_t rotate_cursor_ = 0;
+  // Set when a random-fit placement's probes all miss, cleared when one
+  // hits: while set, PickRandomFit tests the free-capacity root before
+  // probing. A performance hint only; no result depends on it.
+  bool saturated_ = false;
   uint64_t jobs_submitted_ = 0;
   uint64_t jobs_placed_ = 0;
   uint64_t jobs_completed_ = 0;

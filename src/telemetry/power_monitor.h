@@ -125,6 +125,7 @@ class PowerMonitor {
 
   // Begins sampling at `first_sample`, then every interval.
   void Start(SimTime first_sample);
+  SimTime interval() const { return config_.interval; }
 
   // Metrics/timeline domain for this monitor's instrumentation ("dc3/" in a
   // campus; root, 0, standalone). Observation-only.

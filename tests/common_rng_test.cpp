@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <vector>
 
 namespace ampere {
@@ -138,6 +140,60 @@ TEST(RngTest, LogNormalMeanMatchesFormula) {
   }
   double expected = std::exp(mu + sigma * sigma / 2.0);
   EXPECT_NEAR(sum / n / expected, 1.0, 0.02);
+}
+
+// An inclusive UniformInt range [lo, hi].
+struct RangeCase {
+  int64_t lo;
+  int64_t hi;
+};
+
+std::vector<RangeCase> SkipRanges() {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  return {
+      {0, 0},                        // 1
+      {0, 1},                        // 2
+      {0, 419},                      // 420: a paper row
+      {0, 6719},                     // 6,720: the hyperscale tier
+      {0, int64_t{1} << 32},         // 2^32 + 1
+      {0, kMax},                     // 2^63: rejects half of all draws
+      {kMin, kMax},                  // the full range
+      {-5, 414},                     // 420 again, off zero
+  };
+}
+
+TEST(RngTest, SkipUniformIntLeavesTheStreamWhereUniformIntDoes) {
+  for (const RangeCase& c : SkipRanges()) {
+    for (int count : {1, 3, 17}) {
+      Rng drawn(20160411);
+      Rng skipped(20160411);
+      for (int round = 0; round < 50; ++round) {
+        for (int i = 0; i < count; ++i) {
+          drawn.UniformInt(c.lo, c.hi);
+        }
+        skipped.SkipUniformInt(c.lo, c.hi, count);
+        // Interleave another range so the memo is re-primed both ways.
+        EXPECT_EQ(drawn.UniformInt(0, 9), skipped.UniformInt(0, 9));
+      }
+      for (int i = 0; i < 8; ++i) {
+        ASSERT_EQ(drawn.NextU64(), skipped.NextU64())
+            << "range [" << c.lo << ", " << c.hi << "], count " << count
+            << ", draw " << i;
+      }
+    }
+  }
+}
+
+TEST(RngTest, UniformIntStaysInRangeAcrossMagnitudes) {
+  Rng rng(7);
+  for (const RangeCase& c : SkipRanges()) {
+    for (int i = 0; i < 1000; ++i) {
+      const int64_t v = rng.UniformInt(c.lo, c.hi);
+      ASSERT_GE(v, c.lo);
+      ASSERT_LE(v, c.hi);
+    }
+  }
 }
 
 }  // namespace

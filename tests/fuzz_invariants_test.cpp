@@ -264,11 +264,30 @@ void CheckFreeCapacityIndex(DataCenter& dc, bool read_root) {
       << "root {" << root.cpu_cores << ", " << root.memory_gb
       << "} vs brute force {" << max.cpu_cores << ", " << max.memory_gb
       << "}";
+  // With the tree current, the first fit from every origin is the linear
+  // circular scan's, for demands that fit often, rarely and exactly.
+  const size_t n = free.size();
+  for (const Resources& demand :
+       {Resources{1.0, 2.0}, Resources{4.0, 8.0}, Resources{16.0, 64.0}}) {
+    for (size_t origin = 0; origin < n; ++origin) {
+      int32_t want = -1;
+      for (size_t k = 0; k < n; ++k) {
+        if (free[(origin + k) % n].Fits(demand)) {
+          want = static_cast<int32_t>((origin + k) % n);
+          break;
+        }
+      }
+      ASSERT_EQ(dc.FirstSchedulableFit(origin, demand).value(), want)
+          << "origin " << origin << ", demand {" << demand.cpu_cores << ", "
+          << demand.memory_gb << "}";
+    }
+  }
 }
 
 TEST(FreeCapacityIndexFuzzTest, EntriesAndRootMatchBruteForce) {
-  // One server (its entry is the root) and 30, not a power of two.
-  for (int servers_per_rack : {1, 5}) {
+  // One server (one block, itself the root), 30 (two blocks, the second
+  // partly padding) and 102 (seven blocks under a tree of eight).
+  for (int servers_per_rack : {1, 5, 17}) {
     TopologyConfig topology;
     topology.num_rows = servers_per_rack == 1 ? 1 : 3;
     topology.racks_per_row = servers_per_rack == 1 ? 1 : 2;
@@ -304,8 +323,8 @@ TEST(FreeCapacityIndexFuzzTest, EntriesAndRootMatchBruteForce) {
         sim.RunUntil(sim.now() + SimTime::Seconds(rng.Uniform(1.0, 90.0)));
       }
       // The root is read after every step for the first half (the tree
-      // catches up leaf by leaf) and every 97th step after (more changed
-      // leaves than servers between reads, so it is rebuilt whole).
+      // catches up block by block) and every 97th step after (most blocks
+      // change between reads).
       CheckFreeCapacityIndex(dc, step < 2000 || step % 97 == 0);
       if (HasFatalFailure()) {
         FAIL() << "index diverged at step " << step << " with " << n

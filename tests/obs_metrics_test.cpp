@@ -173,10 +173,12 @@ TEST(MetricsRegistryTest, ScopedRegistryIsolatesWrites) {
   }
   CounterAdd("c", 2);
 
-  const uint64_t* outer_c = outer.Snapshot().FindCounter("c");
+  const MetricsSnapshot outer_snapshot = outer.Snapshot();
+  const uint64_t* outer_c = outer_snapshot.FindCounter("c");
   ASSERT_NE(outer_c, nullptr);
   EXPECT_EQ(*outer_c, 3u);
-  const uint64_t* inner_c = inner.Snapshot().FindCounter("c");
+  const MetricsSnapshot inner_snapshot = inner.Snapshot();
+  const uint64_t* inner_c = inner_snapshot.FindCounter("c");
   ASSERT_NE(inner_c, nullptr);
   EXPECT_EQ(*inner_c, 10u);
 }
@@ -374,6 +376,48 @@ TEST(MetricsDomainTest, ScopedDomainPrefixesInstrumentation) {
   EXPECT_DOUBLE_EQ(*snapshot.FindGauge("dc1/queue"), 4.0);
   EXPECT_EQ(snapshot.FindHistogram("dc1/watts")->count, 1u);
   EXPECT_EQ(snapshot.FindGauge("queue"), nullptr);
+}
+
+TEST(MetricsDomainTest, CounterSiteKeepsOneBindingPerDomain) {
+  // A campus alternates DCs at one site on nearly every event. Each domain
+  // keeps its own cached cell, so after one bind per domain the site never
+  // takes the locked lookup again, and each prefixed counter holds exactly
+  // its own count.
+  MetricsRegistry registry;
+  ScopedMetricsRegistry scope(&registry);
+  // Freshly interned, so consecutive ids and distinct table slots.
+  const DomainId a = InternDomain("site_alternation_a/");
+  const DomainId b = InternDomain("site_alternation_b/");
+  ASSERT_EQ(b, a + 1);
+  CounterSite site("sched.placements");
+  for (int i = 0; i < 1000; ++i) {
+    ScopedMetricsDomain domain(i % 2 == 0 ? a : b);
+    site.Add(i % 2 == 0 ? 1 : 3);
+  }
+  EXPECT_EQ(site.rebinds(), 2u);
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_NE(snapshot.FindCounter("site_alternation_a/sched.placements"),
+            nullptr);
+  EXPECT_EQ(*snapshot.FindCounter("site_alternation_a/sched.placements"),
+            500u);
+  ASSERT_NE(snapshot.FindCounter("site_alternation_b/sched.placements"),
+            nullptr);
+  EXPECT_EQ(*snapshot.FindCounter("site_alternation_b/sched.placements"),
+            1500u);
+  EXPECT_EQ(snapshot.FindCounter("sched.placements"), nullptr);
+
+  // A Reset() invalidates every binding: one rebind per domain again.
+  registry.Reset();
+  for (int i = 0; i < 10; ++i) {
+    ScopedMetricsDomain domain(i % 2 == 0 ? a : b);
+    site.Add(1);
+  }
+  EXPECT_EQ(site.rebinds(), 4u);
+  const MetricsSnapshot after_reset = registry.Snapshot();
+  const uint64_t* a_count =
+      after_reset.FindCounter("site_alternation_a/sched.placements");
+  ASSERT_NE(a_count, nullptr);
+  EXPECT_EQ(*a_count, 5u);
 }
 
 TEST(MetricsDomainTest, InternDomainIsIdempotentAndRootIsUnprefixed) {
