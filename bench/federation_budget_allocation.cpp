@@ -20,20 +20,13 @@
 //
 // Flags (besides the usual harness ones):
 //   --quick       4 h measured window on 48-server DCs (CI smoke tier).
-//   --hyperscale  instead of the grid, run the acceptance determinism
-//                 matrix: one 4-DC x 6720-server campus (26880 servers) in
-//                 one process at jobs in {1, 2, 8}, and require the
-//                 allocator journal, all four controller journals, and the
-//                 serialized TimeSeriesDb to be byte-identical.
 
 #include <array>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
 #include "src/core/campus_experiment.h"
-#include "src/telemetry/csv_export.h"
 
 namespace ampere {
 namespace {
@@ -46,14 +39,10 @@ struct Arm {
   bool spillover;
 };
 
-ExperimentConfig CampusConfigFor(bool quick, bool hyperscale) {
+ExperimentConfig CampusConfigFor(bool quick) {
   ExperimentConfig config;
   config.seed = kSeed;
-  if (hyperscale) {
-    config.topology.num_rows = 16;
-    config.topology.racks_per_row = 10;
-    config.topology.servers_per_rack = 42;  // 6720 per DC, 26880 total.
-  } else if (quick) {
+  if (quick) {
     config.topology.num_rows = 2;
     config.topology.racks_per_row = 3;
     config.topology.servers_per_rack = 8;  // 48 per DC, 192 total.
@@ -63,11 +52,7 @@ ExperimentConfig CampusConfigFor(bool quick, bool hyperscale) {
   config.controller.effect = FreezeEffectModel(0.05);
   config.controller.et = EtEstimator::Constant(0.02);
   config.warmup = SimTime::Minutes(30);
-  if (hyperscale) {
-    config.duration = SimTime::Hours(2);
-  } else {
-    config.duration = quick ? SimTime::Hours(4) : SimTime::Hours(24);
-  }
+  config.duration = quick ? SimTime::Hours(4) : SimTime::Hours(24);
   config.campus.enabled = true;
   config.campus.num_datacenters = 4;
   // Heterogeneous operating points, all above the ~0.81 idle floor
@@ -95,7 +80,7 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
       },
       [quick, &args, total = arms.size()](const Arm& arm,
                                           harness::RunContext& context) {
-        ExperimentConfig config = CampusConfigFor(quick, false);
+        ExperimentConfig config = CampusConfigFor(quick);
         config.campus.allocator.policy = arm.policy;
         config.campus.enable_spillover = arm.spillover;
         // --trace / --postmortem-dir: per-arm flight-recorder artifacts
@@ -167,82 +152,14 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
       "the hot DC ends above the equal split, funded by the coldest");
 }
 
-// --- Hyperscale mode: the one-process 26880-server determinism matrix ----
-
-struct CampusArtifacts {
-  std::string allocator_csv;
-  std::string controllers_csv;
-  std::string db_csv;
-  double gain_tpw = 0.0;
-  uint64_t replans = 0;
-  bool breaker_tripped = false;
-};
-
-CampusArtifacts RunHyperscale(int jobs) {
-  ExperimentConfig config = CampusConfigFor(false, true);
-  config.jobs = jobs;
-  config.campus.allocator.policy = CampusAllocPolicy::kHeadroom;
-  config.campus.enable_spillover = true;
-  CampusExperiment experiment(config);
-  CampusResult result = experiment.Run();
-  CampusArtifacts artifacts;
-  artifacts.allocator_csv = experiment.allocator().journal().ToCsv();
-  for (int d = 0; d < experiment.campus().num_datacenters(); ++d) {
-    artifacts.controllers_csv +=
-        experiment.controller(DataCenterId(d)).journal().ToCsv();
-  }
-  std::ostringstream out;
-  ExportCsv(experiment.db(), experiment.db().SeriesNames(), out);
-  artifacts.db_csv = out.str();
-  artifacts.gain_tpw = result.gain_tpw;
-  artifacts.replans = result.replans;
-  artifacts.breaker_tripped = result.breaker_tripped;
-  return artifacts;
-}
-
-void RunHyperscaleMode() {
-  bench::Section("hyperscale determinism matrix: 4 DCs x 6720 servers");
-  std::printf("one process, 26880 servers, 2 h measured window, "
-              "headroom + spillover\n");
-  const CampusArtifacts reference = RunHyperscale(1);
-  std::printf("jobs=1: G_TPW %+.4f, %llu re-plans, breaker %s, "
-              "db %zu bytes, journals %zu bytes\n",
-              reference.gain_tpw,
-              static_cast<unsigned long long>(reference.replans),
-              reference.breaker_tripped ? "TRIPPED" : "clear",
-              reference.db_csv.size(), reference.controllers_csv.size());
-  bool identical = true;
-  for (int jobs : {2, 8}) {
-    const CampusArtifacts parallel = RunHyperscale(jobs);
-    const bool same = parallel.allocator_csv == reference.allocator_csv &&
-                      parallel.controllers_csv == reference.controllers_csv &&
-                      parallel.db_csv == reference.db_csv;
-    std::printf("jobs=%d: artifacts %s\n", jobs,
-                same ? "byte-identical" : "DIVERGED");
-    identical = identical && same;
-  }
-  bench::ShapeCheck(identical,
-                    "allocator journal + 4 controller journals + TimeSeriesDb "
-                    "byte-identical at jobs in {1, 2, 8}");
-  bench::ShapeCheck(!reference.breaker_tripped,
-                    "no breaker trips at hyperscale");
-  bench::ShapeCheck(reference.replans > 0, "the allocator actually re-planned");
-}
-
 void Main(const harness::HarnessArgs& args) {
   bool quick = false;
-  bool hyperscale = false;
   for (const std::string& arg : args.positional) {
     if (arg == "--quick") quick = true;
-    if (arg == "--hyperscale") hyperscale = true;
   }
   bench::Header("Federation: campus budget allocation",
                 "static 4-way split vs hierarchical headroom re-planning",
                 kSeed);
-  if (hyperscale) {
-    RunHyperscaleMode();
-    return;
-  }
   RunGridMode(args, quick);
 }
 

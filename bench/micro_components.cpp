@@ -1080,57 +1080,6 @@ void BM_TimeSeriesAppendInterned(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeSeriesAppendInterned);
 
-// Bulk ingest: one AppendBatch call per batch (Arg1 == 1) vs the same batch
-// fed through the per-point interned Append (Arg1 == 0). Both arms pay the
-// identical batch-fill loop; the delta is the per-point call + order-check
-// overhead the batch form amortizes to once per batch. Storage is reserved
-// up front and the db is rebuilt (untimed) when the reservation is
-// exhausted, so neither arm ever times a reallocation.
-void BM_TimeSeriesAppendBatch(benchmark::State& state) {
-  const size_t batch_size = static_cast<size_t>(state.range(0));
-  const bool batched = state.range(1) == 1;
-  constexpr size_t kReserve = size_t{1} << 22;
-  std::optional<TimeSeriesDb> db;
-  SeriesId id;
-  size_t appended = 0;
-  auto reset_db = [&] {
-    db.emplace();
-    id = db->Intern("bench");
-    db->ReservePoints(id, kReserve + batch_size);
-    appended = 0;
-  };
-  reset_db();
-  std::vector<TimePoint> batch(batch_size);
-  int64_t t = 0;
-  for (auto _ : state) {
-    if (appended >= kReserve) {
-      state.PauseTiming();
-      reset_db();
-      t = 0;
-      state.ResumeTiming();
-    }
-    for (TimePoint& p : batch) {
-      p = TimePoint{SimTime::Micros(t++), 1.0};
-    }
-    if (batched) {
-      db->AppendBatch(id, batch);
-    } else {
-      for (const TimePoint& p : batch) {
-        db->Append(id, p.time, p.value);
-      }
-    }
-    appended += batch_size;
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(batch_size));
-  state.SetLabel(batched ? "append_batch" : "append_per_point");
-}
-BENCHMARK(BM_TimeSeriesAppendBatch)
-    ->Args({64, 1})
-    ->Args({64, 0})
-    ->Args({420, 1})
-    ->Args({420, 0});
-
 // The map probe in isolation (Find by name), for decomposing the string-
 // minus-interned delta above.
 void BM_TimeSeriesFindByName(benchmark::State& state) {

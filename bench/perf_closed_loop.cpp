@@ -34,14 +34,6 @@
 // event — enforced whenever the committed baseline says
 // "require_zero_alloc": true (CI runs `--check=BENCH_perf_closed_loop.json`).
 //
-// Thread scaling: when the host has >= 2 hardware threads (or --jobs forces
-// it), the hyperscale tier additionally measures the sharded sample pass
-// and the closed loop at several --jobs values. The serial (jobs=1)
-// numbers remain the baseline-checked ones — they are host-portable; the
-// parallel block is reported for scaling visibility and is byte-identical
-// in *results* to the serial run by construction (counter-based noise +
-// static partitions), only faster.
-//
 // Flags:
 //   --json=PATH        write the current numbers as JSON
 //   --check=PATH       compare against a committed baseline: fail (exit 1)
@@ -49,8 +41,6 @@
 //                      any steady-state allocation when the baseline
 //                      requires zero
 //   --quick            quarter-length closed loops (for smoke use)
-//   --jobs=N           force the parallel sweep up to N lanes (default:
-//                      hardware_concurrency; 1 disables the sweep)
 //   --huge             add the 64-row (26880-server) tier
 //   --trajectory=PATH  append a dated {date, commit, per-topology steps/s}
 //                      entry to the perf-trajectory JSON (commit read from
@@ -91,7 +81,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <new>
 #include <sstream>
 #include <string>
@@ -99,7 +88,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/common/thread_pool.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
 #include "src/obs/metrics.h"
@@ -214,12 +202,6 @@ struct TopologyResult {
   double resummate_ns = 0.0;
   EventStats events;
   double tick_ns = 0.0;  // Paper topology only; 0 elsewhere.
-  // Thread-scaling sweep (hyperscale tier on multicore hosts only): the
-  // sharded sample pass at each jobs value, plus one parallel closed loop
-  // at the top jobs value. Empty/zero when the sweep did not run.
-  std::vector<std::pair<int, SampleStats>> sample_sweep;
-  int parallel_jobs = 0;
-  ClosedLoopStats closed_loop_parallel;
   // VmRSS right after this tier's phases finished (0.0 = not measurable).
   double rss_mb = 0.0;
 };
@@ -237,11 +219,10 @@ TopologyConfig MakeTopology(const TopologySpec& spec) {
 
 // --- Phase: full closed loop --------------------------------------------
 
-ExperimentConfig MakeClosedLoopConfig(const TopologySpec& spec, double hours,
-                                      int jobs = 1) {
+ExperimentConfig MakeClosedLoopConfig(const TopologySpec& spec,
+                                      double hours) {
   ExperimentConfig config;
   config.seed = kSeed;
-  config.jobs = jobs;
   config.topology = MakeTopology(spec);
   config.over_provision_ratio = 0.25;
   config.workload.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
@@ -253,9 +234,8 @@ ExperimentConfig MakeClosedLoopConfig(const TopologySpec& spec, double hours,
   return config;
 }
 
-ClosedLoopStats RunClosedLoop(const TopologySpec& spec, double hours,
-                              int jobs = 1) {
-  ExperimentConfig config = MakeClosedLoopConfig(spec, hours, jobs);
+ClosedLoopStats RunClosedLoop(const TopologySpec& spec, double hours) {
+  ExperimentConfig config = MakeClosedLoopConfig(spec, hours);
 
   ControlledExperiment experiment(config);
   const double start = NowSeconds();
@@ -276,20 +256,11 @@ ClosedLoopStats RunClosedLoop(const TopologySpec& spec, double hours,
 // A loaded fleet whose monitor is sampled in a tight loop. obs is switched
 // off for the measured section so the numbers isolate the telemetry path
 // itself (the obs overhead has its own micro bench).
-SampleStats RunSamplePhase(const TopologySpec& spec, int jobs = 1) {
+SampleStats RunSamplePhase(const TopologySpec& spec) {
   Simulation sim;
   DataCenter dc(MakeTopology(spec), &sim);
   TimeSeriesDb db;
   PowerMonitor monitor(&dc, &db, PowerMonitorConfig{}, Rng(kSeed));
-  std::unique_ptr<ThreadPool> pool;
-  if (jobs >= 2) {
-    // jobs lanes total: this thread + jobs-1 workers, matching
-    // ExperimentConfig::jobs semantics. Pool creation allocates; it happens
-    // here, before the measured section, so steady-state allocs stay zero.
-    pool = std::make_unique<ThreadPool>(jobs - 1);
-    monitor.SetThreadPool(pool.get());
-    dc.SetThreadPool(pool.get());
-  }
   for (int32_t s = 0; s < dc.num_servers(); ++s) {
     dc.PlaceTask(ServerId(s), TaskSpec{JobId(s), Resources{8.0, 8.0},
                                        SimTime::Hours(100000)});
@@ -507,29 +478,6 @@ void AppendJson(std::ostringstream& out, const TopologyResult& r,
     std::snprintf(buffer, sizeof(buffer), ",\n      \"tick_ns\": %.0f",
                   r.tick_ns);
     out << buffer;
-  }
-  if (!r.sample_sweep.empty()) {
-    // Parallel block last, so CheckAgainstBaseline's first-occurrence
-    // lookups keep resolving to the serial numbers above.
-    out << ",\n      \"parallel\": {";
-    for (size_t i = 0; i < r.sample_sweep.size(); ++i) {
-      std::snprintf(buffer, sizeof(buffer),
-                    "%s\"sample_jobs%d\": {\"ns_per_pass\": %.0f, "
-                    "\"allocs_per_pass\": %.3f}",
-                    i == 0 ? "" : ", ", r.sample_sweep[i].first,
-                    r.sample_sweep[i].second.ns_per_pass,
-                    r.sample_sweep[i].second.allocs_per_pass);
-      out << buffer;
-    }
-    if (r.parallel_jobs > 0) {
-      std::snprintf(buffer, sizeof(buffer),
-                    ", \"closed_loop_jobs\": %d, "
-                    "\"closed_loop_steps_per_sec\": %.0f",
-                    r.parallel_jobs,
-                    r.closed_loop_parallel.steps_per_sec);
-      out << buffer;
-    }
-    out << "}";
   }
   out << "\n    }" << (last ? "\n" : ",\n");
 }
@@ -1045,7 +993,6 @@ int Main(int argc, char** argv) {
   double rss_days = 7.0;
   bool quick = false;
   bool huge = false;
-  int jobs_flag = 0;  // 0 = auto (hardware_concurrency).
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--json=", 0) == 0) {
@@ -1062,8 +1009,6 @@ int Main(int argc, char** argv) {
       rss_demo = true;
     } else if (arg.rfind("--rss-days=", 0) == 0) {
       rss_days = std::strtod(arg.c_str() + 11, nullptr);
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs_flag = std::atoi(arg.c_str() + 7);
     } else if (arg == "--quick") {
       quick = true;
     } else if (arg == "--huge") {
@@ -1115,17 +1060,8 @@ int Main(int argc, char** argv) {
     specs.push_back({"huge", 64, 10, 2.0});
   }
 
-  // Parallel sweep lane count: explicit --jobs wins; otherwise the host's
-  // hardware threads. <= 1 (the 1-core CI container) disables the sweep —
-  // speedups are unmeasurable there, and the serial numbers are the
-  // baseline-checked contract anyway.
-  const int max_jobs =
-      jobs_flag > 0 ? jobs_flag
-                    : static_cast<int>(std::thread::hardware_concurrency());
-
-  std::printf("perf_closed_loop: hot-path throughput (seed=%llu%s%s)\n",
-              static_cast<unsigned long long>(kSeed),
-              quick ? ", quick" : "", max_jobs >= 2 ? ", parallel sweep" : "");
+  std::printf("perf_closed_loop: hot-path throughput (seed=%llu%s)\n",
+              static_cast<unsigned long long>(kSeed), quick ? ", quick" : "");
   std::vector<TopologyResult> results;
   for (const TopologySpec& spec : specs) {
     TopologyResult r;
@@ -1154,35 +1090,6 @@ int Main(int argc, char** argv) {
     if (r.tick_ns > 0.0) {
       std::printf("  [%10s] controller tick: %.0f ns\n", spec.name,
                   r.tick_ns);
-    }
-    if (std::strcmp(spec.name, "hyperscale") == 0 && max_jobs >= 2) {
-      // Thread-scaling sweep on the largest default tier: sample pass at
-      // 2/4/8 lanes (clamped to max_jobs), closed loop at the top value.
-      std::vector<int> sweep;
-      for (int j : {2, 4, 8}) {
-        if (j <= max_jobs) {
-          sweep.push_back(j);
-        }
-      }
-      if (sweep.empty() || sweep.back() != max_jobs) {
-        sweep.push_back(std::min(max_jobs, 16));
-      }
-      for (int j : sweep) {
-        SampleStats s = RunSamplePhase(spec, j);
-        std::printf("  [%10s] sample x%d jobs: %6.0f ns/pass (%.2fx, "
-                    "%.3f allocs/pass)\n",
-                    spec.name, j, s.ns_per_pass,
-                    r.sample.ns_per_pass / s.ns_per_pass, s.allocs_per_pass);
-        r.sample_sweep.emplace_back(j, s);
-      }
-      r.parallel_jobs = sweep.back();
-      r.closed_loop_parallel =
-          RunClosedLoop(spec, hours, r.parallel_jobs);
-      std::printf("  [%10s] closed loop x%d jobs: %8.0f steps/s (%.2fx)\n",
-                  spec.name, r.parallel_jobs,
-                  r.closed_loop_parallel.steps_per_sec,
-                  r.closed_loop_parallel.steps_per_sec /
-                      r.closed_loop.steps_per_sec);
     }
     results.push_back(std::move(r));
   }

@@ -451,38 +451,26 @@ void DataCenter::ResummatePowerAggregates() {
   // is a linear scan over one cache-resident span instead of a pointer-chase
   // across Server objects.
   //
-  // The per-row phase shards across the thread pool (one row per shard —
-  // rows write disjoint RackState/RowState fields, so there is no sharing).
-  // Summation order inside a row is identical to the serial loop: servers in
-  // ascending id within each rack, racks in ascending order within the row.
-  // The cross-row total folds serially in row order AFTER the join, so the
-  // result is bit-identical at any thread count (including pool_ == nullptr,
-  // which takes the exact serial path through the ParallelFor guard).
+  // Summation order: servers in ascending id within each rack, racks in
+  // ascending order within the row, rows in order for the total.
   const double* power = soa_power_watts_.data();
   const double* dynamic_full = soa_dynamic_full_watts_.data();
-  ParallelFor(
-      pool_, 0, rows_.size(), /*grain=*/1,
-      [this, power, dynamic_full](size_t row_begin, size_t row_end) {
-        for (size_t r = row_begin; r < row_end; ++r) {
-          RowState& row = rows_[r];
-          double row_sum = 0.0;
-          for (RackId rid : row.racks) {
-            RackState& rack = racks_[rid.index()];
-            // SumSequential IS the historical left-to-right order the
-            // goldens pin; see span_kernels.h.
-            const double rack_sum = span_kernels::SumSequential(
-                power + rack.server_range.begin, rack.server_range.size());
-            rack.power_watts = rack_sum;
-            row_sum += rack_sum;
-          }
-          row.power_watts = row_sum;
-          row.dynamic_full_sum_watts = span_kernels::SumSequential(
-              dynamic_full + row.server_range.begin, row.server_range.size());
-        }
-      });
   double total = 0.0;
-  for (const RowState& row : rows_) {
-    total += row.power_watts;
+  for (RowState& row : rows_) {
+    double row_sum = 0.0;
+    for (RackId rid : row.racks) {
+      RackState& rack = racks_[rid.index()];
+      // SumSequential IS the historical left-to-right order the goldens
+      // pin; see span_kernels.h.
+      const double rack_sum = span_kernels::SumSequential(
+          power + rack.server_range.begin, rack.server_range.size());
+      rack.power_watts = rack_sum;
+      row_sum += rack_sum;
+    }
+    row.power_watts = row_sum;
+    row.dynamic_full_sum_watts = span_kernels::SumSequential(
+        dynamic_full + row.server_range.begin, row.server_range.size());
+    total += row_sum;
   }
   total_power_watts_ = total;
   power_mutations_since_resum_ = 0;

@@ -19,7 +19,6 @@
 
 #include "src/cluster/server.h"
 #include "src/common/ids.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/power/breaker.h"
 #include "src/power/dvfs.h"
@@ -99,9 +98,8 @@ class DataCenter final : private EventTarget {
   // objects hold slot pointers into them (see Server::AttachSoaSlots).
   // Topology construction assigns server ids row-major (row 0's racks, then
   // row 1's, ...), so every row and every rack owns one CONTIGUOUS index
-  // range — a parallel shard over a row range touches cache lines no other
-  // shard writes. Batch consumers (the sharded telemetry sampler, the exact
-  // resummation pass) stream these spans instead of walking Server objects.
+  // range. Batch consumers (the telemetry sampler, the exact resummation
+  // pass) stream these spans instead of walking Server objects.
   std::span<const double> server_power_soa() const { return soa_power_watts_; }
   std::span<const double> server_dynamic_full_soa() const {
     return soa_dynamic_full_watts_;
@@ -148,14 +146,6 @@ class DataCenter final : private EventTarget {
   // maxima rule the demand out. Requires the tree to be current, i.e. no
   // mutation since the last MaxSchedulableFree().
   ServerId FirstSchedulableFit(size_t origin, const Resources& demand) const;
-
-  // Attaches a thread pool for the batch passes (currently the periodic
-  // exact resummation); null (the default) or a single-threaded pool keeps
-  // the exact serial path. Results are bit-identical either way: shards
-  // compute per-row/per-rack sums in the same element order, and the final
-  // cross-row reduction stays serial in row order. `pool` must outlive the
-  // DataCenter or be detached first.
-  void SetThreadPool(ThreadPool* pool) { pool_ = pool; }
 
   // --- Task execution ---
   // Places a task; returns false (and does nothing) if it does not fit.
@@ -372,7 +362,6 @@ class DataCenter final : private EventTarget {
 
   Simulation* sim_;
   uint32_t event_target_;  // This DC's id for sim_->ScheduleTargetAt.
-  ThreadPool* pool_ = nullptr;  // Not owned; see SetThreadPool.
   // Owns one model per generation; servers point into this vector, which is
   // never resized after construction.
   std::vector<ServerPowerModel> models_;

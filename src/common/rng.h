@@ -10,9 +10,9 @@
 //     came before, so a consumer must always draw in the same order.
 //   * CounterRng (free functions) — counter-based ("stateless") streams: a
 //     variate is a pure function of (seed, stream, tick). Nothing is drawn
-//     "before" anything else, so values are independent of evaluation order
-//     and thread count — the property the sharded telemetry sampler needs
-//     for bit-identical output at any --jobs value.
+//     "before" anything else, so values are independent of evaluation
+//     order — the telemetry sampler relies on it to draw a whole span of
+//     noise in one batch and to let a dropped reading consume nothing.
 
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_

@@ -3,7 +3,7 @@
 // Floating-point addition is not associative, so a reduction's result is
 // defined by its association order, and this simulator's byte-identity
 // contract (docs/performance.md) requires every consumer to pick ONE order
-// and use it everywhere, independent of thread count or shard boundaries.
+// and use it everywhere.
 // Two orders live here:
 //
 //   * SumSequential — strict left-to-right: ((x0 + x1) + x2) + ...
@@ -14,11 +14,11 @@
 //   * SumBlocked4 — a fixed 4-lane blocked (pairwise-style) reduction:
 //     lane j accumulates x[4i + j] left-to-right, the four lanes combine as
 //     (l0 + l1) + (l2 + l3), and the tail (n % 4 elements) folds
-//     left-to-right into that total. The order is a pure function of n —
-//     never of threads or shards — so it is exactly as deterministic as the
-//     sequential order, and the independent lanes let the compiler keep
-//     them in one vector register. Used by bulk mutation paths (row
-//     capping) whose aggregates no golden pins to the sequential order.
+//     left-to-right into that total. The order is a pure function of n, so
+//     it is exactly as deterministic as the sequential order, and the
+//     independent lanes let the compiler keep them in one vector register.
+//     Used by bulk mutation paths (row capping) whose aggregates no golden
+//     pins to the sequential order.
 //
 // All kernels are allocation-free and take restrict-qualified pointers so
 // the compiler can vectorize without alias analysis giving up.

@@ -1,6 +1,5 @@
 #include "src/common/thread_pool.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -9,18 +8,11 @@
 namespace ampere {
 namespace {
 
+// Index of the calling worker thread in its pool, or -1 for non-workers;
+// Submit keeps a worker's own submissions on its own deque.
 thread_local int t_worker_index = -1;
-// Which pool the current thread is a worker of (nullptr for non-workers).
-// ParallelFor regions must not be started by the target pool's own workers
-// (they could all block waiting on each other); workers of a *different*
-// pool — e.g. a harness worker driving a scenario that owns an inner
-// per-run pool — are fine, so the guard compares pool identity, not just
-// worker-ness.
-thread_local const ThreadPool* t_worker_pool = nullptr;
 
 }  // namespace
-
-int ThreadPool::CurrentWorkerIndex() { return t_worker_index; }
 
 ThreadPool::ThreadPool(int num_threads) {
   if (num_threads <= 0) {
@@ -105,11 +97,7 @@ bool ThreadPool::TryGetTask(size_t self, std::function<void()>& task) {
 
 void ThreadPool::WorkerLoop(size_t self) {
   t_worker_index = static_cast<int>(self);
-  t_worker_pool = this;
   for (;;) {
-    if (TryRunParallelShards()) {
-      continue;
-    }
     std::function<void()> task;
     if (TryGetTask(self, task)) {
       task();
@@ -125,145 +113,8 @@ void ThreadPool::WorkerLoop(size_t self) {
         pending_.load(std::memory_order_acquire) == 0) {
       return;
     }
-    // Re-check under the lock: a Submit or a ParallelFor publication may
-    // have raced the scans above (publishers touch wait_mutex_ before
-    // notifying, so this check cannot miss a wakeup).
-    if (ParallelShardAvailable()) {
-      continue;
-    }
     work_available_.wait_for(lock, std::chrono::milliseconds(50));
   }
-}
-
-// --- ParallelFor -----------------------------------------------------------
-
-bool ThreadPool::ParallelShardAvailable() const {
-  const uint64_t meta = par_meta_.load(std::memory_order_acquire);
-  const uint64_t shards = meta & kParIndexMask;
-  if (shards == 0) {
-    return false;
-  }
-  const uint64_t ticket = par_ticket_.load(std::memory_order_acquire);
-  return (ticket >> kParIndexBits) == (meta >> kParIndexBits) &&
-         (ticket & kParIndexMask) < shards;
-}
-
-void ThreadPool::RunOneShard(size_t i) {
-  // Shard i covers [begin + i*chunk + min(i, rem),
-  //                 begin + (i+1)*chunk + min(i+1, rem)): the first
-  // par_rem_ shards are one element longer. Pure function of (i, n, k).
-  const size_t extra_before = i < par_rem_ ? i : par_rem_;
-  const size_t b = par_begin_ + i * par_chunk_ + extra_before;
-  const size_t len = par_chunk_ + (i < par_rem_ ? 1 : 0);
-  par_fn_(par_ctx_, b, b + len);
-  const uint64_t meta = par_meta_.load(std::memory_order_acquire);
-  if (par_done_count_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
-      (meta & kParIndexMask)) {
-    // Last shard: wake the region owner. Taking the mutex orders the
-    // notify after the owner's predicate check, so no wakeup is lost.
-    std::lock_guard<std::mutex> lock(par_done_mutex_);
-    par_done_.notify_all();
-  }
-}
-
-bool ThreadPool::TryRunParallelShards() {
-  bool ran = false;
-  for (;;) {
-    const uint64_t meta = par_meta_.load(std::memory_order_acquire);
-    const uint64_t shards = meta & kParIndexMask;
-    const uint64_t epoch = meta >> kParIndexBits;
-    if (shards == 0) {
-      return ran;
-    }
-    uint64_t ticket = par_ticket_.load(std::memory_order_acquire);
-    for (;;) {
-      if ((ticket >> kParIndexBits) != epoch ||
-          (ticket & kParIndexMask) >= shards) {
-        return ran;  // Region drained (or epoch already moved on).
-      }
-      // CAS claim: succeeds only while the ticket still belongs to the
-      // epoch validated above, so no index of a newer region can be
-      // consumed-and-dropped by a straggler from an older one.
-      if (par_ticket_.compare_exchange_weak(ticket, ticket + 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-        RunOneShard(ticket & kParIndexMask);
-        ran = true;
-        break;  // Re-read meta: the region may have drained meanwhile.
-      }
-    }
-  }
-}
-
-void ThreadPool::RunShards(ShardFn fn, void* ctx, size_t begin, size_t end,
-                           size_t grain) {
-  AMPERE_CHECK(t_worker_pool != this)
-      << "ParallelFor called from inside the pool's own worker";
-  const size_t n = end > begin ? end - begin : 0;
-  if (n == 0) {
-    return;
-  }
-  const size_t lanes = workers_.size() + 1;  // Workers + this caller.
-  // Floor division: k shards of n/k or n/k+1 elements each, so every shard
-  // holds at least `grain` elements (the documented contract). Ceiling
-  // division would admit shards just under the grain when n % grain != 0.
-  const size_t by_grain = grain > 0 ? n / grain : n;
-  const size_t k = std::min(lanes, by_grain < 1 ? size_t{1} : by_grain);
-  if (k <= 1) {
-    fn(ctx, begin, end);
-    return;
-  }
-
-  std::lock_guard<std::mutex> region(par_region_mutex_);
-  const uint64_t epoch = (par_meta_.load(std::memory_order_relaxed) >>
-                          kParIndexBits) + 1;
-  par_fn_ = fn;
-  par_ctx_ = ctx;
-  par_begin_ = begin;
-  par_chunk_ = n / k;
-  par_rem_ = n % k;
-  par_done_count_.store(0, std::memory_order_relaxed);
-  // Caller takes shard 0 below; workers start claiming from 1.
-  par_ticket_.store((epoch << kParIndexBits) | 1, std::memory_order_release);
-  par_meta_.store((epoch << kParIndexBits) | k, std::memory_order_release);
-  {
-    // Touch wait_mutex_ so a worker between its idle re-check and its wait
-    // cannot miss the notification (same protocol as shutdown).
-    std::lock_guard<std::mutex> lock(wait_mutex_);
-  }
-  work_available_.notify_all();
-
-  RunOneShard(0);
-  // Help drain: if workers are busy (or this is an oversubscribed host),
-  // the caller claims remaining shards itself instead of blocking.
-  for (;;) {
-    uint64_t ticket = par_ticket_.load(std::memory_order_acquire);
-    if ((ticket >> kParIndexBits) != epoch ||
-        (ticket & kParIndexMask) >= k) {
-      break;
-    }
-    if (par_ticket_.compare_exchange_weak(ticket, ticket + 1,
-                                          std::memory_order_acq_rel,
-                                          std::memory_order_acquire)) {
-      RunOneShard(ticket & kParIndexMask);
-    }
-  }
-
-  // Join: brief spin (shards are tens of microseconds), then block.
-  for (int spin = 0; spin < 4096; ++spin) {
-    if (par_done_count_.load(std::memory_order_acquire) == k) {
-      break;
-    }
-  }
-  if (par_done_count_.load(std::memory_order_acquire) != k) {
-    std::unique_lock<std::mutex> lock(par_done_mutex_);
-    par_done_.wait(lock, [this, k] {
-      return par_done_count_.load(std::memory_order_acquire) == k;
-    });
-  }
-  // Retire the region: zero the shard count, keeping the epoch (the next
-  // region bumps it). Stragglers re-validate against this and back off.
-  par_meta_.store(epoch << kParIndexBits, std::memory_order_release);
 }
 
 void ThreadPool::Wait() {

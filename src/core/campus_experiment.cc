@@ -70,10 +70,6 @@ CampusConfig CampusExperiment::MakeCampusConfig(
 
 CampusExperiment::CampusExperiment(const ExperimentConfig& config)
     : config_(config), rng_(config.seed),
-      // One pool shared by every DC's batch passes: only one sample pass or
-      // resummation runs at a time, so jobs-1 workers serve them all.
-      pool_(config.jobs >= 2 ? std::make_unique<ThreadPool>(config.jobs - 1)
-                             : nullptr),
       sim_(), campus_(MakeCampusConfig(config), &sim_),
       artifacts_(config_, "campus") {
   AMPERE_CHECK(config_.campus.enabled)
@@ -118,7 +114,7 @@ void CampusExperiment::BuildDc(DataCenterId id) {
       .obs_domain = obs::InternDomain("dc" + std::to_string(k) + "/")};
   DcSlot slot;
   slot.runtime = std::make_unique<DcRuntime>(
-      config_, wiring, &campus_.dc(id), &sim_, &db_, rng_, pool_.get());
+      config_, wiring, &campus_.dc(id), &sim_, &db_, rng_);
 
   // Per-DC workload: same product mix, per-DC intensity. dc_target_power
   // gives each DC its own normalized-power operating point (last value

@@ -15,16 +15,12 @@ PowerMonitorConfig WithPrefix(PowerMonitorConfig config, std::string prefix) {
 
 DcRuntime::DcRuntime(const ExperimentConfig& config, const DcWiring& wiring,
                      DataCenter* dc, Simulation* sim, TimeSeriesDb* db,
-                     const Rng& rng, ThreadPool* pool)
+                     const Rng& rng)
     : dc_(dc), sim_(sim),
       over_provision_ratio_(config.over_provision_ratio),
       scheduler_(dc, config.scheduler, rng.Fork(wiring.scheduler_stream)),
       monitor_(dc, db, WithPrefix(config.monitor, wiring.series_prefix),
                rng.Fork(wiring.monitor_stream)) {
-  if (pool != nullptr) {
-    dc_->SetThreadPool(pool);
-    monitor_.SetThreadPool(pool);
-  }
   // Parity split: even server ids form the experiment group, odd ids the
   // control group — a uniformly random, product-independent partition
   // (§4.1.2). Reserved servers never join either group.

@@ -42,10 +42,8 @@ class DcRuntime {
   static constexpr const char* kExperimentGroup = "experiment";
   static constexpr const char* kControlGroup = "control";
 
-  // `pool` (may be null) shards the DC's and the monitor's batch passes.
   DcRuntime(const ExperimentConfig& config, const DcWiring& wiring,
-            DataCenter* dc, Simulation* sim, TimeSeriesDb* db, const Rng& rng,
-            ThreadPool* pool);
+            DataCenter* dc, Simulation* sim, TimeSeriesDb* db, const Rng& rng);
   DcRuntime(const DcRuntime&) = delete;
   DcRuntime& operator=(const DcRuntime&) = delete;
 

@@ -60,14 +60,11 @@ ExperimentResult RunExperimentToResult(const ExperimentConfig& config) {
 
 ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
     : config_(config), rng_(config.seed),
-      // jobs lanes total: this (simulation) thread plus jobs-1 workers.
-      pool_(config.jobs >= 2 ? std::make_unique<ThreadPool>(config.jobs - 1)
-                             : nullptr),
       sim_(), dc_(config.topology, &sim_), artifacts_(config_, "run"), db_(),
       runtime_(config_,
                {.scheduler_stream = 1, .monitor_stream = 2,
                 .series_prefix = "", .obs_domain = 0},
-               &dc_, &sim_, &db_, rng_, pool_.get()) {
+               &dc_, &sim_, &db_, rng_) {
   artifacts_.OpenColdStore(&db_);
   // Arrival source: synthetic generator by default, trace replay when the
   // config asks. A recording run interposes the TraceRecorder as the sink —

@@ -150,17 +150,10 @@ struct StorageSection {
 
 struct ExperimentConfig {
   uint64_t seed = 42;
-  // Intra-run data-parallelism lanes for the batch passes (the sharded
-  // telemetry sample pass and the periodic exact power resummation). 1 (the
-  // default) runs everything on the simulation thread — the exact serial
-  // code path, no pool constructed. jobs >= 2 attaches an instance-owned
-  // pool with jobs-1 workers (the simulation thread is the extra lane).
-  // Results are byte-identical at any value: per-reading noise is
-  // counter-based, shard partitions are static, and all reductions/flushes
-  // preserve the serial element order. This composes with the scenario
-  // harness running whole experiments in parallel — inner pools are
-  // per-instance and share nothing.
-  int jobs = 1;
+  // A run is single-threaded: every pass runs on the simulation thread.
+  // Whole runs go parallel in the scenario harness instead. A constant
+  // kept only for readers that still check it; it cannot be set.
+  static constexpr int jobs = 1;
   TopologyConfig topology;       // Default: one 420-server row.
   BatchWorkloadParams workload;  // Callers set arrival rate for the scenario.
   SchedulerConfig scheduler;
@@ -333,9 +326,6 @@ class ControlledExperiment {
 
   ExperimentConfig config_;
   Rng rng_;
-  // Inner pool for intra-run batch passes (null when config.jobs <= 1).
-  // Declared before the components that borrow it so it is destroyed last.
-  std::unique_ptr<ThreadPool> pool_;
   Simulation sim_;
   DataCenter dc_;
   // Recorder, postmortems and the cold tier; declared before db_ because

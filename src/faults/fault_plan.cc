@@ -1,27 +1,16 @@
 #include "src/faults/fault_plan.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstdlib>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
+#include "src/common/text_format.h"
 
 namespace ampere {
 namespace faults {
 
 namespace {
-
-// Shortest round-trip double formatting (same contract as the journal's
-// CSV emitter: strtod(Format(x)) == x).
-std::string FormatDouble(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
 
 // Draws a Poisson-process window schedule: exponential gaps at
 // `rate_per_hour`, exponential durations with mean `mean`, channels uniform

@@ -8,45 +8,10 @@
 
 #include "src/common/check.h"
 #include "src/common/json.h"
+#include "src/common/text_format.h"
 
 namespace ampere {
 namespace harness {
-namespace {
-
-// Shortest round-trip decimal representation.
-std::string FormatDouble(double v) {
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), "%.17g", v);
-  // Prefer a shorter form when it round-trips exactly.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[64];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) {
-      return shorter;
-    }
-  }
-  return buffer;
-}
-
-std::string CsvEscape(std::string_view s) {
-  if (s.find_first_of(",\"\n") == std::string_view::npos) {
-    return std::string(s);
-  }
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') {
-      out += "\"\"";
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
 
 double ResultRow::Metric(std::string_view name) const {
   const double* value = FindMetric(name);

@@ -1,5 +1,6 @@
 #include "src/harness/runner.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
@@ -61,7 +62,11 @@ ScenarioRunner::ScenarioRunner(const RunnerOptions& options)
     : options_(options) {}
 
 ResultTable ScenarioRunner::Run(std::span<const Scenario> scenarios) const {
-  const int jobs = ResolveJobs(options_.jobs);
+  // No more workers than runs: a grid of N scenarios never starts more than
+  // N threads, whatever --jobs or AMPERE_JOBS asked for.
+  const size_t runs = std::max<size_t>(1, scenarios.size());
+  const int jobs = static_cast<int>(
+      std::min(static_cast<size_t>(ResolveJobs(options_.jobs)), runs));
   const bool capture_logs = options_.capture_logs;
 
   const bool capture_obs = options_.capture_obs;

@@ -29,7 +29,8 @@ namespace harness {
 
 struct RunnerOptions {
   // <= 0 selects the default: AMPERE_JOBS from the environment if set,
-  // else std::thread::hardware_concurrency().
+  // else std::thread::hardware_concurrency(). Run caps the workers at the
+  // number of scenarios and reports the capped count in ResultTable::jobs.
   int jobs = 0;
   // Install a per-run ScopedLogCapture (store logs in the row instead of
   // interleaving stderr).

@@ -1,11 +1,10 @@
 #include "src/obs/flight_recorder.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
+#include "src/common/text_format.h"
 
 namespace ampere {
 namespace obs {
@@ -13,19 +12,6 @@ namespace obs {
 namespace internal {
 constinit thread_local FlightRecorder* t_current_recorder = nullptr;
 }  // namespace internal
-
-namespace {
-
-std::string FormatDouble(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
-
-}  // namespace
 
 std::string_view TimelineEventTypeName(TimelineEventType type) {
   switch (type) {

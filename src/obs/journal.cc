@@ -2,41 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <map>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
+#include "src/common/text_format.h"
 
 namespace ampere {
 namespace obs {
 
 namespace {
-
-std::string FormatDouble(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
-
-// CSV fields never contain commas in practice (domain names are simple
-// identifiers), but quote defensively if one does.
-std::string CsvField(std::string_view s) {
-  if (s.find_first_of(",\"\n") == std::string_view::npos) {
-    return std::string(s);
-  }
-  std::string out = "\"";
-  for (char c : s) {
-    if (c == '"') out += '"';
-    out += c;
-  }
-  out += '"';
-  return out;
-}
 
 std::vector<std::string_view> SplitLine(std::string_view line) {
   std::vector<std::string_view> fields;
@@ -328,7 +304,7 @@ std::string DecisionJournal::ToCsv() const {
     const DecisionRecord& r = records_[(head_ + i) % capacity_];
     out += std::to_string(r.seq);
     out += ',' + std::to_string(r.time.micros());
-    out += ',' + CsvField(r.domain);
+    out += ',' + CsvEscape(r.domain);
     out += ',' + FormatDouble(r.observed_watts);
     out += ',' + FormatDouble(r.budget_watts);
     out += ',' + FormatDouble(r.normalized_power);

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
+#include "src/common/text_format.h"
 
 namespace ampere {
 namespace obs {
@@ -85,21 +84,6 @@ std::string_view ApplyDomain(std::string_view name) {
   scratch.assign(DomainPrefix(domain));
   scratch.append(name);
   return scratch;
-}
-
-}  // namespace
-
-namespace {
-
-// Shortest round-trip formatting for doubles, matching the harness result
-// table so obs JSON diffs cleanly across runs.
-std::string FormatDouble(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
 }
 
 // Prometheus metric names: '.' and other non-alphanumerics become '_'.

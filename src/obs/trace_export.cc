@@ -1,26 +1,17 @@
 #include "src/obs/trace_export.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
 #include "src/common/json.h"
+#include "src/common/text_format.h"
 
 namespace ampere {
 namespace obs {
 
 namespace {
-
-std::string FormatDouble(double value) {
-  char buf[64];
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::snprintf(buf, sizeof(buf), "%.*g", precision, value);
-    if (std::strtod(buf, nullptr) == value) break;
-  }
-  return buf;
-}
 
 // Assigns stable tids to tracks in order of first appearance.
 class TrackTable {

@@ -20,7 +20,7 @@
 // An optional persistent cold tier (src/telemetry/cold_store.h) bounds the
 // hot tier's RSS: AttachColdStore sets a per-series hot budget, and appends
 // that push a series past it spill the oldest run of points into
-// memory-mapped segment files through the ordinary AppendBatch span path.
+// memory-mapped segment files through ColdStore::AppendBatch.
 // Spilling changes where history lives, not what it says — QueryStitched /
 // SeriesStitched return the full hot+cold history losslessly (bit-exact
 // doubles, exact microsecond timestamps), so export and analysis bytes are
@@ -158,33 +158,6 @@ class TimeSeriesDb {
     AMPERE_CHECK(points.empty() || points.back().time <= t)
         << "out-of-order append to series " << names_[id.index()];
     points.push_back(TimePoint{t, value});
-    if (points.size() >= spill_trigger_) {  // SIZE_MAX when no cold tier.
-      SpillOldest(id);
-    }
-  }
-
-  // Bulk append through a handle: one bounds/order check for the whole
-  // batch, then a single ranged insert. Semantically identical to calling
-  // Append once per element (points must be internally non-decreasing and
-  // start at or after the series' current tail); the batch form exists so
-  // flush-style producers (the sharded sampler draining its per-row scratch,
-  // ingest of a precomputed trace) pay one call and at most one growth
-  // per batch instead of per point. After ReservePoints it allocates
-  // nothing.
-  void AppendBatch(SeriesId id, std::span<const TimePoint> batch) {
-    if (batch.empty()) {
-      return;
-    }
-    AMPERE_CHECK(id.valid() && id.index() < points_.size())
-        << "batch append through invalid SeriesId";
-    std::vector<TimePoint>& points = points_[id.index()];
-    AMPERE_CHECK(points.empty() || points.back().time <= batch.front().time)
-        << "out-of-order batch append to series " << names_[id.index()];
-    for (size_t i = 1; i < batch.size(); ++i) {
-      AMPERE_CHECK(batch[i - 1].time <= batch[i].time)
-          << "unsorted batch for series " << names_[id.index()];
-    }
-    points.insert(points.end(), batch.begin(), batch.end());
     if (points.size() >= spill_trigger_) {  // SIZE_MAX when no cold tier.
       SpillOldest(id);
     }

@@ -128,6 +128,19 @@ TEST(ScenarioRunnerTest, ThrowingScenarioFailsItsRowOnly) {
   }
 }
 
+TEST(ScenarioRunnerTest, WorkersAreCappedAtTheScenarioCount) {
+  // A 2-run grid starts at most 2 workers whatever --jobs asked for, and
+  // the table reports the capped count.
+  RunnerOptions options;
+  options.jobs = 8;
+  ResultTable table = RunScenarios(SeededGrid(2), options);
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(table.jobs(), 2);
+  EXPECT_EQ(RunScenarios(std::vector<Scenario>{}, options).jobs(), 1);
+  options.jobs = 1;
+  EXPECT_EQ(RunScenarios(SeededGrid(2), options).jobs(), 1);
+}
+
 TEST(ScenarioRunnerTest, CapturesLogsPerRun) {
   ScopedInfoLogLevel log_level;
   std::vector<Scenario> scenarios;

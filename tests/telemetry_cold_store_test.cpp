@@ -345,26 +345,6 @@ TEST(ColdStore, QueryStitchedSlicesRangesAcrossTiers) {
   }
 }
 
-TEST(ColdStore, AppendBatchSpillsLikePointAppends) {
-  const ScratchDir scratch("batch_spill");
-  const std::string& dir = scratch.path();
-  ColdStoreConfig config;
-  config.dir = dir;
-  auto created = ColdStore::Create(config);
-  ASSERT_TRUE(created.status.ok()) << created.status.message;
-
-  TimeSeriesDb db;
-  db.AttachColdStore(created.store.get(), 8);
-  const SeriesId id = db.Intern("s");
-  const std::vector<TimePoint> points = MakePoints(90);
-  // Batches larger and smaller than the budget, including one giant batch.
-  db.AppendBatch(id, std::span(points).subspan(0, 50));
-  EXPECT_LE(db.Series(id).size(), 50u);
-  db.AppendBatch(id, std::span(points).subspan(50, 3));
-  db.AppendBatch(id, std::span(points).subspan(53));
-  ExpectSamePoints(Materialized(db, "s"), points);
-}
-
 TEST(ColdStore, ReservePointsClampsToHotBudget) {
   const ScratchDir scratch("reserve_clamp");
   const std::string& dir = scratch.path();

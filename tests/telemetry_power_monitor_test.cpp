@@ -5,7 +5,6 @@
 #include <string>
 
 #include "src/common/check.h"
-#include "src/common/thread_pool.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
 
@@ -353,11 +352,10 @@ TEST(PowerMonitorFaultTest, QuiescentInjectorIsBitIdenticalToNoInjector) {
   EXPECT_EQ(injector.counts(), faults::FaultCounts{});
 }
 
-TEST(PowerMonitorFaultTest, QuiescentPassTakesTheShardedPath) {
-  // Regression for the faulted-pass fix: an attached-but-quiescent injector
-  // must not force the serial pass. With a pool attached, the quiescent
-  // monitor's readings stay bit-identical to an injector-free serial one —
-  // which holds precisely because both run the same sharded clean pass.
+TEST(PowerMonitorFaultTest, QuiescentPassTakesTheCleanPath) {
+  // An attached injector whose faults all lie outside the sampled window is
+  // quiescent on every tick, so the monitor takes the clean pass: its
+  // readings stay bit-identical to an injector-free monitor's.
   Simulation sim;
   DataCenter dc(SmallTopology(), &sim);
   TimeSeriesDb db_a, db_b;
@@ -372,8 +370,6 @@ TEST(PowerMonitorFaultTest, QuiescentPassTakesTheShardedPath) {
   faults::FaultInjector injector(PlanFromText(
       ChannelLine(row0, SimTime::Hours(2), SimTime::Hours(3))));
   with.AttachFaultInjector(&injector);
-  ThreadPool pool(3);
-  with.SetThreadPool(&pool);
 
   for (int m = 1; m <= 5; ++m) {
     with.SampleOnce(SimTime::Minutes(m));
