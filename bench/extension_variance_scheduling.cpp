@@ -72,10 +72,10 @@ PolicyOutcome RunPolicy(PlacementPolicy policy) {
   double coldest_mean = 1e18;
   for (int32_t r = 0; r < kRows; ++r) {
     std::vector<double> watts;
-    for (const auto& p : db.QueryView(PowerMonitor::RowSeries(RowId(r)),
-                                  SimTime::Hours(2), SimTime::Hours(26))) {
-      watts.push_back(p.value);
-    }
+    db.QueryStitched(PowerMonitor::RowSeries(RowId(r)), SimTime::Hours(2),
+                     SimTime::Hours(26))
+        .ForEachPoint(
+            [&watts](const TimePoint& p) { watts.push_back(p.value); });
     Summary s = Summarize(watts);
     row_means.push_back(s.mean);
     double p95 = Percentile(watts, 0.95);

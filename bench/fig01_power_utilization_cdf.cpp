@@ -45,25 +45,28 @@ void Main() {
   std::vector<double> rack_util;
   for (int32_t k = 0; k < fleet.dc().num_racks(); ++k) {
     double budget = fleet.dc().rack_budget_watts(RackId(k));
-    for (const auto& p :
-         fleet.db().QueryView(PowerMonitor::RackSeries(RackId(k)), from, to)) {
-      rack_util.push_back(p.value / budget);
-    }
+    fleet.db()
+        .QueryStitched(PowerMonitor::RackSeries(RackId(k)), from, to)
+        .ForEachPoint([&](const TimePoint& p) {
+          rack_util.push_back(p.value / budget);
+        });
   }
   std::vector<double> row_util;
   for (int32_t r = 0; r < fleet.dc().num_rows(); ++r) {
     double budget = fleet.dc().row_budget_watts(RowId(r));
-    for (const auto& p :
-         fleet.db().QueryView(PowerMonitor::RowSeries(RowId(r)), from, to)) {
-      row_util.push_back(p.value / budget);
-    }
+    fleet.db()
+        .QueryStitched(PowerMonitor::RowSeries(RowId(r)), from, to)
+        .ForEachPoint([&](const TimePoint& p) {
+          row_util.push_back(p.value / budget);
+        });
   }
   std::vector<double> dc_util;
   double dc_budget = fleet.dc().total_budget_watts();
-  for (const auto& p :
-       fleet.db().QueryView(PowerMonitor::kTotalSeries, from, to)) {
-    dc_util.push_back(p.value / dc_budget);
-  }
+  fleet.db()
+      .QueryStitched(PowerMonitor::kTotalSeries, from, to)
+      .ForEachPoint([&](const TimePoint& p) {
+        dc_util.push_back(p.value / dc_budget);
+      });
 
   Summary rack_s = Summarize(rack_util);
   Summary row_s = Summarize(row_util);

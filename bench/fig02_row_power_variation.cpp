@@ -42,9 +42,9 @@ void Main() {
     std::printf("%8d", m);
     for (int32_t r = 0; r < 5; ++r) {
       auto points =
-          fleet.db().QueryView(PowerMonitor::RowSeries(RowId(r)), t, t);
+          fleet.db().QueryStitched(PowerMonitor::RowSeries(RowId(r)), t, t);
       double v = points.empty() ? 0.0
-                                : points.front().value /
+                                : points.Materialize().front().value /
                                       fleet.dc().row_budget_watts(RowId(r));
       std::printf(" %8.3f", v);
     }
@@ -55,11 +55,10 @@ void Main() {
   std::vector<std::vector<double>> series;
   for (int32_t r = 0; r < 5; ++r) {
     std::vector<double> s;
-    for (const auto& p : fleet.db().QueryView(PowerMonitor::RowSeries(RowId(r)),
-                                          SimTime::Hours(2),
-                                          SimTime::Hours(26))) {
-      s.push_back(p.value);
-    }
+    fleet.db()
+        .QueryStitched(PowerMonitor::RowSeries(RowId(r)), SimTime::Hours(2),
+                       SimTime::Hours(26))
+        .ForEachPoint([&s](const TimePoint& p) { s.push_back(p.value); });
     series.push_back(std::move(s));
   }
   std::vector<double> cors = PairwiseCorrelations(series);

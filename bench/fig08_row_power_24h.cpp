@@ -32,11 +32,11 @@ void Main() {
   fleet.Run(SimTime::Hours(26));
 
   std::vector<double> series;
-  for (const auto& p : fleet.db().QueryView(PowerMonitor::RowSeries(RowId(0)),
-                                        SimTime::Hours(2),
-                                        SimTime::Hours(26))) {
-    series.push_back(p.value);
-  }
+  fleet.db()
+      .QueryStitched(PowerMonitor::RowSeries(RowId(0)), SimTime::Hours(2),
+                     SimTime::Hours(26))
+      .ForEachPoint(
+          [&series](const TimePoint& p) { series.push_back(p.value); });
   double max_power = *std::max_element(series.begin(), series.end());
   for (double& v : series) {
     v /= max_power;  // Paper normalizes to the daily maximum.

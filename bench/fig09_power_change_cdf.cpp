@@ -37,11 +37,12 @@ void Main() {
 
   double budget = fleet.dc().row_budget_watts(RowId(0));
   std::vector<double> per_minute;
-  for (const auto& p : fleet.db().QueryView(PowerMonitor::RowSeries(RowId(0)),
-                                        SimTime::Hours(2),
-                                        SimTime::Hours(2 + 24 * 4))) {
-    per_minute.push_back(p.value / budget);
-  }
+  fleet.db()
+      .QueryStitched(PowerMonitor::RowSeries(RowId(0)), SimTime::Hours(2),
+                     SimTime::Hours(2 + 24 * 4))
+      .ForEachPoint([&](const TimePoint& p) {
+        per_minute.push_back(p.value / budget);
+      });
 
   const int scales[] = {1, 5, 20, 60};
   std::vector<EmpiricalCdf> cdfs;

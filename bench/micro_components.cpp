@@ -152,11 +152,12 @@ void BM_MonitorSampleRow(benchmark::State& state) {
 BENCHMARK(BM_MonitorSampleRow)->Arg(1)->Arg(4);
 
 // Group sampling in steady state, with the group registered AFTER
-// PreallocateSamples — the ordering that used to leave the group's series
-// unreserved (RegisterGroup now back-fills the reservation from the last
-// preallocation). Before the timed loop the case hard-asserts a zero
-// allocation delta across 64 sample passes, so a regression fails the run
-// loudly instead of just shifting a number.
+// PreallocateSamples — the ordering that once left the group's series
+// unreserved (the first sample now builds the monitor's frame, groups
+// included, and reserves it to the last preallocation). Before the timed
+// loop the case hard-asserts a zero allocation delta across 64 sample
+// passes, so a regression fails the run loudly instead of just shifting a
+// number.
 void BM_GroupSamplingSteadyState(benchmark::State& state) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);
@@ -166,7 +167,7 @@ void BM_GroupSamplingSteadyState(benchmark::State& state) {
   auto make_rig = [&] {
     auto rig = std::make_unique<Rig>(1);
     // Preallocation FIRST, group registration SECOND: the previously buggy
-    // order. RegisterGroup must reserve the new series itself.
+    // order. The frame built at the first sample must cover the group.
     rig->monitor.PreallocateSamples(kPrealloc + 16);
     std::vector<ServerId> all;
     all.reserve(static_cast<size_t>(rig->dc.num_servers()));
@@ -1055,7 +1056,7 @@ void BM_RowPowerRead(benchmark::State& state) {
 BENCHMARK(BM_RowPowerRead)->Arg(1)->Arg(0);
 
 // String-name append: the convenience shim. Pays one transparent-hash map
-// probe per call before landing in the same flat storage as the interned
+// probe per call before landing in the same width-1 frame as the interned
 // path below.
 void BM_TimeSeriesAppend(benchmark::State& state) {
   TimeSeriesDb db;
@@ -1067,8 +1068,8 @@ void BM_TimeSeriesAppend(benchmark::State& state) {
 }
 BENCHMARK(BM_TimeSeriesAppend);
 
-// Interned-handle append: the hot path PowerMonitor uses. One bounds check
-// plus a vector push_back — no hashing, no name formatting.
+// Interned-handle append: a one-cell row of the series' width-1 frame (one
+// order check, one stamp, one value) — no hashing, no name formatting.
 void BM_TimeSeriesAppendInterned(benchmark::State& state) {
   TimeSeriesDb db;
   const SeriesId id = db.Intern("bench");
@@ -1079,6 +1080,55 @@ void BM_TimeSeriesAppendInterned(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_TimeSeriesAppendInterned);
+
+// One campus minute of telemetry as one frame row: 1,736 series (4 DCs x
+// 420 servers, 40 racks, 4 rows, 4 totals, 8 groups) appended with one
+// order check and one contiguous copy. Before the timed loop the case
+// hard-asserts a zero allocation delta across 64 rows after ReserveRows,
+// so a regression fails the run loudly instead of just shifting a number.
+void BM_TimeSeriesAppendFrame(benchmark::State& state) {
+  constexpr size_t kWidth = 1736;
+  constexpr size_t kRows = size_t{1} << 12;
+  std::vector<double> row(kWidth);
+  for (size_t c = 0; c < kWidth; ++c) {
+    row[c] = 250.0 + static_cast<double>(c);
+  }
+  std::unique_ptr<TimeSeriesDb> db;
+  FrameId frame;
+  size_t rows = 0;
+  auto make_db = [&] {
+    db = std::make_unique<TimeSeriesDb>();
+    std::vector<SeriesId> members;
+    members.reserve(kWidth);
+    for (size_t c = 0; c < kWidth; ++c) {
+      members.push_back(db->Intern("series/" + std::to_string(c)));
+    }
+    frame = db->RegisterFrame(members);
+    db->ReserveRows(frame, kRows);
+    rows = 0;
+  };
+  make_db();
+  auto append = [&] {
+    db->AppendFrame(frame, SimTime::Minutes(static_cast<double>(rows++)),
+                    row);
+  };
+  const uint64_t allocs_before = AllocCount();
+  for (int i = 0; i < 64; ++i) {
+    append();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "frame append allocated after ReserveRows";
+  for (auto _ : state) {
+    if (rows >= kRows) {
+      state.PauseTiming();
+      make_db();
+      state.ResumeTiming();
+    }
+    append();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kWidth));
+}
+BENCHMARK(BM_TimeSeriesAppendFrame);
 
 // The map probe in isolation (Find by name), for decomposing the string-
 // minus-interned delta above.

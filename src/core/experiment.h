@@ -129,15 +129,16 @@ struct WorkloadTraceSection {
 // Off by default — no store is created, TimeSeriesDb keeps everything hot,
 // and every golden stays byte-identical. When enabled, the experiment owns a
 // ColdStore in `store_dir`, attaches it to its TimeSeriesDb with the
-// per-series hot budget, and seals + flushes the store after Run(); the
+// hot budget, and seals + flushes the store after Run(); the
 // manifest is reported as an artifact. Storage is observation-plumbing only:
 // the control loop reads the monitor's caches, never the db history, so
 // simulation results — and the stitched full-history bytes — are identical
 // with the tier on or off.
 struct StorageSection {
   std::string store_dir;  // "" = RAM-only (default).
-  // Per-series hot-tier occupancy cap, in samples. The oldest half of a
-  // series spills to the cold store when it fills.
+  // Hot-tier occupancy cap, in rows per telemetry frame (one row per
+  // monitor sample, so in samples per series). The oldest half of a frame
+  // spills to the cold store when it fills.
   size_t hot_budget_samples = 4096;
   // Cold segments seal and roll at this many samples (0 = derived:
   // max(16384, hot_budget_samples)). Segment size does not bound RSS — the

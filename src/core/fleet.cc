@@ -98,24 +98,26 @@ FleetResult RunFleetToResult(const FleetConfig& config, SimTime until) {
     FleetRowSummary summary;
     double sum = 0.0;
     size_t n = 0;
-    for (const TimePoint& p :
-         fleet.db().Series(PowerMonitor::RowSeries(row))) {
-      double normalized = p.value / budget;
-      sum += normalized;
-      summary.p_max = std::max(summary.p_max, normalized);
-      ++n;
-    }
+    fleet.db()
+        .SeriesStitched(PowerMonitor::RowSeries(row))
+        .ForEachPoint([&](const TimePoint& p) {
+          double normalized = p.value / budget;
+          sum += normalized;
+          summary.p_max = std::max(summary.p_max, normalized);
+          ++n;
+        });
     summary.p_mean = n > 0 ? sum / static_cast<double>(n) : 0.0;
     result.rows.push_back(summary);
   }
   double dc_sum = 0.0;
   size_t dc_n = 0;
-  for (const TimePoint& p :
-       fleet.db().Series(PowerMonitor::kTotalSeries)) {
-    dc_sum += p.value;
-    result.dc_max_watts = std::max(result.dc_max_watts, p.value);
-    ++dc_n;
-  }
+  fleet.db()
+      .SeriesStitched(PowerMonitor::kTotalSeries)
+      .ForEachPoint([&](const TimePoint& p) {
+        dc_sum += p.value;
+        result.dc_max_watts = std::max(result.dc_max_watts, p.value);
+        ++dc_n;
+      });
   result.dc_mean_watts = dc_n > 0 ? dc_sum / static_cast<double>(dc_n) : 0.0;
   result.jobs_submitted = fleet.scheduler().jobs_submitted();
   result.jobs_completed = fleet.scheduler().jobs_completed();

@@ -37,7 +37,7 @@ class RunArtifacts {
   RunArtifacts& operator=(const RunArtifacts&) = delete;
 
   // Creates the cold store when config.storage is enabled and attaches it
-  // to `db` with the per-series hot budget.
+  // to `db` with the configured hot budget.
   void OpenColdStore(TimeSeriesDb* db);
   // The decision journal whose tail each postmortem carries (null = none).
   void SetPostmortemJournal(const obs::DecisionJournal* journal) {

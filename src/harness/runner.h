@@ -102,7 +102,7 @@ ResultTable RunScenarios(std::span<const Scenario> scenarios,
 //                           ArtifactPathForRun, so grids never share a
 //                           store); off by default — RAM-only, goldens
 //                           unchanged
-//   --hot-budget=N          per-series hot-tier sample budget used with
+//   --hot-budget=N          hot-tier budget in rows per telemetry frame, with
 //                           --store-dir (>= 2; 0/absent keeps the
 //                           StorageSection default)
 struct HarnessArgs {

@@ -1,9 +1,10 @@
 // Persistent cold tier: per-series sealed mmap segments + a manifest.
 //
 // The cold store is where TimeSeriesDb spills its oldest hot samples once a
-// per-series hot budget is exceeded (the spill policy lives in
-// TimeSeriesDb::AttachColdStore — the db hands the oldest run of TimePoints
-// to AppendBatch here as a span, exactly like any other batch producer).
+// telemetry frame reaches its hot budget in rows (the spill policy lives in
+// TimeSeriesDb::AttachColdStore — the db transposes the oldest rows into
+// one run of TimePoints per series and hands each to AppendBatch here as a
+// span, exactly like any other batch producer).
 // Each series owns a chain of segment files (src/telemetry/mmap_segment.h):
 // one *active* segment receiving appends, and zero or more *sealed* segments
 // that are CRC-finalized and unmapped. Steady-state RSS is bounded twice
@@ -31,10 +32,10 @@
 // tripwire.
 //
 // Queries return ColdPiece views (defined next to TimeSeriesDb): zero-copy
-// spans over the mapped delta/value columns, stitched with the hot tail by
-// TimeSeriesDb::QueryStitched. Sealed segments are remapped lazily on first
-// query (read-only, page-cache backed), so a store that is only written
-// keeps no cold mappings at all.
+// spans over the mapped delta/value columns, stitched with the hot frame
+// column by TimeSeriesDb::QueryStitched. Sealed segments are remapped
+// lazily on first query (read-only, page-cache backed), so a store that is
+// only written keeps no cold mappings at all.
 
 #ifndef SRC_TELEMETRY_COLD_STORE_H_
 #define SRC_TELEMETRY_COLD_STORE_H_

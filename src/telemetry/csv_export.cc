@@ -20,7 +20,7 @@ void ExportCsv(const TimeSeriesDb& db, std::span<const std::string> series,
   out << "\n";
 
   // Row index: union of timestamps -> per-series value. The stitched read
-  // walks cold (spilled) history then the hot tail, in time order, so the
+  // walks cold (spilled) history then the hot rows, in time order, so the
   // exported bytes are identical whether or not a cold store is attached.
   std::map<int64_t, std::vector<std::pair<size_t, double>>> rows;
   for (size_t column = 0; column < series.size(); ++column) {
@@ -31,20 +31,38 @@ void ExportCsv(const TimeSeriesDb& db, std::span<const std::string> series,
 
   char buf[64];
   for (const auto& [micros, cells] : rows) {
+    // Cells arrive grouped by column, in column order (emplaced column by
+    // column). A series that repeats this stamp holds a run of cells; its
+    // k-th point goes to the k-th row written for the stamp.
+    size_t depth = 0;
+    for (size_t i = 0; i < cells.size();) {
+      size_t j = i;
+      while (j < cells.size() && cells[j].first == cells[i].first) {
+        ++j;
+      }
+      depth = std::max(depth, j - i);
+      i = j;
+    }
     std::snprintf(buf, sizeof(buf), "%.4f",
                   SimTime::Micros(micros).minutes());
-    out << buf;
-    size_t cell_index = 0;
-    for (size_t column = 0; column < series.size(); ++column) {
-      out << ",";
-      // Cells arrive ordered by column (emplaced in column order).
-      if (cell_index < cells.size() && cells[cell_index].first == column) {
-        std::snprintf(buf, sizeof(buf), "%.4f", cells[cell_index].second);
-        out << buf;
-        ++cell_index;
+    const std::string stamp = buf;
+    for (size_t k = 0; k < depth; ++k) {
+      out << stamp;
+      size_t run = 0;  // First cell of the current column's run.
+      for (size_t column = 0; column < series.size(); ++column) {
+        out << ",";
+        size_t end = run;
+        while (end < cells.size() && cells[end].first == column) {
+          ++end;
+        }
+        if (k < end - run) {
+          std::snprintf(buf, sizeof(buf), "%.4f", cells[run + k].second);
+          out << buf;
+        }
+        run = end;
       }
+      out << "\n";
     }
-    out << "\n";
   }
 }
 

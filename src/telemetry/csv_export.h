@@ -3,7 +3,9 @@
 // The production monitor exposes a RESTful query API; downstream tooling
 // (dashboards, the paper's own plots) consumes tabular dumps. ExportCsv
 // writes selected series side by side, one row per distinct timestamp
-// (union of all series' timestamps; missing cells are left empty).
+// (union of all series' timestamps; missing cells are left empty). A series
+// may repeat a timestamp: its k-th point at a stamp lands in the k-th row
+// for that stamp, so a stamp gets as many rows as its deepest repeat.
 
 #ifndef SRC_TELEMETRY_CSV_EXPORT_H_
 #define SRC_TELEMETRY_CSV_EXPORT_H_

@@ -70,6 +70,8 @@ PowerMonitor::PowerMonitor(DataCenter* dc, TimeSeriesDb* db,
 void PowerMonitor::RegisterGroup(const std::string& name,
                                  std::vector<ServerId> servers) {
   AMPERE_CHECK(!started_) << "groups must be registered before Start";
+  AMPERE_CHECK(!framed_)
+      << "groups must be registered before the first sample";
   AMPERE_CHECK(!servers.empty());
   Group group;
   group.name = name;
@@ -87,12 +89,6 @@ void PowerMonitor::RegisterGroup(const std::string& name,
   }
   group.servers = std::move(servers);
   group.series = db_->Intern(group.channel);
-  if (preallocated_points_ > 0) {
-    // PreallocateSamples already ran; reserve this series to match so the
-    // group's steady-state appends stay allocation-free too (previously a
-    // group registered after the prealloc pass kept growing its vector).
-    db_->ReservePoints(group.series, preallocated_points_);
-  }
   groups_.push_back(std::move(group));
 }
 
@@ -105,29 +101,46 @@ void PowerMonitor::Start(SimTime first_sample) {
 
 void PowerMonitor::PreallocateSamples(size_t expected_samples) {
   preallocated_points_ = expected_samples;
-  for (SeriesId id : server_series_) {
-    db_->ReservePoints(id, expected_samples);
-  }
-  for (SeriesId id : rack_series_) {
-    db_->ReservePoints(id, expected_samples);
-  }
-  for (SeriesId id : row_series_) {
-    db_->ReservePoints(id, expected_samples);
-  }
-  if (total_series_.valid()) {
-    db_->ReservePoints(total_series_, expected_samples);
-  }
-  for (const Group& group : groups_) {
-    db_->ReservePoints(group.series, expected_samples);
+  if (frame_.valid()) {
+    db_->ReserveRows(frame_, expected_samples);
   }
   row_dark_.reserve(static_cast<size_t>(dc_->num_rows()));
+}
+
+void PowerMonitor::BuildFrame() {
+  framed_ = true;
+  std::vector<SeriesId> members = server_series_;
+  rack_column_ = members.size();
+  members.insert(members.end(), rack_series_.begin(), rack_series_.end());
+  row_column_ = members.size();
+  members.insert(members.end(), row_series_.begin(), row_series_.end());
+  total_column_ = members.size();
+  if (total_series_.valid()) {
+    members.push_back(total_series_);
+  }
+  group_column_ = members.size();
+  for (const Group& group : groups_) {
+    members.push_back(group.series);
+  }
+  if (members.empty()) {
+    return;  // Nothing recorded: the monitor only keeps its caches.
+  }
+  frame_ = db_->RegisterFrame(members);
+  if (preallocated_points_ > 0) {
+    db_->ReserveRows(frame_, preallocated_points_);
+  }
+  frame_row_.assign(members.size(), 0.0);
+  frame_absent_.assign(members.size(), 0);
 }
 
 void PowerMonitor::SampleOnce(SimTime stamp) {
   AMPERE_METRICS_DOMAIN(obs_domain_);
   // Covers the whole ingest + aggregate pass: per-server "IPMI" reads,
-  // rack/row/group rollups, and the TimeSeriesDb appends.
+  // rack/row/group rollups, and the TimeSeriesDb frame append.
   AMPERE_SPAN("telemetry.sample");
+  if (!framed_) {
+    BuildFrame();
+  }
   if (injector_ != nullptr && injector_->TelemetryStalled(stamp)) {
     // The aggregation pipeline is stalled: no sample lands anywhere, every
     // consumer keeps aging data. latest_sample_time_ deliberately stays old.
@@ -204,23 +217,18 @@ void PowerMonitor::ReadServersClean(uint64_t tick) {
 void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
   ReadServersClean(tick);
 
-  // Appends in fixed order: servers, racks, rows, total, groups. A rack's
-  // or row's servers occupy one contiguous index range, and every sum uses
-  // SumSequential — the strict left-to-right order the committed goldens
-  // pin (see span_kernels.h).
+  // One frame row in fixed column order: servers, racks, rows, total,
+  // groups. A rack's or row's servers occupy one contiguous index range,
+  // and every sum uses SumSequential — the strict left-to-right order the
+  // committed goldens pin (see span_kernels.h).
   const double* readings = latest_server_watts_.data();
-  if (config_.record_servers) {
-    const size_t num_servers = static_cast<size_t>(dc_->num_servers());
-    for (size_t s = 0; s < num_servers; ++s) {
-      db_->Append(server_series_[s], stamp, readings[s]);
-    }
-  }
+  double* row = frame_row_.data();
+  std::copy(readings, readings + server_series_.size(), row);
   if (config_.record_racks) {
     for (int32_t r = 0; r < dc_->num_racks(); ++r) {
       const DataCenter::IndexRange range = dc_->server_range_of_rack(RackId(r));
-      db_->Append(rack_series_[static_cast<size_t>(r)], stamp,
-                  span_kernels::SumSequential(readings + range.begin,
-                                              range.size()));
+      row[rack_column_ + static_cast<size_t>(r)] =
+          span_kernels::SumSequential(readings + range.begin, range.size());
     }
   }
   double total = 0.0;
@@ -232,20 +240,24 @@ void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
     latest_row_stamp_[static_cast<size_t>(r)] = stamp;
     total += sum;
     if (config_.record_rows) {
-      db_->Append(row_series_[static_cast<size_t>(r)], stamp, sum);
+      row[row_column_ + static_cast<size_t>(r)] = sum;
     }
   }
   if (config_.record_total) {
-    db_->Append(total_series_, stamp, total);
+    row[total_column_] = total;
   }
-  for (Group& group : groups_) {
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
     double sum = 0.0;
     for (ServerId sid : group.servers) {
       sum += readings[sid.index()];
     }
     group.latest_watts = sum;
     group.latest_stamp = stamp;
-    db_->Append(group.series, stamp, sum);
+    row[group_column_ + g] = sum;
+  }
+  if (frame_.valid()) {
+    db_->AppendFrame(frame_, stamp, frame_row_);
   }
 
   RecordRowTimeline(stamp, /*faulted=*/false);
@@ -253,8 +265,8 @@ void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
 
 void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
   // Which row feeds are dark this pass. A blacked-out row monitor returns
-  // nothing: its servers' readings are not refreshed and no row point is
-  // appended until the window ends.
+  // nothing: its servers' readings are not refreshed and its row cell is
+  // absent until the window ends.
   bool any_dark = false;
   row_dark_.assign(static_cast<size_t>(dc_->num_rows()), 0);
   for (int32_t r = 0; r < dc_->num_rows(); ++r) {
@@ -268,6 +280,9 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
   auto dark_row = [&](RowId id) {
     return any_dark && row_dark_[static_cast<size_t>(id.index())] != 0;
   };
+  double* row = frame_row_.data();
+  uint8_t* absent = frame_absent_.data();
+  std::fill(frame_absent_.begin(), frame_absent_.end(), 0);
 
   // Read every surviving server once through "IPMI". All aggregates sum
   // these readings (not the true values), as the streaming aggregation
@@ -276,13 +291,20 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
   // noise is automatically aligned with a fault-free run's.
   for (int32_t s = 0; s < dc_->num_servers(); ++s) {
     ServerId id(s);
+    const size_t column = static_cast<size_t>(s);
     if (dark_row(dc_->row_of(id))) {
       // The row's monitor feed is dark: no reading at all.
+      if (config_.record_servers) {
+        absent[column] = 1;
+      }
       continue;
     }
     if (injector_->DropServerSample()) {
       // Reading never arrived; the pipeline keeps the last-known value.
       AMPERE_COUNTER_ADD("faults.dropped_samples", 1);
+      if (config_.record_servers) {
+        absent[column] = 1;
+      }
       continue;
     }
     double reading = dc_->server_power_watts(id) +
@@ -296,7 +318,7 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
     }
     latest_server_watts_[id.index()] = reading;
     if (config_.record_servers) {
-      db_->Append(server_series_[static_cast<size_t>(s)], stamp, reading);
+      row[column] = reading;
     }
   }
 
@@ -307,18 +329,22 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
       for (ServerId sid : dc_->servers_in_rack(id)) {
         sum += latest_server_watts_[sid.index()];
       }
-      db_->Append(rack_series_[static_cast<size_t>(r)], stamp, sum);
+      row[rack_column_ + static_cast<size_t>(r)] = sum;
     }
   }
 
   double total = 0.0;
   for (int32_t r = 0; r < dc_->num_rows(); ++r) {
     RowId id(r);
+    const size_t column = row_column_ + static_cast<size_t>(r);
     if (dark_row(id)) {
       // Feed returned nothing: keep the last-known aggregate (stale stamp)
       // and fold it into the dc total, as a last-value-carried-forward
       // streaming rollup would.
       total += latest_row_watts_[id.index()];
+      if (config_.record_rows) {
+        absent[column] = 1;
+      }
       continue;
     }
     double sum = 0.0;
@@ -329,16 +355,18 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
     latest_row_stamp_[id.index()] = stamp;
     total += sum;
     if (config_.record_rows) {
-      db_->Append(row_series_[static_cast<size_t>(r)], stamp, sum);
+      row[column] = sum;
     }
   }
   if (config_.record_total) {
-    db_->Append(total_series_, stamp, total);
+    row[total_column_] = total;
   }
 
-  for (Group& group : groups_) {
+  for (size_t g = 0; g < groups_.size(); ++g) {
+    Group& group = groups_[g];
     if (injector_->ChannelBlackedOut(group.channel, stamp)) {
       // The group's own virtual feed is dark; value and stamp stay put.
+      absent[group_column_ + g] = 1;
       continue;
     }
     double sum = 0.0;
@@ -347,7 +375,10 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
     }
     group.latest_watts = sum;
     group.latest_stamp = stamp;
-    db_->Append(group.series, stamp, sum);
+    row[group_column_ + g] = sum;
+  }
+  if (frame_.valid()) {
+    db_->AppendFrame(frame_, stamp, frame_row_, frame_absent_.data());
   }
 
   RecordRowTimeline(stamp, /*faulted=*/true);

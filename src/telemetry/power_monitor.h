@@ -14,16 +14,18 @@
 // aggregated the two parity-split halves of one row.
 //
 // Hot-path note: every series this monitor writes is interned into the
-// TimeSeriesDb at construction / RegisterGroup time, so the steady-state
-// SampleOnce never hashes a string, never formats a name, and (after
-// PreallocateSamples) never allocates.
+// TimeSeriesDb at construction / RegisterGroup time and becomes one column
+// of this monitor's frame (built at the first SampleOnce), so a sample pass
+// is one frame row: the steady-state SampleOnce never hashes a string,
+// never formats a name, and (after PreallocateSamples) never allocates.
 //
 // Noise is counter-based: each per-server reading's measurement noise is a
 // pure function of (noise seed, server id, sample tick) — see
 // counter_rng in common/rng.h. A reading is therefore independent of how
 // many other readings were produced before it, so a dropped reading in a
-// faulted pass leaves every later reading's noise unchanged. Aggregates are
-// appended in fixed (server, rack, row, total, group) order.
+// faulted pass leaves every later reading's noise unchanged. Frame columns
+// are in fixed (server, rack, row, total, group) order; a faulted pass
+// marks a dropped or dark reading's cell absent instead of appending it.
 
 #ifndef SRC_TELEMETRY_POWER_MONITOR_H_
 #define SRC_TELEMETRY_POWER_MONITOR_H_
@@ -91,10 +93,8 @@ class PowerMonitor {
   PowerMonitor(DataCenter* dc, TimeSeriesDb* db, const PowerMonitorConfig& config,
                Rng rng);
 
-  // Adds a virtual aggregation group; must be called before Start. If
-  // PreallocateSamples already ran, the group's series is reserved to the
-  // same point count so late-registered groups do not reintroduce
-  // steady-state allocation.
+  // Adds a virtual aggregation group; must be called before Start and
+  // before the first SampleOnce (which fixes the frame's columns).
   void RegisterGroup(const std::string& name, std::vector<ServerId> servers);
 
   // Attaches a fault injector (may be null to detach). Sampling then honors
@@ -116,13 +116,13 @@ class PowerMonitor {
   void SetObsDomain(obs::DomainId domain) { obs_domain_ = domain; }
   obs::DomainId obs_domain() const { return obs_domain_; }
 
-  // Capacity hint: reserves storage in the TimeSeriesDb for
-  // `expected_samples` points on every series this monitor records, so the
-  // steady-state sample path touches no allocator. Purely a reservation —
-  // sampling past the hint still works (amortized growth). When the db has
-  // a cold store attached, ReservePoints clamps each reservation to the hot
-  // budget (spilling caps hot occupancy, so reserving the full run length
-  // would defeat the bounded-RSS contract).
+  // Capacity hint: reserves `expected_samples` rows of this monitor's
+  // frame in the TimeSeriesDb (now, or when the first sample builds the
+  // frame), so the steady-state sample path touches no allocator. Purely a
+  // reservation — sampling past the hint still works (amortized growth).
+  // When the db has a cold store attached, ReserveRows clamps the
+  // reservation to the hot budget (spilling caps hot occupancy, so
+  // reserving the full run length would defeat the bounded-RSS contract).
   void PreallocateSamples(size_t expected_samples);
 
   // Takes one sample immediately (also used by Start's periodic task).
@@ -182,8 +182,12 @@ class PowerMonitor {
            ((server & 1) == 0 ? pair.z0 : pair.z1);
   }
 
+  // Registers this monitor's frame: every recorded series in fixed
+  // (server, rack, row, total, group) order, reserved to the last
+  // PreallocateSamples count. Called by the first SampleOnce.
+  void BuildFrame();
   // Fault-free sample pass (no injector, or a quiescent one): every server
-  // read, then the aggregates summed and appended in fixed order.
+  // read, then the aggregates summed into one frame row and appended.
   void SampleCleanPass(SimTime stamp, uint64_t tick);
   // Noisy quantized readings for every server.
   void ReadServersClean(uint64_t tick);
@@ -209,6 +213,17 @@ class PowerMonitor {
   std::vector<SeriesId> rack_series_;
   std::vector<SeriesId> row_series_;
   SeriesId total_series_;
+  // The frame and where each tier's columns start in it (servers start at
+  // column 0). Invalid frame when nothing is recorded.
+  bool framed_ = false;
+  FrameId frame_;
+  size_t rack_column_ = 0;
+  size_t row_column_ = 0;
+  size_t total_column_ = 0;
+  size_t group_column_ = 0;
+  // Reused frame row and its absent-cell marks (faulted passes only).
+  std::vector<double> frame_row_;
+  std::vector<uint8_t> frame_absent_;
   // Precomputed blackout channel names ("row/N/power"), so fault checks do
   // not re-format per pass.
   std::vector<std::string> row_channel_;
@@ -224,8 +239,8 @@ class PowerMonitor {
   std::vector<char> row_in_margin_;
   std::vector<char> row_was_dark_;
   obs::DomainId obs_domain_ = 0;
-  // Point count from the last PreallocateSamples, so late RegisterGroup
-  // calls can reserve their series to match.
+  // Row count from the last PreallocateSamples, reserved when the first
+  // sample builds the frame.
   size_t preallocated_points_ = 0;
   SimTime latest_sample_time_;
   uint64_t samples_taken_ = 0;

@@ -2,9 +2,32 @@
 
 #include <algorithm>
 
+#include "src/common/check.h"
 #include "src/telemetry/cold_store.h"
 
 namespace ampere {
+namespace {
+
+constexpr SimTime kEarliest =
+    SimTime::Micros(std::numeric_limits<int64_t>::min());
+
+}  // namespace
+
+StitchedView::StitchedView(std::vector<ColdPiece> cold, const HotColumn& hot)
+    : cold_(std::move(cold)), hot_(hot) {
+  for (const ColdPiece& piece : cold_) {
+    size_ += piece.size();
+  }
+  if (hot_.presence == nullptr) {
+    size_ += hot_.stamps.size();
+  } else {
+    for (size_t i = 0; i < hot_.stamps.size(); ++i) {
+      if (hot_.present(i)) {
+        ++size_;
+      }
+    }
+  }
+}
 
 std::vector<TimePoint> StitchedView::Materialize() const {
   std::vector<TimePoint> out;
@@ -20,10 +43,10 @@ SeriesId TimeSeriesDb::Intern(std::string_view name) {
   if (it != index_.end()) {
     return SeriesId(it->second);
   }
-  AMPERE_CHECK(points_.size() < SeriesId::kInvalid) << "series table full";
-  const uint32_t id = static_cast<uint32_t>(points_.size());
+  AMPERE_CHECK(names_.size() < SeriesId::kInvalid) << "series table full";
+  const uint32_t id = static_cast<uint32_t>(names_.size());
   names_.emplace_back(name);
-  points_.emplace_back();
+  slots_.emplace_back();
   index_.emplace(names_.back(), id);
   return SeriesId(id);
 }
@@ -36,75 +59,6 @@ SeriesId TimeSeriesDb::Find(std::string_view name) const {
   return SeriesId(it->second);
 }
 
-void TimeSeriesDb::ReservePoints(SeriesId id, size_t expected_points) {
-  AMPERE_CHECK(id.valid() && id.index() < points_.size())
-      << "ReservePoints through invalid SeriesId";
-  size_t target = expected_points;
-  if (cold_ != nullptr && target > hot_budget_) {
-    // Spilling caps hot occupancy at the budget; reserving the full run
-    // length would defeat the bounded-RSS contract.
-    target = hot_budget_;
-  }
-  points_[id.index()].reserve(target);
-}
-
-void TimeSeriesDb::AttachColdStore(ColdStore* store,
-                                   size_t hot_budget_samples) {
-  AMPERE_CHECK(store != nullptr) << "AttachColdStore with null store";
-  AMPERE_CHECK(cold_ == nullptr) << "cold store already attached";
-  AMPERE_CHECK(hot_budget_samples >= 2)
-      << "hot budget must keep at least two samples";
-  cold_ = store;
-  hot_budget_ = hot_budget_samples;
-  spill_trigger_ = hot_budget_samples;
-  // Restart path: series living only in the reopened store become visible
-  // to Find / SeriesNames without a hot append.
-  for (const std::string& name : store->SeriesNames()) {
-    Intern(name);
-  }
-}
-
-void TimeSeriesDb::SpillOldest(SeriesId id) {
-  std::vector<TimePoint>& points = points_[id.index()];
-  const size_t keep = std::max<size_t>(1, hot_budget_ / 2);
-  if (points.size() <= keep) {
-    return;
-  }
-  const size_t n = points.size() - keep;
-  cold_->AppendBatch(names_[id.index()],
-                     std::span<const TimePoint>(points.data(), n));
-  points.erase(points.begin(),
-               points.begin() + static_cast<std::ptrdiff_t>(n));
-  samples_spilled_ += n;
-}
-
-StitchedView TimeSeriesDb::QueryStitched(SeriesId id, SimTime from,
-                                         SimTime to) const {
-  std::vector<ColdPiece> cold;
-  if (cold_ != nullptr && id.valid() && id.index() < names_.size()) {
-    cold_->QueryPieces(names_[id.index()], from, to, &cold);
-  }
-  return StitchedView(std::move(cold), QueryView(id, from, to));
-}
-
-StitchedView TimeSeriesDb::SeriesStitched(SeriesId id) const {
-  return QueryStitched(id, SimTime::Micros(std::numeric_limits<int64_t>::min()),
-                       SimTime::Micros(std::numeric_limits<int64_t>::max()));
-}
-
-std::span<const TimePoint> TimeSeriesDb::QueryView(SeriesId id, SimTime from,
-                                                   SimTime to) const {
-  auto points = Series(id);
-  auto lo = std::lower_bound(
-      points.begin(), points.end(), from,
-      [](const TimePoint& p, SimTime t) { return p.time < t; });
-  auto hi = std::upper_bound(
-      points.begin(), points.end(), to,
-      [](SimTime t, const TimePoint& p) { return t < p.time; });
-  return points.subspan(static_cast<size_t>(lo - points.begin()),
-                        static_cast<size_t>(hi - lo));
-}
-
 const std::string& TimeSeriesDb::Name(SeriesId id) const {
   AMPERE_CHECK(id.valid() && id.index() < names_.size())
       << "Name of invalid SeriesId";
@@ -114,30 +68,251 @@ const std::string& TimeSeriesDb::Name(SeriesId id) const {
 void TimeSeriesDb::Reserve(size_t expected_series) {
   index_.reserve(expected_series);
   names_.reserve(expected_series);
-  points_.reserve(expected_series);
+  slots_.reserve(expected_series);
 }
 
-std::vector<double> TimeSeriesDb::Values(std::string_view series) const {
-  // Routed through the stitched read so spilled history stays visible.
-  StitchedView view = SeriesStitched(series);
-  std::vector<double> values;
-  values.reserve(view.size());
-  view.ForEachPoint(
-      [&values](const TimePoint& p) { values.push_back(p.value); });
-  return values;
+FrameId TimeSeriesDb::RegisterFrame(std::span<const SeriesId> members) {
+  AMPERE_CHECK(!members.empty()) << "a frame needs at least one member";
+  AMPERE_CHECK(frames_.size() < kNoFrame) << "frame table full";
+  const uint32_t index = static_cast<uint32_t>(frames_.size());
+  frames_.emplace_back();
+  frames_.back().members.reserve(members.size());
+  for (SeriesId id : members) {
+    AMPERE_CHECK(id.valid() && id.index() < slots_.size())
+        << "RegisterFrame through invalid SeriesId";
+    Slot& slot = slots_[id.index()];
+    if (slot.frame != kNoFrame) {
+      AMPERE_CHECK(slot.frame != index)
+          << "series " << names_[id.index()] << " listed twice in one frame";
+      Frame& old = frames_[slot.frame];
+      AMPERE_CHECK(old.members.size() == 1 && old.stamps.empty())
+          << "series " << names_[id.index()]
+          << " already holds points or belongs to another frame";
+      old = Frame();  // Releases the width-1 frame's reservation.
+    }
+    Frame& frame = frames_[index];
+    slot = Slot{index, static_cast<uint32_t>(frame.members.size())};
+    frame.members.push_back(id);
+  }
+  return FrameId(index);
 }
 
-std::vector<TimePoint> TimeSeriesDb::Query(std::string_view series,
-                                           SimTime from, SimTime to) const {
-  // Routed through the stitched read so spilled history stays visible.
-  return QueryStitched(series, from, to).Materialize();
+FrameId TimeSeriesDb::FrameOf(SeriesId id) {
+  AMPERE_CHECK(id.valid() && id.index() < slots_.size())
+      << "append or reserve through invalid SeriesId";
+  if (slots_[id.index()].frame == kNoFrame) {
+    const SeriesId members[] = {id};
+    return RegisterFrame(members);
+  }
+  return FrameId(slots_[id.index()].frame);
+}
+
+void TimeSeriesDb::ReserveRows(FrameId frame, size_t rows) {
+  AMPERE_CHECK(frame.valid() && frame.index() < frames_.size())
+      << "ReserveRows through invalid FrameId";
+  if (cold_ != nullptr && rows > hot_budget_) {
+    // Spilling caps hot occupancy at the budget; reserving the full run
+    // length would defeat the bounded-RSS contract.
+    rows = hot_budget_;
+  }
+  Frame& f = frames_[frame.index()];
+  f.stamps.reserve(rows);
+  f.values.reserve(rows * f.members.size());
+  if (!f.presence.empty()) {
+    f.presence.reserve(rows * f.words());
+  }
+}
+
+void TimeSeriesDb::ReservePoints(SeriesId id, size_t expected_points) {
+  ReserveRows(FrameOf(id), expected_points);
+}
+
+void TimeSeriesDb::Append(SeriesId id, SimTime t, double value) {
+  AppendFrame(FrameOf(id), t, std::span<const double>(&value, 1));
+}
+
+void TimeSeriesDb::AppendFrame(FrameId frame, SimTime stamp,
+                               std::span<const double> values,
+                               const uint8_t* absent) {
+  AMPERE_CHECK(frame.valid() && frame.index() < frames_.size())
+      << "AppendFrame through invalid FrameId";
+  Frame& f = frames_[frame.index()];
+  AMPERE_CHECK(values.size() == f.members.size())
+      << "frame row of " << values.size() << " values for "
+      << f.members.size() << " members";
+  AMPERE_CHECK(f.stamps.empty() || f.stamps.back() <= stamp)
+      << "out-of-order append to the frame of series "
+      << names_[f.members.front().index()];
+  f.stamps.push_back(stamp);
+  f.values.insert(f.values.end(), values.begin(), values.end());
+  f.hot_points += (absent != nullptr || !f.presence.empty())
+                      ? AppendPresence(f, absent)
+                      : f.members.size();
+  if (f.stamps.size() >= spill_trigger_) {
+    SpillOldest(f);
+  }
+}
+
+size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
+  const size_t width = frame.members.size();
+  const size_t words = frame.words();
+  size_t present = width;
+  if (absent != nullptr) {
+    present = static_cast<size_t>(std::count(absent, absent + width, 0));
+  }
+  if (frame.presence.empty()) {
+    if (present == width) {
+      return present;  // Still all present: no bitmap yet.
+    }
+    // First absent cell: every earlier row was full. Reserve as many rows
+    // as the value block holds so later rows do not reallocate.
+    const size_t rows = frame.stamps.size();
+    frame.presence.reserve(
+        std::max(rows, frame.values.capacity() / width) * words);
+    frame.presence.assign((rows - 1) * words, ~uint64_t{0});
+  }
+  const size_t begin = frame.presence.size();
+  frame.presence.resize(begin + words, ~uint64_t{0});
+  if (present != width) {
+    for (size_t c = 0; c < width; ++c) {
+      if (absent[c] != 0) {
+        frame.presence[begin + c / 64] &= ~(uint64_t{1} << (c % 64));
+      }
+    }
+  }
+  return present;
+}
+
+void TimeSeriesDb::AttachColdStore(ColdStore* store, size_t hot_budget_rows) {
+  AMPERE_CHECK(store != nullptr) << "AttachColdStore with null store";
+  AMPERE_CHECK(cold_ == nullptr) << "cold store already attached";
+  AMPERE_CHECK(hot_budget_rows >= 2)
+      << "hot budget must keep at least two rows";
+  cold_ = store;
+  hot_budget_ = hot_budget_rows;
+  spill_trigger_ = hot_budget_rows;
+  // Restart path: series living only in the reopened store become visible
+  // to Find / SeriesNames without a hot append.
+  for (const std::string& name : store->SeriesNames()) {
+    Intern(name);
+  }
+}
+
+void TimeSeriesDb::SpillOldest(Frame& frame) {
+  const size_t keep = std::max<size_t>(1, hot_budget_ / 2);
+  const size_t rows = frame.stamps.size();
+  if (rows <= keep) {
+    return;
+  }
+  const size_t n = rows - keep;
+  const size_t width = frame.members.size();
+  const size_t words = frame.words();
+  const bool sparse = !frame.presence.empty();
+  // Transpose: each member's present cells of the oldest n rows become one
+  // time-ordered batch for its own segment chain.
+  size_t spilled = 0;
+  for (size_t c = 0; c < width; ++c) {
+    spill_scratch_.clear();
+    const uint64_t mask = uint64_t{1} << (c % 64);
+    for (size_t r = 0; r < n; ++r) {
+      if (sparse && (frame.presence[r * words + c / 64] & mask) == 0) {
+        continue;
+      }
+      spill_scratch_.push_back(
+          TimePoint{frame.stamps[r], frame.values[r * width + c]});
+    }
+    if (!spill_scratch_.empty()) {
+      cold_->AppendBatch(names_[frame.members[c].index()], spill_scratch_);
+      spilled += spill_scratch_.size();
+    }
+  }
+  frame.stamps.erase(frame.stamps.begin(),
+                     frame.stamps.begin() + static_cast<std::ptrdiff_t>(n));
+  frame.values.erase(
+      frame.values.begin(),
+      frame.values.begin() + static_cast<std::ptrdiff_t>(n * width));
+  if (sparse) {
+    frame.presence.erase(
+        frame.presence.begin(),
+        frame.presence.begin() + static_cast<std::ptrdiff_t>(n * words));
+  }
+  frame.hot_points -= spilled;
+  samples_spilled_ += spilled;
+}
+
+HotColumn TimeSeriesDb::HotColumnFor(Slot slot, SimTime from,
+                                     SimTime to) const {
+  HotColumn hot;
+  if (slot.frame == kNoFrame) {
+    return hot;
+  }
+  const Frame& frame = frames_[slot.frame];
+  const auto lo =
+      std::lower_bound(frame.stamps.begin(), frame.stamps.end(), from);
+  const auto hi = std::upper_bound(lo, frame.stamps.end(), to);
+  const size_t first = static_cast<size_t>(lo - frame.stamps.begin());
+  hot.stamps = std::span<const SimTime>(frame.stamps.data() + first,
+                                        static_cast<size_t>(hi - lo));
+  if (hot.stamps.empty()) {
+    return hot;
+  }
+  hot.value_stride = frame.members.size();
+  hot.values = frame.values.data() + first * hot.value_stride + slot.column;
+  if (!frame.presence.empty()) {
+    hot.presence_stride = frame.words();
+    hot.presence = frame.presence.data() + first * hot.presence_stride +
+                   slot.column / 64;
+    hot.presence_mask = uint64_t{1} << (slot.column % 64);
+  }
+  return hot;
+}
+
+StitchedView TimeSeriesDb::QueryStitched(SeriesId id, SimTime from,
+                                         SimTime to) const {
+  if (!id.valid() || id.index() >= names_.size()) {
+    return StitchedView();
+  }
+  std::vector<ColdPiece> cold;
+  if (cold_ != nullptr) {
+    cold_->QueryPieces(names_[id.index()], from, to, &cold);
+  }
+  return StitchedView(std::move(cold),
+                      HotColumnFor(slots_[id.index()], from, to));
+}
+
+StitchedView TimeSeriesDb::SeriesStitched(SeriesId id) const {
+  return QueryStitched(id, kEarliest, SimTime::Max());
+}
+
+std::optional<TimePoint> TimeSeriesDb::LatestHot(Slot slot) const {
+  const HotColumn hot = HotColumnFor(slot, kEarliest, SimTime::Max());
+  for (size_t i = hot.stamps.size(); i-- > 0;) {
+    if (hot.present(i)) {
+      return TimePoint{hot.stamps[i], hot.values[i * hot.value_stride]};
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<TimePoint> TimeSeriesDb::Latest(SeriesId id) const {
+  if (!id.valid() || id.index() >= names_.size()) {
+    return std::nullopt;
+  }
+  std::optional<TimePoint> latest = LatestHot(slots_[id.index()]);
+  if (!latest.has_value() && cold_ != nullptr) {
+    // Every hot cell of this series is absent (or it has no hot rows): its
+    // newest point, if any, is the last cold one.
+    SeriesStitched(id).ForEachPoint(
+        [&latest](const TimePoint& point) { latest = point; });
+  }
+  return latest;
 }
 
 std::vector<std::string> TimeSeriesDb::SeriesNames() const {
   std::vector<std::string> names;
   names.reserve(names_.size());
   for (size_t i = 0; i < names_.size(); ++i) {
-    if (!points_[i].empty() ||
+    if (LatestHot(slots_[i]).has_value() ||
         (cold_ != nullptr && cold_->SamplesForSeries(names_[i]) > 0)) {
       names.push_back(names_[i]);
     }
@@ -148,8 +323,8 @@ std::vector<std::string> TimeSeriesDb::SeriesNames() const {
 
 size_t TimeSeriesDb::TotalPoints() const {
   size_t n = 0;
-  for (const auto& points : points_) {
-    n += points.size();
+  for (const Frame& frame : frames_) {
+    n += frame.hot_points;
   }
   if (cold_ != nullptr) {
     n += static_cast<size_t>(cold_->total_samples());

@@ -6,26 +6,33 @@
 // benches consume the identical query surface (latest value, range scan,
 // whole-series extraction).
 //
-// Two access tiers:
-//   1. Interned handles (SeriesId) — the hot path. A producer interns each
-//      series name once (paying the hash + string copy), then appends through
-//      the integer handle: a bounds-checked vector index, no hashing, no
-//      string formatting, and (after ReservePoints) no allocation.
-//   2. String names — the convenience/export surface. Kept as a thin shim
-//      over interning so tests, benches, and CSV export read naturally.
+// Storage is minute-major *frames*. The monitor samples a whole DC at one
+// timestamp, so each sample pass is one frame row: a stamp plus one value
+// per member series, stored row-major (`width x rows` doubles) next to a
+// stamp column. Every series is one column of exactly one frame:
+//   - PowerMonitor registers one frame per monitor (RegisterFrame) and
+//     appends one row per pass (AppendFrame) — one contiguous write and one
+//     order check per row instead of one per series.
+//   - A series appended on its own (Append by handle or by name) is a
+//     width-1 frame, created on its first append or reservation.
+// A cell can be *absent* (a dropped reading, a dark feed): the frame then
+// grows a presence bitmap, allocated only when the first absent cell
+// arrives, and reads skip absent cells — each series holds exactly the
+// points appended to it.
 //
-// Storage is a flat std::vector<std::vector<TimePoint>> indexed by SeriesId;
-// the name->id map is only consulted at intern/lookup time, never per append.
+// Handles: a producer interns each series name once (Intern: the only
+// place a string is hashed or copied) and appends through the integer
+// SeriesId. String-keyed calls are a thin shim over interning.
 //
 // An optional persistent cold tier (src/telemetry/cold_store.h) bounds the
-// hot tier's RSS: AttachColdStore sets a per-series hot budget, and appends
-// that push a series past it spill the oldest run of points into
-// memory-mapped segment files through ColdStore::AppendBatch.
+// hot tier's RSS: AttachColdStore sets a hot budget in frame rows, and a
+// frame that reaches it spills its oldest rows, transposed per member
+// series, into memory-mapped segment files through ColdStore::AppendBatch.
 // Spilling changes where history lives, not what it says — QueryStitched /
-// SeriesStitched return the full hot+cold history losslessly (bit-exact
-// doubles, exact microsecond timestamps), so export and analysis bytes are
-// identical with the tier on or off. With no store attached (the default)
-// the spill machinery costs one integer compare per append.
+// SeriesStitched, the one read path, return the full hot+cold history
+// losslessly (bit-exact doubles, exact microsecond timestamps), so export
+// and analysis bytes are identical with the tier on or off. With no store
+// attached the spill machinery costs one integer compare per row.
 
 #ifndef SRC_TELEMETRY_TIMESERIES_DB_H_
 #define SRC_TELEMETRY_TIMESERIES_DB_H_
@@ -41,7 +48,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/check.h"
 #include "src/common/time.h"
 
 namespace ampere {
@@ -66,27 +72,38 @@ struct ColdPiece {
   size_t size() const { return values.size(); }
 };
 
+// One series' hot rows inside its frame: the frame's stamps, the series'
+// strided value column and, if the frame has ever held an absent cell, the
+// series' presence bits (one word per row at `presence_stride`, tested with
+// `presence_mask`).
+struct HotColumn {
+  std::span<const SimTime> stamps;
+  const double* values = nullptr;  // Row i at values[i * value_stride].
+  size_t value_stride = 1;
+  const uint64_t* presence = nullptr;  // Null: every cell present.
+  size_t presence_stride = 0;
+  uint64_t presence_mask = 0;
+
+  bool present(size_t row) const {
+    return presence == nullptr ||
+           (presence[row * presence_stride] & presence_mask) != 0;
+  }
+};
+
 // A stitched hot+cold query result: cold pieces in time order followed by
-// the in-RAM hot tail, all zero-copy. Spans are invalidated by the next
-// Append to the same series (hot growth, spill, or segment seal); consume
-// before resuming appends. With the cold tier off this is just a wrapper
-// around the hot span, so callers can migrate unconditionally.
+// the series' hot frame column, all zero-copy. Views are invalidated by the
+// next append to the series' frame (hot growth, spill, or segment seal);
+// consume before resuming appends. With the cold tier off this is just the
+// hot column, so callers read through it unconditionally.
 class StitchedView {
  public:
   StitchedView() = default;
-  StitchedView(std::vector<ColdPiece> cold, std::span<const TimePoint> hot)
-      : cold_(std::move(cold)), hot_(hot) {
-    for (const ColdPiece& piece : cold_) {
-      cold_size_ += piece.size();
-    }
-  }
+  StitchedView(std::vector<ColdPiece> cold, const HotColumn& hot);
 
-  size_t size() const { return cold_size_ + hot_.size(); }
-  bool empty() const { return size() == 0; }
-  std::span<const ColdPiece> cold_pieces() const { return cold_; }
-  std::span<const TimePoint> hot() const { return hot_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
-  // Visits every point in time order (cold pieces, then the hot tail).
+  // Visits every point in time order (cold pieces, then the hot column).
   template <typename Fn>
   void ForEachPoint(Fn&& fn) const {
     for (const ColdPiece& piece : cold_) {
@@ -98,8 +115,10 @@ class StitchedView {
         fn(TimePoint{t, piece.values[i]});
       }
     }
-    for (const TimePoint& point : hot_) {
-      fn(point);
+    for (size_t i = 0; i < hot_.stamps.size(); ++i) {
+      if (hot_.present(i)) {
+        fn(TimePoint{hot_.stamps[i], hot_.values[i * hot_.value_stride]});
+      }
     }
   }
 
@@ -108,8 +127,8 @@ class StitchedView {
 
  private:
   std::vector<ColdPiece> cold_;
-  std::span<const TimePoint> hot_;
-  size_t cold_size_ = 0;
+  HotColumn hot_;
+  size_t size_ = 0;
 };
 
 // Opaque interned-series handle. Default-constructed handles are invalid;
@@ -134,9 +153,23 @@ class SeriesId {
   uint32_t value_ = kInvalid;
 };
 
+// Opaque frame handle from TimeSeriesDb::RegisterFrame.
+class FrameId {
+ public:
+  FrameId() = default;
+  bool valid() const { return value_ != kInvalid; }
+  uint32_t index() const { return value_; }
+
+ private:
+  friend class TimeSeriesDb;
+  explicit FrameId(uint32_t value) : value_(value) {}
+  static constexpr uint32_t kInvalid = 0xffffffffu;
+  uint32_t value_ = kInvalid;
+};
+
 class TimeSeriesDb {
  public:
-  // --- Interned-handle tier (hot path) -----------------------------------
+  // --- Series handles ------------------------------------------------------
 
   // Returns the handle for `name`, creating an empty series on first use.
   // The only place a string is hashed or copied; producers call this once
@@ -146,72 +179,62 @@ class TimeSeriesDb {
   // Lookup without creation; invalid handle if the series does not exist.
   SeriesId Find(std::string_view name) const;
 
-  // Appends a point through a handle: one bounds check + vector push_back.
-  // Timestamps within one series must be non-decreasing (the monitor
-  // samples monotonically). This is the hot path of every run — one call
-  // per recorded aggregate per minute — and after ReservePoints it touches
-  // no allocator.
-  void Append(SeriesId id, SimTime t, double value) {
-    AMPERE_CHECK(id.valid() && id.index() < points_.size())
-        << "append through invalid SeriesId";
-    std::vector<TimePoint>& points = points_[id.index()];
-    AMPERE_CHECK(points.empty() || points.back().time <= t)
-        << "out-of-order append to series " << names_[id.index()];
-    points.push_back(TimePoint{t, value});
-    if (points.size() >= spill_trigger_) {  // SIZE_MAX when no cold tier.
-      SpillOldest(id);
-    }
-  }
-
-  // Pre-sizes one series' storage for `expected_points` total points so the
-  // steady-state Append never reallocates.
-  void ReservePoints(SeriesId id, size_t expected_points);
-
-  // Whole series / range views by handle. Spans are invalidated by the next
-  // Append to the same series (vector growth); consume before resampling.
-  // With a cold store attached these see the HOT TIER ONLY (the most recent
-  // points within the budget) — full-history readers use QueryStitched.
-  std::span<const TimePoint> Series(SeriesId id) const {
-    if (!id.valid() || id.index() >= points_.size()) {
-      return {};
-    }
-    return points_[id.index()];
-  }
-  std::span<const TimePoint> QueryView(SeriesId id, SimTime from,
-                                       SimTime to) const;
-  std::optional<TimePoint> Latest(SeriesId id) const {
-    auto points = Series(id);
-    if (points.empty()) {
-      return std::nullopt;
-    }
-    return points.back();
-  }
-
   // Interned-name reverse lookup (valid handles only).
   const std::string& Name(SeriesId id) const;
 
   // Number of interned series (including pre-interned, still-empty ones).
-  size_t NumSeries() const { return points_.size(); }
+  size_t NumSeries() const { return names_.size(); }
 
-  // --- Cold tier (optional persistent spill) ------------------------------
+  // Capacity hint: pre-sizes the name map and series tables for
+  // `expected_series` entries so interning never rehashes mid-run.
+  void Reserve(size_t expected_series);
 
-  // Attaches a cold store and arms the spill policy: once a series' hot
-  // vector reaches `hot_budget_samples` points, the oldest half spills into
-  // `store` (through its AppendBatch span path) and is erased from RAM, so
-  // per-series hot occupancy never exceeds the budget. Series already in
-  // `store` (the OpenExisting restart path) are interned so lookups and
-  // SeriesNames see them. `store` must outlive this db; budget >= 2.
-  void AttachColdStore(ColdStore* store, size_t hot_budget_samples);
+  // --- Frames --------------------------------------------------------------
 
-  bool spill_enabled() const { return cold_ != nullptr; }
-  size_t hot_budget_samples() const { return hot_budget_; }
-  uint64_t samples_spilled() const { return samples_spilled_; }
-  ColdStore* cold_store() const { return cold_; }
+  // Makes `members` the columns of one new frame, in that order. Members
+  // must be distinct and still empty: never framed, or alone in a width-1
+  // frame without rows (whose reservation is released).
+  FrameId RegisterFrame(std::span<const SeriesId> members);
+
+  // Appends one row: `values[c]` to member c at `stamp`. `absent`, if
+  // given, holds one byte per member; a nonzero byte leaves that cell out
+  // (the series gets no point at `stamp`). Stamps must be non-decreasing
+  // per frame, checked once per row. After ReserveRows it never allocates
+  // while every cell is present.
+  void AppendFrame(FrameId frame, SimTime stamp,
+                   std::span<const double> values,
+                   const uint8_t* absent = nullptr);
+
+  // Pre-sizes a frame for `rows` rows (clamped to the hot budget when a
+  // cold store is attached: spilling caps hot occupancy, and reserving the
+  // full run would defeat the bounded-RSS contract).
+  void ReserveRows(FrameId frame, size_t rows);
+
+  // --- Single-series appends (width-1 frames) ------------------------------
+
+  // Appends a point to a series that is not a column of a wider frame: a
+  // one-cell row of its width-1 frame. Timestamps within one series must be
+  // non-decreasing. After ReservePoints it touches no allocator.
+  void Append(SeriesId id, SimTime t, double value);
+
+  // Appends a point by name; interns the name on first use. Heterogeneous
+  // lookup keeps the repeat path allocation-free, but still pays one hash
+  // probe — hot producers should hold a SeriesId instead.
+  void Append(std::string_view series, SimTime t, double value) {
+    Append(Intern(series), t, value);
+  }
+
+  // Pre-sizes the series' frame (its own width-1 frame if it has none yet)
+  // for `expected_points` rows, clamped like ReserveRows.
+  void ReservePoints(SeriesId id, size_t expected_points);
+
+  // --- Reads ---------------------------------------------------------------
 
   // Full-history reads across both tiers: cold pieces (zero-copy views of
-  // the mapped columns) stitched with the hot tail. With no cold store
-  // attached these are exactly the hot-span reads, so export/analysis code
-  // calls them unconditionally and gets identical bytes either way.
+  // the mapped columns) stitched with the hot frame column. The one read
+  // path: with no cold store attached these are exactly the hot reads, so
+  // export/analysis code calls them unconditionally and gets identical
+  // bytes either way. Unknown series read as empty.
   StitchedView SeriesStitched(SeriesId id) const;
   StitchedView QueryStitched(SeriesId id, SimTime from, SimTime to) const;
   StitchedView SeriesStitched(std::string_view series) const {
@@ -222,47 +245,12 @@ class TimeSeriesDb {
     return QueryStitched(Find(series), from, to);
   }
 
-  // --- String tier (shim over interning) ---------------------------------
-
-  // Appends a point; interns the name on first use. Heterogeneous lookup
-  // keeps the repeat path allocation-free, but still pays one hash probe —
-  // hot producers should hold a SeriesId instead.
-  void Append(std::string_view series, SimTime t, double value) {
-    Append(Intern(series), t, value);
-  }
-
-  // Capacity hint: pre-sizes the name map and series tables for
-  // `expected_series` entries so interning never rehashes mid-run.
-  void Reserve(size_t expected_series);
-
-  // Whole series (empty span if the series does not exist).
-  std::span<const TimePoint> Series(std::string_view series) const {
-    return Series(Find(series));
-  }
-
-  // Points with from <= time <= to, as a view (no copy).
-  std::span<const TimePoint> QueryView(std::string_view series, SimTime from,
-                                       SimTime to) const {
-    return QueryView(Find(series), from, to);
-  }
-
-  // Values only, in time order. Copying: export/analysis surface.
-  // [[deprecated]] — prefer QueryView / SeriesStitched (zero-copy, and the
-  // stitched form sees the cold tier). Kept as a shim for existing callers;
-  // reads the full hot+cold history.
-  std::vector<double> Values(std::string_view series) const;
-
-  // Most recent point, if any.
+  // Most recent point of the series, if any (hot first; the cold tier only
+  // when the hot rows hold no cell of this series).
+  std::optional<TimePoint> Latest(SeriesId id) const;
   std::optional<TimePoint> Latest(std::string_view series) const {
     return Latest(Find(series));
   }
-
-  // Points with from <= time <= to. Copying: export/analysis surface.
-  // [[deprecated]] — prefer QueryView / QueryStitched (zero-copy, and the
-  // stitched form sees the cold tier). Kept as a shim for existing callers;
-  // reads the full hot+cold history.
-  std::vector<TimePoint> Query(std::string_view series, SimTime from,
-                               SimTime to) const;
 
   // Names of series that hold at least one point (in either tier), sorted.
   // Pre-interned but never-appended series are deliberately excluded:
@@ -271,12 +259,56 @@ class TimeSeriesDb {
   // Total points across both tiers.
   size_t TotalPoints() const;
 
+  // --- Cold tier (optional persistent spill) ------------------------------
+
+  // Attaches a cold store and arms the spill policy: once a frame holds
+  // `hot_budget_rows` hot rows, its oldest `rows - max(1, budget/2)` rows
+  // spill into `store` (each member's present cells through AppendBatch)
+  // and are erased from RAM, so no series ever holds more than the budget
+  // in RAM. Series already in `store` (the OpenExisting restart path) are
+  // interned so lookups and SeriesNames see them. `store` must outlive
+  // this db; budget >= 2.
+  void AttachColdStore(ColdStore* store, size_t hot_budget_rows);
+
+  bool spill_enabled() const { return cold_ != nullptr; }
+  size_t hot_budget_rows() const { return hot_budget_; }
+  uint64_t samples_spilled() const { return samples_spilled_; }
+  ColdStore* cold_store() const { return cold_; }
+
  private:
-  // Spills the oldest points of a series past the hot budget into the cold
-  // store and erases them from RAM. Called from the append paths when a
-  // series reaches the budget; keeps the newest half (always >= 1 point, so
-  // Latest and the append-order check stay hot-only).
-  void SpillOldest(SeriesId id);
+  static constexpr uint32_t kNoFrame = 0xffffffffu;
+
+  // Where a series lives: column `column` of frame `frame`.
+  struct Slot {
+    uint32_t frame = kNoFrame;
+    uint32_t column = 0;
+  };
+
+  struct Frame {
+    std::vector<SeriesId> members;  // Column order.
+    std::vector<SimTime> stamps;    // One per hot row.
+    std::vector<double> values;     // Row-major, members.size() per row.
+    // Row-major presence bits, words() words per row; bit c%64 of word
+    // c/64 is column c. Empty until the first absent cell.
+    std::vector<uint64_t> presence;
+    size_t hot_points = 0;  // Present cells in the hot rows.
+
+    size_t words() const { return (members.size() + 63) / 64; }
+  };
+
+  // The series' frame; a still-unframed series gets its own width-1 frame.
+  FrameId FrameOf(SeriesId id);
+  // Appends `row`'s presence words, allocating the bitmap (all earlier rows
+  // present) at the first absent cell; returns the row's present count.
+  size_t AppendPresence(Frame& frame, const uint8_t* absent);
+  HotColumn HotColumnFor(Slot slot, SimTime from, SimTime to) const;
+  // Newest present hot cell of the series in `slot`, if any.
+  std::optional<TimePoint> LatestHot(Slot slot) const;
+  // Spills the frame's oldest rows past the hot budget into the cold store
+  // (per member, present cells only) and erases them from RAM. Keeps the
+  // newest max(1, budget/2) rows, so the append-order check stays hot-only.
+  void SpillOldest(Frame& frame);
+
   // Transparent (heterogeneous) hash/equal: find() and the insert-or-lookup
   // in Intern accept std::string_view without materializing a std::string.
   struct TransparentHash {
@@ -288,8 +320,9 @@ class TimeSeriesDb {
 
   std::unordered_map<std::string, uint32_t, TransparentHash, std::equal_to<>>
       index_;
-  std::vector<std::string> names_;             // Indexed by SeriesId.
-  std::vector<std::vector<TimePoint>> points_;  // Indexed by SeriesId.
+  std::vector<std::string> names_;  // Indexed by SeriesId.
+  std::vector<Slot> slots_;         // Indexed by SeriesId.
+  std::vector<Frame> frames_;       // Indexed by FrameId.
 
   // Cold tier; null (and spill_trigger_ = SIZE_MAX, keeping the append-path
   // branch always-false) until AttachColdStore.
@@ -297,6 +330,7 @@ class TimeSeriesDb {
   size_t hot_budget_ = 0;
   size_t spill_trigger_ = std::numeric_limits<size_t>::max();
   uint64_t samples_spilled_ = 0;
+  std::vector<TimePoint> spill_scratch_;  // One member's cells per spill.
 };
 
 }  // namespace ampere

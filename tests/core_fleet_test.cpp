@@ -27,8 +27,10 @@ TEST(FleetTest, PerRowLoadLevelsMatchProducts) {
   fleet.Run(SimTime::Hours(6));
   // Average row power over the last 3 h, normalized to rated budget.
   for (int32_t r = 0; r < 3; ++r) {
-    auto points = fleet.db().QueryView(PowerMonitor::RowSeries(RowId(r)),
-                                   SimTime::Hours(3), SimTime::Hours(6));
+    auto points = fleet.db()
+                      .QueryStitched(PowerMonitor::RowSeries(RowId(r)),
+                                     SimTime::Hours(3), SimTime::Hours(6))
+                      .Materialize();
     ASSERT_FALSE(points.empty());
     double sum = 0.0;
     for (const auto& p : points) {
@@ -79,8 +81,10 @@ TEST(FleetTest, FlexibleStreamAddsUnpinnedLoad) {
   fleet.Run(SimTime::Hours(4));
   // Mean row power over the last 2 h should sit near 0.76 of rated.
   for (int32_t r = 0; r < 3; ++r) {
-    auto points = fleet.db().QueryView(PowerMonitor::RowSeries(RowId(r)),
-                                   SimTime::Hours(2), SimTime::Hours(4));
+    auto points = fleet.db()
+                      .QueryStitched(PowerMonitor::RowSeries(RowId(r)),
+                                     SimTime::Hours(2), SimTime::Hours(4))
+                      .Materialize();
     double sum = 0.0;
     for (const auto& point : points) {
       sum += point.value;

@@ -298,20 +298,18 @@ TEST(ColdStore, SpillKeepsHotTierUnderBudgetAndHistoryLossless) {
   const SeriesId id = db.Intern("power/total");
   for (const TimePoint& point : points) {
     db.Append(id, point.time, point.value);
-    EXPECT_LE(db.Series(id).size(), 8u);  // Budget holds after every append.
+    // Budget holds after every append: what is not spilled is hot.
+    EXPECT_LE(db.TotalPoints() - db.samples_spilled(), 8u);
   }
   EXPECT_GT(db.samples_spilled(), 0u);
-  EXPECT_EQ(db.samples_spilled() + db.Series(id).size(), points.size());
+  EXPECT_EQ(created.store->total_samples(), db.samples_spilled());
   EXPECT_EQ(db.TotalPoints(), points.size());
 
-  // Latest stays a hot-only read; full history is stitched and lossless.
+  // Latest reads the hot tail; full history is stitched and lossless.
   ASSERT_TRUE(db.Latest(id).has_value());
   EXPECT_EQ(db.Latest(id)->time.micros(), points.back().time.micros());
   ExpectSamePoints(Materialized(db, "power/total"), points);
-
-  // The deprecated copying shims keep seeing the full spilled history.
-  EXPECT_EQ(db.Values("power/total").size(), points.size());
-  EXPECT_EQ(db.Query("power/total", SimTime(), SimTime::Max()).size(),
+  EXPECT_EQ(db.QueryStitched("power/total", SimTime(), SimTime::Max()).size(),
             points.size());
 }
 
@@ -339,7 +337,7 @@ TEST(ColdStore, QueryStitchedSlicesRangesAcrossTiers) {
       const SimTime from = points[lo].time;
       const SimTime to = points[hi].time;
       const auto got = spilled.QueryStitched("s", from, to).Materialize();
-      const auto want = ram.Query("s", from, to);
+      const auto want = ram.QueryStitched("s", from, to).Materialize();
       ExpectSamePoints(got, want);
     }
   }
@@ -357,7 +355,7 @@ TEST(ColdStore, ReservePointsClampsToHotBudget) {
   for (const TimePoint& point : MakePoints(100)) {
     db.Append(id, point.time, point.value);
   }
-  EXPECT_LE(db.Series(id).size(), 32u);
+  EXPECT_LE(db.TotalPoints() - db.samples_spilled(), 32u);
 }
 
 // --- Instant restart ------------------------------------------------------

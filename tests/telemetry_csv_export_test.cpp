@@ -52,6 +52,24 @@ TEST(CsvExportTest, MissingCellsAreEmpty) {
   EXPECT_EQ(lines[2], "2.0000,,2.0000");
 }
 
+TEST(CsvExportTest, RepeatedStampsKeepEveryValue) {
+  // Appends only need non-decreasing stamps, so a series may repeat one:
+  // its k-th point at a stamp goes to the k-th row for that stamp.
+  TimeSeriesDb db;
+  db.Append("a", SimTime::Minutes(1), 1.0);
+  db.Append("a", SimTime::Minutes(1), 2.0);
+  db.Append("b", SimTime::Minutes(1), 3.0);
+  db.Append("b", SimTime::Minutes(2), 4.0);
+  std::ostringstream out;
+  std::vector<std::string> series{"a", "b"};
+  ExportCsv(db, series, out);
+  auto lines = Lines(out.str());
+  ASSERT_EQ(lines.size(), 4u);
+  EXPECT_EQ(lines[1], "1.0000,1.0000,3.0000");
+  EXPECT_EQ(lines[2], "1.0000,2.0000,");
+  EXPECT_EQ(lines[3], "2.0000,,4.0000");
+}
+
 TEST(CsvExportTest, UnknownSeriesYieldsEmptyColumn) {
   TimeSeriesDb db;
   db.Append("a", SimTime::Minutes(1), 1.0);

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 #include <cmath>
+#include <initializer_list>
 #include <string>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
+#include "src/telemetry/cold_store.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -34,8 +38,8 @@ TEST(PowerMonitorTest, SamplesEveryMinute) {
   monitor.Start(SimTime::Minutes(1));
   sim.RunUntil(SimTime::Minutes(10.5));
   EXPECT_EQ(monitor.samples_taken(), 10u);
-  EXPECT_EQ(db.Series(PowerMonitor::RowSeries(RowId(0))).size(), 10u);
-  EXPECT_EQ(db.Series(PowerMonitor::kTotalSeries).size(), 10u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::RowSeries(RowId(0))).size(), 10u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::kTotalSeries).size(), 10u);
 }
 
 TEST(PowerMonitorTest, NoiselessReadingsMatchTruth) {
@@ -93,7 +97,7 @@ TEST(PowerMonitorTest, GroupAggregation) {
   monitor.SampleOnce(SimTime::Minutes(1));
   double expected = 4 * dc.server_power_watts(ServerId(0));
   EXPECT_NEAR(monitor.LatestGroupWatts("evens"), expected, 1e-9);
-  EXPECT_EQ(db.Series(PowerMonitor::GroupSeries("evens")).size(), 1u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::GroupSeries("evens")).size(), 1u);
 }
 
 TEST(PowerMonitorTest, UnknownGroupThrows) {
@@ -121,7 +125,8 @@ TEST(PowerMonitorTest, PerServerSeriesOptIn) {
   config.record_servers = true;
   PowerMonitor monitor(&dc, &db, config, Rng(1));
   monitor.SampleOnce(SimTime::Minutes(1));
-  EXPECT_EQ(db.Series(PowerMonitor::ServerSeries(ServerId(3))).size(), 1u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::ServerSeries(ServerId(3))).size(),
+            1u);
 }
 
 TEST(PowerMonitorTest, RackSeriesSumToRowSeries) {
@@ -151,16 +156,14 @@ TEST(PowerMonitorTest, SeriesPrefixNamespacesEverything) {
   PowerMonitor monitor(&dc, &db, config, Rng(1));
   monitor.RegisterGroup("evens", {ServerId(0), ServerId(2)});
   monitor.SampleOnce(SimTime::Minutes(1));
-  EXPECT_EQ(db.Series("campus/dc7/" + PowerMonitor::RowSeries(RowId(0))).size(),
-            1u);
-  EXPECT_EQ(
-      db.Series("campus/dc7/" + PowerMonitor::ServerSeries(ServerId(3))).size(),
-      1u);
-  EXPECT_EQ(
-      db.Series("campus/dc7/" + PowerMonitor::GroupSeries("evens")).size(), 1u);
-  EXPECT_EQ(db.Series(std::string("campus/dc7/") + PowerMonitor::kTotalSeries)
-                .size(),
-            1u);
+  const std::string prefix = "campus/dc7/";
+  for (const std::string& name :
+       {PowerMonitor::RowSeries(RowId(0)),
+        PowerMonitor::ServerSeries(ServerId(3)),
+        PowerMonitor::GroupSeries("evens"),
+        std::string(PowerMonitor::kTotalSeries)}) {
+    EXPECT_EQ(db.SeriesStitched(prefix + name).size(), 1u) << name;
+  }
   // Nothing escapes the namespace — two prefixed monitors can share one db.
   for (const std::string& name : db.SeriesNames()) {
     EXPECT_EQ(name.rfind("campus/dc7/", 0), 0u) << name;
@@ -207,7 +210,7 @@ TEST(PowerMonitorFaultTest, StalledPassLeavesEverythingAged) {
   EXPECT_EQ(monitor.samples_taken(), 1u);
   EXPECT_EQ(monitor.samples_stalled(), 1u);
   EXPECT_EQ(monitor.LatestSampleTime(), SimTime::Minutes(1));
-  EXPECT_EQ(db.Series(PowerMonitor::kTotalSeries).size(), 1u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::kTotalSeries).size(), 1u);
   monitor.SampleOnce(SimTime::Minutes(3));  // Window is half-open: lands.
   EXPECT_EQ(monitor.samples_taken(), 2u);
   EXPECT_EQ(injector.counts().telemetry_stalls, 1u);
@@ -252,8 +255,8 @@ TEST(PowerMonitorFaultTest, RowBlackoutFreezesReadingAndStamp) {
   EXPECT_EQ(lit.stamp, SimTime::Minutes(2));
   EXPECT_GT(lit.watts, row0_baseline);
 
-  EXPECT_EQ(db.Series(PowerMonitor::RowSeries(RowId(0))).size(), 1u);
-  EXPECT_EQ(db.Series(PowerMonitor::RowSeries(RowId(1))).size(), 2u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::RowSeries(RowId(0))).size(), 1u);
+  EXPECT_EQ(db.SeriesStitched(PowerMonitor::RowSeries(RowId(1))).size(), 2u);
 
   // Window over: the feed recovers and catches up.
   monitor.SampleOnce(SimTime::Minutes(5));
@@ -324,6 +327,155 @@ TEST(PowerMonitorFaultTest, DropoutKeepsLastKnownServerValue) {
   monitor.SampleOnce(SimTime::Minutes(2));
   EXPECT_NEAR(monitor.LatestServerWatts(ServerId(0)),
               dc.server_power_watts(ServerId(0)), 1e-9);
+}
+
+// Stamps of every point a series holds, through the stitched read.
+std::vector<SimTime> StampsOf(const TimeSeriesDb& db, const std::string& name) {
+  std::vector<SimTime> stamps;
+  db.SeriesStitched(name).ForEachPoint(
+      [&stamps](const TimePoint& p) { stamps.push_back(p.time); });
+  return stamps;
+}
+
+TEST(PowerMonitorFaultTest, DroppedReadingsAreAbsentFromServerSeries) {
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  TimeSeriesDb db;
+  PowerMonitorConfig config = NoiselessConfig();
+  config.record_servers = true;
+  PowerMonitor monitor(&dc, &db, config, Rng(1));
+  faults::FaultInjector injector(PlanFromText("sample_dropout_prob=1\n"));
+  monitor.AttachFaultInjector(&injector);
+  monitor.SampleOnce(SimTime::Minutes(1));
+  monitor.AttachFaultInjector(nullptr);
+  monitor.SampleOnce(SimTime::Minutes(2));
+
+  // Every reading of the first pass dropped: server series hold only the
+  // second pass; the aggregates (last-known sums) hold both.
+  const std::vector<SimTime> second{SimTime::Minutes(2)};
+  const std::vector<SimTime> both{SimTime::Minutes(1), SimTime::Minutes(2)};
+  for (int32_t s = 0; s < dc.num_servers(); ++s) {
+    EXPECT_EQ(StampsOf(db, PowerMonitor::ServerSeries(ServerId(s))), second);
+  }
+  EXPECT_EQ(StampsOf(db, PowerMonitor::RackSeries(RackId(0))), both);
+  EXPECT_EQ(StampsOf(db, PowerMonitor::RowSeries(RowId(0))), both);
+  EXPECT_EQ(StampsOf(db, PowerMonitor::kTotalSeries), both);
+  EXPECT_EQ(db.TotalPoints(), static_cast<size_t>(dc.num_servers()) +
+                                  2 * (2 + 2 + 1));
+}
+
+TEST(PowerMonitorFaultTest, DarkRowAndGroupFeedsAreAbsentFromTheirSeries) {
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  TimeSeriesDb db;
+  PowerMonitorConfig config = NoiselessConfig();
+  config.record_servers = true;
+  PowerMonitor monitor(&dc, &db, config, Rng(1));
+  const uint32_t row0 = faults::FaultPlan::ChannelIndex(
+      PowerMonitor::RowSeries(RowId(0)), kManyChannels);
+  const uint32_t row1 = faults::FaultPlan::ChannelIndex(
+      PowerMonitor::RowSeries(RowId(1)), kManyChannels);
+  ASSERT_NE(row0, row1);
+  // A group on its own channel, dark in a later window than row 0.
+  std::string group;
+  uint32_t group_channel = 0;
+  for (int i = 0; i < 64 && group.empty(); ++i) {
+    const std::string name = "g" + std::to_string(i);
+    group_channel = faults::FaultPlan::ChannelIndex(
+        PowerMonitor::GroupSeries(name), kManyChannels);
+    if (group_channel != row0 && group_channel != row1) {
+      group = name;
+    }
+  }
+  ASSERT_FALSE(group.empty());
+  monitor.RegisterGroup(group, {ServerId(0), ServerId(4)});
+  faults::FaultInjector injector(PlanFromText(
+      ChannelLine(row0, SimTime::Minutes(2), SimTime::Minutes(4)) +
+      "blackout " + std::to_string(SimTime::Minutes(4).micros()) + ' ' +
+      std::to_string(SimTime::Minutes(5).micros()) + ' ' +
+      std::to_string(group_channel) + '\n'));
+  monitor.AttachFaultInjector(&injector);
+  for (int m = 1; m <= 5; ++m) {
+    monitor.SampleOnce(SimTime::Minutes(m));
+  }
+
+  auto minutes = [](std::initializer_list<int> ms) {
+    std::vector<SimTime> stamps;
+    for (int m : ms) {
+      stamps.push_back(SimTime::Minutes(m));
+    }
+    return stamps;
+  };
+  // Row 0 dark at minutes 2 and 3: its row series and its servers' series
+  // miss both passes; row 1, the rack sums and the total miss nothing.
+  EXPECT_EQ(StampsOf(db, PowerMonitor::RowSeries(RowId(0))),
+            minutes({1, 4, 5}));
+  EXPECT_EQ(StampsOf(db, PowerMonitor::ServerSeries(ServerId(0))),
+            minutes({1, 4, 5}));
+  EXPECT_EQ(StampsOf(db, PowerMonitor::RowSeries(RowId(1))),
+            minutes({1, 2, 3, 4, 5}));
+  EXPECT_EQ(StampsOf(db, PowerMonitor::ServerSeries(ServerId(4))),
+            minutes({1, 2, 3, 4, 5}));
+  EXPECT_EQ(StampsOf(db, PowerMonitor::RackSeries(RackId(0))),
+            minutes({1, 2, 3, 4, 5}));
+  EXPECT_EQ(StampsOf(db, PowerMonitor::kTotalSeries),
+            minutes({1, 2, 3, 4, 5}));
+  // The group's own feed dark at minute 4.
+  EXPECT_EQ(StampsOf(db, PowerMonitor::GroupSeries(group)),
+            minutes({1, 2, 3, 5}));
+  EXPECT_EQ(db.Latest(PowerMonitor::RowSeries(RowId(0)))->time,
+            SimTime::Minutes(5));
+}
+
+TEST(PowerMonitorFaultTest, FaultedFramesSpillToTheSameStitchedReads) {
+  // The same faulted sampling into a RAM-only db and into one spilling at
+  // a two-row budget: every series reads back identically, absent cells
+  // included.
+  const ScratchDir scratch("faulted_spill");
+  ColdStoreConfig store_config;
+  store_config.dir = scratch.path();
+  store_config.segment_samples = 4;
+  auto created = ColdStore::Create(store_config);
+  ASSERT_TRUE(created.status.ok()) << created.status.message;
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  TimeSeriesDb ram;
+  TimeSeriesDb spilled;
+  spilled.AttachColdStore(created.store.get(), 2);
+  PowerMonitorConfig config;
+  config.record_servers = true;
+  PowerMonitor ram_monitor(&dc, &ram, config, Rng(5));
+  PowerMonitor spill_monitor(&dc, &spilled, config, Rng(5));
+  ram_monitor.RegisterGroup("evens", {ServerId(0), ServerId(2)});
+  spill_monitor.RegisterGroup("evens", {ServerId(0), ServerId(2)});
+  const uint32_t row0 = faults::FaultPlan::ChannelIndex(
+      PowerMonitor::RowSeries(RowId(0)), kManyChannels);
+  const std::string plan = "sample_dropout_prob=0.3\n" +
+                           ChannelLine(row0, SimTime::Minutes(3),
+                                       SimTime::Minutes(7));
+  faults::FaultInjector ram_injector(PlanFromText(plan));
+  faults::FaultInjector spill_injector(PlanFromText(plan));
+  ram_monitor.AttachFaultInjector(&ram_injector);
+  spill_monitor.AttachFaultInjector(&spill_injector);
+  for (int m = 1; m <= 12; ++m) {
+    ram_monitor.SampleOnce(SimTime::Minutes(m));
+    spill_monitor.SampleOnce(SimTime::Minutes(m));
+  }
+  ASSERT_GT(spilled.samples_spilled(), 0u);
+  ASSERT_GT(ram_injector.counts().dropped_samples, 0u);
+  ASSERT_EQ(spilled.SeriesNames(), ram.SeriesNames());
+  EXPECT_EQ(spilled.TotalPoints(), ram.TotalPoints());
+  for (const std::string& name : ram.SeriesNames()) {
+    const std::vector<TimePoint> want = ram.SeriesStitched(name).Materialize();
+    const std::vector<TimePoint> got =
+        spilled.SeriesStitched(name).Materialize();
+    ASSERT_EQ(got.size(), want.size()) << name;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got[i].time, want[i].time) << name << " point " << i;
+      EXPECT_EQ(got[i].value, want[i].value) << name << " point " << i;
+    }
+    EXPECT_EQ(spilled.Latest(name)->time, ram.Latest(name)->time) << name;
+  }
 }
 
 TEST(PowerMonitorFaultTest, QuiescentInjectorIsBitIdenticalToNoInjector) {

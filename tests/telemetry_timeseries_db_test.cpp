@@ -2,16 +2,35 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <deque>
+#include <limits>
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "src/common/check.h"
+#include "src/common/rng.h"
+#include "src/telemetry/cold_store.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
+
+std::vector<double> ValuesOf(const TimeSeriesDb& db, std::string_view name) {
+  std::vector<double> values;
+  db.SeriesStitched(name).ForEachPoint(
+      [&values](const TimePoint& p) { values.push_back(p.value); });
+  return values;
+}
 
 TEST(TimeSeriesDbTest, AppendAndReadBack) {
   TimeSeriesDb db;
   db.Append("row/0/power", SimTime::Minutes(1), 100.0);
   db.Append("row/0/power", SimTime::Minutes(2), 110.0);
-  auto series = db.Series("row/0/power");
+  auto series = db.SeriesStitched("row/0/power").Materialize();
   ASSERT_EQ(series.size(), 2u);
   EXPECT_EQ(series[0].time, SimTime::Minutes(1));
   EXPECT_DOUBLE_EQ(series[1].value, 110.0);
@@ -19,8 +38,8 @@ TEST(TimeSeriesDbTest, AppendAndReadBack) {
 
 TEST(TimeSeriesDbTest, MissingSeriesIsEmpty) {
   TimeSeriesDb db;
-  EXPECT_TRUE(db.Series("nope").empty());
-  EXPECT_TRUE(db.Values("nope").empty());
+  EXPECT_TRUE(db.SeriesStitched("nope").empty());
+  EXPECT_TRUE(ValuesOf(db, "nope").empty());
   EXPECT_FALSE(db.Latest("nope").has_value());
 }
 
@@ -46,7 +65,9 @@ TEST(TimeSeriesDbTest, QueryRangeInclusive) {
   for (int m = 0; m < 10; ++m) {
     db.Append("s", SimTime::Minutes(m), static_cast<double>(m));
   }
-  auto range = db.Query("s", SimTime::Minutes(3), SimTime::Minutes(6));
+  auto range =
+      db.QueryStitched("s", SimTime::Minutes(3), SimTime::Minutes(6))
+          .Materialize();
   ASSERT_EQ(range.size(), 4u);
   EXPECT_DOUBLE_EQ(range.front().value, 3.0);
   EXPECT_DOUBLE_EQ(range.back().value, 6.0);
@@ -55,15 +76,17 @@ TEST(TimeSeriesDbTest, QueryRangeInclusive) {
 TEST(TimeSeriesDbTest, QueryOutsideRangeEmpty) {
   TimeSeriesDb db;
   db.Append("s", SimTime::Minutes(5), 1.0);
-  EXPECT_TRUE(db.Query("s", SimTime::Minutes(6), SimTime::Minutes(9)).empty());
-  EXPECT_TRUE(db.Query("s", SimTime::Minutes(0), SimTime::Minutes(4)).empty());
+  EXPECT_TRUE(
+      db.QueryStitched("s", SimTime::Minutes(6), SimTime::Minutes(9)).empty());
+  EXPECT_TRUE(
+      db.QueryStitched("s", SimTime::Minutes(0), SimTime::Minutes(4)).empty());
 }
 
 TEST(TimeSeriesDbTest, ValuesExtractsInOrder) {
   TimeSeriesDb db;
   db.Append("s", SimTime::Minutes(1), 5.0);
   db.Append("s", SimTime::Minutes(2), 7.0);
-  EXPECT_EQ(db.Values("s"), (std::vector<double>{5.0, 7.0}));
+  EXPECT_EQ(ValuesOf(db, "s"), (std::vector<double>{5.0, 7.0}));
 }
 
 TEST(TimeSeriesDbTest, SeriesNamesSortedAndCounted) {
@@ -77,6 +100,259 @@ TEST(TimeSeriesDbTest, SeriesNamesSortedAndCounted) {
   EXPECT_EQ(names[1], "b");
   EXPECT_EQ(db.TotalPoints(), 3u);
 }
+
+// --- Frames ---------------------------------------------------------------
+
+TEST(TimeSeriesDbFrameTest, RowsReadBackPerColumnWithAbsentCellsSkipped) {
+  TimeSeriesDb db;
+  const SeriesId a = db.Intern("a");
+  const SeriesId b = db.Intern("b");
+  const SeriesId members[] = {a, b};
+  const FrameId frame = db.RegisterFrame(members);
+  const double row1[] = {1.0, 10.0};
+  const double row2[] = {2.0, 20.0};
+  const uint8_t b_absent[] = {0, 1};
+  db.AppendFrame(frame, SimTime::Minutes(1), row1);
+  db.AppendFrame(frame, SimTime::Minutes(2), row2, b_absent);
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0}));
+  EXPECT_EQ(ValuesOf(db, "b"), (std::vector<double>{10.0}));
+  EXPECT_EQ(db.Latest(b)->time, SimTime::Minutes(1));
+  EXPECT_EQ(db.TotalPoints(), 3u);
+  // A member of a wider frame is not appendable on its own.
+  EXPECT_THROW(db.Append(a, SimTime::Minutes(3), 3.0), CheckFailure);
+  // The stamp order is a per-frame contract.
+  EXPECT_THROW(db.AppendFrame(frame, SimTime::Minutes(1), row1), CheckFailure);
+}
+
+TEST(TimeSeriesDbFrameTest, RegisterFrameTakesOnlyEmptySeries) {
+  TimeSeriesDb db;
+  const SeriesId reserved = db.Intern("reserved");
+  db.ReservePoints(reserved, 64);  // An empty width-1 frame: re-homed.
+  const SeriesId written = db.Intern("written");
+  db.Append(written, SimTime::Minutes(1), 1.0);
+  const SeriesId ok[] = {reserved};
+  EXPECT_NO_THROW(db.RegisterFrame(ok));
+  const SeriesId has_points[] = {db.Intern("fresh"), written};
+  EXPECT_THROW(db.RegisterFrame(has_points), CheckFailure);
+  const SeriesId twice[] = {db.Intern("x"), db.Intern("x")};
+  EXPECT_THROW(db.RegisterFrame(twice), CheckFailure);
+}
+
+// --- Frame storage against a per-series reference model -------------------
+//
+// Random frames (widths 1..1,700, plus width-1 series appended on their
+// own) receive rows with random absent cells and repeated stamps; the model
+// stores every series as its own plain vector of points and mirrors only
+// the spill policy's row arithmetic (a frame at the hot budget spills its
+// oldest rows - max(1, budget/2) rows). After every row, random stitched
+// range reads, Latest, TotalPoints and samples_spilled must agree; at the
+// end, every series' full history and SeriesNames.
+
+struct ModelFrame {
+  FrameId id;
+  std::vector<size_t> members;         // Model series indices.
+  std::deque<size_t> hot_row_present;  // Present cells per hot row.
+  SimTime last;
+};
+
+void ExpectSameBits(const std::vector<TimePoint>& got,
+                    const std::vector<TimePoint>& want,
+                    const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].time, want[i].time) << context << " point " << i;
+    ASSERT_EQ(std::memcmp(&got[i].value, &want[i].value, sizeof(double)), 0)
+        << context << " point " << i;
+  }
+}
+
+class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  // One lockstep trial; GetParam() is the hot budget in rows (0: no cold
+  // tier).
+  void RunTrial(uint64_t seed) {
+    const size_t budget = GetParam();
+    const ScratchDir scratch("frames_" + std::to_string(seed));
+    std::unique_ptr<ColdStore> store;
+    TimeSeriesDb db;
+    if (budget > 0) {
+      ColdStoreConfig config;
+      config.dir = scratch.path();
+      config.segment_samples = 16;  // Seals and rolls inside the trial.
+      auto created = ColdStore::Create(config);
+      ASSERT_TRUE(created.status.ok()) << created.status.message;
+      store = std::move(created.store);
+      db.AttachColdStore(store.get(), budget);
+    }
+    Rng rng(seed);
+    std::vector<SeriesId> ids;
+    std::vector<std::vector<TimePoint>> model;  // Indexed like `ids`.
+    uint64_t model_spilled = 0;
+    auto add_series = [&] {
+      ids.push_back(db.Intern("s" + std::to_string(ids.size())));
+      model.emplace_back();
+      return ids.size() - 1;
+    };
+
+    // Frames registered through RegisterFrame, then width-1 series that
+    // are only ever appended on their own.
+    std::vector<ModelFrame> frames(static_cast<size_t>(rng.UniformInt(1, 3)));
+    for (ModelFrame& frame : frames) {
+      const int64_t width = rng.Bernoulli(0.3) ? rng.UniformInt(1, 1700)
+                                               : rng.UniformInt(1, 70);
+      std::vector<SeriesId> members;
+      for (int64_t c = 0; c < width; ++c) {
+        const size_t k = add_series();
+        if (rng.Bernoulli(0.05)) {
+          db.ReservePoints(ids[k], 8);  // Re-homed by RegisterFrame.
+        }
+        frame.members.push_back(k);
+        members.push_back(ids[k]);
+      }
+      frame.id = db.RegisterFrame(members);
+      if (rng.Bernoulli(0.5)) {
+        db.ReserveRows(frame.id, static_cast<size_t>(rng.UniformInt(1, 90)));
+      }
+    }
+    std::vector<ModelFrame> singles(static_cast<size_t>(rng.UniformInt(1, 3)));
+    for (ModelFrame& single : singles) {
+      single.members.push_back(add_series());
+    }
+
+    auto spill = [&](ModelFrame& frame) {
+      if (budget == 0 || frame.hot_row_present.size() < budget) {
+        return;
+      }
+      const size_t keep = std::max<size_t>(1, budget / 2);
+      while (frame.hot_row_present.size() > keep) {
+        model_spilled += frame.hot_row_present.front();
+        frame.hot_row_present.pop_front();
+      }
+    };
+    // Repeats a stamp about a third of the time: appends only need to be
+    // non-decreasing.
+    auto next_stamp = [&](ModelFrame& frame) {
+      frame.last = frame.last + SimTime::Minutes(static_cast<double>(
+                                    rng.UniformInt(0, 2)));
+      return frame.last;
+    };
+    auto check_series = [&](size_t k, SimTime from, SimTime to) {
+      std::vector<TimePoint> want;
+      for (const TimePoint& p : model[k]) {
+        if (from <= p.time && p.time <= to) {
+          want.push_back(p);
+        }
+      }
+      const StitchedView view = db.QueryStitched(ids[k], from, to);
+      ASSERT_EQ(view.size(), want.size()) << "series " << k;
+      ExpectSameBits(view.Materialize(), want,
+                     "seed " + std::to_string(seed) + " series " +
+                         std::to_string(k));
+      const std::optional<TimePoint> latest = db.Latest(ids[k]);
+      ASSERT_EQ(latest.has_value(), !model[k].empty()) << "series " << k;
+      if (latest.has_value()) {
+        ExpectSameBits({*latest}, {model[k].back()},
+                       "latest of series " + std::to_string(k));
+      }
+    };
+
+    std::vector<double> values;
+    std::vector<uint8_t> absent;
+    const int64_t steps = rng.UniformInt(20, 110);
+    for (int64_t step = 0; step < steps; ++step) {
+      const size_t pick = static_cast<size_t>(rng.UniformInt(
+          0, static_cast<int64_t>(frames.size() + singles.size()) - 1));
+      if (pick < frames.size()) {
+        ModelFrame& frame = frames[pick];
+        const size_t width = frame.members.size();
+        const SimTime stamp = next_stamp(frame);
+        // Half the rows are full (no absent array at all); the rest drop
+        // cells at 30 %, or every cell.
+        const double absent_p =
+            rng.Bernoulli(0.5) ? 0.0 : (rng.Bernoulli(0.2) ? 1.0 : 0.3);
+        values.resize(width);
+        absent.assign(width, 0);
+        size_t present = 0;
+        for (size_t c = 0; c < width; ++c) {
+          values[c] = rng.Uniform(-1e3, 1e3);
+          absent[c] = rng.Bernoulli(absent_p) ? 1 : 0;
+          if (absent[c] == 0) {
+            model[frame.members[c]].push_back(TimePoint{stamp, values[c]});
+            ++present;
+          }
+        }
+        db.AppendFrame(frame.id, stamp, values,
+                       absent_p > 0.0 ? absent.data() : nullptr);
+        frame.hot_row_present.push_back(present);
+        spill(frame);
+      } else {
+        ModelFrame& single = singles[pick - frames.size()];
+        const size_t k = single.members.front();
+        const SimTime stamp = next_stamp(single);
+        const double value = rng.Uniform(-1e3, 1e3);
+        db.Append(ids[k], stamp, value);
+        model[k].push_back(TimePoint{stamp, value});
+        single.hot_row_present.push_back(1);
+        spill(single);
+      }
+
+      size_t total = 0;
+      for (const std::vector<TimePoint>& points : model) {
+        total += points.size();
+      }
+      ASSERT_EQ(db.TotalPoints(), total) << "seed " << seed;
+      ASSERT_EQ(db.samples_spilled(), model_spilled) << "seed " << seed;
+      for (int q = 0; q < 4; ++q) {
+        const size_t k = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
+        SimTime from = SimTime::Minutes(
+            static_cast<double>(rng.UniformInt(-2, 2 * steps + 2)));
+        SimTime to = SimTime::Minutes(
+            static_cast<double>(rng.UniformInt(-2, 2 * steps + 2)));
+        if (to < from) {
+          std::swap(from, to);
+        }
+        check_series(k, from, to);
+        if (HasFatalFailure()) {
+          return;
+        }
+      }
+    }
+
+    // Full history of every series, and the names that hold points.
+    std::vector<std::string> names;
+    for (size_t k = 0; k < ids.size(); ++k) {
+      check_series(k, SimTime::Micros(std::numeric_limits<int64_t>::min()),
+                   SimTime::Max());
+      if (HasFatalFailure()) {
+        return;
+      }
+      if (!model[k].empty()) {
+        names.push_back(db.Name(ids[k]));
+      }
+    }
+    std::sort(names.begin(), names.end());
+    EXPECT_EQ(db.SeriesNames(), names) << "seed " << seed;
+  }
+};
+
+TEST_P(TimeSeriesDbFramePropertyTest, LockstepWithPerSeriesModel) {
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    RunTrial(seed * 7919 + GetParam());
+    if (HasFatalFailure()) {
+      return;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(HotBudgets, TimeSeriesDbFramePropertyTest,
+                         ::testing::Values(size_t{2}, size_t{3}, size_t{64},
+                                           size_t{0}),
+                         [](const ::testing::TestParamInfo<size_t>& param) {
+                           return param.param == 0
+                                      ? std::string("NoColdTier")
+                                      : "Budget" + std::to_string(param.param);
+                         });
 
 }  // namespace
 }  // namespace ampere
