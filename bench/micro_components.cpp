@@ -260,31 +260,25 @@ void BM_NoiseSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_NoiseSpan)->Arg(0)->Arg(1);
 
-// Row resummation: one row's power span (420 servers), naive accumulate
-// loop vs the fixed blocked-order reduction. (SumSequential IS the naive
-// loop — the interesting comparison is the blocked order the bulk capping
-// path uses, which trades association order for SIMD lanes.)
+// Row resummation: one row's power span (420 servers) summed left to right
+// by SumSequential, the one reduction order every aggregate uses.
 void BM_ResummateRowSpan(benchmark::State& state) {
   constexpr size_t kServers = 420;
   std::vector<double> watts(kServers);
   for (size_t i = 0; i < kServers; ++i) {
     watts[i] = 162.5 + 0.25 * static_cast<double>(i % 41);
   }
-  const bool use_blocked = state.range(0) != 0;
   const uint64_t allocs_before = AllocCount();
   for (auto _ : state) {
-    double sum = use_blocked
-                     ? span_kernels::SumBlocked4(watts.data(), kServers)
-                     : span_kernels::SumSequential(watts.data(), kServers);
+    double sum = span_kernels::SumSequential(watts.data(), kServers);
     benchmark::DoNotOptimize(sum);
   }
   AMPERE_CHECK(AllocCount() == allocs_before)
       << "span reduction allocated in steady state";
   state.SetItemsProcessed(state.iterations() *
                           static_cast<int64_t>(kServers));
-  state.SetLabel(use_blocked ? "blocked4" : "sequential");
 }
-BENCHMARK(BM_ResummateRowSpan)->Arg(0)->Arg(1);
+BENCHMARK(BM_ResummateRowSpan);
 
 // Per-rack power-model evaluation at one uniform frequency (the row-capping
 // shape): per-server PowerAt/DynamicPowerAt calls vs one
@@ -1083,15 +1077,19 @@ BENCHMARK(BM_TimeSeriesAppendInterned);
 
 // One campus minute of telemetry as one frame row: 1,736 series (4 DCs x
 // 420 servers, 40 racks, 4 rows, 4 totals, 8 groups) appended with one
-// order check and one contiguous copy. Before the timed loop the case
-// hard-asserts a zero allocation delta across 64 rows after ReserveRows,
-// so a regression fails the run loudly instead of just shifting a number.
-void BM_TimeSeriesAppendFrame(benchmark::State& state) {
+// order check and one contiguous write. Whole-watt rows (`inexact` false)
+// stay in the frame's float block; rows with a fraction that float cannot
+// hold widen it to double on the first row. Before the timed loop the case
+// hard-asserts the allocation contract across 64 rows after ReserveRows:
+// at most one allocation, on the row that widens the frame, and none
+// otherwise — so a regression fails the run loudly instead of just
+// shifting a number.
+void AppendFrameRows(benchmark::State& state, bool inexact) {
   constexpr size_t kWidth = 1736;
   constexpr size_t kRows = size_t{1} << 12;
   std::vector<double> row(kWidth);
   for (size_t c = 0; c < kWidth; ++c) {
-    row[c] = 250.0 + static_cast<double>(c);
+    row[c] = 250.0 + static_cast<double>(c) + (inexact ? 0.1 : 0.0);
   }
   std::unique_ptr<TimeSeriesDb> db;
   FrameId frame;
@@ -1113,11 +1111,18 @@ void BM_TimeSeriesAppendFrame(benchmark::State& state) {
                     row);
   };
   const uint64_t allocs_before = AllocCount();
-  for (int i = 0; i < 64; ++i) {
+  append();
+  AMPERE_CHECK(AllocCount() - allocs_before <= (inexact ? 1u : 0u))
+      << "first frame row allocated beyond its one widening";
+  const uint64_t allocs_after_first = AllocCount();
+  for (int i = 1; i < 64; ++i) {
     append();
   }
-  AMPERE_CHECK(AllocCount() == allocs_before)
+  AMPERE_CHECK(AllocCount() == allocs_after_first)
       << "frame append allocated after ReserveRows";
+  AMPERE_CHECK(db->HotValueBytes() ==
+               64 * kWidth * (inexact ? sizeof(double) : sizeof(float)))
+      << "frame block not at the expected cell width";
   for (auto _ : state) {
     if (rows >= kRows) {
       state.PauseTiming();
@@ -1128,7 +1133,16 @@ void BM_TimeSeriesAppendFrame(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kWidth));
 }
+
+void BM_TimeSeriesAppendFrame(benchmark::State& state) {
+  AppendFrameRows(state, /*inexact=*/false);
+}
 BENCHMARK(BM_TimeSeriesAppendFrame);
+
+void BM_TimeSeriesAppendFrameWide(benchmark::State& state) {
+  AppendFrameRows(state, /*inexact=*/true);
+}
+BENCHMARK(BM_TimeSeriesAppendFrameWide);
 
 // The map probe in isolation (Find by name), for decomposing the string-
 // minus-interned delta above.

@@ -554,8 +554,8 @@ void DataCenter::ApplyRowFrequency(RowId row_id, double freq) {
   // model and one frequency serve the whole span). The dynamic-at-full
   // lane is re-written with bit-identical values (frequency does not enter
   // DynamicPowerAt(u, 1.0)), so row.dynamic_full_sum_watts stays valid
-  // untouched. Rack sums rebuild with the fixed blocked-order reduction;
-  // the row folds its racks in ascending order like the resummation pass.
+  // untouched. Rack sums rebuild left to right (SumSequential); the row
+  // folds its racks in ascending order like the resummation pass.
   double* __restrict power = soa_power_watts_.data();
   double* __restrict dynamic_full = soa_dynamic_full_watts_.data();
   const double* __restrict util = soa_utilization_.data();
@@ -568,7 +568,7 @@ void DataCenter::ApplyRowFrequency(RowId row_id, double freq) {
     const ServerPowerModel& model = *servers_[begin].power_model_;
     model.PowerSpanUniformFreq(util + begin, freq, power + begin,
                                dynamic_full + begin, n);
-    rack.power_watts = span_kernels::SumBlocked4(power + begin, n);
+    rack.power_watts = span_kernels::SumSequential(power + begin, n);
     row_new += rack.power_watts;
   }
   row.power_watts = row_new;

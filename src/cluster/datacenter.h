@@ -348,7 +348,7 @@ class DataCenter final : private EventTarget {
   // id order as the per-server loop it replaces, so the event sequence is
   // unchanged; the power refresh then happens per RACK as one batched
   // power-model evaluation over the rack's contiguous SoA span, with rack
-  // sums rebuilt by the fixed blocked-order reduction (span_kernels.h).
+  // sums rebuilt left to right by SumSequential (span_kernels.h).
   // Falls back to per-server SetServerFrequency whenever any server in the
   // fleet is asleep/waking (their draw is the sleep floor, not the model's
   // output). Aggregates may differ from the incremental path by float

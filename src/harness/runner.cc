@@ -1,9 +1,12 @@
 #include "src/harness/runner.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <optional>
 #include <string_view>
 #include <thread>
@@ -19,6 +22,19 @@
 namespace ampere {
 namespace harness {
 namespace {
+
+// All of `text` as a base-10 integer in [lo, hi]; nullopt for anything
+// else (empty, trailing characters, a sign on an unsigned type, overflow).
+template <typename T>
+std::optional<T> ParseWhole(std::string_view text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -122,15 +138,19 @@ ResultTable RunScenarios(std::span<const Scenario> scenarios,
   return ScenarioRunner(options).Run(scenarios);
 }
 
-HarnessArgs ParseHarnessArgs(int argc, char** argv) {
-  HarnessArgs args;
-  // Environment first, flags second: --log-level below overrides this,
-  // matching the --jobs / AMPERE_JOBS precedence in ResolveJobs.
-  ApplyLogLevelFromEnv();
+HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
+  HarnessArgsResult result;
+  HarnessArgs& args = result.args;
+  std::optional<LogLevel> log_level;
+  auto fail = [&result](std::string flag, std::string message) {
+    result.error = FlagError{std::move(flag), std::move(message)};
+    return std::move(result);
+  };
   auto value_of = [&](std::string_view arg, std::string_view flag,
                       int& i) -> const char* {
-    // --flag=value
-    if (arg.size() > flag.size() + 1 && arg.substr(0, flag.size()) == flag &&
+    // --flag=value (an empty value is a value: `--jobs=` is an error, not a
+    // positional)
+    if (arg.size() > flag.size() && arg.substr(0, flag.size()) == flag &&
         arg[flag.size()] == '=') {
       return argv[i] + flag.size() + 1;
     }
@@ -143,18 +163,25 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     std::string_view arg = argv[i];
     if (const char* v = value_of(arg, "--jobs", i)) {
-      args.runner.jobs = std::atoi(v);
-      AMPERE_CHECK(args.runner.jobs > 0) << "--jobs needs a positive integer";
+      const std::optional<int> jobs =
+          ParseWhole(v, 1, std::numeric_limits<int>::max());
+      if (!jobs.has_value()) {
+        return fail("--jobs", "--jobs needs a positive integer, got '" +
+                                  std::string(v) + "'");
+      }
+      args.runner.jobs = *jobs;
     } else if (const char* csv = value_of(arg, "--csv", i)) {
       args.csv_path = csv;
     } else if (const char* json = value_of(arg, "--json", i)) {
       args.json_path = json;
     } else if (const char* level = value_of(arg, "--log-level", i)) {
       LogLevel parsed;
-      AMPERE_CHECK(ParseLogLevel(level, &parsed))
-          << "--log-level wants debug|info|warning|error|off, got '" << level
-          << "'";
-      SetLogLevel(parsed);
+      if (!ParseLogLevel(level, &parsed)) {
+        return fail("--log-level",
+                    "--log-level wants debug|info|warning|error|off, got '" +
+                        std::string(level) + "'");
+      }
+      log_level = parsed;
     } else if (const char* preset = value_of(arg, "--faults", i)) {
       auto config = faults::PresetByName(preset);
       if (!config.has_value()) {
@@ -163,8 +190,8 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
           if (!known.empty()) known += "|";
           known += name;
         }
-        AMPERE_CHECK(false) << "--faults wants " << known << ", got '"
-                            << preset << "'";
+        return fail("--faults", "--faults wants " + known + ", got '" +
+                                    std::string(preset) + "'");
       }
       args.faults_preset = preset;
       args.faults = *config;
@@ -181,10 +208,14 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
     } else if (const char* store = value_of(arg, "--store-dir", i)) {
       args.store_dir = store;
     } else if (const char* budget = value_of(arg, "--hot-budget", i)) {
-      const int parsed = std::atoi(budget);
-      AMPERE_CHECK(parsed >= 2)
-          << "--hot-budget wants a sample count >= 2, got '" << budget << "'";
-      args.hot_budget_samples = static_cast<size_t>(parsed);
+      const std::optional<size_t> rows = ParseWhole(
+          budget, size_t{2}, std::numeric_limits<size_t>::max());
+      if (!rows.has_value()) {
+        return fail("--hot-budget",
+                    "--hot-budget wants a row count >= 2, got '" +
+                        std::string(budget) + "'");
+      }
+      args.hot_budget_samples = *rows;
     } else if (arg == "--obs") {
       args.runner.capture_obs = true;
     } else if (arg == "--no-notes") {
@@ -193,7 +224,23 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv) {
       args.positional.emplace_back(arg);
     }
   }
-  return args;
+  // Environment first, flag second, matching the --jobs / AMPERE_JOBS
+  // precedence in ResolveJobs.
+  ApplyLogLevelFromEnv();
+  if (log_level.has_value()) {
+    SetLogLevel(*log_level);
+  }
+  return result;
+}
+
+HarnessArgs ParseHarnessArgs(int argc, char** argv) {
+  HarnessArgsResult result = TryParseHarnessArgs(argc, argv);
+  if (!result.ok()) {
+    std::fprintf(stderr, "%s: %s\n", argc > 0 ? argv[0] : "ampere",
+                 result.error->message.c_str());
+    std::exit(2);
+  }
+  return std::move(result.args);
 }
 
 std::string ArtifactPathForRun(const std::string& base, size_t run_index,

@@ -16,6 +16,7 @@
 #ifndef SRC_HARNESS_RUNNER_H_
 #define SRC_HARNESS_RUNNER_H_
 
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -138,9 +139,32 @@ struct HarnessArgs {
   std::vector<std::string> positional;
 };
 
-// Also applies the log level: AMPERE_LOG_LEVEL from the environment if set,
-// then --log-level on top (flag beats environment) — mirroring how
-// ResolveJobs treats --jobs/AMPERE_JOBS.
+// A recognized flag whose value does not parse: the flag as spelled in the
+// usage above ("--jobs") and a message naming the rejected value.
+struct FlagError {
+  std::string flag;
+  std::string message;
+};
+
+// Structured parse outcome. `args` is meaningful only when ok().
+struct HarnessArgsResult {
+  HarnessArgs args;
+  std::optional<FlagError> error;
+
+  bool ok() const { return !error.has_value(); }
+};
+
+// Parses the flags above without aborting. Numbers must be whole base-10
+// strings in range (`--jobs=4abc`, `--hot-budget=3x` and overflowing values
+// are errors), and --log-level/--faults must name a known level/preset.
+// On success it also applies the log level: AMPERE_LOG_LEVEL from the
+// environment if set, then --log-level on top (flag beats environment) —
+// mirroring how ResolveJobs treats --jobs/AMPERE_JOBS. On error it changes
+// no global state.
+HarnessArgsResult TryParseHarnessArgs(int argc, char** argv);
+
+// TryParseHarnessArgs for a main(): on a FlagError it prints the message to
+// stderr and exits with status 2.
 HarnessArgs ParseHarnessArgs(int argc, char** argv);
 
 // Derives a collision-free per-run artifact path from a base path: run 0 of

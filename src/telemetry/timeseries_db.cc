@@ -1,6 +1,7 @@
 #include "src/telemetry/timeseries_db.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "src/common/check.h"
 #include "src/telemetry/cold_store.h"
@@ -10,6 +11,31 @@ namespace {
 
 constexpr SimTime kEarliest =
     SimTime::Micros(std::numeric_limits<int64_t>::min());
+
+constexpr double kFloatMax = std::numeric_limits<float>::max();
+constexpr double kFloatMinNormal = std::numeric_limits<float>::min();
+
+// Writes every cell of `values` to `out` as float and returns whether each
+// present cell reads back as exactly its double. The range guard runs
+// first, so the narrowing cast is always defined: NaN, infinities, values
+// past the float range and subnormals fail it (and are written as 0), as
+// does any value float cannot hold exactly. Absent cells are never read,
+// so they never fail the row.
+bool NarrowRow(std::span<const double> values, const uint8_t* absent,
+               float* __restrict out) {
+  bool exact = true;
+  for (size_t c = 0; c < values.size(); ++c) {
+    const double v = values[c];
+    const double magnitude = std::fabs(v);
+    const bool in_range = magnitude <= kFloatMax &&
+                          (magnitude >= kFloatMinNormal || magnitude == 0.0);
+    const float narrow = in_range ? static_cast<float>(v) : 0.0f;
+    out[c] = narrow;
+    const bool skipped = absent != nullptr && absent[c] != 0;
+    exact &= (in_range && static_cast<double>(narrow) == v) || skipped;
+  }
+  return exact;
+}
 
 }  // namespace
 
@@ -117,7 +143,11 @@ void TimeSeriesDb::ReserveRows(FrameId frame, size_t rows) {
   }
   Frame& f = frames_[frame.index()];
   f.stamps.reserve(rows);
-  f.values.reserve(rows * f.members.size());
+  if (f.is_wide) {
+    f.wide.reserve(rows * f.members.size());
+  } else {
+    f.narrow.reserve(rows * f.members.size());
+  }
   if (!f.presence.empty()) {
     f.presence.reserve(rows * f.words());
   }
@@ -144,13 +174,31 @@ void TimeSeriesDb::AppendFrame(FrameId frame, SimTime stamp,
       << "out-of-order append to the frame of series "
       << names_[f.members.front().index()];
   f.stamps.push_back(stamp);
-  f.values.insert(f.values.end(), values.begin(), values.end());
+  if (!f.is_wide) {
+    const size_t begin = f.narrow.size();
+    f.narrow.resize(begin + values.size());
+    if (!NarrowRow(values, absent, f.narrow.data() + begin)) {
+      f.narrow.resize(begin);
+      Widen(f);
+    }
+  }
+  if (f.is_wide) {
+    f.wide.insert(f.wide.end(), values.begin(), values.end());
+  }
   f.hot_points += (absent != nullptr || !f.presence.empty())
                       ? AppendPresence(f, absent)
                       : f.members.size();
   if (f.stamps.size() >= spill_trigger_) {
     SpillOldest(f);
   }
+}
+
+void TimeSeriesDb::Widen(Frame& frame) {
+  // float -> double is exact, so every stored cell keeps its value.
+  frame.wide.reserve(frame.narrow.capacity());
+  frame.wide.assign(frame.narrow.begin(), frame.narrow.end());
+  frame.narrow = std::vector<float>();
+  frame.is_wide = true;
 }
 
 size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
@@ -167,8 +215,9 @@ size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
     // First absent cell: every earlier row was full. Reserve as many rows
     // as the value block holds so later rows do not reallocate.
     const size_t rows = frame.stamps.size();
-    frame.presence.reserve(
-        std::max(rows, frame.values.capacity() / width) * words);
+    const size_t cells =
+        frame.is_wide ? frame.wide.capacity() : frame.narrow.capacity();
+    frame.presence.reserve(std::max(rows, cells / width) * words);
     frame.presence.assign((rows - 1) * words, ~uint64_t{0});
   }
   const size_t begin = frame.presence.size();
@@ -219,7 +268,7 @@ void TimeSeriesDb::SpillOldest(Frame& frame) {
         continue;
       }
       spill_scratch_.push_back(
-          TimePoint{frame.stamps[r], frame.values[r * width + c]});
+          TimePoint{frame.stamps[r], frame.value(r * width + c)});
     }
     if (!spill_scratch_.empty()) {
       cold_->AppendBatch(names_[frame.members[c].index()], spill_scratch_);
@@ -228,9 +277,12 @@ void TimeSeriesDb::SpillOldest(Frame& frame) {
   }
   frame.stamps.erase(frame.stamps.begin(),
                      frame.stamps.begin() + static_cast<std::ptrdiff_t>(n));
-  frame.values.erase(
-      frame.values.begin(),
-      frame.values.begin() + static_cast<std::ptrdiff_t>(n * width));
+  const auto cells = static_cast<std::ptrdiff_t>(n * width);
+  if (frame.is_wide) {
+    frame.wide.erase(frame.wide.begin(), frame.wide.begin() + cells);
+  } else {
+    frame.narrow.erase(frame.narrow.begin(), frame.narrow.begin() + cells);
+  }
   if (sparse) {
     frame.presence.erase(
         frame.presence.begin(),
@@ -257,7 +309,12 @@ HotColumn TimeSeriesDb::HotColumnFor(Slot slot, SimTime from,
     return hot;
   }
   hot.value_stride = frame.members.size();
-  hot.values = frame.values.data() + first * hot.value_stride + slot.column;
+  const size_t cell = first * hot.value_stride + slot.column;
+  if (frame.is_wide) {
+    hot.wide = frame.wide.data() + cell;
+  } else {
+    hot.narrow = frame.narrow.data() + cell;
+  }
   if (!frame.presence.empty()) {
     hot.presence_stride = frame.words();
     hot.presence = frame.presence.data() + first * hot.presence_stride +
@@ -288,7 +345,7 @@ std::optional<TimePoint> TimeSeriesDb::LatestHot(Slot slot) const {
   const HotColumn hot = HotColumnFor(slot, kEarliest, SimTime::Max());
   for (size_t i = hot.stamps.size(); i-- > 0;) {
     if (hot.present(i)) {
-      return TimePoint{hot.stamps[i], hot.values[i * hot.value_stride]};
+      return TimePoint{hot.stamps[i], hot.value(i)};
     }
   }
   return std::nullopt;
@@ -330,6 +387,15 @@ size_t TimeSeriesDb::TotalPoints() const {
     n += static_cast<size_t>(cold_->total_samples());
   }
   return n;
+}
+
+size_t TimeSeriesDb::HotValueBytes() const {
+  size_t bytes = 0;
+  for (const Frame& frame : frames_) {
+    bytes += frame.narrow.size() * sizeof(float) +
+             frame.wide.size() * sizeof(double);
+  }
+  return bytes;
 }
 
 }  // namespace ampere

@@ -8,7 +8,7 @@
 //
 // Storage is minute-major *frames*. The monitor samples a whole DC at one
 // timestamp, so each sample pass is one frame row: a stamp plus one value
-// per member series, stored row-major (`width x rows` doubles) next to a
+// per member series, stored row-major (`width x rows` cells) next to a
 // stamp column. Every series is one column of exactly one frame:
 //   - PowerMonitor registers one frame per monitor (RegisterFrame) and
 //     appends one row per pass (AppendFrame) — one contiguous write and one
@@ -19,6 +19,11 @@
 // grows a presence bitmap, allocated only when the first absent cell
 // arrives, and reads skip absent cells — each series holds exactly the
 // points appended to it.
+// Cells are stored as float while every present cell of the frame reads
+// back as exactly the double appended (whole-watt BMC readings and their
+// sums do), and as double from the first present cell that does not: the
+// frame then widens once, converting its rows exactly. Width only ever
+// widens and is invisible to readers, which always get the appended bits.
 //
 // Handles: a producer interns each series name once (Intern: the only
 // place a string is hashed or copied) and appends through the integer
@@ -73,12 +78,15 @@ struct ColdPiece {
 };
 
 // One series' hot rows inside its frame: the frame's stamps, the series'
-// strided value column and, if the frame has ever held an absent cell, the
-// series' presence bits (one word per row at `presence_stride`, tested with
-// `presence_mask`).
+// strided value column (float or double, as the frame stores it) and, if
+// the frame has ever held an absent cell, the series' presence bits (one
+// word per row at `presence_stride`, tested with `presence_mask`).
 struct HotColumn {
   std::span<const SimTime> stamps;
-  const double* values = nullptr;  // Row i at values[i * value_stride].
+  // Row i at narrow[i * value_stride] if narrow is set, else at
+  // wide[i * value_stride].
+  const float* narrow = nullptr;
+  const double* wide = nullptr;
   size_t value_stride = 1;
   const uint64_t* presence = nullptr;  // Null: every cell present.
   size_t presence_stride = 0;
@@ -87,6 +95,10 @@ struct HotColumn {
   bool present(size_t row) const {
     return presence == nullptr ||
            (presence[row * presence_stride] & presence_mask) != 0;
+  }
+  double value(size_t row) const {
+    return narrow != nullptr ? static_cast<double>(narrow[row * value_stride])
+                             : wide[row * value_stride];
   }
 };
 
@@ -117,7 +129,7 @@ class StitchedView {
     }
     for (size_t i = 0; i < hot_.stamps.size(); ++i) {
       if (hot_.present(i)) {
-        fn(TimePoint{hot_.stamps[i], hot_.values[i * hot_.value_stride]});
+        fn(TimePoint{hot_.stamps[i], hot_.value(i)});
       }
     }
   }
@@ -199,8 +211,11 @@ class TimeSeriesDb {
   // Appends one row: `values[c]` to member c at `stamp`. `absent`, if
   // given, holds one byte per member; a nonzero byte leaves that cell out
   // (the series gets no point at `stamp`). Stamps must be non-decreasing
-  // per frame, checked once per row. After ReserveRows it never allocates
-  // while every cell is present.
+  // per frame, checked once per row. While every cell is present, an
+  // append after ReserveRows allocates at most once, on the row that widens
+  // the frame (its first present cell that does not round-trip through
+  // float; the double block keeps the reserved row capacity), and never
+  // otherwise.
   void AppendFrame(FrameId frame, SimTime stamp,
                    std::span<const double> values,
                    const uint8_t* absent = nullptr);
@@ -258,6 +273,9 @@ class TimeSeriesDb {
   std::vector<std::string> SeriesNames() const;
   // Total points across both tiers.
   size_t TotalPoints() const;
+  // Bytes of the hot cells (absent ones included) across all frames: 4 per
+  // cell of a float frame, 8 per cell of a widened one.
+  size_t HotValueBytes() const;
 
   // --- Cold tier (optional persistent spill) ------------------------------
 
@@ -287,13 +305,20 @@ class TimeSeriesDb {
   struct Frame {
     std::vector<SeriesId> members;  // Column order.
     std::vector<SimTime> stamps;    // One per hot row.
-    std::vector<double> values;     // Row-major, members.size() per row.
+    // Row-major cells, members.size() per row: in `narrow` until the frame
+    // widens, in `wide` after; the other vector stays empty.
+    std::vector<float> narrow;
+    std::vector<double> wide;
+    bool is_wide = false;
     // Row-major presence bits, words() words per row; bit c%64 of word
     // c/64 is column c. Empty until the first absent cell.
     std::vector<uint64_t> presence;
     size_t hot_points = 0;  // Present cells in the hot rows.
 
     size_t words() const { return (members.size() + 63) / 64; }
+    double value(size_t cell) const {
+      return is_wide ? wide[cell] : static_cast<double>(narrow[cell]);
+    }
   };
 
   // The series' frame; a still-unframed series gets its own width-1 frame.
@@ -301,6 +326,9 @@ class TimeSeriesDb {
   // Appends `row`'s presence words, allocating the bitmap (all earlier rows
   // present) at the first absent cell; returns the row's present count.
   size_t AppendPresence(Frame& frame, const uint8_t* absent);
+  // Moves a float frame's rows into the double block, keeping its reserved
+  // row capacity.
+  static void Widen(Frame& frame);
   HotColumn HotColumnFor(Slot slot, SimTime from, SimTime to) const;
   // Newest present hot cell of the series in `slot`, if any.
   std::optional<TimePoint> LatestHot(Slot slot) const;

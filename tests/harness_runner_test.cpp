@@ -348,6 +348,67 @@ TEST(HarnessArgsTest, ParsesLogLevelAndObsFlags) {
   SetLogLevel(previous);
 }
 
+// TryParseHarnessArgs on `flags` (argv[0] is supplied).
+HarnessArgsResult TryParse(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "prog");
+  std::vector<char*> argv;
+  for (std::string& flag : flags) {
+    argv.push_back(flag.data());
+  }
+  return TryParseHarnessArgs(static_cast<int>(argv.size()), argv.data());
+}
+
+void ExpectFlagError(const std::vector<std::string>& flags,
+                     const std::string& flag, const std::string& value) {
+  const HarnessArgsResult result = TryParse(flags);
+  ASSERT_FALSE(result.ok()) << flags.back();
+  EXPECT_EQ(result.error->flag, flag);
+  EXPECT_NE(result.error->message.find("'" + value + "'"), std::string::npos)
+      << result.error->message;
+}
+
+TEST(HarnessArgsTest, BadJobsIsAFlagError) {
+  for (const std::string value :
+       {"0", "-1", "4abc", "", " 4", "+4", "2147483648", "99999999999999999999"}) {
+    ExpectFlagError({"--jobs=" + value}, "--jobs", value);
+  }
+  ExpectFlagError({"--jobs", "x"}, "--jobs", "x");
+  EXPECT_EQ(TryParse({"--jobs=2147483647"}).args.runner.jobs, 2147483647);
+}
+
+TEST(HarnessArgsTest, BadLogLevelIsAFlagErrorAndLeavesTheLevel) {
+  const LogLevel previous = GetLogLevel();
+  SetLogLevel(LogLevel::kWarning);
+  ExpectFlagError({"--log-level=debug", "--log-level=loud"}, "--log-level",
+                  "loud");
+  EXPECT_EQ(GetLogLevel(), LogLevel::kWarning);
+  SetLogLevel(previous);
+}
+
+TEST(HarnessArgsTest, BadFaultsPresetIsAFlagError) {
+  ExpectFlagError({"--faults=apocalyptic"}, "--faults", "apocalyptic");
+  const HarnessArgsResult moderate = TryParse({"--faults", "moderate"});
+  ASSERT_TRUE(moderate.ok());
+  EXPECT_EQ(moderate.args.faults_preset, "moderate");
+}
+
+TEST(HarnessArgsTest, BadHotBudgetIsAFlagError) {
+  for (const std::string value :
+       {"3x", "1", "0", "-2", "", "18446744073709551616"}) {
+    ExpectFlagError({"--store-dir=s", "--hot-budget=" + value}, "--hot-budget",
+                    value);
+  }
+  EXPECT_EQ(TryParse({"--hot-budget=2"}).args.hot_budget_samples, 2u);
+}
+
+TEST(HarnessArgsDeathTest, ParseHarnessArgsExitsTwoOnAFlagError) {
+  std::string prog = "prog";
+  std::string flag = "--jobs=4abc";
+  char* argv[] = {prog.data(), flag.data()};
+  EXPECT_EXIT(ParseHarnessArgs(2, argv), ::testing::ExitedWithCode(2),
+              "--jobs needs a positive integer, got '4abc'");
+}
+
 TEST(LogLevelTest, ParseAcceptsNamesAndAliases) {
   LogLevel level;
   EXPECT_TRUE(ParseLogLevel("debug", &level));

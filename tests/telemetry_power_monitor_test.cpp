@@ -173,6 +173,33 @@ TEST(PowerMonitorTest, SeriesPrefixNamespacesEverything) {
               1e-9);
 }
 
+// Whole-watt readings and their rack, row, total and group sums all fit a
+// float exactly, so the monitor's frame keeps 4 bytes per cell; unquantized
+// noisy readings widen it to 8.
+TEST(PowerMonitorTest, QuantizedFrameHoldsFourBytesPerCell) {
+  for (const bool quantize : {true, false}) {
+    SCOPED_TRACE(quantize ? "quantized" : "unquantized");
+    Simulation sim;
+    DataCenter dc(SmallTopology(), &sim);
+    TimeSeriesDb db;
+    PowerMonitorConfig config;
+    config.noise_sigma_watts = 3.0;
+    config.quantize_to_watts = quantize;
+    config.record_servers = true;
+    PowerMonitor monitor(&dc, &db, config, Rng(5));
+    monitor.RegisterGroup("evens", {ServerId(0), ServerId(2), ServerId(4)});
+    monitor.PreallocateSamples(16);
+    dc.PlaceTask(ServerId(1), TaskSpec{JobId(1), Resources{3.0, 3.0},
+                                       SimTime::Hours(2)});
+    monitor.Start(SimTime::Minutes(1));
+    sim.RunUntil(SimTime::Minutes(10.5));
+    // 8 servers, 2 racks, 2 rows, the total and one group, 10 rows.
+    ASSERT_EQ(db.TotalPoints(), 14u * 10u);
+    EXPECT_EQ(db.HotValueBytes(),
+              db.TotalPoints() * (quantize ? sizeof(float) : sizeof(double)));
+  }
+}
+
 // --- Degraded-path behavior with a fault injector attached ---
 
 // Hand-written plans via the serialization format: exact windows on exact

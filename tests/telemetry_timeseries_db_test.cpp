@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <deque>
 #include <limits>
@@ -138,21 +139,144 @@ TEST(TimeSeriesDbFrameTest, RegisterFrameTakesOnlyEmptySeries) {
   EXPECT_THROW(db.RegisterFrame(twice), CheckFailure);
 }
 
+// Whether `v` survives a float round trip bit for bit: the rule that keeps
+// a frame's cells in float. Written independently of the db's kernel.
+bool FloatExact(double v) {
+  const double float_max = std::numeric_limits<float>::max();
+  const double float_min_normal = std::numeric_limits<float>::min();
+  if (!std::isfinite(v) || std::fabs(v) > float_max ||
+      (v != 0.0 && std::fabs(v) < float_min_normal)) {
+    return false;
+  }
+  const double back = static_cast<double>(static_cast<float>(v));
+  return std::memcmp(&back, &v, sizeof(double)) == 0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdenticalInBothTiers) {
+  const double kTwo24 = 16777216.0;
+  double nan_with_payload;
+  const uint64_t nan_bits = 0x7ff8'0000'dead'beefULL;
+  std::memcpy(&nan_with_payload, &nan_bits, sizeof(double));
+  const double edges[] = {
+      -0.0,
+      0.5,
+      kTwo24,
+      kTwo24 + 1.0,
+      static_cast<double>(std::numeric_limits<float>::max()),
+      1e39,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN(),
+      nan_with_payload,
+      std::numeric_limits<double>::denorm_min(),
+      static_cast<double>(std::numeric_limits<float>::denorm_min()),
+  };
+  const bool narrow[] = {true,  true,  true,  false, true,  false,
+                         false, false, false, false, false, false};
+  for (size_t e = 0; e < std::size(edges); ++e) {
+    const double edge = edges[e];
+    SCOPED_TRACE("edge " + std::to_string(e));
+    EXPECT_EQ(FloatExact(edge), narrow[e]);
+    const ScratchDir scratch("frame_edge_" + std::to_string(e));
+    ColdStoreConfig config;
+    config.dir = scratch.path();
+    auto created = ColdStore::Create(config);
+    ASSERT_TRUE(created.status.ok()) << created.status.message;
+    TimeSeriesDb hot_only;
+    TimeSeriesDb spilling;
+    spilling.AttachColdStore(created.store.get(), 4);
+    for (TimeSeriesDb* db : {&hot_only, &spilling}) {
+      const SeriesId members[] = {db->Intern("whole"), db->Intern("edge")};
+      const FrameId frame = db->RegisterFrame(members);
+      db->ReserveRows(frame, 8);
+      // Three whole-watt rows, then the edge value in every later row.
+      for (int m = 0; m < 6; ++m) {
+        const double row[] = {100.0 + m, m < 3 ? 7.0 : edge};
+        db->AppendFrame(frame, SimTime::Minutes(m), row);
+      }
+    }
+    // Hot tier: 6 rows of 2 cells, at 4 bytes each while every cell
+    // round-trips and at 8 after the edge value widened the frame.
+    EXPECT_EQ(hot_only.HotValueBytes(), 12 * (narrow[e] ? 4u : 8u));
+    // The spilling db keeps max(1, 4/2) = 2 hot rows after its spill.
+    EXPECT_EQ(spilling.HotValueBytes(), 4 * (narrow[e] ? 4u : 8u));
+    EXPECT_GT(spilling.samples_spilled(), 0u);
+    for (const TimeSeriesDb* db : {&hot_only, &spilling}) {
+      const std::vector<TimePoint> edge_points =
+          db->QueryStitched("edge", SimTime::Minutes(3), SimTime::Minutes(5))
+              .Materialize();
+      ASSERT_EQ(edge_points.size(), 3u);
+      for (const TimePoint& p : edge_points) {
+        EXPECT_TRUE(SameBits(p.value, edge));
+      }
+      EXPECT_TRUE(SameBits(db->Latest("edge")->value, edge));
+      const std::vector<double> whole = ValuesOf(*db, "whole");
+      ASSERT_EQ(whole.size(), 6u);
+      for (int m = 0; m < 6; ++m) {
+        EXPECT_TRUE(SameBits(whole[static_cast<size_t>(m)], 100.0 + m));
+      }
+    }
+    // The spilled rows (minutes 0..3) read back from the cold tier alone.
+    const std::vector<TimePoint> cold =
+        spilling.QueryStitched("edge", SimTime::Minutes(3), SimTime::Minutes(3))
+            .Materialize();
+    ASSERT_EQ(cold.size(), 1u);
+    EXPECT_TRUE(SameBits(cold[0].value, edge));
+    EXPECT_EQ(created.store->SamplesForSeries("edge"), 4u);
+  }
+}
+
+TEST(TimeSeriesDbFrameTest, AbsentInexactCellDoesNotWiden) {
+  TimeSeriesDb db;
+  const SeriesId members[] = {db.Intern("a"), db.Intern("b")};
+  const FrameId frame = db.RegisterFrame(members);
+  const uint8_t b_absent[] = {0, 1};
+  const double dark[] = {1.0, 0.1};
+  db.AppendFrame(frame, SimTime::Minutes(1), dark, b_absent);
+  const double nan_dark[] = {2.0, std::numeric_limits<double>::quiet_NaN()};
+  db.AppendFrame(frame, SimTime::Minutes(2), nan_dark, b_absent);
+  EXPECT_EQ(db.HotValueBytes(), 4 * sizeof(float));
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0}));
+  EXPECT_TRUE(ValuesOf(db, "b").empty());
+  // The same inexact value, present, widens the frame; the earlier rows
+  // convert exactly.
+  const double lit[] = {3.0, 0.1};
+  db.AppendFrame(frame, SimTime::Minutes(3), lit);
+  EXPECT_EQ(db.HotValueBytes(), 6 * sizeof(double));
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(ValuesOf(db, "b"), (std::vector<double>{0.1}));
+}
+
 // --- Frame storage against a per-series reference model -------------------
 //
 // Random frames (widths 1..1,700, plus width-1 series appended on their
 // own) receive rows with random absent cells and repeated stamps; the model
 // stores every series as its own plain vector of points and mirrors only
 // the spill policy's row arithmetic (a frame at the hot budget spills its
-// oldest rows - max(1, budget/2) rows). After every row, random stitched
-// range reads, Latest, TotalPoints and samples_spilled must agree; at the
-// end, every series' full history and SeriesNames.
+// oldest rows - max(1, budget/2) rows) and the width rule (a frame's cells
+// take 4 bytes until its first present cell that is not FloatExact, 8
+// after). Frames carry whole-watt values that stay float, switch to
+// inexact values at a random row (widening before or after a spill), or
+// are inexact from the start; absent cells of whole-watt rows hold inexact
+// values that must not widen. After every row, random stitched range
+// reads, Latest, TotalPoints, samples_spilled and HotValueBytes must agree;
+// at the end, every series' full history and SeriesNames.
 
 struct ModelFrame {
   FrameId id;
   std::vector<size_t> members;         // Model series indices.
   std::deque<size_t> hot_row_present;  // Present cells per hot row.
   SimTime last;
+  // Rows from this one on carry inexact values (SIZE_MAX: whole watts
+  // throughout).
+  size_t inexact_from = std::numeric_limits<size_t>::max();
+  size_t rows = 0;  // Rows appended so far.
+  bool wide = false;
+  bool spilled = false;
 };
 
 void ExpectSameBits(const std::vector<TimePoint>& got,
@@ -168,6 +292,11 @@ void ExpectSameBits(const std::vector<TimePoint>& got,
 
 class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
  protected:
+  // How often a frame widened before and after its first spill, across the
+  // trials of one budget.
+  size_t widened_before_spill_ = 0;
+  size_t widened_after_spill_ = 0;
+
   // One lockstep trial; GetParam() is the hot budget in rows (0: no cold
   // tier).
   void RunTrial(uint64_t seed) {
@@ -218,11 +347,39 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
     for (ModelFrame& single : singles) {
       single.members.push_back(add_series());
     }
+    for (std::vector<ModelFrame>* group : {&frames, &singles}) {
+      for (ModelFrame& frame : *group) {
+        const double kind = rng.Uniform(0.0, 1.0);
+        if (kind < 0.4) {
+          frame.inexact_from = static_cast<size_t>(rng.UniformInt(0, 12));
+        } else if (kind < 0.6) {
+          frame.inexact_from = 0;
+        }
+      }
+    }
+    // A whole-watt cell below 2^24 (sometimes -0.0), or an inexact one.
+    auto draw_value = [&](bool inexact) {
+      if (inexact) {
+        return rng.Uniform(-1e3, 1e3);
+      }
+      return rng.Bernoulli(0.02)
+                 ? -0.0
+                 : static_cast<double>(rng.UniformInt(-(1 << 24), 1 << 24));
+    };
+    // Mirrors one appended row of `frame` (after its cells were drawn).
+    auto note_row = [&](ModelFrame& frame, bool row_inexact) {
+      ++frame.rows;
+      if (row_inexact && !frame.wide) {
+        frame.wide = true;
+        ++(frame.spilled ? widened_after_spill_ : widened_before_spill_);
+      }
+    };
 
     auto spill = [&](ModelFrame& frame) {
       if (budget == 0 || frame.hot_row_present.size() < budget) {
         return;
       }
+      frame.spilled = true;
       const size_t keep = std::max<size_t>(1, budget / 2);
       while (frame.hot_row_present.size() > keep) {
         model_spilled += frame.hot_row_present.front();
@@ -270,28 +427,35 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
         // cells at 30 %, or every cell.
         const double absent_p =
             rng.Bernoulli(0.5) ? 0.0 : (rng.Bernoulli(0.2) ? 1.0 : 0.3);
+        const bool inexact = frame.rows >= frame.inexact_from;
         values.resize(width);
         absent.assign(width, 0);
         size_t present = 0;
+        bool row_inexact = false;
         for (size_t c = 0; c < width; ++c) {
-          values[c] = rng.Uniform(-1e3, 1e3);
           absent[c] = rng.Bernoulli(absent_p) ? 1 : 0;
+          // An absent cell's value is never read, so an inexact one must
+          // leave a whole-watt frame narrow.
+          values[c] = draw_value(inexact || absent[c] != 0);
           if (absent[c] == 0) {
             model[frame.members[c]].push_back(TimePoint{stamp, values[c]});
+            row_inexact = row_inexact || !FloatExact(values[c]);
             ++present;
           }
         }
         db.AppendFrame(frame.id, stamp, values,
                        absent_p > 0.0 ? absent.data() : nullptr);
+        note_row(frame, row_inexact);
         frame.hot_row_present.push_back(present);
         spill(frame);
       } else {
         ModelFrame& single = singles[pick - frames.size()];
         const size_t k = single.members.front();
         const SimTime stamp = next_stamp(single);
-        const double value = rng.Uniform(-1e3, 1e3);
+        const double value = draw_value(single.rows >= single.inexact_from);
         db.Append(ids[k], stamp, value);
         model[k].push_back(TimePoint{stamp, value});
+        note_row(single, !FloatExact(value));
         single.hot_row_present.push_back(1);
         spill(single);
       }
@@ -302,6 +466,14 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
       }
       ASSERT_EQ(db.TotalPoints(), total) << "seed " << seed;
       ASSERT_EQ(db.samples_spilled(), model_spilled) << "seed " << seed;
+      size_t hot_bytes = 0;
+      for (const std::vector<ModelFrame>* group : {&frames, &singles}) {
+        for (const ModelFrame& frame : *group) {
+          hot_bytes += frame.hot_row_present.size() * frame.members.size() *
+                       (frame.wide ? sizeof(double) : sizeof(float));
+        }
+      }
+      ASSERT_EQ(db.HotValueBytes(), hot_bytes) << "seed " << seed;
       for (int q = 0; q < 4; ++q) {
         const size_t k = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(ids.size()) - 1));
@@ -342,6 +514,11 @@ TEST_P(TimeSeriesDbFramePropertyTest, LockstepWithPerSeriesModel) {
     if (HasFatalFailure()) {
       return;
     }
+  }
+  // The trials exercised widening on both sides of a spill.
+  EXPECT_GT(widened_before_spill_, 0u);
+  if (GetParam() > 0 && GetParam() < 64) {
+    EXPECT_GT(widened_after_spill_, 0u);
   }
 }
 
