@@ -1077,19 +1077,23 @@ BENCHMARK(BM_TimeSeriesAppendInterned);
 
 // One campus minute of telemetry as one frame row: 1,736 series (4 DCs x
 // 420 servers, 40 racks, 4 rows, 4 totals, 8 groups) appended with one
-// order check and one contiguous write. Whole-watt rows (`inexact` false)
-// stay in the frame's float block; rows with a fraction that float cannot
-// hold widen it to double on the first row. Before the timed loop the case
-// hard-asserts the allocation contract across 64 rows after ReserveRows:
-// at most one allocation, on the row that widens the frame, and none
-// otherwise — so a regression fails the run loudly instead of just
-// shifting a number.
-void AppendFrameRows(benchmark::State& state, bool inexact) {
+// order check and one contiguous write, at each of the three cell widths:
+// whole watts below 65,536 stay in the frame's 16-bit block, larger whole
+// watts widen it to float on the first row, and rows with a fraction that
+// float cannot hold widen it straight to double on the first row. Before
+// the timed loop each case hard-asserts the allocation contract across 64
+// rows after ReserveRows: at most one allocation, on the row that widens
+// the frame, and none otherwise — so a regression fails the run loudly
+// instead of just shifting a number.
+void AppendFrameRows(benchmark::State& state, size_t cell_bytes) {
   constexpr size_t kWidth = 1736;
   constexpr size_t kRows = size_t{1} << 12;
   std::vector<double> row(kWidth);
   for (size_t c = 0; c < kWidth; ++c) {
-    row[c] = 250.0 + static_cast<double>(c) + (inexact ? 0.1 : 0.0);
+    const double whole = 250.0 + static_cast<double>(c);
+    row[c] = cell_bytes == 2 ? whole
+             : cell_bytes == 4 ? 70000.0 + whole
+                               : whole + 0.1;
   }
   std::unique_ptr<TimeSeriesDb> db;
   FrameId frame;
@@ -1112,7 +1116,7 @@ void AppendFrameRows(benchmark::State& state, bool inexact) {
   };
   const uint64_t allocs_before = AllocCount();
   append();
-  AMPERE_CHECK(AllocCount() - allocs_before <= (inexact ? 1u : 0u))
+  AMPERE_CHECK(AllocCount() - allocs_before <= (cell_bytes > 2 ? 1u : 0u))
       << "first frame row allocated beyond its one widening";
   const uint64_t allocs_after_first = AllocCount();
   for (int i = 1; i < 64; ++i) {
@@ -1120,8 +1124,7 @@ void AppendFrameRows(benchmark::State& state, bool inexact) {
   }
   AMPERE_CHECK(AllocCount() == allocs_after_first)
       << "frame append allocated after ReserveRows";
-  AMPERE_CHECK(db->HotValueBytes() ==
-               64 * kWidth * (inexact ? sizeof(double) : sizeof(float)))
+  AMPERE_CHECK(db->HotValueBytes() == 64 * kWidth * cell_bytes)
       << "frame block not at the expected cell width";
   for (auto _ : state) {
     if (rows >= kRows) {
@@ -1135,12 +1138,17 @@ void AppendFrameRows(benchmark::State& state, bool inexact) {
 }
 
 void BM_TimeSeriesAppendFrame(benchmark::State& state) {
-  AppendFrameRows(state, /*inexact=*/false);
+  AppendFrameRows(state, sizeof(uint16_t));
 }
 BENCHMARK(BM_TimeSeriesAppendFrame);
 
+void BM_TimeSeriesAppendFrameFloat(benchmark::State& state) {
+  AppendFrameRows(state, sizeof(float));
+}
+BENCHMARK(BM_TimeSeriesAppendFrameFloat);
+
 void BM_TimeSeriesAppendFrameWide(benchmark::State& state) {
-  AppendFrameRows(state, /*inexact=*/true);
+  AppendFrameRows(state, sizeof(double));
 }
 BENCHMARK(BM_TimeSeriesAppendFrameWide);
 

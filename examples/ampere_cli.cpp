@@ -12,16 +12,25 @@
 //                style report (and per-minute CSV with --csv).
 //   fleet      — run a multi-row observation, print per-row utilization
 //                (and row power CSV with --csv).
+//
+// A flag whose value does not parse, is out of range, or (for --target)
+// is unreachable at the given --ro prints "--flag: reason" to stderr and
+// exits with status 2.
 
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/core/experiment.h"
 #include "src/core/fleet.h"
+#include "src/harness/runner.h"
 #include "src/stats/descriptive.h"
 #include "src/telemetry/csv_export.h"
 
@@ -52,50 +61,6 @@ bool ParseFlag(const char* arg, const char* name, std::string* out) {
   return false;
 }
 
-Flags Parse(int argc, char** argv) {
-  Flags flags;
-  // AMPERE_LOG_LEVEL first, --log-level on top — the harness precedence.
-  ApplyLogLevelFromEnv();
-  for (int i = 1; i < argc; ++i) {
-    std::string value;
-    if (ParseFlag(argv[i], "mode", &value)) {
-      flags.mode = value;
-    } else if (ParseFlag(argv[i], "seed", &value)) {
-      flags.seed = std::strtoull(value.c_str(), nullptr, 10);
-    } else if (ParseFlag(argv[i], "servers", &value)) {
-      flags.servers = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "rows", &value)) {
-      flags.rows = std::atoi(value.c_str());
-    } else if (ParseFlag(argv[i], "ro", &value)) {
-      flags.ro = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "target", &value)) {
-      flags.target = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "kr", &value)) {
-      flags.kr = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "et", &value)) {
-      flags.et = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "hours", &value)) {
-      flags.hours = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "days", &value)) {
-      flags.days = std::atof(value.c_str());
-    } else if (ParseFlag(argv[i], "csv", &value)) {
-      flags.csv = value;
-    } else if (ParseFlag(argv[i], "log-level", &value)) {
-      LogLevel level;
-      if (!ParseLogLevel(value, &level)) {
-        std::fprintf(stderr,
-                     "--log-level wants debug|info|warning|error|off\n");
-        std::exit(2);
-      }
-      SetLogLevel(level);
-    } else {
-      std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
-      std::exit(2);
-    }
-  }
-  return flags;
-}
-
 ExperimentConfig MakeExperimentConfig(const Flags& flags) {
   ExperimentConfig config;
   config.seed = flags.seed;
@@ -110,6 +75,115 @@ ExperimentConfig MakeExperimentConfig(const Flags& flags) {
   config.warmup = SimTime::Hours(2);
   config.duration = SimTime::Hours(flags.hours);
   return config;
+}
+
+// Reads `value` into `out` if all of it is a number in [lo, hi].
+template <typename T>
+bool ReadNumber(const std::string& value, T lo, T hi, T* out) {
+  const std::optional<T> parsed = harness::ParseFlagNumber(value, lo, hi);
+  if (parsed.has_value()) {
+    *out = *parsed;
+  }
+  return parsed.has_value();
+}
+
+// Parses argv into `flags`. Each number is read from its flag's entire
+// value (base 10) and must lie in the range the run accepts, so a bad value
+// is a FlagError naming its flag instead of a CHECK failure deep inside the
+// run.
+std::optional<harness::FlagError> Parse(int argc, char** argv, Flags* flags) {
+  constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+  constexpr double kMax = std::numeric_limits<double>::max();
+  constexpr int kMaxInt = std::numeric_limits<int>::max();
+  // Far past any real run, and far inside SimTime's microsecond range.
+  constexpr double kMaxHours = 1e9;
+  std::optional<LogLevel> log_level;
+  for (int i = 1; i < argc; ++i) {
+    const char* arg = argv[i];
+    std::string value;
+    const char* wants = nullptr;  // Set when the value does not parse.
+    if (ParseFlag(arg, "mode", &value)) {
+      flags->mode = value;
+    } else if (ParseFlag(arg, "seed", &value)) {
+      if (!ReadNumber(value, uint64_t{0},
+                      std::numeric_limits<uint64_t>::max(), &flags->seed)) {
+        wants = "an unsigned integer";
+      }
+    } else if (ParseFlag(arg, "servers", &value)) {
+      if (!ReadNumber(value, 1, kMaxInt, &flags->servers)) {
+        wants = "a whole number >= 1";
+      }
+    } else if (ParseFlag(arg, "rows", &value)) {
+      if (!ReadNumber(value, 1, kMaxInt, &flags->rows)) {
+        wants = "a whole number >= 1";
+      }
+    } else if (ParseFlag(arg, "ro", &value)) {
+      if (!ReadNumber(value, 0.0, kMax, &flags->ro)) {
+        wants = "a number >= 0";
+      }
+    } else if (ParseFlag(arg, "target", &value)) {
+      if (!ReadNumber(value, kAboveZero, kMax, &flags->target)) {
+        wants = "a number > 0";
+      }
+    } else if (ParseFlag(arg, "kr", &value)) {
+      if (!ReadNumber(value, kAboveZero, kMax, &flags->kr)) {
+        wants = "a number > 0";
+      }
+    } else if (ParseFlag(arg, "et", &value)) {
+      if (!ReadNumber(value, 0.0, std::nextafter(1.0, 0.0), &flags->et)) {
+        wants = "a number in [0, 1)";
+      }
+    } else if (ParseFlag(arg, "hours", &value)) {
+      if (!ReadNumber(value, kAboveZero, kMaxHours, &flags->hours)) {
+        wants = "a number of hours in (0, 1e9]";
+      }
+    } else if (ParseFlag(arg, "days", &value)) {
+      if (!ReadNumber(value, kAboveZero, kMaxHours / 24.0, &flags->days)) {
+        wants = "a number of days in (0, 1e9 / 24]";
+      }
+    } else if (ParseFlag(arg, "csv", &value)) {
+      flags->csv = value;
+    } else if (ParseFlag(arg, "log-level", &value)) {
+      LogLevel level;
+      if (ParseLogLevel(value, &level)) {
+        log_level = level;
+      } else {
+        wants = "debug|info|warning|error|off";
+      }
+    } else {
+      return harness::FlagError{arg, std::string(arg) + ": unknown flag"};
+    }
+    if (wants != nullptr) {
+      const std::string flag(arg, std::strchr(arg, '='));
+      return harness::FlagError{
+          flag, flag + ": wants " + wants + ", got '" + value + "'"};
+    }
+  }
+  if (flags->mode == "experiment" || flags->mode == "calibrate") {
+    // The target must lie between the row's idle floor and full
+    // utilization at this rO; the arrival-rate calibration CHECKs both.
+    try {
+      MakeExperimentConfig(*flags);
+    } catch (const CheckFailure& e) {
+      // Keep the CHECK's own message ("... below the idle floor ..."),
+      // without its condition and source location.
+      const std::string what = e.what();
+      const size_t dash = what.find("— ");
+      return harness::FlagError{
+          "--target", "--target: unreachable (" +
+                          (dash == std::string::npos
+                               ? what
+                               : what.substr(dash + std::strlen("— "))) +
+                          ")"};
+    }
+  }
+  // AMPERE_LOG_LEVEL first, --log-level on top — the harness precedence,
+  // applied only once every flag parsed.
+  ApplyLogLevelFromEnv();
+  if (log_level.has_value()) {
+    SetLogLevel(*log_level);
+  }
+  return std::nullopt;
 }
 
 int RunCalibrate(const Flags& flags) {
@@ -193,7 +267,12 @@ int RunFleet(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags = Parse(argc, argv);
+  Flags flags;
+  if (const std::optional<harness::FlagError> error =
+          Parse(argc, argv, &flags)) {
+    std::fprintf(stderr, "%s\n", error->message.c_str());
+    return 2;
+  }
   if (flags.mode == "calibrate") {
     return RunCalibrate(flags);
   }

@@ -26,12 +26,15 @@
 //
 // Log verbosity follows the harness convention: AMPERE_LOG_LEVEL in the
 // environment, overridden by --log-level (both parsed by ParseHarnessArgs,
-// mirroring --jobs / AMPERE_JOBS).
+// mirroring --jobs / AMPERE_JOBS). A day count or --frame-hours that does
+// not parse or is out of range prints "<flag>: reason" to stderr and exits
+// with status 2.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -197,15 +200,34 @@ int main(int argc, char** argv) {
   harness::HarnessArgs args = harness::ParseHarnessArgs(argc, argv);
   int days = 2;
   double frame_hours = 6.0;
+  auto fail = [](const std::string& flag, const char* wants,
+                 const std::string& value) {
+    std::fprintf(stderr, "%s: wants %s, got '%s'\n", flag.c_str(), wants,
+                 value.c_str());
+    return 2;
+  };
+  const std::string kFrameHours = "--frame-hours=";
   for (const std::string& arg : args.positional) {
-    if (arg.rfind("--frame-hours=", 0) == 0) {
-      frame_hours = std::atof(arg.c_str() + 14);
+    if (arg.rfind(kFrameHours, 0) == 0) {
+      const std::string value = arg.substr(kFrameHours.size());
+      const std::optional<double> hours = harness::ParseFlagNumber(
+          value, std::numeric_limits<double>::denorm_min(), 24.0 * 365.0);
+      if (!hours.has_value()) {
+        return fail("--frame-hours", "hours in (0, 8760]", value);
+      }
+      frame_hours = *hours;
+    } else if (arg.rfind("--", 0) == 0) {
+      std::fprintf(stderr, "%s: unknown flag\n", arg.c_str());
+      return 2;
     } else {
-      days = std::atoi(arg.c_str());
+      const std::optional<int> parsed =
+          harness::ParseFlagNumber(arg, 1, 36500);
+      if (!parsed.has_value()) {
+        return fail("days", "a whole number of days in [1, 36500]", arg);
+      }
+      days = *parsed;
     }
   }
-  if (days <= 0) days = 2;
-  if (frame_hours <= 0.0) frame_hours = 6.0;
 
   // The dashboard's own registry and flight recorder: every instrumented
   // path below lands here, and every timeline event lands in the ring.

@@ -1,7 +1,6 @@
 #include "src/harness/runner.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -22,19 +21,6 @@
 namespace ampere {
 namespace harness {
 namespace {
-
-// All of `text` as a base-10 integer in [lo, hi]; nullopt for anything
-// else (empty, trailing characters, a sign on an unsigned type, overflow).
-template <typename T>
-std::optional<T> ParseWhole(std::string_view text, T lo, T hi) {
-  T value{};
-  const char* end = text.data() + text.size();
-  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
-  if (ec != std::errc() || ptr != end || value < lo || value > hi) {
-    return std::nullopt;
-  }
-  return value;
-}
 
 double ElapsedMs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double, std::milli>(
@@ -164,7 +150,7 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
     std::string_view arg = argv[i];
     if (const char* v = value_of(arg, "--jobs", i)) {
       const std::optional<int> jobs =
-          ParseWhole(v, 1, std::numeric_limits<int>::max());
+          ParseFlagNumber(v, 1, std::numeric_limits<int>::max());
       if (!jobs.has_value()) {
         return fail("--jobs", "--jobs needs a positive integer, got '" +
                                   std::string(v) + "'");
@@ -208,7 +194,7 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
     } else if (const char* store = value_of(arg, "--store-dir", i)) {
       args.store_dir = store;
     } else if (const char* budget = value_of(arg, "--hot-budget", i)) {
-      const std::optional<size_t> rows = ParseWhole(
+      const std::optional<size_t> rows = ParseFlagNumber(
           budget, size_t{2}, std::numeric_limits<size_t>::max());
       if (!rows.has_value()) {
         return fail("--hot-budget",

@@ -16,9 +16,12 @@
 #ifndef SRC_HARNESS_RUNNER_H_
 #define SRC_HARNESS_RUNNER_H_
 
+#include <charconv>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "src/faults/fault_plan.h"
@@ -153,6 +156,23 @@ struct HarnessArgsResult {
 
   bool ok() const { return !error.has_value(); }
 };
+
+// All of `text` as a base-10 number in [lo, hi]; nullopt for anything else:
+// empty text, a leading blank or '+', trailing characters, a sign on an
+// unsigned type, overflow, NaN and out-of-range values. Every numeric flag
+// parser shares it (the harness flags below, the example CLIs), so
+// `--jobs=4abc` and `--target=abc` fail the same way. Pass
+// std::numeric_limits<double>::denorm_min() as `lo` for "> 0".
+template <typename T>
+std::optional<T> ParseFlagNumber(std::string_view text, T lo, T hi) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !(value >= lo && value <= hi)) {
+    return std::nullopt;
+  }
+  return value;
+}
 
 // Parses the flags above without aborting. Numbers must be whole base-10
 // strings in range (`--jobs=4abc`, `--hot-budget=3x` and overflowing values

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <span>
 
 #include "src/common/check.h"
 #include "src/common/span_kernels.h"
@@ -101,8 +103,8 @@ void PowerMonitor::Start(SimTime first_sample) {
 
 void PowerMonitor::PreallocateSamples(size_t expected_samples) {
   preallocated_points_ = expected_samples;
-  if (frame_.valid()) {
-    db_->ReserveRows(frame_, expected_samples);
+  for (const TierFrame& tier : tier_frames_) {
+    db_->ReserveRows(tier.frame, expected_samples);
   }
   row_dark_.reserve(static_cast<size_t>(dc_->num_rows()));
 }
@@ -125,9 +127,26 @@ void PowerMonitor::BuildFrame() {
   if (members.empty()) {
     return;  // Nothing recorded: the monitor only keeps its caches.
   }
-  frame_ = db_->RegisterFrame(members);
-  if (preallocated_points_ > 0) {
-    db_->ReserveRows(frame_, preallocated_points_);
+  // Tier t spans columns [tier_begin[t], tier_begin[t + 1]).
+  const size_t tier_begin[] = {0,
+                               rack_column_,
+                               row_column_,
+                               total_column_,
+                               group_column_,
+                               members.size()};
+  const std::span<const SeriesId> columns(members);
+  for (size_t t = 0; t + 1 < std::size(tier_begin); ++t) {
+    const size_t size = tier_begin[t + 1] - tier_begin[t];
+    if (size == 0) {
+      continue;  // Tier not recorded.
+    }
+    const TierFrame tier{
+        db_->RegisterFrame(columns.subspan(tier_begin[t], size)),
+        tier_begin[t], size};
+    if (preallocated_points_ > 0) {
+      db_->ReserveRows(tier.frame, preallocated_points_);
+    }
+    tier_frames_.push_back(tier);
   }
   frame_row_.assign(members.size(), 0.0);
   frame_absent_.assign(members.size(), 0);
@@ -136,7 +155,7 @@ void PowerMonitor::BuildFrame() {
 void PowerMonitor::SampleOnce(SimTime stamp) {
   AMPERE_METRICS_DOMAIN(obs_domain_);
   // Covers the whole ingest + aggregate pass: per-server "IPMI" reads,
-  // rack/row/group rollups, and the TimeSeriesDb frame append.
+  // rack/row/group rollups, and the TimeSeriesDb frame appends.
   AMPERE_SPAN("telemetry.sample");
   if (!framed_) {
     BuildFrame();
@@ -218,9 +237,10 @@ void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
   ReadServersClean(tick);
 
   // One frame row in fixed column order: servers, racks, rows, total,
-  // groups. A rack's or row's servers occupy one contiguous index range,
-  // and every sum uses SumSequential — the strict left-to-right order the
-  // committed goldens pin (see span_kernels.h).
+  // groups (one sub-span per tier frame). A rack's or row's servers occupy
+  // one contiguous index range, and every sum uses SumSequential — the
+  // strict left-to-right order the committed goldens pin (see
+  // span_kernels.h).
   const double* readings = latest_server_watts_.data();
   double* row = frame_row_.data();
   std::copy(readings, readings + server_series_.size(), row);
@@ -256,9 +276,7 @@ void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
     group.latest_stamp = stamp;
     row[group_column_ + g] = sum;
   }
-  if (frame_.valid()) {
-    db_->AppendFrame(frame_, stamp, frame_row_);
-  }
+  AppendTierFrames(stamp, nullptr);
 
   RecordRowTimeline(stamp, /*faulted=*/false);
 }
@@ -377,11 +395,17 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
     group.latest_stamp = stamp;
     row[group_column_ + g] = sum;
   }
-  if (frame_.valid()) {
-    db_->AppendFrame(frame_, stamp, frame_row_, frame_absent_.data());
-  }
+  AppendTierFrames(stamp, frame_absent_.data());
 
   RecordRowTimeline(stamp, /*faulted=*/true);
+}
+
+void PowerMonitor::AppendTierFrames(SimTime stamp, const uint8_t* absent) {
+  const std::span<const double> row(frame_row_);
+  for (const TierFrame& tier : tier_frames_) {
+    db_->AppendFrame(tier.frame, stamp, row.subspan(tier.begin, tier.size),
+                     absent == nullptr ? nullptr : absent + tier.begin);
+  }
 }
 
 void PowerMonitor::RecordRowTimeline(SimTime stamp, bool faulted) {

@@ -15,9 +15,12 @@
 //
 // Hot-path note: every series this monitor writes is interned into the
 // TimeSeriesDb at construction / RegisterGroup time and becomes one column
-// of this monitor's frame (built at the first SampleOnce), so a sample pass
-// is one frame row: the steady-state SampleOnce never hashes a string,
-// never formats a name, and (after PreallocateSamples) never allocates.
+// of its tier's frame (servers, racks, rows, total, groups; built at the
+// first SampleOnce), so a sample pass is one row per tier frame: the
+// steady-state SampleOnce never hashes a string, never formats a name, and
+// (after PreallocateSamples) never allocates. One frame per tier lets each
+// tier keep its own cell width: whole-watt server readings and rack sums
+// stay 16-bit while row and DC sums past 65,535 W widen to float.
 //
 // Noise is counter-based: each per-server reading's measurement noise is a
 // pure function of (noise seed, server id, sample tick) — see
@@ -94,7 +97,7 @@ class PowerMonitor {
                Rng rng);
 
   // Adds a virtual aggregation group; must be called before Start and
-  // before the first SampleOnce (which fixes the frame's columns).
+  // before the first SampleOnce (which fixes the frames' columns).
   void RegisterGroup(const std::string& name, std::vector<ServerId> servers);
 
   // Attaches a fault injector (may be null to detach). Sampling then honors
@@ -116,9 +119,9 @@ class PowerMonitor {
   void SetObsDomain(obs::DomainId domain) { obs_domain_ = domain; }
   obs::DomainId obs_domain() const { return obs_domain_; }
 
-  // Capacity hint: reserves `expected_samples` rows of this monitor's
-  // frame in the TimeSeriesDb (now, or when the first sample builds the
-  // frame), so the steady-state sample path touches no allocator. Purely a
+  // Capacity hint: reserves `expected_samples` rows of each of this
+  // monitor's tier frames in the TimeSeriesDb (now, or when the first
+  // sample builds them), so the steady-state sample path touches no allocator. Purely a
   // reservation — sampling past the hint still works (amortized growth).
   // When the db has a cold store attached, ReserveRows clamps the
   // reservation to the hot budget (spilling caps hot occupancy, so
@@ -182,12 +185,16 @@ class PowerMonitor {
            ((server & 1) == 0 ? pair.z0 : pair.z1);
   }
 
-  // Registers this monitor's frame: every recorded series in fixed
-  // (server, rack, row, total, group) order, reserved to the last
-  // PreallocateSamples count. Called by the first SampleOnce.
+  // Lays out the frame row with every recorded series in fixed (server,
+  // rack, row, total, group) order and registers one frame per recorded
+  // tier over its sub-span, each reserved to the last PreallocateSamples
+  // count. Called by the first SampleOnce.
   void BuildFrame();
+  // Appends the pass's frame row, one sub-span per tier frame; `absent`
+  // (faulted passes only) marks the row's absent cells.
+  void AppendTierFrames(SimTime stamp, const uint8_t* absent);
   // Fault-free sample pass (no injector, or a quiescent one): every server
-  // read, then the aggregates summed into one frame row and appended.
+  // read, then the aggregates summed into the frame row and appended.
   void SampleCleanPass(SimTime stamp, uint64_t tick);
   // Noisy quantized readings for every server.
   void ReadServersClean(uint64_t tick);
@@ -213,15 +220,22 @@ class PowerMonitor {
   std::vector<SeriesId> rack_series_;
   std::vector<SeriesId> row_series_;
   SeriesId total_series_;
-  // The frame and where each tier's columns start in it (servers start at
-  // column 0). Invalid frame when nothing is recorded.
+  // Where each tier's columns start in the frame row (servers start at
+  // column 0), and one frame per recorded tier over its columns
+  // [begin, begin + size). No frames when nothing is recorded.
+  struct TierFrame {
+    FrameId frame;
+    size_t begin = 0;
+    size_t size = 0;
+  };
   bool framed_ = false;
-  FrameId frame_;
+  std::vector<TierFrame> tier_frames_;
   size_t rack_column_ = 0;
   size_t row_column_ = 0;
   size_t total_column_ = 0;
   size_t group_column_ = 0;
-  // Reused frame row and its absent-cell marks (faulted passes only).
+  // Reused frame row of every tier and its absent-cell marks (faulted
+  // passes only).
   std::vector<double> frame_row_;
   std::vector<uint8_t> frame_absent_;
   // Precomputed blackout channel names ("row/N/power"), so fault checks do
@@ -240,7 +254,7 @@ class PowerMonitor {
   std::vector<char> row_was_dark_;
   obs::DomainId obs_domain_ = 0;
   // Row count from the last PreallocateSamples, reserved when the first
-  // sample builds the frame.
+  // sample builds the tier frames.
   size_t preallocated_points_ = 0;
   SimTime latest_sample_time_;
   uint64_t samples_taken_ = 0;

@@ -1,7 +1,9 @@
 #include "src/telemetry/timeseries_db.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <type_traits>
 
 #include "src/common/check.h"
 #include "src/telemetry/cold_store.h"
@@ -15,26 +17,68 @@ constexpr SimTime kEarliest =
 constexpr double kFloatMax = std::numeric_limits<float>::max();
 constexpr double kFloatMinNormal = std::numeric_limits<float>::min();
 
-// Writes every cell of `values` to `out` as float and returns whether each
-// present cell reads back as exactly its double. The range guard runs
-// first, so the narrowing cast is always defined: NaN, infinities, values
-// past the float range and subnormals fail it (and are written as 0), as
-// does any value float cannot hold exactly. Absent cells are never read,
-// so they never fail the row.
+// Narrows `v` to a Cell in `*out` and returns whether the cell reads back
+// as `v` bit for bit. A range guard runs first, so the cast is always
+// defined: [0, 65535] for 16 bits; for float, |v| <= FLT_MAX and normal or
+// zero. NaN fails every comparison, so it fails both; an out-of-range
+// value narrows to 0. The bit compare then rejects fractions, values
+// float cannot hold, and -0.0 in a 16-bit cell (which has no sign bit).
+template <typename Cell>
+bool Narrow(double v, Cell* out) {
+  bool in_range;
+  if constexpr (std::is_same_v<Cell, uint16_t>) {
+    in_range = v >= 0.0 && v <= 65535.0;
+  } else {
+    const double magnitude = std::fabs(v);
+    in_range = magnitude <= kFloatMax &&
+               (magnitude >= kFloatMinNormal || magnitude == 0.0);
+  }
+  *out = in_range ? static_cast<Cell>(v) : Cell{0};
+  return in_range && std::bit_cast<uint64_t>(static_cast<double>(*out)) ==
+                         std::bit_cast<uint64_t>(v);
+}
+
+// Writes every cell of `values` to `out` as a Cell and returns whether each
+// present cell reads back as exactly its double. Absent cells are never
+// read, so they never fail the row.
+template <typename Cell>
 bool NarrowRow(std::span<const double> values, const uint8_t* absent,
-               float* __restrict out) {
+               Cell* __restrict out) {
   bool exact = true;
   for (size_t c = 0; c < values.size(); ++c) {
-    const double v = values[c];
-    const double magnitude = std::fabs(v);
-    const bool in_range = magnitude <= kFloatMax &&
-                          (magnitude >= kFloatMinNormal || magnitude == 0.0);
-    const float narrow = in_range ? static_cast<float>(v) : 0.0f;
-    out[c] = narrow;
-    const bool skipped = absent != nullptr && absent[c] != 0;
-    exact &= (in_range && static_cast<double>(narrow) == v) || skipped;
+    Cell cell;
+    const bool fits = Narrow(values[c], &cell);
+    out[c] = cell;
+    exact &= fits || (absent != nullptr && absent[c] != 0);
   }
   return exact;
+}
+
+// Appends `values` to `block` as Cells if every present cell is exact
+// there; otherwise leaves `block` as it was and returns false.
+template <typename Cell>
+bool AppendNarrowRow(std::span<const double> values, const uint8_t* absent,
+                     std::vector<Cell>& block) {
+  const size_t begin = block.size();
+  block.resize(begin + values.size());
+  if (NarrowRow(values, absent, block.data() + begin)) {
+    return true;
+  }
+  block.resize(begin);
+  return false;
+}
+
+// NarrowRow's verdict without the stores: whether every present cell of
+// the row is exact as a Cell.
+template <typename Cell>
+bool RowFits(std::span<const double> values, const uint8_t* absent) {
+  for (size_t c = 0; c < values.size(); ++c) {
+    Cell cell;
+    if ((absent == nullptr || absent[c] == 0) && !Narrow(values[c], &cell)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace
@@ -143,11 +187,8 @@ void TimeSeriesDb::ReserveRows(FrameId frame, size_t rows) {
   }
   Frame& f = frames_[frame.index()];
   f.stamps.reserve(rows);
-  if (f.is_wide) {
-    f.wide.reserve(rows * f.members.size());
-  } else {
-    f.narrow.reserve(rows * f.members.size());
-  }
+  const size_t cells = rows * f.members.size();
+  f.WithBlock([cells](auto& block) { block.reserve(cells); });
   if (!f.presence.empty()) {
     f.presence.reserve(rows * f.words());
   }
@@ -174,15 +215,16 @@ void TimeSeriesDb::AppendFrame(FrameId frame, SimTime stamp,
       << "out-of-order append to the frame of series "
       << names_[f.members.front().index()];
   f.stamps.push_back(stamp);
-  if (!f.is_wide) {
-    const size_t begin = f.narrow.size();
-    f.narrow.resize(begin + values.size());
-    if (!NarrowRow(values, absent, f.narrow.data() + begin)) {
-      f.narrow.resize(begin);
-      Widen(f);
-    }
+  if (f.width == CellWidth::kWhole16 &&
+      !AppendNarrowRow(values, absent, f.whole)) {
+    Widen(f, RowFits<float>(values, absent) ? CellWidth::kFloat
+                                            : CellWidth::kDouble);
   }
-  if (f.is_wide) {
+  if (f.width == CellWidth::kFloat &&
+      !AppendNarrowRow(values, absent, f.narrow)) {
+    Widen(f, CellWidth::kDouble);
+  }
+  if (f.width == CellWidth::kDouble) {
     f.wide.insert(f.wide.end(), values.begin(), values.end());
   }
   f.hot_points += (absent != nullptr || !f.presence.empty())
@@ -193,12 +235,24 @@ void TimeSeriesDb::AppendFrame(FrameId frame, SimTime stamp,
   }
 }
 
-void TimeSeriesDb::Widen(Frame& frame) {
-  // float -> double is exact, so every stored cell keeps its value.
-  frame.wide.reserve(frame.narrow.capacity());
-  frame.wide.assign(frame.narrow.begin(), frame.narrow.end());
-  frame.narrow = std::vector<float>();
-  frame.is_wide = true;
+void TimeSeriesDb::Widen(Frame& frame, CellWidth to) {
+  // 16-bit and float cells convert to every wider width exactly, so each
+  // stored cell keeps its value.
+  const size_t capacity = frame.cell_capacity();
+  if (to == CellWidth::kFloat) {
+    frame.narrow.reserve(capacity);
+    frame.narrow.assign(frame.whole.begin(), frame.whole.end());
+  } else {
+    frame.wide.reserve(capacity);
+    if (frame.width == CellWidth::kWhole16) {
+      frame.wide.assign(frame.whole.begin(), frame.whole.end());
+    } else {
+      frame.wide.assign(frame.narrow.begin(), frame.narrow.end());
+    }
+    frame.narrow = std::vector<float>();
+  }
+  frame.whole = std::vector<uint16_t>();
+  frame.width = to;
 }
 
 size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
@@ -215,9 +269,8 @@ size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
     // First absent cell: every earlier row was full. Reserve as many rows
     // as the value block holds so later rows do not reallocate.
     const size_t rows = frame.stamps.size();
-    const size_t cells =
-        frame.is_wide ? frame.wide.capacity() : frame.narrow.capacity();
-    frame.presence.reserve(std::max(rows, cells / width) * words);
+    frame.presence.reserve(std::max(rows, frame.cell_capacity() / width) *
+                           words);
     frame.presence.assign((rows - 1) * words, ~uint64_t{0});
   }
   const size_t begin = frame.presence.size();
@@ -278,11 +331,9 @@ void TimeSeriesDb::SpillOldest(Frame& frame) {
   frame.stamps.erase(frame.stamps.begin(),
                      frame.stamps.begin() + static_cast<std::ptrdiff_t>(n));
   const auto cells = static_cast<std::ptrdiff_t>(n * width);
-  if (frame.is_wide) {
-    frame.wide.erase(frame.wide.begin(), frame.wide.begin() + cells);
-  } else {
-    frame.narrow.erase(frame.narrow.begin(), frame.narrow.begin() + cells);
-  }
+  frame.WithBlock([cells](auto& block) {
+    block.erase(block.begin(), block.begin() + cells);
+  });
   if (sparse) {
     frame.presence.erase(
         frame.presence.begin(),
@@ -310,10 +361,16 @@ HotColumn TimeSeriesDb::HotColumnFor(Slot slot, SimTime from,
   }
   hot.value_stride = frame.members.size();
   const size_t cell = first * hot.value_stride + slot.column;
-  if (frame.is_wide) {
-    hot.wide = frame.wide.data() + cell;
-  } else {
-    hot.narrow = frame.narrow.data() + cell;
+  switch (frame.width) {
+    case CellWidth::kWhole16:
+      hot.whole = frame.whole.data() + cell;
+      break;
+    case CellWidth::kFloat:
+      hot.narrow = frame.narrow.data() + cell;
+      break;
+    case CellWidth::kDouble:
+      hot.wide = frame.wide.data() + cell;
+      break;
   }
   if (!frame.presence.empty()) {
     hot.presence_stride = frame.words();
@@ -392,7 +449,8 @@ size_t TimeSeriesDb::TotalPoints() const {
 size_t TimeSeriesDb::HotValueBytes() const {
   size_t bytes = 0;
   for (const Frame& frame : frames_) {
-    bytes += frame.narrow.size() * sizeof(float) +
+    bytes += frame.whole.size() * sizeof(uint16_t) +
+             frame.narrow.size() * sizeof(float) +
              frame.wide.size() * sizeof(double);
   }
   return bytes;

@@ -19,10 +19,12 @@
 // grows a presence bitmap, allocated only when the first absent cell
 // arrives, and reads skip absent cells — each series holds exactly the
 // points appended to it.
-// Cells are stored as float while every present cell of the frame reads
-// back as exactly the double appended (whole-watt BMC readings and their
-// sums do), and as double from the first present cell that does not: the
-// frame then widens once, converting its rows exactly. Width only ever
+// Cells are stored in the narrowest of three widths that holds every
+// present cell of the frame bit for bit: 16-bit unsigned whole numbers
+// (whole-watt BMC readings and rack sums up to 65,535 W), float (larger
+// whole-watt sums), else double. A frame starts at 16 bits; the first row
+// that does not fit widens it once, to float if that row fits there and
+// straight to double if not, converting its rows exactly. Width only ever
 // widens and is invisible to readers, which always get the appended bits.
 //
 // Handles: a producer interns each series name once (Intern: the only
@@ -78,13 +80,13 @@ struct ColdPiece {
 };
 
 // One series' hot rows inside its frame: the frame's stamps, the series'
-// strided value column (float or double, as the frame stores it) and, if
-// the frame has ever held an absent cell, the series' presence bits (one
-// word per row at `presence_stride`, tested with `presence_mask`).
+// strided value column (16-bit, float or double, as the frame stores it)
+// and, if the frame has ever held an absent cell, the series' presence bits
+// (one word per row at `presence_stride`, tested with `presence_mask`).
 struct HotColumn {
   std::span<const SimTime> stamps;
-  // Row i at narrow[i * value_stride] if narrow is set, else at
-  // wide[i * value_stride].
+  // Row i at [i * value_stride] of the one block that is set.
+  const uint16_t* whole = nullptr;
   const float* narrow = nullptr;
   const double* wide = nullptr;
   size_t value_stride = 1;
@@ -97,8 +99,11 @@ struct HotColumn {
            (presence[row * presence_stride] & presence_mask) != 0;
   }
   double value(size_t row) const {
-    return narrow != nullptr ? static_cast<double>(narrow[row * value_stride])
-                             : wide[row * value_stride];
+    const size_t cell = row * value_stride;
+    if (whole != nullptr) {
+      return static_cast<double>(whole[cell]);
+    }
+    return narrow != nullptr ? static_cast<double>(narrow[cell]) : wide[cell];
   }
 };
 
@@ -212,10 +217,11 @@ class TimeSeriesDb {
   // given, holds one byte per member; a nonzero byte leaves that cell out
   // (the series gets no point at `stamp`). Stamps must be non-decreasing
   // per frame, checked once per row. While every cell is present, an
-  // append after ReserveRows allocates at most once, on the row that widens
-  // the frame (its first present cell that does not round-trip through
-  // float; the double block keeps the reserved row capacity), and never
-  // otherwise.
+  // append after ReserveRows allocates at most once per widening, on the
+  // row that widens the frame (its first row with a present cell that does
+  // not round-trip through the current width; the wider block keeps the
+  // reserved row capacity), and never otherwise. A row that fits neither
+  // 16 bits nor float widens a 16-bit frame to double in one step.
   void AppendFrame(FrameId frame, SimTime stamp,
                    std::span<const double> values,
                    const uint8_t* absent = nullptr);
@@ -273,8 +279,9 @@ class TimeSeriesDb {
   std::vector<std::string> SeriesNames() const;
   // Total points across both tiers.
   size_t TotalPoints() const;
-  // Bytes of the hot cells (absent ones included) across all frames: 4 per
-  // cell of a float frame, 8 per cell of a widened one.
+  // Bytes of the hot cells (absent ones included) across all frames: 2 per
+  // cell of a 16-bit frame, 4 per cell of a float one, 8 per cell of a
+  // double one.
   size_t HotValueBytes() const;
 
   // --- Cold tier (optional persistent spill) ------------------------------
@@ -302,22 +309,53 @@ class TimeSeriesDb {
     uint32_t column = 0;
   };
 
+  // A frame's cell width; it only ever grows.
+  enum class CellWidth : uint8_t { kWhole16, kFloat, kDouble };
+
   struct Frame {
     std::vector<SeriesId> members;  // Column order.
     std::vector<SimTime> stamps;    // One per hot row.
-    // Row-major cells, members.size() per row: in `narrow` until the frame
-    // widens, in `wide` after; the other vector stays empty.
+    // Row-major cells, members.size() per row, in the block of the frame's
+    // width; the other two blocks stay empty.
+    std::vector<uint16_t> whole;
     std::vector<float> narrow;
     std::vector<double> wide;
-    bool is_wide = false;
+    CellWidth width = CellWidth::kWhole16;
     // Row-major presence bits, words() words per row; bit c%64 of word
     // c/64 is column c. Empty until the first absent cell.
     std::vector<uint64_t> presence;
     size_t hot_points = 0;  // Present cells in the hot rows.
 
     size_t words() const { return (members.size() + 63) / 64; }
+    // Calls fn with the block of the frame's width.
+    template <typename Fn>
+    void WithBlock(Fn&& fn) {
+      switch (width) {
+        case CellWidth::kWhole16:
+          fn(whole);
+          break;
+        case CellWidth::kFloat:
+          fn(narrow);
+          break;
+        case CellWidth::kDouble:
+          fn(wide);
+          break;
+      }
+    }
+    // Only the block of the frame's width holds any capacity.
+    size_t cell_capacity() const {
+      return whole.capacity() + narrow.capacity() + wide.capacity();
+    }
     double value(size_t cell) const {
-      return is_wide ? wide[cell] : static_cast<double>(narrow[cell]);
+      switch (width) {
+        case CellWidth::kWhole16:
+          return static_cast<double>(whole[cell]);
+        case CellWidth::kFloat:
+          return static_cast<double>(narrow[cell]);
+        case CellWidth::kDouble:
+          break;
+      }
+      return wide[cell];
     }
   };
 
@@ -326,9 +364,9 @@ class TimeSeriesDb {
   // Appends `row`'s presence words, allocating the bitmap (all earlier rows
   // present) at the first absent cell; returns the row's present count.
   size_t AppendPresence(Frame& frame, const uint8_t* absent);
-  // Moves a float frame's rows into the double block, keeping its reserved
-  // row capacity.
-  static void Widen(Frame& frame);
+  // Moves the frame's rows into the block of the wider width `to`,
+  // keeping its reserved row capacity.
+  static void Widen(Frame& frame, CellWidth to);
   HotColumn HotColumnFor(Slot slot, SimTime from, SimTime to) const;
   // Newest present hot cell of the series in `slot`, if any.
   std::optional<TimePoint> LatestHot(Slot slot) const;

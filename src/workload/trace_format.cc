@@ -377,6 +377,21 @@ void TraceRecorder::Submit(const JobSpec& job) {
   next_->Submit(job);
 }
 
+TraceData SampleTrace(const BatchWorkloadParams& params, SimTime duration,
+                      Rng rng) {
+  struct Discard : JobSink {
+    void Submit(const JobSpec&) override {}
+  } discard;
+  Simulation sim;
+  JobIdAllocator ids;
+  TraceRecorder recorder(&sim, &discard);
+  recorder.SetClasses(params.demands);
+  BatchWorkload workload(params, &sim, &recorder, &ids, rng);
+  workload.Start(SimTime());
+  sim.RunUntil(duration - SimTime::Micros(1));
+  return recorder.trace();
+}
+
 // --- TraceArrivalProcess -------------------------------------------------
 
 TraceArrivalProcess::TraceArrivalProcess(

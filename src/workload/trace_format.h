@@ -1,9 +1,8 @@
 // Versioned binary workload-trace format (ampere.trace.v1) with
 // record/replay.
 //
-// The CSV trace in trace.h is the human-exchange format; this is the
-// machine contract: a length-prefixed binary layout that captures exactly
-// what the synthetic generator fed the scheduler — arrival instants at
+// The one workload-trace format: a length-prefixed binary layout that
+// captures exactly what the synthetic generator fed the scheduler — arrival instants at
 // microsecond resolution, per-job demand, duration, row affinity, and the
 // demand-class ("op mix") index — so a recorded run can be replayed
 // byte-identically: same JobIds, same submission instants, same event-queue
@@ -143,6 +142,15 @@ class TraceRecorder : public JobSink {
   JobSink* next_;
   TraceData trace_;
 };
+
+// Materializes `duration` of the synthetic workload as a trace, for
+// sharing or for replay: a BatchWorkload with `params` and `rng` runs on a
+// private Simulation through a TraceRecorder into a sink that discards
+// every job. The trace therefore holds exactly the arrivals (instants,
+// demands, durations, row affinity, op-mix classes) a run driven by the
+// same generator submits in [0, duration).
+TraceData SampleTrace(const BatchWorkloadParams& params, SimTime duration,
+                      Rng rng);
 
 // --- Replay --------------------------------------------------------------
 

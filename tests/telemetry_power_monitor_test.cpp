@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 #include <cmath>
 #include <initializer_list>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,13 @@ TopologyConfig SmallTopology() {
   config.racks_per_row = 1;
   config.servers_per_rack = 4;
   return config;
+}
+
+std::vector<double> ValuesOf(const TimeSeriesDb& db, const std::string& name) {
+  std::vector<double> values;
+  db.SeriesStitched(name).ForEachPoint(
+      [&values](const TimePoint& p) { values.push_back(p.value); });
+  return values;
 }
 
 PowerMonitorConfig NoiselessConfig() {
@@ -173,10 +181,11 @@ TEST(PowerMonitorTest, SeriesPrefixNamespacesEverything) {
               1e-9);
 }
 
-// Whole-watt readings and their rack, row, total and group sums all fit a
-// float exactly, so the monitor's frame keeps 4 bytes per cell; unquantized
-// noisy readings widen it to 8.
-TEST(PowerMonitorTest, QuantizedFrameHoldsFourBytesPerCell) {
+// Each recorded tier is its own frame with its own cell width. On the
+// small topology every whole-watt reading and sum stays below 65,536, so
+// every tier keeps 2 bytes per cell; unquantized noisy readings widen every
+// tier to 8.
+TEST(PowerMonitorTest, QuantizedTiersHoldTwoBytesPerCell) {
   for (const bool quantize : {true, false}) {
     SCOPED_TRACE(quantize ? "quantized" : "unquantized");
     Simulation sim;
@@ -195,9 +204,38 @@ TEST(PowerMonitorTest, QuantizedFrameHoldsFourBytesPerCell) {
     sim.RunUntil(SimTime::Minutes(10.5));
     // 8 servers, 2 racks, 2 rows, the total and one group, 10 rows.
     ASSERT_EQ(db.TotalPoints(), 14u * 10u);
-    EXPECT_EQ(db.HotValueBytes(),
-              db.TotalPoints() * (quantize ? sizeof(float) : sizeof(double)));
+    EXPECT_EQ(db.HotValueBytes(), db.TotalPoints() * (quantize
+                                                          ? sizeof(uint16_t)
+                                                          : sizeof(double)));
   }
+}
+
+// A paper row (10 racks of 42 servers): whole-watt server readings, rack
+// sums and the half-row group stay 16-bit, while the row and DC sums pass
+// 65,535 W and widen to float at their first row.
+TEST(PowerMonitorTest, PaperRowTiersKeepTheirOwnCellWidths) {
+  Simulation sim;
+  DataCenter dc(TopologyConfig{}, &sim);
+  ASSERT_EQ(dc.num_servers(), 420);
+  TimeSeriesDb db;
+  PowerMonitorConfig config;
+  config.record_servers = true;
+  PowerMonitor monitor(&dc, &db, config, Rng(3));
+  std::vector<ServerId> evens;
+  for (int32_t s = 0; s < dc.num_servers(); s += 2) {
+    evens.push_back(ServerId(s));
+  }
+  monitor.RegisterGroup("evens", evens);
+  monitor.PreallocateSamples(16);
+  monitor.Start(SimTime::Minutes(1));
+  sim.RunUntil(SimTime::Minutes(10.5));
+  ASSERT_GT(monitor.LatestRowWatts(RowId(0)), 65535.0);
+  const size_t rows = 10;
+  const size_t narrow_cells = 420 + 10 + 1;  // Servers, racks, the group.
+  const size_t float_cells = 1 + 1;          // The row and the total.
+  EXPECT_EQ(db.HotValueBytes(),
+            rows * (sizeof(uint16_t) * narrow_cells +
+                    sizeof(float) * float_cells));
 }
 
 // --- Degraded-path behavior with a fault injector attached ---
@@ -452,6 +490,124 @@ TEST(PowerMonitorFaultTest, DarkRowAndGroupFeedsAreAbsentFromTheirSeries) {
             minutes({1, 2, 3, 5}));
   EXPECT_EQ(db.Latest(PowerMonitor::RowSeries(RowId(0)))->time,
             SimTime::Minutes(5));
+}
+
+// A sensor bias of half a watt on unquantized whole-watt readings (idle
+// servers at exactly 160 W, no noise) makes every server reading
+// fractional, but each 4-server rack sum, row sum, total and 2-server
+// group sum stays whole: only the server tier's frame widens, and to float
+// (160.5 is exact there).
+TEST(PowerMonitorFaultTest, FractionalReadingsWidenOnlyTheServerTier) {
+  TopologyConfig topology = SmallTopology();
+  topology.power_model.rated_watts = 256.0;
+  topology.power_model.idle_fraction = 0.625;
+  Simulation sim;
+  DataCenter dc(topology, &sim);
+  TimeSeriesDb db;
+  PowerMonitorConfig config = NoiselessConfig();
+  config.record_servers = true;
+  PowerMonitor monitor(&dc, &db, config, Rng(1));
+  monitor.RegisterGroup("pair", {ServerId(0), ServerId(5)});
+  monitor.PreallocateSamples(4);
+  monitor.SampleOnce(SimTime::Minutes(1));
+  // 8 servers + 2 racks + 2 rows + the total + the group, all 16-bit.
+  EXPECT_EQ(db.HotValueBytes(), 14 * sizeof(uint16_t));
+  faults::FaultInjector injector(PlanFromText("sensor_bias_watts=0.5\n"));
+  monitor.AttachFaultInjector(&injector);
+  monitor.SampleOnce(SimTime::Minutes(2));
+  EXPECT_EQ(db.HotValueBytes(),
+            2 * (8 * sizeof(float) + 6 * sizeof(uint16_t)));
+  EXPECT_EQ(ValuesOf(db, PowerMonitor::ServerSeries(ServerId(3))),
+            (std::vector<double>{160.0, 160.5}));
+  EXPECT_EQ(ValuesOf(db, PowerMonitor::RackSeries(RackId(1))),
+            (std::vector<double>{640.0, 642.0}));
+  EXPECT_EQ(ValuesOf(db, PowerMonitor::GroupSeries("pair")),
+            (std::vector<double>{320.0, 321.0}));
+  EXPECT_EQ(ValuesOf(db, PowerMonitor::kTotalSeries),
+            (std::vector<double>{1280.0, 1284.0}));
+}
+
+// Every tier's series holds exactly the points the monitor's own state
+// says each pass produced: a point at the pass stamp with the refreshed
+// value wherever a feed refreshed, and nothing where it was dark. Row 0 is
+// dark for minutes 3-5 and the group for minute 6, so the server, row and
+// group frames each carry absent cells while the rack and total frames
+// carry none.
+TEST(PowerMonitorFaultTest, TierFramesHoldEveryPassPointAbsentCellsIncluded) {
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  TimeSeriesDb db;
+  PowerMonitorConfig config;
+  config.noise_sigma_watts = 3.0;
+  config.record_servers = true;
+  PowerMonitor monitor(&dc, &db, config, Rng(11));
+  const uint32_t row0 = faults::FaultPlan::ChannelIndex(
+      PowerMonitor::RowSeries(RowId(0)), kManyChannels);
+  std::string group;
+  uint32_t group_channel = 0;
+  for (int i = 0; i < 64 && group.empty(); ++i) {
+    const std::string name = "g" + std::to_string(i);
+    group_channel = faults::FaultPlan::ChannelIndex(
+        PowerMonitor::GroupSeries(name), kManyChannels);
+    if (group_channel != row0) {
+      group = name;
+    }
+  }
+  ASSERT_FALSE(group.empty());
+  monitor.RegisterGroup(group, {ServerId(1), ServerId(6)});
+  faults::FaultInjector injector(PlanFromText(
+      ChannelLine(row0, SimTime::Minutes(3), SimTime::Minutes(6)) +
+      "blackout " + std::to_string(SimTime::Minutes(6).micros()) + ' ' +
+      std::to_string(SimTime::Minutes(7).micros()) + ' ' +
+      std::to_string(group_channel) + '\n'));
+  monitor.AttachFaultInjector(&injector);
+  dc.PlaceTask(ServerId(2), TaskSpec{JobId(1), Resources{6.0, 6.0},
+                                     SimTime::Hours(2)});
+
+  std::map<std::string, std::vector<TimePoint>> want;
+  for (int m = 1; m <= 8; ++m) {
+    const SimTime stamp = SimTime::Minutes(m);
+    monitor.SampleOnce(stamp);
+    double total = 0.0;
+    for (int32_t r = 0; r < dc.num_rows(); ++r) {
+      const PowerReading row = monitor.LatestRowReading(RowId(r), stamp);
+      total += row.watts;
+      if (row.stamp != stamp) {
+        continue;  // Dark: no row point and no server points.
+      }
+      want[PowerMonitor::RowSeries(RowId(r))].push_back({stamp, row.watts});
+      for (ServerId s : dc.servers_in_row(RowId(r))) {
+        want[PowerMonitor::ServerSeries(s)].push_back(
+            {stamp, monitor.LatestServerWatts(s)});
+      }
+    }
+    want[PowerMonitor::kTotalSeries].push_back({stamp, total});
+    for (int32_t k = 0; k < dc.num_racks(); ++k) {
+      double sum = 0.0;
+      for (ServerId s : dc.servers_in_rack(RackId(k))) {
+        sum += monitor.LatestServerWatts(s);
+      }
+      want[PowerMonitor::RackSeries(RackId(k))].push_back({stamp, sum});
+    }
+    const PowerReading g = monitor.LatestGroupReading(group, stamp);
+    if (g.stamp == stamp) {
+      want[PowerMonitor::GroupSeries(group)].push_back({stamp, g.watts});
+    }
+  }
+  ASSERT_EQ(want.size(), 8u + 2 + 2 + 1 + 1);
+  EXPECT_EQ(want[PowerMonitor::RowSeries(RowId(0))].size(), 5u);
+  EXPECT_EQ(want[PowerMonitor::GroupSeries(group)].size(), 7u);
+  size_t points = 0;
+  for (const auto& [name, points_want] : want) {
+    const std::vector<TimePoint> got = db.SeriesStitched(name).Materialize();
+    ASSERT_EQ(got.size(), points_want.size()) << name;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].time, points_want[i].time) << name << " point " << i;
+      EXPECT_EQ(got[i].value, points_want[i].value) << name << " point " << i;
+    }
+    points += got.size();
+  }
+  EXPECT_EQ(db.TotalPoints(), points);
 }
 
 TEST(PowerMonitorFaultTest, FaultedFramesSpillToTheSameStitchedReads) {

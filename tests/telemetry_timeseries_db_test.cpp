@@ -139,6 +139,13 @@ TEST(TimeSeriesDbFrameTest, RegisterFrameTakesOnlyEmptySeries) {
   EXPECT_THROW(db.RegisterFrame(twice), CheckFailure);
 }
 
+// Whether `v` is a whole number in [0, 65535] with no sign bit: the rule
+// that keeps a frame's cells in 16 bits. Written independently of the db's
+// kernel.
+bool WholeExact(double v) {
+  return v >= 0.0 && v <= 65535.0 && std::floor(v) == v && !std::signbit(v);
+}
+
 // Whether `v` survives a float round trip bit for bit: the rule that keeps
 // a frame's cells in float. Written independently of the db's kernel.
 bool FloatExact(double v) {
@@ -152,6 +159,11 @@ bool FloatExact(double v) {
   return std::memcmp(&back, &v, sizeof(double)) == 0;
 }
 
+// Bytes per cell of a frame that has held `v`.
+size_t CellBytes(double v) {
+  return WholeExact(v) ? 2 : (FloatExact(v) ? 4 : 8);
+}
+
 bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
@@ -162,8 +174,13 @@ TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdenticalInBothTiers) {
   const uint64_t nan_bits = 0x7ff8'0000'dead'beefULL;
   std::memcpy(&nan_with_payload, &nan_bits, sizeof(double));
   const double edges[] = {
+      0.0,
+      65535.0,
+      65536.0,
+      -1.0,
       -0.0,
       0.5,
+      1e300,
       kTwo24,
       kTwo24 + 1.0,
       static_cast<double>(std::numeric_limits<float>::max()),
@@ -175,12 +192,14 @@ TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdenticalInBothTiers) {
       std::numeric_limits<double>::denorm_min(),
       static_cast<double>(std::numeric_limits<float>::denorm_min()),
   };
-  const bool narrow[] = {true,  true,  true,  false, true,  false,
-                         false, false, false, false, false, false};
+  // Bytes per cell of the frame once it holds the edge value.
+  const size_t bytes[] = {2, 2, 4, 4, 4, 4, 8, 4, 8, 4,
+                          8, 8, 8, 8, 8, 8, 8};
+  static_assert(std::size(bytes) == std::size(edges));
   for (size_t e = 0; e < std::size(edges); ++e) {
     const double edge = edges[e];
     SCOPED_TRACE("edge " + std::to_string(e));
-    EXPECT_EQ(FloatExact(edge), narrow[e]);
+    EXPECT_EQ(CellBytes(edge), bytes[e]);
     const ScratchDir scratch("frame_edge_" + std::to_string(e));
     ColdStoreConfig config;
     config.dir = scratch.path();
@@ -199,11 +218,12 @@ TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdenticalInBothTiers) {
         db->AppendFrame(frame, SimTime::Minutes(m), row);
       }
     }
-    // Hot tier: 6 rows of 2 cells, at 4 bytes each while every cell
-    // round-trips and at 8 after the edge value widened the frame.
-    EXPECT_EQ(hot_only.HotValueBytes(), 12 * (narrow[e] ? 4u : 8u));
+    // Hot tier: 6 rows of 2 cells, at 2 bytes each while every cell is a
+    // 16-bit whole number, and at 4 or 8 once the edge value widened the
+    // frame.
+    EXPECT_EQ(hot_only.HotValueBytes(), 12 * bytes[e]);
     // The spilling db keeps max(1, 4/2) = 2 hot rows after its spill.
-    EXPECT_EQ(spilling.HotValueBytes(), 4 * (narrow[e] ? 4u : 8u));
+    EXPECT_EQ(spilling.HotValueBytes(), 4 * bytes[e]);
     EXPECT_GT(spilling.samples_spilled(), 0u);
     for (const TimeSeriesDb* db : {&hot_only, &spilling}) {
       const std::vector<TimePoint> edge_points =
@@ -239,7 +259,7 @@ TEST(TimeSeriesDbFrameTest, AbsentInexactCellDoesNotWiden) {
   db.AppendFrame(frame, SimTime::Minutes(1), dark, b_absent);
   const double nan_dark[] = {2.0, std::numeric_limits<double>::quiet_NaN()};
   db.AppendFrame(frame, SimTime::Minutes(2), nan_dark, b_absent);
-  EXPECT_EQ(db.HotValueBytes(), 4 * sizeof(float));
+  EXPECT_EQ(db.HotValueBytes(), 4 * sizeof(uint16_t));
   EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0}));
   EXPECT_TRUE(ValuesOf(db, "b").empty());
   // The same inexact value, present, widens the frame; the earlier rows
@@ -251,6 +271,40 @@ TEST(TimeSeriesDbFrameTest, AbsentInexactCellDoesNotWiden) {
   EXPECT_EQ(ValuesOf(db, "b"), (std::vector<double>{0.1}));
 }
 
+// A row that fits neither 16 bits nor float takes a 16-bit frame to double
+// in one step; a row that fits float takes it there. (The allocation side
+// of the contract, at most one allocation on the widening row after
+// ReserveRows, is hard-asserted by the BM_TimeSeriesAppendFrame* benches.)
+TEST(TimeSeriesDbFrameTest, WideningGoesStraightToTheWidthTheRowNeeds) {
+  for (const bool via_float : {true, false}) {
+    SCOPED_TRACE(via_float ? "16 to float to double" : "16 to double");
+    TimeSeriesDb db;
+    const SeriesId members[] = {db.Intern("a"), db.Intern("b")};
+    const FrameId frame = db.RegisterFrame(members);
+    db.ReserveRows(frame, 6);
+    std::vector<double> want_b;
+    for (int r = 0; r < 6; ++r) {
+      // Rows 2-3 carry a whole number past 16 bits (or stay 16-bit), and
+      // rows 4-5 a value neither 16 bits nor float holds.
+      double b = 1000.0 + r;
+      if (r >= 4) {
+        b = 0.1;
+      } else if (r >= 2 && via_float) {
+        b = 70000.0;
+      }
+      const double row[] = {static_cast<double>(r), b};
+      db.AppendFrame(frame, SimTime::Minutes(r), row);
+      const size_t bytes = r < 2 ? 2 : (r < 4 ? (via_float ? 4 : 2) : 8);
+      EXPECT_EQ(db.HotValueBytes(), 2 * (static_cast<size_t>(r) + 1) * bytes)
+          << "row " << r;
+      want_b.push_back(b);
+    }
+    EXPECT_EQ(ValuesOf(db, "a"),
+              (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0, 5.0}));
+    EXPECT_EQ(ValuesOf(db, "b"), want_b);
+  }
+}
+
 // --- Frame storage against a per-series reference model -------------------
 //
 // Random frames (widths 1..1,700, plus width-1 series appended on their
@@ -258,11 +312,12 @@ TEST(TimeSeriesDbFrameTest, AbsentInexactCellDoesNotWiden) {
 // stores every series as its own plain vector of points and mirrors only
 // the spill policy's row arithmetic (a frame at the hot budget spills its
 // oldest rows - max(1, budget/2) rows) and the width rule (a frame's cells
-// take 4 bytes until its first present cell that is not FloatExact, 8
-// after). Frames carry whole-watt values that stay float, switch to
-// inexact values at a random row (widening before or after a spill), or
-// are inexact from the start; absent cells of whole-watt rows hold inexact
-// values that must not widen. After every row, random stitched range
+// take the CellBytes of the widest present cell it has held: 2 while every
+// one is WholeExact, 4 while every one is FloatExact, 8 after). Frames
+// start with 16-bit whole numbers and switch to larger whole numbers and
+// then to inexact values at random rows (so they widen to float and to
+// double, or to double in one step, before or after a spill), or hold one
+// kind throughout; absent cells hold inexact values that must not widen. After every row, random stitched range
 // reads, Latest, TotalPoints, samples_spilled and HotValueBytes must agree;
 // at the end, every series' full history and SeriesNames.
 
@@ -271,11 +326,12 @@ struct ModelFrame {
   std::vector<size_t> members;         // Model series indices.
   std::deque<size_t> hot_row_present;  // Present cells per hot row.
   SimTime last;
-  // Rows from this one on carry inexact values (SIZE_MAX: whole watts
-  // throughout).
+  // Rows from these on carry whole numbers past 16 bits, and inexact
+  // values (SIZE_MAX: never).
+  size_t float_from = std::numeric_limits<size_t>::max();
   size_t inexact_from = std::numeric_limits<size_t>::max();
-  size_t rows = 0;  // Rows appended so far.
-  bool wide = false;
+  size_t rows = 0;   // Rows appended so far.
+  size_t bytes = 2;  // Bytes per cell.
   bool spilled = false;
 };
 
@@ -292,10 +348,12 @@ void ExpectSameBits(const std::vector<TimePoint>& got,
 
 class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
  protected:
-  // How often a frame widened before and after its first spill, across the
-  // trials of one budget.
-  size_t widened_before_spill_ = 0;
-  size_t widened_after_spill_ = 0;
+  // How often a frame widened to float and to double, before and after its
+  // first spill, across the trials of one budget.
+  size_t to_float_before_spill_ = 0;
+  size_t to_float_after_spill_ = 0;
+  size_t to_double_before_spill_ = 0;
+  size_t to_double_after_spill_ = 0;
 
   // One lockstep trial; GetParam() is the hot budget in rows (0: no cold
   // tier).
@@ -350,28 +408,43 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
     for (std::vector<ModelFrame>* group : {&frames, &singles}) {
       for (ModelFrame& frame : *group) {
         const double kind = rng.Uniform(0.0, 1.0);
-        if (kind < 0.4) {
+        if (kind < 0.4) {  // 16 -> float -> double.
+          frame.float_from = static_cast<size_t>(rng.UniformInt(0, 8));
+          frame.inexact_from =
+              frame.float_from + static_cast<size_t>(rng.UniformInt(0, 8));
+        } else if (kind < 0.55) {  // 16 -> float.
+          frame.float_from = static_cast<size_t>(rng.UniformInt(0, 12));
+        } else if (kind < 0.7) {  // 16 -> double in one step.
           frame.inexact_from = static_cast<size_t>(rng.UniformInt(0, 12));
-        } else if (kind < 0.6) {
+        } else if (kind < 0.8) {  // Double throughout.
           frame.inexact_from = 0;
         }
       }
     }
-    // A whole-watt cell below 2^24 (sometimes -0.0), or an inexact one.
-    auto draw_value = [&](bool inexact) {
-      if (inexact) {
+    // A cell for row `row` of `frame`: a whole number in [0, 65535], one in
+    // [-2^24, 2^24] (sometimes -0.0), or an inexact value.
+    auto draw_value = [&](const ModelFrame& frame, bool inexact) {
+      if (inexact || frame.rows >= frame.inexact_from) {
         return rng.Uniform(-1e3, 1e3);
+      }
+      if (frame.rows < frame.float_from) {
+        return static_cast<double>(rng.UniformInt(0, 65535));
       }
       return rng.Bernoulli(0.02)
                  ? -0.0
                  : static_cast<double>(rng.UniformInt(-(1 << 24), 1 << 24));
     };
-    // Mirrors one appended row of `frame` (after its cells were drawn).
-    auto note_row = [&](ModelFrame& frame, bool row_inexact) {
+    // Mirrors one appended row of `frame` whose widest present cell takes
+    // `row_bytes`.
+    auto note_row = [&](ModelFrame& frame, size_t row_bytes) {
       ++frame.rows;
-      if (row_inexact && !frame.wide) {
-        frame.wide = true;
-        ++(frame.spilled ? widened_after_spill_ : widened_before_spill_);
+      if (row_bytes > frame.bytes) {
+        frame.bytes = row_bytes;
+        if (row_bytes == 4) {
+          ++(frame.spilled ? to_float_after_spill_ : to_float_before_spill_);
+        } else {
+          ++(frame.spilled ? to_double_after_spill_ : to_double_before_spill_);
+        }
       }
     };
 
@@ -427,35 +500,34 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
         // cells at 30 %, or every cell.
         const double absent_p =
             rng.Bernoulli(0.5) ? 0.0 : (rng.Bernoulli(0.2) ? 1.0 : 0.3);
-        const bool inexact = frame.rows >= frame.inexact_from;
         values.resize(width);
         absent.assign(width, 0);
         size_t present = 0;
-        bool row_inexact = false;
+        size_t row_bytes = 2;
         for (size_t c = 0; c < width; ++c) {
           absent[c] = rng.Bernoulli(absent_p) ? 1 : 0;
           // An absent cell's value is never read, so an inexact one must
-          // leave a whole-watt frame narrow.
-          values[c] = draw_value(inexact || absent[c] != 0);
+          // not widen the frame.
+          values[c] = draw_value(frame, absent[c] != 0);
           if (absent[c] == 0) {
             model[frame.members[c]].push_back(TimePoint{stamp, values[c]});
-            row_inexact = row_inexact || !FloatExact(values[c]);
+            row_bytes = std::max(row_bytes, CellBytes(values[c]));
             ++present;
           }
         }
         db.AppendFrame(frame.id, stamp, values,
                        absent_p > 0.0 ? absent.data() : nullptr);
-        note_row(frame, row_inexact);
+        note_row(frame, row_bytes);
         frame.hot_row_present.push_back(present);
         spill(frame);
       } else {
         ModelFrame& single = singles[pick - frames.size()];
         const size_t k = single.members.front();
         const SimTime stamp = next_stamp(single);
-        const double value = draw_value(single.rows >= single.inexact_from);
+        const double value = draw_value(single, false);
         db.Append(ids[k], stamp, value);
         model[k].push_back(TimePoint{stamp, value});
-        note_row(single, !FloatExact(value));
+        note_row(single, CellBytes(value));
         single.hot_row_present.push_back(1);
         spill(single);
       }
@@ -470,7 +542,7 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
       for (const std::vector<ModelFrame>* group : {&frames, &singles}) {
         for (const ModelFrame& frame : *group) {
           hot_bytes += frame.hot_row_present.size() * frame.members.size() *
-                       (frame.wide ? sizeof(double) : sizeof(float));
+                       frame.bytes;
         }
       }
       ASSERT_EQ(db.HotValueBytes(), hot_bytes) << "seed " << seed;
@@ -515,10 +587,12 @@ TEST_P(TimeSeriesDbFramePropertyTest, LockstepWithPerSeriesModel) {
       return;
     }
   }
-  // The trials exercised widening on both sides of a spill.
-  EXPECT_GT(widened_before_spill_, 0u);
+  // The trials exercised both widenings on both sides of a spill.
+  EXPECT_GT(to_float_before_spill_, 0u);
+  EXPECT_GT(to_double_before_spill_, 0u);
   if (GetParam() > 0 && GetParam() < 64) {
-    EXPECT_GT(widened_after_spill_, 0u);
+    EXPECT_GT(to_float_after_spill_, 0u);
+    EXPECT_GT(to_double_after_spill_, 0u);
   }
 }
 
