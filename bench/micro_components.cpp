@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -79,7 +80,12 @@ void* operator new[](std::size_t size, std::align_val_t align) {
 }
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC 12 would see `delete` expressions in this file free a
+// pointer from `new` and warn (-Wmismatched-new-delete), though the
+// replacement `operator new` above allocates with malloc.
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
@@ -210,55 +216,82 @@ void BM_GroupSamplingSteadyState(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupSamplingSteadyState);
 
-// --- Scalar vs batched kernels ------------------------------------------
+// --- Reference vs fast kernels -------------------------------------------
 //
-// The three vectorized hot kernels, each with its scalar twin under Arg(0)
-// and the batched span form under Arg(1). Every batched arm hard-asserts
-// (a) bit-identity against the scalar arm over the same inputs and (b) a
-// zero allocation delta across the measured region — the determinism and
-// zero-alloc contracts are enforced here in the bench, not just in tests.
+// Three hot kernels, each with its reference twin under arm 0 and the fast
+// form under arm 1. Every fast arm hard-asserts (a) bit-identity against
+// the reference arm over the same inputs and (b) a zero allocation delta
+// across the measured region — the determinism and zero-alloc contracts
+// are enforced here in the bench, not just in tests.
 
-// Counter-based Box-Muller: one row of sensor noise (420 servers = 210
-// pairs), per-pair calls vs one StandardNormalSpan sweep.
+// Whole-watt noisy readings of one clean pass over range(0) servers (420: a
+// paper row; 6,720: the hyperscale fleet): Arg(0) rounds truth + sigma * z
+// with the exact per-pair StandardNormalPair (libm log/cos/sin), Arg(1)
+// runs the monitor's certified kernel (PowerMonitor::ReadWholeWatts).
+// Setup hard-asserts the two agree bit for bit over 64 ticks; the timed
+// loop must not allocate. "fallback" is the certified arm's share of
+// readings computed exactly.
 void BM_NoiseSpan(benchmark::State& state) {
-  constexpr size_t kPairs = 210;
-  const uint64_t base = counter_rng::TickBase(0x9E3779B97F4A7C15ULL, 1234);
-  std::vector<double> scalar(2 * kPairs, 0.0);
-  std::vector<double> batched(2 * kPairs, 0.0);
-  for (size_t s = 0; s < kPairs; ++s) {
-    const auto pair = counter_rng::StandardNormalPair(
-        counter_rng::StreamKey(base, static_cast<uint64_t>(s)));
-    scalar[2 * s] = pair.z0;
-    scalar[2 * s + 1] = pair.z1;
+  const size_t servers = static_cast<size_t>(state.range(0));
+  const bool certified = state.range(1) != 0;
+  constexpr double kSigma = 1.0;
+  constexpr uint64_t kNoiseSeed = 0x9E3779B97F4A7C15ULL;
+  Rng rng(515);
+  std::vector<double> truth(servers);
+  for (double& watts : truth) {
+    watts = rng.Uniform(150.0, 320.0);
   }
-  counter_rng::StandardNormalSpan(base, 0, kPairs, batched.data());
-  for (size_t i = 0; i < 2 * kPairs; ++i) {
-    AMPERE_CHECK(scalar[i] == batched[i])
-        << "StandardNormalSpan diverged from StandardNormalPair at " << i;
-  }
-  const bool use_span = state.range(0) != 0;
-  const uint64_t allocs_before = AllocCount();
-  for (auto _ : state) {
-    if (use_span) {
-      counter_rng::StandardNormalSpan(base, 0, kPairs, batched.data());
-      benchmark::DoNotOptimize(batched.data());
-    } else {
-      for (size_t s = 0; s < kPairs; ++s) {
-        const auto pair = counter_rng::StandardNormalPair(
-            counter_rng::StreamKey(base, static_cast<uint64_t>(s)));
-        scalar[2 * s] = pair.z0;
-        scalar[2 * s + 1] = pair.z1;
+  std::vector<double> exact(servers, 0.0);
+  std::vector<double> fast(servers, 0.0);
+  auto read_exact = [&](uint64_t base) {
+    for (size_t s = 0; s < servers; s += 2) {
+      const auto pair = counter_rng::StandardNormalPair(
+          counter_rng::StreamKey(base, static_cast<uint64_t>(s >> 1)));
+      exact[s] = std::max(std::round(truth[s] + kSigma * pair.z0), 0.0);
+      if (s + 1 < servers) {
+        exact[s + 1] =
+            std::max(std::round(truth[s + 1] + kSigma * pair.z1), 0.0);
       }
-      benchmark::DoNotOptimize(scalar.data());
+    }
+  };
+  for (uint64_t tick = 0; tick < 64; ++tick) {
+    const uint64_t base = counter_rng::TickBase(kNoiseSeed, tick);
+    read_exact(base);
+    PowerMonitor::ReadWholeWatts(truth, kSigma, base, fast);
+    for (size_t s = 0; s < servers; ++s) {
+      AMPERE_CHECK(exact[s] == fast[s])
+          << "certified reading diverged at server " << s << " tick " << tick;
     }
   }
+  uint64_t tick = 0;
+  size_t fallbacks = 0;
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    const uint64_t base = counter_rng::TickBase(kNoiseSeed, tick++);
+    if (certified) {
+      fallbacks += PowerMonitor::ReadWholeWatts(truth, kSigma, base, fast);
+      benchmark::DoNotOptimize(fast.data());
+    } else {
+      read_exact(base);
+      benchmark::DoNotOptimize(exact.data());
+    }
+    benchmark::ClobberMemory();
+  }
   AMPERE_CHECK(AllocCount() == allocs_before)
-      << "noise kernel allocated in steady state";
+      << "whole-watt readings allocated in steady state";
+  const double readings =
+      static_cast<double>(state.iterations()) * static_cast<double>(servers);
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(2 * kPairs));
-  state.SetLabel(use_span ? "batched_span" : "scalar_pairs");
+                          static_cast<int64_t>(servers));
+  state.counters["fallback"] =
+      certified ? static_cast<double>(fallbacks) / readings : 0.0;
+  state.SetLabel(certified ? "certified" : "exact_pairs");
 }
-BENCHMARK(BM_NoiseSpan)->Arg(0)->Arg(1);
+BENCHMARK(BM_NoiseSpan)
+    ->Args({420, 0})
+    ->Args({420, 1})
+    ->Args({6720, 0})
+    ->Args({6720, 1});
 
 // Row resummation: one row's power span (420 servers) summed left to right
 // by SumSequential, the one reduction order every aggregate uses.

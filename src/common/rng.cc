@@ -90,13 +90,10 @@ double Rng::StandardNormal() {
 namespace counter_rng {
 
 NormalPair StandardNormalPair(uint64_t key) {
-  // Two independent uniforms from the key. The key is itself a Mix64
-  // finalizer output (fully avalanched), so it serves as the first word
-  // directly; the second is one further mix of a golden-ratio-offset copy
-  // (distinct bijections of the same key are independent enough for
-  // Box-Muller's purposes).
-  const uint64_t a = key;
-  const uint64_t b = Mix64(key ^ 0x9E3779B97F4A7C15ULL);
+  return NormalPairFromWords(key, SecondWord(key));
+}
+
+NormalPair NormalPairFromWords(uint64_t a, uint64_t b) {
   // u1 in (0, 1] so the log is finite; u2 in [0, 1).
   const double u1 =
       1.0 - static_cast<double>(a >> 11) * 0x1.0p-53;  // (0, 1].
@@ -108,45 +105,21 @@ NormalPair StandardNormalPair(uint64_t key) {
 
 double StandardNormal(uint64_t key) { return StandardNormalPair(key).z0; }
 
-void StandardNormalSpan(uint64_t base, uint64_t first_stream,
-                        size_t num_pairs, double* z) {
-  // Strip-mined into three passes over a fixed-size block so each stage is
-  // a flat loop over contiguous staging arrays:
-  //   1. integer key mixing + uniform conversion (shifts/xors/multiplies —
-  //      auto-vectorizable, and independent per lane),
-  //   2. radius r = sqrt(-2 log u1) (the log stays a scalar libm call so
-  //      every bit matches StandardNormalPair; sqrt is IEEE-exact either
-  //      way),
-  //   3. angle + projection (sin/cos likewise stay scalar libm; GCC merges
-  //      the pair into one sincos call).
-  // Every element goes through the same expressions, in the same operand
-  // order, as the per-pair path — so the output is bit-identical, just
-  // without per-pair call overhead and with the mixing loop open to SIMD.
-  constexpr size_t kBlock = 64;
-  double u1[kBlock];
-  double u2[kBlock];
-  double r[kBlock];
-  double* __restrict out = z;
-  while (num_pairs > 0) {
-    const size_t n = num_pairs < kBlock ? num_pairs : kBlock;
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t key = StreamKey(base, first_stream + i);
-      const uint64_t a = key;
-      const uint64_t b = Mix64(key ^ 0x9E3779B97F4A7C15ULL);
-      u1[i] = 1.0 - static_cast<double>(a >> 11) * 0x1.0p-53;  // (0, 1].
-      u2[i] = static_cast<double>(b >> 11) * 0x1.0p-53;        // [0, 1).
-    }
-    for (size_t i = 0; i < n; ++i) {
-      r[i] = std::sqrt(-2.0 * std::log(u1[i]));
-    }
-    for (size_t i = 0; i < n; ++i) {
-      const double theta = 2.0 * std::numbers::pi * u2[i];
-      out[2 * i] = r[i] * std::cos(theta);
-      out[2 * i + 1] = r[i] * std::sin(theta);
-    }
-    out += 2 * n;
-    first_stream += n;
-    num_pairs -= n;
+const ApproxNormal& ApproxNormal::Get() {
+  // Built on first use, once per process: not at any consumer's
+  // construction, and never per pass.
+  static const ApproxNormal tables;
+  return tables;
+}
+
+ApproxNormal::ApproxNormal() {
+  for (size_t i = 0; i <= kTableSize; ++i) {
+    // i / N is exact, and so is the angle's u2 = i / N: a knot's cos and
+    // sin are the exact pair's own values at that u2.
+    const double x = static_cast<double>(i) / static_cast<double>(kTableSize);
+    log1p_[i] = std::log1p(x);
+    const double theta = 2.0 * std::numbers::pi * x;
+    angle_[i] = Knot{std::cos(theta), std::sin(theta)};
   }
 }
 

@@ -11,8 +11,8 @@
 //   * CounterRng (free functions) — counter-based ("stateless") streams: a
 //     variate is a pure function of (seed, stream, tick). Nothing is drawn
 //     "before" anything else, so values are independent of evaluation
-//     order — the telemetry sampler relies on it to draw a whole span of
-//     noise in one batch and to let a dropped reading consume nothing.
+//     order — the telemetry sampler relies on it to read a whole span of
+//     servers in one pass and to let a dropped reading consume nothing.
 
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
@@ -186,20 +186,105 @@ struct NormalPair {
 };
 NormalPair StandardNormalPair(uint64_t key);
 
+// The two uniform words of a key's Box-Muller pair: the key itself (a
+// Mix64 output, fully avalanched) feeds u1, one further mix of a
+// golden-ratio-offset copy feeds u2.
+constexpr uint64_t SecondWord(uint64_t key) {
+  return Mix64(key ^ 0x9E3779B97F4A7C15ULL);
+}
+
+// StandardNormalPair from its words: u1 = 1 - (a >> 11) 2^-53 in (0, 1],
+// u2 = (b >> 11) 2^-53 in [0, 1), r = sqrt(-2 ln u1), theta = 2 pi u2,
+// with libm's log, cos and sin. StandardNormalPair(key) ==
+// NormalPairFromWords(key, SecondWord(key)) bit for bit.
+NormalPair NormalPairFromWords(uint64_t a, uint64_t b);
+
 // Single standard normal as a pure function of a key (the z0 lane).
 double StandardNormal(uint64_t key);
 
-// Batched Box-Muller over `num_pairs` consecutive streams: writes
-// z[2k] = z0 and z[2k+1] = z1 of StandardNormalPair(StreamKey(base,
-// first_stream + k)) for k in [0, num_pairs). Bit-identical to calling
-// StandardNormalPair per stream — the batch is a strip-mined restructure,
-// not a different formula: the integer key mixing and uniform conversion
-// run as flat span loops the compiler can vectorize, while log/sin/cos stay
-// scalar libm calls (vector math libraries round differently, and these
-// bits are pinned by goldens). Allocation-free: internal staging lives in
-// fixed stack blocks.
-void StandardNormalSpan(uint64_t base, uint64_t first_stream,
-                        size_t num_pairs, double* z);
+// Bound on |ApproxNormal::Pair(key) - StandardNormalPair(key)| in either
+// lane, for every key. With N = 2^kTableBits knots per table and linear
+// interpolation (error at most h^2/8 max|f''| over a cell of width h):
+//   ln u1:     |d ln| <= (1/N)^2 / 8 = 2.98e-8, since |(ln(1+f))''| <= 1;
+//   r:         |d r| <= sqrt(2 |d ln|) = 2.441e-4, since
+//              |sqrt(x) - sqrt(y)| <= sqrt(|x - y|);
+//   cos, sin:  |d c| <= (2 pi / N)^2 / 8 = 1.18e-6;
+//   z = r c:   |d z| <= |d r| (1 + |d c|) + r_max |d c|
+//              = 2.441e-4 + 8.572 * 1.18e-6 = 2.543e-4,
+// where r_max = sqrt(-2 ln 2^-53) = 8.572 is the largest radius the
+// smallest u1 gives. The rounding of the table entries and of the
+// interpolation arithmetic adds ~1e-14, so 2.6e-4 holds with margin.
+inline constexpr double kApproxNormalErrorBound = 2.6e-4;
+
+// Table-interpolated Box-Muller without libm: the same words, u1 and u2 as
+// StandardNormalPair, within kApproxNormalErrorBound of it in both lanes.
+//   ln u1 = e ln 2 + ln(1 + f) for u1 = 2^e (1 + f), with ln(1 + f)
+//          linearly interpolated in a table indexed by f's top kTableBits
+//          mantissa bits;
+//   cos, sin of 2 pi u2 are linearly interpolated in a table indexed by
+//          u2's top kTableBits bits.
+// Not bit-identical to StandardNormalPair: a consumer whose result must
+// match the exact pair certifies it against the bound (the power
+// monitor's whole-watt readings do).
+class ApproxNormal {
+ public:
+  static constexpr int kTableBits = 11;
+  static constexpr size_t kTableSize = size_t{1} << kTableBits;
+
+  // The process-wide tables, built with libm on the first call.
+  static const ApproxNormal& Get();
+
+  NormalPair Pair(uint64_t key) const {
+    return PairFromWords(key, SecondWord(key));
+  }
+  inline NormalPair PairFromWords(uint64_t a, uint64_t b) const;
+
+ private:
+  ApproxNormal();
+
+  struct Knot {
+    double cos = 0.0;
+    double sin = 0.0;
+  };
+  // ln(1 + j/N) and the angle 2 pi k/N at every knot, the closing knot
+  // (j, k = N) included so a cell's upper neighbour always exists.
+  double log1p_[kTableSize + 1] = {};
+  Knot angle_[kTableSize + 1];
+};
+
+inline NormalPair ApproxNormal::PairFromWords(uint64_t a, uint64_t b) const {
+  constexpr int kLogFracBits = 52 - kTableBits;  // Mantissa bits below j.
+  constexpr int kAngleFracBits = 53 - kTableBits;  // u2 bits below k.
+  constexpr double kLogFracScale =
+      1.0 / static_cast<double>(uint64_t{1} << kLogFracBits);
+  constexpr double kAngleFracScale =
+      1.0 / static_cast<double>(uint64_t{1} << kAngleFracBits);
+  // u1 in (0, 1] exactly as the exact pair forms it; never subnormal
+  // (u1 >= 2^-53), so its fields are an exponent and a 52-bit mantissa.
+  const double u1 = 1.0 - static_cast<double>(a >> 11) * 0x1.0p-53;
+  const uint64_t bits = std::bit_cast<uint64_t>(u1);
+  const double exponent =
+      static_cast<double>(static_cast<int64_t>(bits >> 52) - 1023);
+  const uint64_t mantissa = bits & ((uint64_t{1} << 52) - 1);
+  // Cell j of the ln(1 + f) table, and the position t in [0, 1) within it.
+  const size_t j = static_cast<size_t>(mantissa >> kLogFracBits);
+  const double t =
+      static_cast<double>(mantissa & ((uint64_t{1} << kLogFracBits) - 1)) *
+      kLogFracScale;
+  const double ln_u1 = exponent * std::numbers::ln2 +
+                       (log1p_[j] + t * (log1p_[j + 1] - log1p_[j]));
+  // ln u1 <= 0 up to rounding; the clamp keeps u1 = 1 at r = 0.
+  const double r = std::sqrt(ln_u1 < 0.0 ? -2.0 * ln_u1 : 0.0);
+  const uint64_t w2 = b >> 11;  // u2 = w2 2^-53.
+  const size_t k = static_cast<size_t>(w2 >> kAngleFracBits);
+  const double g =
+      static_cast<double>(w2 & ((uint64_t{1} << kAngleFracBits) - 1)) *
+      kAngleFracScale;
+  const Knot& lo = angle_[k];
+  const Knot& hi = angle_[k + 1];
+  return NormalPair{r * (lo.cos + g * (hi.cos - lo.cos)),
+                    r * (lo.sin + g * (hi.sin - lo.sin))};
+}
 
 }  // namespace counter_rng
 

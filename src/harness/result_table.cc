@@ -125,8 +125,10 @@ std::string ResultTable::ToJson() const {
       if (m > 0) {
         out += ", ";
       }
-      out += "\"" + JsonEscape(r.metrics[m].name) +
-             "\": " + FormatDouble(r.metrics[m].value);
+      out += '"';
+      out += JsonEscape(r.metrics[m].name);
+      out += "\": ";
+      out += FormatDouble(r.metrics[m].value);
     }
     out += "},\n";
     out += "      \"notes\": \"" + JsonEscape(r.notes) + "\",\n";
@@ -141,7 +143,9 @@ std::string ResultTable::ToJson() const {
         if (a > 0) {
           out += ", ";
         }
-        out += "\"" + JsonEscape(r.artifacts[a]) + "\"";
+        out += '"';
+        out += JsonEscape(r.artifacts[a]);
+        out += '"';
       }
       out += "],\n";
     }

@@ -12,6 +12,24 @@
 #include "src/obs/span.h"
 
 namespace ampere {
+namespace {
+
+// The reading rule of both sample passes: round half away from zero to a
+// whole watt (when quantizing), then clamp negatives to 0. -0.0 is not
+// negative, so a reading that rounds to -0 keeps its sign.
+double FinishReading(double reading, bool quantize) {
+  if (quantize) {
+    reading = std::round(reading);
+  }
+  return reading < 0.0 ? 0.0 : reading;
+}
+
+// How many of the noise kernel's error bounds a certified whole-watt
+// reading keeps from every rounding edge. 1 is enough by the bound's
+// derivation; the rest is slack for the libm pair's own few-ulp error.
+constexpr double kCertifyMargin = 4.0;
+
+}  // namespace
 
 PowerMonitor::PowerMonitor(DataCenter* dc, TimeSeriesDb* db,
                            const PowerMonitorConfig& config, Rng rng)
@@ -191,46 +209,84 @@ void PowerMonitor::SampleOnce(SimTime stamp) {
 }
 
 void PowerMonitor::ReadServersClean(uint64_t tick) {
-  // True draw + counter-based sensor noise, then watt quantization. The
-  // batched kernel evaluates one Box-Muller per two servers (the same pair
-  // NoiseAt would compute for either of them), so the values are
-  // bit-identical to the faulted pass's per-server NoiseAt.
-  const size_t end = static_cast<size_t>(dc_->num_servers());
-  std::span<const double> truth = dc_->server_power_soa();
-  const double sigma = config_.noise_sigma_watts;
-  const bool quantize = config_.quantize_to_watts;
-  // Hoist the loop-invariant (seed, tick) half of the key derivation; the
-  // per-pair remainder is one StreamKey mix. StreamKey(base, s) ==
-  // Key(noise_seed_, s, tick), so these values match NoiseAt exactly.
-  const uint64_t base = counter_rng::TickBase(noise_seed_, tick);
-  auto finish = [quantize](double reading) {
-    if (quantize) {
-      reading = std::round(reading);
+  // True draw + counter-based sensor noise, then (by default) watt
+  // quantization. StreamKey(TickBase(noise_seed_, tick), s) ==
+  // Key(noise_seed_, s, tick), so both branches read exactly what NoiseAt
+  // and the faulted pass would.
+  const std::span<const double> truth = dc_->server_power_soa();
+  if (config_.quantize_to_watts) {
+    const size_t fallbacks = ReadWholeWatts(
+        truth, config_.noise_sigma_watts,
+        counter_rng::TickBase(noise_seed_, tick), latest_server_watts_);
+    AMPERE_COUNTER_ADD("telemetry.noise_fallbacks", fallbacks);
+    return;
+  }
+  for (size_t s = 0; s < truth.size(); ++s) {
+    latest_server_watts_[s] = FinishReading(truth[s] + NoiseAt(s, tick),
+                                            /*quantize=*/false);
+  }
+}
+
+size_t PowerMonitor::ReadWholeWatts(std::span<const double> truth,
+                                    double sigma, uint64_t noise_base,
+                                    std::span<double> readings) {
+  AMPERE_CHECK(readings.size() == truth.size());
+  const counter_rng::ApproxNormal& approx = counter_rng::ApproxNormal::Get();
+  // |x - x_exact| <= |sigma| |z - z_exact| + the two roundings of x, so
+  // x_exact rounds like x when x is more than `margin` plus a few ulps of x
+  // from every half-integer (the ulp term also covers sigma = 0). Written
+  // so that a NaN anywhere fails every test and falls back.
+  const double margin =
+      kCertifyMargin * std::abs(sigma) * counter_rng::kApproxNormalErrorBound;
+  // Strip-mined over fixed blocks of servers, so each stage is a short
+  // loop of independent iterations: the block's approximate noise, then
+  // its certified readings, then the exact path for the few undecided.
+  constexpr size_t kBlock = 128;  // Servers; even, so pairs never straddle.
+  double z[kBlock] = {};
+  uint8_t undecided[kBlock] = {};
+  size_t fallbacks = 0;
+  const size_t end = truth.size();
+  for (size_t first = 0; first < end; first += kBlock) {
+    const size_t count = std::min(kBlock, end - first);
+    for (size_t k = 0; k < count; k += 2) {
+      const counter_rng::NormalPair pair =
+          approx.Pair(counter_rng::StreamKey(noise_base, (first + k) >> 1));
+      z[k] = pair.z0;
+      z[k + 1] = pair.z1;
     }
-    return reading < 0.0 ? 0.0 : reading;
-  };
-  // Whole spans of noise from the batched kernel, then a flat
-  // add/quantize/store sweep over the same block. The staging buffer is a
-  // fixed stack block, so the pass stays allocation-free.
-  constexpr size_t kNoisePairs = 128;
-  double z[2 * kNoisePairs];
-  const double* __restrict truth_p = truth.data();
-  double* __restrict latest_p = latest_server_watts_.data();
-  size_t i = 0;
-  while (i + 1 < end) {
-    const size_t pairs = std::min(kNoisePairs, (end - i) / 2);
-    counter_rng::StandardNormalSpan(base, static_cast<uint64_t>(i >> 1),
-                                    pairs, z);
-    const size_t count = 2 * pairs;
+    size_t block_undecided = 0;
     for (size_t k = 0; k < count; ++k) {
-      latest_p[i + k] = finish(truth_p[i + k] + sigma * z[k]);
+      const double x = truth[first + k] + sigma * z[k];
+      const double delta = margin + x * 0x1.0p-50;
+      // Above 0.5 + delta, x and x_exact both exceed 0.5: the reading is
+      // the integer nearest x, at least 1, with no clamp and no sign of
+      // zero. It is decided when x is within 0.5 - delta of it, i.e. more
+      // than delta from both neighbouring half-integers. `in_range` keeps
+      // the integer conversion defined; there x - whole is exact.
+      const bool in_range = x > 0.5 + delta && x < 0x1.0p52;
+      const double xr = in_range ? x : 1.0;
+      const double whole = static_cast<double>(static_cast<int64_t>(xr + 0.5));
+      const bool decided = in_range && std::abs(xr - whole) < 0.5 - delta;
+      readings[first + k] = whole;
+      undecided[k] = decided ? 0 : 1;
+      block_undecided += decided ? 0 : 1;
     }
-    i += count;
+    if (block_undecided == 0) {
+      continue;
+    }
+    fallbacks += block_undecided;
+    for (size_t k = 0; k < count; ++k) {
+      if (undecided[k] != 0) {
+        const size_t s = first + k;
+        const counter_rng::NormalPair exact = counter_rng::StandardNormalPair(
+            counter_rng::StreamKey(noise_base, static_cast<uint64_t>(s >> 1)));
+        readings[s] = FinishReading(
+            truth[s] + sigma * ((s & 1) == 0 ? exact.z0 : exact.z1),
+            /*quantize=*/true);
+      }
+    }
   }
-  if (i < end) {
-    // Odd server count: the last server is the z0 lane of a half pair.
-    latest_server_watts_[i] = finish(truth[i] + NoiseAt(i, tick));
-  }
+  return fallbacks;
 }
 
 void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
@@ -325,15 +381,10 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
       }
       continue;
     }
-    double reading = dc_->server_power_watts(id) +
-                     NoiseAt(static_cast<size_t>(s), tick) +
-                     injector_->SensorAdjustWatts();
-    if (config_.quantize_to_watts) {
-      reading = std::round(reading);
-    }
-    if (reading < 0.0) {
-      reading = 0.0;
-    }
+    const double reading = FinishReading(
+        dc_->server_power_watts(id) + NoiseAt(static_cast<size_t>(s), tick) +
+            injector_->SensorAdjustWatts(),
+        config_.quantize_to_watts);
     latest_server_watts_[id.index()] = reading;
     if (config_.record_servers) {
       row[column] = reading;

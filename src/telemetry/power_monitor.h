@@ -26,14 +26,20 @@
 // pure function of (noise seed, server id, sample tick) — see
 // counter_rng in common/rng.h. A reading is therefore independent of how
 // many other readings were produced before it, so a dropped reading in a
-// faulted pass leaves every later reading's noise unchanged. Frame columns
+// faulted pass leaves every later reading's noise unchanged. The clean
+// pass's whole-watt readings take the noise from a table-interpolated
+// Box-Muller and fall back to the exact libm pair only where its error
+// bound could move the rounding (ReadWholeWatts), so they equal the exact
+// readings bit for bit. Frame columns
 // are in fixed (server, rack, row, total, group) order; a faulted pass
 // marks a dropped or dark reading's cell absent instead of appending it.
 
 #ifndef SRC_TELEMETRY_POWER_MONITOR_H_
 #define SRC_TELEMETRY_POWER_MONITOR_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -148,6 +154,21 @@ class PowerMonitor {
   PowerReading LatestRowReading(RowId id, SimTime now) const;
   PowerReading LatestGroupReading(const std::string& name, SimTime now) const;
 
+  // The clean pass's whole-watt readings: readings[s] = the reading of
+  // truth[s] + sigma * z_s rounded half away from zero and clamped at 0
+  // (a -0.0 survives the clamp), where z_s is lane s & 1 of
+  // StandardNormalPair(StreamKey(noise_base, s / 2)). Bit-identical to that
+  // exact rule for every input. Each reading is first taken from
+  // ApproxNormal; it stands only if x = truth + sigma * z_approx lies more
+  // than 4 |sigma| kApproxNormalErrorBound plus a few ulps of x from every
+  // half-integer and above the band around 0 where the clamp and the sign
+  // of zero decide. Otherwise (and whenever x is not finite) the reading is
+  // computed with the exact pair. Returns how many were. `readings` must be
+  // as long as `truth`.
+  static size_t ReadWholeWatts(std::span<const double> truth, double sigma,
+                               uint64_t noise_base,
+                               std::span<double> readings);
+
   // Canonical series names.
   static std::string ServerSeries(ServerId id);
   static std::string RackSeries(RackId id);
@@ -175,8 +196,8 @@ class PowerMonitor {
   // Measurement noise for one server at one sample tick: sigma * z where z
   // is the counter-based standard normal for (noise_seed_, server, tick).
   // Servers share Box-Muller pairs two-by-two (key from server/2, lane from
-  // server&1); this helper evaluates the pair and picks the lane, so its
-  // value is bit-identical to the batched pairwise loop in the clean pass.
+  // server&1); this helper evaluates the pair and picks the lane. The clean
+  // pass's whole-watt readings equal those NoiseAt gives (ReadWholeWatts).
   double NoiseAt(size_t server, uint64_t tick) const {
     const uint64_t key = counter_rng::Key(
         noise_seed_, static_cast<uint64_t>(server >> 1), tick);
@@ -196,7 +217,8 @@ class PowerMonitor {
   // Fault-free sample pass (no injector, or a quiescent one): every server
   // read, then the aggregates summed into the frame row and appended.
   void SampleCleanPass(SimTime stamp, uint64_t tick);
-  // Noisy quantized readings for every server.
+  // Noisy readings for every server: ReadWholeWatts when quantized, the
+  // exact NoiseAt per server otherwise.
   void ReadServersClean(uint64_t tick);
   // Fault-aware pass (the injector can interfere this tick).
   void SampleFaultedPass(SimTime stamp, uint64_t tick);

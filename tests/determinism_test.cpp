@@ -4,7 +4,8 @@
 //   1. Counter-based noise streams — a variate is a pure function of
 //      (seed, stream, tick); the two-stage key derivation (hoisted TickBase
 //      + per-stream StreamKey) matches the one-shot Key; exact pinned
-//      values catch silent mixer changes.
+//      values catch silent mixer changes; the table-interpolated
+//      Box-Muller stays within its documented bound of the exact pair.
 //   2. Batched kernels — the span kernels are bit-identical to the scalar
 //      code they stand in for, and the exact resummation equals the Exact*
 //      sums over every rack-span tail length.
@@ -14,11 +15,14 @@
 //   4. Spill identity — the cold tier moves no byte of any artifact, and a
 //      reopened store serves the cold bytes the sealing run wrote.
 
+#include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <numbers>
 #include <span>
 #include <sstream>
 #include <string>
@@ -112,47 +116,108 @@ TEST(CounterRngTest, NeighboringStreamsAndTicksDecorrelate) {
   EXPECT_NEAR(var, 1.0, 0.03);
 }
 
-// --- 2. Batched kernels vs their scalar twins ----------------------------
-//
-// The vectorized span kernels must be bit-identical to the per-element code
-// they replaced: the batched Box-Muller is a strip-mined restructure of
-// StandardNormalPair, PowerSpanUniformFreq repeats the scalar model's
-// expressions in the same operand order, and SumSequential keeps the strict
-// left-to-right order. Any divergence silently invalidates the
-// byte-identity contract, so these tests pin the identities directly.
-
-TEST(BatchedKernelIdentityTest, NoiseSpanMatchesScalarPairs) {
-  // Lengths straddle the kernel's internal 64-pair block: 1, odd tails,
-  // exactly one block, one block + 1, and two blocks + ragged tail.
-  for (size_t num_pairs : {size_t{1}, size_t{3}, size_t{7}, size_t{64},
-                           size_t{65}, size_t{130}}) {
-    for (uint64_t tick : {uint64_t{0}, uint64_t{977}}) {
-      const uint64_t base = counter_rng::TickBase(kSeed, tick);
-      const uint64_t first_stream = 5;
-      std::vector<double> z(2 * num_pairs, 0.0);
-      counter_rng::StandardNormalSpan(base, first_stream, num_pairs,
-                                      z.data());
-      for (size_t k = 0; k < num_pairs; ++k) {
-        const auto pair = counter_rng::StandardNormalPair(
-            counter_rng::StreamKey(base, first_stream + k));
-        EXPECT_EQ(z[2 * k], pair.z0)
-            << "pair " << k << " of " << num_pairs << " at tick " << tick;
-        EXPECT_EQ(z[2 * k + 1], pair.z1)
-            << "pair " << k << " of " << num_pairs << " at tick " << tick;
-      }
-    }
+// The table-interpolated Box-Muller reads the exact pair's words, and stays
+// within its documented bound of the exact pair in both lanes: over random
+// keys and over the edge words (u1 = 1 and r = 0, u1 = 2^-53 and the
+// largest r, u2 = 0, u2 just below 1, and u1 mantissas and u2 words exactly
+// on table knots, where the interpolation weight is 0).
+TEST(CounterRngTest, ApproxNormalReadsTheExactPairsWords) {
+  const counter_rng::ApproxNormal& approx = counter_rng::ApproxNormal::Get();
+  Rng rng(kSeed);
+  for (int i = 0; i < 1000; ++i) {
+    const uint64_t key = rng.NextU64();
+    const uint64_t b = counter_rng::SecondWord(key);
+    const auto exact = counter_rng::StandardNormalPair(key);
+    const auto exact_words = counter_rng::NormalPairFromWords(key, b);
+    ASSERT_EQ(exact.z0, exact_words.z0);
+    ASSERT_EQ(exact.z1, exact_words.z1);
+    const auto fast = approx.Pair(key);
+    const auto fast_words = approx.PairFromWords(key, b);
+    ASSERT_EQ(fast.z0, fast_words.z0);
+    ASSERT_EQ(fast.z1, fast_words.z1);
   }
 }
 
-TEST(BatchedKernelIdentityTest, NoiseSpanReproducesPinnedValues) {
-  // The same pins PinnedValuesCatchSilentMixerChanges holds for the scalar
-  // path: Key(7, 11, 13) == StreamKey(TickBase(7, 13), 11), so a one-pair
-  // span starting at stream 11 must reproduce them exactly.
-  double z[2] = {0.0, 0.0};
-  counter_rng::StandardNormalSpan(counter_rng::TickBase(7, 13), 11, 1, z);
-  EXPECT_DOUBLE_EQ(z[0], 0.18342037207316905);
-  EXPECT_DOUBLE_EQ(z[1], 0.77187129066730675);
+TEST(CounterRngTest, ApproxNormalStaysWithinItsBound) {
+  // The documented derivation of the bound, re-evaluated.
+  const double n = static_cast<double>(counter_rng::ApproxNormal::kTableSize);
+  const double d_ln = 1.0 / (8.0 * n * n);
+  const double d_cos = std::pow(2.0 * std::numbers::pi / n, 2.0) / 8.0;
+  const double r_max = std::sqrt(-2.0 * std::log(0x1.0p-53));
+  EXPECT_LE(std::sqrt(2.0 * d_ln) * (1.0 + d_cos) + r_max * d_cos,
+            counter_rng::kApproxNormalErrorBound);
+
+  const counter_rng::ApproxNormal& approx = counter_rng::ApproxNormal::Get();
+  double worst = 0.0;
+  auto check = [&](uint64_t a, uint64_t b) {
+    const auto exact = counter_rng::NormalPairFromWords(a, b);
+    const auto fast = approx.PairFromWords(a, b);
+    const double error =
+        std::max(std::abs(fast.z0 - exact.z0), std::abs(fast.z1 - exact.z1));
+    worst = std::max(worst, error);
+    ASSERT_LE(error, counter_rng::kApproxNormalErrorBound)
+        << std::hex << "a=0x" << a << " b=0x" << b;
+  };
+  // u1 = 1 - (a >> 11) 2^-53 and u2 = (b >> 11) 2^-53.
+  std::vector<uint64_t> a_edges = {
+      0,                        // u1 = 1: r = 0.
+      ~uint64_t{0},             // u1 = 2^-53: the largest r.
+      uint64_t{1} << 11,        // u1 just below 1.
+      uint64_t{1} << 63,        // u1 = 1/2.
+  };
+  // u1 = 2^e (1 + j/N) exactly: a knot of the ln(1 + f) table.
+  const uint64_t table = counter_rng::ApproxNormal::kTableSize;
+  for (int e : {-1, -2, -11, -30, -42}) {
+    for (uint64_t j : {uint64_t{0}, uint64_t{1}, table / 2, table - 1}) {
+      // 2^53 (1 - u1) = 2^53 - 2^(53 + e) (N + j) / N, an integer.
+      const int shift = 53 + e - counter_rng::ApproxNormal::kTableBits;
+      const uint64_t m = (uint64_t{1} << 53) - ((table + j) << shift);
+      a_edges.push_back(m << 11);
+    }
+  }
+  std::vector<uint64_t> b_edges = {
+      0,                        // u2 = 0.
+      ~uint64_t{0},             // u2 just below 1.
+      uint64_t{1} << 11,        // u2 = 2^-53.
+  };
+  // u2 = k / N exactly: a knot of the angle table.
+  for (uint64_t k : {uint64_t{1}, table / 4, table / 2, table - 1}) {
+    b_edges.push_back(k << (64 - counter_rng::ApproxNormal::kTableBits));
+    // Just below and just above the knot.
+    b_edges.push_back((k << (64 - counter_rng::ApproxNormal::kTableBits)) -
+                      (uint64_t{1} << 11));
+    b_edges.push_back((k << (64 - counter_rng::ApproxNormal::kTableBits)) +
+                      (uint64_t{1} << 11));
+  }
+  Rng rng(kSeed);
+  for (uint64_t a : a_edges) {
+    for (uint64_t b : b_edges) {
+      check(a, b);
+    }
+    for (int i = 0; i < 200; ++i) {
+      check(a, rng.NextU64());
+    }
+  }
+  for (uint64_t b : b_edges) {
+    for (int i = 0; i < 200; ++i) {
+      check(rng.NextU64(), b);
+    }
+  }
+  for (int i = 0; i < 200000; ++i) {
+    const uint64_t key = rng.NextU64();
+    check(key, counter_rng::SecondWord(key));
+  }
+  // The bound is not vacuous: the interpolation really errs.
+  EXPECT_GT(worst, 0.0);
 }
+
+// --- 2. Batched kernels vs their scalar twins ----------------------------
+//
+// The span kernels must be bit-identical to the per-element code they
+// replaced: PowerSpanUniformFreq repeats the scalar model's expressions in
+// the same operand order, and SumSequential keeps the strict left-to-right
+// order. Any divergence silently invalidates the byte-identity contract, so
+// these tests pin the identities directly.
 
 TEST(BatchedKernelIdentityTest, SumKernelsMatchHandRolledOrders) {
   // The reduction is pinned against a hand-rolled accumulation of its

@@ -399,7 +399,7 @@ TEST(TraceParseTest, ValidBytesRoundTrip) {
 }
 
 TEST(TraceParseTest, EmptyAndShortInputsAreTruncated) {
-  for (const std::string input : {std::string(), std::string("AMP"),
+  for (const std::string& input : {std::string(), std::string("AMP"),
                                   std::string("AMPTRACE"),
                                   std::string("AMPTRACE\x01\x00", 10)}) {
     TraceParseResult parsed = ParseTrace(input);

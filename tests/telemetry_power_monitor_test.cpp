@@ -1,8 +1,11 @@
 #include "src/telemetry/power_monitor.h"
 
 #include <gtest/gtest.h>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
@@ -75,6 +78,174 @@ TEST(PowerMonitorTest, QuantizationRoundsToWholeWatts) {
   monitor.SampleOnce(SimTime::Minutes(1));
   double reading = monitor.LatestServerWatts(ServerId(0));
   EXPECT_DOUBLE_EQ(reading, std::round(reading));
+}
+
+// The whole-watt reading rule, written out independently of the monitor:
+// round half away from zero, then clamp negatives (a -0.0 is not negative).
+double ExactWholeWatts(double reading) {
+  reading = std::round(reading);
+  return reading < 0.0 ? 0.0 : reading;
+}
+
+// Noise lane of `server` for the exact counter-based pair at (base, tick).
+double ExactNoise(uint64_t base, size_t server) {
+  const counter_rng::NormalPair pair = counter_rng::StandardNormalPair(
+      counter_rng::StreamKey(base, static_cast<uint64_t>(server / 2)));
+  return server % 2 == 0 ? pair.z0 : pair.z1;
+}
+
+uint64_t Bits(double x) { return std::bit_cast<uint64_t>(x); }
+
+// Quantized clean passes read every server through the certified kernel;
+// each reading must equal the exact rule applied to truth + NoiseAt bit for
+// bit. 21 servers (an odd count: the last one is a half pair's z0 lane),
+// 300 ticks, every sign and scale of sigma the kernel must handle.
+TEST(PowerMonitorTest, CleanWholeWattReadingsAreTheExactReadings) {
+  TopologyConfig topology;
+  topology.num_rows = 3;
+  topology.racks_per_row = 1;
+  topology.servers_per_rack = 7;
+  for (const double sigma : {0.0, 0.25, 1.0, 50.0, -1.0}) {
+    SCOPED_TRACE(sigma);
+    Simulation sim;
+    DataCenter dc(topology, &sim);
+    ASSERT_EQ(dc.num_servers() % 2, 1);
+    for (int32_t s = 0; s < dc.num_servers(); s += 3) {
+      dc.PlaceTask(ServerId(s),
+                   TaskSpec{JobId(s + 1), Resources{1.0 + s % 5, 2.0},
+                            SimTime::Hours(10)});
+    }
+    TimeSeriesDb db;
+    PowerMonitorConfig config;
+    config.noise_sigma_watts = sigma;
+    config.quantize_to_watts = true;
+    PowerMonitor monitor(&dc, &db, config, Rng(31));
+    // The noise seed is the monitor's one draw from its Rng.
+    const uint64_t noise_seed = Rng(31).NextU64();
+    for (uint64_t tick = 0; tick < 300; ++tick) {
+      monitor.SampleOnce(SimTime::Minutes(static_cast<double>(tick + 1)));
+      const uint64_t base = counter_rng::TickBase(noise_seed, tick);
+      for (int32_t s = 0; s < dc.num_servers(); ++s) {
+        const double expected = ExactWholeWatts(
+            dc.server_power_watts(ServerId(s)) +
+            sigma * ExactNoise(base, static_cast<size_t>(s)));
+        ASSERT_EQ(Bits(monitor.LatestServerWatts(ServerId(s))),
+                  Bits(expected))
+            << "server " << s << " tick " << tick;
+      }
+    }
+  }
+}
+
+// Truths placed so that truth + sigma * z_exact lands within 1e-12 of a
+// half-integer, or inside (-0.5, 0.5) where the clamp and the sign of zero
+// decide: the approximate noise cannot decide these readings, so the
+// kernel must fall back, and every -0.0 must come out as -0.0.
+TEST(PowerMonitorTest, CertifiedReadingsFallBackAtEveryRoundingEdge) {
+  const std::vector<double> offsets = {-1e-12, -3e-13, 0.0, 3e-13, 1e-12};
+  const std::vector<double> near_zero = {
+      -0.5 - 1e-12, -0.5 + 1e-12, -0.49, -0.3, -1e-12, -0.0,
+      0.0,          1e-12,        0.3,   0.49, 0.5 - 1e-12, 0.5 + 1e-12};
+  for (const double sigma : {0.0, 0.25, 1.0, 50.0, -1.0}) {
+    SCOPED_TRACE(sigma);
+    for (uint64_t tick = 0; tick < 20; ++tick) {
+      const uint64_t base = counter_rng::TickBase(0xADu, tick);
+      std::vector<double> targets;
+      for (int k = 1; k <= 40; ++k) {
+        for (const double offset : offsets) {
+          targets.push_back(80.0 + 7.0 * k + 0.5 + offset);
+        }
+      }
+      targets.insert(targets.end(), near_zero.begin(), near_zero.end());
+      targets.push_back(301.0);  // Far from every edge: certified.
+      std::vector<double> truth(targets.size());
+      for (size_t s = 0; s < truth.size(); ++s) {
+        truth[s] = targets[s] - sigma * ExactNoise(base, s);
+      }
+      std::vector<double> readings(truth.size(), -1.0);
+      const size_t fallbacks =
+          PowerMonitor::ReadWholeWatts(truth, sigma, base, readings);
+      size_t negative_zeros = 0;
+      for (size_t s = 0; s < truth.size(); ++s) {
+        const double expected =
+            ExactWholeWatts(truth[s] + sigma * ExactNoise(base, s));
+        ASSERT_EQ(Bits(readings[s]), Bits(expected))
+            << "target " << targets[s] << " reading " << readings[s]
+            << " expected " << expected << " tick " << tick;
+        if (expected == 0.0 && std::signbit(expected)) {
+          ++negative_zeros;
+        }
+      }
+      // With noise, every edge target falls back; only the far one may be
+      // certified. Without, x is exact and only the zero band and exact
+      // half-integers (but 0.5 + 1e-12) are undecided.
+      EXPECT_GE(fallbacks, sigma != 0.0 ? truth.size() - 1
+                                        : near_zero.size() - 1);
+      EXPECT_GT(negative_zeros, 0u);
+    }
+  }
+}
+
+// With a sigma so small that its share of the margin is far below one ulp
+// of the reading, truth + sigma * z can still round to the doubles on either
+// side of a half-integer for the approximate and the exact z. The ulp term
+// of the margin must send that reading to the exact path.
+TEST(PowerMonitorTest, CertifiedReadingsAllowForTheRoundingOfTheSum) {
+  const uint64_t base = counter_rng::TickBase(0xADu, 3);
+  const counter_rng::ApproxNormal& approx = counter_rng::ApproxNormal::Get();
+  // A pair whose approximate z0 falls short of a positive exact z0.
+  uint64_t stream = 0;
+  double z_exact = 0.0;
+  double z_approx = 0.0;
+  for (;; ++stream) {
+    const uint64_t key = counter_rng::StreamKey(base, stream);
+    z_exact = counter_rng::StandardNormalPair(key).z0;
+    z_approx = approx.Pair(key).z0;
+    if (z_exact > 0.5 && z_approx < z_exact) {
+      break;
+    }
+  }
+  // truth is one ulp below 300.5, and sigma * z_exact rounds to half an ulp
+  // while sigma * z_approx rounds below it: the exact sum is a tie that
+  // rounds (to even) up to 300.5, the approximate one stays at truth.
+  const double truth = std::nextafter(300.5, 0.0);
+  const double half_ulp = (300.5 - truth) / 2.0;
+  double sigma = half_ulp / z_exact;
+  while (sigma * z_exact < half_ulp) {
+    sigma = std::nextafter(sigma, 1.0);
+  }
+  ASSERT_EQ(truth + sigma * z_exact, 300.5);
+  ASSERT_EQ(truth + sigma * z_approx, truth);
+  const size_t server = 2 * static_cast<size_t>(stream);
+  std::vector<double> truths(server + 2, 200.0);
+  truths[server] = truth;
+  std::vector<double> readings(truths.size(), 0.0);
+  PowerMonitor::ReadWholeWatts(truths, sigma, base, readings);
+  EXPECT_EQ(readings[server], 301.0);
+  for (size_t s = 0; s < truths.size(); ++s) {
+    EXPECT_EQ(Bits(readings[s]),
+              Bits(ExactWholeWatts(truths[s] + sigma * ExactNoise(base, s))))
+        << "server " << s;
+  }
+}
+
+// A non-finite sigma or truth decides nothing: those readings are exact.
+TEST(PowerMonitorTest, NonFiniteReadingsTakeTheExactPath) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const uint64_t base = counter_rng::TickBase(5, 9);
+  for (const double sigma : {kInf, -kInf, kNaN, 1.0}) {
+    const std::vector<double> truth = {150.2, kNaN, kInf, -kInf, 0x1.0p53,
+                                       1e300, 149.7};
+    std::vector<double> readings(truth.size(), 0.0);
+    PowerMonitor::ReadWholeWatts(truth, sigma, base, readings);
+    for (size_t s = 0; s < truth.size(); ++s) {
+      const double expected =
+          ExactWholeWatts(truth[s] + sigma * ExactNoise(base, s));
+      EXPECT_EQ(Bits(readings[s]), Bits(expected))
+          << "sigma " << sigma << " truth " << truth[s];
+    }
+  }
 }
 
 TEST(PowerMonitorTest, NoiseAveragesOut) {
@@ -445,7 +616,8 @@ TEST(PowerMonitorFaultTest, DarkRowAndGroupFeedsAreAbsentFromTheirSeries) {
   std::string group;
   uint32_t group_channel = 0;
   for (int i = 0; i < 64 && group.empty(); ++i) {
-    const std::string name = "g" + std::to_string(i);
+    std::string name = "g";
+    name += std::to_string(i);
     group_channel = faults::FaultPlan::ChannelIndex(
         PowerMonitor::GroupSeries(name), kManyChannels);
     if (group_channel != row0 && group_channel != row1) {
@@ -546,7 +718,8 @@ TEST(PowerMonitorFaultTest, TierFramesHoldEveryPassPointAbsentCellsIncluded) {
   std::string group;
   uint32_t group_channel = 0;
   for (int i = 0; i < 64 && group.empty(); ++i) {
-    const std::string name = "g" + std::to_string(i);
+    std::string name = "g";
+    name += std::to_string(i);
     group_channel = faults::FaultPlan::ChannelIndex(
         PowerMonitor::GroupSeries(name), kManyChannels);
     if (group_channel != row0) {
