@@ -47,8 +47,8 @@
 
 // --- Global allocation counter ------------------------------------------
 //
-// Same replacement perf_closed_loop uses: every operator new bumps a relaxed
-// atomic so steady-state cases can assert a zero allocation delta. Counts
+// Every replaceable operator new forwards to malloc and bumps a relaxed
+// atomic, so steady-state cases can assert a zero allocation delta. Counts
 // are only ever read as before/after differences around controlled loops,
 // so the benchmark framework's own allocations never pollute a reading.
 
@@ -157,28 +157,33 @@ void BM_MonitorSampleRow(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorSampleRow)->Arg(1)->Arg(4);
 
-// Group sampling in steady state, with the group registered AFTER
-// PreallocateSamples — the ordering that once left the group's series
-// unreserved (the first sample now builds the monitor's frame, groups
-// included, and reserves it to the last preallocation). Before the timed
-// loop the case hard-asserts a zero allocation delta across 64 sample
-// passes, so a regression fails the run loudly instead of just shifting a
-// number.
+// Group sampling in steady state over range(0) rows, every server holding a
+// task, with the group registered AFTER PreallocateSamples — the ordering
+// that once left the group's series unreserved (the first sample now builds
+// the monitor's frame, groups included, and reserves it to the last
+// preallocation). Before the timed loop the case hard-asserts a zero
+// allocation delta across 64 sample passes, so a regression fails the run
+// loudly instead of just shifting a number.
 void BM_GroupSamplingSteadyState(benchmark::State& state) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);
-  constexpr size_t kPrealloc = size_t{1} << 15;
+  const int rows = static_cast<int>(state.range(0));
+  // Sample rows reserved per rig, scaled down with the fleet so the hot
+  // block stays about the same size at every row count.
+  const size_t prealloc = (size_t{1} << 15) / static_cast<size_t>(rows);
   int64_t minute = 1;
   size_t taken = 0;
   auto make_rig = [&] {
-    auto rig = std::make_unique<Rig>(1);
+    auto rig = std::make_unique<Rig>(rows);
     // Preallocation FIRST, group registration SECOND: the previously buggy
     // order. The frame built at the first sample must cover the group.
-    rig->monitor.PreallocateSamples(kPrealloc + 16);
+    rig->monitor.PreallocateSamples(prealloc + 16);
     std::vector<ServerId> all;
     all.reserve(static_cast<size_t>(rig->dc.num_servers()));
     for (int32_t s = 0; s < rig->dc.num_servers(); ++s) {
       all.push_back(ServerId(s));
+      rig->dc.PlaceTask(ServerId(s), TaskSpec{JobId(s), Resources{8.0, 8.0},
+                                              SimTime::Hours(100000)});
     }
     rig->monitor.RegisterGroup("all_servers", all);
     minute = 1;
@@ -201,7 +206,7 @@ void BM_GroupSamplingSteadyState(benchmark::State& state) {
       << "group sampling allocated in steady state after "
          "PreallocateSamples -> RegisterGroup";
   for (auto _ : state) {
-    if (taken >= kPrealloc) {
+    if (taken >= prealloc) {
       state.PauseTiming();
       rig = make_rig();
       for (int i = 0; i < 4; ++i) {
@@ -214,7 +219,7 @@ void BM_GroupSamplingSteadyState(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * rig->dc.num_servers());
   state.SetLabel("prealloc_then_register_group_zero_alloc");
 }
-BENCHMARK(BM_GroupSamplingSteadyState);
+BENCHMARK(BM_GroupSamplingSteadyState)->Arg(1)->Arg(16);
 
 // --- Reference vs fast kernels -------------------------------------------
 //
@@ -1000,12 +1005,34 @@ void BM_FaultPathActiveMonitorSample(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultPathActiveMonitorSample);
 
+// Schedule + fire with the model's typical closure shape: a pointer plus two
+// ids, 24 bytes, past std::function's 16-byte inline buffer. After a
+// 1,024-event warm-up that grows the slot pool and the queue, the timed
+// loop hard-asserts a zero allocation delta.
 void BM_EventCoreScheduleFire(benchmark::State& state) {
   Simulation sim;
-  for (auto _ : state) {
-    sim.ScheduleAfter(SimTime::Micros(1), [] {});
+  struct Receiver {
+    uint64_t hits = 0;
+    void OnFire(int32_t, int64_t) { ++hits; }
+  } receiver;
+  uint64_t n = 0;
+  auto schedule_fire = [&] {
+    sim.ScheduleAfter(SimTime::Micros(1), [&receiver, i = n, j = int64_t(n)] {
+      receiver.OnFire(static_cast<int32_t>(i & 0xff), j);
+    });
     sim.Step();
+    ++n;
+  };
+  for (int i = 0; i < 1024; ++i) {
+    schedule_fire();
   }
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    schedule_fire();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "event schedule+fire allocated in steady state";
+  benchmark::DoNotOptimize(receiver.hits);
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_EventCoreScheduleFire);
