@@ -5,12 +5,7 @@
 //
 // The instrumented paths (controller tick, monitor sample, scheduler
 // placement) run under a private obs::MetricsRegistry so their counters and
-// spans land in a bench-local registry, exactly as harness runs do. The
-// BM_ObsOverheadControllerTick pair quantifies what that instrumentation
-// costs: Arg(1) ticks with obs enabled, Arg(0) with the runtime kill switch
-// off — the closest runtime stand-in for an -DAMPERE_OBS_DISABLED=ON build,
-// which compiles the macros away entirely. Acceptance wants the enabled arm
-// within 5 % of the disabled arm.
+// spans land in a bench-local registry, exactly as harness runs do.
 
 #include <benchmark/benchmark.h>
 
@@ -806,27 +801,6 @@ void BM_ControllerTickHyperscale(benchmark::State& state) {
 }
 BENCHMARK(BM_ControllerTickHyperscale);
 
-// obs_overhead: the same tick loop with instrumentation on (Arg 1) and with
-// the obs runtime kill switch off (Arg 0). Disabled, every AMPERE_SPAN /
-// AMPERE_COUNTER_ADD site reduces to one relaxed atomic load and a branch —
-// the runtime approximation of the -DAMPERE_OBS_DISABLED=ON build, where
-// they compile to nothing. The DecisionJournal (config-gated, not
-// obs-gated) stays on in both arms so the delta isolates the macro cost.
-void BM_ObsOverheadControllerTick(benchmark::State& state) {
-  const bool instrumented = state.range(0) == 1;
-  obs::MetricsRegistry registry;
-  obs::ScopedMetricsRegistry scope(&registry);
-  obs::SetEnabled(instrumented);
-  ControllerTickRig rig;
-  for (auto _ : state) {
-    rig.Tick();
-  }
-  obs::SetEnabled(true);
-  state.SetItemsProcessed(state.iterations());
-  state.SetLabel(instrumented ? "instrumented" : "obs_disabled");
-}
-BENCHMARK(BM_ObsOverheadControllerTick)->Arg(1)->Arg(0);
-
 // Flight-recorder append in steady state. The ring is preallocated at
 // construction and a slot write is a fixed-size POD copy, so after a short
 // warmup the case hard-asserts a ZERO allocation delta across 4096 appends
@@ -858,29 +832,23 @@ void BM_FlightRecorderAppend(benchmark::State& state) {
 BENCHMARK(BM_FlightRecorderAppend);
 
 // The AMPERE_TIMELINE dispatch cost by mode: recording (Arg 2) pays the
-// ring write; armed-but-no-recorder (Arg 1) is the usual production state —
-// one thread_local load and a branch; kill switch off (Arg 0) is one relaxed
-// atomic load — the runtime stand-in for -DAMPERE_OBS_DISABLED=ON, where the
-// macro compiles to ((void)0). Acceptance wants the Arg 0 / Arg 1 residuals
-// at effectively zero next to any real work.
+// ring write; no recorder in scope (Arg 1) is the usual production state —
+// one thread_local load and a branch, effectively zero next to any real
+// work.
 void BM_TimelineMacroDispatch(benchmark::State& state) {
-  const int mode = static_cast<int>(state.range(0));
+  const bool recording = state.range(0) == 2;
   obs::FlightRecorder recorder(1024);
   std::optional<obs::ScopedFlightRecorder> scoped;
-  if (mode == 2) scoped.emplace(&recorder);
-  if (mode == 0) obs::SetEnabled(false);
+  if (recording) scoped.emplace(&recorder);
   int64_t t = 0;
   for (auto _ : state) {
     AMPERE_TIMELINE(SimTime::Micros(t++),
                     obs::TimelineEventType::kTickBegin, 1.0, 2.0, 3);
   }
-  obs::SetEnabled(true);
   state.SetItemsProcessed(state.iterations());
-  state.SetLabel(mode == 2   ? "recording"
-                 : mode == 1 ? "no_recorder"
-                             : "obs_disabled");
+  state.SetLabel(recording ? "recording" : "no_recorder");
 }
-BENCHMARK(BM_TimelineMacroDispatch)->Arg(2)->Arg(1)->Arg(0);
+BENCHMARK(BM_TimelineMacroDispatch)->Arg(2)->Arg(1);
 
 // recorder_overhead: the identical controller decision path with a flight
 // recorder in scope (Arg 1) vs without one (Arg 0). Both arms keep metrics

@@ -414,7 +414,7 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
     }
   }
 
-  // Registry telemetry (compiled out under AMPERE_OBS_DISABLED).
+  // Registry telemetry.
   AMPERE_COUNTER_ADD("controller.domain_ticks", 1);
   if (violation) AMPERE_COUNTER_ADD("controller.violations", 1);
   if (cap_engaged) AMPERE_COUNTER_ADD("controller.cap_engaged", 1);
@@ -424,7 +424,7 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   if (unfreeze_delta > 0) {
     AMPERE_COUNTER_ADD("controller.unfreeze_ops", unfreeze_delta);
   }
-  if (journal_on && obs::Enabled()) {
+  if (journal_on) {
     // Journal-fed model-drift gauges over the last drift_window (one hour
     // at minute cadence) resolved records of this domain.
     if (auto rmse =

@@ -166,21 +166,17 @@ ExperimentResult ControlledExperiment::Run() {
     result.rpc_giveups = controller->rpc_giveups();
     // Re-export the audit-path aggregates as gauges so a harness run's obs
     // snapshot carries the journal summary alongside the span profile.
-    if (obs::Enabled()) {
-      for (const auto& d : result.journal.domains) {
-        const std::string prefix = "journal." + d.domain + ".";
-        obs::GaugeSet(prefix + "ticks", static_cast<double>(d.ticks));
-        obs::GaugeSet(prefix + "violations",
-                      static_cast<double>(d.violations));
-        obs::GaugeSet(prefix + "u_mean", d.u_mean);
-        obs::GaugeSet(prefix + "u_max", d.u_max);
-        obs::GaugeSet(prefix + "p_mean", d.p_mean);
-        obs::GaugeSet(prefix + "p_max", d.p_max);
-        obs::GaugeSet(prefix + "degraded_ticks",
-                      static_cast<double>(d.degraded_ticks));
-        obs::GaugeSet(prefix + "rpc_giveups",
-                      static_cast<double>(d.rpc_giveups));
-      }
+    for (const auto& d : result.journal.domains) {
+      const std::string prefix = "journal." + d.domain + ".";
+      obs::GaugeSet(prefix + "ticks", static_cast<double>(d.ticks));
+      obs::GaugeSet(prefix + "violations", static_cast<double>(d.violations));
+      obs::GaugeSet(prefix + "u_mean", d.u_mean);
+      obs::GaugeSet(prefix + "u_max", d.u_max);
+      obs::GaugeSet(prefix + "p_mean", d.p_mean);
+      obs::GaugeSet(prefix + "p_max", d.p_max);
+      obs::GaugeSet(prefix + "degraded_ticks",
+                    static_cast<double>(d.degraded_ticks));
+      obs::GaugeSet(prefix + "rpc_giveups", static_cast<double>(d.rpc_giveups));
     }
   }
 

@@ -137,45 +137,6 @@ std::vector<FaultWindow> FaultPlan::Normalize(
   return out;
 }
 
-FaultPlan FaultPlan::Compose(const FaultPlan& a, const FaultPlan& b) {
-  auto hazard = [](double pa, double pb) {
-    return 1.0 - (1.0 - pa) * (1.0 - pb);
-  };
-  FaultPlan plan;
-  FaultPlanConfig& c = plan.config_;
-  const FaultPlanConfig& ca = a.config_;
-  const FaultPlanConfig& cb = b.config_;
-  // SplitMix-style mix so the composed injector streams differ from both
-  // parents even when one seed is zero.
-  c.seed = ca.seed * 0x9e3779b97f4a7c15ull + cb.seed + 0xbf58476d1ce4e5b9ull;
-  c.sample_dropout_prob = hazard(ca.sample_dropout_prob,
-                                 cb.sample_dropout_prob);
-  c.noise_spike_prob = hazard(ca.noise_spike_prob, cb.noise_spike_prob);
-  c.noise_spike_sigma_watts =
-      std::max(ca.noise_spike_sigma_watts, cb.noise_spike_sigma_watts);
-  c.sensor_bias_watts = ca.sensor_bias_watts + cb.sensor_bias_watts;
-  c.stale_windows_per_hour =
-      ca.stale_windows_per_hour + cb.stale_windows_per_hour;
-  c.stale_window_mean = std::max(ca.stale_window_mean, cb.stale_window_mean);
-  c.blackouts_per_hour = ca.blackouts_per_hour + cb.blackouts_per_hour;
-  c.blackout_mean = std::max(ca.blackout_mean, cb.blackout_mean);
-  c.blackout_channels = std::max(ca.blackout_channels, cb.blackout_channels);
-  c.rpc_failure_prob = hazard(ca.rpc_failure_prob, cb.rpc_failure_prob);
-  c.rpc_latency_mean = std::max(ca.rpc_latency_mean, cb.rpc_latency_mean);
-  c.rpc_max_attempts = std::max(ca.rpc_max_attempts, cb.rpc_max_attempts);
-  c.rpc_backoff_base = std::max(ca.rpc_backoff_base, cb.rpc_backoff_base);
-
-  plan.horizon_ = std::max(a.horizon_, b.horizon_);
-  std::vector<FaultWindow> stale = a.stale_windows_;
-  stale.insert(stale.end(), b.stale_windows_.begin(), b.stale_windows_.end());
-  plan.stale_windows_ = Normalize(std::move(stale));
-  std::vector<FaultWindow> black = a.blackout_windows_;
-  black.insert(black.end(), b.blackout_windows_.begin(),
-               b.blackout_windows_.end());
-  plan.blackout_windows_ = Normalize(std::move(black));
-  return plan;
-}
-
 bool FaultPlan::InStaleWindow(SimTime t) const {
   return CoveredBy(stale_windows_, kAllChannels, t);
 }

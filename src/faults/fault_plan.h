@@ -15,8 +15,6 @@
 // (config, horizon) — the same seed always yields the identical fault
 // schedule — and plans serialize losslessly (Serialize/Parse round-trip),
 // so a production incident's fault profile can be replayed bit-for-bit.
-// Plans compose: Compose(a, b) unions the window schedules and combines the
-// per-event probabilities as independent hazards.
 
 #ifndef SRC_FAULTS_FAULT_PLAN_H_
 #define SRC_FAULTS_FAULT_PLAN_H_
@@ -111,13 +109,6 @@ class FaultPlan {
   // Pure function of its arguments: same (config, horizon) -> identical
   // plan, bit for bit.
   static FaultPlan Generate(const FaultPlanConfig& config, SimTime horizon);
-
-  // Union of two plans: window schedules are merged (overlapping windows of
-  // the same kind/channel coalesce) and per-event probabilities combine as
-  // independent hazards (1 - (1-pa)(1-pb)); biases add; means/attempt
-  // budgets take the more adverse of the two. The composed seed mixes both
-  // seeds so injector streams differ from either parent.
-  static FaultPlan Compose(const FaultPlan& a, const FaultPlan& b);
 
   // Sorts by (channel, begin) and coalesces overlapping or touching windows
   // of the same channel. Exposed for tests.

@@ -27,9 +27,8 @@
 // is likewise invisible to the simulation.
 //
 // Cost control: emit through AMPERE_TIMELINE / AMPERE_TIMELINE_D, which
-// compile away under AMPERE_OBS_DISABLED and otherwise gate on the obs
-// runtime switch plus a thread-local null check — the disabled-path
-// residual is a couple of loads (measured in bench/micro_components).
+// gate on a thread-local null check — without a recorder installed a site
+// costs one load and a branch (measured in bench/micro_components).
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -222,42 +221,26 @@ std::string BuildPostmortemJson(const TimelineEvent& trigger,
 
 // --- Instrumentation macros ----------------------------------------------
 
-#ifndef AMPERE_OBS_DISABLED
-
-// Appends a timeline event to the current recorder, if one is installed and
-// obs is runtime-enabled. `time` is a SimTime; trailing args are the
-// (a, b, c) payload.
-#define AMPERE_TIMELINE(time, type, ...)                               \
-  do {                                                                 \
-    if (::ampere::obs::Enabled()) {                                    \
-      ::ampere::obs::FlightRecorder* ampere_obs_rec =                  \
-          ::ampere::obs::CurrentRecorder();                            \
-      if (ampere_obs_rec != nullptr) {                                 \
-        ampere_obs_rec->Append((time), (type)__VA_OPT__(, )            \
-                                   __VA_ARGS__);                       \
-      }                                                                \
-    }                                                                  \
+// Appends a timeline event to the current recorder, if one is installed.
+// `time` is a SimTime; trailing args are the (a, b, c) payload.
+#define AMPERE_TIMELINE(time, type, ...)                                \
+  do {                                                                  \
+    ::ampere::obs::FlightRecorder* ampere_obs_rec =                     \
+        ::ampere::obs::CurrentRecorder();                               \
+    if (ampere_obs_rec != nullptr) {                                    \
+      ampere_obs_rec->Append((time), (type)__VA_OPT__(, ) __VA_ARGS__); \
+    }                                                                   \
   } while (0)
 
 // Same, with an explicit ::ampere::obs::DomainId first.
-#define AMPERE_TIMELINE_D(domain, time, type, ...)                     \
-  do {                                                                 \
-    if (::ampere::obs::Enabled()) {                                    \
-      ::ampere::obs::FlightRecorder* ampere_obs_rec =                  \
-          ::ampere::obs::CurrentRecorder();                            \
-      if (ampere_obs_rec != nullptr) {                                 \
-        ampere_obs_rec->AppendWithDomain((domain), (time),             \
-                                         (type)__VA_OPT__(, )          \
-                                             __VA_ARGS__);             \
-      }                                                                \
-    }                                                                  \
+#define AMPERE_TIMELINE_D(domain, time, type, ...)                        \
+  do {                                                                    \
+    ::ampere::obs::FlightRecorder* ampere_obs_rec =                       \
+        ::ampere::obs::CurrentRecorder();                                 \
+    if (ampere_obs_rec != nullptr) {                                      \
+      ampere_obs_rec->AppendWithDomain((domain), (time),                  \
+                                       (type)__VA_OPT__(, ) __VA_ARGS__); \
+    }                                                                     \
   } while (0)
-
-#else  // AMPERE_OBS_DISABLED
-
-#define AMPERE_TIMELINE(time, type, ...) ((void)0)
-#define AMPERE_TIMELINE_D(domain, time, type, ...) ((void)0)
-
-#endif  // AMPERE_OBS_DISABLED
 
 #endif  // SRC_OBS_FLIGHT_RECORDER_H_

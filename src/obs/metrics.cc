@@ -12,14 +12,6 @@
 namespace ampere {
 namespace obs {
 
-namespace internal {
-std::atomic<bool> g_enabled{true};
-}  // namespace internal
-
-void SetEnabled(bool enabled) {
-  internal::g_enabled.store(enabled, std::memory_order_relaxed);
-}
-
 // --- Metric-name domains -------------------------------------------------
 
 namespace internal {

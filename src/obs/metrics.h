@@ -22,10 +22,8 @@
 //
 // Cost control: call sites use the AMPERE_COUNTER_ADD / AMPERE_GAUGE_SET /
 // AMPERE_HISTOGRAM_OBSERVE macros below (and AMPERE_SPAN from span.h).
-// With AMPERE_OBS_DISABLED defined they compile to nothing; otherwise each
-// site costs one relaxed atomic load when obs::SetEnabled(false) is in
-// effect — the runtime kill switch the obs_overhead micro bench uses to
-// approximate the compiled-out build inside one binary.
+// Instrumentation is always on: a per-event counter site is a cached cell
+// increment (CounterSite), and minute-cadence sites take the locked path.
 //
 // Determinism contract: the registry only *observes*. It never touches RNG
 // streams or simulation state, so instrumented runs produce bit-identical
@@ -45,20 +43,6 @@
 
 namespace ampere {
 namespace obs {
-
-// --- Runtime kill switch -------------------------------------------------
-
-namespace internal {
-extern std::atomic<bool> g_enabled;
-}  // namespace internal
-
-// True unless SetEnabled(false) was called. Checked by the instrumentation
-// macros before doing any work, so a disabled process pays one predictable
-// branch per site.
-inline bool Enabled() {
-  return internal::g_enabled.load(std::memory_order_relaxed);
-}
-void SetEnabled(bool enabled);
 
 // --- Metric-name domains -------------------------------------------------
 //
@@ -281,7 +265,7 @@ class ScopedMetricsRegistry {
 // Convenience free functions routing to CurrentMetrics(), with the current
 // domain's prefix applied to the name (via a thread-local scratch buffer,
 // allocation-free once warm). Prefer the macros below at instrumentation
-// sites (they honour AMPERE_OBS_DISABLED and the runtime switch).
+// sites (AMPERE_COUNTER_ADD caches its cell per call site).
 void CounterAdd(std::string_view name, uint64_t delta = 1);
 void GaugeSet(std::string_view name, double value);
 void HistogramObserve(std::string_view name, double value);
@@ -358,52 +342,29 @@ class CounterSite {
 
 // --- Instrumentation macros ----------------------------------------------
 
-#ifndef AMPERE_OBS_DISABLED
-
 // `name` must be a string literal (or otherwise have static storage
 // duration): each expansion declares a thread-local CounterSite that keeps
 // the name by reference for rebinding after registry switches.
-#define AMPERE_COUNTER_ADD(name, delta)                       \
-  do {                                                        \
-    if (::ampere::obs::Enabled()) {                           \
-      static thread_local ::ampere::obs::CounterSite          \
-          ampere_obs_counter_site{(name)};                    \
-      ampere_obs_counter_site.Add((delta));                   \
-    }                                                         \
+#define AMPERE_COUNTER_ADD(name, delta)                \
+  do {                                                 \
+    static thread_local ::ampere::obs::CounterSite     \
+        ampere_obs_counter_site{(name)};               \
+    ampere_obs_counter_site.Add((delta));              \
   } while (0)
 
-#define AMPERE_GAUGE_SET(name, value)            \
-  do {                                           \
-    if (::ampere::obs::Enabled()) {              \
-      ::ampere::obs::GaugeSet((name), (value));  \
-    }                                            \
-  } while (0)
+#define AMPERE_GAUGE_SET(name, value) \
+  ::ampere::obs::GaugeSet((name), (value))
 
-#define AMPERE_HISTOGRAM_OBSERVE(name, value)              \
-  do {                                                     \
-    if (::ampere::obs::Enabled()) {                        \
-      ::ampere::obs::HistogramObserve((name), (value));    \
-    }                                                      \
-  } while (0)
+#define AMPERE_HISTOGRAM_OBSERVE(name, value) \
+  ::ampere::obs::HistogramObserve((name), (value))
 
 #define AMPERE_OBS_DOMAIN_CONCAT_INNER(a, b) a##b
 #define AMPERE_OBS_DOMAIN_CONCAT(a, b) AMPERE_OBS_DOMAIN_CONCAT_INNER(a, b)
 // Installs `domain_id` (an ::ampere::obs::DomainId) as the current metrics
-// domain for the rest of the enclosing scope. Compiles away with
-// AMPERE_OBS_DISABLED, so instrumented components can scope their work
-// unconditionally.
+// domain for the rest of the enclosing scope.
 #define AMPERE_METRICS_DOMAIN(domain_id)           \
   ::ampere::obs::ScopedMetricsDomain               \
       AMPERE_OBS_DOMAIN_CONCAT(ampere_obs_domain_, \
                                __LINE__)(domain_id)
-
-#else  // AMPERE_OBS_DISABLED
-
-#define AMPERE_COUNTER_ADD(name, delta) ((void)0)
-#define AMPERE_GAUGE_SET(name, value) ((void)0)
-#define AMPERE_HISTOGRAM_OBSERVE(name, value) ((void)0)
-#define AMPERE_METRICS_DOMAIN(domain_id) ((void)0)
-
-#endif  // AMPERE_OBS_DISABLED
 
 #endif  // SRC_OBS_METRICS_H_

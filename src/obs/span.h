@@ -6,9 +6,7 @@
 // min / max / p50 / p99 from log2 buckets) come back via
 // MetricsRegistry::Snapshot().
 //
-// Cost: one relaxed atomic load when obs is disabled at runtime; two
-// steady_clock reads plus one shard-local map update when enabled. With
-// AMPERE_OBS_DISABLED defined the macro compiles away entirely.
+// Cost: two steady_clock reads plus one shard-local map update.
 //
 // Spans measure wall time, so their values are inherently nondeterministic;
 // the harness keeps them out of ResultRow::SameData and CSV output for that
@@ -25,19 +23,13 @@
 namespace ampere {
 namespace obs {
 
-// Times the scope between construction and destruction. Arms only if obs is
-// runtime-enabled at construction; a span constructed while disabled stays
-// disarmed even if obs is re-enabled before it closes (keeps half-timed
-// intervals out of the profile).
+// Times the scope between construction and destruction.
 class ScopedSpan {
  public:
   explicit ScopedSpan(std::string_view name)
-      : name_(name), armed_(Enabled()) {
-    if (armed_) start_ = std::chrono::steady_clock::now();
-  }
+      : name_(name), start_(std::chrono::steady_clock::now()) {}
 
   ~ScopedSpan() {
-    if (!armed_) return;
     const auto elapsed = std::chrono::steady_clock::now() - start_;
     SpanRecord(name_,
                static_cast<double>(
@@ -50,14 +42,11 @@ class ScopedSpan {
 
  private:
   std::string_view name_;  // Caller keeps the name alive (string literals).
-  bool armed_;
   std::chrono::steady_clock::time_point start_;
 };
 
 }  // namespace obs
 }  // namespace ampere
-
-#ifndef AMPERE_OBS_DISABLED
 
 #define AMPERE_OBS_SPAN_CONCAT_INNER(a, b) a##b
 #define AMPERE_OBS_SPAN_CONCAT(a, b) AMPERE_OBS_SPAN_CONCAT_INNER(a, b)
@@ -65,13 +54,5 @@ class ScopedSpan {
 #define AMPERE_SPAN(name)                                      \
   ::ampere::obs::ScopedSpan AMPERE_OBS_SPAN_CONCAT(ampere_span_, \
                                                    __LINE__)(name)
-
-#else  // AMPERE_OBS_DISABLED
-
-#define AMPERE_SPAN(name) \
-  do {                    \
-  } while (0)
-
-#endif  // AMPERE_OBS_DISABLED
 
 #endif  // SRC_OBS_SPAN_H_

@@ -14,7 +14,6 @@ Scheduler::Scheduler(DataCenter* dc, const SchedulerConfig& config, Rng rng)
       row_placements_(static_cast<size_t>(dc->num_rows()), 0) {
   AMPERE_CHECK(dc != nullptr);
   AMPERE_CHECK(config.sample_attempts >= 1);
-  AMPERE_CHECK(config.least_loaded_choices >= 1);
   dc_->SetTaskCompletionListener(
       [this](ServerId server, JobId job) { OnTaskCompleted(server, job); });
 }
@@ -167,43 +166,6 @@ ServerId Scheduler::PickRandomFit(const JobSpec& job) {
              : dc_->FirstSchedulableFit(origin, job.demand);
 }
 
-ServerId Scheduler::PickLeastLoaded(const JobSpec& job) {
-  int64_t n = dc_->num_servers();
-  ServerId best;
-  double best_util = 2.0;
-  int found = 0;
-  // Sample-with-replacement probing: examine up to `choices` eligible
-  // candidates drawn uniformly, keep the least CPU-utilized.
-  for (int attempt = 0;
-       attempt < config_.sample_attempts * config_.least_loaded_choices &&
-       found < config_.least_loaded_choices;
-       ++attempt) {
-    ServerId id(static_cast<int32_t>(rng_.UniformInt(0, n - 1)));
-    if (!Eligible(id, job)) {
-      continue;
-    }
-    const Server& server = dc_->server(id);
-    ++found;
-    if (server.utilization() < best_util) {
-      best_util = server.utilization();
-      best = id;
-    }
-  }
-  if (best.valid()) {
-    return best;
-  }
-  return ScanFrom(static_cast<size_t>(rng_.UniformInt(0, n - 1)), job);
-}
-
-ServerId Scheduler::PickRoundRobin(const JobSpec& job) {
-  size_t n = static_cast<size_t>(dc_->num_servers());
-  ServerId id = ScanFrom(rotate_cursor_, job);
-  if (id.valid()) {
-    rotate_cursor_ = (id.index() + 1) % n;
-  }
-  return id;
-}
-
 ServerId Scheduler::PickRowOrdered(const JobSpec& job, bool hottest_first) {
   // Rank rows by power, skipping rows already above the power ceiling;
   // place on a random eligible server of the best admissible row. If every
@@ -243,10 +205,6 @@ ServerId Scheduler::PickServer(const JobSpec& job) {
   switch (config_.policy) {
     case PlacementPolicy::kRandomFit:
       return PickRandomFit(job);
-    case PlacementPolicy::kLeastLoaded:
-      return PickLeastLoaded(job);
-    case PlacementPolicy::kRoundRobin:
-      return PickRoundRobin(job);
     case PlacementPolicy::kConcentrateRows:
       return PickRowOrdered(job, /*hottest_first=*/true);
     case PlacementPolicy::kPowerAwareSpread:

@@ -44,27 +44,21 @@ struct RpcResult {
 enum class PlacementPolicy : int {
   // Random eligible server (power-of-d probing with scan fallback).
   kRandomFit = 0,
-  // Least CPU-utilized among d random eligible candidates.
-  kLeastLoaded = 1,
-  // Rotating pointer over the server list.
-  kRoundRobin = 2,
   // Extension (paper §6 future work): concentrate load on already-busy rows
   // (up to a power ceiling) so cross-row power variance grows, leaving cold
   // rows with large contiguous unused power for Ampere to cultivate.
-  kConcentrateRows = 3,
+  kConcentrateRows = 1,
   // Baseline comparator (§5.2): the "straightforward design" the paper
   // rejects — make the scheduler itself power-aware by preferring the
   // coldest row and refusing rows above the power ceiling. Protects like
   // Ampere but requires the power feed inside every placement decision.
-  kPowerAwareSpread = 4,
+  kPowerAwareSpread = 2,
 };
 
 struct SchedulerConfig {
   PlacementPolicy policy = PlacementPolicy::kRandomFit;
   // Random probes before falling back to a full scan.
   int sample_attempts = 16;
-  // Candidates examined by kLeastLoaded.
-  int least_loaded_choices = 8;
   // Pending-queue entries examined per drain pass (bounds head-of-line
   // blocking without unbounded work per event).
   size_t queue_scan_limit = 64;
@@ -155,8 +149,6 @@ class Scheduler : public JobSink {
   // Returns the chosen server or an invalid id.
   ServerId PickServer(const JobSpec& job);
   ServerId PickRandomFit(const JobSpec& job);
-  ServerId PickLeastLoaded(const JobSpec& job);
-  ServerId PickRoundRobin(const JobSpec& job);
   ServerId PickRowOrdered(const JobSpec& job, bool hottest_first);
   ServerId ScanFrom(size_t start, const JobSpec& job) const;
   bool TryPlace(const JobSpec& job);
@@ -170,7 +162,6 @@ class Scheduler : public JobSink {
   faults::FaultInjector* injector_ = nullptr;
   obs::DomainId obs_domain_ = 0;
   std::deque<JobSpec> pending_;
-  size_t rotate_cursor_ = 0;
   // Set when a random-fit placement's probes all miss, cleared when one
   // hits: while set, PickRandomFit tests the free-capacity root before
   // probing. A performance hint only; no result depends on it.

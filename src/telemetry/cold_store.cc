@@ -95,19 +95,6 @@ ColdStore::ColdStore(const ColdStoreConfig& config) : config_(config) {
   if (config_.segment_samples < 2) {
     config_.segment_samples = 2;
   }
-  if (config_.initial_segment_samples == 0) {
-    config_.initial_segment_samples = 1;
-  }
-  if (config_.initial_segment_samples > config_.segment_samples) {
-    config_.initial_segment_samples = config_.segment_samples;
-  }
-#if AMPERE_HAVE_MMAP
-  // Segment files are sparse until written (ftruncate allocates no blocks),
-  // so creating actives at full capacity costs nothing — and a layout that
-  // never moves lets SegmentWriter release written pages from RSS eagerly.
-  // Growth-by-doubling only matters for the heap-buffer fallback.
-  config_.initial_segment_samples = config_.segment_samples;
-#endif
 }
 
 ColdStore::~ColdStore() { Flush(); }
@@ -309,9 +296,7 @@ void ColdStore::AppendBatch(std::string_view series,
       const std::string path = NextSegmentPath(state, &basename);
       ++file_counter_;
       state.active =
-          SegmentWriter::Create(path, state.key,
-                                config_.initial_segment_samples,
-                                config_.segment_samples);
+          SegmentWriter::Create(path, state.key, config_.segment_samples);
       AMPERE_CHECK(state.active != nullptr)
           << "cannot create cold segment " << path;
       state.active_file = basename;
@@ -321,7 +306,7 @@ void ColdStore::AppendBatch(std::string_view series,
     total_samples_ += accepted;
     rest = rest.subspan(accepted);
     if (!rest.empty()) {
-      // Active segment full (or could not grow): seal it and roll.
+      // Active segment full: seal it and roll.
       AMPERE_CHECK(state.active->count() > 0)
           << "cold segment refused all samples for series " << state.name;
       RollActive(state);

@@ -57,16 +57,13 @@ namespace ampere {
 
 struct ColdStoreConfig {
   std::string dir;  // Store directory; created by Create.
-  // Active segments seal and roll at this many samples. Segment size does
-  // NOT bound resident memory on mmap builds — the writer releases fully
-  // written pages from RSS eagerly, so an active segment's resident cost is
-  // its unfinished tail pages. Bigger segments mean fewer files and fewer
-  // seal cycles; the tradeoff left is file count vs. per-file size.
+  // Active segments are created sparse at this many samples, then seal and
+  // roll when full. Segment size does NOT bound resident memory — the
+  // writer releases fully written pages from RSS eagerly, so an active
+  // segment's resident cost is its unfinished tail pages. Bigger segments
+  // mean fewer files and fewer seal cycles; the tradeoff left is file count
+  // vs. per-file size.
   size_t segment_samples = 65536;
-  // Heap-buffer fallback only: first buffer size, grown by doubling up to
-  // segment_samples. On mmap builds actives are created sparse at full
-  // capacity and this knob is ignored.
-  size_t initial_segment_samples = 1024;
 };
 
 class ColdStore {

@@ -1,20 +1,17 @@
 #include "src/telemetry/mmap_segment.h"
 
-#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <sstream>
 #include <utility>
 #include <vector>
 
-#include "src/common/check.h"
-
-#if AMPERE_HAVE_MMAP
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "src/common/check.h"
 
 namespace ampere {
 namespace {
@@ -139,8 +136,6 @@ MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   return *this;
 }
 
-#if AMPERE_HAVE_MMAP
-
 bool MappedFile::CreateRw(const std::string& path, size_t size) {
   Close();
   AMPERE_CHECK(size > 0) << "zero-size mapping for " << path;
@@ -191,8 +186,8 @@ bool MappedFile::OpenRo(const std::string& path) {
   return true;
 }
 
-bool MappedFile::Grow(size_t new_size) {
-  AMPERE_CHECK(valid() && writable_) << "Grow of non-writable mapping";
+bool MappedFile::Resize(size_t new_size) {
+  AMPERE_CHECK(valid() && writable_) << "Resize of non-writable mapping";
   if (new_size == size_) {
     return true;
   }
@@ -256,113 +251,18 @@ void MappedFile::Close() {
   writable_ = false;
 }
 
-#else  // !AMPERE_HAVE_MMAP — heap buffer + stdio, identical on-disk format.
-
-bool MappedFile::CreateRw(const std::string& path, size_t size) {
-  Close();
-  AMPERE_CHECK(size > 0) << "zero-size mapping for " << path;
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fclose(f);  // Truncate now; contents land on Sync/Close.
-  data_ = new uint8_t[size]();
-  size_ = size;
-  path_ = path;
-  writable_ = true;
-  return true;
-}
-
-bool MappedFile::OpenRo(const std::string& path) {
-  Close();
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return false;
-  }
-  std::fseek(f, 0, SEEK_END);
-  const long end = std::ftell(f);
-  if (end <= 0) {
-    std::fclose(f);
-    return false;
-  }
-  const size_t size = static_cast<size_t>(end);
-  std::fseek(f, 0, SEEK_SET);
-  uint8_t* buffer = new uint8_t[size];
-  const size_t read = std::fread(buffer, 1, size, f);
-  std::fclose(f);
-  if (read != size) {
-    delete[] buffer;
-    return false;
-  }
-  data_ = buffer;
-  size_ = size;
-  path_ = path;
-  writable_ = false;
-  return true;
-}
-
-bool MappedFile::Grow(size_t new_size) {
-  AMPERE_CHECK(valid() && writable_) << "Grow of non-writable mapping";
-  if (new_size == size_) {
-    return true;
-  }
-  uint8_t* buffer = new uint8_t[new_size]();
-  std::memcpy(buffer, data_, size_ < new_size ? size_ : new_size);
-  delete[] data_;
-  data_ = buffer;
-  size_ = new_size;
-  return true;
-}
-
-bool MappedFile::Sync() {
-  if (!valid() || !writable_) {
-    return true;
-  }
-  std::FILE* f = std::fopen(path_.c_str(), "wb");
-  if (f == nullptr) {
-    return false;
-  }
-  const size_t written = std::fwrite(data_, 1, size_, f);
-  const bool ok = (std::fclose(f) == 0) && written == size_;
-  return ok;
-}
-
-void MappedFile::ReleaseWritten(size_t begin, size_t end) {
-  // Heap buffer: the mapping IS the only copy, nothing can be released.
-  (void)begin;
-  (void)end;
-}
-
-void MappedFile::Close() {
-  if (valid() && writable_) {
-    Sync();
-  }
-  delete[] data_;
-  data_ = nullptr;
-  size_ = 0;
-  writable_ = false;
-}
-
-#endif  // AMPERE_HAVE_MMAP
-
 // --- SegmentWriter ---------------------------------------------------------
 
 std::unique_ptr<SegmentWriter> SegmentWriter::Create(const std::string& path,
                                                      uint64_t series_key,
-                                                     size_t initial_capacity,
-                                                     size_t max_capacity) {
-  AMPERE_CHECK(max_capacity > 0) << "segment max_capacity must be positive";
-  size_t capacity = initial_capacity == 0 ? 1 : initial_capacity;
-  if (capacity > max_capacity) {
-    capacity = max_capacity;
-  }
+                                                     size_t capacity) {
+  AMPERE_CHECK(capacity > 0) << "segment capacity must be positive";
   auto writer = std::unique_ptr<SegmentWriter>(new SegmentWriter());
   const size_t bytes = kSegmentHeaderSize + kSegmentSampleStride * capacity;
   if (!writer->file_.CreateRw(path, bytes)) {
     return nullptr;
   }
   writer->capacity_ = capacity;
-  writer->max_capacity_ = max_capacity;
   std::memcpy(writer->header_.magic, kSegmentMagic, sizeof(kSegmentMagic));
   writer->header_.version = kSegmentVersion;
   writer->header_.flags = 0;
@@ -395,48 +295,13 @@ std::span<const double> SegmentWriter::values() const {
           count()};
 }
 
-bool SegmentWriter::GrowTo(size_t new_capacity) {
-  AMPERE_CHECK(new_capacity > capacity_) << "segment growth must enlarge";
-  const size_t new_bytes =
-      kSegmentHeaderSize + kSegmentSampleStride * new_capacity;
-  const size_t committed = count();
-  // The value column moves when capacity changes; stash the committed
-  // doubles, grow, then land them at the new offset. (A memmove after the
-  // remap would also work, but the remap may relocate the base address, so
-  // copy out first — the chunk is at most one segment of doubles.)
-  std::vector<double> saved(committed);
-  if (committed > 0) {
-    std::memcpy(saved.data(),
-                file_.data() + kSegmentHeaderSize + sizeof(int64_t) * capacity_,
-                sizeof(double) * committed);
-  }
-  if (!file_.Grow(new_bytes)) {
-    return false;
-  }
-  capacity_ = new_capacity;
-  header_.capacity = new_capacity;
-  if (committed > 0) {
-    std::memcpy(value_column(), saved.data(), sizeof(double) * committed);
-  }
-  return true;
-}
-
 size_t SegmentWriter::AppendBatch(std::span<const TimePoint> batch) {
   AMPERE_CHECK(!sealed()) << "append to sealed segment " << file_.path();
   size_t accepted = 0;
   for (const TimePoint& point : batch) {
     const size_t n = count();
-    if (n == max_capacity_) {
-      break;  // Full: the cold store seals and rolls to a new segment.
-    }
     if (n == capacity_) {
-      size_t next = capacity_ * 2;
-      if (next > max_capacity_) {
-        next = max_capacity_;
-      }
-      if (!GrowTo(next)) {
-        break;  // Disk trouble: report what landed; caller degrades.
-      }
+      break;  // Full: the cold store seals and rolls to a new segment.
     }
     const int64_t t = point.time.micros();
     if (n == 0) {
@@ -457,9 +322,6 @@ size_t SegmentWriter::AppendBatch(std::span<const TimePoint> batch) {
 }
 
 void SegmentWriter::ReleaseWrittenPages() {
-  if (capacity_ != max_capacity_) {
-    return;  // Growth still relocates the value column; offsets not final.
-  }
   const size_t n = count();
   ReleaseColumn(kSegmentHeaderSize, sizeof(int64_t) * n, &released_delta_);
   ReleaseColumn(kSegmentHeaderSize + sizeof(int64_t) * capacity_,
@@ -496,7 +358,7 @@ StoreStatus SegmentWriter::Seal() {
     std::memcpy(saved.data(), value_column(), sizeof(double) * committed);
     const size_t packed =
         kSegmentHeaderSize + kSegmentSampleStride * committed;
-    if (!file_.Grow(packed)) {
+    if (!file_.Resize(packed)) {
       return MakeError(StoreError::kIo, 0,
                        "shrink failed for " + file_.path());
     }

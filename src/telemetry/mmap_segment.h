@@ -21,20 +21,19 @@
 // Timestamps are delta-of-timestamp encoded (delta_us[0] = 0, delta_us[i] =
 // t[i] - t[i-1], all >= 0 because series are append-ordered); values are raw
 // IEEE-754 doubles, so a read reconstructs the exact bits that were written.
-// The two columns are fixed-width, so a segment can grow in place: ftruncate
-// to a larger capacity, remap, and memmove the value column to its new
-// offset (heap-buffer fallback only — on mmap builds the cold store creates
-// actives sparse at full capacity, so the layout never moves). Writers fill
-// up to a configured cap, then seal (finalize count + CRCs, hand pages to
-// writeback, unmap) and the cold store rolls to a fresh segment file.
+// A writer creates its file sparse at full capacity (ftruncate allocates no
+// blocks), so the column layout never moves while it fills. When it is full
+// (or at a flush) it seals: the value column moves down to its packed
+// offset, the file shrinks to the committed columns, count + CRCs are
+// finalized, pages go to writeback and the file is unmapped; the cold store
+// rolls to a fresh segment file.
 // Steady-state RSS is bounded as the segment fills, not just at seal: pages
 // of the columns that are fully written are released from RSS eagerly
 // (madvise; the data stays in page cache), leaving only the unfinished tail
 // pages resident.
 //
-// Mapping uses POSIX mmap where available (AMPERE_HAVE_MMAP); elsewhere a
-// portable fallback keeps the segment in a heap buffer and rewrites the file
-// on sync, preserving the identical on-disk format.
+// Mapping uses POSIX mmap, ftruncate and madvise, so the cold tier needs a
+// POSIX platform.
 //
 // Versioning rules mirror docs/traces.md: any layout change a v1 reader
 // cannot interpret bumps `version`, and readers reject unknown versions with
@@ -58,12 +57,6 @@
 
 #include "src/common/time.h"
 #include "src/telemetry/timeseries_db.h"  // TimePoint (the spill unit).
-
-#if defined(__unix__) || defined(__APPLE__)
-#define AMPERE_HAVE_MMAP 1
-#else
-#define AMPERE_HAVE_MMAP 0
-#endif
 
 namespace ampere {
 
@@ -123,8 +116,8 @@ struct SegmentHeader {
 static_assert(sizeof(SegmentHeader) == kSegmentHeaderSize,
               "segment header must be exactly 64 bytes");
 
-// Growable file mapping: POSIX mmap (with ftruncate + remap growth) or the
-// heap-buffer fallback. Move-only; Close() syncs writable mappings.
+// Resizable POSIX file mapping (ftruncate + remap). Move-only; Close()
+// hands writable mappings to writeback.
 class MappedFile {
  public:
   MappedFile() = default;
@@ -138,10 +131,10 @@ class MappedFile {
   bool CreateRw(const std::string& path, size_t size);
   // Maps an existing file read-only, whole length.
   bool OpenRo(const std::string& path);
-  // Grows a writable mapping to `new_size` bytes (ftruncate + remap).
-  bool Grow(size_t new_size);
+  // Resizes a writable mapping to `new_size` bytes (ftruncate + remap).
+  bool Resize(size_t new_size);
   // Hands a writable mapping's dirty pages to the kernel for writeback
-  // (msync MS_ASYNC / fallback rewrite). Dirty page cache survives process
+  // (msync MS_ASYNC). Dirty page cache survives process
   // death, which is the crash model this tier promises; a synchronous flush
   // here would serialize every seal behind the disk (observed 2.4x
   // closed-loop slowdown at hyperscale with 62k seals on ext4).
@@ -150,7 +143,7 @@ class MappedFile {
   // (madvise MADV_DONTNEED, aligned inward to page boundaries). For a
   // shared file mapping this never discards data — dirty pages stay in the
   // page cache for writeback and refault on the next touch — it only takes
-  // them out of RSS. No-op in the heap-buffer fallback.
+  // them out of RSS.
   void ReleaseWritten(size_t begin, size_t end);
   // Unmaps. Writable mappings are handed to writeback first.
   void Close();
@@ -166,20 +159,18 @@ class MappedFile {
   uint8_t* data_ = nullptr;
   size_t size_ = 0;
   bool writable_ = false;
-  int fd_ = -1;  // mmap builds only; fallback keeps no descriptor open.
+  int fd_ = -1;  // Writable mappings only.
 };
 
 // Writable active segment for one series. Appends are a stride-16 columnar
 // write into the mapping; Seal() finalizes count + CRCs and unmaps.
 class SegmentWriter {
  public:
-  // Creates `path` sized for `initial_capacity` samples; Append grows the
-  // mapping by doubling up to `max_capacity`, after which it reports full.
-  // Returns nullptr on I/O failure (callers log and degrade to RAM-only).
+  // Creates `path` sparse at `capacity` samples; once that many have been
+  // appended the writer reports full. Returns nullptr on I/O failure.
   static std::unique_ptr<SegmentWriter> Create(const std::string& path,
                                                uint64_t series_key,
-                                               size_t initial_capacity,
-                                               size_t max_capacity);
+                                               size_t capacity);
 
   // Appends as many of `batch` as fit (batch times non-decreasing and >=
   // the segment tail — enforced upstream by TimeSeriesDb's append checks).
@@ -191,7 +182,7 @@ class SegmentWriter {
   StoreStatus Seal();
 
   size_t count() const { return static_cast<size_t>(header_.count); }
-  size_t remaining() const { return max_capacity_ - count(); }
+  size_t remaining() const { return capacity_ - count(); }
   bool sealed() const { return (header_.flags & kSegmentFlagSealed) != 0; }
   SimTime first_time() const {
     return SimTime::Micros(header_.first_time_us);
@@ -200,21 +191,19 @@ class SegmentWriter {
   const std::string& path() const { return file_.path(); }
 
   // Committed columns — stitched queries read the active segment through
-  // these. Invalidated by the next AppendBatch (growth remaps) and by Seal.
+  // these. Invalidated by Seal.
   std::span<const int64_t> deltas() const;
   std::span<const double> values() const;
 
  private:
   SegmentWriter() = default;
-  bool GrowTo(size_t new_capacity);
   int64_t* delta_column();
   double* value_column();
   // Eager RSS release: pages of the active segment that are fully written
   // are dropped from RSS right away (the data stays in page cache), so the
   // resident cost of an active segment is its unfinished tail pages — not
-  // its size. Only runs once the layout is final (capacity == max), since
-  // growth relocates the value column. Queries through deltas()/values()
-  // refault released pages from page cache transparently.
+  // its size. Queries through deltas()/values() refault released pages
+  // from page cache transparently.
   void ReleaseWrittenPages();
   void ReleaseColumn(size_t column_offset, size_t written_bytes,
                      size_t* released_end);
@@ -222,7 +211,6 @@ class SegmentWriter {
   MappedFile file_;
   SegmentHeader header_;  // Shadow; memcpy'd to the mapping on Seal.
   size_t capacity_ = 0;
-  size_t max_capacity_ = 0;
   size_t released_delta_ = 0;  // File offset the delta column is released to.
   size_t released_value_ = 0;  // Same for the value column.
 };

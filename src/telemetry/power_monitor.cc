@@ -460,7 +460,7 @@ void PowerMonitor::AppendTierFrames(SimTime stamp, const uint8_t* absent) {
 }
 
 void PowerMonitor::RecordRowTimeline(SimTime stamp, bool faulted) {
-  if (obs::CurrentRecorder() == nullptr || !obs::Enabled()) {
+  if (obs::CurrentRecorder() == nullptr) {
     return;
   }
   const size_t num_rows = static_cast<size_t>(dc_->num_rows());

@@ -316,7 +316,6 @@ void RunCase(const Case& c) {
           << "minute " << minute;
     }
 
-#ifndef AMPERE_OBS_DISABLED
     std::vector<RpcCall> calls;
     recorder.ForEach([&](const obs::TimelineEvent& e) {
       if (e.seq < events_before) return;
@@ -327,9 +326,6 @@ void RunCase(const Case& c) {
       }
     });
     ASSERT_EQ(calls, reference.calls()) << "minute " << minute;
-#else
-    (void)events_before;
-#endif
     for (int32_t s = 0; s < a.dc.num_servers(); ++s) {
       ASSERT_EQ(a.scheduler.IsFrozen(ServerId(s)),
                 b.scheduler.IsFrozen(ServerId(s)))

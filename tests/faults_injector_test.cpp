@@ -118,38 +118,6 @@ TEST(FaultPlanTest, ChannelIndexIsStableFnv1a) {
   EXPECT_EQ(FaultPlan::ChannelIndex("anything", 0), 0u);
 }
 
-// --- Composition ---
-
-TEST(FaultPlanTest, ComposeCombinesHazardsAndUnionsWindows) {
-  FaultPlanConfig ca;
-  ca.seed = 1;
-  ca.sample_dropout_prob = 0.5;
-  ca.sensor_bias_watts = 2.0;
-  ca.stale_windows_per_hour = 0.5;
-  FaultPlanConfig cb;
-  cb.seed = 2;
-  cb.sample_dropout_prob = 0.5;
-  cb.sensor_bias_watts = -0.5;
-  cb.stale_windows_per_hour = 0.25;
-  FaultPlan a = FaultPlan::Generate(ca, SimTime::Hours(12));
-  FaultPlan b = FaultPlan::Generate(cb, SimTime::Hours(24));
-  FaultPlan c = FaultPlan::Compose(a, b);
-
-  EXPECT_DOUBLE_EQ(c.config().sample_dropout_prob, 0.75);  // 1-(1-.5)^2.
-  EXPECT_DOUBLE_EQ(c.config().sensor_bias_watts, 1.5);     // Biases add.
-  EXPECT_DOUBLE_EQ(c.config().stale_windows_per_hour, 0.75);
-  EXPECT_EQ(c.horizon(), SimTime::Hours(24));
-  EXPECT_NE(c.config().seed, ca.seed);
-  EXPECT_NE(c.config().seed, cb.seed);
-  // Every parent window instant is still covered in the composed plan.
-  for (const FaultPlan* parent : {&a, &b}) {
-    for (const FaultWindow& w : parent->stale_windows()) {
-      EXPECT_TRUE(c.InStaleWindow(w.begin));
-      EXPECT_TRUE(c.InStaleWindow(w.end - SimTime::Seconds(1)));
-    }
-  }
-}
-
 // --- Serialization ---
 
 TEST(FaultPlanTest, SerializeParseRoundTripIsLossless) {

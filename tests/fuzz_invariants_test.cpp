@@ -600,7 +600,7 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
 
 // A small sealed segment on disk; returns its bytes.
 std::string BuildSealedSegment(const std::string& path) {
-  auto writer = SegmentWriter::Create(path, StoreSeriesKey("fuzz"), 8, 64);
+  auto writer = SegmentWriter::Create(path, StoreSeriesKey("fuzz"), 64);
   EXPECT_NE(writer, nullptr);
   std::vector<TimePoint> points;
   for (int i = 0; i < 32; ++i) {
@@ -672,7 +672,7 @@ TEST(ColdStoreFuzzTest, ManifestMutationSweepNeverCrashes) {
   const ScratchDir scratch("fuzz_manifest_mut");
   const std::string& dir = scratch.path();
   {
-    auto created = ColdStore::Create(ColdStoreConfig{dir, 16, 4});
+    auto created = ColdStore::Create(ColdStoreConfig{dir, 16});
     ASSERT_TRUE(created.status.ok());
     std::vector<TimePoint> points;
     for (int i = 0; i < 40; ++i) {

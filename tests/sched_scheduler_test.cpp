@@ -29,15 +29,9 @@ struct Fixture {
   Simulation sim;
   DataCenter dc;
   Scheduler scheduler;
-  explicit Fixture(PlacementPolicy policy = PlacementPolicy::kRandomFit,
-                   TopologyConfig topo = TwoRowTopology())
-      : dc(topo, &sim),
-        scheduler(&dc, MakeConfig(policy), Rng(17)) {}
-  static SchedulerConfig MakeConfig(PlacementPolicy policy) {
-    SchedulerConfig c;
-    c.policy = policy;
-    return c;
-  }
+  Fixture()
+      : dc(TwoRowTopology(), &sim),
+        scheduler(&dc, SchedulerConfig{}, Rng(17)) {}
 };
 
 TEST(SchedulerTest, PlacesSubmittedJob) {
@@ -159,34 +153,6 @@ TEST(SchedulerTest, FreezingShiftsPlacementShareProportionally) {
   auto row0 = static_cast<double>(f.scheduler.placements_in_row(RowId(0)));
   auto row1 = static_cast<double>(f.scheduler.placements_in_row(RowId(1)));
   EXPECT_NEAR(row0 / (row0 + row1), 1.0 / 3.0, 0.05);
-}
-
-TEST(SchedulerTest, LeastLoadedPrefersIdleServers) {
-  Fixture f(PlacementPolicy::kLeastLoaded);
-  // Pre-load servers 0..13 heavily; 14 and 15 stay empty.
-  for (int32_t s = 0; s < 14; ++s) {
-    f.dc.PlaceTask(ServerId(s), TaskSpec{JobId(9000 + s),
-                                         Resources{14.0, 14.0},
-                                         SimTime::Hours(10)});
-  }
-  for (int i = 0; i < 10; ++i) {
-    f.scheduler.Submit(MakeJob(400 + i, 1.0, SimTime::Hours(10)));
-  }
-  // The two idle servers should absorb well over their uniform share (10 *
-  // 2/16 ≈ 1.25 jobs) of the 10 placements.
-  size_t idle_tasks = f.dc.server(ServerId(14)).num_tasks() +
-                      f.dc.server(ServerId(15)).num_tasks();
-  EXPECT_GE(idle_tasks, 5u);
-}
-
-TEST(SchedulerTest, RoundRobinCyclesServers) {
-  Fixture f(PlacementPolicy::kRoundRobin);
-  for (int i = 0; i < 16; ++i) {
-    f.scheduler.Submit(MakeJob(500 + i, 1.0, SimTime::Hours(10)));
-  }
-  for (int32_t s = 0; s < 16; ++s) {
-    EXPECT_EQ(f.dc.server(ServerId(s)).num_tasks(), 1u) << "server " << s;
-  }
 }
 
 TEST(SchedulerTest, OversizedJobStaysQueuedWithoutBlockingOthers) {

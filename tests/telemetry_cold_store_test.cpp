@@ -57,7 +57,7 @@ TEST(MmapSegment, RoundTripsSamplesBitExactly) {
   const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
   const uint64_t key = StoreSeriesKey("power/total");
-  auto writer = SegmentWriter::Create(path, key, 4, 1024);
+  auto writer = SegmentWriter::Create(path, key, 1024);
   ASSERT_NE(writer, nullptr);
 
   const std::vector<TimePoint> points = MakePoints(100);
@@ -87,14 +87,14 @@ TEST(MmapSegment, RoundTripsSamplesBitExactly) {
   }
 }
 
-TEST(MmapSegment, GrowsByDoublingAndReportsFullAtCap) {
-  const ScratchDir scratch("segment_growth");
+TEST(MmapSegment, ReportsFullAtCapacity) {
+  const ScratchDir scratch("segment_full");
   const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
-  auto writer = SegmentWriter::Create(path, 7, 2, 16);
+  auto writer = SegmentWriter::Create(path, 7, 16);
   ASSERT_NE(writer, nullptr);
   const std::vector<TimePoint> points = MakePoints(50);
-  // Only max_capacity samples fit; the rest are refused, not dropped
+  // Only capacity samples fit; the rest are refused, not dropped
   // silently.
   EXPECT_EQ(writer->AppendBatch(points), 16u);
   EXPECT_EQ(writer->remaining(), 0u);
@@ -109,7 +109,7 @@ TEST(MmapSegment, SealPacksFileToCommittedSamples) {
   const ScratchDir scratch("segment_pack");
   const std::string& dir = scratch.path();
   const std::string path = dir + "/seg.seg";
-  auto writer = SegmentWriter::Create(path, 7, 1024, 4096);
+  auto writer = SegmentWriter::Create(path, 7, 4096);
   ASSERT_NE(writer, nullptr);
   writer->AppendBatch(MakePoints(10));
   ASSERT_TRUE(writer->Seal().ok());
@@ -126,7 +126,7 @@ class SegmentCorruptionTest : public ::testing::Test {
   void SetUp() override {
     dir_ = scratch_.path();
     path_ = dir_ + "/seg.seg";
-    auto writer = SegmentWriter::Create(path_, StoreSeriesKey("s"), 4, 256);
+    auto writer = SegmentWriter::Create(path_, StoreSeriesKey("s"), 256);
     ASSERT_NE(writer, nullptr);
     writer->AppendBatch(MakePoints(32));
     ASSERT_TRUE(writer->Seal().ok());
@@ -269,7 +269,7 @@ TEST_F(SegmentCorruptionTest, MidWriteKillIsTruncated) {
   // exactly what a kill between Create and Seal leaves behind.
   const std::string path = dir_ + "/killed.seg";
   {
-    auto writer = SegmentWriter::Create(path, 7, 4, 64);
+    auto writer = SegmentWriter::Create(path, 7, 64);
     ASSERT_NE(writer, nullptr);
     writer->AppendBatch(MakePoints(3));
     // No Seal: destructor syncs the mapping but never finalizes the header.
@@ -346,7 +346,7 @@ TEST(ColdStore, QueryStitchedSlicesRangesAcrossTiers) {
 TEST(ColdStore, ReservePointsClampsToHotBudget) {
   const ScratchDir scratch("reserve_clamp");
   const std::string& dir = scratch.path();
-  auto created = ColdStore::Create(ColdStoreConfig{dir, 64, 16});
+  auto created = ColdStore::Create(ColdStoreConfig{dir, 64});
   ASSERT_TRUE(created.status.ok()) << created.status.message;
   TimeSeriesDb db;
   db.AttachColdStore(created.store.get(), 32);
@@ -431,7 +431,7 @@ class ManifestCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = scratch_.path();
-    auto created = ColdStore::Create(ColdStoreConfig{dir_, 16, 4});
+    auto created = ColdStore::Create(ColdStoreConfig{dir_, 16});
     ASSERT_TRUE(created.status.ok()) << created.status.message;
     created.store->AppendBatch("power/total", MakePoints(40));
     ASSERT_TRUE(created.store->Flush().ok());
