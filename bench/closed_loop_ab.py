@@ -10,6 +10,11 @@ ROUNDS rounds that alternate which side goes first, it runs
 tree for every workload BENCHMARK.json lists. Each tree builds perfbench
 under its own .bench_build/.
 
+Besides the median table it prints the host's effective parallelism (the
+CPUs this process may run on, and the cgroup's CPU quota when it can be
+read) and, per workload, in how many rounds this tree beat the base on
+server_min_per_s.
+
 Exit 1 if any call fails or reports `correct: false` or `failed > 0`, or
 if this tree's median of an end-to-end metric is worse than the base's by
 more than that metric's relative `bound` in BENCHMARK.json, in its
@@ -48,6 +53,23 @@ def run_bench(tree, workload, env):
     return result
 
 
+def effective_parallelism():
+    """The CPUs this process may use, with the cgroup's CPU quota if any."""
+    text = f"{len(os.sched_getaffinity(0))} CPUs in affinity mask"
+    cgroup = Path("/sys/fs/cgroup")
+    try:
+        quota, period = (cgroup / "cpu.max").read_text().split()  # v2
+    except (OSError, ValueError):
+        try:  # v1
+            quota = (cgroup / "cpu" / "cpu.cfs_quota_us").read_text().strip()
+            period = (cgroup / "cpu" / "cpu.cfs_period_us").read_text().strip()
+        except OSError:
+            return text + ", cgroup CPU quota unreadable"
+    if quota in ("max", "-1"):
+        return text + ", no cgroup CPU quota"
+    return text + f", cgroup quota {int(quota) / int(period):.2f} CPUs"
+
+
 def main():
     if len(sys.argv) != 2:
         print(__doc__, file=sys.stderr)
@@ -70,10 +92,14 @@ def main():
                        check=True)
         sides = {"base": base, "head": ROOT}
         values = {(s, w): [] for s in sides for w in workloads}
+        # Per workload, one (base, head) server_min_per_s pair per round in
+        # which both calls succeeded.
+        pairs = {w: [] for w in workloads}
         failed = 0
         for r in range(ROUNDS):
             order = ["base", "head"] if r % 2 == 0 else ["head", "base"]
             for workload in workloads:
+                throughput = {}
                 for side in order:
                     print(f"round {r + 1}/{ROUNDS}: {workload} on {side}",
                           file=sys.stderr, flush=True)
@@ -82,6 +108,11 @@ def main():
                         failed += 1
                     else:
                         values[(side, workload)].append(result["metrics"])
+                        throughput[side] = \
+                            result["metrics"]["server_min_per_s"]["value"]
+                if len(throughput) == 2:
+                    pairs[workload].append(
+                        (throughput["base"], throughput["head"]))
 
     worse = 0
     print(f"{'workload':16s} {'metric':22s} {'base':>12s} {'head':>12s} "
@@ -104,6 +135,11 @@ def main():
             print(f"{workload:16s} {name:22s} {medians[0]:12.6g} "
                   f"{medians[1]:12.6g} {change:+8.1%} {metric['bound']:6.0%}"
                   f"  {verdict}")
+    for workload in workloads:
+        wins = sum(head > base for base, head in pairs[workload])
+        print(f"{workload}: head beat base on server_min_per_s in {wins} "
+              f"of {len(pairs[workload])} rounds")
+    print(f"effective parallelism: {effective_parallelism()}")
     print(f"{ROUNDS} rounds of {SECONDS} s per workload and side; "
           f"failed calls {failed}; metrics worse than bound {worse}")
     return 1 if failed or worse else 0

@@ -551,6 +551,57 @@ void BM_PlacementSaturatedDrain(benchmark::State& state) {
 }
 BENCHMARK(BM_PlacementSaturatedDrain);
 
+// Row-ordered placement (Arg(0) kConcentrateRows, Arg(1)
+// kPowerAwareSpread) on a four-row DC holding 2,000 running two-core jobs.
+// Each iteration fires the earliest completion and submits a fresh job,
+// which the scheduler ranks the rows for and places at once, so the running
+// count stays constant. The case hard-asserts that the steady state
+// allocates nothing: the row ranking reuses one buffer, and at most eight
+// two-core jobs fit a 16-core server, so no task table spills.
+void BM_PlacementRowOrdered(benchmark::State& state) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  constexpr int kRunningJobs = 2'000;
+  Simulation sim;
+  DataCenter dc(Rig::Topology(4), &sim);
+  SchedulerConfig config;
+  config.policy = state.range(0) == 0 ? PlacementPolicy::kConcentrateRows
+                                      : PlacementPolicy::kPowerAwareSpread;
+  Scheduler scheduler(&dc, config, Rng(3));
+  Rng rng(11);
+  int32_t next_job = 0;
+  auto submit = [&] {
+    JobSpec job;
+    job.id = JobId(next_job++);
+    job.demand = Resources{2.0, 4.0};
+    job.duration = SimTime::Micros(rng.UniformInt(60'000'000, 1'200'000'000));
+    scheduler.Submit(job);
+  };
+  for (int i = 0; i < kRunningJobs; ++i) {
+    submit();
+  }
+  auto cycle = [&] {
+    AMPERE_CHECK(sim.Step()) << "no running job left to complete";
+    submit();
+  };
+  for (int i = 0; i < kRunningJobs; ++i) {
+    cycle();  // Warmup: every record and queue entry recycled once.
+  }
+  const uint64_t allocs_before = AllocCount();
+  for (auto _ : state) {
+    cycle();
+  }
+  AMPERE_CHECK(AllocCount() == allocs_before)
+      << "row-ordered placement allocated in steady state";
+  AMPERE_CHECK(scheduler.queue_length() == 0 &&
+               sim.pending_events() == static_cast<size_t>(kRunningJobs))
+      << "a job was not placed on submit";
+  state.SetItemsProcessed(state.iterations());
+  state.SetLabel(state.range(0) == 0 ? "concentrate_zero_alloc"
+                                     : "spread_zero_alloc");
+}
+BENCHMARK(BM_PlacementRowOrdered)->Arg(0)->Arg(1);
+
 // --- Task lifecycle at fleet depth -----------------------------------------
 //
 // A 6,720-server DC (16 rows, the hyperscale tier) holding ~30 k running

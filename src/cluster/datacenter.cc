@@ -276,7 +276,12 @@ bool DataCenter::PlaceTask(ServerId id, const TaskSpec& spec) {
   AMPERE_CHECK(inserted) << "job " << spec.job.value()
                          << " already on server " << id.value();
   if (index == tasks_.size()) {
+    const bool moves = tasks_.size() == tasks_.capacity();
     tasks_.emplace_back();
+    if (moves) {
+      sim_->PublishTargetRecords(event_target_, tasks_.data(),
+                                 sizeof(TaskRecord));
+    }
   } else {
     free_tasks_.pop_back();
   }

@@ -19,6 +19,7 @@
 
 #include "src/cluster/server.h"
 #include "src/common/ids.h"
+#include "src/common/prefetch.h"
 #include "src/obs/metrics.h"
 #include "src/power/breaker.h"
 #include "src/power/dvfs.h"
@@ -173,6 +174,13 @@ class DataCenter final : private EventTarget {
   // Task-pool records ever created: the high-water mark of concurrently
   // running tasks (introspection for tests and benches).
   size_t task_pool_size() const { return tasks_.size(); }
+  // This DC's typed-event target id, and the address of task record
+  // `index` (< task_pool_size()): tests compare the two with the record
+  // location published to the Simulation.
+  uint32_t event_target() const { return event_target_; }
+  const void* task_record_address(uint32_t index) const {
+    return &tasks_[index];
+  }
 
   // Invoked whenever a task completes; receives (server, job).
   void SetTaskCompletionListener(std::function<void(ServerId, JobId)> cb) {
@@ -294,9 +302,16 @@ class DataCenter final : private EventTarget {
   static constexpr uint64_t kFreeTask = ~uint64_t{0};
 
   // EventTarget: a queued completion is live while its record still holds
-  // the seq it was queued with.
+  // the seq it was queued with. A live one fires next, and its record names
+  // the server CompleteTask touches: prefetching that server here lets its
+  // lines arrive while the core pops the heap.
   bool Live(uint32_t index, uint64_t seq) const override {
-    return tasks_[index].seq == seq;
+    const TaskRecord& task = tasks_[index];
+    if (task.seq != seq) {
+      return false;
+    }
+    PrefetchBytes(&servers_[task.server.index()], sizeof(Server));
+    return true;
   }
   void Fire(uint32_t index) override { CompleteTask(index); }
 
@@ -396,7 +411,8 @@ class DataCenter final : private EventTarget {
   obs::DomainId obs_domain_ = 0;
   std::function<void(ServerId, JobId)> completion_listener_;
   // Task pool: one record per running task, indexed by the typed
-  // completion events, plus the free records' indices.
+  // completion events, plus the free records' indices. Its location is
+  // published to sim_ (PublishTargetRecords) each time it reallocates.
   std::vector<TaskRecord> tasks_;
   std::vector<uint32_t> free_tasks_;
 };

@@ -171,17 +171,17 @@ ServerId Scheduler::PickRowOrdered(const JobSpec& job, bool hottest_first) {
   // place on a random eligible server of the best admissible row. If every
   // row is above the ceiling (or nothing fits), fall back to random-fit so
   // the policy stays work-conserving.
-  std::vector<RowId> rows;
+  row_order_.clear();
   for (int32_t r = 0; r < dc_->num_rows(); ++r) {
-    rows.push_back(RowId(r));
+    row_order_.push_back(RowId(r));
   }
-  std::sort(rows.begin(), rows.end(),
+  std::sort(row_order_.begin(), row_order_.end(),
             [this, hottest_first](RowId a, RowId b) {
               double pa = dc_->row_power_watts(a);
               double pb = dc_->row_power_watts(b);
               return hottest_first ? pa > pb : pa < pb;
             });
-  for (RowId row : rows) {
+  for (RowId row : row_order_) {
     if (job.row_affinity.has_value() && row != *job.row_affinity) {
       continue;
     }

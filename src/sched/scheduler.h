@@ -171,6 +171,8 @@ class Scheduler : public JobSink {
   uint64_t jobs_completed_ = 0;
   uint64_t jobs_spilled_out_ = 0;
   std::vector<uint64_t> row_placements_;
+  // PickRowOrdered's row ranking, kept so a placement allocates nothing.
+  std::vector<RowId> row_order_;
   std::function<void(const JobSpec&, ServerId)> placement_listener_;
   std::function<void(ServerId, JobId)> completion_listener_;
 };

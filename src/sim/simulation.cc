@@ -62,7 +62,7 @@ uint32_t Simulation::RegisterTarget(EventTarget* target) {
   AMPERE_CHECK(target != nullptr);
   AMPERE_CHECK(targets_.size() < kMaxTargets)
       << "event target overflow: at most " << kMaxTargets << " targets";
-  targets_.push_back(target);
+  targets_.push_back(Target{target});
   return static_cast<uint32_t>(targets_.size() - 1);
 }
 
@@ -80,8 +80,17 @@ void Simulation::FireHeapHead() {
   now_ = entry.time;
   ++processed_events_;
   if (entry.typed()) {
+    // The new head's record is the next Live()'s miss; start it now, so it
+    // overlaps this event's Fire(). (Written out here: GCC deletes a call
+    // to a function whose only effect is a prefetch.)
+    if (!heap_.empty() && heap_.front().typed()) {
+      const QueueEntry& next = heap_.front();
+      if (const void* record = target_record(next.target(), next.index())) {
+        PrefetchBytes(record, targets_[next.target()].record_stride);
+      }
+    }
     // The target's own record is the event's state; Fire() retires it.
-    targets_[entry.target()]->Fire(entry.index());
+    targets_[entry.target()].target->Fire(entry.index());
     return;
   }
   Slot& slot = slots_[entry.slot()];

@@ -22,6 +22,16 @@
 //   with tens of thousands of running tasks carries no per-task closure. An
 //   owner that reschedules stores the new seq (the old entry turns stale)
 //   and calls RetireTargetEvent().
+//   A target may also publish where its records live
+//   (PublishTargetRecords: record `index` occupies `stride` bytes at
+//   base + index * stride). Each completion then costs two cache misses in
+//   series, heap entry -> record -> whatever the record names, and the
+//   published location lets the core start the first one early: after it
+//   pops a typed head, it prefetches the new head's record, so the record
+//   is on its way one event before Live() reads it. The owner keeps the
+//   location current: it publishes again whenever its record storage moves
+//   (a vector that reallocates). A stale location only loses the hint,
+//   never a result, since a prefetch changes no value.
 // - Stream events (RegisterStream/ScheduleStreamAt): job arrivals. An owner
 //   that appends its events in non-decreasing time order gets a FIFO of its
 //   own instead of heap entries: append order is (time, seq) order because
@@ -42,6 +52,7 @@
 #include <vector>
 
 #include "src/common/check.h"
+#include "src/common/prefetch.h"
 #include "src/common/ring_queue.h"
 #include "src/common/time.h"
 
@@ -148,6 +159,29 @@ class Simulation {
 
   // Registers `target` (not owned) and returns its id for ScheduleTargetAt.
   uint32_t RegisterTarget(EventTarget* target);
+
+  // Publishes where target `target_id`'s records live: record `index`
+  // occupies `stride` bytes at `base` + index * `stride`, for every index
+  // the target queues. A null `base` (the default) publishes none. The
+  // owner publishes again whenever the records move; the core only reads
+  // the location to prefetch, so a stale one costs time, not results.
+  void PublishTargetRecords(uint32_t target_id, const void* base,
+                            size_t stride) {
+    AMPERE_CHECK(target_id < targets_.size())
+        << "unregistered event target " << target_id;
+    AMPERE_CHECK(base == nullptr || stride > 0) << "zero record stride";
+    targets_[target_id].records = static_cast<const unsigned char*>(base);
+    targets_[target_id].record_stride = stride;
+  }
+
+  // The published address of record `index` of target `target_id`, or
+  // null if the target publishes none.
+  const void* target_record(uint32_t target_id, uint32_t index) const {
+    const Target& target = targets_[target_id];
+    return target.records == nullptr
+               ? nullptr
+               : target.records + size_t{index} * target.record_stride;
+  }
 
   // Queues a typed event for record `index` of target `target_id` at `at`
   // (>= now()) and returns its seq, drawn from the same counter as the
@@ -425,7 +459,8 @@ class Simulation {
 
   bool EntryStale(const QueueEntry& entry) const {
     if (entry.typed()) {
-      return !targets_[entry.target()]->Live(entry.index(), entry.seq());
+      return !targets_[entry.target()].target->Live(entry.index(),
+                                                    entry.seq());
     }
     return slots_[entry.slot()].seq != entry.seq();
   }
@@ -485,7 +520,14 @@ class Simulation {
   // firing may schedule new events while its own slot is still in use).
   std::deque<Slot> slots_;
   std::vector<uint32_t> free_list_;
-  std::vector<EventTarget*> targets_;  // Not owned; indexed by target id.
+  // Typed-event targets, indexed by target id, each with its published
+  // record location (see PublishTargetRecords).
+  struct Target {
+    EventTarget* target;  // Not owned.
+    const unsigned char* records = nullptr;
+    size_t record_stride = 0;
+  };
+  std::vector<Target> targets_;
   // Event streams, indexed by stream id. Each queue holds its stream's
   // pending events in (time, seq) order, keyed like a closure entry but
   // with the record index in the low bits.

@@ -431,6 +431,50 @@ TEST(DataCenterTaskPoolTest, ReusedRecordNeverFiresAStaleCompletion) {
   EXPECT_EQ(dc.task_pool_size(), 1u);
 }
 
+// Whether the record location `dc` published to `sim` names every record
+// of its task pool, live or free.
+::testing::AssertionResult PublishedRecordsCurrent(const Simulation& sim,
+                                                   const DataCenter& dc) {
+  for (uint32_t i = 0; i < dc.task_pool_size(); ++i) {
+    if (sim.target_record(dc.event_target(), i) !=
+        dc.task_record_address(i)) {
+      return ::testing::AssertionFailure()
+             << "record " << i << " of " << dc.task_pool_size()
+             << " is not where the published location says";
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// The core prefetches the next completion's record from the location the
+// DC publishes. A location left stale by the pool's growth changes no
+// result, it only loses the prefetch, so nothing but this test notices.
+// Three waves, each larger than the last, grow the pool through eight
+// reallocations; the runs between them free records that the next wave
+// takes over.
+TEST(DataCenterTaskPoolTest, PublishedRecordLocationTracksPoolGrowth) {
+  Simulation sim;
+  DataCenter dc(SmallTopology(), &sim);
+  EXPECT_EQ(sim.target_record(dc.event_target(), 0), nullptr);
+  int32_t job = 0;
+  for (int wave = 1; wave <= 3; ++wave) {
+    SCOPED_TRACE(wave);
+    for (int k = 0; k < 40 * wave; ++k, ++job) {
+      ASSERT_TRUE(dc.PlaceTask(
+          ServerId(job % dc.num_servers()),
+          TaskSpec{JobId(job), Resources{0.25, 0.5},
+                   SimTime::Minutes(1 + job % 7)}));
+      ASSERT_TRUE(PublishedRecordsCurrent(sim, dc));
+    }
+    // Frees the records of the jobs of up to four minutes.
+    sim.RunUntil(sim.now() + SimTime::Minutes(4));
+    ASSERT_TRUE(PublishedRecordsCurrent(sim, dc));
+  }
+  // Recycled: fewer records than jobs; grown: past 2^7.
+  EXPECT_LT(dc.task_pool_size(), static_cast<size_t>(job));
+  EXPECT_GT(dc.task_pool_size(), 128u);
+}
+
 TEST(DataCenterTaskPoolTest, SleepRejectsServerWithTasksUntilTheyComplete) {
   Simulation sim;
   DataCenter dc(SmallTopology(), &sim);

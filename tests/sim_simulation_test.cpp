@@ -281,13 +281,20 @@ TEST(SimulationTest, EventsScheduledDuringRunExecute) {
 
 // A typed-event owner with `n` records. A queued record stores the seq its
 // event was queued with; firing it frees the record and logs its label.
+// With `publish`, the record array (which never moves) is published to the
+// Simulation as the records' location.
 class LabelTarget final : public EventTarget {
  public:
   static constexpr uint64_t kFree = ~uint64_t{0};
 
-  LabelTarget(Simulation* sim, size_t n, std::vector<int>* log)
+  LabelTarget(Simulation* sim, size_t n, std::vector<int>* log,
+              bool publish = false)
       : sim_(sim), id_(sim->RegisterTarget(this)), seqs_(n, kFree),
-        labels_(n, -1), log_(log) {}
+        labels_(n, -1), log_(log) {
+    if (publish) {
+      sim->PublishTargetRecords(id_, seqs_.data(), sizeof(seqs_[0]));
+    }
+  }
 
   // Queues record `index` at `at`, retiring its queued event first if it
   // has one (a reschedule). Returns the new event's seq.
@@ -309,6 +316,8 @@ class LabelTarget final : public EventTarget {
   bool queued(uint32_t index) const { return seqs_[index] != kFree; }
   int label(uint32_t index) const { return labels_[index]; }
   uint32_t id() const { return id_; }
+  size_t size() const { return seqs_.size(); }
+  const void* record(uint32_t index) const { return &seqs_[index]; }
 
   bool Live(uint32_t index, uint64_t seq) const override {
     return index < seqs_.size() && seqs_[index] == seq;
@@ -427,7 +436,10 @@ TEST(SimulationTypedEventTest, RunUntilHonorsBoundaryPastStaleTypedHead) {
 // schedules, cancels, reschedules, frees, stream appends, zero-delay
 // events, same-microsecond ties across all three kinds, single steps and
 // RunUntil boundaries — against a reference list fired in (time, seq)
-// order, where seq counts schedule calls of every kind.
+// order, where seq counts schedule calls of every kind. One typed target
+// publishes its records' location and the other publishes none, so the
+// core's record prefetch runs beside its null-location skip; neither may
+// change the order.
 TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
   struct RefEvent {
     SimTime time;
@@ -440,8 +452,14 @@ TEST(SimulationTypedEventTest, RandomInterleavingMatchesTimeSeqOrder) {
     Rng rng(seed);
     std::vector<int> log;
     std::vector<std::unique_ptr<LabelTarget>> targets;
+    targets.push_back(
+        std::make_unique<LabelTarget>(&sim, 6, &log, /*publish=*/true));
     targets.push_back(std::make_unique<LabelTarget>(&sim, 6, &log));
-    targets.push_back(std::make_unique<LabelTarget>(&sim, 6, &log));
+    for (uint32_t i = 0; i < targets[0]->size(); ++i) {
+      ASSERT_EQ(sim.target_record(targets[0]->id(), i),
+                targets[0]->record(i));
+      ASSERT_EQ(sim.target_record(targets[1]->id(), i), nullptr);
+    }
     std::vector<std::unique_ptr<StreamLabels>> streams;
     for (uint64_t i = 0; i <= seed % 4; ++i) {
       streams.push_back(std::make_unique<StreamLabels>(&sim, &log));
