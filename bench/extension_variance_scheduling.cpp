@@ -95,24 +95,38 @@ PolicyOutcome RunPolicy(PlacementPolicy policy) {
   return out;
 }
 
-void Main() {
+void Main(const harness::HarnessArgs& args) {
   bench::Header("Extension: variance-cultivating placement",
                 "random-fit vs concentrate-rows (§6 future work)", kSeed);
 
-  PolicyOutcome random = RunPolicy(PlacementPolicy::kRandomFit);
-  PolicyOutcome packed = RunPolicy(PlacementPolicy::kConcentrateRows);
+  struct PolicySpec {
+    const char* name;
+    PlacementPolicy policy;
+  };
+  const std::vector<PolicySpec> policies = {
+      {"random-fit", PlacementPolicy::kRandomFit},
+      {"concentrate", PlacementPolicy::kConcentrateRows},
+  };
+  auto grid = bench::RunGrid(
+      args, policies,
+      [](const PolicySpec& spec, size_t) {
+        return harness::GridMeta{spec.name, kSeed};
+      },
+      [](const PolicySpec& spec, harness::RunContext& context) {
+        PolicyOutcome out = RunPolicy(spec.policy);
+        context.Metric("row_stddev_W", out.row_power_stddev);
+        context.Metric("headroom_W", out.headroom_watts);
+        context.Metric("placed", static_cast<double>(out.jobs_placed));
+        context.Metric("queued", static_cast<double>(out.queue_length));
+        return out;
+      });
 
   bench::Section("24 h at ~45% fleet CPU, 4 rows x 80 servers");
-  std::printf("%16s %16s %16s %12s %8s\n", "policy", "row_stddev_W",
-              "headroom_W", "placed", "queued");
-  std::printf("%16s %16.0f %16.0f %12llu %8zu\n", "random-fit",
-              random.row_power_stddev, random.headroom_watts,
-              static_cast<unsigned long long>(random.jobs_placed),
-              random.queue_length);
-  std::printf("%16s %16.0f %16.0f %12llu %8zu\n", "concentrate",
-              packed.row_power_stddev, packed.headroom_watts,
-              static_cast<unsigned long long>(packed.jobs_placed),
-              packed.queue_length);
+  if (!bench::EmitResults(grid.table, args)) {
+    return;
+  }
+  const PolicyOutcome& random = grid.values[0];
+  const PolicyOutcome& packed = grid.values[1];
 
   bench::Section("per-row mean / p95 power (W)");
   std::printf("%6s %12s %12s %12s %12s\n", "row", "rand_mean", "rand_p95",
@@ -151,7 +165,7 @@ void Main() {
 }  // namespace
 }  // namespace ampere
 
-int main() {
-  ampere::Main();
+int main(int argc, char** argv) {
+  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
   return 0;
 }

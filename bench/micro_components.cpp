@@ -313,52 +313,6 @@ void BM_ResummateRowSpan(benchmark::State& state) {
 }
 BENCHMARK(BM_ResummateRowSpan);
 
-// Per-rack power-model evaluation at one uniform frequency (the row-capping
-// shape): per-server PowerAt/DynamicPowerAt calls vs one
-// PowerSpanUniformFreq sweep over the rack span.
-void BM_PowerModelRackBatch(benchmark::State& state) {
-  constexpr size_t kRack = 42;
-  const ServerPowerModel model{PowerModelParams{}};
-  std::vector<double> util(kRack);
-  for (size_t i = 0; i < kRack; ++i) {
-    util[i] = static_cast<double>(i) / static_cast<double>(kRack);
-  }
-  const double freq = 0.8;
-  std::vector<double> power_scalar(kRack), dynamic_scalar(kRack);
-  std::vector<double> power_batch(kRack), dynamic_batch(kRack);
-  for (size_t i = 0; i < kRack; ++i) {
-    power_scalar[i] = model.PowerAt(util[i], freq);
-    dynamic_scalar[i] = model.DynamicPowerAt(util[i], 1.0);
-  }
-  model.PowerSpanUniformFreq(util.data(), freq, power_batch.data(),
-                             dynamic_batch.data(), kRack);
-  for (size_t i = 0; i < kRack; ++i) {
-    AMPERE_CHECK(power_scalar[i] == power_batch[i] &&
-                 dynamic_scalar[i] == dynamic_batch[i])
-        << "PowerSpanUniformFreq diverged from scalar calls at " << i;
-  }
-  const bool use_span = state.range(0) != 0;
-  const uint64_t allocs_before = AllocCount();
-  for (auto _ : state) {
-    if (use_span) {
-      model.PowerSpanUniformFreq(util.data(), freq, power_batch.data(),
-                                 dynamic_batch.data(), kRack);
-      benchmark::DoNotOptimize(power_batch.data());
-    } else {
-      for (size_t i = 0; i < kRack; ++i) {
-        power_scalar[i] = model.PowerAt(util[i], freq);
-        dynamic_scalar[i] = model.DynamicPowerAt(util[i], 1.0);
-      }
-      benchmark::DoNotOptimize(power_scalar.data());
-    }
-  }
-  AMPERE_CHECK(AllocCount() == allocs_before)
-      << "power-model batch allocated in steady state";
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kRack));
-  state.SetLabel(use_span ? "batched_rack_span" : "scalar_per_server");
-}
-BENCHMARK(BM_PowerModelRackBatch)->Arg(0)->Arg(1);
-
 void BM_SchedulerPlacement(benchmark::State& state) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);

@@ -118,11 +118,9 @@ DataCenter::DataCenter(const TopologyConfig& config, Simulation* sim)
   AMPERE_CHECK(servers_.size() == total_servers);
   soa_power_watts_.assign(total_servers, 0.0);
   soa_dynamic_full_watts_.assign(total_servers, 0.0);
-  soa_utilization_.assign(total_servers, 0.0);
   for (size_t i = 0; i < total_servers; ++i) {
     servers_[i].AttachSoaSlots(&soa_power_watts_[i],
-                               &soa_dynamic_full_watts_[i],
-                               &soa_utilization_[i]);
+                               &soa_dynamic_full_watts_[i]);
     servers_[i].RecomputePowerCache();
   }
 
@@ -350,9 +348,6 @@ void DataCenter::SleepServer(ServerId id) {
   double old_power = server.power_watts();
   double old_dynamic = server.dynamic_watts_at_full_freq();
   server.wake_completion_.Cancel();  // Abort an in-flight wake, if any.
-  if (!server.asleep_) {
-    ++asleep_servers_;
-  }
   server.asleep_ = true;
   server.waking_ = false;
   RefreshSchedulable(id);
@@ -379,8 +374,6 @@ void DataCenter::WakeServer(ServerId id) {
         Server& s = servers_[id.index()];
         double before_power = s.power_watts();
         double before_dynamic = s.dynamic_watts_at_full_freq();
-        AMPERE_CHECK(asleep_servers_ > 0);
-        --asleep_servers_;
         s.asleep_ = false;
         s.waking_ = false;
         RefreshSchedulable(id);
@@ -489,11 +482,7 @@ void DataCenter::SetServerFrequency(ServerId id, double freq) {
   }
   double old_power = server.power_watts();
   double old_dynamic = server.dynamic_watts_at_full_freq();
-  RetimeServer(server, rows_[server.row().index()], freq);
-  RefreshServerPower(id, old_power, old_dynamic);
-}
-
-void DataCenter::RetimeServer(Server& server, RowState& row, double freq) {
+  RowState& row = rows_[server.row().index()];
   const SimTime now = sim_->now();
   if (server.frequency_ == 1.0 && freq < 1.0) {
     if (row.capped_server_count == 0) {
@@ -523,68 +512,7 @@ void DataCenter::RetimeServer(Server& server, RowState& row, double freq) {
         now + task.remaining_work * (1.0 / freq), event_target_, index);
   });
   server.frequency_ = freq;
-}
-
-void DataCenter::ApplyRowFrequency(RowId row_id, double freq) {
-  AMPERE_CHECK(freq > 0.0 && freq <= 1.0);
-  RowState& row = rows_[row_id.index()];
-  if (asleep_servers_ > 0) {
-    // A sleeping/waking server draws its sleep floor, not the model's
-    // output, so the uniform span evaluation below would clobber it. Sleep
-    // transitions are rare; take the exact per-server path.
-    for (ServerId id : row.servers) {
-      SetServerFrequency(id, freq);
-    }
-    return;
-  }
-
-  // Pass 1 — per-server bookkeeping in ascending id order, exactly like
-  // the per-server loop: completions are rescheduled in the same order, so
-  // event sequence numbers (and thus tie-breaks) match that path.
-  uint64_t n_changed = 0;
-  for (ServerId id : row.servers) {
-    Server& server = servers_[id.index()];
-    if (server.frequency_ == freq) {
-      continue;
-    }
-    RetimeServer(server, row, freq);
-    ++n_changed;
-  }
-  if (n_changed == 0) {
-    return;
-  }
-
-  // Pass 2 — batched power refresh, one power-model evaluation per rack
-  // over the rack's contiguous SoA span (racks are homogeneous, so one
-  // model and one frequency serve the whole span). The dynamic-at-full
-  // lane is re-written with bit-identical values (frequency does not enter
-  // DynamicPowerAt(u, 1.0)), so row.dynamic_full_sum_watts stays valid
-  // untouched. Rack sums rebuild left to right (SumSequential); the row
-  // folds its racks in ascending order like the resummation pass.
-  double* __restrict power = soa_power_watts_.data();
-  double* __restrict dynamic_full = soa_dynamic_full_watts_.data();
-  const double* __restrict util = soa_utilization_.data();
-  const double row_old = row.power_watts;
-  double row_new = 0.0;
-  for (RackId rid : row.racks) {
-    RackState& rack = racks_[rid.index()];
-    const size_t begin = rack.server_range.begin;
-    const size_t n = rack.server_range.size();
-    const ServerPowerModel& model = *servers_[begin].power_model_;
-    model.PowerSpanUniformFreq(util + begin, freq, power + begin,
-                               dynamic_full + begin, n);
-    rack.power_watts = span_kernels::SumSequential(power + begin, n);
-    row_new += rack.power_watts;
-  }
-  row.power_watts = row_new;
-  total_power_watts_ += row_new - row_old;
-  // One threshold check for the whole batch; the counter is still a pure
-  // function of the event sequence, so resummation points stay
-  // deterministic.
-  power_mutations_since_resum_ += n_changed;
-  if (power_mutations_since_resum_ >= kResumIntervalMutations) {
-    ResummatePowerAggregates();
-  }
+  RefreshServerPower(id, old_power, old_dynamic);
 }
 
 void DataCenter::EnforceRowCap(RowId row_id) {
@@ -608,7 +536,9 @@ void DataCenter::EnforceRowCap(RowId row_id) {
   AMPERE_LOG(kDebug) << "row " << row_id.value() << " throttle "
                      << row.throttle << " -> " << decision.throttle;
   row.throttle = decision.throttle;
-  ApplyRowFrequency(row_id, decision.throttle);
+  for (ServerId id : row.servers) {
+    SetServerFrequency(id, decision.throttle);
+  }
   if (row.breaker.Observe(now, row.power_watts, row.budget_watts)) {
     AMPERE_TIMELINE_D(obs_domain_, now, obs::TimelineEventType::kBreakerTrip,
                       row.power_watts, row.budget_watts,
@@ -650,9 +580,11 @@ void DataCenter::SetCappingEnabled(bool enabled) {
       }
     } else {
       // Release all throttles (clock bookkeeping happens per server inside
-      // ApplyRowFrequency).
+      // SetServerFrequency).
       row.throttle = 1.0;
-      ApplyRowFrequency(row_id, 1.0);
+      for (ServerId id : row.servers) {
+        SetServerFrequency(id, 1.0);
+      }
     }
   }
 }

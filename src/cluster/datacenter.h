@@ -94,20 +94,14 @@ class DataCenter final : private EventTarget {
   RowId row_of(ServerId id) const { return servers_[id.index()].row(); }
 
   // --- SoA power core ---
-  // The per-server hot state (current draw, dynamic-at-full-frequency draw,
-  // utilization) lives in contiguous arrays indexed by server id; Server
-  // objects hold slot pointers into them (see Server::AttachSoaSlots).
+  // The per-server hot state (current draw, dynamic-at-full-frequency draw)
+  // lives in contiguous arrays indexed by server id; Server objects hold
+  // slot pointers into them (see Server::AttachSoaSlots).
   // Topology construction assigns server ids row-major (row 0's racks, then
   // row 1's, ...), so every row and every rack owns one CONTIGUOUS index
   // range. Batch consumers (the telemetry sampler, the exact resummation
   // pass) stream these spans instead of walking Server objects.
   std::span<const double> server_power_soa() const { return soa_power_watts_; }
-  std::span<const double> server_dynamic_full_soa() const {
-    return soa_dynamic_full_watts_;
-  }
-  std::span<const double> server_utilization_soa() const {
-    return soa_utilization_;
-  }
   // Half-open [begin, end) server-index ranges; CHECKed contiguous at
   // construction.
   struct IndexRange {
@@ -346,30 +340,13 @@ class DataCenter final : private EventTarget {
   void EnforceRowCap(RowId row_id);
   // kPerServer enforcement for one server against its static share.
   void EnforceServerCap(ServerId id);
-  // Sets a server's frequency, reconciling all running tasks' remaining work
-  // and rescheduling their completions; maintains the row's capped-server
-  // count and capped-time clock.
+  // Sets a server's frequency: the row's capped-server count and
+  // capped-time clock on 1.0 crossings, then each running task in
+  // task-table order consumes its work at the old frequency and has its
+  // completion rescheduled at the new one, then the power refresh. Row
+  // capping (kRowUniform steps and the release) calls it for each server of
+  // the row in ascending id order.
   void SetServerFrequency(ServerId id, double freq);
-  // The power-free part of a frequency change, shared by the per-server and
-  // per-row paths: the row's capped-server count and capped-time clock on
-  // 1.0 crossings, then each running task in task-table order consumes its
-  // work at the old frequency and has its completion rescheduled at the new
-  // one, then the new frequency is stored. Requires freq != the current.
-  void RetimeServer(Server& server, RowState& row, double freq);
-  // Bulk counterpart of SetServerFrequency for a whole row at one uniform
-  // frequency — the shape of every kRowUniform enforcement step and of the
-  // capping release path. Per-server bookkeeping (capped-count crossings,
-  // task reconciliation, completion rescheduling) runs in the same ascending
-  // id order as the per-server loop it replaces, so the event sequence is
-  // unchanged; the power refresh then happens per RACK as one batched
-  // power-model evaluation over the rack's contiguous SoA span, with rack
-  // sums rebuilt left to right by SumSequential (span_kernels.h).
-  // Falls back to per-server SetServerFrequency whenever any server in the
-  // fleet is asleep/waking (their draw is the sleep floor, not the model's
-  // output). Aggregates may differ from the incremental path by float
-  // rounding only (different association order) — never observed by a
-  // golden, and bounded by the periodic resummation like every other path.
-  void ApplyRowFrequency(RowId row_id, double freq);
   double PerServerCapWatts(const RowState& row) const {
     return row.capping_budget_watts /
            static_cast<double>(row.servers.size());
@@ -384,7 +361,6 @@ class DataCenter final : private EventTarget {
   // construction; never resized, so Server slot pointers stay valid.
   std::vector<double> soa_power_watts_;
   std::vector<double> soa_dynamic_full_watts_;
-  std::vector<double> soa_utilization_;
   // Free-capacity index (see schedulable_free()), padded with −inf entries
   // to a power-of-two number of blocks, and the per-axis max tree over its
   // blocks (see kFreeBlock; empty until first use).
@@ -404,10 +380,6 @@ class DataCenter final : private EventTarget {
   std::vector<RowState> rows_;
   double total_power_watts_ = 0.0;
   uint64_t power_mutations_since_resum_ = 0;
-  // Servers currently asleep or waking (their cached power is the sleep
-  // floor, not a model evaluation). Nonzero routes ApplyRowFrequency onto
-  // its exact per-server fallback.
-  size_t asleep_servers_ = 0;
   obs::DomainId obs_domain_ = 0;
   std::function<void(ServerId, JobId)> completion_listener_;
   // Task pool: one record per running task, indexed by the typed

@@ -98,28 +98,25 @@ class Server {
  private:
   friend class DataCenter;
 
-  // Points this server's cached-power/dynamic/utilization reads at its
-  // slots in the owning DataCenter's SoA arrays. Called once after the
-  // DataCenter has sized the arrays (they never resize afterwards, so the
-  // pointers stay valid for the server's lifetime).
-  void AttachSoaSlots(double* power, double* dynamic_full,
-                      double* utilization) {
+  // Points this server's cached-power/dynamic reads at its slots in the
+  // owning DataCenter's SoA arrays. Called once after the DataCenter has
+  // sized the arrays (they never resize afterwards, so the pointers stay
+  // valid for the server's lifetime).
+  void AttachSoaSlots(double* power, double* dynamic_full) {
     soa_power_watts_ = power;
     soa_dynamic_full_watts_ = dynamic_full;
-    soa_utilization_ = utilization;
   }
 
   // Re-evaluates the power model at the current operating point. Called by
   // DataCenter after every mutation of asleep_/waking_/sleep_watts_/
   // allocated_/frequency_ (all of which funnel through DataCenter).
   void RecomputePowerCache() {
-    const double u = utilization();
-    *soa_utilization_ = u;
     if (asleep_) {
       *soa_power_watts_ = sleep_watts_;
       *soa_dynamic_full_watts_ = 0.0;
       return;
     }
+    const double u = utilization();
     *soa_power_watts_ = power_model_->PowerAt(u, frequency_);
     *soa_dynamic_full_watts_ = power_model_->DynamicPowerAt(u, 1.0);
   }
@@ -132,8 +129,8 @@ class Server {
   // allocated storage. A server hosting more spills the rest, in order, to
   // a heap vector allocated on its first spill. Iteration order is
   // insertion order: stable, deterministic, and independent of key values,
-  // which the frequency-reconcile walk in DataCenter::RetimeServer relies
-  // on for reproducible completion rescheduling.
+  // which the frequency-reconcile walk in DataCenter::SetServerFrequency
+  // relies on for reproducible completion rescheduling.
   class TaskTable {
    public:
     static constexpr size_t kNotFound = static_cast<size_t>(-1);
@@ -239,7 +236,6 @@ class Server {
   // constructor returns).
   double* soa_power_watts_ = nullptr;
   double* soa_dynamic_full_watts_ = nullptr;
-  double* soa_utilization_ = nullptr;
   Simulation::EventHandle wake_completion_;
   TaskTable tasks_;
 };

@@ -5,8 +5,8 @@
 // contract (docs/performance.md) requires every consumer to pick ONE order
 // and use it everywhere. That order is SumSequential's strict
 // left-to-right ((x0 + x1) + x2) + ..., the historical order baked into
-// the committed goldens: telemetry rack/row sums, the periodic exact
-// resummation and the row-capping rack sums all use it.
+// the committed goldens: telemetry rack/row sums and the periodic exact
+// resummation use it.
 //
 // The kernel is allocation-free and takes a restrict-qualified pointer so
 // the compiler need not give up on alias analysis.

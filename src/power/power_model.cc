@@ -29,42 +29,4 @@ double ServerPowerModel::PowerAt(double utilization,
   return idle_watts_ + DynamicPowerAt(utilization, freq_multiplier);
 }
 
-void ServerPowerModel::PowerSpanUniformFreq(const double* utilization,
-                                            double freq_multiplier,
-                                            double* power,
-                                            double* dynamic_full,
-                                            size_t n) const {
-  const double* __restrict u_in = utilization;
-  double* __restrict power_out = power;
-  double* __restrict dynamic_out = dynamic_full;
-  const double idle = idle_watts_;
-  const double range = dynamic_range_watts_;
-  // Shared-frequency clamp hoisted once per span (the scalar path clamps
-  // per call; same value, same bits).
-  const double f = std::clamp(freq_multiplier, 0.0, 1.0);
-  if (params_.alpha == 1.0) {
-    // Linear fast path: pure mul/add over the span, no libm.
-    // dynamic_full is (range * u) * 1.0 == range * u bit-for-bit, and
-    // power is idle + (range * u) * f — the scalar operand order.
-    for (size_t i = 0; i < n; ++i) {
-      const double u = std::clamp(u_in[i], 0.0, 1.0);
-      const double dyn = range * u;
-      dynamic_out[i] = dyn;
-      power_out[i] = idle + dyn * f;
-    }
-    return;
-  }
-  // Curved path: the pow stays a scalar libm call per element for
-  // bit-identity with DynamicPowerAt; everything around it is still a flat
-  // span loop.
-  const double alpha = params_.alpha;
-  for (size_t i = 0; i < n; ++i) {
-    const double u = std::clamp(u_in[i], 0.0, 1.0);
-    const double shaped = std::pow(u, alpha);
-    const double dyn = range * shaped;
-    dynamic_out[i] = dyn;
-    power_out[i] = idle + dyn * f;
-  }
-}
-
 }  // namespace ampere

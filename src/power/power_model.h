@@ -10,8 +10,6 @@
 #ifndef SRC_POWER_POWER_MODEL_H_
 #define SRC_POWER_POWER_MODEL_H_
 
-#include <cstddef>
-
 namespace ampere {
 
 struct PowerModelParams {
@@ -36,20 +34,6 @@ class ServerPowerModel {
   double rated_watts() const { return params_.rated_watts; }
   // Dynamic (above-idle) draw at the given operating point.
   double DynamicPowerAt(double utilization, double freq_multiplier) const;
-
-  // Batched evaluation over a contiguous utilization span at one shared
-  // frequency multiplier — the shape of a rack under uniform row capping
-  // (racks are homogeneous, so one model serves the whole span and the
-  // clamp of `freq_multiplier` hoists out of the loop). Writes, for each i:
-  //   power[i]        = PowerAt(utilization[i], freq_multiplier)
-  //   dynamic_full[i] = DynamicPowerAt(utilization[i], 1.0)
-  // bit-identical to the scalar calls (same expressions, same operand
-  // order); the linear-alpha fast path is decided once per span instead of
-  // once per server, leaving flat restrict-qualified loops the compiler can
-  // vectorize. Allocation-free.
-  void PowerSpanUniformFreq(const double* utilization, double freq_multiplier,
-                            double* power, double* dynamic_full,
-                            size_t n) const;
 
  private:
   PowerModelParams params_;

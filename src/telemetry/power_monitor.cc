@@ -38,6 +38,7 @@ PowerMonitor::PowerMonitor(DataCenter* dc, TimeSeriesDb* db,
       latest_row_watts_(static_cast<size_t>(dc->num_rows()), 0.0),
       latest_row_stamp_(static_cast<size_t>(dc->num_rows()),
                         SimTime::Micros(-1)),
+      row_dark_(static_cast<size_t>(dc->num_rows()), 0),
       row_in_margin_(static_cast<size_t>(dc->num_rows()), 0),
       row_was_dark_(static_cast<size_t>(dc->num_rows()), 0) {
   AMPERE_CHECK(dc != nullptr && db != nullptr);
@@ -47,15 +48,12 @@ PowerMonitor::PowerMonitor(DataCenter* dc, TimeSeriesDb* db,
   // formats a name or probes the name map again. Pre-size the store first
   // so interning does not rehash (groups registered later may add a few
   // more — that is setup-time cost, not sample-time cost).
-  size_t expected = 1;  // dc total.
+  size_t expected = static_cast<size_t>(dc_->num_rows()) + 1;  // + dc total.
   if (config_.record_servers) {
     expected += static_cast<size_t>(dc_->num_servers());
   }
   if (config_.record_racks) {
     expected += static_cast<size_t>(dc_->num_racks());
-  }
-  if (config_.record_rows) {
-    expected += static_cast<size_t>(dc_->num_rows());
   }
   db_->Reserve(expected);
   // All names carry the (usually empty) series prefix, interned once here.
@@ -73,18 +71,12 @@ PowerMonitor::PowerMonitor(DataCenter* dc, TimeSeriesDb* db,
     }
   }
   row_channel_.reserve(static_cast<size_t>(dc_->num_rows()));
+  row_series_.reserve(static_cast<size_t>(dc_->num_rows()));
   for (int32_t r = 0; r < dc_->num_rows(); ++r) {
     row_channel_.push_back(prefix + RowSeries(RowId(r)));
+    row_series_.push_back(db_->Intern(row_channel_.back()));
   }
-  if (config_.record_rows) {
-    row_series_.reserve(static_cast<size_t>(dc_->num_rows()));
-    for (int32_t r = 0; r < dc_->num_rows(); ++r) {
-      row_series_.push_back(db_->Intern(row_channel_[static_cast<size_t>(r)]));
-    }
-  }
-  if (config_.record_total) {
-    total_series_ = db_->Intern(prefix + kTotalSeries);
-  }
+  total_series_ = db_->Intern(prefix + kTotalSeries);
 }
 
 void PowerMonitor::RegisterGroup(const std::string& name,
@@ -124,7 +116,6 @@ void PowerMonitor::PreallocateSamples(size_t expected_samples) {
   for (const TierFrame& tier : tier_frames_) {
     db_->ReserveRows(tier.frame, expected_samples);
   }
-  row_dark_.reserve(static_cast<size_t>(dc_->num_rows()));
 }
 
 void PowerMonitor::BuildFrame() {
@@ -135,15 +126,10 @@ void PowerMonitor::BuildFrame() {
   row_column_ = members.size();
   members.insert(members.end(), row_series_.begin(), row_series_.end());
   total_column_ = members.size();
-  if (total_series_.valid()) {
-    members.push_back(total_series_);
-  }
+  members.push_back(total_series_);
   group_column_ = members.size();
   for (const Group& group : groups_) {
     members.push_back(group.series);
-  }
-  if (members.empty()) {
-    return;  // Nothing recorded: the monitor only keeps its caches.
   }
   // Tier t spans columns [tier_begin[t], tier_begin[t + 1]).
   const size_t tier_begin[] = {0,
@@ -196,23 +182,27 @@ void PowerMonitor::SampleOnce(SimTime stamp) {
   AMPERE_COUNTER_ADD("telemetry.samples", 1);
   latest_sample_time_ = stamp;
 
-  if (injector_ == nullptr || injector_->TelemetryQuiescentAt(stamp)) {
-    // No injector, or the injector cannot touch this pass (zero per-reading
-    // fault probabilities and no blackout window covers `stamp`): take the
-    // batched clean path. In the quiescent state the faulted pass performs
-    // the identical arithmetic with zero RNG draws and zero fault events,
-    // so the two are byte-identical.
-    SampleCleanPass(stamp, tick);
+  // With no injector, or one that cannot touch this pass (zero per-reading
+  // fault probabilities and no blackout window covers `stamp`), the servers
+  // are read by the batched clean reader. In the quiescent state the
+  // faulted reader performs the identical arithmetic with zero RNG draws
+  // and zero fault events, so the two are byte-identical.
+  const bool faulted =
+      injector_ != nullptr && !injector_->TelemetryQuiescentAt(stamp);
+  if (faulted) {
+    ReadServersFaulted(stamp, tick);
   } else {
-    SampleFaultedPass(stamp, tick);
+    ReadServersClean(tick);
   }
+  Rollup(stamp, faulted);
+  RecordRowTimeline(stamp, faulted);
 }
 
 void PowerMonitor::ReadServersClean(uint64_t tick) {
   // True draw + counter-based sensor noise, then (by default) watt
   // quantization. StreamKey(TickBase(noise_seed_, tick), s) ==
   // Key(noise_seed_, s, tick), so both branches read exactly what NoiseAt
-  // and the faulted pass would.
+  // and the faulted reader would.
   const std::span<const double> truth = dc_->server_power_soa();
   if (config_.quantize_to_watts) {
     const size_t fallbacks = ReadWholeWatts(
@@ -289,74 +279,22 @@ size_t PowerMonitor::ReadWholeWatts(std::span<const double> truth,
   return fallbacks;
 }
 
-void PowerMonitor::SampleCleanPass(SimTime stamp, uint64_t tick) {
-  ReadServersClean(tick);
-
-  // One frame row in fixed column order: servers, racks, rows, total,
-  // groups (one sub-span per tier frame). A rack's or row's servers occupy
-  // one contiguous index range, and every sum uses SumSequential — the
-  // strict left-to-right order the committed goldens pin (see
-  // span_kernels.h).
-  const double* readings = latest_server_watts_.data();
-  double* row = frame_row_.data();
-  std::copy(readings, readings + server_series_.size(), row);
-  if (config_.record_racks) {
-    for (int32_t r = 0; r < dc_->num_racks(); ++r) {
-      const DataCenter::IndexRange range = dc_->server_range_of_rack(RackId(r));
-      row[rack_column_ + static_cast<size_t>(r)] =
-          span_kernels::SumSequential(readings + range.begin, range.size());
-    }
-  }
-  double total = 0.0;
-  for (int32_t r = 0; r < dc_->num_rows(); ++r) {
-    const DataCenter::IndexRange range = dc_->server_range_of_row(RowId(r));
-    const double sum =
-        span_kernels::SumSequential(readings + range.begin, range.size());
-    latest_row_watts_[static_cast<size_t>(r)] = sum;
-    latest_row_stamp_[static_cast<size_t>(r)] = stamp;
-    total += sum;
-    if (config_.record_rows) {
-      row[row_column_ + static_cast<size_t>(r)] = sum;
-    }
-  }
-  if (config_.record_total) {
-    row[total_column_] = total;
-  }
-  for (size_t g = 0; g < groups_.size(); ++g) {
-    Group& group = groups_[g];
-    double sum = 0.0;
-    for (ServerId sid : group.servers) {
-      sum += readings[sid.index()];
-    }
-    group.latest_watts = sum;
-    group.latest_stamp = stamp;
-    row[group_column_ + g] = sum;
-  }
-  AppendTierFrames(stamp, nullptr);
-
-  RecordRowTimeline(stamp, /*faulted=*/false);
-}
-
-void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
+void PowerMonitor::ReadServersFaulted(SimTime stamp, uint64_t tick) {
   // Which row feeds are dark this pass. A blacked-out row monitor returns
   // nothing: its servers' readings are not refreshed and its row cell is
   // absent until the window ends.
   bool any_dark = false;
-  row_dark_.assign(static_cast<size_t>(dc_->num_rows()), 0);
   for (int32_t r = 0; r < dc_->num_rows(); ++r) {
-    if (injector_->ChannelBlackedOut(row_channel_[static_cast<size_t>(r)],
-                                     stamp)) {
-      row_dark_[static_cast<size_t>(r)] = 1;
+    const bool dark = injector_->ChannelBlackedOut(
+        row_channel_[static_cast<size_t>(r)], stamp);
+    row_dark_[static_cast<size_t>(r)] = dark ? 1 : 0;
+    if (dark) {
       any_dark = true;
       AMPERE_COUNTER_ADD("faults.blackout_rows", 1);
     }
   }
-  auto dark_row = [&](RowId id) {
-    return any_dark && row_dark_[static_cast<size_t>(id.index())] != 0;
-  };
-  double* row = frame_row_.data();
-  uint8_t* absent = frame_absent_.data();
   std::fill(frame_absent_.begin(), frame_absent_.end(), 0);
+  uint8_t* absent = frame_absent_.data();
 
   // Read every surviving server once through "IPMI". All aggregates sum
   // these readings (not the true values), as the streaming aggregation
@@ -366,7 +304,7 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
   for (int32_t s = 0; s < dc_->num_servers(); ++s) {
     ServerId id(s);
     const size_t column = static_cast<size_t>(s);
-    if (dark_row(dc_->row_of(id))) {
+    if (any_dark && row_dark_[static_cast<size_t>(dc_->row_of(id).index())]) {
       // The row's monitor feed is dark: no reading at all.
       if (config_.record_servers) {
         absent[column] = 1;
@@ -381,74 +319,63 @@ void PowerMonitor::SampleFaultedPass(SimTime stamp, uint64_t tick) {
       }
       continue;
     }
-    const double reading = FinishReading(
+    latest_server_watts_[id.index()] = FinishReading(
         dc_->server_power_watts(id) + NoiseAt(static_cast<size_t>(s), tick) +
             injector_->SensorAdjustWatts(),
         config_.quantize_to_watts);
-    latest_server_watts_[id.index()] = reading;
-    if (config_.record_servers) {
-      row[column] = reading;
-    }
   }
+}
 
+void PowerMonitor::Rollup(SimTime stamp, bool faulted) {
+  // One frame row in fixed column order: servers, racks, rows, total,
+  // groups (one sub-span per tier frame). A rack's or row's servers occupy
+  // one contiguous index range, and every sum uses SumSequential — the
+  // strict left-to-right order the committed goldens pin (see
+  // span_kernels.h). A feed that returned nothing keeps its last-known
+  // value in its cell (it is marked absent) and in the caches.
+  const double* readings = latest_server_watts_.data();
+  double* row = frame_row_.data();
+  std::copy(readings, readings + server_series_.size(), row);
   if (config_.record_racks) {
     for (int32_t r = 0; r < dc_->num_racks(); ++r) {
-      RackId id(r);
-      double sum = 0.0;
-      for (ServerId sid : dc_->servers_in_rack(id)) {
-        sum += latest_server_watts_[sid.index()];
-      }
-      row[rack_column_ + static_cast<size_t>(r)] = sum;
+      const DataCenter::IndexRange range = dc_->server_range_of_rack(RackId(r));
+      row[rack_column_ + static_cast<size_t>(r)] =
+          span_kernels::SumSequential(readings + range.begin, range.size());
     }
   }
-
   double total = 0.0;
   for (int32_t r = 0; r < dc_->num_rows(); ++r) {
-    RowId id(r);
-    const size_t column = row_column_ + static_cast<size_t>(r);
-    if (dark_row(id)) {
-      // Feed returned nothing: keep the last-known aggregate (stale stamp)
-      // and fold it into the dc total, as a last-value-carried-forward
-      // streaming rollup would.
-      total += latest_row_watts_[id.index()];
-      if (config_.record_rows) {
-        absent[column] = 1;
-      }
-      continue;
+    const size_t index = static_cast<size_t>(r);
+    if (faulted && row_dark_[index] != 0) {
+      // A dark row's last-known aggregate (stale stamp) still folds into
+      // the dc total, as a last-value-carried-forward rollup would.
+      frame_absent_[row_column_ + index] = 1;
+    } else {
+      const DataCenter::IndexRange range = dc_->server_range_of_row(RowId(r));
+      latest_row_watts_[index] =
+          span_kernels::SumSequential(readings + range.begin, range.size());
+      latest_row_stamp_[index] = stamp;
     }
-    double sum = 0.0;
-    for (ServerId sid : dc_->servers_in_row(id)) {
-      sum += latest_server_watts_[sid.index()];
-    }
-    latest_row_watts_[id.index()] = sum;
-    latest_row_stamp_[id.index()] = stamp;
-    total += sum;
-    if (config_.record_rows) {
-      row[column] = sum;
-    }
+    total += latest_row_watts_[index];
+    row[row_column_ + index] = latest_row_watts_[index];
   }
-  if (config_.record_total) {
-    row[total_column_] = total;
-  }
-
+  row[total_column_] = total;
   for (size_t g = 0; g < groups_.size(); ++g) {
     Group& group = groups_[g];
-    if (injector_->ChannelBlackedOut(group.channel, stamp)) {
+    if (faulted && injector_->ChannelBlackedOut(group.channel, stamp)) {
       // The group's own virtual feed is dark; value and stamp stay put.
-      absent[group_column_ + g] = 1;
-      continue;
+      frame_absent_[group_column_ + g] = 1;
+    } else {
+      double sum = 0.0;
+      for (ServerId sid : group.servers) {
+        sum += readings[sid.index()];
+      }
+      group.latest_watts = sum;
+      group.latest_stamp = stamp;
     }
-    double sum = 0.0;
-    for (ServerId sid : group.servers) {
-      sum += latest_server_watts_[sid.index()];
-    }
-    group.latest_watts = sum;
-    group.latest_stamp = stamp;
-    row[group_column_ + g] = sum;
+    row[group_column_ + g] = group.latest_watts;
   }
-  AppendTierFrames(stamp, frame_absent_.data());
-
-  RecordRowTimeline(stamp, /*faulted=*/true);
+  AppendTierFrames(stamp, faulted ? frame_absent_.data() : nullptr);
 }
 
 void PowerMonitor::AppendTierFrames(SimTime stamp, const uint8_t* absent) {

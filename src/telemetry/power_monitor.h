@@ -75,11 +75,10 @@ struct PowerMonitorConfig {
   double noise_sigma_watts = 1.0;
   // Quantize per-server readings to whole watts like BMC firmware does.
   bool quantize_to_watts = true;
-  // Which aggregate series to persist.
+  // Which per-server and rack series to persist; row and DC totals always
+  // are.
   bool record_servers = false;
   bool record_racks = true;
-  bool record_rows = true;
-  bool record_total = true;
   // Prepended to every series (and fault-channel) name this monitor writes,
   // e.g. "campus/dc2/". Empty (the default) keeps the historical single-DC
   // names bit-identical. In a campus, per-DC prefixes keep the monitors'
@@ -214,16 +213,21 @@ class PowerMonitor {
   // Appends the pass's frame row, one sub-span per tier frame; `absent`
   // (faulted passes only) marks the row's absent cells.
   void AppendTierFrames(SimTime stamp, const uint8_t* absent);
-  // Fault-free sample pass (no injector, or a quiescent one): every server
-  // read, then the aggregates summed into the frame row and appended.
-  void SampleCleanPass(SimTime stamp, uint64_t tick);
-  // Noisy readings for every server: ReadWholeWatts when quantized, the
-  // exact NoiseAt per server otherwise.
+  // Noisy readings for every server into latest_server_watts_ (no
+  // injector, or a quiescent one): ReadWholeWatts when quantized, the exact
+  // NoiseAt per server otherwise.
   void ReadServersClean(uint64_t tick);
-  // Fault-aware pass (the injector can interfere this tick).
-  void SampleFaultedPass(SimTime stamp, uint64_t tick);
+  // Fault-aware reading (the injector can interfere this tick): marks the
+  // dark rows in row_dark_, then reads each server of a lit row unless the
+  // injector drops it, with its sensor adjustment; a server not read keeps
+  // its last value and, when recorded, is marked absent in frame_absent_.
+  void ReadServersFaulted(SimTime stamp, uint64_t tick);
+  // Sums the pass's readings into the frame row (racks, rows, total,
+  // groups) and appends it. When `faulted`, a dark row or group keeps its
+  // last value and is marked absent.
+  void Rollup(SimTime stamp, bool faulted);
   // Flight-recorder edge detection over per-row state, run at the end of
-  // both sample passes: breaker-margin crossings (latest row draw vs
+  // every sample pass: breaker-margin crossings (latest row draw vs
   // breaker_margin_fraction x row budget) and fault-window begin/end (row
   // feed went dark / recovered; clean passes see every feed lit). No-op —
   // a single null check — unless a recorder is installed on this thread.
@@ -237,14 +241,14 @@ class PowerMonitor {
   faults::FaultInjector* injector_ = nullptr;
   std::vector<Group> groups_;
   // Interned handles, filled at construction per the config's record flags
-  // (empty vectors / invalid ids when a tier is not recorded).
+  // (empty vectors when a tier is not recorded).
   std::vector<SeriesId> server_series_;
   std::vector<SeriesId> rack_series_;
   std::vector<SeriesId> row_series_;
   SeriesId total_series_;
   // Where each tier's columns start in the frame row (servers start at
   // column 0), and one frame per recorded tier over its columns
-  // [begin, begin + size). No frames when nothing is recorded.
+  // [begin, begin + size).
   struct TierFrame {
     FrameId frame;
     size_t begin = 0;
@@ -267,8 +271,8 @@ class PowerMonitor {
   std::vector<double> latest_row_watts_;
   // Per-feed refresh stamps; negative = never refreshed.
   std::vector<SimTime> latest_row_stamp_;
-  // Scratch for the per-pass dark-row bitmap (only touched with an injector
-  // attached); member so faulted passes do not allocate either.
+  // The faulted pass's dark-row marks (written by ReadServersFaulted, read
+  // only in faulted passes); sized at construction so it never allocates.
   std::vector<char> row_dark_;
   // Flight-recorder edge state (see RecordRowTimeline): whether each row was
   // inside the breaker margin / dark at the last recorded pass.

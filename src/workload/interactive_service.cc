@@ -76,39 +76,25 @@ void InteractiveService::Run(SimTime start, SimTime until,
         << "resident service task does not fit on server "
         << instances_[i].server.value();
   }
-  // Seed every instance's first arrival in one batch over the server list
-  // rather than bouncing through one starter event per instance: the (gap,
-  // op) draws happen here in instance order — exactly the order the starter
-  // events would have fired in at `start` — so the rng_ sequence is
-  // unchanged, and N heap pushes + pops of trampoline events disappear.
-  const double mean_gap_us = 1e6 / params_.requests_per_sec_per_server;
+  // Every instance's first arrival, drawn in instance order.
   for (size_t i = 0; i < instances_.size(); ++i) {
-    SimTime gap = SimTime::Micros(
-        static_cast<int64_t>(rng_.Exponential(mean_gap_us)) + 1);
-    SimTime at = start + gap;
-    if (at > until_) {
-      continue;  // Window too short for this instance's first request.
-    }
-    auto op = static_cast<RedisOp>(rng_.UniformInt(0, kNumRedisOps - 1));
-    sim_->ScheduleAt(at, [this, i, at, op] {
-      OnArrival(i, at, op);
-      ScheduleNextArrival(i);
-    });
+    ScheduleNextArrival(i, start);
   }
 }
 
-void InteractiveService::ScheduleNextArrival(size_t instance_idx) {
+void InteractiveService::ScheduleNextArrival(size_t instance_idx,
+                                             SimTime from) {
   double mean_gap_us = 1e6 / params_.requests_per_sec_per_server;
   SimTime gap = SimTime::Micros(
       static_cast<int64_t>(rng_.Exponential(mean_gap_us)) + 1);
-  SimTime at = sim_->now() + gap;
+  SimTime at = from + gap;
   if (at > until_) {
     return;  // Benchmark window over; stop this instance's arrivals.
   }
   auto op = static_cast<RedisOp>(rng_.UniformInt(0, kNumRedisOps - 1));
   sim_->ScheduleAt(at, [this, instance_idx, at, op] {
     OnArrival(instance_idx, at, op);
-    ScheduleNextArrival(instance_idx);
+    ScheduleNextArrival(instance_idx, at);
   });
 }
 

@@ -77,7 +77,9 @@ class InteractiveService {
     bool busy = false;
   };
 
-  void ScheduleNextArrival(size_t instance_idx);
+  // Draws the instance's next request (exponential gap after `from`, then
+  // its op) and schedules its arrival, unless it falls past until_.
+  void ScheduleNextArrival(size_t instance_idx, SimTime from);
   void OnArrival(size_t instance_idx, SimTime arrival, RedisOp op);
   void BeginService(size_t instance_idx, SimTime arrival, RedisOp op);
 

@@ -249,6 +249,55 @@ TEST(DataCenterCappingTest, DisablingCappingReleasesThrottle) {
   EXPECT_FALSE(dc.IsServerCapped(ServerId(0)));
 }
 
+TEST(DataCenterCappingTest, RowCapSkipsSleepingServerPower) {
+  // Two racks of four in one row; server 7 sleeps, the other seven run
+  // full. Static idle 8 * 162.5 = 1300 W plus 7 * 87.5 W of dynamic demand
+  // against 1700 W: the row throttles, but the sleeper keeps its floor.
+  TopologyConfig config = CappedTopology();
+  config.racks_per_row = 2;
+  config.row_budget_watts = 1700.0;
+  Simulation sim;
+  DataCenter dc(config, &sim);
+  const ServerId sleeper(7);
+  const double sleep_floor = 0.06 * 250.0;
+  dc.SleepServer(sleeper);
+  for (int32_t s = 0; s < 7; ++s) {
+    ASSERT_TRUE(dc.PlaceTask(
+        ServerId(s),
+        TaskSpec{JobId(s), Resources{16.0, 16.0}, SimTime::Minutes(10)}));
+  }
+  const RowId row(0);
+  auto expect_exact_aggregates = [&](const char* when) {
+    for (RackId rack : dc.racks_in_row(row)) {
+      EXPECT_NEAR(dc.rack_power_watts(rack), dc.ExactRackPowerWatts(rack),
+                  1e-9)
+          << when << ": rack " << rack.value();
+    }
+    EXPECT_NEAR(dc.row_power_watts(row), dc.ExactRowPowerWatts(row), 1e-9)
+        << when;
+    EXPECT_NEAR(dc.total_power_watts(), dc.ExactTotalPowerWatts(), 1e-9)
+        << when;
+  };
+
+  const double throttle = dc.row_throttle(row);
+  ASSERT_LT(throttle, 1.0) << "budget did not bind";
+  for (int32_t s = 0; s < 7; ++s) {
+    EXPECT_EQ(dc.server(ServerId(s)).frequency(), throttle) << "server " << s;
+  }
+  EXPECT_TRUE(dc.server(sleeper).asleep());
+  EXPECT_EQ(dc.server_power_watts(sleeper), sleep_floor);
+  EXPECT_GT(dc.FractionOfServersCapped(row), 0.0);
+  expect_exact_aggregates("capped");
+
+  dc.SetCappingEnabled(false);
+  for (ServerId id : dc.servers_in_row(row)) {
+    EXPECT_EQ(dc.server(id).frequency(), 1.0) << "server " << id.value();
+  }
+  EXPECT_EQ(dc.FractionOfServersCapped(row), 0.0);
+  EXPECT_EQ(dc.server_power_watts(sleeper), sleep_floor);
+  expect_exact_aggregates("released");
+}
+
 TEST(DataCenterCappingTest, BreakerTripsWithoutCapping) {
   Simulation sim;
   TopologyConfig config = CappedTopology();
