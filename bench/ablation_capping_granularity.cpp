@@ -104,8 +104,8 @@ void Main(const harness::HarnessArgs& args) {
       {"row-uniform demand=1.05", CappingMode::kRowUniform, 1.05},
       {"per-server demand=1.05", CappingMode::kPerServer, 1.05},
   };
-  auto grid = bench::RunGrid(
-      args, specs,
+  auto grid = harness::RunGrid(
+      specs,
       [](const ModeSpec& spec, size_t) {
         return harness::GridMeta{spec.name, kSeed};
       },
@@ -118,11 +118,12 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("over_budget_frac", r.over_budget_fraction);
         context.Metric("completed", static_cast<double>(r.jobs_completed));
         return r;
-      });
+      },
+      args.runner);
 
   bench::Section("12 h runs, demand ~0.96 (diurnal peaks) and ~1.05 "
                  "(sustained overload) of budget");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const GranularityResult& uniform_ok = grid.values[0];

@@ -123,8 +123,8 @@ void Main(const harness::HarnessArgs& args) {
                 "row-level vs rack-level domains, same total budget", kSeed);
 
   const std::array<bool, 2> arms{false, true};  // row, rack.
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](bool rack_level, size_t) {
         return harness::GridMeta{rack_level ? "rack" : "row", kSeed};
       },
@@ -135,10 +135,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("unused_W", result.mean_unused_watts);
         context.Metric("freeze_ops", static_cast<double>(result.freeze_ops));
         return result;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h controlled run at rO=0.25, demand ~0.96 of budget");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const LevelResult& row = grid.values[0];

@@ -79,8 +79,8 @@ void Main(const harness::HarnessArgs& args) {
       {"flat 0.05", EtEstimator::Constant(0.05)},
       {"history 99.5p", learned},
   };
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](const EtArm& arm, size_t) {
         return harness::GridMeta{arm.name, kSeed};
       },
@@ -97,10 +97,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("u_mean", out.u_mean);
         context.Metric("r_thru", out.r_thru);
         return out;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h controlled runs at rO=0.25, demand ~0.99 of budget");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const std::vector<EtResult>& results = grid.values;

@@ -100,8 +100,8 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("drain channel (Fig. 4-style, 80 servers, 30 min frozen)");
   const std::array<bool, 2> drain_arms{true, false};
-  auto drain_grid = bench::RunGrid(
-      args, drain_arms,
+  auto drain_grid = harness::RunGrid(
+      drain_arms,
       [](bool hottest, size_t) {
         return harness::GridMeta{hottest ? "drain hottest" : "drain coldest",
                                  kSeed};
@@ -110,7 +110,8 @@ void Main(const harness::HarnessArgs& args) {
         double drain = MeasureDrain(hottest);
         context.Metric("drain", drain);
         return drain;
-      });
+      },
+      args.runner);
   double drain_hot = drain_grid.values[0];
   double drain_cold = drain_grid.values[1];
   std::printf("normalized power shed by frozen set: hottest %.4f, "
@@ -122,8 +123,8 @@ void Main(const harness::HarnessArgs& args) {
       {"random", FreezeSelection::kRandom},
       {"lowest-power", FreezeSelection::kLowestPower},
   };
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](const PolicyArm& arm, size_t) {
         return harness::GridMeta{arm.name, kSeed};
       },
@@ -147,10 +148,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("u_mean", out.u_mean);
         context.Metric("r_thru", out.r_thru);
         return out;
-      });
+      },
+      args.runner);
 
   bench::Section("per-policy calibrated effect and 24 h heavy closed loop");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const std::vector<PolicyResult>& results = grid.values;

@@ -128,8 +128,8 @@ void Main(const harness::HarnessArgs& args) {
                 "Algorithm 1 on a mixed-generation row", kSeed);
 
   const std::array<bool, 2> arms{false, true};  // homogeneous, mixed.
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](bool is_mixed, size_t) {
         return harness::GridMeta{is_mixed ? "mixed" : "homogeneous", kSeed};
       },
@@ -142,10 +142,11 @@ void Main(const harness::HarnessArgs& args) {
                          result.old_gen_freeze_share);
         }
         return result;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h at ~0.97 of the rO=0.25 budget");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const MixResult& homogeneous = grid.values[0];

@@ -35,8 +35,8 @@ void Main(const harness::HarnessArgs& args) {
                 kSeed);
 
   const std::vector<double> caps{0.3, 0.5, 0.7, 0.9};
-  auto grid = bench::RunGrid(
-      args, caps,
+  auto grid = harness::RunGrid(
+      caps,
       [](double cap, size_t) {
         char name[32];
         std::snprintf(name, sizeof(name), "cap=%.1f", cap);
@@ -62,10 +62,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("u_max", out.u_max);
         context.Metric("r_thru", out.r_thru);
         return out;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h runs at rO=0.25, demand ~1.02 of budget");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const std::vector<CapResult>& results = grid.values;

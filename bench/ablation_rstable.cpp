@@ -35,8 +35,8 @@ void Main(const harness::HarnessArgs& args) {
                 kSeed);
 
   const std::vector<double> r_stables{0.5, 0.7, 0.8, 0.9, 1.0};
-  auto grid = bench::RunGrid(
-      args, r_stables,
+  auto grid = harness::RunGrid(
+      r_stables,
       [](double r_stable, size_t) {
         char name[32];
         std::snprintf(name, sizeof(name), "r_stable=%.2f", r_stable);
@@ -66,10 +66,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("r_thru", out.r_thru);
         context.Metric("churn_ops", static_cast<double>(out.churn_ops));
         return out;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h heavy runs at rO=0.25 (paper uses r_stable = 0.8)");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const std::vector<RStableResult>& results = grid.values;

@@ -164,8 +164,8 @@ void Main(const harness::HarnessArgs& args) {
                 "energy vs job-start latency over 2 diurnal days", kSeed);
 
   const std::array<bool, 2> arms{false, true};
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](bool consolidate, size_t) {
         return harness::GridMeta{consolidate ? "consolidation" : "always-on",
                                  kSeed};
@@ -179,10 +179,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("completed", static_cast<double>(r.completed));
         context.Metric("sleeps", static_cast<double>(r.sleeps));
         return r;
-      });
+      },
+      args.runner);
 
   bench::Section("48 h, 60 servers, deep diurnal workload");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const ArmResult& always_on = grid.values[0];

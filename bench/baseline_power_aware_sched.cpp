@@ -152,8 +152,8 @@ void Main(const harness::HarnessArgs& args) {
       {"power-aware-sched", Arm::kPowerAwareScheduler},
       {"ampere", Arm::kAmpere},
   };
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](const ArmSpec& spec, size_t) {
         return harness::GridMeta{spec.name, kSeed};
       },
@@ -163,10 +163,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("completed", static_cast<double>(r.completed));
         context.Metric("P_max", r.p_max);
         return r;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h, 4 rows x 60 servers at rO=0.17, flexible stream steerable");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const ArmResult& none = grid.values[0];

@@ -8,12 +8,14 @@
 
 // Grid-shaped benches (sweeps, ablations, A/B arms) run their independent
 // day-long simulations in PARALLEL through the scenario harness
-// (src/harness): bench::RunGrid fans the runs out over a work-stealing
-// pool (hardware_concurrency workers; --jobs=N or AMPERE_JOBS override),
-// captures per-run detail into result rows instead of interleaved stdout,
-// and returns both the typed results (for shape checks) and a ResultTable
-// (for --csv / --json emission). Results are bit-identical to a serial
-// run: every scenario owns its Simulation and RNG streams.
+// (src/harness): harness::RunGrid hands each run to one of N worker threads
+// (hardware_concurrency; --jobs=N or AMPERE_JOBS override), captures
+// per-run detail into result rows instead of interleaved stdout, and
+// returns both the typed results (for shape checks) and a ResultTable,
+// which harness::EmitResults prints and writes for --csv / --json. Results
+// are bit-identical to a serial run: every scenario owns its Simulation
+// and RNG streams. This header holds the paper configurations and the
+// per-run flag plumbing the benches share.
 //
 // Observability: every bench also accepts `--log-level=debug|info|warning|
 // error|off` (or the AMPERE_LOG_LEVEL environment variable; the flag wins)
@@ -125,25 +127,18 @@ inline void ApplyObsArgs(ExperimentConfig& config,
   config.obs.postmortem_dir = args.postmortem_dir;
 }
 
-// Copies the harness --budget-schedule spec into one run's
+// Copies the parsed --budget-schedule into one run's
 // ExperimentConfig::budget_schedule. No-op when the flag was absent (the
-// schedule stays constant and adds no simulation events); a malformed spec
-// aborts the bench up front with the parser's message.
+// schedule stays constant and adds no simulation events).
 inline void ApplyBudgetScheduleArg(ExperimentConfig& config,
                                    const harness::HarnessArgs& args) {
-  if (args.budget_schedule_spec.empty()) {
-    return;
+  if (args.budget_schedule.has_value()) {
+    config.budget_schedule = *args.budget_schedule;
   }
-  std::string error;
-  BudgetSchedule schedule;
-  AMPERE_CHECK(
-      ParseBudgetSchedule(args.budget_schedule_spec, &schedule, &error))
-      << "--budget-schedule: " << error;
-  config.budget_schedule = schedule;
 }
 
 // Copies the harness --replay / --record workload-trace destinations into
-// one run's ExperimentConfig::trace, plus the --budget-schedule spec. The
+// one run's ExperimentConfig::trace, plus the --budget-schedule. The
 // record path is run-suffixed (ArtifactPathForRun) so parallel grids never
 // clobber one file. No-op when none of the flags were given, keeping
 // flag-free output byte-identical.
@@ -210,52 +205,6 @@ inline void PrintSeries(const std::string& x_label,
 
 inline void ShapeCheck(bool ok, const std::string& claim) {
   std::printf("SHAPE CHECK [%s]: %s\n", ok ? "PASS" : "FAIL", claim.c_str());
-}
-
-// --- Parallel grid execution (the harness-backed sweep loop) ---
-
-// Runs `fn(item, RunContext&) -> R` over every item in parallel and returns
-// {table, values}. `meta(item, index)` names and seeds each run. Worker
-// count comes from args.runner (--jobs / AMPERE_JOBS / hardware).
-template <typename Items, typename MetaFn, typename Fn>
-auto RunGrid(const harness::HarnessArgs& args, const Items& items,
-             MetaFn&& meta, Fn&& fn) {
-  return harness::RunGridOver(items, std::forward<MetaFn>(meta),
-                              std::forward<Fn>(fn), args.runner);
-}
-
-// Prints the assembled table (submission order), then each run's captured
-// notes, then honours --csv / --json. Returns false if any run failed.
-inline bool EmitResults(const harness::ResultTable& table,
-                        const harness::HarnessArgs& args) {
-  std::printf("[harness] %zu runs, jobs=%d, total %.0f ms\n\n", table.size(),
-              table.jobs(), table.total_wall_ms());
-  std::printf("%s", table.ToText().c_str());
-  bool all_ok = true;
-  for (const harness::ResultRow& row : table.rows()) {
-    if (!row.ok) {
-      std::printf("RUN FAILED %s: %s\n", row.scenario.c_str(),
-                  row.error.c_str());
-      all_ok = false;
-    }
-  }
-  if (args.print_notes) {
-    for (const harness::ResultRow& row : table.rows()) {
-      if (!row.notes.empty()) {
-        std::printf("\n--- %s ---\n%s", row.scenario.c_str(),
-                    row.notes.c_str());
-      }
-    }
-  }
-  if (!args.csv_path.empty()) {
-    harness::WriteFile(args.csv_path, table.ToCsv());
-    std::printf("wrote %s\n", args.csv_path.c_str());
-  }
-  if (!args.json_path.empty()) {
-    harness::WriteFile(args.json_path, table.ToJson());
-    std::printf("wrote %s\n", args.json_path.c_str());
-  }
-  return all_ok;
 }
 
 // printf-style append to a RunContext's notes. The format string is always

@@ -166,8 +166,8 @@ void Main(const harness::HarnessArgs& args) {
     }
   }
 
-  auto grid = bench::RunGrid(
-      args, cells,
+  auto grid = harness::RunGrid(
+      cells,
       [](const CellSpec& cell, size_t) {
         return harness::GridMeta{
             std::string(cell.arm.name) + "/" + cell.preset,
@@ -176,8 +176,9 @@ void Main(const harness::HarnessArgs& args) {
       [&effect, &args, total = cells.size()](const CellSpec& cell,
                                              harness::RunContext& context) {
         return RunCell(cell, effect, args, total, context);
-      });
-  if (!bench::EmitResults(grid.table, args)) {
+      },
+      args.runner);
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
 

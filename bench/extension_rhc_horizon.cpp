@@ -28,8 +28,8 @@ void Main(const harness::HarnessArgs& args) {
                 "Lemma 3.1 verified in the live closed loop", kSeed);
 
   const std::vector<int> horizons{1, 4, 16};
-  auto grid = bench::RunGrid(
-      args, horizons,
+  auto grid = harness::RunGrid(
+      horizons,
       [](int horizon, size_t) {
         char name[32];
         std::snprintf(name, sizeof(name), "horizon=%d", horizon);
@@ -49,10 +49,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("P_max", result.experiment.p_max);
         context.Metric("r_thru", std::min(result.throughput_ratio, 1.0));
         return result;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h heavy runs at rO=0.25 per planning horizon");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const std::vector<ExperimentResult>& results = grid.values;

@@ -107,8 +107,8 @@ void Main(const harness::HarnessArgs& args) {
       {"random-fit", PlacementPolicy::kRandomFit},
       {"concentrate", PlacementPolicy::kConcentrateRows},
   };
-  auto grid = bench::RunGrid(
-      args, policies,
+  auto grid = harness::RunGrid(
+      policies,
       [](const PolicySpec& spec, size_t) {
         return harness::GridMeta{spec.name, kSeed};
       },
@@ -119,10 +119,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("placed", static_cast<double>(out.jobs_placed));
         context.Metric("queued", static_cast<double>(out.queue_length));
         return out;
-      });
+      },
+      args.runner);
 
   bench::Section("24 h at ~45% fleet CPU, 4 rows x 80 servers");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const PolicyOutcome& random = grid.values[0];

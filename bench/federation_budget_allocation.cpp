@@ -73,8 +73,8 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
       {"headroom", CampusAllocPolicy::kHeadroom, false},
       {"headroom+spill", CampusAllocPolicy::kHeadroom, true},
   }};
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](const Arm& arm, size_t) {
         return harness::GridMeta{arm.name, kSeed};
       },
@@ -119,11 +119,12 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
                        dc.final_queue_length);
         }
         return result;
-      });
+      },
+      args.runner);
 
   bench::Section(quick ? "4 h campus runs (quick tier)"
                        : "24 h campus runs, 4 DCs, one experiment cap");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
 

@@ -110,8 +110,8 @@ void Main(const harness::HarnessArgs& args) {
       {"light", 0.91, 0.035},
       {"heavy", 1.00, 0.015},
   };
-  auto grid = bench::RunGrid(
-      args, arms,
+  auto grid = harness::RunGrid(
+      arms,
       [](const ArmSpec& arm, size_t) {
         return harness::GridMeta{
             arm.name, kSeed + (arm.target_power > 0.95 ? 1 : 2)};
@@ -119,8 +119,9 @@ void Main(const harness::HarnessArgs& args) {
       [&effect, &args, total = arms.size()](const ArmSpec& arm,
                                             harness::RunContext& context) {
         return RunScenario(arm, effect, args, total, context);
-      });
-  if (!bench::EmitResults(grid.table, args)) {
+      },
+      args.runner);
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
   const ExperimentResult& light = grid.values[0];

@@ -130,19 +130,14 @@ void Main(const harness::HarnessArgs& args) {
                     (quick ? " (quick tier)" : ""),
                 kSeed);
 
-  // --budget-schedule overrides the curtailed arm's P(t); malformed specs
-  // fail here, before any run. The static arm always stays constant.
+  // --budget-schedule overrides the curtailed arm's P(t); a constant one
+  // fails here, before any run. The static arm always stays constant.
   BudgetSchedule curtailment = CurtailmentSchedule();
-  if (!args.budget_schedule_spec.empty()) {
-    BudgetSchedule custom;
-    std::string error;
-    AMPERE_CHECK(ParseBudgetSchedule(args.budget_schedule_spec, &custom,
-                                     &error))
-        << "--budget-schedule: " << error;
-    AMPERE_CHECK(!custom.IsConstant())
+  if (args.budget_schedule.has_value()) {
+    AMPERE_CHECK(!args.budget_schedule->IsConstant())
         << "--budget-schedule: spec is constant; the curtailed arm needs a "
            "time-varying schedule";
-    curtailment = custom;
+    curtailment = *args.budget_schedule;
   }
 
   // --- Phase 1: record the synthetic run, round-trip, generate adversaries.
@@ -223,8 +218,8 @@ void Main(const harness::HarnessArgs& args) {
     }
   }
 
-  auto grid = bench::RunGrid(
-      args, cells,
+  auto grid = harness::RunGrid(
+      cells,
       [](const CellSpec& cell, size_t) {
         return harness::GridMeta{cell.name, kSeed};
       },
@@ -247,8 +242,9 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("replayed",
                        static_cast<double>(result.trace_jobs_replayed));
         return result;
-      });
-  if (!bench::EmitResults(grid.table, args)) {
+      },
+      args.runner);
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
 

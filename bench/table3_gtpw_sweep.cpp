@@ -60,8 +60,8 @@ void Main(const harness::HarnessArgs& args) {
   };
 
   std::printf("calibrating f(u) per rO (parallel)...\n");
-  auto calibration = bench::RunGrid(
-      args, kRos,
+  auto calibration = harness::RunGrid(
+      kRos,
       [](double ro, size_t) {
         char name[32];
         std::snprintf(name, sizeof(name), "calibrate rO=%.2f", ro);
@@ -73,7 +73,8 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("kr", model.kr());
         context.Metric("r_squared", model.fit_r_squared());
         return model.kr();
-      });
+      },
+      args.runner);
   // Calibrated slopes are indexed by rO *index*, so a RunSpec can never
   // silently pick up the wrong model (the old float-equality lookup fell
   // back to models.front() on any mismatch).
@@ -85,8 +86,8 @@ void Main(const harness::HarnessArgs& args) {
                 calibration.table.row(i).Metric("r_squared"));
   }
 
-  auto grid = bench::RunGrid(
-      args, runs,
+  auto grid = harness::RunGrid(
+      runs,
       [](const RunSpec& run, size_t i) {
         char name[48];
         std::snprintf(name, sizeof(name), "rO=%.2f target=%.2f",
@@ -131,10 +132,11 @@ void Main(const harness::HarnessArgs& args) {
         context.Metric("r_thru", out.r_thru);
         context.Metric("G_TPW", out.gain);
         return out;
-      });
+      },
+      args.runner);
 
   bench::Section("Table 3 (per-minute samples over 24 h per run)");
-  if (!bench::EmitResults(grid.table, args)) {
+  if (!harness::EmitResults(grid.table, args)) {
     return;
   }
 

@@ -1,14 +1,16 @@
-// scenario_sweep — run a registered scenario set in parallel.
+// scenario_sweep — run a built-in scenario set in parallel.
 //
 //   scenario_sweep --list
 //   scenario_sweep experiment-smoke [--jobs=N] [--csv=out.csv] [--json=out.json]
 //
 // Front end for the harness layer (src/harness): picks a scenario set from
-// the registry, runs it on the work-stealing pool (hardware_concurrency
-// workers by default; --jobs or AMPERE_JOBS override), and prints the
-// deterministic result table. CSV output is bit-stable across job counts;
-// JSON additionally carries per-run wall-clock timing and captured logs.
+// harness::BuiltinScenarioSets(), runs it on worker threads
+// (hardware_concurrency by default; --jobs or AMPERE_JOBS override), and
+// emits it through harness::EmitResults like every grid bench. CSV output
+// is bit-stable across job counts; JSON additionally carries per-run
+// wall-clock timing and captured logs.
 
+#include <algorithm>
 #include <cstdio>
 
 #include "src/harness/runner.h"
@@ -16,20 +18,19 @@
 
 int main(int argc, char** argv) {
   using namespace ampere;  // NOLINT
-  harness::RegisterBuiltinScenarios();
   harness::HarnessArgs args = harness::ParseHarnessArgs(argc, argv);
+  const std::span<const harness::ScenarioSet> sets =
+      harness::BuiltinScenarioSets();
 
-  bool list_only = false;
-  for (const std::string& arg : args.positional) {
-    if (arg == "--list") {
-      list_only = true;
-    }
-  }
+  const bool list_only =
+      std::find(args.positional.begin(), args.positional.end(), "--list") !=
+      args.positional.end();
   if (list_only || args.positional.empty()) {
-    std::printf("registered scenario sets:\n");
-    for (const auto& [name, description] :
-         harness::ScenarioRegistry::Global().List()) {
-      std::printf("  %-20s %s\n", name.c_str(), description.c_str());
+    std::printf("built-in scenario sets:\n");
+    for (const harness::ScenarioSet& set : sets) {
+      std::printf("  %-20.*s %.*s\n", static_cast<int>(set.name.size()),
+                  set.name.data(), static_cast<int>(set.description.size()),
+                  set.description.data());
     }
     if (args.positional.empty()) {
       std::printf("\nusage: scenario_sweep <set> [--jobs=N] [--csv=PATH] "
@@ -39,44 +40,18 @@ int main(int argc, char** argv) {
   }
 
   const std::string& set_name = args.positional.front();
-  if (!harness::ScenarioRegistry::Global().Contains(set_name)) {
+  const auto set = std::find_if(
+      sets.begin(), sets.end(),
+      [&](const harness::ScenarioSet& s) { return s.name == set_name; });
+  if (set == sets.end()) {
     std::fprintf(stderr, "unknown scenario set '%s' (try --list)\n",
                  set_name.c_str());
     return 2;
   }
 
-  auto scenarios = harness::ScenarioRegistry::Global().Make(set_name);
-  harness::ResultTable table =
+  std::printf("%s\n\n", set_name.c_str());
+  const std::vector<harness::Scenario> scenarios = set->make();
+  const harness::ResultTable table =
       harness::RunScenarios(scenarios, args.runner);
-
-  std::printf("%s — %zu scenarios, jobs=%d, total %.0f ms\n\n",
-              set_name.c_str(), table.size(), table.jobs(),
-              table.total_wall_ms());
-  std::printf("%s", table.ToText().c_str());
-  if (args.print_notes) {
-    for (const auto& row : table.rows()) {
-      if (!row.notes.empty()) {
-        std::printf("\n--- %s ---\n%s", row.scenario.c_str(),
-                    row.notes.c_str());
-      }
-    }
-  }
-  if (!args.csv_path.empty()) {
-    harness::WriteFile(args.csv_path, table.ToCsv());
-    std::printf("\nwrote %s\n", args.csv_path.c_str());
-  }
-  if (!args.json_path.empty()) {
-    harness::WriteFile(args.json_path, table.ToJson());
-    std::printf("wrote %s\n", args.json_path.c_str());
-  }
-
-  bool all_ok = true;
-  for (const auto& row : table.rows()) {
-    if (!row.ok) {
-      std::fprintf(stderr, "FAILED %s: %s\n", row.scenario.c_str(),
-                   row.error.c_str());
-      all_ok = false;
-    }
-  }
-  return all_ok ? 0 : 1;
+  return harness::EmitResults(table, args) ? 0 : 1;
 }

@@ -12,7 +12,7 @@ namespace ampere {
 CampusBudgetAllocator::CampusBudgetAllocator(
     double campus_total_watts, const CampusAllocatorConfig& config)
     : campus_total_watts_(campus_total_watts), config_(config),
-      journal_(config.journal_capacity > 0 ? config.journal_capacity : 1) {
+      journal_(config.journal_capacity) {
   AMPERE_CHECK(campus_total_watts > 0.0);
 }
 

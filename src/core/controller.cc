@@ -38,7 +38,7 @@ AmpereController::AmpereController(Scheduler* scheduler,
                                    const AmpereControllerConfig& config)
     : scheduler_(scheduler), monitor_(monitor), config_(config),
       selection_rng_(config.selection_seed),
-      journal_(config.journal_capacity == 0 ? 1 : config.journal_capacity) {
+      journal_(config.journal_capacity) {
   AMPERE_CHECK(scheduler != nullptr && monitor != nullptr);
   AMPERE_CHECK(config.r_stable > 0.0 && config.r_stable <= 1.0);
   AMPERE_CHECK(config.max_freeze_ratio > 0.0 &&
@@ -131,7 +131,6 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   std::unordered_set<ServerId>& frozen_set = frozen_[domain_index];
   const uint64_t freeze_ops_before = freeze_ops_;
   const uint64_t unfreeze_ops_before = unfreeze_ops_;
-  const bool journal_on = config_.journal_capacity > 0;
   tick_rpc_failures_ = 0;
   tick_rpc_giveups_ = 0;
 
@@ -173,7 +172,7 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   // the "realized next-minute power" of the record written one tick ago.
   // Only a *fresh* reading qualifies — backfilling a prediction with stale
   // telemetry would poison the model-drift statistics.
-  if (journal_on && pending_realized_[domain_index].has_value()) {
+  if (pending_realized_[domain_index].has_value()) {
     if (mode == obs::DegradedMode::kNone) {
       journal_.SetRealized(*pending_realized_[domain_index], p);
     }
@@ -353,43 +352,41 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   const bool cap_engaged = u >= config_.max_freeze_ratio;
 
   // Journal the decision for audit. The journal only *observes* (it never
-  // feeds back into control or RNG state), so simulation results are
-  // unchanged whether it is on or off.
-  if (journal_on) {
-    obs::DecisionRecord record;
-    record.time = now;
-    record.domain = domain.group;
-    record.observed_watts = power;
-    record.budget_watts = domain.budget_watts;
-    record.normalized_power = p;
-    record.et = et;
-    record.violation = violation;
-    // One-step model bound: next-minute power may rise by at most E_t and
-    // the freeze drains f(u) (Eq. 13's balance). The next tick backfills
-    // what actually happened. A blackout skip predicts "hold": no model
-    // claim is made from a dark feed.
-    record.predicted_next = mode == obs::DegradedMode::kBlackoutSkip
-                                ? p
-                                : p + et_eff - config_.effect.Effect(u);
-    record.u = u;
-    record.cap_engaged = cap_engaged;
-    record.n_freeze = static_cast<uint32_t>(n_freeze);
-    record.n_servers = static_cast<uint32_t>(n);
-    record.freeze_ops = freeze_delta;
-    record.unfreeze_ops = unfreeze_delta;
-    record.pool_size = pool_size;
-    record.p_threshold = p_threshold;
-    record.degraded = mode;
-    record.reading_age_us = reading.valid() ? age.micros() : -1;
-    record.et_effective = et_eff;
-    record.rpc_failures = tick_rpc_failures_;
-    record.rpc_giveups = tick_rpc_giveups_;
-    const uint64_t seq = journal_.Append(std::move(record));
-    // Degraded ticks never arm a prediction: their base value is stale (or
-    // a hold), so resolving them would corrupt the drift gauges.
-    if (mode == obs::DegradedMode::kNone) {
-      pending_realized_[domain_index] = seq;
-    }
+  // feeds back into control or RNG state), so simulation results do not
+  // depend on it.
+  obs::DecisionRecord record;
+  record.time = now;
+  record.domain = domain.group;
+  record.observed_watts = power;
+  record.budget_watts = domain.budget_watts;
+  record.normalized_power = p;
+  record.et = et;
+  record.violation = violation;
+  // One-step model bound: next-minute power may rise by at most E_t and
+  // the freeze drains f(u) (Eq. 13's balance). The next tick backfills
+  // what actually happened. A blackout skip predicts "hold": no model
+  // claim is made from a dark feed.
+  record.predicted_next = mode == obs::DegradedMode::kBlackoutSkip
+                              ? p
+                              : p + et_eff - config_.effect.Effect(u);
+  record.u = u;
+  record.cap_engaged = cap_engaged;
+  record.n_freeze = static_cast<uint32_t>(n_freeze);
+  record.n_servers = static_cast<uint32_t>(n);
+  record.freeze_ops = freeze_delta;
+  record.unfreeze_ops = unfreeze_delta;
+  record.pool_size = pool_size;
+  record.p_threshold = p_threshold;
+  record.degraded = mode;
+  record.reading_age_us = reading.valid() ? age.micros() : -1;
+  record.et_effective = et_eff;
+  record.rpc_failures = tick_rpc_failures_;
+  record.rpc_giveups = tick_rpc_giveups_;
+  const uint64_t seq = journal_.Append(std::move(record));
+  // Degraded ticks never arm a prediction: their base value is stale (or
+  // a hold), so resolving them would corrupt the drift gauges.
+  if (mode == obs::DegradedMode::kNone) {
+    pending_realized_[domain_index] = seq;
   }
 
   // Timeline events come AFTER the journal append so a violation-triggered
@@ -424,17 +421,15 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   if (unfreeze_delta > 0) {
     AMPERE_COUNTER_ADD("controller.unfreeze_ops", unfreeze_delta);
   }
-  if (journal_on) {
-    // Journal-fed model-drift gauges over the last drift_window (one hour
-    // at minute cadence) resolved records of this domain.
-    if (auto rmse =
-            journal_.RollingModelRmse(config_.drift_window, domain.group)) {
-      obs::GaugeSet(drift_gauges_[domain_index].model_rmse, *rmse);
-    }
-    if (auto util = journal_.RollingEtMarginUtilization(config_.drift_window,
-                                                        domain.group)) {
-      obs::GaugeSet(drift_gauges_[domain_index].et_margin_util, *util);
-    }
+  // Journal-fed model-drift gauges over the last drift_window (one hour
+  // at minute cadence) resolved records of this domain.
+  if (auto rmse =
+          journal_.RollingModelRmse(config_.drift_window, domain.group)) {
+    obs::GaugeSet(drift_gauges_[domain_index].model_rmse, *rmse);
+  }
+  if (auto util = journal_.RollingEtMarginUtilization(config_.drift_window,
+                                                      domain.group)) {
+    obs::GaugeSet(drift_gauges_[domain_index].et_margin_util, *util);
   }
 
   AMPERE_LOG(kDebug) << "domain " << domain.group << " p=" << p

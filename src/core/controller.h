@@ -87,7 +87,7 @@ struct AmpereControllerConfig {
   // Ring capacity of the per-controller DecisionJournal (the production
   // daemon's decision audit log, §3.2): one record per tick per domain,
   // 4096 covers a 24 h fig10 day (1440 minute-ticks x 2 arms) without
-  // eviction. 0 disables journaling entirely.
+  // eviction. Must be positive.
   size_t journal_capacity = 4096;
   // Window, in records per domain, of the journal-fed model-drift gauges
   // (controller.model_rmse.* / controller.et_margin_util.*). 60 one-minute
@@ -160,10 +160,9 @@ class AmpereController {
   // Accounted (not event-injected) freeze/unfreeze RPC latency, summed.
   SimTime rpc_latency_total() const { return rpc_latency_total_; }
 
-  // The decision audit log: one record per tick per domain (empty when
-  // config.journal_capacity == 0). Each tick also backfills the previous
-  // record's realized next-minute power, so resolved records carry a
-  // (predicted, realized) pair for the f(u) = kr·u model.
+  // The decision audit log: one record per tick per domain. Each tick also
+  // backfills the previous record's realized next-minute power, so resolved
+  // records carry a (predicted, realized) pair for the f(u) = kr·u model.
   const obs::DecisionJournal& journal() const { return journal_; }
 
   // Metrics/timeline domain this controller's instrumentation is scoped

@@ -1,6 +1,6 @@
 // Built-in scenario sets: smoke-sized grids over the core entry points.
 //
-// These exist so the registry has real, fast content out of the box — the
+// These give the harness real, fast content out of the box — the
 // determinism tests and the `scenario_sweep` example run them by name. Both
 // sets are deliberately small (tens of simulated minutes on tens of
 // servers) so a full grid finishes in seconds even single-threaded; the
@@ -107,21 +107,17 @@ std::vector<Scenario> FleetSmokeGrid() {
 
 }  // namespace
 
-void RegisterBuiltinScenarios() {
-  static bool registered = false;
-  if (registered) {
-    return;
-  }
-  registered = true;
-  ScenarioRegistry::Global().Register(
-      "experiment-smoke",
-      "4-point rO x load grid of short controlled experiments (42 servers, "
-      "2 h + 20 min warmup)",
-      ExperimentSmokeGrid);
-  ScenarioRegistry::Global().Register(
-      "fleet-smoke",
-      "2-point load grid of short 2-row fleet runs (40 servers, 3 h)",
-      FleetSmokeGrid);
+std::span<const ScenarioSet> BuiltinScenarioSets() {
+  static constexpr ScenarioSet kSets[] = {
+      {"experiment-smoke",
+       "4-point rO x load grid of short controlled experiments (42 servers, "
+       "2 h + 20 min warmup)",
+       ExperimentSmokeGrid},
+      {"fleet-smoke",
+       "2-point load grid of short 2-row fleet runs (40 servers, 3 h)",
+       FleetSmokeGrid},
+  };
+  return kSets;
 }
 
 }  // namespace harness

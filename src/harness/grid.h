@@ -12,7 +12,6 @@
 #define SRC_HARNESS_GRID_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -36,11 +35,13 @@ struct GridResult {
   std::vector<R> values;    // Typed results, submission order.
 };
 
+// `items` is anything with data()/size() (vector, array, span).
 // `meta(item, index)` -> GridMeta; `fn(item, RunContext&)` -> R.
 // R must be default-constructible and move-assignable.
-template <typename Item, typename MetaFn, typename Fn>
-auto RunGrid(std::span<const Item> items, MetaFn&& meta, Fn&& fn,
+template <typename Items, typename MetaFn, typename Fn>
+auto RunGrid(const Items& items, MetaFn&& meta, Fn&& fn,
              const RunnerOptions& options = {}) {
+  using Item = std::remove_cvref_t<decltype(*items.data())>;
   using R = std::invoke_result_t<Fn&, const Item&, RunContext&>;
   static_assert(!std::is_void_v<R>,
                 "grid functions return their typed result");
@@ -53,8 +54,8 @@ auto RunGrid(std::span<const Item> items, MetaFn&& meta, Fn&& fn,
   std::vector<Scenario> scenarios;
   scenarios.reserve(items.size());
   for (size_t i = 0; i < items.size(); ++i) {
-    GridMeta m = meta(items[i], i);
-    const Item* item = &items[i];
+    const Item* item = items.data() + i;
+    GridMeta m = meta(*item, i);
     R* slot = &out.values[i];
     scenarios.push_back(Scenario{
         std::move(m.name), m.seed,
@@ -64,14 +65,6 @@ auto RunGrid(std::span<const Item> items, MetaFn&& meta, Fn&& fn,
   }
   out.table = RunScenarios(scenarios, options);
   return out;
-}
-
-// Overload for containers (vector, initializer-list-built arrays).
-template <typename Container, typename MetaFn, typename Fn>
-auto RunGridOver(const Container& items, MetaFn&& meta, Fn&& fn,
-                 const RunnerOptions& options = {}) {
-  return RunGrid(std::span(items.data(), items.size()),
-                 std::forward<MetaFn>(meta), std::forward<Fn>(fn), options);
 }
 
 }  // namespace harness

@@ -1,6 +1,7 @@
 #include "src/harness/runner.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -10,11 +11,11 @@
 #include <string_view>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/log.h"
 #include "src/common/log_capture.h"
-#include "src/common/thread_pool.h"
 #include "src/faults/presets.h"
 #include "src/obs/metrics.h"
 
@@ -29,7 +30,7 @@ double ElapsedMs(std::chrono::steady_clock::time_point start) {
 }
 
 // Runs the body, converting exceptions into a failed row instead of
-// propagating across the pool.
+// escaping the worker thread.
 void RunBody(const Scenario& scenario, RunContext& context, ResultRow* row) {
   try {
     AMPERE_CHECK(scenario.body != nullptr)
@@ -42,6 +43,36 @@ void RunBody(const Scenario& scenario, RunContext& context, ResultRow* row) {
     row->ok = false;
     row->error = "unknown exception";
   }
+}
+
+// Runs one scenario on the calling worker thread and fills its row.
+void RunOne(const Scenario& scenario, size_t index, bool capture_obs,
+            ResultRow* row) {
+  row->index = index;
+  row->scenario = scenario.name;
+  row->seed = scenario.seed;
+  RunContext context(index, scenario.seed);
+  // One private registry per run (scenario bodies are single-threaded, so
+  // every instrumented write the body triggers stays on this worker thread
+  // and lands here — isolated from concurrent runs).
+  obs::MetricsRegistry run_registry;
+  std::optional<obs::ScopedMetricsRegistry> obs_scope;
+  if (capture_obs) obs_scope.emplace(&run_registry);
+  auto run_start = std::chrono::steady_clock::now();
+  {
+    ScopedLogCapture capture;
+    RunBody(scenario, context, row);
+    row->log = capture.TakeOutput();
+  }
+  row->wall_ms = ElapsedMs(run_start);
+  if (capture_obs) {
+    obs::MetricsSnapshot snapshot = run_registry.Snapshot();
+    if (!snapshot.empty()) row->obs_json = snapshot.ToJson();
+    obs_scope.reset();
+  }
+  row->metrics = std::move(context.metrics());
+  row->notes = std::move(context.notes());
+  row->artifacts = std::move(context.artifacts());
 }
 
 }  // namespace
@@ -60,68 +91,69 @@ int ResolveJobs(int requested_jobs) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-ScenarioRunner::ScenarioRunner(const RunnerOptions& options)
-    : options_(options) {}
-
-ResultTable ScenarioRunner::Run(std::span<const Scenario> scenarios) const {
+ResultTable RunScenarios(std::span<const Scenario> scenarios,
+                         const RunnerOptions& options) {
   // No more workers than runs: a grid of N scenarios never starts more than
   // N threads, whatever --jobs or AMPERE_JOBS asked for.
   const size_t runs = std::max<size_t>(1, scenarios.size());
   const int jobs = static_cast<int>(
-      std::min(static_cast<size_t>(ResolveJobs(options_.jobs)), runs));
-  const bool capture_logs = options_.capture_logs;
-
-  const bool capture_obs = options_.capture_obs;
+      std::min(static_cast<size_t>(ResolveJobs(options.jobs)), runs));
 
   ResultTable table;
   table.Resize(scenarios.size());
   table.set_jobs(jobs);
 
   auto total_start = std::chrono::steady_clock::now();
-  {
-    ThreadPool pool(jobs);
-    for (size_t i = 0; i < scenarios.size(); ++i) {
-      const Scenario* scenario = &scenarios[i];
-      ResultRow* row = &table.row(i);  // Each task owns exactly its slot.
-      pool.Submit([scenario, row, i, capture_logs, capture_obs] {
-        row->index = i;
-        row->scenario = scenario->name;
-        row->seed = scenario->seed;
-        RunContext context(i, scenario->seed);
-        // One private registry per run (scenario bodies are single-threaded,
-        // so every instrumented write the body triggers stays on this
-        // worker thread and lands here — isolated from concurrent runs).
-        obs::MetricsRegistry run_registry;
-        std::optional<obs::ScopedMetricsRegistry> obs_scope;
-        if (capture_obs) obs_scope.emplace(&run_registry);
-        auto run_start = std::chrono::steady_clock::now();
-        if (capture_logs) {
-          ScopedLogCapture capture;
-          RunBody(*scenario, context, row);
-          row->log = capture.TakeOutput();
-        } else {
-          RunBody(*scenario, context, row);
-        }
-        row->wall_ms = ElapsedMs(run_start);
-        if (capture_obs) {
-          obs::MetricsSnapshot snapshot = run_registry.Snapshot();
-          if (!snapshot.empty()) row->obs_json = snapshot.ToJson();
-          obs_scope.reset();
-        }
-        row->metrics = std::move(context.metrics());
-        row->notes = std::move(context.notes());
-        row->artifacts = std::move(context.artifacts());
-      });
+  // Each worker claims the next unstarted scenario until none is left and
+  // writes exactly that scenario's row; the join publishes the rows.
+  std::atomic<size_t> next{0};
+  auto worker = [&] {
+    for (size_t i = next.fetch_add(1, std::memory_order_relaxed);
+         i < scenarios.size();
+         i = next.fetch_add(1, std::memory_order_relaxed)) {
+      RunOne(scenarios[i], i, options.capture_obs, &table.row(i));
     }
-    pool.Wait();
-  }
+  };
+  {
+    std::vector<std::jthread> workers;
+    workers.reserve(static_cast<size_t>(jobs));
+    for (int w = 0; w < jobs; ++w) {
+      workers.emplace_back(worker);
+    }
+  }  // Each jthread joins as the vector is destroyed.
   table.set_total_wall_ms(ElapsedMs(total_start));
   return table;
 }
 
-ResultTable RunScenarios(std::span<const Scenario> scenarios,
-                         const RunnerOptions& options) {
-  return ScenarioRunner(options).Run(scenarios);
+bool EmitResults(const ResultTable& table, const HarnessArgs& args) {
+  std::printf("[harness] %zu runs, jobs=%d, total %.0f ms\n\n", table.size(),
+              table.jobs(), table.total_wall_ms());
+  std::printf("%s", table.ToText().c_str());
+  bool all_ok = true;
+  for (const ResultRow& row : table.rows()) {
+    if (!row.ok) {
+      std::printf("RUN FAILED %s: %s\n", row.scenario.c_str(),
+                  row.error.c_str());
+      all_ok = false;
+    }
+  }
+  if (args.print_notes) {
+    for (const ResultRow& row : table.rows()) {
+      if (!row.notes.empty()) {
+        std::printf("\n--- %s ---\n%s", row.scenario.c_str(),
+                    row.notes.c_str());
+      }
+    }
+  }
+  if (!args.csv_path.empty()) {
+    WriteFile(args.csv_path, table.ToCsv());
+    std::printf("wrote %s\n", args.csv_path.c_str());
+  }
+  if (!args.json_path.empty()) {
+    WriteFile(args.json_path, table.ToJson());
+    std::printf("wrote %s\n", args.json_path.c_str());
+  }
+  return all_ok;
 }
 
 HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
@@ -190,7 +222,12 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
     } else if (const char* record = value_of(arg, "--record", i)) {
       args.record_trace_path = record;
     } else if (const char* sched = value_of(arg, "--budget-schedule", i)) {
-      args.budget_schedule_spec = sched;
+      BudgetSchedule schedule;
+      std::string error;
+      if (!ParseBudgetSchedule(sched, &schedule, &error)) {
+        return fail("--budget-schedule", "--budget-schedule: " + error);
+      }
+      args.budget_schedule = std::move(schedule);
     } else if (const char* store = value_of(arg, "--store-dir", i)) {
       args.store_dir = store;
     } else if (const char* budget = value_of(arg, "--hot-budget", i)) {

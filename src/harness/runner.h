@@ -1,9 +1,10 @@
 // Parallel scenario runner.
 //
-// Executes a set of independent scenarios on a work-stealing thread pool —
-// one Simulation per worker at a time, N workers (hardware_concurrency by
-// default, `--jobs` flag or AMPERE_JOBS env override) — and assembles the
-// per-run structured results into a ResultTable in deterministic
+// RunScenarios executes a set of independent scenarios on plain worker
+// threads — N workers (hardware_concurrency by default, `--jobs` flag or
+// AMPERE_JOBS env override, never more than the scenario count), each
+// claiming the next unstarted scenario until none is left — and assembles
+// the per-run structured results into a ResultTable in deterministic
 // submission order. Each run gets a ScopedLogCapture so the global logger
 // never interleaves lines from concurrent runs; the captured text lands in
 // the run's result row.
@@ -24,6 +25,7 @@
 #include <system_error>
 #include <vector>
 
+#include "src/control/budget_schedule.h"
 #include "src/faults/fault_plan.h"
 #include "src/harness/result_table.h"
 #include "src/harness/scenario.h"
@@ -33,12 +35,10 @@ namespace harness {
 
 struct RunnerOptions {
   // <= 0 selects the default: AMPERE_JOBS from the environment if set,
-  // else std::thread::hardware_concurrency(). Run caps the workers at the
-  // number of scenarios and reports the capped count in ResultTable::jobs.
+  // else std::thread::hardware_concurrency(). RunScenarios caps the workers
+  // at the number of scenarios and reports the capped count in
+  // ResultTable::jobs.
   int jobs = 0;
-  // Install a per-run ScopedLogCapture (store logs in the row instead of
-  // interleaving stderr).
-  bool capture_logs = true;
   // Install a per-run obs::ScopedMetricsRegistry so every counter, gauge,
   // histogram, and span the run touches lands in an isolated snapshot,
   // rendered into ResultRow::obs_json (the "obs" section of ToJson). Off
@@ -50,20 +50,9 @@ struct RunnerOptions {
 // Resolves a requested job count to the effective worker count (>= 1).
 int ResolveJobs(int requested_jobs);
 
-class ScenarioRunner {
- public:
-  explicit ScenarioRunner(const RunnerOptions& options = {});
-
-  // Runs all scenarios; blocks until done. A scenario body that throws
-  // marks its row !ok with the exception text — it never tears down the
-  // whole grid.
-  ResultTable Run(std::span<const Scenario> scenarios) const;
-
- private:
-  RunnerOptions options_;
-};
-
-// One-shot convenience wrapper.
+// Runs all scenarios; blocks until done. A scenario body that throws
+// marks its row !ok with the exception text — it never tears down the
+// whole grid.
 ResultTable RunScenarios(std::span<const Scenario> scenarios,
                          const RunnerOptions& options = {});
 
@@ -98,9 +87,8 @@ ResultTable RunScenarios(std::span<const Scenario> scenarios,
 //                           PATH is run-suffixed like --trace
 //   --budget-schedule=SPEC  time-varying budget P(t); SPEC grammar is
 //                           ParseBudgetSchedule's (step:.. / ramp:.. /
-//                           diurnal:.., ';'-separated). Stored verbatim —
-//                           benches parse it so the harness library keeps
-//                           no control-layer dependency
+//                           diurnal:.., ';'-separated), parsed here so a
+//                           malformed spec is a flag error
 //   --store-dir=DIR         storage-aware benches attach a persistent
 //                           telemetry cold tier under DIR (run-suffixed via
 //                           ArtifactPathForRun, so grids never share a
@@ -126,12 +114,13 @@ struct HarnessArgs {
   // ArtifactPathForRun and reporting written files via RunContext::Artifact.
   std::string trace_path;
   std::string postmortem_dir;
-  // --replay / --record / --budget-schedule: workload-trace and P(t)
-  // plumbing (empty = off). Kept as raw strings here; trace-aware benches
-  // translate them into ExperimentConfig::trace / budget_schedule.
+  // --replay / --record: workload-trace plumbing (empty = off); trace-aware
+  // benches translate them into ExperimentConfig::trace.
   std::string replay_trace_path;
   std::string record_trace_path;
-  std::string budget_schedule_spec;
+  // --budget-schedule: the parsed P(t) (nullopt = flag absent); benches copy
+  // it into ExperimentConfig::budget_schedule.
+  std::optional<BudgetSchedule> budget_schedule;
   // --store-dir / --hot-budget: persistent telemetry cold tier (empty = off,
   // RAM-only). Storage-aware benches copy these into each scenario's
   // ExperimentConfig::storage via bench::ApplyStorageArgs, deriving the
@@ -176,7 +165,8 @@ std::optional<T> ParseFlagNumber(std::string_view text, T lo, T hi) {
 
 // Parses the flags above without aborting. Numbers must be whole base-10
 // strings in range (`--jobs=4abc`, `--hot-budget=3x` and overflowing values
-// are errors), and --log-level/--faults must name a known level/preset.
+// are errors), --log-level/--faults must name a known level/preset, and
+// --budget-schedule must parse.
 // On success it also applies the log level: AMPERE_LOG_LEVEL from the
 // environment if set, then --log-level on top (flag beats environment) —
 // mirroring how ResolveJobs treats --jobs/AMPERE_JOBS. On error it changes
@@ -186,6 +176,11 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv);
 // TryParseHarnessArgs for a main(): on a FlagError it prints the message to
 // stderr and exits with status 2.
 HarnessArgs ParseHarnessArgs(int argc, char** argv);
+
+// Prints the assembled table (submission order), any failed runs, then each
+// run's captured notes (unless --no-notes), then honours --csv / --json.
+// Returns false if any run failed.
+bool EmitResults(const ResultTable& table, const HarnessArgs& args);
 
 // Derives a collision-free per-run artifact path from a base path: run 0 of
 // a single-scenario grid keeps `base` unchanged; otherwise "_run<N>" is

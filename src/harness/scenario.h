@@ -1,4 +1,4 @@
-// Scenario abstraction and registry for the parallel runner.
+// Scenario abstraction and the built-in scenario sets.
 //
 // A Scenario is one independent unit of evaluation work: a name, a seed,
 // and a body that builds its own Simulation (and everything hanging off
@@ -7,19 +7,18 @@
 // which the core layer guarantees (ControlledExperiment / Fleet own their
 // RNG streams, clocks, and stores; see src/core).
 //
-// The registry maps names to scenario-set factories so tools and tests can
-// run curated grids ("experiment-smoke", "fleet-smoke", paper sweeps) by
-// name; `examples/scenario_sweep` is the CLI front end.
+// BuiltinScenarioSets() is a fixed table of named scenario-set factories
+// ("experiment-smoke", "fleet-smoke") so tools and tests can run curated
+// grids by name; `examples/scenario_sweep` is the CLI front end.
 
 #ifndef SRC_HARNESS_SCENARIO_H_
 #define SRC_HARNESS_SCENARIO_H_
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "src/harness/result_table.h"
@@ -76,35 +75,15 @@ struct Scenario {
   std::function<void(RunContext&)> body;
 };
 
-// Named factories of scenario sets.
-class ScenarioRegistry {
- public:
-  using Factory = std::function<std::vector<Scenario>()>;
-
-  // Process-wide registry (mutation is not thread-safe; register at startup).
-  static ScenarioRegistry& Global();
-
-  void Register(std::string name, std::string description, Factory factory);
-
-  bool Contains(std::string_view name) const;
-
-  // Materializes the scenario set; CHECK-fails on unknown names.
-  std::vector<Scenario> Make(std::string_view name) const;
-
-  // (name, description) pairs, sorted by name.
-  std::vector<std::pair<std::string, std::string>> List() const;
-
- private:
-  struct Entry {
-    std::string description;
-    Factory factory;
-  };
-  std::map<std::string, Entry, std::less<>> entries_;
+// A named factory of a scenario set.
+struct ScenarioSet {
+  std::string_view name;
+  std::string_view description;
+  std::vector<Scenario> (*make)();
 };
 
-// Registers the built-in scenario sets (smoke-sized experiment and fleet
-// grids). Called once by tools that want them; idempotent.
-void RegisterBuiltinScenarios();
+// The built-in smoke-sized experiment and fleet grids, sorted by name.
+std::span<const ScenarioSet> BuiltinScenarioSets();
 
 }  // namespace harness
 }  // namespace ampere

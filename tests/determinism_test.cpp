@@ -491,7 +491,7 @@ TEST(TraceRoundTripTest, GridResultTableBytesIdenticalForReplayArm) {
     const std::vector<int> arms = {0};
     harness::RunnerOptions options;
     options.jobs = 1;
-    auto grid = harness::RunGridOver(
+    auto grid = harness::RunGrid(
         arms,
         [](int, size_t) { return harness::GridMeta{"arm", kSeed}; },
         [&replay](int, harness::RunContext& context) {

@@ -1,12 +1,15 @@
 // Tests for the parallel scenario runner (src/harness): the determinism
 // contract (bit-identical ResultTable for any job count), submission-order
-// assembly, failure isolation, the work-stealing pool's drain semantics,
-// per-thread log capture, result emission formats, and the CLI plumbing.
+// assembly, failure isolation, every scenario claimed by exactly one
+// worker, per-thread log capture, result emission formats, and the CLI
+// plumbing.
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +20,6 @@
 #include "src/common/log.h"
 #include "src/common/log_capture.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/harness/grid.h"
 #include "src/harness/result_table.h"
 #include "src/harness/runner.h"
@@ -141,6 +143,29 @@ TEST(ScenarioRunnerTest, WorkersAreCappedAtTheScenarioCount) {
   EXPECT_EQ(RunScenarios(SeededGrid(2), options).jobs(), 1);
 }
 
+TEST(ScenarioRunnerTest, EveryScenarioRunsExactlyOnce) {
+  // More scenarios than workers, not a multiple of them: each index must be
+  // claimed by exactly one worker.
+  constexpr size_t kRuns = 37;
+  std::vector<std::atomic<int>> runs(kRuns);
+  std::vector<Scenario> scenarios;
+  for (size_t i = 0; i < kRuns; ++i) {
+    scenarios.push_back(Scenario{
+        "once-" + std::to_string(i), i, [&runs, i](RunContext&) {
+          runs[i].fetch_add(1, std::memory_order_relaxed);
+        }});
+  }
+  RunnerOptions options;
+  options.jobs = 3;
+  ResultTable table = RunScenarios(scenarios, options);
+  ASSERT_EQ(table.size(), kRuns);
+  EXPECT_EQ(table.jobs(), 3);
+  for (size_t i = 0; i < kRuns; ++i) {
+    EXPECT_EQ(runs[i].load(), 1) << "scenario " << i;
+    EXPECT_TRUE(table.row(i).ok) << "row " << i;
+  }
+}
+
 TEST(ScenarioRunnerTest, CapturesLogsPerRun) {
   ScopedInfoLogLevel log_level;
   std::vector<Scenario> scenarios;
@@ -155,7 +180,6 @@ TEST(ScenarioRunnerTest, CapturesLogsPerRun) {
   }
   RunnerOptions options;
   options.jobs = 2;
-  options.capture_logs = true;
   ResultTable table = RunScenarios(scenarios, options);
   for (int i = 0; i < 4; ++i) {
     const std::string& log = table.row(static_cast<size_t>(i)).log;
@@ -173,9 +197,13 @@ TEST(ScenarioRunnerTest, CapturesLogsPerRun) {
 }
 
 TEST(ScenarioRunnerTest, BuiltinSmokeGridIsDeterministic) {
-  RegisterBuiltinScenarios();
-  ASSERT_TRUE(ScenarioRegistry::Global().Contains("fleet-smoke"));
-  auto scenarios = ScenarioRegistry::Global().Make("fleet-smoke");
+  const std::span<const ScenarioSet> sets = BuiltinScenarioSets();
+  const auto fleet_smoke =
+      std::find_if(sets.begin(), sets.end(), [](const ScenarioSet& set) {
+        return set.name == "fleet-smoke";
+      });
+  ASSERT_NE(fleet_smoke, sets.end());
+  auto scenarios = fleet_smoke->make();
   RunnerOptions serial;
   serial.jobs = 1;
   RunnerOptions parallel;
@@ -183,7 +211,7 @@ TEST(ScenarioRunnerTest, BuiltinSmokeGridIsDeterministic) {
   ResultTable a = RunScenarios(scenarios, serial);
   // Scenario bodies are std::functions — rebuild the set so each table run
   // uses fresh closures (guards against accidental state in factories).
-  auto scenarios2 = ScenarioRegistry::Global().Make("fleet-smoke");
+  auto scenarios2 = fleet_smoke->make();
   ResultTable b = RunScenarios(scenarios2, parallel);
   EXPECT_TRUE(ResultTable::SameData(a, b));
   EXPECT_EQ(a.ToCsv(), b.ToCsv());
@@ -194,7 +222,7 @@ TEST(ScenarioRunnerTest, BuiltinSmokeGridIsDeterministic) {
 
 TEST(GridTest, TypedResultsMatchSubmissionOrder) {
   std::vector<int> items{5, 3, 8, 1};
-  auto grid = RunGridOver(
+  auto grid = RunGrid(
       items,
       [](int item, size_t i) {
         return GridMeta{"item-" + std::to_string(item), 50 + i};
@@ -211,53 +239,6 @@ TEST(GridTest, TypedResultsMatchSubmissionOrder) {
   EXPECT_EQ(grid.values[3], 10);
   EXPECT_EQ(grid.table.row(2).Metric("doubled"), 16.0);
   EXPECT_EQ(grid.table.row(2).seed, 52u);
-}
-
-TEST(ThreadPoolTest, DrainsQueuedWorkBeforeShutdown) {
-  std::atomic<int> done{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 64; ++i) {
-      pool.Submit([&done] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        done.fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    // Destructor must wait for every queued task, not just running ones.
-  }
-  EXPECT_EQ(done.load(), 64);
-}
-
-TEST(ThreadPoolTest, WaitBlocksUntilAllSubmittedWorkFinishes) {
-  std::atomic<int> done{0};
-  ThreadPool pool(3);
-  for (int i = 0; i < 32; ++i) {
-    pool.Submit([&done] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 32);
-  // The pool stays usable after Wait().
-  pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-  pool.Wait();
-  EXPECT_EQ(done.load(), 33);
-}
-
-TEST(ThreadPoolTest, NestedSubmissionFromWorkers) {
-  // Workers submitting follow-up work (as parallel grids with per-item
-  // fan-out would) must not deadlock Wait().
-  std::atomic<int> done{0};
-  ThreadPool pool(2);
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&pool, &done] {
-      pool.Submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
-      done.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  pool.Wait();
-  EXPECT_EQ(done.load(), 16);
 }
 
 TEST(ScopedLogCaptureTest, CapturesAndRestores) {
@@ -399,6 +380,24 @@ TEST(HarnessArgsTest, BadHotBudgetIsAFlagError) {
                     value);
   }
   EXPECT_EQ(TryParse({"--hot-budget=2"}).args.hot_budget_samples, 2u);
+}
+
+TEST(HarnessArgsTest, BadBudgetScheduleIsAFlagError) {
+  const HarnessArgsResult bad = TryParse({"--budget-schedule=bogus"});
+  ASSERT_FALSE(bad.ok());
+  EXPECT_EQ(bad.error->flag, "--budget-schedule");
+  // The flag, then the parser's own reason.
+  const std::string prefix = "--budget-schedule: ";
+  EXPECT_EQ(bad.error->message.rfind(prefix, 0), 0u) << bad.error->message;
+  EXPECT_GT(bad.error->message.size(), prefix.size());
+
+  EXPECT_FALSE(TryParse({}).args.budget_schedule.has_value());
+  const HarnessArgsResult good =
+      TryParse({"--budget-schedule", "step:60:100:0.85"});
+  ASSERT_TRUE(good.ok());
+  ASSERT_TRUE(good.args.budget_schedule.has_value());
+  EXPECT_FALSE(good.args.budget_schedule->IsConstant());
+  EXPECT_EQ(good.args.budget_schedule->ScaleAt(SimTime::Minutes(80)), 0.85);
 }
 
 TEST(HarnessArgsDeathTest, ParseHarnessArgsExitsTwoOnAFlagError) {

@@ -216,27 +216,6 @@ TEST(DecisionJournalTest, ClosedLoopSummaryMatchesGroupReport) {
   EXPECT_EQ(result.journal.FindDomain("control"), nullptr);
 }
 
-// journal_capacity = 0 turns the audit log off without touching control
-// behavior.
-TEST(DecisionJournalTest, ZeroCapacityDisablesJournaling) {
-  ExperimentConfig config;
-  config.seed = 7;
-  config.topology.num_rows = 1;
-  config.topology.racks_per_row = 1;
-  config.topology.servers_per_rack = 30;
-  config.over_provision_ratio = 0.25;
-  config.workload.arrivals.base_rate_per_min = ArrivalRateForNormalizedPower(
-      config.topology, config.workload, 0.95, 0.25);
-  config.warmup = SimTime::Hours(1);
-  config.duration = SimTime::Hours(1);
-  config.controller.journal_capacity = 0;
-
-  ExperimentResult result = RunExperimentToResult(config);
-  EXPECT_EQ(result.journal.total_appended, 0u);
-  EXPECT_TRUE(result.journal.domains.empty());
-  EXPECT_GT(result.experiment.minutes.size(), 0u);
-}
-
 }  // namespace
 }  // namespace obs
 }  // namespace ampere

@@ -145,7 +145,7 @@ TEST(PerfIdentityTest, Fig10GridResultTableMatchesGolden) {
   };
   harness::RunnerOptions options;
   options.jobs = 2;
-  auto grid = harness::RunGridOver(
+  auto grid = harness::RunGrid(
       arms,
       [](const Arm& arm, size_t i) {
         return harness::GridMeta{arm.name, kSeed + i};
