@@ -94,7 +94,7 @@ GranularityResult RunMode(CappingMode mode, double demand_norm) {
   return result;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: capping granularity",
                 "row-uniform vs per-server RAPL limits", kSeed);
 
@@ -124,7 +124,7 @@ void Main(const harness::HarnessArgs& args) {
   bench::Section("12 h runs, demand ~0.96 (diurnal peaks) and ~1.05 "
                  "(sustained overload) of budget");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const GranularityResult& uniform_ok = grid.values[0];
   const GranularityResult& server_ok = grid.values[1];
@@ -154,12 +154,12 @@ void Main(const harness::HarnessArgs& args) {
                         server_hot.mean_power_norm < 1.04,
                     "both modes hold the row within the DVFS floor's reach "
                     "of the budget under saturation");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

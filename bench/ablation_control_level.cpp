@@ -118,7 +118,7 @@ LevelResult RunLevel(bool rack_level) {
   return result;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: control level",
                 "row-level vs rack-level domains, same total budget", kSeed);
 
@@ -140,7 +140,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h controlled run at rO=0.25, demand ~0.96 of budget");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const LevelResult& row = grid.values[0];
   const LevelResult& rack = grid.values[1];
@@ -150,12 +150,12 @@ void Main(const harness::HarnessArgs& args) {
                     "rack-level control freezes more (chases local spikes)");
   bench::ShapeCheck(rack.mean_unused_watts > row.mean_unused_watts,
                     "rack-level partitioning strands more unused power");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

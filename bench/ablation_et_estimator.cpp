@@ -51,7 +51,7 @@ struct EtResult {
   double r_thru = 0.0;
 };
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: E_t estimator",
                 "zero vs flat vs per-hour-history safety margin", kSeed);
 
@@ -102,7 +102,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h controlled runs at rO=0.25, demand ~0.99 of budget");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const std::vector<EtResult>& results = grid.values;
 
@@ -124,12 +124,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(results[2].r_thru < results[3].r_thru,
                     "an oversized flat margin costs real throughput, "
                     "motivating the data-driven profile");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -94,7 +94,7 @@ struct PolicyResult {
   double r_thru = 0.0;
 };
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: freeze-selection policy",
                 "highest-power vs random vs lowest-power", kSeed);
 
@@ -153,7 +153,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("per-policy calibrated effect and 24 h heavy closed loop");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const std::vector<PolicyResult>& results = grid.values;
 
@@ -177,12 +177,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(all_protect,
                     "with a policy-matched kr, the closed loop protects "
                     "under every selection (the scheme is robust)");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -123,7 +123,7 @@ MixResult RunRow(bool mixed) {
   return result;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: heterogeneous fleet",
                 "Algorithm 1 on a mixed-generation row", kSeed);
 
@@ -147,7 +147,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h at ~0.97 of the rO=0.25 budget");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const MixResult& homogeneous = grid.values[0];
   const MixResult& mixed = grid.values[1];
@@ -161,12 +161,12 @@ void Main(const harness::HarnessArgs& args) {
                     "generation (generation-aware for free)");
   bench::ShapeCheck(mixed.u_mean < 0.5,
                     "the mixed row does not need saturated control");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -29,7 +29,7 @@ struct CapResult {
   double r_thru = 0.0;
 };
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: max freezing ratio",
                 "lifting the paper's 50% operational cap under heavy load",
                 kSeed);
@@ -67,7 +67,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h runs at rO=0.25, demand ~1.02 of budget");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const std::vector<CapResult>& results = grid.values;
 
@@ -88,12 +88,12 @@ void Main(const harness::HarnessArgs& args) {
                     "it is given");
   bench::ShapeCheck(results[3].r_thru <= results[0].r_thru + 0.02,
                     "extra protection is paid for with throughput");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -29,7 +29,7 @@ struct RStableResult {
   uint64_t churn_ops = 0;
 };
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Ablation: r_stable hysteresis",
                 "churn and control quality across the stability band",
                 kSeed);
@@ -71,7 +71,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h heavy runs at rO=0.25 (paper uses r_stable = 0.8)");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const std::vector<RStableResult>& results = grid.values;
 
@@ -93,12 +93,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(results.front().churn_ops <= results.back().churn_ops,
                     "a wider hysteresis band (small r_stable) churns less "
                     "than no band (r_stable = 1.0)");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

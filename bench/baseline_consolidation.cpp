@@ -159,7 +159,7 @@ ArmResult RunArm(bool consolidate) {
   return result;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Baseline: sleep-state consolidation (§5.1)",
                 "energy vs job-start latency over 2 diurnal days", kSeed);
 
@@ -184,7 +184,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("48 h, 60 servers, deep diurnal workload");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const ArmResult& always_on = grid.values[0];
   const ArmResult& consolidated = grid.values[1];
@@ -209,12 +209,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(consolidated.completed >= always_on.completed * 98 / 100,
                     "throughput is roughly preserved (work is delayed, not "
                     "lost)");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -138,7 +138,7 @@ ArmResult RunArm(Arm arm) {
   return result;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Baseline: power-aware scheduler vs Ampere (§5.2)",
                 "the same protection from inside vs outside the scheduler",
                 kSeed);
@@ -168,7 +168,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h, 4 rows x 60 servers at rO=0.17, flexible stream steerable");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const ArmResult& none = grid.values[0];
   const ArmResult& aware = grid.values[1];
@@ -187,12 +187,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(thru_ratio > 0.97 && thru_ratio < 1.03,
                     "the two mechanisms cost about the same throughput — "
                     "the simple freeze/unfreeze interface gives up nothing");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

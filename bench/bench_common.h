@@ -156,24 +156,6 @@ inline void ApplyTraceArgs(ExperimentConfig& config,
   }
 }
 
-// Copies the harness --store-dir / --hot-budget flags into one run's
-// ExperimentConfig::storage, attaching the persistent telemetry cold tier
-// for that run. The store directory is run-suffixed (ArtifactPathForRun) so
-// parallel grids never share a store. No-op when --store-dir was absent,
-// keeping flag-free output byte-identical (and RAM-only).
-inline void ApplyStorageArgs(ExperimentConfig& config,
-                             const harness::HarnessArgs& args,
-                             size_t run_index, size_t total_runs) {
-  if (args.store_dir.empty()) {
-    return;
-  }
-  config.storage.store_dir =
-      harness::ArtifactPathForRun(args.store_dir, run_index, total_runs);
-  if (args.hot_budget_samples > 0) {
-    config.storage.hot_budget_samples = args.hot_budget_samples;
-  }
-}
-
 // Reports every artifact path a run wrote into its ResultRow.
 inline void ReportArtifacts(harness::RunContext& context,
                             std::span<const std::string> artifacts) {

@@ -79,10 +79,6 @@ ExperimentResult RunCell(const CellSpec& cell, const FreezeEffectModel& effect,
   // Recording is a pass-through decorator, so all metrics stay
   // bit-identical with or without it.
   bench::ApplyTraceArgs(config, args, context.index(), total_runs);
-  // --store-dir / --hot-budget: persistent telemetry cold tier. Storage
-  // plumbing only — the controller reads monitor caches, so every metric
-  // below is bit-identical with or without the store.
-  bench::ApplyStorageArgs(config, args, context.index(), total_runs);
   ExperimentResult result = RunExperimentToResult(config);
   bench::ReportArtifacts(context, result.artifacts);
 
@@ -145,7 +141,7 @@ bool SameChaosOutcome(const ExperimentResult& a, const ExperimentResult& b) {
          a.jobs_completed == b.jobs_completed;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Chaos grid",
                 "controller robustness under fault injection, rO=0.25",
                 kSeed);
@@ -179,7 +175,7 @@ void Main(const harness::HarnessArgs& args) {
       },
       args.runner);
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
 
   auto find = [&](const char* arm, const char* preset) -> const
@@ -290,12 +286,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(SameChaosOutcome(heavy_heavy, replay),
                     "heavy/heavy cell replays bit-identically (journal "
                     "summary + fault counts + outcomes)");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -23,7 +23,7 @@ namespace {
 
 constexpr uint64_t kSeed = 20160428;
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Extension: RHC planning horizon",
                 "Lemma 3.1 verified in the live closed loop", kSeed);
 
@@ -54,7 +54,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h heavy runs at rO=0.25 per planning horizon");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const std::vector<ExperimentResult>& results = grid.values;
 
@@ -85,12 +85,12 @@ void Main(const harness::HarnessArgs& args) {
                         results[0].experiment.throughput_jobs ==
                             results[2].experiment.throughput_jobs,
                     "identical trajectories yield identical outcomes");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

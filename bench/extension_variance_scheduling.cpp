@@ -95,7 +95,7 @@ PolicyOutcome RunPolicy(PlacementPolicy policy) {
   return out;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Extension: variance-cultivating placement",
                 "random-fit vs concentrate-rows (§6 future work)", kSeed);
 
@@ -124,7 +124,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("24 h at ~45% fleet CPU, 4 rows x 80 servers");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const PolicyOutcome& random = grid.values[0];
   const PolicyOutcome& packed = grid.values[1];
@@ -161,12 +161,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::ShapeCheck(packed.jobs_placed >= random.jobs_placed * 99 / 100 &&
                         packed.queue_length <= random.queue_length + 10,
                     "the policy is work-conserving (no throughput loss)");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -66,7 +66,7 @@ ExperimentConfig CampusConfigFor(bool quick) {
 
 // --- Grid mode: static vs headroom, with and without spillover -----------
 
-void RunGridMode(const harness::HarnessArgs& args, bool quick) {
+int RunGridMode(const harness::HarnessArgs& args, bool quick) {
   const std::array<Arm, 4> arms{{
       {"static", CampusAllocPolicy::kStatic, false},
       {"static+spill", CampusAllocPolicy::kStatic, true},
@@ -89,9 +89,6 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
         // --budget-schedule: time-varying campus cap P(t). Workload trace
         // record/replay stays single-DC, so only the schedule applies here.
         bench::ApplyBudgetScheduleArg(config, args);
-        // --store-dir / --hot-budget: persistent cold tier under the shared
-        // campus db. Storage plumbing only; metrics are bit-identical.
-        bench::ApplyStorageArgs(config, args, context.index(), total);
         CampusResult result = RunCampusToResult(config);
         bench::ReportArtifacts(context, result.artifacts);
         context.Metric("gain_tpw", result.gain_tpw);
@@ -125,7 +122,7 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
   bench::Section(quick ? "4 h campus runs (quick tier)"
                        : "24 h campus runs, 4 DCs, one experiment cap");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
 
   const CampusResult& fixed = grid.values[0];
@@ -151,9 +148,10 @@ void RunGridMode(const harness::HarnessArgs& args, bool quick) {
       dynamic.dcs[0].final_budget_watts > equal_split / 4.0 &&
           dynamic.dcs[3].final_budget_watts < equal_split / 4.0,
       "the hot DC ends above the equal split, funded by the coldest");
+  return 0;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bool quick = false;
   for (const std::string& arg : args.positional) {
     if (arg == "--quick") quick = true;
@@ -161,13 +159,12 @@ void Main(const harness::HarnessArgs& args) {
   bench::Header("Federation: campus budget allocation",
                 "static 4-way split vs hierarchical headroom re-planning",
                 kSeed);
-  RunGridMode(args, quick);
+  return RunGridMode(args, quick);
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

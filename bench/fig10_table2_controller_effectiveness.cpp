@@ -97,7 +97,7 @@ void PrintTable2Row(const char* workload, const char* group, double u_mean,
               u_mean, u_max, p_mean, p_max, violations);
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Figure 10 + Table 2",
                 "controller effectiveness, light vs heavy workload, rO=0.25",
                 kSeed);
@@ -122,7 +122,7 @@ void Main(const harness::HarnessArgs& args) {
       },
       args.runner);
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
   const ExperimentResult& light = grid.values[0];
   const ExperimentResult& heavy = grid.values[1];
@@ -179,12 +179,12 @@ void Main(const harness::HarnessArgs& args) {
                   "%s journal summary reproduces Table 2 bit-for-bit", arm);
     bench::ShapeCheck(JournalReproducesTable2(*result), claim);
   }
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -26,6 +26,7 @@
 // synthetic trace as an ampere.trace.v1 artifact (CI uploads one).
 
 #include <algorithm>
+#include <cstdio>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -118,7 +119,7 @@ bool SameOutcome(const ExperimentResult& a, const ExperimentResult& b) {
          a.jobs_completed == b.jobs_completed;
 }
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bool quick = false;
   for (const std::string& arg : args.positional) {
     if (arg == "--quick") {
@@ -130,13 +131,10 @@ void Main(const harness::HarnessArgs& args) {
                     (quick ? " (quick tier)" : ""),
                 kSeed);
 
-  // --budget-schedule overrides the curtailed arm's P(t); a constant one
-  // fails here, before any run. The static arm always stays constant.
+  // --budget-schedule overrides the curtailed arm's P(t) (main rejects a
+  // constant one). The static arm always stays constant.
   BudgetSchedule curtailment = CurtailmentSchedule();
   if (args.budget_schedule.has_value()) {
-    AMPERE_CHECK(!args.budget_schedule->IsConstant())
-        << "--budget-schedule: spec is constant; the curtailed arm needs a "
-           "time-varying schedule";
     curtailment = *args.budget_schedule;
   }
 
@@ -245,7 +243,7 @@ void Main(const harness::HarnessArgs& args) {
       },
       args.runner);
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
 
   auto find = [&](const std::string& name) -> const ExperimentResult& {
@@ -312,12 +310,24 @@ void Main(const harness::HarnessArgs& args) {
                         syn_static.experiment.u_mean,
                     "curtailment makes the controller freeze at least as "
                     "hard as the static cap");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  const ampere::harness::HarnessArgs args =
+      ampere::harness::ParseHarnessArgs(argc, argv);
+  // The curtailed arm needs a schedule that varies; a constant spec parses
+  // but is a flag error here, before any run.
+  if (args.budget_schedule.has_value() &&
+      args.budget_schedule->IsConstant()) {
+    std::fprintf(stderr,
+                 "%s: --budget-schedule: spec is constant; the curtailed arm "
+                 "needs a time-varying schedule\n",
+                 argv[0]);
+    return 2;
+  }
+  return ampere::Main(args);
 }

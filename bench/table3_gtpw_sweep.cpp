@@ -43,7 +43,7 @@ struct RunOutcome {
   double gain = 0.0;
 };
 
-void Main(const harness::HarnessArgs& args) {
+int Main(const harness::HarnessArgs& args) {
   bench::Header("Table 3", "G_TPW across rO x workload (13 day-long runs)",
                 kSeed);
 
@@ -137,7 +137,7 @@ void Main(const harness::HarnessArgs& args) {
 
   bench::Section("Table 3 (per-minute samples over 24 h per run)");
   if (!harness::EmitResults(grid.table, args)) {
-    return;
+    return 1;
   }
 
   std::vector<double> gains;
@@ -172,12 +172,12 @@ void Main(const harness::HarnessArgs& args) {
   double worst_025 = gains[3];
   bench::ShapeCheck(worst_025 < 0.12,
                     "rO=0.25 collapses under heavy demand");
+  return 0;
 }
 
 }  // namespace
 }  // namespace ampere
 
 int main(int argc, char** argv) {
-  ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
-  return 0;
+  return ampere::Main(ampere::harness::ParseHarnessArgs(argc, argv));
 }

@@ -1,7 +1,7 @@
 # Runs COMMAND with the single argument ARG and passes only if it exits
 # with status 2 and names FLAG (as "FLAG:") on stderr: the structured
-# flag-error contract of the example CLIs. An abort, a crash or a silently
-# accepted value fails.
+# flag-error contract of the harness binaries and example CLIs. An abort, a
+# crash or a silently accepted value fails.
 #
 #   cmake -DCOMMAND=<exe> -DARG=<arg> -DFLAG=<flag> -P expect_flag_error.cmake
 execute_process(

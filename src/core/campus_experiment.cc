@@ -81,10 +81,6 @@ CampusExperiment::CampusExperiment(const ExperimentConfig& config)
   AMPERE_CHECK(!config_.trace.active())
       << "workload trace record/replay is single-DC only";
 
-  // One cold store serves every DC: the per-DC prefixes keep the series
-  // distinct.
-  artifacts_.OpenColdStore(&db_);
-
   dcs_.reserve(static_cast<size_t>(campus_.num_datacenters()));
   for (int d = 0; d < campus_.num_datacenters(); ++d) {
     BuildDc(DataCenterId(d));
@@ -293,9 +289,6 @@ CampusResult CampusExperiment::Run() {
   result.breaker_tripped = campus_.AnyBreakerTripped();
   result.allocator_journal = allocator_->journal().Summarize();
   result.timeline_events = artifacts_.ExportTimeline(result.artifacts);
-  artifacts_.FlushColdStore(db_, result.artifacts,
-                            result.cold_samples_spilled,
-                            result.cold_segments);
   return result;
 }
 

@@ -103,10 +103,6 @@ struct CampusResult {
   // Empty/zero unless config.obs enabled recording.
   std::vector<std::string> artifacts;
   uint64_t timeline_events = 0;
-  // Cold-tier accounting (zero when config.storage is off); the manifest
-  // path lands in `artifacts`.
-  uint64_t cold_samples_spilled = 0;
-  uint64_t cold_segments = 0;
 };
 
 // Pure entry point mirroring RunExperimentToResult: builds a fresh
@@ -158,8 +154,7 @@ class CampusExperiment {
   Rng rng_;
   Simulation sim_;
   Campus campus_;
-  // Recorder, postmortems (tailing the allocator's journal) and the shared
-  // cold tier; declared before db_ because the db spills into the store.
+  // Recorder and postmortems (tailing the allocator's journal).
   RunArtifacts artifacts_;
   TimeSeriesDb db_;
   JobIdAllocator ids_;  // Shared: JobIds are campus-unique.

@@ -65,7 +65,6 @@ ControlledExperiment::ControlledExperiment(const ExperimentConfig& config)
                {.scheduler_stream = 1, .monitor_stream = 2,
                 .series_prefix = "", .obs_domain = 0},
                &dc_, &sim_, &db_, rng_) {
-  artifacts_.OpenColdStore(&db_);
   // Arrival source: synthetic generator by default, trace replay when the
   // config asks. A recording run interposes the TraceRecorder as the sink —
   // a pass-through decorator, so recording never perturbs the run.
@@ -197,9 +196,6 @@ ExperimentResult ControlledExperiment::Run() {
       }
     }
   }
-  artifacts_.FlushColdStore(db_, result.artifacts,
-                            result.cold_samples_spilled,
-                            result.cold_segments);
   return result;
 }
 

@@ -40,7 +40,6 @@
 #include "src/obs/flight_recorder.h"
 #include "src/sched/scheduler.h"
 #include "src/sim/simulation.h"
-#include "src/telemetry/cold_store.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/telemetry/timeseries_db.h"
 #include "src/workload/batch_workload.h"
@@ -125,28 +124,10 @@ struct WorkloadTraceSection {
   bool active() const { return replay() || recording(); }
 };
 
-// Persistent-telemetry section (cold tier; see src/telemetry/cold_store.h).
-// Off by default — no store is created, TimeSeriesDb keeps everything hot,
-// and every golden stays byte-identical. When enabled, the experiment owns a
-// ColdStore in `store_dir`, attaches it to its TimeSeriesDb with the
-// hot budget, and seals + flushes the store after Run(); the
-// manifest is reported as an artifact. Storage is observation-plumbing only:
-// the control loop reads the monitor's caches, never the db history, so
-// simulation results — and the stitched full-history bytes — are identical
-// with the tier on or off.
+// Telemetry storage has one tier, in memory; there is nothing to
+// configure. An empty section kept only for readers that still check it.
 struct StorageSection {
-  std::string store_dir;  // "" = RAM-only (default).
-  // Hot-tier occupancy cap, in rows per telemetry frame (one row per
-  // monitor sample, so in samples per series). The oldest half of a frame
-  // spills to the cold store when it fills.
-  size_t hot_budget_samples = 4096;
-  // Cold segments seal and roll at this many samples (0 = derived:
-  // max(16384, hot_budget_samples)). Segment size does not bound RSS — the
-  // writer releases written pages eagerly — so the derivation favors large
-  // segments: fewer files, fewer seal cycles.
-  size_t segment_samples = 0;
-
-  bool enabled() const { return !store_dir.empty(); }
+  constexpr bool enabled() const { return false; }
 };
 
 struct ExperimentConfig {
@@ -155,6 +136,9 @@ struct ExperimentConfig {
   // Whole runs go parallel in the scenario harness instead. A constant
   // kept only for readers that still check it; it cannot be set.
   static constexpr int jobs = 1;
+  // Telemetry always stays in memory. A constant kept only for readers that
+  // still check it; it cannot be set.
+  static constexpr StorageSection storage{};
   TopologyConfig topology;       // Default: one 420-server row.
   BatchWorkloadParams workload;  // Callers set arrival rate for the scenario.
   SchedulerConfig scheduler;
@@ -182,8 +166,6 @@ struct ExperimentConfig {
   ObsSection obs;
   // Workload-trace record/replay; see WorkloadTraceSection above.
   WorkloadTraceSection trace;
-  // Persistent telemetry cold tier; see StorageSection above.
-  StorageSection storage;
   // Time-varying power budget P(t), evaluated on the measured clock (t = 0
   // at the end of warmup) and applied per minute as a scale on the
   // experiment domain's budget (and, in a campus run, on the allocator's
@@ -224,10 +206,6 @@ struct ExperimentResult {
   // Workload-trace accounting (zero when ExperimentConfig::trace inactive).
   uint64_t trace_jobs_recorded = 0;
   uint64_t trace_jobs_replayed = 0;
-  // Cold-tier accounting (zero when ExperimentConfig::storage is off). The
-  // manifest path is appended to `artifacts` after trace/postmortems.
-  uint64_t cold_samples_spilled = 0;
-  uint64_t cold_segments = 0;
   // The deepest budget scale the run's P(t) reached over the measured
   // window (1.0 for the constant schedule).
   double budget_scale_min = 1.0;
@@ -305,8 +283,6 @@ class ControlledExperiment {
   // Null unless config.obs.enabled(). Installed as the thread's current
   // recorder only while Run() executes.
   obs::FlightRecorder* flight_recorder() { return artifacts_.recorder(); }
-  // Null unless config.storage.enabled().
-  ColdStore* cold_store() { return artifacts_.cold_store(); }
   const std::vector<ServerId>& experiment_servers() const {
     return runtime_.experiment_servers();
   }
@@ -329,8 +305,7 @@ class ControlledExperiment {
   Rng rng_;
   Simulation sim_;
   DataCenter dc_;
-  // Recorder, postmortems and the cold tier; declared before db_ because
-  // the db spills into the cold store from its append paths.
+  // Recorder and postmortems.
   RunArtifacts artifacts_;
   TimeSeriesDb db_;
   // Scheduler, monitor, groups, controller and the per-minute recorder on

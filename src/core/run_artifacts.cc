@@ -1,6 +1,5 @@
 #include "src/core/run_artifacts.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 
@@ -30,26 +29,6 @@ RunArtifacts::RunArtifacts(const ExperimentConfig& config,
   }
 }
 
-void RunArtifacts::OpenColdStore(TimeSeriesDb* db) {
-  if (!config_.storage.enabled()) {
-    return;
-  }
-  // The db spills past the hot budget into mmap'd segments under
-  // store_dir. Pure storage plumbing — the control loop reads the
-  // monitors' caches, so results are identical with it off.
-  ColdStoreConfig cold;
-  cold.dir = config_.storage.store_dir;
-  cold.segment_samples =
-      config_.storage.segment_samples > 0
-          ? config_.storage.segment_samples
-          : std::max<size_t>(16384, config_.storage.hot_budget_samples);
-  auto opened = ColdStore::Create(cold);
-  AMPERE_CHECK(opened.status.ok())
-      << "cannot create cold store: " << opened.status.message;
-  cold_store_ = std::move(opened.store);
-  db->AttachColdStore(cold_store_.get(), config_.storage.hot_budget_samples);
-}
-
 uint64_t RunArtifacts::ExportTimeline(
     std::vector<std::string>& artifacts) const {
   if (recorder_ == nullptr) {
@@ -66,24 +45,6 @@ uint64_t RunArtifacts::ExportTimeline(
   }
   artifacts.insert(artifacts.end(), postmortems_.begin(), postmortems_.end());
   return recorder_->total_appended();
-}
-
-void RunArtifacts::FlushColdStore(const TimeSeriesDb& db,
-                                  std::vector<std::string>& artifacts,
-                                  uint64_t& samples_spilled,
-                                  uint64_t& segments) {
-  if (cold_store_ == nullptr) {
-    return;
-  }
-  const StoreStatus flushed = cold_store_->Flush();
-  AMPERE_CHECK(flushed.ok()) << "cold store flush failed: "
-                             << flushed.message;
-  samples_spilled = db.samples_spilled();
-  segments = cold_store_->total_segments();
-  artifacts.push_back(cold_store_->ManifestPath());
-  AMPERE_LOG(kInfo) << "cold store: spilled " << samples_spilled
-                    << " samples into " << segments << " segments under "
-                    << cold_store_->dir();
 }
 
 void RunArtifacts::WritePostmortem(const obs::TimelineEvent& trigger) {

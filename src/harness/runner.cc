@@ -81,12 +81,6 @@ int ResolveJobs(int requested_jobs) {
   if (requested_jobs > 0) {
     return requested_jobs;
   }
-  if (const char* env = std::getenv("AMPERE_JOBS"); env != nullptr) {
-    int parsed = std::atoi(env);
-    if (parsed > 0) {
-      return parsed;
-    }
-  }
   unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
@@ -164,6 +158,17 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
     result.error = FlagError{std::move(flag), std::move(message)};
     return std::move(result);
   };
+  // The environment first; a --jobs flag below overrides it.
+  if (const char* env = std::getenv("AMPERE_JOBS"); env != nullptr) {
+    const std::optional<int> jobs = ParseFlagNumber(
+        std::string_view(env), 1, std::numeric_limits<int>::max());
+    if (!jobs.has_value()) {
+      return fail("AMPERE_JOBS",
+                  "AMPERE_JOBS needs a positive integer, got '" +
+                      std::string(env) + "'");
+    }
+    args.runner.jobs = *jobs;
+  }
   auto value_of = [&](std::string_view arg, std::string_view flag,
                       int& i) -> const char* {
     // --flag=value (an empty value is a value: `--jobs=` is an error, not a
@@ -228,17 +233,6 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
         return fail("--budget-schedule", "--budget-schedule: " + error);
       }
       args.budget_schedule = std::move(schedule);
-    } else if (const char* store = value_of(arg, "--store-dir", i)) {
-      args.store_dir = store;
-    } else if (const char* budget = value_of(arg, "--hot-budget", i)) {
-      const std::optional<size_t> rows = ParseFlagNumber(
-          budget, size_t{2}, std::numeric_limits<size_t>::max());
-      if (!rows.has_value()) {
-        return fail("--hot-budget",
-                    "--hot-budget wants a row count >= 2, got '" +
-                        std::string(budget) + "'");
-      }
-      args.hot_budget_samples = *rows;
     } else if (arg == "--obs") {
       args.runner.capture_obs = true;
     } else if (arg == "--no-notes") {
@@ -247,8 +241,7 @@ HarnessArgsResult TryParseHarnessArgs(int argc, char** argv) {
       args.positional.emplace_back(arg);
     }
   }
-  // Environment first, flag second, matching the --jobs / AMPERE_JOBS
-  // precedence in ResolveJobs.
+  // Environment first, flag second, matching --jobs over AMPERE_JOBS.
   ApplyLogLevelFromEnv();
   if (log_level.has_value()) {
     SetLogLevel(*log_level);

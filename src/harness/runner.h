@@ -2,12 +2,12 @@
 //
 // RunScenarios executes a set of independent scenarios on plain worker
 // threads — N workers (hardware_concurrency by default, `--jobs` flag or
-// AMPERE_JOBS env override, never more than the scenario count), each
-// claiming the next unstarted scenario until none is left — and assembles
-// the per-run structured results into a ResultTable in deterministic
-// submission order. Each run gets a ScopedLogCapture so the global logger
-// never interleaves lines from concurrent runs; the captured text lands in
-// the run's result row.
+// AMPERE_JOBS env override read by TryParseHarnessArgs, never more than the
+// scenario count), each claiming the next unstarted scenario until none is
+// left — and assembles the per-run structured results into a ResultTable
+// in deterministic submission order. Each run gets a ScopedLogCapture so
+// the global logger never interleaves lines from concurrent runs; the
+// captured text lands in the run's result row.
 //
 // Determinism contract: scenario bodies are pure functions of their config
 // and seed (the core layer owns all RNG streams per instance), so the
@@ -34,8 +34,8 @@ namespace ampere {
 namespace harness {
 
 struct RunnerOptions {
-  // <= 0 selects the default: AMPERE_JOBS from the environment if set,
-  // else std::thread::hardware_concurrency(). RunScenarios caps the workers
+  // <= 0 selects std::thread::hardware_concurrency() (TryParseHarnessArgs
+  // fills this from --jobs or AMPERE_JOBS). RunScenarios caps the workers
   // at the number of scenarios and reports the capped count in
   // ResultTable::jobs.
   int jobs = 0;
@@ -47,7 +47,8 @@ struct RunnerOptions {
   bool capture_obs = false;
 };
 
-// Resolves a requested job count to the effective worker count (>= 1).
+// Resolves a requested job count to the effective worker count (>= 1):
+// `requested_jobs` if positive, else the hardware concurrency.
 int ResolveJobs(int requested_jobs);
 
 // Runs all scenarios; blocks until done. A scenario body that throws
@@ -59,7 +60,9 @@ ResultTable RunScenarios(std::span<const Scenario> scenarios,
 // --- Command-line plumbing shared by benches and tools ---
 //
 // Recognized flags (everything else lands in `positional`):
-//   --jobs=N | --jobs N     worker count (default: see RunnerOptions)
+//   --jobs=N | --jobs N     worker count; beats AMPERE_JOBS=N from the
+//                           environment, which is parsed the same way
+//                           (default: see RunnerOptions)
 //   --csv=PATH | --csv PATH write the deterministic CSV table to PATH
 //   --json=PATH             write the full JSON record (incl. timing)
 //   --no-notes              suppress per-run notes on stdout
@@ -89,14 +92,6 @@ ResultTable RunScenarios(std::span<const Scenario> scenarios,
 //                           ParseBudgetSchedule's (step:.. / ramp:.. /
 //                           diurnal:.., ';'-separated), parsed here so a
 //                           malformed spec is a flag error
-//   --store-dir=DIR         storage-aware benches attach a persistent
-//                           telemetry cold tier under DIR (run-suffixed via
-//                           ArtifactPathForRun, so grids never share a
-//                           store); off by default — RAM-only, goldens
-//                           unchanged
-//   --hot-budget=N          hot-tier budget in rows per telemetry frame, with
-//                           --store-dir (>= 2; 0/absent keeps the
-//                           StorageSection default)
 struct HarnessArgs {
   RunnerOptions runner;
   std::string csv_path;
@@ -121,18 +116,12 @@ struct HarnessArgs {
   // --budget-schedule: the parsed P(t) (nullopt = flag absent); benches copy
   // it into ExperimentConfig::budget_schedule.
   std::optional<BudgetSchedule> budget_schedule;
-  // --store-dir / --hot-budget: persistent telemetry cold tier (empty = off,
-  // RAM-only). Storage-aware benches copy these into each scenario's
-  // ExperimentConfig::storage via bench::ApplyStorageArgs, deriving the
-  // per-run store directory with ArtifactPathForRun. hot_budget_samples = 0
-  // keeps the StorageSection default.
-  std::string store_dir;
-  size_t hot_budget_samples = 0;
   std::vector<std::string> positional;
 };
 
 // A recognized flag whose value does not parse: the flag as spelled in the
-// usage above ("--jobs") and a message naming the rejected value.
+// usage above ("--jobs", or "AMPERE_JOBS" for the environment variable) and
+// a message naming the rejected value.
 struct FlagError {
   std::string flag;
   std::string message;
@@ -164,13 +153,12 @@ std::optional<T> ParseFlagNumber(std::string_view text, T lo, T hi) {
 }
 
 // Parses the flags above without aborting. Numbers must be whole base-10
-// strings in range (`--jobs=4abc`, `--hot-budget=3x` and overflowing values
+// strings in range (`--jobs=4abc`, `AMPERE_JOBS=1abc` and overflowing values
 // are errors), --log-level/--faults must name a known level/preset, and
 // --budget-schedule must parse.
 // On success it also applies the log level: AMPERE_LOG_LEVEL from the
 // environment if set, then --log-level on top (flag beats environment) —
-// mirroring how ResolveJobs treats --jobs/AMPERE_JOBS. On error it changes
-// no global state.
+// as --jobs beats AMPERE_JOBS. On error it changes no global state.
 HarnessArgsResult TryParseHarnessArgs(int argc, char** argv);
 
 // TryParseHarnessArgs for a main(): on a FlagError it prints the message to

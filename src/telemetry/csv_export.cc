@@ -19,9 +19,7 @@ void ExportCsv(const TimeSeriesDb& db, std::span<const std::string> series,
   }
   out << "\n";
 
-  // Row index: union of timestamps -> per-series value. The stitched read
-  // walks cold (spilled) history then the hot rows, in time order, so the
-  // exported bytes are identical whether or not a cold store is attached.
+  // Row index: union of timestamps -> per-series value, in time order.
   std::map<int64_t, std::vector<std::pair<size_t, double>>> rows;
   for (size_t column = 0; column < series.size(); ++column) {
     db.SeriesStitched(series[column]).ForEachPoint([&](const TimePoint& p) {

@@ -126,11 +126,9 @@ class PowerMonitor {
 
   // Capacity hint: reserves `expected_samples` rows of each of this
   // monitor's tier frames in the TimeSeriesDb (now, or when the first
-  // sample builds them), so the steady-state sample path touches no allocator. Purely a
-  // reservation — sampling past the hint still works (amortized growth).
-  // When the db has a cold store attached, ReserveRows clamps the
-  // reservation to the hot budget (spilling caps hot occupancy, so
-  // reserving the full run length would defeat the bounded-RSS contract).
+  // sample builds them), so the steady-state sample path touches no
+  // allocator. Purely a reservation — sampling past the hint still works
+  // (amortized growth).
   void PreallocateSamples(size_t expected_samples);
 
   // Takes one sample immediately (also used by Start's periodic task).

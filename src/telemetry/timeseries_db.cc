@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <type_traits>
 
 #include "src/common/check.h"
-#include "src/telemetry/cold_store.h"
 
 namespace ampere {
 namespace {
@@ -83,13 +83,9 @@ bool RowFits(std::span<const double> values, const uint8_t* absent) {
 
 }  // namespace
 
-StitchedView::StitchedView(std::vector<ColdPiece> cold, const HotColumn& hot)
-    : cold_(std::move(cold)), hot_(hot) {
-  for (const ColdPiece& piece : cold_) {
-    size_ += piece.size();
-  }
+StitchedView::StitchedView(const HotColumn& hot) : hot_(hot) {
   if (hot_.presence == nullptr) {
-    size_ += hot_.stamps.size();
+    size_ = hot_.stamps.size();
   } else {
     for (size_t i = 0; i < hot_.stamps.size(); ++i) {
       if (hot_.present(i)) {
@@ -180,11 +176,6 @@ FrameId TimeSeriesDb::FrameOf(SeriesId id) {
 void TimeSeriesDb::ReserveRows(FrameId frame, size_t rows) {
   AMPERE_CHECK(frame.valid() && frame.index() < frames_.size())
       << "ReserveRows through invalid FrameId";
-  if (cold_ != nullptr && rows > hot_budget_) {
-    // Spilling caps hot occupancy at the budget; reserving the full run
-    // length would defeat the bounded-RSS contract.
-    rows = hot_budget_;
-  }
   Frame& f = frames_[frame.index()];
   f.stamps.reserve(rows);
   const size_t cells = rows * f.members.size();
@@ -227,12 +218,9 @@ void TimeSeriesDb::AppendFrame(FrameId frame, SimTime stamp,
   if (f.width == CellWidth::kDouble) {
     f.wide.insert(f.wide.end(), values.begin(), values.end());
   }
-  f.hot_points += (absent != nullptr || !f.presence.empty())
-                      ? AppendPresence(f, absent)
-                      : f.members.size();
-  if (f.stamps.size() >= spill_trigger_) {
-    SpillOldest(f);
-  }
+  f.points += (absent != nullptr || !f.presence.empty())
+                  ? AppendPresence(f, absent)
+                  : f.members.size();
 }
 
 void TimeSeriesDb::Widen(Frame& frame, CellWidth to) {
@@ -285,64 +273,6 @@ size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
   return present;
 }
 
-void TimeSeriesDb::AttachColdStore(ColdStore* store, size_t hot_budget_rows) {
-  AMPERE_CHECK(store != nullptr) << "AttachColdStore with null store";
-  AMPERE_CHECK(cold_ == nullptr) << "cold store already attached";
-  AMPERE_CHECK(hot_budget_rows >= 2)
-      << "hot budget must keep at least two rows";
-  cold_ = store;
-  hot_budget_ = hot_budget_rows;
-  spill_trigger_ = hot_budget_rows;
-  // Restart path: series living only in the reopened store become visible
-  // to Find / SeriesNames without a hot append.
-  for (const std::string& name : store->SeriesNames()) {
-    Intern(name);
-  }
-}
-
-void TimeSeriesDb::SpillOldest(Frame& frame) {
-  const size_t keep = std::max<size_t>(1, hot_budget_ / 2);
-  const size_t rows = frame.stamps.size();
-  if (rows <= keep) {
-    return;
-  }
-  const size_t n = rows - keep;
-  const size_t width = frame.members.size();
-  const size_t words = frame.words();
-  const bool sparse = !frame.presence.empty();
-  // Transpose: each member's present cells of the oldest n rows become one
-  // time-ordered batch for its own segment chain.
-  size_t spilled = 0;
-  for (size_t c = 0; c < width; ++c) {
-    spill_scratch_.clear();
-    const uint64_t mask = uint64_t{1} << (c % 64);
-    for (size_t r = 0; r < n; ++r) {
-      if (sparse && (frame.presence[r * words + c / 64] & mask) == 0) {
-        continue;
-      }
-      spill_scratch_.push_back(
-          TimePoint{frame.stamps[r], frame.value(r * width + c)});
-    }
-    if (!spill_scratch_.empty()) {
-      cold_->AppendBatch(names_[frame.members[c].index()], spill_scratch_);
-      spilled += spill_scratch_.size();
-    }
-  }
-  frame.stamps.erase(frame.stamps.begin(),
-                     frame.stamps.begin() + static_cast<std::ptrdiff_t>(n));
-  const auto cells = static_cast<std::ptrdiff_t>(n * width);
-  frame.WithBlock([cells](auto& block) {
-    block.erase(block.begin(), block.begin() + cells);
-  });
-  if (sparse) {
-    frame.presence.erase(
-        frame.presence.begin(),
-        frame.presence.begin() + static_cast<std::ptrdiff_t>(n * words));
-  }
-  frame.hot_points -= spilled;
-  samples_spilled_ += spilled;
-}
-
 HotColumn TimeSeriesDb::HotColumnFor(Slot slot, SimTime from,
                                      SimTime to) const {
   HotColumn hot;
@@ -386,48 +316,32 @@ StitchedView TimeSeriesDb::QueryStitched(SeriesId id, SimTime from,
   if (!id.valid() || id.index() >= names_.size()) {
     return StitchedView();
   }
-  std::vector<ColdPiece> cold;
-  if (cold_ != nullptr) {
-    cold_->QueryPieces(names_[id.index()], from, to, &cold);
-  }
-  return StitchedView(std::move(cold),
-                      HotColumnFor(slots_[id.index()], from, to));
+  return StitchedView(HotColumnFor(slots_[id.index()], from, to));
 }
 
 StitchedView TimeSeriesDb::SeriesStitched(SeriesId id) const {
   return QueryStitched(id, kEarliest, SimTime::Max());
 }
 
-std::optional<TimePoint> TimeSeriesDb::LatestHot(Slot slot) const {
-  const HotColumn hot = HotColumnFor(slot, kEarliest, SimTime::Max());
-  for (size_t i = hot.stamps.size(); i-- > 0;) {
-    if (hot.present(i)) {
-      return TimePoint{hot.stamps[i], hot.value(i)};
-    }
-  }
-  return std::nullopt;
-}
-
 std::optional<TimePoint> TimeSeriesDb::Latest(SeriesId id) const {
   if (!id.valid() || id.index() >= names_.size()) {
     return std::nullopt;
   }
-  std::optional<TimePoint> latest = LatestHot(slots_[id.index()]);
-  if (!latest.has_value() && cold_ != nullptr) {
-    // Every hot cell of this series is absent (or it has no hot rows): its
-    // newest point, if any, is the last cold one.
-    SeriesStitched(id).ForEachPoint(
-        [&latest](const TimePoint& point) { latest = point; });
+  const HotColumn column =
+      HotColumnFor(slots_[id.index()], kEarliest, SimTime::Max());
+  for (size_t i = column.stamps.size(); i-- > 0;) {
+    if (column.present(i)) {
+      return TimePoint{column.stamps[i], column.value(i)};
+    }
   }
-  return latest;
+  return std::nullopt;
 }
 
 std::vector<std::string> TimeSeriesDb::SeriesNames() const {
   std::vector<std::string> names;
   names.reserve(names_.size());
   for (size_t i = 0; i < names_.size(); ++i) {
-    if (LatestHot(slots_[i]).has_value() ||
-        (cold_ != nullptr && cold_->SamplesForSeries(names_[i]) > 0)) {
+    if (Latest(SeriesId(static_cast<uint32_t>(i))).has_value()) {
       names.push_back(names_[i]);
     }
   }
@@ -438,10 +352,7 @@ std::vector<std::string> TimeSeriesDb::SeriesNames() const {
 size_t TimeSeriesDb::TotalPoints() const {
   size_t n = 0;
   for (const Frame& frame : frames_) {
-    n += frame.hot_points;
-  }
-  if (cold_ != nullptr) {
-    n += static_cast<size_t>(cold_->total_samples());
+    n += frame.points;
   }
   return n;
 }

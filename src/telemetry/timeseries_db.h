@@ -31,15 +31,10 @@
 // place a string is hashed or copied) and appends through the integer
 // SeriesId. String-keyed calls are a thin shim over interning.
 //
-// An optional persistent cold tier (src/telemetry/cold_store.h) bounds the
-// hot tier's RSS: AttachColdStore sets a hot budget in frame rows, and a
-// frame that reaches it spills its oldest rows, transposed per member
-// series, into memory-mapped segment files through ColdStore::AppendBatch.
-// Spilling changes where history lives, not what it says — QueryStitched /
-// SeriesStitched, the one read path, return the full hot+cold history
-// losslessly (bit-exact doubles, exact microsecond timestamps), so export
-// and analysis bytes are identical with the tier on or off. With no store
-// attached the spill machinery costs one integer compare per row.
+// There is one tier: every point a run appends stays in its frame for the
+// db's lifetime. At 2 bytes per whole-watt cell the longest shipped run
+// stays well under the memory of any host it runs on; the sizing is in
+// docs/telemetry_storage.md.
 
 #ifndef SRC_TELEMETRY_TIMESERIES_DB_H_
 #define SRC_TELEMETRY_TIMESERIES_DB_H_
@@ -47,7 +42,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -59,27 +53,12 @@
 
 namespace ampere {
 
-class ColdStore;  // src/telemetry/cold_store.h
-
 struct TimePoint {
   SimTime time;
   double value = 0.0;
 };
 
-// One contiguous run of cold samples, decoded lazily. `values` is a
-// zero-copy span over the mapped value column (raw IEEE-754 bits, so reads
-// are bit-exact); timestamps reconstruct exactly as base_time plus the
-// running sum of `deltas[1..]` (microsecond deltas — deltas[0] is the delta
-// from the sample *before* this piece and is ignored when decoding).
-struct ColdPiece {
-  SimTime base_time;                // Absolute time of values[0].
-  std::span<const int64_t> deltas;  // Same length as values.
-  std::span<const double> values;
-
-  size_t size() const { return values.size(); }
-};
-
-// One series' hot rows inside its frame: the frame's stamps, the series'
+// One series' rows inside its frame: the frame's stamps, the series'
 // strided value column (16-bit, float or double, as the frame stores it)
 // and, if the frame has ever held an absent cell, the series' presence bits
 // (one word per row at `presence_stride`, tested with `presence_mask`).
@@ -107,31 +86,20 @@ struct HotColumn {
   }
 };
 
-// A stitched hot+cold query result: cold pieces in time order followed by
-// the series' hot frame column, all zero-copy. Views are invalidated by the
-// next append to the series' frame (hot growth, spill, or segment seal);
-// consume before resuming appends. With the cold tier off this is just the
-// hot column, so callers read through it unconditionally.
+// A query result: the series' rows of its frame column in the queried
+// range, zero-copy. Views are invalidated by the next append to the
+// series' frame (growth or widening); consume before resuming appends.
 class StitchedView {
  public:
   StitchedView() = default;
-  StitchedView(std::vector<ColdPiece> cold, const HotColumn& hot);
+  explicit StitchedView(const HotColumn& hot);
 
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
 
-  // Visits every point in time order (cold pieces, then the hot column).
+  // Visits every present point in time order.
   template <typename Fn>
   void ForEachPoint(Fn&& fn) const {
-    for (const ColdPiece& piece : cold_) {
-      SimTime t = piece.base_time;
-      for (size_t i = 0; i < piece.values.size(); ++i) {
-        if (i > 0) {
-          t = t + SimTime::Micros(piece.deltas[i]);
-        }
-        fn(TimePoint{t, piece.values[i]});
-      }
-    }
     for (size_t i = 0; i < hot_.stamps.size(); ++i) {
       if (hot_.present(i)) {
         fn(TimePoint{hot_.stamps[i], hot_.value(i)});
@@ -143,7 +111,6 @@ class StitchedView {
   std::vector<TimePoint> Materialize() const;
 
  private:
-  std::vector<ColdPiece> cold_;
   HotColumn hot_;
   size_t size_ = 0;
 };
@@ -226,9 +193,7 @@ class TimeSeriesDb {
                    std::span<const double> values,
                    const uint8_t* absent = nullptr);
 
-  // Pre-sizes a frame for `rows` rows (clamped to the hot budget when a
-  // cold store is attached: spilling caps hot occupancy, and reserving the
-  // full run would defeat the bounded-RSS contract).
+  // Pre-sizes a frame for `rows` rows.
   void ReserveRows(FrameId frame, size_t rows);
 
   // --- Single-series appends (width-1 frames) ------------------------------
@@ -246,16 +211,13 @@ class TimeSeriesDb {
   }
 
   // Pre-sizes the series' frame (its own width-1 frame if it has none yet)
-  // for `expected_points` rows, clamped like ReserveRows.
+  // for `expected_points` rows.
   void ReservePoints(SeriesId id, size_t expected_points);
 
   // --- Reads ---------------------------------------------------------------
 
-  // Full-history reads across both tiers: cold pieces (zero-copy views of
-  // the mapped columns) stitched with the hot frame column. The one read
-  // path: with no cold store attached these are exactly the hot reads, so
-  // export/analysis code calls them unconditionally and gets identical
-  // bytes either way. Unknown series read as empty.
+  // Full-history reads: zero-copy views of the series' frame column. The
+  // one read path for export and analysis. Unknown series read as empty.
   StitchedView SeriesStitched(SeriesId id) const;
   StitchedView QueryStitched(SeriesId id, SimTime from, SimTime to) const;
   StitchedView SeriesStitched(std::string_view series) const {
@@ -266,39 +228,22 @@ class TimeSeriesDb {
     return QueryStitched(Find(series), from, to);
   }
 
-  // Most recent point of the series, if any (hot first; the cold tier only
-  // when the hot rows hold no cell of this series).
+  // Most recent point of the series, if any.
   std::optional<TimePoint> Latest(SeriesId id) const;
   std::optional<TimePoint> Latest(std::string_view series) const {
     return Latest(Find(series));
   }
 
-  // Names of series that hold at least one point (in either tier), sorted.
+  // Names of series that hold at least one point, sorted.
   // Pre-interned but never-appended series are deliberately excluded:
   // interning is a capacity hint, not an observable write.
   std::vector<std::string> SeriesNames() const;
-  // Total points across both tiers.
+  // Total points across all series.
   size_t TotalPoints() const;
-  // Bytes of the hot cells (absent ones included) across all frames: 2 per
+  // Bytes of the stored cells (absent ones included) across all frames: 2 per
   // cell of a 16-bit frame, 4 per cell of a float one, 8 per cell of a
   // double one.
   size_t HotValueBytes() const;
-
-  // --- Cold tier (optional persistent spill) ------------------------------
-
-  // Attaches a cold store and arms the spill policy: once a frame holds
-  // `hot_budget_rows` hot rows, its oldest `rows - max(1, budget/2)` rows
-  // spill into `store` (each member's present cells through AppendBatch)
-  // and are erased from RAM, so no series ever holds more than the budget
-  // in RAM. Series already in `store` (the OpenExisting restart path) are
-  // interned so lookups and SeriesNames see them. `store` must outlive
-  // this db; budget >= 2.
-  void AttachColdStore(ColdStore* store, size_t hot_budget_rows);
-
-  bool spill_enabled() const { return cold_ != nullptr; }
-  size_t hot_budget_rows() const { return hot_budget_; }
-  uint64_t samples_spilled() const { return samples_spilled_; }
-  ColdStore* cold_store() const { return cold_; }
 
  private:
   static constexpr uint32_t kNoFrame = 0xffffffffu;
@@ -314,7 +259,7 @@ class TimeSeriesDb {
 
   struct Frame {
     std::vector<SeriesId> members;  // Column order.
-    std::vector<SimTime> stamps;    // One per hot row.
+    std::vector<SimTime> stamps;    // One per row.
     // Row-major cells, members.size() per row, in the block of the frame's
     // width; the other two blocks stay empty.
     std::vector<uint16_t> whole;
@@ -324,7 +269,7 @@ class TimeSeriesDb {
     // Row-major presence bits, words() words per row; bit c%64 of word
     // c/64 is column c. Empty until the first absent cell.
     std::vector<uint64_t> presence;
-    size_t hot_points = 0;  // Present cells in the hot rows.
+    size_t points = 0;  // Present cells.
 
     size_t words() const { return (members.size() + 63) / 64; }
     // Calls fn with the block of the frame's width.
@@ -346,17 +291,6 @@ class TimeSeriesDb {
     size_t cell_capacity() const {
       return whole.capacity() + narrow.capacity() + wide.capacity();
     }
-    double value(size_t cell) const {
-      switch (width) {
-        case CellWidth::kWhole16:
-          return static_cast<double>(whole[cell]);
-        case CellWidth::kFloat:
-          return static_cast<double>(narrow[cell]);
-        case CellWidth::kDouble:
-          break;
-      }
-      return wide[cell];
-    }
   };
 
   // The series' frame; a still-unframed series gets its own width-1 frame.
@@ -368,12 +302,6 @@ class TimeSeriesDb {
   // keeping its reserved row capacity.
   static void Widen(Frame& frame, CellWidth to);
   HotColumn HotColumnFor(Slot slot, SimTime from, SimTime to) const;
-  // Newest present hot cell of the series in `slot`, if any.
-  std::optional<TimePoint> LatestHot(Slot slot) const;
-  // Spills the frame's oldest rows past the hot budget into the cold store
-  // (per member, present cells only) and erases them from RAM. Keeps the
-  // newest max(1, budget/2) rows, so the append-order check stays hot-only.
-  void SpillOldest(Frame& frame);
 
   // Transparent (heterogeneous) hash/equal: find() and the insert-or-lookup
   // in Intern accept std::string_view without materializing a std::string.
@@ -389,14 +317,6 @@ class TimeSeriesDb {
   std::vector<std::string> names_;  // Indexed by SeriesId.
   std::vector<Slot> slots_;         // Indexed by SeriesId.
   std::vector<Frame> frames_;       // Indexed by FrameId.
-
-  // Cold tier; null (and spill_trigger_ = SIZE_MAX, keeping the append-path
-  // branch always-false) until AttachColdStore.
-  ColdStore* cold_ = nullptr;
-  size_t hot_budget_ = 0;
-  size_t spill_trigger_ = std::numeric_limits<size_t>::max();
-  uint64_t samples_spilled_ = 0;
-  std::vector<TimePoint> spill_scratch_;  // One member's cells per spill.
 };
 
 }  // namespace ampere

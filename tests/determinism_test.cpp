@@ -1,5 +1,5 @@
 // Determinism contract: a run's artifacts are a pure function of its
-// config. These tests pin it at four levels:
+// config. These tests pin it at three levels:
 //
 //   1. Counter-based noise streams — a variate is a pure function of
 //      (seed, stream, tick); the two-stage key derivation (hoisted TickBase
@@ -12,15 +12,11 @@
 //   3. Trace round trip — recording is a pass-through, and replaying the
 //      reparsed trace reproduces the controller DecisionJournal CSV and the
 //      entire TimeSeriesDb (per-server series included) byte for byte.
-//   4. Spill identity — the cold tier moves no byte of any artifact, and a
-//      reopened store serves the cold bytes the sealing run wrote.
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
-#include <map>
 #include <memory>
 #include <numbers>
 #include <sstream>
@@ -35,13 +31,11 @@
 #include "src/common/span_kernels.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
-#include "src/telemetry/cold_store.h"
 #include "src/harness/grid.h"
 #include "src/harness/runner.h"
 #include "src/telemetry/csv_export.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/telemetry/timeseries_db.h"
-#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -393,87 +387,6 @@ TEST(TraceRoundTripTest, ReplayWhileRecordingReproducesTheTrace) {
   }
   // And byte-equal after serialization, which also covers the header.
   EXPECT_EQ(SerializeTrace(*second), SerializeTrace(*first));
-}
-
-// --- 4. Spill identity ----------------------------------------------------
-//
-// The cold tier is write-path-only during the closed loop (the controller
-// and metrics read the monitor's caches, never the db), so enabling spill
-// must not move a single byte of any artifact: the DecisionJournal and the
-// stitched TimeSeriesDb CSV (ExportCsv reads hot + cold) must equal the
-// RAM-only reference. And the restart contract: a
-// store reopened via OpenExisting in a fresh process serves the identical
-// cold bytes the sealing run produced.
-
-// Canonical per-point rendering of a stitched series, capped at `limit`
-// points — the byte form both halves of the restart comparison share.
-std::string CanonicalStitched(const TimeSeriesDb& db, const std::string& name,
-                              size_t limit) {
-  std::string out;
-  size_t emitted = 0;
-  db.SeriesStitched(name).ForEachPoint([&](const TimePoint& point) {
-    if (emitted++ >= limit) {
-      return;
-    }
-    char line[64];
-    std::snprintf(line, sizeof(line), "%lld %.17g\n",
-                  static_cast<long long>(point.time.micros()), point.value);
-    out += line;
-  });
-  return out;
-}
-
-TEST(SpillIdentityTest, SpillArtifactsByteIdenticalToRamOnly) {
-  const ScratchDir scratch("spill_identity");
-  const std::string& dir = scratch.path();
-  const LoopArtifacts reference = RunDefaultLoop();
-  ASSERT_NE(reference.db_csv.find("server/"), std::string::npos);
-  ExperimentConfig config = LoopConfig();
-  config.storage.store_dir = dir;
-  config.storage.hot_budget_samples = 48;  // Force heavy spilling.
-  ControlledExperiment experiment(config);
-  const ExperimentResult result = experiment.Run();
-  ASSERT_NE(experiment.cold_store(), nullptr);
-  EXPECT_GT(experiment.db().samples_spilled(), 0u)
-      << "budget 48 over a 2.5 h run must spill, or this test is vacuous";
-  EXPECT_GT(result.cold_segments, 0u) << "the spill wrote no segment";
-  EXPECT_EQ(experiment.controller()->journal().ToCsv(), reference.journal_csv)
-      << "DecisionJournal CSV diverged under spill";
-  std::ostringstream out;
-  ExportCsv(experiment.db(), experiment.db().SeriesNames(), out);
-  EXPECT_EQ(out.str(), reference.db_csv)
-      << "stitched TimeSeriesDb CSV diverged under spill";
-}
-
-TEST(SpillIdentityTest, OpenExistingReproducesColdBytesAfterRestart) {
-  const ScratchDir scratch("spill_restart");
-  const std::string dir = scratch.path() + "/store";
-  constexpr size_t kHotBudget = 48;
-  std::map<std::string, std::string> want;  // series -> cold-prefix bytes.
-  {
-    ExperimentConfig config = LoopConfig();
-    config.storage.store_dir = dir;
-    config.storage.hot_budget_samples = kHotBudget;
-    ControlledExperiment experiment(config);
-    experiment.Run();  // Flushes the store on the way out.
-    ASSERT_NE(experiment.cold_store(), nullptr);
-    const ColdStore& store = *experiment.cold_store();
-    for (const std::string& name : store.SeriesNames()) {
-      want[name] = CanonicalStitched(experiment.db(), name,
-                                     store.SamplesForSeries(name));
-    }
-    ASSERT_GT(want.size(), 48u) << "per-server series must have spilled";
-  }  // Experiment (and its store) destroyed: the restart boundary.
-
-  auto reopened = ColdStore::OpenExisting(ColdStoreConfig{dir});
-  ASSERT_TRUE(reopened.status.ok()) << reopened.status.message;
-  TimeSeriesDb restarted;
-  restarted.AttachColdStore(reopened.store.get(), kHotBudget);
-  ASSERT_EQ(restarted.SeriesNames().size(), want.size());
-  for (const auto& [name, bytes] : want) {
-    EXPECT_EQ(CanonicalStitched(restarted, name, SIZE_MAX), bytes)
-        << "cold bytes changed across restart for " << name;
-  }
 }
 
 TEST(TraceRoundTripTest, GridResultTableBytesIdenticalForReplayArm) {

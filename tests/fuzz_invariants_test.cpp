@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <span>
 #include <string>
@@ -19,12 +18,9 @@
 
 #include "src/core/controller.h"
 #include "src/sched/scheduler.h"
-#include "src/telemetry/cold_store.h"
-#include "src/telemetry/mmap_segment.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/workload/batch_workload.h"
 #include "src/workload/trace_format.h"
-#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -577,147 +573,6 @@ TEST(TraceParseTest, RandomByteMutationSweepNeverCrashes) {
     TraceParseResult parsed = ParseTrace(garbage);
     if (!parsed.ok()) {
       EXPECT_FALSE(parsed.message.empty());
-    }
-  }
-}
-
-// --- Cold store: segment + manifest byte-level fuzzing --------------------
-//
-// Same contract as the trace parser, same sanitizer coverage: segment files
-// and manifests are external bytes. Any corruption — a flip at any offset,
-// truncation at any length, mangled manifest lines — must come back as a
-// structured StoreStatus. Never a crash, never a throw, never a CHECK.
-
-std::string ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)), {});
-}
-
-void WriteFileBytes(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-// A small sealed segment on disk; returns its bytes.
-std::string BuildSealedSegment(const std::string& path) {
-  auto writer = SegmentWriter::Create(path, StoreSeriesKey("fuzz"), 64);
-  EXPECT_NE(writer, nullptr);
-  std::vector<TimePoint> points;
-  for (int i = 0; i < 32; ++i) {
-    points.push_back(TimePoint{SimTime::Minutes(static_cast<double>(i + 1)),
-                               0.5 * i});
-  }
-  writer->AppendBatch(points);
-  EXPECT_TRUE(writer->Seal().ok());
-  return ReadFileBytes(path);
-}
-
-TEST(ColdStoreFuzzTest, SegmentByteFlipsAtEveryOffsetAreStructured) {
-  const ScratchDir scratch("fuzz_segment_flips");
-  const std::string& dir = scratch.path();
-  const std::string path = dir + "/seg.seg";
-  const std::string valid = BuildSealedSegment(path);
-  ASSERT_TRUE(SegmentReader::Open(path).status.ok());
-  // Every byte of a sealed segment is covered by a CRC (or checked before
-  // the CRCs, like the magic), so ANY changed byte must fail to open — with
-  // a structured error, under ASan/UBSan in CI.
-  for (size_t at = 0; at < valid.size(); ++at) {
-    for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xff}}) {
-      std::string bytes = valid;
-      bytes[at] = static_cast<char>(static_cast<uint8_t>(bytes[at]) ^ mask);
-      WriteFileBytes(path, bytes);
-      auto opened = SegmentReader::Open(path);
-      EXPECT_FALSE(opened.status.ok())
-          << "byte " << at << " ^ " << static_cast<int>(mask) << " opened";
-      EXPECT_NE(opened.status.error, StoreError::kNone);
-      EXPECT_FALSE(opened.status.message.empty());
-    }
-  }
-}
-
-TEST(ColdStoreFuzzTest, SegmentTruncationAtEveryLengthIsStructured) {
-  const ScratchDir scratch("fuzz_segment_trunc");
-  const std::string& dir = scratch.path();
-  const std::string path = dir + "/seg.seg";
-  const std::string valid = BuildSealedSegment(path);
-  for (size_t len = 0; len < valid.size(); ++len) {
-    WriteFileBytes(path, valid.substr(0, len));
-    auto opened = SegmentReader::Open(path);
-    EXPECT_FALSE(opened.status.ok()) << "prefix of " << len << " opened";
-    EXPECT_NE(opened.status.error, StoreError::kNone);
-    EXPECT_FALSE(opened.status.message.empty());
-  }
-  WriteFileBytes(path, valid);
-  EXPECT_TRUE(SegmentReader::Open(path).status.ok());
-}
-
-TEST(ColdStoreFuzzTest, SegmentGarbageBuffersAreStructured) {
-  const ScratchDir scratch("fuzz_segment_garbage");
-  const std::string& dir = scratch.path();
-  const std::string path = dir + "/seg.seg";
-  Rng rng(20160808);
-  for (int iteration = 0; iteration < 500; ++iteration) {
-    std::string garbage(rng.NextU64() % 1024, '\0');
-    for (char& c : garbage) {
-      c = static_cast<char>(rng.NextU64());
-    }
-    WriteFileBytes(path, garbage);
-    auto opened = SegmentReader::Open(path);
-    EXPECT_FALSE(opened.status.ok());
-    EXPECT_FALSE(opened.status.message.empty());
-  }
-}
-
-TEST(ColdStoreFuzzTest, ManifestMutationSweepNeverCrashes) {
-  const ScratchDir scratch("fuzz_manifest_mut");
-  const std::string& dir = scratch.path();
-  {
-    auto created = ColdStore::Create(ColdStoreConfig{dir, 16});
-    ASSERT_TRUE(created.status.ok());
-    std::vector<TimePoint> points;
-    for (int i = 0; i < 40; ++i) {
-      points.push_back(TimePoint{SimTime::Minutes(static_cast<double>(i + 1)),
-                                 1.5 * i});
-    }
-    created.store->AppendBatch("power/total", points);
-    created.store->AppendBatch("server/0/power", points);
-    ASSERT_TRUE(created.store->Flush().ok());
-  }
-  const std::string manifest = dir + "/manifest.ampts";
-  const std::string valid = ReadFileBytes(manifest);
-  ASSERT_TRUE(ColdStore::OpenExisting(ColdStoreConfig{dir}).status.ok());
-  Rng rng(20160809);
-  // Byte mutations, truncations, and random insertions. A mutation may
-  // land on a don't-care byte and still open; if it does not, the error
-  // must be structured.
-  for (int iteration = 0; iteration < 2000; ++iteration) {
-    std::string bytes = valid;
-    switch (rng.NextU64() % 3) {
-      case 0: {  // Flip a few bytes.
-        const int flips = 1 + static_cast<int>(rng.NextU64() % 4);
-        for (int f = 0; f < flips; ++f) {
-          const size_t at = rng.NextU64() % bytes.size();
-          bytes[at] = static_cast<char>(rng.NextU64());
-        }
-        break;
-      }
-      case 1:  // Truncate.
-        bytes.resize(rng.NextU64() % bytes.size());
-        break;
-      default: {  // Insert garbage at a random spot.
-        std::string junk(1 + rng.NextU64() % 32, '\0');
-        for (char& c : junk) {
-          c = static_cast<char>(rng.NextU64());
-        }
-        bytes.insert(rng.NextU64() % (bytes.size() + 1), junk);
-        break;
-      }
-    }
-    WriteFileBytes(manifest, bytes);
-    auto opened = ColdStore::OpenExisting(ColdStoreConfig{dir});
-    if (!opened.status.ok()) {
-      EXPECT_NE(opened.status.error, StoreError::kNone);
-      EXPECT_FALSE(opened.status.message.empty());
     }
   }
 }

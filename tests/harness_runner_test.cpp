@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <thread>
@@ -373,13 +374,39 @@ TEST(HarnessArgsTest, BadFaultsPresetIsAFlagError) {
   EXPECT_EQ(moderate.args.faults_preset, "moderate");
 }
 
-TEST(HarnessArgsTest, BadHotBudgetIsAFlagError) {
-  for (const std::string value :
-       {"3x", "1", "0", "-2", "", "18446744073709551616"}) {
-    ExpectFlagError({"--store-dir=s", "--hot-budget=" + value}, "--hot-budget",
-                    value);
+// Sets AMPERE_JOBS for one scope, then restores what was there.
+class ScopedAmpereJobs {
+ public:
+  explicit ScopedAmpereJobs(const std::string& value) {
+    if (const char* old = std::getenv("AMPERE_JOBS"); old != nullptr) {
+      previous_ = old;
+    }
+    setenv("AMPERE_JOBS", value.c_str(), 1);
   }
-  EXPECT_EQ(TryParse({"--hot-budget=2"}).args.hot_budget_samples, 2u);
+  ~ScopedAmpereJobs() {
+    if (previous_.has_value()) {
+      setenv("AMPERE_JOBS", previous_->c_str(), 1);
+    } else {
+      unsetenv("AMPERE_JOBS");
+    }
+  }
+
+ private:
+  std::optional<std::string> previous_;
+};
+
+TEST(HarnessArgsTest, BadAmpereJobsIsAFlagError) {
+  for (const std::string value : {"abc", "1abc", "0", "-2", "", " 3", "+3"}) {
+    const ScopedAmpereJobs env(value);
+    ExpectFlagError({"--no-notes"}, "AMPERE_JOBS", value);
+  }
+}
+
+TEST(HarnessArgsTest, JobsFlagBeatsAmpereJobs) {
+  const ScopedAmpereJobs env("3");
+  EXPECT_EQ(TryParse({}).args.runner.jobs, 3);
+  EXPECT_EQ(TryParse({"--jobs=2"}).args.runner.jobs, 2);
+  EXPECT_EQ(TryParse({"--jobs", "1"}).args.runner.jobs, 1);
 }
 
 TEST(HarnessArgsTest, BadBudgetScheduleIsAFlagError) {

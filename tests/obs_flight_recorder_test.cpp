@@ -22,7 +22,6 @@
 #include "src/obs/journal.h"
 #include "src/obs/metrics.h"
 #include "src/obs/trace_export.h"
-#include "src/telemetry/cold_store.h"
 #include "tests/scratch_dir.h"
 
 namespace ampere {
@@ -432,7 +431,7 @@ TEST(PostmortemArtifactTest, ChaosRunWritesValidatedPostmortem) {
             std::string::npos);
 }
 
-TEST(PostmortemArtifactTest, CampusRunWritesTraceThenPostmortemsThenManifest) {
+TEST(PostmortemArtifactTest, CampusRunWritesTraceThenPostmortems) {
   // A 2-DC campus whose DC 0 runs hot (target 1.25), so its experiment
   // group violates and the anomaly sink fires campus postmortems.
   ExperimentConfig config;
@@ -452,23 +451,18 @@ TEST(PostmortemArtifactTest, CampusRunWritesTraceThenPostmortemsThenManifest) {
   const std::string& dir = scratch.path();
   config.obs.trace_path = dir + "/campus.trace.json";
   config.obs.postmortem_dir = dir + "/postmortems";
-  config.storage.store_dir = dir + "/store";
-  config.storage.hot_budget_samples = 16;
 
   CampusExperiment experiment(config);
   const CampusResult result = experiment.Run();
-  // Trace first, then at least one postmortem, then the manifest last.
-  ASSERT_GE(result.artifacts.size(), 3u);
+  // Trace first, then at least one postmortem.
+  ASSERT_GE(result.artifacts.size(), 2u);
   EXPECT_EQ(result.artifacts.front(), config.obs.trace_path);
   EXPECT_TRUE(JsonBalanced(ReadFileOrEmpty(result.artifacts.front())));
-  const std::string manifest = result.artifacts.back();
-  EXPECT_EQ(manifest.rfind(config.storage.store_dir, 0), 0u) << manifest;
-  EXPECT_GT(result.cold_samples_spilled, 0u);
 
   // Postmortems are numbered in trigger order under the default label, and
   // carry the allocator's campus/dcK records as their journal tail.
   bool saw_allocator_records = false;
-  for (size_t i = 1; i + 1 < result.artifacts.size(); ++i) {
+  for (size_t i = 1; i < result.artifacts.size(); ++i) {
     EXPECT_EQ(result.artifacts[i], config.obs.postmortem_dir +
                                        "/postmortem_campus_" +
                                        std::to_string(i) + ".json");
@@ -486,15 +480,6 @@ TEST(PostmortemArtifactTest, CampusRunWritesTraceThenPostmortemsThenManifest) {
     }
   }
   EXPECT_TRUE(saw_allocator_records);
-
-  // The store reopens through the instant-restart path while the run's
-  // writer is still alive, so the run itself must have flushed it.
-  ColdStoreConfig reopen;
-  reopen.dir = config.storage.store_dir;
-  const ColdStore::OpenResult reopened = ColdStore::OpenExisting(reopen);
-  ASSERT_TRUE(reopened.status.ok()) << reopened.status.message;
-  EXPECT_EQ(reopened.store->ManifestPath(), manifest);
-  EXPECT_EQ(reopened.store->total_segments(), result.cold_segments);
 }
 
 TEST(JsonEscapeArtifactTest, TabInRunLabelIsEscapedInTraceAndPostmortem) {

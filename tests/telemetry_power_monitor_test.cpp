@@ -13,8 +13,6 @@
 #include "src/common/check.h"
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
-#include "src/telemetry/cold_store.h"
-#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -781,57 +779,6 @@ TEST(PowerMonitorFaultTest, TierFramesHoldEveryPassPointAbsentCellsIncluded) {
     points += got.size();
   }
   EXPECT_EQ(db.TotalPoints(), points);
-}
-
-TEST(PowerMonitorFaultTest, FaultedFramesSpillToTheSameStitchedReads) {
-  // The same faulted sampling into a RAM-only db and into one spilling at
-  // a two-row budget: every series reads back identically, absent cells
-  // included.
-  const ScratchDir scratch("faulted_spill");
-  ColdStoreConfig store_config;
-  store_config.dir = scratch.path();
-  store_config.segment_samples = 4;
-  auto created = ColdStore::Create(store_config);
-  ASSERT_TRUE(created.status.ok()) << created.status.message;
-  Simulation sim;
-  DataCenter dc(SmallTopology(), &sim);
-  TimeSeriesDb ram;
-  TimeSeriesDb spilled;
-  spilled.AttachColdStore(created.store.get(), 2);
-  PowerMonitorConfig config;
-  config.record_servers = true;
-  PowerMonitor ram_monitor(&dc, &ram, config, Rng(5));
-  PowerMonitor spill_monitor(&dc, &spilled, config, Rng(5));
-  ram_monitor.RegisterGroup("evens", {ServerId(0), ServerId(2)});
-  spill_monitor.RegisterGroup("evens", {ServerId(0), ServerId(2)});
-  const uint32_t row0 = faults::FaultPlan::ChannelIndex(
-      PowerMonitor::RowSeries(RowId(0)), kManyChannels);
-  const std::string plan = "sample_dropout_prob=0.3\n" +
-                           ChannelLine(row0, SimTime::Minutes(3),
-                                       SimTime::Minutes(7));
-  faults::FaultInjector ram_injector(PlanFromText(plan));
-  faults::FaultInjector spill_injector(PlanFromText(plan));
-  ram_monitor.AttachFaultInjector(&ram_injector);
-  spill_monitor.AttachFaultInjector(&spill_injector);
-  for (int m = 1; m <= 12; ++m) {
-    ram_monitor.SampleOnce(SimTime::Minutes(m));
-    spill_monitor.SampleOnce(SimTime::Minutes(m));
-  }
-  ASSERT_GT(spilled.samples_spilled(), 0u);
-  ASSERT_GT(ram_injector.counts().dropped_samples, 0u);
-  ASSERT_EQ(spilled.SeriesNames(), ram.SeriesNames());
-  EXPECT_EQ(spilled.TotalPoints(), ram.TotalPoints());
-  for (const std::string& name : ram.SeriesNames()) {
-    const std::vector<TimePoint> want = ram.SeriesStitched(name).Materialize();
-    const std::vector<TimePoint> got =
-        spilled.SeriesStitched(name).Materialize();
-    ASSERT_EQ(got.size(), want.size()) << name;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(got[i].time, want[i].time) << name << " point " << i;
-      EXPECT_EQ(got[i].value, want[i].value) << name << " point " << i;
-    }
-    EXPECT_EQ(spilled.Latest(name)->time, ram.Latest(name)->time) << name;
-  }
 }
 
 TEST(PowerMonitorFaultTest, QuiescentInjectorIsBitIdenticalToNoInjector) {

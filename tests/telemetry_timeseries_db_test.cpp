@@ -5,17 +5,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <deque>
 #include <limits>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/common/check.h"
 #include "src/common/rng.h"
-#include "src/telemetry/cold_store.h"
-#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -168,7 +164,7 @@ bool SameBits(double a, double b) {
   return std::memcmp(&a, &b, sizeof(double)) == 0;
 }
 
-TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdenticalInBothTiers) {
+TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdentical) {
   const double kTwo24 = 16777216.0;
   double nan_with_payload;
   const uint64_t nan_bits = 0x7ff8'0000'dead'beefULL;
@@ -200,53 +196,31 @@ TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdenticalInBothTiers) {
     const double edge = edges[e];
     SCOPED_TRACE("edge " + std::to_string(e));
     EXPECT_EQ(CellBytes(edge), bytes[e]);
-    const ScratchDir scratch("frame_edge_" + std::to_string(e));
-    ColdStoreConfig config;
-    config.dir = scratch.path();
-    auto created = ColdStore::Create(config);
-    ASSERT_TRUE(created.status.ok()) << created.status.message;
-    TimeSeriesDb hot_only;
-    TimeSeriesDb spilling;
-    spilling.AttachColdStore(created.store.get(), 4);
-    for (TimeSeriesDb* db : {&hot_only, &spilling}) {
-      const SeriesId members[] = {db->Intern("whole"), db->Intern("edge")};
-      const FrameId frame = db->RegisterFrame(members);
-      db->ReserveRows(frame, 8);
-      // Three whole-watt rows, then the edge value in every later row.
-      for (int m = 0; m < 6; ++m) {
-        const double row[] = {100.0 + m, m < 3 ? 7.0 : edge};
-        db->AppendFrame(frame, SimTime::Minutes(m), row);
-      }
+    TimeSeriesDb db;
+    const SeriesId members[] = {db.Intern("whole"), db.Intern("edge")};
+    const FrameId frame = db.RegisterFrame(members);
+    db.ReserveRows(frame, 8);
+    // Three whole-watt rows, then the edge value in every later row.
+    for (int m = 0; m < 6; ++m) {
+      const double row[] = {100.0 + m, m < 3 ? 7.0 : edge};
+      db.AppendFrame(frame, SimTime::Minutes(m), row);
     }
-    // Hot tier: 6 rows of 2 cells, at 2 bytes each while every cell is a
-    // 16-bit whole number, and at 4 or 8 once the edge value widened the
-    // frame.
-    EXPECT_EQ(hot_only.HotValueBytes(), 12 * bytes[e]);
-    // The spilling db keeps max(1, 4/2) = 2 hot rows after its spill.
-    EXPECT_EQ(spilling.HotValueBytes(), 4 * bytes[e]);
-    EXPECT_GT(spilling.samples_spilled(), 0u);
-    for (const TimeSeriesDb* db : {&hot_only, &spilling}) {
-      const std::vector<TimePoint> edge_points =
-          db->QueryStitched("edge", SimTime::Minutes(3), SimTime::Minutes(5))
-              .Materialize();
-      ASSERT_EQ(edge_points.size(), 3u);
-      for (const TimePoint& p : edge_points) {
-        EXPECT_TRUE(SameBits(p.value, edge));
-      }
-      EXPECT_TRUE(SameBits(db->Latest("edge")->value, edge));
-      const std::vector<double> whole = ValuesOf(*db, "whole");
-      ASSERT_EQ(whole.size(), 6u);
-      for (int m = 0; m < 6; ++m) {
-        EXPECT_TRUE(SameBits(whole[static_cast<size_t>(m)], 100.0 + m));
-      }
-    }
-    // The spilled rows (minutes 0..3) read back from the cold tier alone.
-    const std::vector<TimePoint> cold =
-        spilling.QueryStitched("edge", SimTime::Minutes(3), SimTime::Minutes(3))
+    // 6 rows of 2 cells, at 2 bytes each while every cell is a 16-bit
+    // whole number, and at 4 or 8 once the edge value widened the frame.
+    EXPECT_EQ(db.HotValueBytes(), 12 * bytes[e]);
+    const std::vector<TimePoint> edge_points =
+        db.QueryStitched("edge", SimTime::Minutes(3), SimTime::Minutes(5))
             .Materialize();
-    ASSERT_EQ(cold.size(), 1u);
-    EXPECT_TRUE(SameBits(cold[0].value, edge));
-    EXPECT_EQ(created.store->SamplesForSeries("edge"), 4u);
+    ASSERT_EQ(edge_points.size(), 3u);
+    for (const TimePoint& p : edge_points) {
+      EXPECT_TRUE(SameBits(p.value, edge));
+    }
+    EXPECT_TRUE(SameBits(db.Latest("edge")->value, edge));
+    const std::vector<double> whole = ValuesOf(db, "whole");
+    ASSERT_EQ(whole.size(), 6u);
+    for (int m = 0; m < 6; ++m) {
+      EXPECT_TRUE(SameBits(whole[static_cast<size_t>(m)], 100.0 + m));
+    }
   }
 }
 
@@ -310,21 +284,19 @@ TEST(TimeSeriesDbFrameTest, WideningGoesStraightToTheWidthTheRowNeeds) {
 // Random frames (widths 1..1,700, plus width-1 series appended on their
 // own) receive rows with random absent cells and repeated stamps; the model
 // stores every series as its own plain vector of points and mirrors only
-// the spill policy's row arithmetic (a frame at the hot budget spills its
-// oldest rows - max(1, budget/2) rows) and the width rule (a frame's cells
-// take the CellBytes of the widest present cell it has held: 2 while every
-// one is WholeExact, 4 while every one is FloatExact, 8 after). Frames
-// start with 16-bit whole numbers and switch to larger whole numbers and
-// then to inexact values at random rows (so they widen to float and to
-// double, or to double in one step, before or after a spill), or hold one
-// kind throughout; absent cells hold inexact values that must not widen. After every row, random stitched range
-// reads, Latest, TotalPoints, samples_spilled and HotValueBytes must agree;
-// at the end, every series' full history and SeriesNames.
+// the width rule (a frame's cells take the CellBytes of the widest present
+// cell it has held: 2 while every one is WholeExact, 4 while every one is
+// FloatExact, 8 after). Frames start with 16-bit whole numbers and switch
+// to larger whole numbers and then to inexact values at random rows (so
+// they widen to float and to double, or to double in one step), or hold
+// one kind throughout; absent cells hold inexact values that must not
+// widen. After every row, random range reads, Latest, TotalPoints and
+// HotValueBytes must agree; at the end, every series' full history and
+// SeriesNames.
 
 struct ModelFrame {
   FrameId id;
-  std::vector<size_t> members;         // Model series indices.
-  std::deque<size_t> hot_row_present;  // Present cells per hot row.
+  std::vector<size_t> members;  // Model series indices.
   SimTime last;
   // Rows from these on carry whole numbers past 16 bits, and inexact
   // values (SIZE_MAX: never).
@@ -332,7 +304,6 @@ struct ModelFrame {
   size_t inexact_from = std::numeric_limits<size_t>::max();
   size_t rows = 0;   // Rows appended so far.
   size_t bytes = 2;  // Bytes per cell.
-  bool spilled = false;
 };
 
 void ExpectSameBits(const std::vector<TimePoint>& got,
@@ -346,35 +317,18 @@ void ExpectSameBits(const std::vector<TimePoint>& got,
   }
 }
 
-class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
+class TimeSeriesDbFramePropertyTest : public ::testing::Test {
  protected:
-  // How often a frame widened to float and to double, before and after its
-  // first spill, across the trials of one budget.
-  size_t to_float_before_spill_ = 0;
-  size_t to_float_after_spill_ = 0;
-  size_t to_double_before_spill_ = 0;
-  size_t to_double_after_spill_ = 0;
+  // How often a frame widened to float and to double across the trials.
+  size_t to_float_ = 0;
+  size_t to_double_ = 0;
 
-  // One lockstep trial; GetParam() is the hot budget in rows (0: no cold
-  // tier).
+  // One lockstep trial.
   void RunTrial(uint64_t seed) {
-    const size_t budget = GetParam();
-    const ScratchDir scratch("frames_" + std::to_string(seed));
-    std::unique_ptr<ColdStore> store;
     TimeSeriesDb db;
-    if (budget > 0) {
-      ColdStoreConfig config;
-      config.dir = scratch.path();
-      config.segment_samples = 16;  // Seals and rolls inside the trial.
-      auto created = ColdStore::Create(config);
-      ASSERT_TRUE(created.status.ok()) << created.status.message;
-      store = std::move(created.store);
-      db.AttachColdStore(store.get(), budget);
-    }
     Rng rng(seed);
     std::vector<SeriesId> ids;
     std::vector<std::vector<TimePoint>> model;  // Indexed like `ids`.
-    uint64_t model_spilled = 0;
     auto add_series = [&] {
       ids.push_back(db.Intern("s" + std::to_string(ids.size())));
       model.emplace_back();
@@ -440,23 +394,7 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
       ++frame.rows;
       if (row_bytes > frame.bytes) {
         frame.bytes = row_bytes;
-        if (row_bytes == 4) {
-          ++(frame.spilled ? to_float_after_spill_ : to_float_before_spill_);
-        } else {
-          ++(frame.spilled ? to_double_after_spill_ : to_double_before_spill_);
-        }
-      }
-    };
-
-    auto spill = [&](ModelFrame& frame) {
-      if (budget == 0 || frame.hot_row_present.size() < budget) {
-        return;
-      }
-      frame.spilled = true;
-      const size_t keep = std::max<size_t>(1, budget / 2);
-      while (frame.hot_row_present.size() > keep) {
-        model_spilled += frame.hot_row_present.front();
-        frame.hot_row_present.pop_front();
+        ++(row_bytes == 4 ? to_float_ : to_double_);
       }
     };
     // Repeats a stamp about a third of the time: appends only need to be
@@ -502,7 +440,6 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
             rng.Bernoulli(0.5) ? 0.0 : (rng.Bernoulli(0.2) ? 1.0 : 0.3);
         values.resize(width);
         absent.assign(width, 0);
-        size_t present = 0;
         size_t row_bytes = 2;
         for (size_t c = 0; c < width; ++c) {
           absent[c] = rng.Bernoulli(absent_p) ? 1 : 0;
@@ -512,14 +449,11 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
           if (absent[c] == 0) {
             model[frame.members[c]].push_back(TimePoint{stamp, values[c]});
             row_bytes = std::max(row_bytes, CellBytes(values[c]));
-            ++present;
           }
         }
         db.AppendFrame(frame.id, stamp, values,
                        absent_p > 0.0 ? absent.data() : nullptr);
         note_row(frame, row_bytes);
-        frame.hot_row_present.push_back(present);
-        spill(frame);
       } else {
         ModelFrame& single = singles[pick - frames.size()];
         const size_t k = single.members.front();
@@ -528,8 +462,6 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
         db.Append(ids[k], stamp, value);
         model[k].push_back(TimePoint{stamp, value});
         note_row(single, CellBytes(value));
-        single.hot_row_present.push_back(1);
-        spill(single);
       }
 
       size_t total = 0;
@@ -537,12 +469,10 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
         total += points.size();
       }
       ASSERT_EQ(db.TotalPoints(), total) << "seed " << seed;
-      ASSERT_EQ(db.samples_spilled(), model_spilled) << "seed " << seed;
       size_t hot_bytes = 0;
       for (const std::vector<ModelFrame>* group : {&frames, &singles}) {
         for (const ModelFrame& frame : *group) {
-          hot_bytes += frame.hot_row_present.size() * frame.members.size() *
-                       frame.bytes;
+          hot_bytes += frame.rows * frame.members.size() * frame.bytes;
         }
       }
       ASSERT_EQ(db.HotValueBytes(), hot_bytes) << "seed " << seed;
@@ -580,30 +510,17 @@ class TimeSeriesDbFramePropertyTest : public ::testing::TestWithParam<size_t> {
   }
 };
 
-TEST_P(TimeSeriesDbFramePropertyTest, LockstepWithPerSeriesModel) {
+TEST_F(TimeSeriesDbFramePropertyTest, LockstepWithPerSeriesModel) {
   for (uint64_t seed = 1; seed <= 12; ++seed) {
-    RunTrial(seed * 7919 + GetParam());
+    RunTrial(seed * 7919);
     if (HasFatalFailure()) {
       return;
     }
   }
-  // The trials exercised both widenings on both sides of a spill.
-  EXPECT_GT(to_float_before_spill_, 0u);
-  EXPECT_GT(to_double_before_spill_, 0u);
-  if (GetParam() > 0 && GetParam() < 64) {
-    EXPECT_GT(to_float_after_spill_, 0u);
-    EXPECT_GT(to_double_after_spill_, 0u);
-  }
+  // The trials exercised both widenings.
+  EXPECT_GT(to_float_, 0u);
+  EXPECT_GT(to_double_, 0u);
 }
-
-INSTANTIATE_TEST_SUITE_P(HotBudgets, TimeSeriesDbFramePropertyTest,
-                         ::testing::Values(size_t{2}, size_t{3}, size_t{64},
-                                           size_t{0}),
-                         [](const ::testing::TestParamInfo<size_t>& param) {
-                           return param.param == 0
-                                      ? std::string("NoColdTier")
-                                      : "Budget" + std::to_string(param.param);
-                         });
 
 }  // namespace
 }  // namespace ampere
