@@ -28,6 +28,7 @@
 #define BENCH_BENCH_COMMON_H_
 
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <utility>
@@ -187,6 +188,16 @@ inline void PrintSeries(const std::string& x_label,
 
 inline void ShapeCheck(bool ok, const std::string& claim) {
   std::printf("SHAPE CHECK [%s]: %s\n", ok ? "PASS" : "FAIL", claim.c_str());
+}
+
+// For the single-run figure benches, which take no flags: any argument is
+// an error, reported as "<argv0>: takes no flags" on stderr with exit
+// status 2 (the harness's flag-error status), instead of being ignored.
+inline void RequireNoArgs(int argc, char** argv) {
+  if (argc > 1) {
+    std::fprintf(stderr, "%s: takes no flags\n", argv[0]);
+    std::exit(2);
+  }
 }
 
 // printf-style append to a RunContext's notes. The format string is always

@@ -179,7 +179,8 @@ void Main() {
 }  // namespace
 }  // namespace ampere
 
-int main() {
+int main(int argc, char** argv) {
+  ampere::bench::RequireNoArgs(argc, argv);
   ampere::Main();
   return 0;
 }

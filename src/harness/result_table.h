@@ -43,9 +43,9 @@ struct ResultRow {
   std::string notes;       // Per-run detail text (kept out of stdout).
   std::string log;         // Captured AMPERE_LOG output of the run.
   // Pre-rendered JSON object with the run's observability data (metrics
-  // snapshot, span profile, journal summary) captured by the runner's
-  // per-run ScopedMetricsRegistry. Emitted verbatim as the "obs" field of
-  // ToJson when non-empty. Spans carry wall-clock values, so this field —
+  // snapshot, span profile, journal summary) from the runner's per-run
+  // registry; filled only under --obs. Emitted verbatim as the "obs" field
+  // of ToJson when non-empty. Spans carry wall-clock values, so this field —
   // like `log` and `wall_ms` — is excluded from CSV and SameData: the
   // determinism contract covers metrics/notes only.
   std::string obs_json;

@@ -52,23 +52,22 @@ void RunOne(const Scenario& scenario, size_t index, bool capture_obs,
   row->scenario = scenario.name;
   row->seed = scenario.seed;
   RunContext context(index, scenario.seed);
-  // One private registry per run (scenario bodies are single-threaded, so
-  // every instrumented write the body triggers stays on this worker thread
-  // and lands here — isolated from concurrent runs).
+  // One private registry per run, --obs or not: scenario bodies are
+  // single-threaded, so every instrumented write the body triggers stays on
+  // this worker thread and lands here, and a postmortem snapshot taken
+  // mid-run holds this run's metrics only. --obs only emits the snapshot.
   obs::MetricsRegistry run_registry;
-  std::optional<obs::ScopedMetricsRegistry> obs_scope;
-  if (capture_obs) obs_scope.emplace(&run_registry);
   auto run_start = std::chrono::steady_clock::now();
   {
+    obs::ScopedMetricsRegistry obs_scope(&run_registry);
     ScopedLogCapture capture;
     RunBody(scenario, context, row);
     row->log = capture.TakeOutput();
   }
   row->wall_ms = ElapsedMs(run_start);
   if (capture_obs) {
-    obs::MetricsSnapshot snapshot = run_registry.Snapshot();
+    const obs::MetricsSnapshot snapshot = run_registry.Snapshot();
     if (!snapshot.empty()) row->obs_json = snapshot.ToJson();
-    obs_scope.reset();
   }
   row->metrics = std::move(context.metrics());
   row->notes = std::move(context.notes());

@@ -39,11 +39,11 @@ struct RunnerOptions {
   // at the number of scenarios and reports the capped count in
   // ResultTable::jobs.
   int jobs = 0;
-  // Install a per-run obs::ScopedMetricsRegistry so every counter, gauge,
-  // histogram, and span the run touches lands in an isolated snapshot,
-  // rendered into ResultRow::obs_json (the "obs" section of ToJson). Off
-  // by default: runs that don't ask for it pay nothing, and existing JSON
-  // output stays byte-identical.
+  // Every run writes its counters, gauges, histograms and spans into its
+  // own metrics registry (so a postmortem snapshots that run alone). This
+  // only decides whether the run's snapshot is rendered into
+  // ResultRow::obs_json (the "obs" section of ToJson). Off by default, so
+  // existing JSON output stays byte-identical.
   bool capture_obs = false;
 };
 
@@ -66,7 +66,7 @@ ResultTable RunScenarios(std::span<const Scenario> scenarios,
 //   --csv=PATH | --csv PATH write the deterministic CSV table to PATH
 //   --json=PATH             write the full JSON record (incl. timing)
 //   --no-notes              suppress per-run notes on stdout
-//   --obs                   capture per-run obs snapshots into the JSON
+//   --obs                   emit per-run obs snapshots into the JSON
 //   --log-level=LEVEL       global log threshold (debug|info|warning|
 //                           error|off); overrides AMPERE_LOG_LEVEL, which
 //                           ParseHarnessArgs applies first

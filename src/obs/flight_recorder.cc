@@ -119,13 +119,6 @@ bool FlightRecorder::IsAnomalyTrigger(TimelineEventType type) const {
   }
 }
 
-std::vector<TimelineEvent> FlightRecorder::All() const {
-  std::vector<TimelineEvent> out;
-  out.reserve(size());
-  ForEach([&out](const TimelineEvent& e) { out.push_back(e); });
-  return out;
-}
-
 std::vector<TimelineEvent> FlightRecorder::Tail(size_t n) const {
   const size_t live = size();
   const size_t take = std::min(n, live);
@@ -138,15 +131,6 @@ std::vector<TimelineEvent> FlightRecorder::Tail(size_t n) const {
   return out;
 }
 
-std::vector<TimelineEvent> FlightRecorder::Window(SimTime begin,
-                                                  SimTime end) const {
-  std::vector<TimelineEvent> out;
-  ForEach([&](const TimelineEvent& e) {
-    if (e.time >= begin && e.time <= end) out.push_back(e);
-  });
-  return out;
-}
-
 void FlightRecorder::ForEach(
     const std::function<void(const TimelineEvent&)>& fn) const {
   const size_t live = size();
@@ -154,13 +138,6 @@ void FlightRecorder::ForEach(
   for (uint64_t seq = first; seq < next_seq_; ++seq) {
     fn(ring_[static_cast<size_t>(seq % capacity_)]);
   }
-}
-
-void FlightRecorder::Clear() {
-  next_seq_ = 0;
-  anomalies_fired_ = 0;
-  anomaly_ever_fired_ = false;
-  last_anomaly_time_ = SimTime();
 }
 
 std::string TimelineEventToJson(const TimelineEvent& event) {

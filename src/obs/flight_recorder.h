@@ -125,12 +125,8 @@ class FlightRecorder {
   bool empty() const { return next_seq_ == 0; }
   uint64_t total_appended() const { return next_seq_; }
 
-  // Live events in chronological (append) order.
-  std::vector<TimelineEvent> All() const;
   // The most recent `n` live events, oldest first.
   std::vector<TimelineEvent> Tail(size_t n) const;
-  // Live events with begin <= time <= end, in append order.
-  std::vector<TimelineEvent> Window(SimTime begin, SimTime end) const;
   // Visits live events in append order (no materialization).
   void ForEach(const std::function<void(const TimelineEvent&)>& fn) const;
 
@@ -144,8 +140,6 @@ class FlightRecorder {
     sink_ = std::move(sink);
   }
   uint64_t anomalies_fired() const { return anomalies_fired_; }
-
-  void Clear();
 
  private:
   bool IsAnomalyTrigger(TimelineEventType type) const;

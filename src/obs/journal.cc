@@ -163,11 +163,6 @@ bool DecisionJournal::SetRealized(uint64_t seq, double realized_next) {
   return true;
 }
 
-const DecisionRecord* DecisionJournal::FindBySeq(uint64_t seq) const {
-  const size_t index = IndexOfSeq(seq);
-  return index < records_.size() ? &records_[index] : nullptr;
-}
-
 std::vector<DecisionRecord> DecisionJournal::Query(
     SimTime begin, SimTime end, std::string_view domain) const {
   std::vector<DecisionRecord> out;
@@ -461,12 +456,6 @@ std::optional<std::vector<DecisionRecord>> DecisionJournal::ParseCsv(
   }
   if (!saw_header) return std::nullopt;
   return out;
-}
-
-void DecisionJournal::Clear() {
-  records_.clear();
-  head_ = 0;
-  // next_seq_ keeps counting: sequence numbers are never reused.
 }
 
 }  // namespace obs

@@ -12,7 +12,8 @@
 //
 // Records live in a bounded ring buffer (oldest evicted first) addressed by
 // a monotonically increasing sequence number that survives eviction — seq i
-// is either retrievable or provably gone, never silently reused. On top of
+// is either live (SetRealized finds it) or provably gone, never silently
+// reused. On top of
 // the ring:
 //   - Query(): time-range + optional-domain scans,
 //   - Summarize(): per-domain tick/violation/u/p aggregates using the exact
@@ -141,10 +142,6 @@ class DecisionJournal {
   // if the record was already evicted.
   bool SetRealized(uint64_t seq, double realized_next);
 
-  // Returns the live record with this sequence number, or nullptr if it was
-  // evicted (or never appended).
-  const DecisionRecord* FindBySeq(uint64_t seq) const;
-
   // All live records with begin <= time < end, in append order. An empty
   // `domain` matches every domain.
   std::vector<DecisionRecord> Query(SimTime begin, SimTime end,
@@ -184,8 +181,6 @@ class DecisionJournal {
   // nullopt on malformed input.
   static std::optional<std::vector<DecisionRecord>> ParseCsv(
       std::string_view csv);
-
-  void Clear();
 
  private:
   size_t IndexOfSeq(uint64_t seq) const;  // records_.size() if not live.

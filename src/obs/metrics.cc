@@ -1,9 +1,10 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <array>
+#include <atomic>
 #include <cmath>
-#include <unordered_map>
+#include <memory>
+#include <mutex>
 
 #include "src/common/check.h"
 #include "src/common/json.h"
@@ -90,74 +91,26 @@ std::string PrometheusName(std::string_view name) {
   return out;
 }
 
-struct StringHash {
-  using is_transparent = void;
-  size_t operator()(std::string_view s) const {
-    return std::hash<std::string_view>{}(s);
-  }
-};
-struct StringEq {
-  using is_transparent = void;
-  bool operator()(std::string_view a, std::string_view b) const {
-    return a == b;
-  }
-};
-
-template <typename T>
-using NameMap = std::unordered_map<std::string, T, StringHash, StringEq>;
-
 // Finds or inserts map[name] without constructing a std::string on the
 // (common) hit path.
-template <typename T>
-T& FindOrInsert(NameMap<T>& map, std::string_view name) {
+template <typename Map>
+typename Map::mapped_type& FindOrInsert(Map& map, std::string_view name) {
   auto it = map.find(name);
   if (it == map.end()) {
-    it = map.emplace(std::string(name), T{}).first;
+    it = map.emplace(std::string(name), typename Map::mapped_type{}).first;
   }
   return it->second;
 }
 
-// Global sequence for gauge Set() ordering: the merge rule "latest Set wins"
-// needs an order that is consistent across shards and registries.
-std::atomic<uint64_t> g_gauge_sequence{0};
-
-// Process-unique registry ids; never reused, so a stale thread-local shard
-// cache entry can never alias a new registry.
+// Process-unique registry ids; never reused, so a CounterSite binding to a
+// destroyed registry can never match a new one at the same address.
 std::atomic<uint64_t> g_next_registry_id{1};
-
-struct GaugeCell {
-  double value = 0.0;
-  uint64_t sequence = 0;
-};
-
-struct HistCell {
-  std::vector<double> bounds;
-  std::vector<uint64_t> counts;  // bounds.size() + 1.
-  uint64_t count = 0;
-  double sum = 0.0;
-};
-
-struct SpanCell {
-  uint64_t count = 0;
-  double total_ns = 0.0;
-  double min_ns = 0.0;
-  double max_ns = 0.0;
-  std::array<uint64_t, kSpanBuckets> buckets{};
-};
 
 size_t Log2Bucket(double duration_ns) {
   if (!(duration_ns >= 1.0)) return 0;
   const double l = std::log2(duration_ns);
   const size_t b = static_cast<size_t>(l);
   return b >= kSpanBuckets ? kSpanBuckets - 1 : b;
-}
-
-template <typename T>
-typename std::vector<T>::iterator LowerBoundByName(std::vector<T>& v,
-                                                   const std::string& name) {
-  return std::lower_bound(
-      v.begin(), v.end(), name,
-      [](const T& item, const std::string& n) { return item.name < n; });
 }
 
 }  // namespace
@@ -234,57 +187,6 @@ const SpanStats* MetricsSnapshot::FindSpan(std::string_view name) const {
     if (s.name == name) return &s;
   }
   return nullptr;
-}
-
-void MetricsSnapshot::MergeFrom(const MetricsSnapshot& other) {
-  for (const auto& c : other.counters) {
-    auto it = LowerBoundByName(counters, c.name);
-    if (it != counters.end() && it->name == c.name) {
-      it->value += c.value;
-    } else {
-      counters.insert(it, c);
-    }
-  }
-  for (const auto& g : other.gauges) {
-    auto it = LowerBoundByName(gauges, g.name);
-    if (it != gauges.end() && it->name == g.name) {
-      if (g.sequence >= it->sequence) *it = g;
-    } else {
-      gauges.insert(it, g);
-    }
-  }
-  for (const auto& h : other.histograms) {
-    auto it = LowerBoundByName(histograms, h.name);
-    if (it != histograms.end() && it->name == h.name) {
-      AMPERE_CHECK(it->counts.size() == h.counts.size())
-          << "histogram '" << h.name << "' bucket layout mismatch on merge";
-      for (size_t i = 0; i < h.counts.size(); ++i) {
-        it->counts[i] += h.counts[i];
-      }
-      it->count += h.count;
-      it->sum += h.sum;
-    } else {
-      histograms.insert(it, h);
-    }
-  }
-  for (const auto& s : other.spans) {
-    auto it = LowerBoundByName(spans, s.name);
-    if (it != spans.end() && it->name == s.name) {
-      if (it->count == 0) {
-        *it = s;
-      } else if (s.count > 0) {
-        it->min_ns = std::min(it->min_ns, s.min_ns);
-        it->max_ns = std::max(it->max_ns, s.max_ns);
-        it->count += s.count;
-        it->total_ns += s.total_ns;
-        for (size_t i = 0; i < kSpanBuckets; ++i) {
-          it->buckets[i] += s.buckets[i];
-        }
-      }
-    } else {
-      spans.insert(it, s);
-    }
-  }
 }
 
 std::string MetricsSnapshot::ToPrometheusText() const {
@@ -401,109 +303,43 @@ std::span<const double> DefaultHistogramBounds() {
   return std::span<const double>(kBounds);
 }
 
-struct MetricsRegistry::Shard {
-  std::mutex mu;
-  NameMap<uint64_t> counters;
-  NameMap<GaugeCell> gauges;
-  NameMap<HistCell> histograms;
-  NameMap<SpanCell> spans;
-};
-
-namespace {
-
-// Single-slot thread-local cache: the common case is one registry touched
-// repeatedly from one thread (a harness run). Keyed by the process-unique
-// registry id so entries for destroyed registries can never be mistaken for
-// live ones.
-struct ShardCache {
-  uint64_t registry_id = 0;
-  MetricsRegistry::Shard* shard = nullptr;
-};
-thread_local ShardCache t_shard_cache;
-
-// Secondary map for threads that interleave writes to several registries.
-thread_local std::unordered_map<uint64_t, MetricsRegistry::Shard*>*
-    t_shard_map = nullptr;
-
-}  // namespace
-
 MetricsRegistry::MetricsRegistry()
-    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)) {}
+    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)),
+      owner_(std::this_thread::get_id()) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
-MetricsRegistry::Shard& MetricsRegistry::LocalShard() {
-  if (t_shard_cache.registry_id == id_) {
-    return *t_shard_cache.shard;
-  }
-  if (t_shard_map != nullptr) {
-    auto it = t_shard_map->find(id_);
-    if (it != t_shard_map->end()) {
-      t_shard_cache = {id_, it->second};
-      return *it->second;
-    }
-  }
-  Shard* shard;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    shards_.push_back(std::make_unique<Shard>());
-    shard = shards_.back().get();
-  }
-  if (t_shard_cache.shard != nullptr) {
-    // Evicting a live cache entry: keep it reachable via the map so the
-    // thread does not create a second shard for that registry later.
-    if (t_shard_map == nullptr) {
-      static thread_local std::unordered_map<uint64_t, Shard*> map_storage;
-      t_shard_map = &map_storage;
-    }
-    (*t_shard_map)[t_shard_cache.registry_id] = t_shard_cache.shard;
-  }
-  if (t_shard_map != nullptr) (*t_shard_map)[id_] = shard;
-  t_shard_cache = {id_, shard};
-  return *shard;
+void MetricsRegistry::CheckOwner() const {
+  AMPERE_CHECK(std::this_thread::get_id() == owner_)
+      << "metrics registry " << id_
+      << " used off the thread that constructed it";
 }
 
 void MetricsRegistry::CounterAdd(std::string_view name, uint64_t delta) {
-  Shard& shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  FindOrInsert(shard.counters, name) += delta;
+  FindOrInsert(counters_, name) += delta;
 }
 
 uint64_t* MetricsRegistry::CounterCell(std::string_view name) {
-  Shard& shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return &FindOrInsert(shard.counters, name);
+  return &FindOrInsert(counters_, name);
 }
 
 void CounterSite::Rebind(MetricsRegistry& registry, Binding& binding) {
-  // Read the epoch before resolving the cell: if a Reset() lands in
-  // between, the cached epoch is already stale and the next Add() simply
-  // rebinds again — a binding can cache an old cell for at most one call.
   // The cell is resolved under the *current domain's* prefixed name; the
   // registry copies the name into its map, so no prefixed storage needs to
   // outlive this call.
-  const uint64_t epoch = registry.epoch();
-  const DomainId domain = internal::t_current_domain;
   binding.cell = registry.CounterCell(ApplyDomain(name_));
   binding.registry_id = registry.id();
-  binding.epoch = epoch;
-  binding.domain = domain;
+  binding.domain = internal::t_current_domain;
   ++rebinds_;
 }
 
 void MetricsRegistry::GaugeSet(std::string_view name, double value) {
-  Shard& shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  GaugeCell& cell = FindOrInsert(shard.gauges, name);
-  cell.value = value;
-  cell.sequence = g_gauge_sequence.fetch_add(1, std::memory_order_relaxed) + 1;
+  FindOrInsert(gauges_, name) = value;
 }
 
 void MetricsRegistry::HistogramObserve(std::string_view name, double value,
                                        std::span<const double> bounds) {
-  Shard& shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  HistCell& cell = FindOrInsert(shard.histograms, name);
+  HistogramCell& cell = FindOrInsert(histograms_, name);
   if (cell.counts.empty()) {
     cell.bounds.assign(bounds.begin(), bounds.end());
     cell.counts.assign(bounds.size() + 1, 0);
@@ -519,9 +355,7 @@ void MetricsRegistry::HistogramObserve(std::string_view name, double value,
 }
 
 void MetricsRegistry::SpanRecord(std::string_view name, double duration_ns) {
-  Shard& shard = LocalShard();
-  std::lock_guard<std::mutex> lock(shard.mu);
-  SpanCell& cell = FindOrInsert(shard.spans, name);
+  SpanCell& cell = FindOrInsert(spans_, name);
   if (cell.count == 0) {
     cell.min_ns = duration_ns;
     cell.max_ns = duration_ns;
@@ -535,72 +369,38 @@ void MetricsRegistry::SpanRecord(std::string_view name, double duration_ns) {
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
+  CheckOwner();
   MetricsSnapshot snapshot;
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& shard : shards_) {
-    MetricsSnapshot part;
-    {
-      std::lock_guard<std::mutex> shard_lock(shard->mu);
-      part.counters.reserve(shard->counters.size());
-      for (auto& [name, value] : shard->counters) {
-        // CounterSite increments bypass the shard mutex; read through
-        // atomic_ref so this cross-thread read is race-free.
-        part.counters.push_back(CounterValue{
-            name, std::atomic_ref<uint64_t>(value).load(
-                      std::memory_order_relaxed)});
-      }
-      part.gauges.reserve(shard->gauges.size());
-      for (const auto& [name, cell] : shard->gauges) {
-        part.gauges.push_back(GaugeValue{name, cell.value, cell.sequence});
-      }
-      part.histograms.reserve(shard->histograms.size());
-      for (const auto& [name, cell] : shard->histograms) {
-        HistogramValue h;
-        h.name = name;
-        h.bounds = cell.bounds;
-        h.counts = cell.counts;
-        h.count = cell.count;
-        h.sum = cell.sum;
-        part.histograms.push_back(std::move(h));
-      }
-      part.spans.reserve(shard->spans.size());
-      for (const auto& [name, cell] : shard->spans) {
-        SpanStats s;
-        s.name = name;
-        s.count = cell.count;
-        s.total_ns = cell.total_ns;
-        s.min_ns = cell.min_ns;
-        s.max_ns = cell.max_ns;
-        s.buckets.assign(cell.buckets.begin(), cell.buckets.end());
-        part.spans.push_back(std::move(s));
-      }
-    }
-    auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
-    std::sort(part.counters.begin(), part.counters.end(), by_name);
-    std::sort(part.gauges.begin(), part.gauges.end(), by_name);
-    std::sort(part.histograms.begin(), part.histograms.end(), by_name);
-    std::sort(part.spans.begin(), part.spans.end(), by_name);
-    snapshot.MergeFrom(part);
+  snapshot.counters.reserve(counters_.size());
+  for (const auto& [name, value] : counters_) {
+    snapshot.counters.push_back(CounterValue{name, value});
   }
+  snapshot.gauges.reserve(gauges_.size());
+  for (const auto& [name, value] : gauges_) {
+    snapshot.gauges.push_back(GaugeValue{name, value});
+  }
+  snapshot.histograms.reserve(histograms_.size());
+  for (const auto& [name, cell] : histograms_) {
+    snapshot.histograms.push_back(
+        HistogramValue{name, cell.bounds, cell.counts, cell.count, cell.sum});
+  }
+  snapshot.spans.reserve(spans_.size());
+  for (const auto& [name, cell] : spans_) {
+    snapshot.spans.push_back(SpanStats{
+        name, cell.count, cell.total_ns, cell.min_ns, cell.max_ns,
+        std::vector<uint64_t>(cell.buckets.begin(), cell.buckets.end())});
+  }
+  auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
+  std::sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
+  std::sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);
+  std::sort(snapshot.histograms.begin(), snapshot.histograms.end(), by_name);
+  std::sort(snapshot.spans.begin(), snapshot.spans.end(), by_name);
   return snapshot;
 }
 
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Invalidate every cached CounterCell() pointer before freeing the nodes.
-  epoch_.fetch_add(1, std::memory_order_relaxed);
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> shard_lock(shard->mu);
-    shard->counters.clear();
-    shard->gauges.clear();
-    shard->histograms.clear();
-    shard->spans.clear();
-  }
-}
-
 MetricsRegistry& MetricsRegistry::Default() {
-  static MetricsRegistry* registry = new MetricsRegistry();  // Never freed.
-  return *registry;
+  static thread_local MetricsRegistry registry;
+  return registry;
 }
 
 // --- Current-registry scoping -------------------------------------------
@@ -616,6 +416,7 @@ MetricsRegistry* CurrentMetrics() {
 
 ScopedMetricsRegistry::ScopedMetricsRegistry(MetricsRegistry* registry)
     : previous_(t_current_registry) {
+  if (registry != nullptr) registry->CheckOwner();
   t_current_registry = registry;
 }
 

@@ -6,24 +6,24 @@
 // half of that: named counters, gauges, and fixed-bucket histograms, plus
 // wall-clock trace spans (src/obs/span.h) aggregated per name.
 //
-// Concurrency model: the registry is sharded per thread. Each writing
-// thread owns a private shard (created lazily on first touch), so hot-path
-// writes never contend with other threads; Snapshot() merges every shard
-// under the shard mutexes (uncontended except during the snapshot itself).
-// Merge rules: counters and histogram buckets sum; a gauge resolves to the
-// most recent Set (a global sequence stamp breaks ties deterministically);
-// span statistics combine count/total/min/max and log2 latency buckets.
+// Single-writer contract: a registry belongs to the thread that constructed
+// it. Only that thread writes it, installs it (ScopedMetricsRegistry) and
+// snapshots it; the last two AMPERE_CHECK the owner, writes are unchecked.
+// Writes are plain map updates with no lock, and Snapshot() copies the four
+// name maps and sorts each by name.
 //
 // Scoping: instrumented code writes to the *current* registry —
 // a thread-local override installed by ScopedMetricsRegistry, falling back
-// to the process-wide Default() registry. The parallel scenario runner
+// to the calling thread's own Default() registry. The scenario runner
 // installs one private registry per run (like ScopedLogCapture), so every
-// harness run gets an isolated snapshot regardless of the job count.
+// harness run writes, and a postmortem snapshots, only its own metrics,
+// whatever the job count; `--obs` only decides whether the run's snapshot
+// is emitted.
 //
 // Cost control: call sites use the AMPERE_COUNTER_ADD / AMPERE_GAUGE_SET /
 // AMPERE_HISTOGRAM_OBSERVE macros below (and AMPERE_SPAN from span.h).
 // Instrumentation is always on: a per-event counter site is a cached cell
-// increment (CounterSite), and minute-cadence sites take the locked path.
+// increment (CounterSite), and minute-cadence sites take the hashing path.
 //
 // Determinism contract: the registry only *observes*. It never touches RNG
 // streams or simulation state, so instrumented runs produce bit-identical
@@ -32,13 +32,14 @@
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
-#include <memory>
-#include <mutex>
+#include <functional>
 #include <span>
 #include <string>
 #include <string_view>
+#include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace ampere {
@@ -109,7 +110,6 @@ struct CounterValue {
 struct GaugeValue {
   std::string name;
   double value = 0.0;
-  uint64_t sequence = 0;  // Global Set() order; latest wins on merge.
 };
 
 struct HistogramValue {
@@ -148,7 +148,7 @@ struct SpanStats {
   double p99_ns() const { return Quantile(0.99); }
 };
 
-// A merged, name-sorted view of a registry (or of several snapshots).
+// A name-sorted copy of one registry.
 struct MetricsSnapshot {
   std::vector<CounterValue> counters;
   std::vector<GaugeValue> gauges;
@@ -164,10 +164,6 @@ struct MetricsSnapshot {
   const double* FindGauge(std::string_view name) const;
   const HistogramValue* FindHistogram(std::string_view name) const;
   const SpanStats* FindSpan(std::string_view name) const;
-
-  // Folds `other` into this snapshot using the registry merge rules
-  // (counters/buckets sum, gauges latest-sequence-wins).
-  void MergeFrom(const MetricsSnapshot& other);
 
   // Prometheus text exposition. Metric names have '.' rewritten to '_' and
   // get an "ampere_" prefix; histograms emit _bucket{le=...}/_sum/_count,
@@ -186,6 +182,7 @@ std::span<const double> DefaultHistogramBounds();
 
 class MetricsRegistry {
  public:
+  // The constructing thread becomes the registry's owner.
   MetricsRegistry();
   ~MetricsRegistry();
 
@@ -195,15 +192,14 @@ class MetricsRegistry {
   void CounterAdd(std::string_view name, uint64_t delta = 1);
   void GaugeSet(std::string_view name, double value);
 
-  // Process-unique registry id and Reset() epoch. Call-site caches
-  // (CounterSite below) compare both to detect, in O(1), that a cached cell
-  // pointer belongs to a different registry or predates a Reset().
+  // Process-unique registry id, never reused. Call-site caches (CounterSite
+  // below) compare it to detect, in O(1), that a cached cell pointer
+  // belongs to a different registry — even one at a dead registry's
+  // address, as each harness run's stack registry is.
   uint64_t id() const { return id_; }
-  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
-  // Stable address of the calling thread's counter cell for `name` (the
-  // shard maps are node-based, so the address survives rehashing). Valid
-  // until the next Reset() — observable as an epoch() change — or until the
+  // Stable address of the counter cell for `name` (the name maps are
+  // node-based, so the address survives rehashing). Valid until the
   // registry is destroyed.
   uint64_t* CounterCell(std::string_view name);
   // The first observation of a name fixes its bucket layout; later calls
@@ -215,41 +211,62 @@ class MetricsRegistry {
   }
   void SpanRecord(std::string_view name, double duration_ns);
 
-  // Merges every thread shard into one name-sorted snapshot.
+  // Copies every metric into one name-sorted snapshot. Owner thread only.
   MetricsSnapshot Snapshot() const;
 
-  // Clears all shards (names and values) and advances epoch(), invalidating
-  // every cached CounterCell() pointer. Must not race with writers: callers
-  // reset between runs, at points where no instrumented code is executing
-  // against this registry (the harness already guarantees this).
-  void Reset();
-
-  // The process-wide registry instrumentation writes to when no scoped
-  // registry is installed on the calling thread.
+  // The calling thread's own registry, which instrumentation writes to when
+  // no scoped registry is installed on that thread.
   static MetricsRegistry& Default();
 
-  // Opaque per-thread shard; defined in metrics.cc. Public only so the
-  // thread-local shard cache there can name it.
-  struct Shard;
-
  private:
-  Shard& LocalShard();
+  friend class ScopedMetricsRegistry;
 
-  const uint64_t id_;  // Process-unique; never reused.
-  std::atomic<uint64_t> epoch_{0};  // Bumped by Reset().
-  mutable std::mutex mu_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // AMPERE_CHECKs that the calling thread owns this registry.
+  void CheckOwner() const;
+
+  struct NameHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view s) const {
+      return std::hash<std::string_view>{}(s);
+    }
+  };
+  // Transparent hash and equality: lookups by string_view build no string.
+  template <typename T>
+  using NameMap =
+      std::unordered_map<std::string, T, NameHash, std::equal_to<>>;
+
+  struct HistogramCell {
+    std::vector<double> bounds;
+    std::vector<uint64_t> counts;  // bounds.size() + 1.
+    uint64_t count = 0;
+    double sum = 0.0;
+  };
+  struct SpanCell {
+    uint64_t count = 0;
+    double total_ns = 0.0;
+    double min_ns = 0.0;
+    double max_ns = 0.0;
+    std::array<uint64_t, kSpanBuckets> buckets{};
+  };
+
+  const uint64_t id_;
+  const std::thread::id owner_;
+  NameMap<uint64_t> counters_;
+  NameMap<double> gauges_;
+  NameMap<HistogramCell> histograms_;
+  NameMap<SpanCell> spans_;
 };
 
 // --- Current-registry scoping -------------------------------------------
 
 // The registry instrumentation on this thread currently writes to:
-// the innermost live ScopedMetricsRegistry, else Default().
+// the innermost live ScopedMetricsRegistry, else this thread's Default().
 MetricsRegistry* CurrentMetrics();
 
 // Redirects the calling thread's instrumentation into `registry` for the
 // scope's lifetime. Scopes nest; the previous target is restored on exit.
-// Strictly thread-local, exactly like ScopedLogCapture.
+// Strictly thread-local, exactly like ScopedLogCapture; `registry` must be
+// owned by the calling thread (AMPERE_CHECKed).
 class ScopedMetricsRegistry {
  public:
   explicit ScopedMetricsRegistry(MetricsRegistry* registry);
@@ -275,26 +292,23 @@ void SpanRecord(std::string_view name, double duration_ns);
 
 // --- Counter call-site cache ---------------------------------------------
 //
-// The generic CounterAdd pays a thread-local shard lookup, a mutex lock and
-// a string hash probe on every call — fine at minute cadence, too heavy for
+// The generic CounterAdd pays a string hash probe (and, under a domain, a
+// prefix copy) on every call — fine at minute cadence, too heavy for
 // per-event sites inside the simulation loop (job submitted, task placed).
 // A CounterSite caches resolved cell pointers per (call site, thread), one
 // binding per metrics domain in a small direct-mapped table indexed by the
 // interned DomainId: a campus's DCs switch domain on nearly every event,
 // and each DC keeps its own binding. The steady-state Add() is a table
-// index, three compares and a relaxed increment. A miss (first use of a
-// domain, two domains sharing a slot, a registry switch or a Reset())
-// rebinds through the locked, hashing path.
+// index, two compares and an increment. A miss (first use of a domain, two
+// domains sharing a slot, or a registry switch) rebinds through the
+// hashing path.
 //
-// Correctness: shards are single-writer (the owning thread), so the
-// unlocked increment cannot lose updates; Snapshot() on another thread
-// reads the cell through std::atomic_ref, making the unlocked write/read
-// pair race-free. A registry switch (ScopedMetricsRegistry), a Reset(), or
-// a domain switch (ScopedMetricsDomain) is detected by comparing the
-// binding's registry id, epoch, and domain, after which it rebinds — a
-// binding caches the cell of its *domain-prefixed* name, so
-// "controller.ticks" emitted under domain "dc0/" lands in
-// dc0/controller.ticks.
+// Correctness: the site is thread_local and the registry single-writer, so
+// the increment is a plain one. A registry switch (ScopedMetricsRegistry)
+// or a domain switch (ScopedMetricsDomain) is detected by comparing the
+// binding's registry id and domain, after which it rebinds — a binding
+// caches the cell of its *domain-prefixed* name, so "controller.ticks"
+// emitted under domain "dc0/" lands in dc0/controller.ticks.
 //
 // `name` must point at storage that outlives the site (string literals at
 // the macro sites).
@@ -306,17 +320,14 @@ class CounterSite {
     MetricsRegistry* registry = CurrentMetrics();
     const DomainId domain = internal::t_current_domain;
     Binding& binding = bindings_[domain % kBindings];
-    if (registry->id() != binding.registry_id ||
-        registry->epoch() != binding.epoch || domain != binding.domain)
+    if (registry->id() != binding.registry_id || domain != binding.domain)
         [[unlikely]] {
       Rebind(*registry, binding);
     }
-    std::atomic_ref<uint64_t> cell(*binding.cell);
-    cell.store(cell.load(std::memory_order_relaxed) + delta,
-               std::memory_order_relaxed);
+    *binding.cell += delta;
   }
 
-  // Rebinds so far: locked lookups taken by Add(). Zero misses after warm-up
+  // Rebinds so far: hashing lookups taken by Add(). Zero misses after warm-up
   // is the property the table exists for.
   uint64_t rebinds() const { return rebinds_; }
 
@@ -326,7 +337,6 @@ class CounterSite {
   struct Binding {
     uint64_t* cell = nullptr;
     uint64_t registry_id = 0;  // 0 is never a live registry id.
-    uint64_t epoch = 0;
     DomainId domain = 0;
   };
 

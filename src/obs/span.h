@@ -6,7 +6,8 @@
 // min / max / p50 / p99 from log2 buckets) come back via
 // MetricsRegistry::Snapshot().
 //
-// Cost: two steady_clock reads plus one shard-local map update.
+// Cost: two steady_clock reads plus one hashed map update in the current
+// (single-writer, lock-free) registry.
 //
 // Spans measure wall time, so their values are inherently nondeterministic;
 // the harness keeps them out of ResultRow::SameData and CSV output for that

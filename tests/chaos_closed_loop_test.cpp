@@ -2,8 +2,10 @@
 // fuzz_invariants_test must survive every fault dimension, and a faulted
 // run must stay a pure function of (workload seed, fault plan) — the
 // DecisionJournal CSV is bit-identical on replay and across harness job
-// counts.
+// counts, and so is the metrics section of every postmortem it writes.
 
+#include <filesystem>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -19,6 +21,7 @@
 #include "src/sched/scheduler.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/workload/batch_workload.h"
+#include "tests/scratch_dir.h"
 
 namespace ampere {
 namespace {
@@ -219,14 +222,21 @@ ExperimentConfig ChaosExperimentConfig(uint64_t seed) {
   return config;
 }
 
-std::vector<harness::Scenario> ChaosScenarios() {
+// Four chaos runs; a non-empty `postmortem_dir` makes each write its
+// anomaly postmortems there.
+std::vector<harness::Scenario> ChaosScenarios(
+    const std::string& postmortem_dir = {}) {
   std::vector<harness::Scenario> scenarios;
   for (uint64_t seed : {501u, 502u, 503u, 504u}) {
     harness::Scenario scenario;
     scenario.name = "chaos-" + std::to_string(seed);
     scenario.seed = seed;
-    scenario.body = [seed](harness::RunContext& context) {
-      ControlledExperiment experiment(ChaosExperimentConfig(seed));
+    scenario.body = [seed, postmortem_dir,
+                     name = scenario.name](harness::RunContext& context) {
+      ExperimentConfig config = ChaosExperimentConfig(seed);
+      config.obs.postmortem_dir = postmortem_dir;
+      config.obs.run_label = name;
+      ControlledExperiment experiment(config);
       ExperimentResult result = experiment.Run();
       context.Metric("p_max", result.experiment.p_max);
       context.Metric("violations", result.experiment.violations);
@@ -265,6 +275,50 @@ TEST(ChaosDeterminismTest, JournalAndMetricsIdenticalAcrossJobCounts) {
   // Metric-for-metric (including the journal-CSV fingerprint): a faulted
   // run is a pure function of its config regardless of worker count.
   EXPECT_TRUE(harness::ResultTable::SameData(a, b));
+}
+
+// The text of `text` between the first `begin` and the next `end` after it.
+std::string Between(const std::string& text, const std::string& begin,
+                    const std::string& end) {
+  const size_t from = text.find(begin);
+  if (from == std::string::npos) return "";
+  const size_t to = text.find(end, from + begin.size());
+  return text.substr(from + begin.size(), to - from - begin.size());
+}
+
+// Every harness run writes into its own metrics registry, --obs or not, so
+// a postmortem's metrics are its run's state at the trigger: the same at
+// any job count, and never counting another run's controller ticks.
+TEST(ChaosPostmortemTest, PostmortemMetricsArePerRunAtAnyJobCount) {
+  const ScratchDir scratch("chaos_postmortems");
+  // Jobs -> postmortem file -> its counters and gauges.
+  std::map<int, std::map<std::string, std::string>> metrics;
+  for (int jobs : {1, 3}) {
+    const std::string dir = scratch.path() + "/jobs" + std::to_string(jobs);
+    harness::RunnerOptions options;
+    options.jobs = jobs;
+    const harness::ResultTable table =
+        harness::RunScenarios(ChaosScenarios(dir), options);
+    for (const harness::ResultRow& row : table.rows()) {
+      EXPECT_TRUE(row.ok) << row.scenario << ": " << row.error;
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      const std::string json = ReadFileOrEmpty(entry.path());
+      // Spans are wall time; the counters and gauges come before them.
+      const std::string section =
+          Between(json, "\"metrics\":{", ",\"histograms\":");
+      metrics[jobs][entry.path().filename()] = section;
+      // The controller ticks once a minute, so by the trigger its run has
+      // ticked at most once per started minute.
+      const long long trigger_us = std::stoll(Between(
+          json.substr(json.find("\"trigger\":")), "\"time_us\":", ","));
+      const long long ticks =
+          std::stoll(Between(section, "\"controller.ticks\":", ","));
+      EXPECT_LE(ticks, trigger_us / 60000000 + 1) << entry.path();
+    }
+  }
+  EXPECT_FALSE(metrics[1].empty());
+  EXPECT_EQ(metrics[1], metrics[3]);
 }
 
 }  // namespace

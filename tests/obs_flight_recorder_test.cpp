@@ -1,4 +1,4 @@
-// Flight recorder semantics: ring eviction, tail/window selection, macro
+// Flight recorder semantics: ring eviction, tail selection, macro
 // scoping, anomaly policy (trigger types, cooldown, per-run cap), the
 // Perfetto/Chrome trace export schema, the postmortem artifact, and the
 // observation-only contract (a closed loop is bit-identical with the
@@ -6,11 +6,8 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -76,13 +73,6 @@ std::vector<std::pair<int, long long>> TraceTimestamps(
   return out;
 }
 
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return buffer.str();
-}
-
 TEST(FlightRecorderTest, RingKeepsMostRecentEventsAfterEviction) {
   FlightRecorder recorder(4);
   EXPECT_TRUE(recorder.empty());
@@ -93,7 +83,7 @@ TEST(FlightRecorderTest, RingKeepsMostRecentEventsAfterEviction) {
   EXPECT_EQ(recorder.total_appended(), 6u);
   EXPECT_EQ(recorder.size(), 4u);
 
-  const std::vector<TimelineEvent> all = recorder.All();
+  const std::vector<TimelineEvent> all = recorder.Tail(recorder.capacity());
   ASSERT_EQ(all.size(), 4u);
   // Oldest two (seq 0, 1) were evicted; survivors are in append order.
   for (size_t i = 0; i < all.size(); ++i) {
@@ -111,14 +101,9 @@ TEST(FlightRecorderTest, TailAndWindowSelectSubranges) {
   ASSERT_EQ(tail.size(), 3u);
   EXPECT_EQ(tail.front().seq, 7u);
   EXPECT_EQ(tail.back().seq, 9u);
-  // Asking for more than live returns everything.
+  // Asking for more than live returns everything. (The time window of a
+  // postmortem: PostmortemJsonWindowsEventsAndTailsJournal.)
   EXPECT_EQ(recorder.Tail(99).size(), 10u);
-
-  const std::vector<TimelineEvent> window =
-      recorder.Window(SimTime::Minutes(2), SimTime::Minutes(5));
-  ASSERT_EQ(window.size(), 4u);  // Inclusive on both ends.
-  EXPECT_EQ(window.front().seq, 2u);
-  EXPECT_EQ(window.back().seq, 5u);
 }
 
 TEST(FlightRecorderTest, MacroGatesOnScopeAndRuntimeSwitch) {
@@ -139,7 +124,7 @@ TEST(FlightRecorderTest, MacroGatesOnScopeAndRuntimeSwitch) {
   }
   AMPERE_TIMELINE(SimTime::Minutes(5), Type::kTickEnd);
 
-  const std::vector<TimelineEvent> all = recorder.All();
+  const std::vector<TimelineEvent> all = recorder.Tail(recorder.capacity());
   ASSERT_EQ(all.size(), 2u);
   EXPECT_EQ(all[0].type, Type::kTickBegin);
   EXPECT_DOUBLE_EQ(all[0].a, 1.0);
@@ -176,10 +161,6 @@ TEST(FlightRecorderTest, AnomalySinkHonorsPolicyCooldownAndCap) {
   EXPECT_EQ(fired[1].type, Type::kCapacityViolation);
   EXPECT_EQ(fired[1].time, SimTime::Minutes(13));
   EXPECT_EQ(fired[2].time, SimTime::Minutes(30));
-
-  recorder.Clear();
-  EXPECT_TRUE(recorder.empty());
-  EXPECT_EQ(recorder.anomalies_fired(), 0u);
 }
 
 TEST(FlightRecorderTest, EventJsonCarriesAllFields) {
@@ -206,7 +187,7 @@ TEST(FlightRecorderTest, PostmortemJsonWindowsEventsAndTailsJournal) {
   recorder.Append(SimTime::Minutes(1), Type::kTickBegin);   // Before window.
   recorder.Append(SimTime::Minutes(12), Type::kTickBegin);  // In window.
   recorder.Append(SimTime::Minutes(15), Type::kCapacityViolation, 1.02);
-  const TimelineEvent trigger = recorder.All().back();
+  const TimelineEvent trigger = recorder.Tail(1).front();
   recorder.Append(SimTime::Minutes(15), Type::kTickEnd);    // After trigger.
   recorder.Append(SimTime::Minutes(16), Type::kTickBegin);
 
@@ -493,8 +474,9 @@ TEST(JsonEscapeArtifactTest, TabInRunLabelIsEscapedInTraceAndPostmortem) {
 
   MetricsRegistry registry;
   const std::string postmortem =
-      BuildPostmortemJson(recorder.All().back(), recorder, registry.Snapshot(),
-                          nullptr, PostmortemConfig{}, label);
+      BuildPostmortemJson(recorder.Tail(1).front(), recorder,
+                          registry.Snapshot(), nullptr, PostmortemConfig{},
+                          label);
   EXPECT_NE(postmortem.find("\"run\":\"run\\tone\\u0001\""), std::string::npos)
       << postmortem;
   EXPECT_EQ(postmortem.find('\t'), std::string::npos);

@@ -41,8 +41,9 @@ TEST(DecisionJournalTest, AppendAssignsMonotonicSeqs) {
   EXPECT_EQ(journal.Append(MakeRecord(2, "row", 0.95, 0.1)), 1u);
   EXPECT_EQ(journal.size(), 2u);
   EXPECT_EQ(journal.total_appended(), 2u);
-  ASSERT_NE(journal.FindBySeq(0), nullptr);
-  EXPECT_DOUBLE_EQ(journal.FindBySeq(0)->normalized_power, 0.9);
+  const std::vector<DecisionRecord> live = journal.Tail(8);
+  ASSERT_EQ(live.size(), 2u);
+  EXPECT_DOUBLE_EQ(live[0].normalized_power, 0.9);
 }
 
 TEST(DecisionJournalTest, RingEvictsOldestAndKeepsSeqAddressing) {
@@ -52,19 +53,19 @@ TEST(DecisionJournalTest, RingEvictsOldestAndKeepsSeqAddressing) {
   }
   EXPECT_EQ(journal.size(), 4u);
   EXPECT_EQ(journal.total_appended(), 10u);
-  // Seqs 0..5 are evicted; 6..9 live.
+  // Seqs 0..5 are evicted: backfilling one reports failure. Seqs 6..9 are
+  // live, in append order, and a backfill lands on exactly its record.
   for (uint64_t seq = 0; seq < 6; ++seq) {
-    EXPECT_EQ(journal.FindBySeq(seq), nullptr) << seq;
+    EXPECT_FALSE(journal.SetRealized(seq, 0.97)) << seq;
   }
-  for (uint64_t seq = 6; seq < 10; ++seq) {
-    const DecisionRecord* r = journal.FindBySeq(seq);
-    ASSERT_NE(r, nullptr) << seq;
-    EXPECT_EQ(r->seq, seq);
-  }
-  // Backfilling an evicted record reports failure; a live one succeeds.
-  EXPECT_FALSE(journal.SetRealized(2, 0.97));
+  EXPECT_FALSE(journal.SetRealized(10, 0.97));  // Never appended.
   EXPECT_TRUE(journal.SetRealized(7, 0.97));
-  EXPECT_TRUE(journal.FindBySeq(7)->realized_valid);
+  const std::vector<DecisionRecord> live = journal.Tail(10);
+  ASSERT_EQ(live.size(), 4u);
+  for (size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(live[i].seq, 6 + i);
+    EXPECT_EQ(live[i].realized_valid, live[i].seq == 7) << live[i].seq;
+  }
 }
 
 TEST(DecisionJournalTest, QueryFiltersByTimeRangeAndDomain) {

@@ -1,6 +1,7 @@
-// MetricsRegistry semantics: counter/gauge/histogram behavior, thread-sharded
-// merge determinism, span aggregation, exposition formats, and snapshot
-// isolation between concurrent harness runs (jobs=1 must equal jobs=4).
+// MetricsRegistry semantics: counter/gauge/histogram behavior, the
+// single-writer contract (per-thread default registries, owner-thread
+// checks), span aggregation, exposition formats, and snapshot isolation
+// between concurrent harness runs (jobs=1 must equal jobs=4).
 
 #include <gtest/gtest.h>
 
@@ -8,6 +9,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/check.h"
 #include "src/harness/runner.h"
 #include "src/obs/metrics.h"
 #include "src/obs/span.h"
@@ -45,23 +47,6 @@ TEST(MetricsRegistryTest, GaugeKeepsLatestValue) {
   EXPECT_DOUBLE_EQ(*level, -0.5);
 }
 
-TEST(MetricsRegistryTest, GaugeMergeKeepsLatestSetAcrossThreads) {
-  // Two threads write the same gauge; the snapshot must keep the write with
-  // the globally latest sequence number, regardless of shard order.
-  MetricsRegistry registry;
-  registry.GaugeSet("g", 1.0);
-  std::thread other([&registry] { registry.GaugeSet("g", 2.0); });
-  other.join();
-  // This Set happens after the other thread's (join = happens-before), so it
-  // must win the merge even though both shards carry a value.
-  registry.GaugeSet("g", 3.0);
-
-  MetricsSnapshot snapshot = registry.Snapshot();
-  const double* g = snapshot.FindGauge("g");
-  ASSERT_NE(g, nullptr);
-  EXPECT_DOUBLE_EQ(*g, 3.0);
-}
-
 TEST(MetricsRegistryTest, HistogramBucketsCountAndSum) {
   MetricsRegistry registry;
   std::vector<double> bounds{1.0, 10.0, 100.0};
@@ -86,32 +71,33 @@ TEST(MetricsRegistryTest, HistogramBucketsCountAndSum) {
   EXPECT_LE(h->Quantile(0.5), 10.0);
 }
 
-TEST(MetricsRegistryTest, ShardedCountersMergeDeterministically) {
-  // N threads each add to the same counters from their own shard; the merged
-  // snapshot must see the exact totals, every time.
-  for (int round = 0; round < 3; ++round) {
-    MetricsRegistry registry;
-    std::vector<std::thread> threads;
-    constexpr int kThreads = 4;
-    constexpr int kAdds = 1000;
-    for (int t = 0; t < kThreads; ++t) {
-      threads.emplace_back([&registry] {
-        for (int i = 0; i < kAdds; ++i) {
-          registry.CounterAdd("shared", 1);
-          registry.HistogramObserve("lat", 2.0);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-
-    MetricsSnapshot snapshot = registry.Snapshot();
-    const uint64_t* shared = snapshot.FindCounter("shared");
-    ASSERT_NE(shared, nullptr);
-    EXPECT_EQ(*shared, static_cast<uint64_t>(kThreads * kAdds));
-    const HistogramValue* lat = snapshot.FindHistogram("lat");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->count, static_cast<uint64_t>(kThreads * kAdds));
+TEST(MetricsRegistryTest, DefaultRegistryIsPerThread) {
+  // Threads that install no registry each write their own Default(), which
+  // holds exactly that thread's writes.
+  std::vector<uint64_t> counted(4, 0);
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < counted.size(); ++t) {
+    threads.emplace_back([t, &counted] {
+      for (int i = 0; i < 1000; ++i) CounterAdd("per_thread.writes", t + 1);
+      const MetricsSnapshot mine = MetricsRegistry::Default().Snapshot();
+      const uint64_t* writes = mine.FindCounter("per_thread.writes");
+      counted[t] = writes != nullptr ? *writes : 0;
+    });
   }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(counted, (std::vector<uint64_t>{1000, 2000, 3000, 4000}));
+}
+
+TEST(MetricsRegistryTest, RegistryRefusesUseOffItsOwnerThread) {
+  // A registry has one writer, the thread that built it: installing or
+  // snapshotting it on any other thread is a CHECK failure.
+  MetricsRegistry registry;
+  std::thread other([&registry] {
+    EXPECT_THROW(registry.Snapshot(), CheckFailure);
+    EXPECT_THROW({ ScopedMetricsRegistry scope(&registry); }, CheckFailure);
+  });
+  other.join();
+  EXPECT_TRUE(registry.Snapshot().empty());
 }
 
 TEST(MetricsRegistryTest, SpanProfileAggregates) {
@@ -166,25 +152,6 @@ TEST(MetricsRegistryTest, ScopedRegistryIsolatesWrites) {
   EXPECT_EQ(*inner_c, 10u);
 }
 
-TEST(MetricsRegistryTest, SnapshotMergeFoldsParts) {
-  MetricsRegistry a;
-  MetricsRegistry b;
-  a.CounterAdd("c", 1);
-  b.CounterAdd("c", 2);
-  b.CounterAdd("only_b", 7);
-  a.GaugeSet("g", 1.0);
-  b.GaugeSet("g", 2.0);  // Later Set -> higher global sequence -> wins.
-  a.HistogramObserve("h", 1.0);
-  b.HistogramObserve("h", 2.0);
-
-  MetricsSnapshot merged = a.Snapshot();
-  merged.MergeFrom(b.Snapshot());
-  EXPECT_EQ(*merged.FindCounter("c"), 3u);
-  EXPECT_EQ(*merged.FindCounter("only_b"), 7u);
-  EXPECT_DOUBLE_EQ(*merged.FindGauge("g"), 2.0);
-  EXPECT_EQ(merged.FindHistogram("h")->count, 2u);
-}
-
 TEST(MetricsRegistryTest, PrometheusTextAndJsonExposition) {
   MetricsRegistry registry;
   registry.CounterAdd("controller.ticks", 3);
@@ -211,49 +178,39 @@ TEST(MetricsRegistryTest, PrometheusTextAndJsonExposition) {
 // --- Snapshot isolation through the harness ------------------------------
 
 // Each run body writes run-specific metric values through the process-global
-// instrumentation entry points. With per-run registries installed by the
-// runner (--obs), a run's obs snapshot must contain exactly its own writes,
-// whether runs execute serially (jobs=1) or concurrently (jobs=4).
+// instrumentation entry points. The runner gives every run its own registry,
+// so a run's obs snapshot holds exactly its own writes, whether runs execute
+// serially (jobs=1) or concurrently (jobs=4); without --obs it is not
+// emitted.
 TEST(MetricsHarnessTest, PerRunSnapshotsAreIsolatedAcrossJobs) {
-  auto make_scenarios = [](std::vector<harness::Scenario>& scenarios) {
-    for (uint64_t i = 0; i < 8; ++i) {
-      harness::Scenario s;
-      s.name = "run" + std::to_string(i);
-      s.seed = i;
-      s.body = [i](harness::RunContext& context) {
-        CounterAdd("run.writes", i + 1);
-        GaugeSet("run.id", static_cast<double>(i));
-        context.Metric("id", static_cast<double>(i));
-      };
-      scenarios.push_back(std::move(s));
-    }
-  };
-
-  harness::RunnerOptions serial;
-  serial.jobs = 1;
-  serial.capture_obs = true;
-  harness::RunnerOptions parallel;
-  parallel.jobs = 4;
-  parallel.capture_obs = true;
-
-  std::vector<harness::Scenario> scenarios_serial;
-  std::vector<harness::Scenario> scenarios_parallel;
-  make_scenarios(scenarios_serial);
-  make_scenarios(scenarios_parallel);
-
-  harness::ResultTable t1 = harness::RunScenarios(scenarios_serial, serial);
-  harness::ResultTable t4 =
-      harness::RunScenarios(scenarios_parallel, parallel);
+  std::vector<harness::Scenario> scenarios;
+  for (uint64_t i = 0; i < 8; ++i) {
+    harness::Scenario s;
+    s.name = "run" + std::to_string(i);
+    s.seed = i;
+    s.body = [i](harness::RunContext& context) {
+      CounterAdd("run.writes", i + 1);
+      GaugeSet("run.id", static_cast<double>(i));
+      context.Metric("id", static_cast<double>(i));
+    };
+    scenarios.push_back(std::move(s));
+  }
+  harness::RunnerOptions options;
+  options.capture_obs = true;
+  options.jobs = 1;
+  const harness::ResultTable t1 = harness::RunScenarios(scenarios, options);
+  options.jobs = 4;
+  const harness::ResultTable t4 = harness::RunScenarios(scenarios, options);
+  options.capture_obs = false;
+  const harness::ResultTable quiet = harness::RunScenarios(scenarios, options);
 
   EXPECT_TRUE(harness::ResultTable::SameData(t1, t4));
   for (size_t i = 0; i < t1.size(); ++i) {
-    // Snapshot JSON records exactly this run's writes — identical between
-    // jobs=1 and jobs=4, with the run-specific values inside.
     EXPECT_EQ(t1.row(i).obs_json, t4.row(i).obs_json);
-    std::string expected_counter =
-        "\"run.writes\":" + std::to_string(i + 1);
-    EXPECT_NE(t1.row(i).obs_json.find(expected_counter), std::string::npos)
+    const std::string writes = "\"run.writes\":" + std::to_string(i + 1);
+    EXPECT_NE(t1.row(i).obs_json.find(writes), std::string::npos)
         << t1.row(i).obs_json;
+    EXPECT_TRUE(quiet.row(i).obs_json.empty());
   }
 }
 
@@ -313,26 +270,27 @@ TEST(MetricsExpositionTest, HistogramOverflowAndUnderflowBuckets) {
   EXPECT_NE(prom.find("ampere_h_count 3"), std::string::npos);
 }
 
-TEST(MetricsExpositionTest, DisjointShardKeySetsMergeToTheUnion) {
-  // Two threads write non-overlapping key sets into their own shards; the
-  // merged snapshot is the union, name-sorted, with no cross-talk.
+TEST(MetricsExpositionTest, SnapshotSortsEveryKindByName) {
+  // Names written in reverse order come out name-sorted in every kind, so
+  // both exposition formats are deterministic whatever the write order.
   MetricsRegistry registry;
-  registry.CounterAdd("main.only", 1);
-  registry.HistogramObserve("main.hist", 1.0);
-  std::thread other([&registry] {
-    registry.CounterAdd("thread.only", 7);
-    registry.GaugeSet("thread.gauge", 3.5);
-  });
-  other.join();
-
-  MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_EQ(snapshot.counters.size(), 2u);
-  EXPECT_EQ(*snapshot.FindCounter("main.only"), 1u);
-  EXPECT_EQ(*snapshot.FindCounter("thread.only"), 7u);
-  EXPECT_DOUBLE_EQ(*snapshot.FindGauge("thread.gauge"), 3.5);
-  EXPECT_EQ(snapshot.FindHistogram("main.hist")->count, 1u);
-  // Name-sorted exposition regardless of which shard held which key.
-  EXPECT_LT(snapshot.counters[0].name, snapshot.counters[1].name);
+  for (const char* name : {"z", "m", "a"}) {
+    registry.CounterAdd(name, 1);
+    registry.GaugeSet(name, 1.0);
+    registry.HistogramObserve(name, 1.0);
+    registry.SpanRecord(name, 10.0);
+  }
+  auto names = [](const auto& items) {
+    std::vector<std::string> out;
+    for (const auto& item : items) out.push_back(item.name);
+    return out;
+  };
+  const std::vector<std::string> sorted{"a", "m", "z"};
+  const MetricsSnapshot snapshot = registry.Snapshot();
+  EXPECT_EQ(names(snapshot.counters), sorted);
+  EXPECT_EQ(names(snapshot.gauges), sorted);
+  EXPECT_EQ(names(snapshot.histograms), sorted);
+  EXPECT_EQ(names(snapshot.spans), sorted);
 }
 
 // --- Domain scoping -------------------------------------------------------
@@ -361,7 +319,7 @@ TEST(MetricsDomainTest, ScopedDomainPrefixesInstrumentation) {
 TEST(MetricsDomainTest, CounterSiteKeepsOneBindingPerDomain) {
   // A campus alternates DCs at one site on nearly every event. Each domain
   // keeps its own cached cell, so after one bind per domain the site never
-  // takes the locked lookup again, and each prefixed counter holds exactly
+  // takes the hashing lookup again, and each prefixed counter holds exactly
   // its own count.
   MetricsRegistry registry;
   ScopedMetricsRegistry scope(&registry);
@@ -386,16 +344,18 @@ TEST(MetricsDomainTest, CounterSiteKeepsOneBindingPerDomain) {
             1500u);
   EXPECT_EQ(snapshot.FindCounter("sched.placements"), nullptr);
 
-  // A Reset() invalidates every binding: one rebind per domain again.
-  registry.Reset();
+  // A registry switch invalidates every binding: one rebind per domain
+  // again, and the new registry's cells start from zero.
+  MetricsRegistry next;
+  ScopedMetricsRegistry next_scope(&next);
   for (int i = 0; i < 10; ++i) {
     ScopedMetricsDomain domain(i % 2 == 0 ? a : b);
     site.Add(1);
   }
   EXPECT_EQ(site.rebinds(), 4u);
-  const MetricsSnapshot after_reset = registry.Snapshot();
+  const MetricsSnapshot next_snapshot = next.Snapshot();
   const uint64_t* a_count =
-      after_reset.FindCounter("site_alternation_a/sched.placements");
+      next_snapshot.FindCounter("site_alternation_a/sched.placements");
   ASSERT_NE(a_count, nullptr);
   EXPECT_EQ(*a_count, 5u);
 }

@@ -32,6 +32,7 @@
 #include "src/sched/scheduler.h"
 #include "src/telemetry/power_monitor.h"
 #include "src/workload/batch_workload.h"
+#include "tests/scratch_dir.h"
 
 #ifndef AMPERE_GOLDEN_DIR
 #error "AMPERE_GOLDEN_DIR must be defined by the build"
@@ -44,16 +45,6 @@ constexpr uint64_t kSeed = 20160416;
 
 std::string GoldenPath(const std::string& name) {
   return std::string(AMPERE_GOLDEN_DIR) + "/" + name;
-}
-
-std::string ReadFileOrEmpty(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return {};
-  }
-  std::ostringstream out;
-  out << in.rdbuf();
-  return out.str();
 }
 
 void WriteFileOrDie(const std::string& path, const std::string& content) {

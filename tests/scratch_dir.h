@@ -1,4 +1,5 @@
-// On-disk scratch directories for tests that touch the filesystem.
+// On-disk scratch directories for tests that touch the filesystem, and a
+// whole-file reader for checking what a test wrote there.
 //
 // gtest_discover_tests registers every TEST as its own ctest entry, run in
 // its own process, and `ctest -j` runs those processes concurrently. A fixed
@@ -14,6 +15,8 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <system_error>
@@ -56,6 +59,14 @@ class ScratchDir {
  private:
   std::string path_;
 };
+
+// The bytes of the file at `path`, or "" if it cannot be opened.
+inline std::string ReadFileOrEmpty(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
 
 }  // namespace ampere
 
