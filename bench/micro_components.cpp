@@ -1110,13 +1110,15 @@ BENCHMARK(BM_TimeSeriesAppendInterned);
 
 // One campus minute of telemetry as one frame row: 1,736 series (4 DCs x
 // 420 servers, 40 racks, 4 rows, 4 totals, 8 groups) appended with one
-// order check and one contiguous write, at each of the three cell widths:
-// whole watts below 65,536 stay in the frame's 16-bit block, larger whole
-// watts widen it to float on the first row, and rows with a fraction that
-// float cannot hold widen it straight to double on the first row. Before
-// the timed loop each case hard-asserts the allocation contract across 64
-// rows after ReserveRows: at most one allocation, on the row that widens
-// the frame, and none otherwise — so a regression fails the run loudly
+// order check and one contiguous write, at each of the four cell widths:
+// whole watts spanning less than 256 W (a server tier's BMC readings) stay
+// in the frame's byte block, whole watts below 65,536 spanning more widen
+// it to 16 bits on the first row, larger whole watts widen it to float on
+// the first row, and rows with a fraction that float cannot hold widen it
+// straight to double on the first row. Before the timed loop each case
+// hard-asserts the allocation contract across 64 rows after ReserveRows:
+// exactly one allocation on the first row if it widens the frame, none if
+// not, and none on any later row — so a regression fails the run loudly
 // instead of just shifting a number.
 void AppendFrameRows(benchmark::State& state, size_t cell_bytes) {
   constexpr size_t kWidth = 1736;
@@ -1124,7 +1126,8 @@ void AppendFrameRows(benchmark::State& state, size_t cell_bytes) {
   std::vector<double> row(kWidth);
   for (size_t c = 0; c < kWidth; ++c) {
     const double whole = 250.0 + static_cast<double>(c);
-    row[c] = cell_bytes == 2 ? whole
+    row[c] = cell_bytes == 1   ? 158.0 + static_cast<double>(c % 98)
+             : cell_bytes == 2 ? whole
              : cell_bytes == 4 ? 70000.0 + whole
                                : whole + 0.1;
   }
@@ -1149,8 +1152,8 @@ void AppendFrameRows(benchmark::State& state, size_t cell_bytes) {
   };
   const uint64_t allocs_before = AllocCount();
   append();
-  AMPERE_CHECK(AllocCount() - allocs_before <= (cell_bytes > 2 ? 1u : 0u))
-      << "first frame row allocated beyond its one widening";
+  AMPERE_CHECK(AllocCount() - allocs_before == (cell_bytes > 1 ? 1u : 0u))
+      << "first frame row did not allocate exactly once per widening";
   const uint64_t allocs_after_first = AllocCount();
   for (int i = 1; i < 64; ++i) {
     append();
@@ -1169,6 +1172,11 @@ void AppendFrameRows(benchmark::State& state, size_t cell_bytes) {
   }
   state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kWidth));
 }
+
+void BM_TimeSeriesAppendFrameByte(benchmark::State& state) {
+  AppendFrameRows(state, sizeof(uint8_t));
+}
+BENCHMARK(BM_TimeSeriesAppendFrameByte);
 
 void BM_TimeSeriesAppendFrame(benchmark::State& state) {
   AppendFrameRows(state, sizeof(uint16_t));

@@ -23,6 +23,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -203,6 +204,18 @@ int RunCalibrate(const Flags& flags) {
   return 0;
 }
 
+// Exports `series` to the --csv path: exit status 0, or 1 with the flag
+// and the path on stderr if the file cannot be written.
+int WriteCsv(const TimeSeriesDb& db, std::span<const std::string> series,
+             const std::string& path) {
+  if (!ExportCsvFile(db, series, path)) {
+    std::fprintf(stderr, "--csv: cannot write %s\n", path.c_str());
+    return 1;
+  }
+  std::printf("wrote %s\n", path.c_str());
+  return 0;
+}
+
 int RunExperiment(const Flags& flags) {
   ControlledExperiment experiment(MakeExperimentConfig(flags));
   ExperimentResult result = experiment.Run();
@@ -224,8 +237,7 @@ int RunExperiment(const Flags& flags) {
     std::vector<std::string> series{
         PowerMonitor::GroupSeries(ControlledExperiment::kExperimentGroup),
         PowerMonitor::GroupSeries(ControlledExperiment::kControlGroup)};
-    ExportCsvFile(experiment.db(), series, flags.csv);
-    std::printf("wrote %s\n", flags.csv.c_str());
+    return WriteCsv(experiment.db(), series, flags.csv);
   }
   return 0;
 }
@@ -258,8 +270,7 @@ int RunFleet(const Flags& flags) {
     series.push_back(PowerMonitor::RowSeries(RowId(r)));
   }
   if (!flags.csv.empty()) {
-    ExportCsvFile(fleet.db(), series, flags.csv);
-    std::printf("wrote %s\n", flags.csv.c_str());
+    return WriteCsv(fleet.db(), series, flags.csv);
   }
   return 0;
 }

@@ -90,7 +90,10 @@ int main(int argc, char** argv) {
       PowerMonitor::RowSeries(RowId(1)),
       PowerMonitor::kTotalSeries,
   };
-  ExportCsvFile(db, series, power_path);
+  if (!ExportCsvFile(db, series, power_path)) {
+    std::fprintf(stderr, "cannot write %s\n", power_path.c_str());
+    return 1;
+  }
   std::printf("exported %zu telemetry series (%zu points) to %s\n",
               series.size(), db.TotalPoints(), power_path.c_str());
   return 0;

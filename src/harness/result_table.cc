@@ -179,12 +179,12 @@ bool ResultTable::SameData(const ResultTable& a, const ResultTable& b) {
   return true;
 }
 
-void WriteFile(const std::string& path, const std::string& contents) {
+bool WriteFile(const std::string& path, const std::string& contents) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  AMPERE_CHECK(out.good()) << "cannot open " << path << " for writing";
   out.write(contents.data(),
             static_cast<std::streamsize>(contents.size()));
-  AMPERE_CHECK(out.good()) << "short write to " << path;
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace harness

@@ -95,9 +95,10 @@ class ResultTable {
   double total_wall_ms_ = 0.0;
 };
 
-// Writes `contents` to `path` (CHECK-fails on I/O error). Used by benches
-// for --csv / --json output.
-void WriteFile(const std::string& path, const std::string& contents);
+// Writes `contents` to `path`; returns false if the file cannot be opened
+// or the write falls short. Used by benches for --csv / --json output.
+[[nodiscard]] bool WriteFile(const std::string& path,
+                             const std::string& contents);
 
 }  // namespace harness
 }  // namespace ampere

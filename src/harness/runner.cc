@@ -138,14 +138,20 @@ bool EmitResults(const ResultTable& table, const HarnessArgs& args) {
       }
     }
   }
-  if (!args.csv_path.empty()) {
-    WriteFile(args.csv_path, table.ToCsv());
-    std::printf("wrote %s\n", args.csv_path.c_str());
-  }
-  if (!args.json_path.empty()) {
-    WriteFile(args.json_path, table.ToJson());
-    std::printf("wrote %s\n", args.json_path.c_str());
-  }
+  auto write = [&all_ok](const char* flag, const std::string& path,
+                        const std::string& contents) {
+    if (path.empty()) {
+      return;
+    }
+    if (WriteFile(path, contents)) {
+      std::printf("wrote %s\n", path.c_str());
+    } else {
+      std::fprintf(stderr, "%s: cannot write %s\n", flag, path.c_str());
+      all_ok = false;
+    }
+  };
+  write("--csv", args.csv_path, table.ToCsv());
+  write("--json", args.json_path, table.ToJson());
   return all_ok;
 }
 

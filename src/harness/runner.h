@@ -167,7 +167,8 @@ HarnessArgs ParseHarnessArgs(int argc, char** argv);
 
 // Prints the assembled table (submission order), any failed runs, then each
 // run's captured notes (unless --no-notes), then honours --csv / --json.
-// Returns false if any run failed.
+// Returns false if any run failed or an output file could not be written;
+// the latter prints "<flag>: cannot write <path>" on stderr.
 bool EmitResults(const ResultTable& table, const HarnessArgs& args);
 
 // Derives a collision-free per-run artifact path from a base path: run 0 of

@@ -64,13 +64,16 @@ void ExportCsv(const TimeSeriesDb& db, std::span<const std::string> series,
   }
 }
 
-void ExportCsvFile(const TimeSeriesDb& db,
+bool ExportCsvFile(const TimeSeriesDb& db,
                    std::span<const std::string> series,
                    const std::string& path) {
   std::ofstream out(path);
-  AMPERE_CHECK(out.good()) << "cannot open " << path << " for writing";
+  if (!out.good()) {
+    return false;
+  }
   ExportCsv(db, series, out);
-  AMPERE_CHECK(out.good()) << "write to " << path << " failed";
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace ampere

@@ -23,9 +23,11 @@ namespace ampere {
 void ExportCsv(const TimeSeriesDb& db, std::span<const std::string> series,
                std::ostream& out);
 
-void ExportCsvFile(const TimeSeriesDb& db,
-                   std::span<const std::string> series,
-                   const std::string& path);
+// ExportCsv into the file at `path`; returns false if the file cannot be
+// opened or the write fails.
+[[nodiscard]] bool ExportCsvFile(const TimeSeriesDb& db,
+                                 std::span<const std::string> series,
+                                 const std::string& path);
 
 }  // namespace ampere
 

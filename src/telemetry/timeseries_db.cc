@@ -19,66 +19,76 @@ constexpr double kFloatMinNormal = std::numeric_limits<float>::min();
 
 // Narrows `v` to a Cell in `*out` and returns whether the cell reads back
 // as `v` bit for bit. A range guard runs first, so the cast is always
-// defined: [0, 65535] for 16 bits; for float, |v| <= FLT_MAX and normal or
-// zero. NaN fails every comparison, so it fails both; an out-of-range
-// value narrows to 0. The bit compare then rejects fractions, values
-// float cannot hold, and -0.0 in a 16-bit cell (which has no sign bit).
+// defined: [base, base + the Cell's max] for a whole-number Cell, which
+// reads back as itself plus `base`; for float, |v| <= FLT_MAX and normal
+// or zero. NaN fails every comparison, so it fails every width; an
+// out-of-range value narrows to 0. The bit compare then rejects
+// fractions, values float cannot hold, and -0.0 in a whole-number cell
+// (which has no sign bit).
 template <typename Cell>
-bool Narrow(double v, Cell* out) {
+bool Narrow(double v, double base, Cell* out) {
   bool in_range;
-  if constexpr (std::is_same_v<Cell, uint16_t>) {
-    in_range = v >= 0.0 && v <= 65535.0;
+  double back;
+  if constexpr (std::is_integral_v<Cell>) {
+    in_range = v >= base && v <= base + std::numeric_limits<Cell>::max();
+    *out = in_range ? static_cast<Cell>(v - base) : Cell{0};
+    back = static_cast<double>(*out) + base;
   } else {
     const double magnitude = std::fabs(v);
     in_range = magnitude <= kFloatMax &&
                (magnitude >= kFloatMinNormal || magnitude == 0.0);
+    *out = in_range ? static_cast<Cell>(v) : Cell{0};
+    back = static_cast<double>(*out);
   }
-  *out = in_range ? static_cast<Cell>(v) : Cell{0};
-  return in_range && std::bit_cast<uint64_t>(static_cast<double>(*out)) ==
-                         std::bit_cast<uint64_t>(v);
+  return in_range &&
+         std::bit_cast<uint64_t>(back) == std::bit_cast<uint64_t>(v);
 }
 
-// Writes every cell of `values` to `out` as a Cell and returns whether each
-// present cell reads back as exactly its double. Absent cells are never
-// read, so they never fail the row.
+// Writes every cell of `values` to `out` as a Cell above `base` and returns
+// whether each present cell reads back as exactly its double. Absent cells
+// are never read, so they never fail the row.
 template <typename Cell>
 bool NarrowRow(std::span<const double> values, const uint8_t* absent,
-               Cell* __restrict out) {
+               double base, Cell* __restrict out) {
   bool exact = true;
   for (size_t c = 0; c < values.size(); ++c) {
     Cell cell;
-    const bool fits = Narrow(values[c], &cell);
+    const bool fits = Narrow(values[c], base, &cell);
     out[c] = cell;
     exact &= fits || (absent != nullptr && absent[c] != 0);
   }
   return exact;
 }
 
-// Appends `values` to `block` as Cells if every present cell is exact
-// there; otherwise leaves `block` as it was and returns false.
-template <typename Cell>
-bool AppendNarrowRow(std::span<const double> values, const uint8_t* absent,
-                     std::vector<Cell>& block) {
-  const size_t begin = block.size();
-  block.resize(begin + values.size());
-  if (NarrowRow(values, absent, block.data() + begin)) {
-    return true;
-  }
-  block.resize(begin);
-  return false;
-}
-
-// NarrowRow's verdict without the stores: whether every present cell of
-// the row is exact as a Cell.
+// NarrowRow's verdict for an absolute (base 0) Cell, without the stores.
 template <typename Cell>
 bool RowFits(std::span<const double> values, const uint8_t* absent) {
   for (size_t c = 0; c < values.size(); ++c) {
     Cell cell;
-    if ((absent == nullptr || absent[c] == 0) && !Narrow(values[c], &cell)) {
+    if ((absent == nullptr || absent[c] == 0) &&
+        !Narrow(values[c], 0.0, &cell)) {
       return false;
     }
   }
   return true;
+}
+
+// The base of a frame's byte cells, from its first row with a present
+// cell: the midpoint of the row's present values, rounded down, minus 128,
+// clamped to [0, 65,280] so the whole window stays within 16 bits. NaN
+// cells are skipped, and a row of NaNs gets base 0; a cell outside the
+// window only means the frame widens.
+uint16_t PickBase(std::span<const double> values, const uint8_t* absent) {
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (size_t c = 0; c < values.size(); ++c) {
+    if (absent == nullptr || absent[c] == 0) {
+      lo = std::min(lo, values[c]);
+      hi = std::max(hi, values[c]);
+    }
+  }
+  const double base = std::floor((lo + hi) / 2.0) - 128.0;
+  return base > 0.0 ? static_cast<uint16_t>(std::min(base, 65280.0)) : 0;
 }
 
 }  // namespace
@@ -179,7 +189,7 @@ void TimeSeriesDb::ReserveRows(FrameId frame, size_t rows) {
   Frame& f = frames_[frame.index()];
   f.stamps.reserve(rows);
   const size_t cells = rows * f.members.size();
-  f.WithBlock([cells](auto& block) { block.reserve(cells); });
+  f.WithBlock(f.width, [cells](auto& block) { block.reserve(cells); });
   if (!f.presence.empty()) {
     f.presence.reserve(rows * f.words());
   }
@@ -206,41 +216,68 @@ void TimeSeriesDb::AppendFrame(FrameId frame, SimTime stamp,
       << "out-of-order append to the frame of series "
       << names_[f.members.front().index()];
   f.stamps.push_back(stamp);
-  if (f.width == CellWidth::kWhole16 &&
-      !AppendNarrowRow(values, absent, f.whole)) {
-    Widen(f, RowFits<float>(values, absent) ? CellWidth::kFloat
-                                            : CellWidth::kDouble);
+  if (f.width == CellWidth::kByte && f.points == 0) {
+    // No present cell yet, so this row fixes the base; the earlier rows
+    // are all absent, and rebasing them changes no read.
+    f.base = PickBase(values, absent);
   }
-  if (f.width == CellWidth::kFloat &&
-      !AppendNarrowRow(values, absent, f.narrow)) {
-    Widen(f, CellWidth::kDouble);
-  }
-  if (f.width == CellWidth::kDouble) {
-    f.wide.insert(f.wide.end(), values.begin(), values.end());
+  if (!AppendRow(f, values, absent)) {
+    CellWidth to = CellWidth::kDouble;
+    if (f.width < CellWidth::kWhole16 && RowFits<uint16_t>(values, absent)) {
+      to = CellWidth::kWhole16;
+    } else if (f.width < CellWidth::kFloat && RowFits<float>(values, absent)) {
+      to = CellWidth::kFloat;
+    }
+    Widen(f, to);
+    AppendRow(f, values, absent);  // Fits: `to` holds the row.
   }
   f.points += (absent != nullptr || !f.presence.empty())
                   ? AppendPresence(f, absent)
                   : f.members.size();
 }
 
-void TimeSeriesDb::Widen(Frame& frame, CellWidth to) {
-  // 16-bit and float cells convert to every wider width exactly, so each
-  // stored cell keeps its value.
-  const size_t capacity = frame.cell_capacity();
-  if (to == CellWidth::kFloat) {
-    frame.narrow.reserve(capacity);
-    frame.narrow.assign(frame.whole.begin(), frame.whole.end());
-  } else {
-    frame.wide.reserve(capacity);
-    if (frame.width == CellWidth::kWhole16) {
-      frame.wide.assign(frame.whole.begin(), frame.whole.end());
+bool TimeSeriesDb::AppendRow(Frame& frame, std::span<const double> values,
+                             const uint8_t* absent) {
+  const double base = frame.base;
+  return frame.WithBlock(frame.width, [&](auto& block) {
+    using Cell = typename std::decay_t<decltype(block)>::value_type;
+    if constexpr (std::is_same_v<Cell, double>) {
+      block.insert(block.end(), values.begin(), values.end());
+      return true;
     } else {
-      frame.wide.assign(frame.narrow.begin(), frame.narrow.end());
+      const size_t begin = block.size();
+      block.resize(begin + values.size());
+      if (NarrowRow(values, absent, base, block.data() + begin)) {
+        return true;
+      }
+      block.resize(begin);
+      return false;
     }
-    frame.narrow = std::vector<float>();
-  }
-  frame.whole = std::vector<uint16_t>();
+  });
+}
+
+void TimeSeriesDb::Widen(Frame& frame, CellWidth to) {
+  // Byte, 16-bit and float cells convert to every wider width exactly, so
+  // each stored cell keeps its value. Cells wider than a byte are absolute.
+  const size_t capacity = frame.cell_capacity();
+  const double base = frame.base;
+  frame.WithBlock(frame.width, [&](auto& from) {
+    using From = typename std::decay_t<decltype(from)>::value_type;
+    frame.WithBlock(to, [&](auto& into) {
+      using Cell = typename std::decay_t<decltype(into)>::value_type;
+      into.reserve(capacity);
+      for (const From cell : from) {
+        if constexpr (std::is_integral_v<From>) {
+          into.push_back(static_cast<Cell>(static_cast<double>(cell) + base));
+        } else {
+          into.push_back(static_cast<Cell>(cell));
+        }
+      }
+    });
+    from = std::vector<From>();
+  });
   frame.width = to;
+  frame.base = 0;
 }
 
 size_t TimeSeriesDb::AppendPresence(Frame& frame, const uint8_t* absent) {
@@ -292,6 +329,10 @@ HotColumn TimeSeriesDb::HotColumnFor(Slot slot, SimTime from,
   hot.value_stride = frame.members.size();
   const size_t cell = first * hot.value_stride + slot.column;
   switch (frame.width) {
+    case CellWidth::kByte:
+      hot.byte = frame.bytes.data() + cell;
+      hot.base = frame.base;
+      break;
     case CellWidth::kWhole16:
       hot.whole = frame.whole.data() + cell;
       break;
@@ -360,7 +401,7 @@ size_t TimeSeriesDb::TotalPoints() const {
 size_t TimeSeriesDb::HotValueBytes() const {
   size_t bytes = 0;
   for (const Frame& frame : frames_) {
-    bytes += frame.whole.size() * sizeof(uint16_t) +
+    bytes += frame.bytes.size() + frame.whole.size() * sizeof(uint16_t) +
              frame.narrow.size() * sizeof(float) +
              frame.wide.size() * sizeof(double);
   }

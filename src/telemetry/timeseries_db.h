@@ -19,20 +19,24 @@
 // grows a presence bitmap, allocated only when the first absent cell
 // arrives, and reads skip absent cells — each series holds exactly the
 // points appended to it.
-// Cells are stored in the narrowest of three widths that holds every
-// present cell of the frame bit for bit: 16-bit unsigned whole numbers
-// (whole-watt BMC readings and rack sums up to 65,535 W), float (larger
-// whole-watt sums), else double. A frame starts at 16 bits; the first row
-// that does not fit widens it once, to float if that row fits there and
-// straight to double if not, converting its rows exactly. Width only ever
-// widens and is invisible to readers, which always get the appended bits.
+// Cells are stored in the narrowest of four widths that holds every
+// present cell of the frame bit for bit: one byte above a per-frame base
+// (whole watts within a 256 W window: one tier of BMC readings), 16-bit
+// unsigned whole numbers (whole-watt readings and rack sums up to
+// 65,535 W), float (larger whole-watt sums), else double. A frame starts
+// at one byte; its first row with a present cell fixes the base (the
+// midpoint of that row's present values, rounded down, minus 128, clamped
+// to [0, 65,280]). The first row that does not fit widens the frame once,
+// straight to the narrowest width that holds that row, converting its
+// rows exactly. Width only ever widens and is invisible to readers, which
+// always get the appended bits.
 //
 // Handles: a producer interns each series name once (Intern: the only
 // place a string is hashed or copied) and appends through the integer
 // SeriesId. String-keyed calls are a thin shim over interning.
 //
 // There is one tier: every point a run appends stays in its frame for the
-// db's lifetime. At 2 bytes per whole-watt cell the longest shipped run
+// db's lifetime. At 1-2 bytes per whole-watt cell the longest shipped run
 // stays well under the memory of any host it runs on; the sizing is in
 // docs/telemetry_storage.md.
 
@@ -59,12 +63,15 @@ struct TimePoint {
 };
 
 // One series' rows inside its frame: the frame's stamps, the series'
-// strided value column (16-bit, float or double, as the frame stores it)
+// strided value column (8-bit above `base`, 16-bit, float or double, as
+// the frame stores it)
 // and, if the frame has ever held an absent cell, the series' presence bits
 // (one word per row at `presence_stride`, tested with `presence_mask`).
 struct HotColumn {
   std::span<const SimTime> stamps;
   // Row i at [i * value_stride] of the one block that is set.
+  const uint8_t* byte = nullptr;  // Reads as the byte plus `base`.
+  double base = 0.0;
   const uint16_t* whole = nullptr;
   const float* narrow = nullptr;
   const double* wide = nullptr;
@@ -79,6 +86,9 @@ struct HotColumn {
   }
   double value(size_t row) const {
     const size_t cell = row * value_stride;
+    if (byte != nullptr) {
+      return static_cast<double>(byte[cell]) + base;
+    }
     if (whole != nullptr) {
       return static_cast<double>(whole[cell]);
     }
@@ -187,8 +197,10 @@ class TimeSeriesDb {
   // append after ReserveRows allocates at most once per widening, on the
   // row that widens the frame (its first row with a present cell that does
   // not round-trip through the current width; the wider block keeps the
-  // reserved row capacity), and never otherwise. A row that fits neither
-  // 16 bits nor float widens a 16-bit frame to double in one step.
+  // reserved row capacity), and never otherwise. The widening row takes
+  // the frame straight to the narrowest width that holds it: a row that
+  // fits neither 16 bits nor float takes a byte frame to double in one
+  // step.
   void AppendFrame(FrameId frame, SimTime stamp,
                    std::span<const double> values,
                    const uint8_t* absent = nullptr);
@@ -240,9 +252,9 @@ class TimeSeriesDb {
   std::vector<std::string> SeriesNames() const;
   // Total points across all series.
   size_t TotalPoints() const;
-  // Bytes of the stored cells (absent ones included) across all frames: 2 per
-  // cell of a 16-bit frame, 4 per cell of a float one, 8 per cell of a
-  // double one.
+  // Bytes of the stored cells (absent ones included) across all frames: 1 per
+  // cell of a byte frame, 2 per cell of a 16-bit one, 4 per cell of a float
+  // one, 8 per cell of a double one.
   size_t HotValueBytes() const;
 
  private:
@@ -255,41 +267,45 @@ class TimeSeriesDb {
   };
 
   // A frame's cell width; it only ever grows.
-  enum class CellWidth : uint8_t { kWhole16, kFloat, kDouble };
+  enum class CellWidth : uint8_t { kByte, kWhole16, kFloat, kDouble };
 
   struct Frame {
     std::vector<SeriesId> members;  // Column order.
     std::vector<SimTime> stamps;    // One per row.
     // Row-major cells, members.size() per row, in the block of the frame's
-    // width; the other two blocks stay empty.
+    // width; the other blocks stay empty. A byte cell reads as itself plus
+    // `base`, fixed by the first row with a present cell.
+    std::vector<uint8_t> bytes;
     std::vector<uint16_t> whole;
     std::vector<float> narrow;
     std::vector<double> wide;
-    CellWidth width = CellWidth::kWhole16;
+    CellWidth width = CellWidth::kByte;
+    uint16_t base = 0;
     // Row-major presence bits, words() words per row; bit c%64 of word
     // c/64 is column c. Empty until the first absent cell.
     std::vector<uint64_t> presence;
     size_t points = 0;  // Present cells.
 
     size_t words() const { return (members.size() + 63) / 64; }
-    // Calls fn with the block of the frame's width.
+    // Returns fn applied to the block of width `w`.
     template <typename Fn>
-    void WithBlock(Fn&& fn) {
-      switch (width) {
+    decltype(auto) WithBlock(CellWidth w, Fn&& fn) {
+      switch (w) {
+        case CellWidth::kByte:
+          return fn(bytes);
         case CellWidth::kWhole16:
-          fn(whole);
-          break;
+          return fn(whole);
         case CellWidth::kFloat:
-          fn(narrow);
-          break;
+          return fn(narrow);
         case CellWidth::kDouble:
-          fn(wide);
           break;
       }
+      return fn(wide);
     }
     // Only the block of the frame's width holds any capacity.
     size_t cell_capacity() const {
-      return whole.capacity() + narrow.capacity() + wide.capacity();
+      return bytes.capacity() + whole.capacity() + narrow.capacity() +
+             wide.capacity();
     }
   };
 
@@ -298,6 +314,11 @@ class TimeSeriesDb {
   // Appends `row`'s presence words, allocating the bitmap (all earlier rows
   // present) at the first absent cell; returns the row's present count.
   size_t AppendPresence(Frame& frame, const uint8_t* absent);
+  // Appends `values` to the block of the frame's width if every present
+  // cell is exact there; otherwise leaves the block as it was and returns
+  // false.
+  static bool AppendRow(Frame& frame, std::span<const double> values,
+                        const uint8_t* absent);
   // Moves the frame's rows into the block of the wider width `to`,
   // keeping its reserved row capacity.
   static void Widen(Frame& frame, CellWidth to);

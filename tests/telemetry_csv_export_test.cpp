@@ -92,11 +92,13 @@ TEST(CsvExportTest, FileExport) {
   std::vector<std::string> series{"x"};
   const ScratchDir scratch("csv_export");
   const std::string path = scratch.path() + "/export.csv";
-  ExportCsvFile(db, series, path);
+  ASSERT_TRUE(ExportCsvFile(db, series, path));
   std::ifstream in(path);
   std::string header;
   std::getline(in, header);
   EXPECT_EQ(header, "minutes,x");
+  // A path under a regular file cannot be opened: reported, not fatal.
+  EXPECT_FALSE(ExportCsvFile(db, series, path + "/below_a_file.csv"));
 }
 
 }  // namespace

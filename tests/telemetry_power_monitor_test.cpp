@@ -351,10 +351,10 @@ TEST(PowerMonitorTest, SeriesPrefixNamespacesEverything) {
 }
 
 // Each recorded tier is its own frame with its own cell width. On the
-// small topology every whole-watt reading and sum stays below 65,536, so
-// every tier keeps 2 bytes per cell; unquantized noisy readings widen every
-// tier to 8.
-TEST(PowerMonitorTest, QuantizedTiersHoldTwoBytesPerCell) {
+// small topology each tier's whole-watt readings and sums stay within the
+// 256 W window its first row fixes, so every tier keeps 1 byte per cell;
+// unquantized noisy readings widen every tier to 8.
+TEST(PowerMonitorTest, QuantizedTiersHoldOneBytePerCell) {
   for (const bool quantize : {true, false}) {
     SCOPED_TRACE(quantize ? "quantized" : "unquantized");
     Simulation sim;
@@ -374,14 +374,15 @@ TEST(PowerMonitorTest, QuantizedTiersHoldTwoBytesPerCell) {
     // 8 servers, 2 racks, 2 rows, the total and one group, 10 rows.
     ASSERT_EQ(db.TotalPoints(), 14u * 10u);
     EXPECT_EQ(db.HotValueBytes(), db.TotalPoints() * (quantize
-                                                          ? sizeof(uint16_t)
+                                                          ? sizeof(uint8_t)
                                                           : sizeof(double)));
   }
 }
 
-// A paper row (10 racks of 42 servers): whole-watt server readings, rack
-// sums and the half-row group stay 16-bit, while the row and DC sums pass
-// 65,535 W and widen to float at their first row.
+// A paper row (10 racks of 42 servers) at idle: whole-watt server
+// readings, rack sums and the half-row group each stay within their
+// tier's 256 W window and keep 1 byte per cell, while the row and DC sums
+// pass 65,535 W and widen to float at their first row.
 TEST(PowerMonitorTest, PaperRowTiersKeepTheirOwnCellWidths) {
   Simulation sim;
   DataCenter dc(TopologyConfig{}, &sim);
@@ -400,10 +401,10 @@ TEST(PowerMonitorTest, PaperRowTiersKeepTheirOwnCellWidths) {
   sim.RunUntil(SimTime::Minutes(10.5));
   ASSERT_GT(monitor.LatestRowWatts(RowId(0)), 65535.0);
   const size_t rows = 10;
-  const size_t narrow_cells = 420 + 10 + 1;  // Servers, racks, the group.
-  const size_t float_cells = 1 + 1;          // The row and the total.
+  const size_t byte_cells = 420 + 10 + 1;  // Servers, racks, the group.
+  const size_t float_cells = 1 + 1;        // The row and the total.
   EXPECT_EQ(db.HotValueBytes(),
-            rows * (sizeof(uint16_t) * narrow_cells +
+            rows * (sizeof(uint8_t) * byte_cells +
                     sizeof(float) * float_cells));
 }
 
@@ -665,8 +666,9 @@ TEST(PowerMonitorFaultTest, DarkRowAndGroupFeedsAreAbsentFromTheirSeries) {
 // A sensor bias of half a watt on unquantized whole-watt readings (idle
 // servers at exactly 160 W, no noise) makes every server reading
 // fractional, but each 4-server rack sum, row sum, total and 2-server
-// group sum stays whole: only the server tier's frame widens, and to float
-// (160.5 is exact there).
+// group sum stays whole and inside its tier's byte window: only the server
+// tier's frame widens, and from one byte straight to float (160.5 is exact
+// there).
 TEST(PowerMonitorFaultTest, FractionalReadingsWidenOnlyTheServerTier) {
   TopologyConfig topology = SmallTopology();
   topology.power_model.rated_watts = 256.0;
@@ -680,13 +682,13 @@ TEST(PowerMonitorFaultTest, FractionalReadingsWidenOnlyTheServerTier) {
   monitor.RegisterGroup("pair", {ServerId(0), ServerId(5)});
   monitor.PreallocateSamples(4);
   monitor.SampleOnce(SimTime::Minutes(1));
-  // 8 servers + 2 racks + 2 rows + the total + the group, all 16-bit.
-  EXPECT_EQ(db.HotValueBytes(), 14 * sizeof(uint16_t));
+  // 8 servers + 2 racks + 2 rows + the total + the group, all one byte.
+  EXPECT_EQ(db.HotValueBytes(), 14 * sizeof(uint8_t));
   faults::FaultInjector injector(PlanFromText("sensor_bias_watts=0.5\n"));
   monitor.AttachFaultInjector(&injector);
   monitor.SampleOnce(SimTime::Minutes(2));
   EXPECT_EQ(db.HotValueBytes(),
-            2 * (8 * sizeof(float) + 6 * sizeof(uint16_t)));
+            2 * (8 * sizeof(float) + 6 * sizeof(uint8_t)));
   EXPECT_EQ(ValuesOf(db, PowerMonitor::ServerSeries(ServerId(3))),
             (std::vector<double>{160.0, 160.5}));
   EXPECT_EQ(ValuesOf(db, PowerMonitor::RackSeries(RackId(1))),

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,12 +136,19 @@ TEST(TimeSeriesDbFrameTest, RegisterFrameTakesOnlyEmptySeries) {
   EXPECT_THROW(db.RegisterFrame(twice), CheckFailure);
 }
 
-// Whether `v` is a whole number in [0, 65535] with no sign bit: the rule
-// that keeps a frame's cells in 16 bits. Written independently of the db's
-// kernel.
-bool WholeExact(double v) {
-  return v >= 0.0 && v <= 65535.0 && std::floor(v) == v && !std::signbit(v);
+// Whether `v` is a whole number in [lo, hi] with no sign bit. Written
+// independently of the db's kernel.
+bool WholeIn(double v, double lo, double hi) {
+  return v >= lo && v <= hi && std::floor(v) == v && !std::signbit(v);
 }
+
+// The rule that keeps a frame's cells in one byte above its base.
+bool ByteExact(double v, double base) {
+  return WholeIn(v, base, base + 255.0);
+}
+
+// The rule that keeps a frame's cells in 16 bits.
+bool WholeExact(double v) { return WholeIn(v, 0.0, 65535.0); }
 
 // Whether `v` survives a float round trip bit for bit: the rule that keeps
 // a frame's cells in float. Written independently of the db's kernel.
@@ -155,9 +163,14 @@ bool FloatExact(double v) {
   return std::memcmp(&back, &v, sizeof(double)) == 0;
 }
 
-// Bytes per cell of a frame that has held `v`.
-size_t CellBytes(double v) {
+// Bytes per cell of a frame that has left the byte rung and held `v`.
+size_t WideBytes(double v) {
   return WholeExact(v) ? 2 : (FloatExact(v) ? 4 : 8);
+}
+
+// Bytes per cell of a frame with byte base `base` that has held `v`.
+size_t CellBytes(double v, double base) {
+  return ByteExact(v, base) ? 1 : WideBytes(v);
 }
 
 bool SameBits(double a, double b) {
@@ -166,60 +179,76 @@ bool SameBits(double a, double b) {
 
 TEST(TimeSeriesDbFrameTest, EdgeValuesReadBackBitIdentical) {
   const double kTwo24 = 16777216.0;
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
   double nan_with_payload;
   const uint64_t nan_bits = 0x7ff8'0000'dead'beefULL;
   std::memcpy(&nan_with_payload, &nan_bits, sizeof(double));
-  const double edges[] = {
-      0.0,
-      65535.0,
-      65536.0,
-      -1.0,
-      -0.0,
-      0.5,
-      1e300,
-      kTwo24,
-      kTwo24 + 1.0,
-      static_cast<double>(std::numeric_limits<float>::max()),
-      1e39,
-      std::numeric_limits<double>::infinity(),
-      -std::numeric_limits<double>::infinity(),
-      std::numeric_limits<double>::quiet_NaN(),
-      nan_with_payload,
-      std::numeric_limits<double>::denorm_min(),
-      static_cast<double>(std::numeric_limits<float>::denorm_min()),
+  // A frame's first row {first, first} fixes the byte base at first - 128,
+  // or 0 when that is negative: 0 for first = 100, 872 for first = 1000.
+  struct Case {
+    double first;
+    double edge;
+    size_t bytes;  // Per cell, once the frame holds the edge value.
   };
-  // Bytes per cell of the frame once it holds the edge value.
-  const size_t bytes[] = {2, 2, 4, 4, 4, 4, 8, 4, 8, 4,
-                          8, 8, 8, 8, 8, 8, 8};
-  static_assert(std::size(bytes) == std::size(edges));
-  for (size_t e = 0; e < std::size(edges); ++e) {
-    const double edge = edges[e];
-    SCOPED_TRACE("edge " + std::to_string(e));
-    EXPECT_EQ(CellBytes(edge), bytes[e]);
+  const Case cases[] = {
+      {100.0, 0.0, 1},
+      {100.0, 255.0, 1},
+      {100.0, 256.0, 2},
+      {100.0, 65535.0, 2},
+      {100.0, 65536.0, 4},
+      {100.0, -1.0, 4},
+      {100.0, -0.0, 4},
+      {100.0, 0.5, 4},
+      {100.0, 1e300, 8},
+      {100.0, kTwo24, 4},
+      {100.0, kTwo24 + 1.0, 8},
+      {100.0, static_cast<double>(std::numeric_limits<float>::max()), 4},
+      {100.0, 1e39, 8},
+      {100.0, std::numeric_limits<double>::infinity(), 8},
+      {100.0, -std::numeric_limits<double>::infinity(), 8},
+      {100.0, kNaN, 8},
+      {100.0, nan_with_payload, 8},
+      {100.0, std::numeric_limits<double>::denorm_min(), 8},
+      {100.0, static_cast<double>(std::numeric_limits<float>::denorm_min()),
+       8},
+      {1000.0, 872.0, 1},   // base
+      {1000.0, 1127.0, 1},  // base + 255
+      {1000.0, 871.0, 2},   // base - 1
+      {1000.0, 1128.0, 2},  // base + 256
+      {1000.0, 872.5, 4},
+      {1000.0, -0.0, 4},
+      {1000.0, 0.0, 2},
+      {1000.0, kNaN, 8},
+  };
+  for (size_t e = 0; e < std::size(cases); ++e) {
+    const Case& c = cases[e];
+    SCOPED_TRACE("case " + std::to_string(e));
+    EXPECT_EQ(CellBytes(c.edge, std::max(0.0, c.first - 128.0)), c.bytes);
     TimeSeriesDb db;
     const SeriesId members[] = {db.Intern("whole"), db.Intern("edge")};
     const FrameId frame = db.RegisterFrame(members);
     db.ReserveRows(frame, 8);
-    // Three whole-watt rows, then the edge value in every later row.
+    // Three rows inside the byte window, then the edge value in every
+    // later row.
     for (int m = 0; m < 6; ++m) {
-      const double row[] = {100.0 + m, m < 3 ? 7.0 : edge};
+      const double row[] = {c.first + m, m < 3 ? c.first : c.edge};
       db.AppendFrame(frame, SimTime::Minutes(m), row);
     }
-    // 6 rows of 2 cells, at 2 bytes each while every cell is a 16-bit
-    // whole number, and at 4 or 8 once the edge value widened the frame.
-    EXPECT_EQ(db.HotValueBytes(), 12 * bytes[e]);
+    // 6 rows of 2 cells, at 1 byte each while every cell is in the byte
+    // window, and at 2, 4 or 8 once the edge value widened the frame.
+    EXPECT_EQ(db.HotValueBytes(), 12 * c.bytes);
     const std::vector<TimePoint> edge_points =
-        db.QueryStitched("edge", SimTime::Minutes(3), SimTime::Minutes(5))
-            .Materialize();
-    ASSERT_EQ(edge_points.size(), 3u);
-    for (const TimePoint& p : edge_points) {
-      EXPECT_TRUE(SameBits(p.value, edge));
+        db.SeriesStitched("edge").Materialize();
+    ASSERT_EQ(edge_points.size(), 6u);
+    for (size_t m = 0; m < 6; ++m) {
+      EXPECT_TRUE(SameBits(edge_points[m].value, m < 3 ? c.first : c.edge))
+          << "row " << m;
     }
-    EXPECT_TRUE(SameBits(db.Latest("edge")->value, edge));
+    EXPECT_TRUE(SameBits(db.Latest("edge")->value, c.edge));
     const std::vector<double> whole = ValuesOf(db, "whole");
     ASSERT_EQ(whole.size(), 6u);
     for (int m = 0; m < 6; ++m) {
-      EXPECT_TRUE(SameBits(whole[static_cast<size_t>(m)], 100.0 + m));
+      EXPECT_TRUE(SameBits(whole[static_cast<size_t>(m)], c.first + m));
     }
   }
 }
@@ -233,50 +262,88 @@ TEST(TimeSeriesDbFrameTest, AbsentInexactCellDoesNotWiden) {
   db.AppendFrame(frame, SimTime::Minutes(1), dark, b_absent);
   const double nan_dark[] = {2.0, std::numeric_limits<double>::quiet_NaN()};
   db.AppendFrame(frame, SimTime::Minutes(2), nan_dark, b_absent);
-  EXPECT_EQ(db.HotValueBytes(), 4 * sizeof(uint16_t));
-  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0}));
+  // A whole number outside the byte window [0, 255].
+  const double far_dark[] = {3.0, 5000.0};
+  db.AppendFrame(frame, SimTime::Minutes(3), far_dark, b_absent);
+  EXPECT_EQ(db.HotValueBytes(), 6 * sizeof(uint8_t));
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0, 3.0}));
   EXPECT_TRUE(ValuesOf(db, "b").empty());
   // The same inexact value, present, widens the frame; the earlier rows
   // convert exactly.
-  const double lit[] = {3.0, 0.1};
-  db.AppendFrame(frame, SimTime::Minutes(3), lit);
-  EXPECT_EQ(db.HotValueBytes(), 6 * sizeof(double));
-  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0, 3.0}));
+  const double lit[] = {4.0, 0.1};
+  db.AppendFrame(frame, SimTime::Minutes(4), lit);
+  EXPECT_EQ(db.HotValueBytes(), 8 * sizeof(double));
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{1.0, 2.0, 3.0, 4.0}));
   EXPECT_EQ(ValuesOf(db, "b"), (std::vector<double>{0.1}));
 }
 
-// A row that fits neither 16 bits nor float takes a 16-bit frame to double
-// in one step; a row that fits float takes it there. (The allocation side
-// of the contract, at most one allocation on the widening row after
+// The first row that does not fit the frame's width takes it straight to
+// the narrowest width that holds the row: from the byte rung to 16 bits,
+// float or double, and from 16 bits to float or double. (The allocation
+// side of the contract, at most one allocation on the widening row after
 // ReserveRows, is hard-asserted by the BM_TimeSeriesAppendFrame* benches.)
 TEST(TimeSeriesDbFrameTest, WideningGoesStraightToTheWidthTheRowNeeds) {
-  for (const bool via_float : {true, false}) {
-    SCOPED_TRACE(via_float ? "16 to float to double" : "16 to double");
+  struct Chain {
+    const char* name;
+    std::vector<double> b;      // Column b, row by row; a is 100 + row.
+    std::vector<size_t> bytes;  // Bytes per cell after each row.
+  };
+  // Row 0 {100, 101} fixes the byte base at 0: the window is [0, 255].
+  const Chain chains[] = {
+      {"8 to 16 to float to double",
+       {101.0, 102.0, 1000.0, 1001.0, 70000.0, 0.1},
+       {1, 1, 2, 2, 4, 8}},
+      {"8 to 16 to double", {101.0, 256.0, 257.0, 0.1, 3.0, 4.0},
+       {1, 2, 2, 8, 8, 8}},
+      {"8 to float", {101.0, 102.0, 70000.0, 70001.0, 3.0, 4.0},
+       {1, 1, 4, 4, 4, 4}},
+      {"8 to double", {101.0, 102.0, 0.1, 5.0, 1000.0, 70000.0},
+       {1, 1, 8, 8, 8, 8}},
+      {"8 throughout", {101.0, 0.0, 255.0, 7.0, 200.0, 1.0},
+       {1, 1, 1, 1, 1, 1}},
+  };
+  for (const Chain& chain : chains) {
+    SCOPED_TRACE(chain.name);
     TimeSeriesDb db;
     const SeriesId members[] = {db.Intern("a"), db.Intern("b")};
     const FrameId frame = db.RegisterFrame(members);
     db.ReserveRows(frame, 6);
-    std::vector<double> want_b;
-    for (int r = 0; r < 6; ++r) {
-      // Rows 2-3 carry a whole number past 16 bits (or stay 16-bit), and
-      // rows 4-5 a value neither 16 bits nor float holds.
-      double b = 1000.0 + r;
-      if (r >= 4) {
-        b = 0.1;
-      } else if (r >= 2 && via_float) {
-        b = 70000.0;
-      }
-      const double row[] = {static_cast<double>(r), b};
-      db.AppendFrame(frame, SimTime::Minutes(r), row);
-      const size_t bytes = r < 2 ? 2 : (r < 4 ? (via_float ? 4 : 2) : 8);
-      EXPECT_EQ(db.HotValueBytes(), 2 * (static_cast<size_t>(r) + 1) * bytes)
+    std::vector<double> want_a;
+    for (size_t r = 0; r < chain.b.size(); ++r) {
+      const double row[] = {100.0 + static_cast<double>(r), chain.b[r]};
+      db.AppendFrame(frame, SimTime::Minutes(static_cast<double>(r)), row);
+      EXPECT_EQ(db.HotValueBytes(), 2 * (r + 1) * chain.bytes[r])
           << "row " << r;
-      want_b.push_back(b);
+      want_a.push_back(row[0]);
     }
-    EXPECT_EQ(ValuesOf(db, "a"),
-              (std::vector<double>{0.0, 1.0, 2.0, 3.0, 4.0, 5.0}));
-    EXPECT_EQ(ValuesOf(db, "b"), want_b);
+    EXPECT_EQ(ValuesOf(db, "a"), want_a);
+    EXPECT_EQ(ValuesOf(db, "b"), chain.b);
   }
+}
+
+// Rows whose cells are all absent fix no base: the first row with a present
+// cell does, here at 1000 - 128 = 872, so the window is [872, 1127].
+TEST(TimeSeriesDbFrameTest, FirstRowWithAPresentCellFixesTheByteBase) {
+  TimeSeriesDb db;
+  const SeriesId members[] = {db.Intern("a"), db.Intern("b")};
+  const FrameId frame = db.RegisterFrame(members);
+  const uint8_t all_absent[] = {1, 1};
+  const double dark[] = {0.1, 70000.0};
+  db.AppendFrame(frame, SimTime::Minutes(1), dark, all_absent);
+  EXPECT_EQ(db.HotValueBytes(), 2u);
+  const double first[] = {999.0, 1001.0};
+  db.AppendFrame(frame, SimTime::Minutes(2), first);
+  const double edges[] = {872.0, 1127.0};
+  db.AppendFrame(frame, SimTime::Minutes(3), edges);
+  EXPECT_EQ(db.HotValueBytes(), 6u);
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{999.0, 872.0}));
+  EXPECT_EQ(ValuesOf(db, "b"), (std::vector<double>{1001.0, 1127.0}));
+  // One watt below the window widens the frame to 16 bits.
+  const double below[] = {871.0, 1000.0};
+  db.AppendFrame(frame, SimTime::Minutes(4), below);
+  EXPECT_EQ(db.HotValueBytes(), 4 * 2 * sizeof(uint16_t));
+  EXPECT_EQ(ValuesOf(db, "a"), (std::vector<double>{999.0, 872.0, 871.0}));
+  EXPECT_EQ(ValuesOf(db, "b"), (std::vector<double>{1001.0, 1127.0, 1000.0}));
 }
 
 // --- Frame storage against a per-series reference model -------------------
@@ -284,27 +351,46 @@ TEST(TimeSeriesDbFrameTest, WideningGoesStraightToTheWidthTheRowNeeds) {
 // Random frames (widths 1..1,700, plus width-1 series appended on their
 // own) receive rows with random absent cells and repeated stamps; the model
 // stores every series as its own plain vector of points and mirrors only
-// the width rule (a frame's cells take the CellBytes of the widest present
-// cell it has held: 2 while every one is WholeExact, 4 while every one is
-// FloatExact, 8 after). Frames start with 16-bit whole numbers and switch
-// to larger whole numbers and then to inexact values at random rows (so
-// they widen to float and to double, or to double in one step), or hold
-// one kind throughout; absent cells hold inexact values that must not
-// widen. After every row, random range reads, Latest, TotalPoints and
-// HotValueBytes must agree; at the end, every series' full history and
-// SeriesNames.
+// the width rule: a frame's first row with a present cell fixes its byte
+// base (the midpoint of the row's present cells, rounded down, minus 128,
+// clamped to [0, 65,280]); its cells stay 1 byte while every present cell
+// is ByteExact, and the first row that is not takes them to the WideBytes
+// of that row's widest present cell, and on to wider ones after (2 while
+// every one is WholeExact, 4 while every one is FloatExact, 8 after).
+// Frames start with whole numbers drawn around a centre, sometimes inside
+// the 256-wide window and sometimes wider than it, some with cells on
+// either side of each window edge, and switch to 16-bit
+// whole numbers, to larger whole numbers and then to inexact values at
+// random rows (so they widen one rung at a time or skip rungs), or hold
+// one kind throughout; absent cells hold inexact values outside every
+// window that must not widen. After every row, random range reads, Latest,
+// TotalPoints and HotValueBytes must agree; at the end, every series' full
+// history and SeriesNames.
 
 struct ModelFrame {
   FrameId id;
   std::vector<size_t> members;  // Model series indices.
   SimTime last;
-  // Rows from these on carry whole numbers past 16 bits, and inexact
-  // values (SIZE_MAX: never).
+  // Rows before whole_from draw whole numbers in [centre - spread,
+  // centre + spread]. Rows from these on carry 16-bit whole numbers, whole
+  // numbers past 16 bits, and inexact values (SIZE_MAX: never).
+  int64_t centre = 0;
+  int64_t spread = 0;
+  // How often such a row's cell is instead one of base - 1, base,
+  // base + 255 and base + 256, once the base is fixed.
+  double edge_p = 0.0;
+  size_t whole_from = std::numeric_limits<size_t>::max();
   size_t float_from = std::numeric_limits<size_t>::max();
   size_t inexact_from = std::numeric_limits<size_t>::max();
+  std::optional<double> base;  // Fixed by the first present cell.
   size_t rows = 0;   // Rows appended so far.
-  size_t bytes = 2;  // Bytes per cell.
+  size_t bytes = 1;  // Bytes per cell.
 };
+
+// The byte base a frame's first row with a present cell fixes.
+double ModelBase(double lo, double hi) {
+  return std::clamp(std::floor((lo + hi) / 2.0) - 128.0, 0.0, 65280.0);
+}
 
 void ExpectSameBits(const std::vector<TimePoint>& got,
                     const std::vector<TimePoint>& want,
@@ -319,9 +405,12 @@ void ExpectSameBits(const std::vector<TimePoint>& got,
 
 class TimeSeriesDbFramePropertyTest : public ::testing::Test {
  protected:
-  // How often a frame widened to float and to double across the trials.
+  // How often a frame widened to 16 bits, to float and to double, and how
+  // many frames ended their trial in the byte rung.
+  size_t to_whole_ = 0;
   size_t to_float_ = 0;
   size_t to_double_ = 0;
+  size_t stayed_byte_ = 0;
 
   // One lockstep trial.
   void RunTrial(uint64_t seed) {
@@ -361,25 +450,54 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
     }
     for (std::vector<ModelFrame>* group : {&frames, &singles}) {
       for (ModelFrame& frame : *group) {
+        // Centres at both ends of the 16-bit range clamp the base.
+        const double where = rng.Uniform(0.0, 1.0);
+        frame.centre = where < 0.1   ? rng.UniformInt(0, 100)
+                       : where < 0.2 ? rng.UniformInt(65435, 65535)
+                                     : rng.UniformInt(0, 65535);
+        // Within 60 W of the centre every cell stays inside the window the
+        // first row fixes; within 200 W some leave it.
+        frame.spread = rng.Bernoulli(0.7) ? 60 : 200;
+        frame.edge_p = rng.Bernoulli(0.5) ? 0.01 : 0.0;
         const double kind = rng.Uniform(0.0, 1.0);
-        if (kind < 0.4) {  // 16 -> float -> double.
-          frame.float_from = static_cast<size_t>(rng.UniformInt(0, 8));
-          frame.inexact_from =
-              frame.float_from + static_cast<size_t>(rng.UniformInt(0, 8));
-        } else if (kind < 0.55) {  // 16 -> float.
-          frame.float_from = static_cast<size_t>(rng.UniformInt(0, 12));
-        } else if (kind < 0.7) {  // 16 -> double in one step.
-          frame.inexact_from = static_cast<size_t>(rng.UniformInt(0, 12));
-        } else if (kind < 0.8) {  // Double throughout.
-          frame.inexact_from = 0;
+        auto at = [&](int64_t most) {
+          return static_cast<size_t>(rng.UniformInt(0, most));
+        };
+        if (kind < 0.3) {  // 8 -> 16 -> float -> double.
+          frame.whole_from = at(8);
+          frame.float_from = frame.whole_from + at(8);
+          frame.inexact_from = frame.float_from + at(8);
+        } else if (kind < 0.4) {  // 8 -> 16.
+          frame.whole_from = at(12);
+        } else if (kind < 0.5) {  // 8 -> float.
+          frame.whole_from = frame.float_from = at(12);
+        } else if (kind < 0.6) {  // 8 -> double in one step.
+          frame.whole_from = frame.float_from = frame.inexact_from = at(12);
+        } else if (kind < 0.7) {  // Double throughout.
+          frame.whole_from = frame.float_from = frame.inexact_from = 0;
+        } else if (kind < 0.8) {  // 16 -> float -> double.
+          frame.whole_from = 0;
+          frame.float_from = at(8);
+          frame.inexact_from = frame.float_from + at(8);
         }
       }
     }
-    // A cell for row `row` of `frame`: a whole number in [0, 65535], one in
-    // [-2^24, 2^24] (sometimes -0.0), or an inexact value.
+    // A cell for the next row of `frame`: a whole number near the frame's
+    // centre, one in [0, 65535], one in [-2^24, 2^24] (sometimes -0.0), or
+    // an inexact value.
     auto draw_value = [&](const ModelFrame& frame, bool inexact) {
       if (inexact || frame.rows >= frame.inexact_from) {
         return rng.Uniform(-1e3, 1e3);
+      }
+      if (frame.rows < frame.whole_from) {
+        if (frame.base.has_value() && rng.Bernoulli(frame.edge_p)) {
+          const double edges[] = {-1.0, 0.0, 255.0, 256.0};
+          return *frame.base + edges[rng.UniformInt(0, 3)];
+        }
+        return static_cast<double>(
+            std::clamp<int64_t>(frame.centre + rng.UniformInt(-frame.spread,
+                                                              frame.spread),
+                                0, 65535));
       }
       if (frame.rows < frame.float_from) {
         return static_cast<double>(rng.UniformInt(0, 65535));
@@ -388,13 +506,30 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
                  ? -0.0
                  : static_cast<double>(rng.UniformInt(-(1 << 24), 1 << 24));
     };
-    // Mirrors one appended row of `frame` whose widest present cell takes
-    // `row_bytes`.
-    auto note_row = [&](ModelFrame& frame, size_t row_bytes) {
+    // Mirrors one appended row of `frame` with the given present cells.
+    auto note_row = [&](ModelFrame& frame, std::span<const double> present) {
       ++frame.rows;
+      if (present.empty()) {
+        return;
+      }
+      if (!frame.base.has_value()) {
+        const auto [lo, hi] = std::minmax_element(present.begin(),
+                                                  present.end());
+        frame.base = ModelBase(*lo, *hi);
+      }
+      bool fits_byte = true;
+      size_t row_bytes = 2;
+      for (const double v : present) {
+        fits_byte &= ByteExact(v, *frame.base);
+        row_bytes = std::max(row_bytes, WideBytes(v));
+      }
+      if (frame.bytes == 1 && fits_byte) {
+        return;
+      }
       if (row_bytes > frame.bytes) {
         frame.bytes = row_bytes;
-        ++(row_bytes == 4 ? to_float_ : to_double_);
+        ++(row_bytes == 2 ? to_whole_ : (row_bytes == 4 ? to_float_
+                                                        : to_double_));
       }
     };
     // Repeats a stamp about a third of the time: appends only need to be
@@ -426,6 +561,7 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
 
     std::vector<double> values;
     std::vector<uint8_t> absent;
+    std::vector<double> present;
     const int64_t steps = rng.UniformInt(20, 110);
     for (int64_t step = 0; step < steps; ++step) {
       const size_t pick = static_cast<size_t>(rng.UniformInt(
@@ -440,7 +576,7 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
             rng.Bernoulli(0.5) ? 0.0 : (rng.Bernoulli(0.2) ? 1.0 : 0.3);
         values.resize(width);
         absent.assign(width, 0);
-        size_t row_bytes = 2;
+        present.clear();
         for (size_t c = 0; c < width; ++c) {
           absent[c] = rng.Bernoulli(absent_p) ? 1 : 0;
           // An absent cell's value is never read, so an inexact one must
@@ -448,12 +584,12 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
           values[c] = draw_value(frame, absent[c] != 0);
           if (absent[c] == 0) {
             model[frame.members[c]].push_back(TimePoint{stamp, values[c]});
-            row_bytes = std::max(row_bytes, CellBytes(values[c]));
+            present.push_back(values[c]);
           }
         }
         db.AppendFrame(frame.id, stamp, values,
                        absent_p > 0.0 ? absent.data() : nullptr);
-        note_row(frame, row_bytes);
+        note_row(frame, present);
       } else {
         ModelFrame& single = singles[pick - frames.size()];
         const size_t k = single.members.front();
@@ -461,7 +597,7 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
         const double value = draw_value(single, false);
         db.Append(ids[k], stamp, value);
         model[k].push_back(TimePoint{stamp, value});
-        note_row(single, CellBytes(value));
+        note_row(single, std::span<const double>(&value, 1));
       }
 
       size_t total = 0;
@@ -507,6 +643,13 @@ class TimeSeriesDbFramePropertyTest : public ::testing::Test {
     }
     std::sort(names.begin(), names.end());
     EXPECT_EQ(db.SeriesNames(), names) << "seed " << seed;
+    for (const std::vector<ModelFrame>* group : {&frames, &singles}) {
+      for (const ModelFrame& frame : *group) {
+        if (frame.bytes == 1 && frame.base.has_value()) {
+          ++stayed_byte_;
+        }
+      }
+    }
   }
 };
 
@@ -517,9 +660,12 @@ TEST_F(TimeSeriesDbFramePropertyTest, LockstepWithPerSeriesModel) {
       return;
     }
   }
-  // The trials exercised both widenings.
+  // The trials exercised every widening, and frames that kept every
+  // present cell in one byte.
+  EXPECT_GT(to_whole_, 0u);
   EXPECT_GT(to_float_, 0u);
   EXPECT_GT(to_double_, 0u);
+  EXPECT_GT(stayed_byte_, 0u);
 }
 
 }  // namespace
