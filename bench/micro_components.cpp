@@ -3,9 +3,9 @@
 // solvers, and the event core. These quantify that the control plane is
 // cheap enough for the paper's one-minute cadence with enormous headroom.
 //
-// The instrumented paths (controller tick, monitor sample, scheduler
-// placement) run under a private obs::MetricsRegistry so their counters and
-// spans land in a bench-local registry, exactly as harness runs do.
+// The benches run under a private obs::MetricsRegistry so the counters and
+// spans of the instrumented paths (controller tick, monitor sample, event
+// loop) land in a bench-local registry, exactly as harness runs do.
 
 #include <benchmark/benchmark.h>
 
@@ -816,8 +816,8 @@ void BM_FlightRecorderAppend(benchmark::State& state) {
   obs::FlightRecorder recorder(1024);
   int64_t t = 0;
   auto append = [&] {
-    recorder.Append(SimTime::Micros(t++), obs::TimelineEventType::kTickBegin,
-                    1.0, 2.0, 3);
+    recorder.Append(0, SimTime::Micros(t++),
+                    obs::TimelineEventType::kTickBegin, 1.0, 2.0, 3);
   };
   for (int i = 0; i < 64; ++i) {
     append();  // Warmup: fault the ring's pages.
@@ -847,7 +847,7 @@ void BM_TimelineMacroDispatch(benchmark::State& state) {
   if (recording) scoped.emplace(&recorder);
   int64_t t = 0;
   for (auto _ : state) {
-    AMPERE_TIMELINE(SimTime::Micros(t++),
+    AMPERE_TIMELINE(0, SimTime::Micros(t++),
                     obs::TimelineEventType::kTickBegin, 1.0, 2.0, 3);
   }
   state.SetItemsProcessed(state.iterations());
@@ -877,35 +877,27 @@ void BM_RecorderOverheadControllerTick(benchmark::State& state) {
 BENCHMARK(BM_RecorderOverheadControllerTick)->Arg(1)->Arg(0);
 
 // The raw cost of the obs primitives themselves, for when the per-path
-// numbers above need explaining.
+// numbers above need explaining. The counter write at the root domain
+// (Arg 0) hashes the bare name; under "dc0/" (Arg 1) it first copies the
+// prefixed name into the thread's warm scratch buffer.
 void BM_ObsCounterAdd(benchmark::State& state) {
+  const bool scoped = state.range(0) == 1;
+  const obs::DomainId domain = scoped ? obs::InternDomain("dc0/") : 0;
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);
   for (auto _ : state) {
-    AMPERE_COUNTER_ADD("bench.counter", 1);
+    obs::CounterAdd(domain, "bench.counter");
   }
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(scoped ? "dc0" : "root");
 }
-BENCHMARK(BM_ObsCounterAdd);
-
-void BM_ObsHistogramObserve(benchmark::State& state) {
-  obs::MetricsRegistry registry;
-  obs::ScopedMetricsRegistry scope(&registry);
-  double value = 0.0;
-  for (auto _ : state) {
-    AMPERE_HISTOGRAM_OBSERVE("bench.hist", value);
-    value += 0.1;
-    if (value > 1000.0) value = 0.0;
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ObsHistogramObserve);
+BENCHMARK(BM_ObsCounterAdd)->Arg(0)->Arg(1);
 
 void BM_ObsSpan(benchmark::State& state) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);
   for (auto _ : state) {
-    AMPERE_SPAN("bench.span");
+    AMPERE_SPAN(0, "bench.span");
   }
   state.SetItemsProcessed(state.iterations());
 }
@@ -915,8 +907,8 @@ void BM_ObsSnapshot(benchmark::State& state) {
   obs::MetricsRegistry registry;
   obs::ScopedMetricsRegistry scope(&registry);
   for (int i = 0; i < 16; ++i) {
-    obs::CounterAdd("bench.counter." + std::to_string(i), 1);
-    obs::GaugeSet("bench.gauge." + std::to_string(i),
+    obs::CounterAdd(0, "bench.counter." + std::to_string(i));
+    obs::GaugeSet(0, "bench.gauge." + std::to_string(i),
                   static_cast<double>(i));
   }
   for (auto _ : state) {

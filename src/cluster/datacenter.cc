@@ -520,9 +520,9 @@ void DataCenter::EnforceRowCap(RowId row_id) {
   SimTime now = sim_->now();
   // Breaker sees the true (post-capping) draw.
   if (row.breaker.Observe(now, row.power_watts, row.budget_watts)) {
-    AMPERE_TIMELINE_D(obs_domain_, now, obs::TimelineEventType::kBreakerTrip,
-                      row.power_watts, row.budget_watts,
-                      static_cast<uint64_t>(row_id.value()));
+    AMPERE_TIMELINE(obs_domain_, now, obs::TimelineEventType::kBreakerTrip,
+                    row.power_watts, row.budget_watts,
+                    static_cast<uint64_t>(row_id.value()));
   }
   if (!capping_enabled_ || capping_mode_ != CappingMode::kRowUniform) {
     return;
@@ -540,9 +540,9 @@ void DataCenter::EnforceRowCap(RowId row_id) {
     SetServerFrequency(id, decision.throttle);
   }
   if (row.breaker.Observe(now, row.power_watts, row.budget_watts)) {
-    AMPERE_TIMELINE_D(obs_domain_, now, obs::TimelineEventType::kBreakerTrip,
-                      row.power_watts, row.budget_watts,
-                      static_cast<uint64_t>(row_id.value()));
+    AMPERE_TIMELINE(obs_domain_, now, obs::TimelineEventType::kBreakerTrip,
+                    row.power_watts, row.budget_watts,
+                    static_cast<uint64_t>(row_id.value()));
   }
 }
 

@@ -144,8 +144,8 @@ void CampusExperiment::ReplanBudgets(SimTime now) {
   last_planned_scale_ = campus_budget_scale_;
   for (size_t k = 0; k < dcs_.size(); ++k) {
     dcs_[k].runtime->SetExperimentBudget(shares[k]);
-    AMPERE_TIMELINE(now, obs::TimelineEventType::kCampusReplan, shares[k],
-                    observations[k].observed_watts,
+    AMPERE_TIMELINE(0, now, obs::TimelineEventType::kCampusReplan,
+                    shares[k], observations[k].observed_watts,
                     static_cast<uint64_t>(k));
   }
 }
@@ -187,7 +187,7 @@ void CampusExperiment::SpilloverPass(SimTime now) {
     dcs_[target].jobs_spilled_in += moved.size();
     spillover_jobs_ += moved.size();
     if (!moved.empty()) {
-      AMPERE_TIMELINE(now, obs::TimelineEventType::kSpillover,
+      AMPERE_TIMELINE(0, now, obs::TimelineEventType::kSpillover,
                       static_cast<double>(moved.size()), best_headroom,
                       (static_cast<uint64_t>(s) << 32) |
                           static_cast<uint64_t>(target));
@@ -196,7 +196,7 @@ void CampusExperiment::SpilloverPass(SimTime now) {
 }
 
 CampusResult CampusExperiment::Run() {
-  AMPERE_SPAN("campus.run");
+  AMPERE_SPAN(0, "campus.run");
   // Install the flight recorder (if configured) for the whole federated
   // loop. Recording is passive — nothing downstream reads the recorder
   // during the run — so results are bit-identical with or without it.

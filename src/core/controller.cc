@@ -116,11 +116,10 @@ void AmpereController::Start(Simulation* sim, SimTime first_tick,
 }
 
 void AmpereController::Tick(SimTime now) {
-  AMPERE_METRICS_DOMAIN(obs_domain_);
-  AMPERE_SPAN("controller.tick");
+  AMPERE_SPAN(obs_domain_, "controller.tick");
   ++ticks_;
   tick_now_ = now;
-  AMPERE_COUNTER_ADD("controller.ticks", 1);
+  obs::CounterAdd(obs_domain_, "controller.ticks");
   for (size_t d = 0; d < domains_.size(); ++d) {
     TickDomain(d, now);
   }
@@ -150,18 +149,19 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   double power = reading.watts;
   double p = power / domain.budget_watts;
 
-  AMPERE_TIMELINE(now, obs::TimelineEventType::kTickBegin, power,
-                  domain.budget_watts, domain_index);
+  AMPERE_TIMELINE(obs_domain_, now, obs::TimelineEventType::kTickBegin,
+                  power, domain.budget_watts, domain_index);
   // Degraded-mode edges: one enter event when a domain leaves kNone, one
   // exit when it recovers — not one event per degraded tick.
   if (mode != prev_mode_[domain_index]) {
     if (prev_mode_[domain_index] == obs::DegradedMode::kNone) {
-      AMPERE_TIMELINE(now, obs::TimelineEventType::kDegradedEnter,
+      AMPERE_TIMELINE(obs_domain_, now,
+                      obs::TimelineEventType::kDegradedEnter,
                       static_cast<double>(static_cast<uint32_t>(mode)),
                       reading.valid() ? age.minutes() : -1.0, domain_index);
     } else if (mode == obs::DegradedMode::kNone) {
       AMPERE_TIMELINE(
-          now, obs::TimelineEventType::kDegradedExit,
+          obs_domain_, now, obs::TimelineEventType::kDegradedExit,
           static_cast<double>(static_cast<uint32_t>(prev_mode_[domain_index])),
           0.0, domain_index);
     }
@@ -393,43 +393,47 @@ void AmpereController::TickDomain(size_t domain_index, SimTime now) {
   // postmortem (the anomaly sink fires synchronously inside the recorder)
   // tails a journal that already ends with the triggering decision.
   if (violation) {
-    AMPERE_TIMELINE(now, obs::TimelineEventType::kCapacityViolation, p,
+    AMPERE_TIMELINE(obs_domain_, now,
+                    obs::TimelineEventType::kCapacityViolation, p,
                     domain.budget_watts, domain_index);
   }
-  AMPERE_TIMELINE(now, obs::TimelineEventType::kTickEnd, et_eff, u, n_freeze);
+  AMPERE_TIMELINE(obs_domain_, now, obs::TimelineEventType::kTickEnd, et_eff,
+                  u, n_freeze);
 
   // Degradation bookkeeping (run totals + faults.* registry counters).
   if (mode != obs::DegradedMode::kNone) {
     ++degraded_ticks_;
-    AMPERE_COUNTER_ADD("faults.degraded_ticks", 1);
+    obs::CounterAdd(obs_domain_, "faults.degraded_ticks");
     if (mode == obs::DegradedMode::kBlackoutSkip) {
       ++blackout_skips_;
-      AMPERE_COUNTER_ADD("faults.blackout_skips", 1);
+      obs::CounterAdd(obs_domain_, "faults.blackout_skips");
     } else {
       ++stale_fallbacks_;
-      AMPERE_COUNTER_ADD("faults.stale_fallbacks", 1);
+      obs::CounterAdd(obs_domain_, "faults.stale_fallbacks");
     }
   }
 
   // Registry telemetry.
-  AMPERE_COUNTER_ADD("controller.domain_ticks", 1);
-  if (violation) AMPERE_COUNTER_ADD("controller.violations", 1);
-  if (cap_engaged) AMPERE_COUNTER_ADD("controller.cap_engaged", 1);
+  obs::CounterAdd(obs_domain_, "controller.domain_ticks");
+  if (violation) obs::CounterAdd(obs_domain_, "controller.violations");
+  if (cap_engaged) obs::CounterAdd(obs_domain_, "controller.cap_engaged");
   if (freeze_delta > 0) {
-    AMPERE_COUNTER_ADD("controller.freeze_ops", freeze_delta);
+    obs::CounterAdd(obs_domain_, "controller.freeze_ops", freeze_delta);
   }
   if (unfreeze_delta > 0) {
-    AMPERE_COUNTER_ADD("controller.unfreeze_ops", unfreeze_delta);
+    obs::CounterAdd(obs_domain_, "controller.unfreeze_ops", unfreeze_delta);
   }
   // Journal-fed model-drift gauges over the last drift_window (one hour
   // at minute cadence) resolved records of this domain.
   if (auto rmse =
           journal_.RollingModelRmse(config_.drift_window, domain.group)) {
-    obs::GaugeSet(drift_gauges_[domain_index].model_rmse, *rmse);
+    obs::GaugeSet(obs_domain_, drift_gauges_[domain_index].model_rmse,
+                  *rmse);
   }
   if (auto util = journal_.RollingEtMarginUtilization(config_.drift_window,
                                                       domain.group)) {
-    obs::GaugeSet(drift_gauges_[domain_index].et_margin_util, *util);
+    obs::GaugeSet(obs_domain_, drift_gauges_[domain_index].et_margin_util,
+                  *util);
   }
 
   AMPERE_LOG(kDebug) << "domain " << domain.group << " p=" << p
@@ -454,8 +458,9 @@ void AmpereController::UnfreezeAll(size_t domain_index) {
 bool AmpereController::RpcFreeze(ServerId id) {
   const RpcResult result = scheduler_->TryFreeze(id);
   AccountRpc(result);
-  AMPERE_TIMELINE(tick_now_, obs::TimelineEventType::kFreezeRpc,
-                  result.attempts, result.ok ? 1.0 : 0.0,
+  AMPERE_TIMELINE(obs_domain_, tick_now_,
+                  obs::TimelineEventType::kFreezeRpc, result.attempts,
+                  result.ok ? 1.0 : 0.0,
                   static_cast<uint64_t>(id.value()));
   return result.ok;
 }
@@ -463,8 +468,9 @@ bool AmpereController::RpcFreeze(ServerId id) {
 bool AmpereController::RpcUnfreeze(ServerId id) {
   const RpcResult result = scheduler_->TryUnfreeze(id);
   AccountRpc(result);
-  AMPERE_TIMELINE(tick_now_, obs::TimelineEventType::kUnfreezeRpc,
-                  result.attempts, result.ok ? 1.0 : 0.0,
+  AMPERE_TIMELINE(obs_domain_, tick_now_,
+                  obs::TimelineEventType::kUnfreezeRpc, result.attempts,
+                  result.ok ? 1.0 : 0.0,
                   static_cast<uint64_t>(id.value()));
   return result.ok;
 }
@@ -476,12 +482,13 @@ void AmpereController::AccountRpc(const RpcResult& result) {
   if (failed_attempts > 0) {
     tick_rpc_failures_ += failed_attempts;
     rpc_failures_ += failed_attempts;
-    AMPERE_COUNTER_ADD("faults.controller_rpc_failures", failed_attempts);
+    obs::CounterAdd(obs_domain_, "faults.controller_rpc_failures",
+                    failed_attempts);
   }
   if (!result.ok) {
     ++tick_rpc_giveups_;
     ++rpc_giveups_;
-    AMPERE_COUNTER_ADD("faults.controller_rpc_giveups", 1);
+    obs::CounterAdd(obs_domain_, "faults.controller_rpc_giveups");
   }
 }
 

@@ -39,9 +39,7 @@ DcRuntime::DcRuntime(const ExperimentConfig& config, const DcWiring& wiring,
       static_cast<double>(experiment_servers_.size()) * rated;
   const double control_rated =
       static_cast<double>(control_servers_.size()) * rated;
-  experiment_budget_watts_ = config.scale_experiment_budget
-                                 ? experiment_rated_watts_ / scale
-                                 : experiment_rated_watts_;
+  experiment_budget_watts_ = experiment_rated_watts_ / scale;
   control_budget_watts_ =
       config.scale_control_budget ? control_rated / scale : control_rated;
   current_experiment_budget_ = experiment_budget_watts_;

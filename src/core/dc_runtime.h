@@ -61,8 +61,9 @@ class DcRuntime {
   // domain and the recorder's normalization together.
   void SetExperimentBudget(double watts);
 
-  // Finalizes the group reports and fills the per-DC fields shared by
-  // ExperimentResult and CampusDcResult.
+  // Finalizes the group reports, fills the per-DC fields shared by
+  // ExperimentResult and CampusDcResult and publishes the scheduler's job
+  // counters. Once per run.
   template <typename Result>
   void FillResult(Result& out);
 
@@ -128,6 +129,7 @@ void DcRuntime::FillResult(Result& out) {
   if (controller_ != nullptr) {
     out.journal = controller_->journal().Summarize();
   }
+  scheduler_.PublishJobCounters();
 }
 
 }  // namespace ampere

@@ -121,7 +121,7 @@ void ControlledExperiment::StartBaseline(SimTime end) {
 }
 
 ExperimentResult ControlledExperiment::Run() {
-  AMPERE_SPAN("experiment.run");
+  AMPERE_SPAN(0, "experiment.run");
   // Install the flight recorder (if configured) for the whole closed loop.
   // Recording is passive — nothing downstream reads the recorder during the
   // run — so results are bit-identical with or without it.
@@ -167,15 +167,17 @@ ExperimentResult ControlledExperiment::Run() {
     // snapshot carries the journal summary alongside the span profile.
     for (const auto& d : result.journal.domains) {
       const std::string prefix = "journal." + d.domain + ".";
-      obs::GaugeSet(prefix + "ticks", static_cast<double>(d.ticks));
-      obs::GaugeSet(prefix + "violations", static_cast<double>(d.violations));
-      obs::GaugeSet(prefix + "u_mean", d.u_mean);
-      obs::GaugeSet(prefix + "u_max", d.u_max);
-      obs::GaugeSet(prefix + "p_mean", d.p_mean);
-      obs::GaugeSet(prefix + "p_max", d.p_max);
-      obs::GaugeSet(prefix + "degraded_ticks",
+      obs::GaugeSet(0, prefix + "ticks", static_cast<double>(d.ticks));
+      obs::GaugeSet(0, prefix + "violations",
+                    static_cast<double>(d.violations));
+      obs::GaugeSet(0, prefix + "u_mean", d.u_mean);
+      obs::GaugeSet(0, prefix + "u_max", d.u_max);
+      obs::GaugeSet(0, prefix + "p_mean", d.p_mean);
+      obs::GaugeSet(0, prefix + "p_max", d.p_max);
+      obs::GaugeSet(0, prefix + "degraded_ticks",
                     static_cast<double>(d.degraded_ticks));
-      obs::GaugeSet(prefix + "rpc_giveups", static_cast<double>(d.rpc_giveups));
+      obs::GaugeSet(0, prefix + "rpc_giveups",
+                    static_cast<double>(d.rpc_giveups));
     }
   }
 

@@ -139,13 +139,15 @@ struct ExperimentConfig {
   // Telemetry always stays in memory. A constant kept only for readers that
   // still check it; it cannot be set.
   static constexpr StorageSection storage{};
+  // The experiment group's budget is always divided by 1 + rO (Eq. 16). A
+  // constant kept only for readers that still check it; it cannot be set.
+  static constexpr bool scale_experiment_budget = true;
   TopologyConfig topology;       // Default: one 420-server row.
   BatchWorkloadParams workload;  // Callers set arrival rate for the scenario.
   SchedulerConfig scheduler;
   PowerMonitorConfig monitor;
   // rO: extra servers emulated per Eq. (16) by scaling budgets down.
   double over_provision_ratio = 0.25;
-  bool scale_experiment_budget = true;
   // §4.2 scales both groups (to compare controlled vs. uncontrolled at the
   // same rO); §4.4 scales only the experiment group.
   bool scale_control_budget = true;

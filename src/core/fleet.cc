@@ -121,11 +121,12 @@ FleetResult RunFleetToResult(const FleetConfig& config, SimTime until) {
   result.dc_mean_watts = dc_n > 0 ? dc_sum / static_cast<double>(dc_n) : 0.0;
   result.jobs_submitted = fleet.scheduler().jobs_submitted();
   result.jobs_completed = fleet.scheduler().jobs_completed();
+  fleet.scheduler().PublishJobCounters();
   return result;
 }
 
 void Fleet::Run(SimTime until) {
-  AMPERE_SPAN("fleet.run");
+  AMPERE_SPAN(0, "fleet.run");
   if (!started_) {
     started_ = true;
     for (auto& workload : workloads_) {
@@ -136,12 +137,12 @@ void Fleet::Run(SimTime until) {
   sim_.RunUntil(until);
   // Fleet-level dispatch telemetry after the drain: how much work the rows
   // absorbed and where the fleet's power landed.
-  AMPERE_GAUGE_SET("fleet.jobs_submitted",
-                   static_cast<double>(scheduler_.jobs_submitted()));
-  AMPERE_GAUGE_SET("fleet.jobs_completed",
-                   static_cast<double>(scheduler_.jobs_completed()));
-  AMPERE_GAUGE_SET("fleet.queue_length",
-                   static_cast<double>(scheduler_.queue_length()));
+  obs::GaugeSet(0, "fleet.jobs_submitted",
+                static_cast<double>(scheduler_.jobs_submitted()));
+  obs::GaugeSet(0, "fleet.jobs_completed",
+                static_cast<double>(scheduler_.jobs_completed()));
+  obs::GaugeSet(0, "fleet.queue_length",
+                static_cast<double>(scheduler_.queue_length()));
 }
 
 }  // namespace ampere

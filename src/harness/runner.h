@@ -39,7 +39,7 @@ struct RunnerOptions {
   // at the number of scenarios and reports the capped count in
   // ResultTable::jobs.
   int jobs = 0;
-  // Every run writes its counters, gauges, histograms and spans into its
+  // Every run writes its counters, gauges and spans into its
   // own metrics registry (so a postmortem snapshots that run alone). This
   // only decides whether the run's snapshot is rendered into
   // ResultRow::obs_json (the "obs" section of ToJson). Off by default, so

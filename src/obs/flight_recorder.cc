@@ -79,9 +79,9 @@ FlightRecorder::FlightRecorder(size_t capacity) : capacity_(capacity) {
   ring_.resize(capacity_);
 }
 
-void FlightRecorder::AppendWithDomain(DomainId domain, SimTime time,
-                                      TimelineEventType type, double a,
-                                      double b, uint64_t c) {
+void FlightRecorder::Append(DomainId domain, SimTime time,
+                            TimelineEventType type, double a, double b,
+                            uint64_t c) {
   TimelineEvent& slot = ring_[static_cast<size_t>(next_seq_ % capacity_)];
   slot.seq = next_seq_;
   slot.time = time;

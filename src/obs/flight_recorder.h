@@ -26,9 +26,10 @@
 // The anomaly sink may perform I/O (writing a postmortem artifact), which
 // is likewise invisible to the simulation.
 //
-// Cost control: emit through AMPERE_TIMELINE / AMPERE_TIMELINE_D, which
-// gate on a thread-local null check — without a recorder installed a site
-// costs one load and a branch (measured in bench/micro_components).
+// Cost control: emit through AMPERE_TIMELINE, which gates on a thread-local
+// null check — without a recorder installed a site costs one load and a
+// branch (measured in bench/micro_components). Every event carries the
+// metrics domain of the component that emitted it.
 
 #ifndef SRC_OBS_FLIGHT_RECORDER_H_
 #define SRC_OBS_FLIGHT_RECORDER_H_
@@ -80,7 +81,7 @@ struct TimelineEvent {
   uint64_t seq = 0;      // Monotonic append index; survives eviction.
   SimTime time;          // Simulation-time stamp.
   TimelineEventType type = TimelineEventType::kTickBegin;
-  DomainId domain = 0;   // Interned metrics domain current at emit.
+  DomainId domain = 0;   // Interned metrics domain of the emitter.
   double a = 0.0;        // Payload; semantics per type (see enum).
   double b = 0.0;
   uint64_t c = 0;
@@ -106,17 +107,11 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  // Appends one event under the calling thread's current metrics domain.
-  // Lock-free, allocation-free; evicts the oldest event when full. Fires
-  // the anomaly sink (if armed) for trigger types, post-append.
-  void Append(SimTime time, TimelineEventType type, double a = 0.0,
-              double b = 0.0, uint64_t c = 0) {
-    AppendWithDomain(CurrentDomainId(), time, type, a, b, c);
-  }
-  // Same, with an explicit domain (for emitters that hold a DomainId but
-  // run outside any ScopedMetricsDomain, e.g. the DataCenter's breaker).
-  void AppendWithDomain(DomainId domain, SimTime time, TimelineEventType type,
-                        double a = 0.0, double b = 0.0, uint64_t c = 0);
+  // Appends one event under the emitter's metrics domain. Lock-free,
+  // allocation-free; evicts the oldest event when full. Fires the anomaly
+  // sink (if armed) for trigger types, post-append.
+  void Append(DomainId domain, SimTime time, TimelineEventType type,
+              double a = 0.0, double b = 0.0, uint64_t c = 0);
 
   size_t capacity() const { return capacity_; }
   size_t size() const {
@@ -157,7 +152,9 @@ class FlightRecorder {
 // --- Current-recorder scoping --------------------------------------------
 
 namespace internal {
-// constinit for the same reason as t_current_domain (metrics.h).
+// constinit: the variable is known to be statically initialized, so other
+// translation units access it directly instead of through a TLS init
+// wrapper (which UBSan builds saw as a null pointer).
 extern constinit thread_local FlightRecorder* t_current_recorder;
 }  // namespace internal
 
@@ -216,25 +213,16 @@ std::string BuildPostmortemJson(const TimelineEvent& trigger,
 // --- Instrumentation macros ----------------------------------------------
 
 // Appends a timeline event to the current recorder, if one is installed.
-// `time` is a SimTime; trailing args are the (a, b, c) payload.
-#define AMPERE_TIMELINE(time, type, ...)                                \
+// `domain` is the emitter's ::ampere::obs::DomainId, `time` a SimTime;
+// trailing args are the (a, b, c) payload.
+#define AMPERE_TIMELINE(domain, time, type, ...)                        \
   do {                                                                  \
     ::ampere::obs::FlightRecorder* ampere_obs_rec =                     \
         ::ampere::obs::CurrentRecorder();                               \
     if (ampere_obs_rec != nullptr) {                                    \
-      ampere_obs_rec->Append((time), (type)__VA_OPT__(, ) __VA_ARGS__); \
+      ampere_obs_rec->Append((domain), (time),                          \
+                             (type)__VA_OPT__(, ) __VA_ARGS__);         \
     }                                                                   \
-  } while (0)
-
-// Same, with an explicit ::ampere::obs::DomainId first.
-#define AMPERE_TIMELINE_D(domain, time, type, ...)                        \
-  do {                                                                    \
-    ::ampere::obs::FlightRecorder* ampere_obs_rec =                       \
-        ::ampere::obs::CurrentRecorder();                                 \
-    if (ampere_obs_rec != nullptr) {                                      \
-      ampere_obs_rec->AppendWithDomain((domain), (time),                  \
-                                       (type)__VA_OPT__(, ) __VA_ARGS__); \
-    }                                                                     \
   } while (0)
 
 #endif  // SRC_OBS_FLIGHT_RECORDER_H_

@@ -1,7 +1,6 @@
 #include "src/obs/metrics.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <memory>
 #include <mutex>
@@ -14,10 +13,6 @@ namespace ampere {
 namespace obs {
 
 // --- Metric-name domains -------------------------------------------------
-
-namespace internal {
-constinit thread_local DomainId t_current_domain = 0;
-}  // namespace internal
 
 namespace {
 
@@ -68,10 +63,9 @@ std::string& DomainScratch() {
   return *scratch;
 }
 
-// The current domain's prefix applied to `name` — `name` itself for the
-// root domain, a view of the thread-local scratch otherwise.
-std::string_view ApplyDomain(std::string_view name) {
-  const DomainId domain = internal::t_current_domain;
+// `domain`'s prefix applied to `name` — `name` itself for the root
+// domain, a view of the thread-local scratch otherwise.
+std::string_view ApplyDomain(DomainId domain, std::string_view name) {
   if (domain == 0) return name;
   std::string& scratch = DomainScratch();
   scratch.assign(DomainPrefix(domain));
@@ -102,10 +96,6 @@ typename Map::mapped_type& FindOrInsert(Map& map, std::string_view name) {
   return it->second;
 }
 
-// Process-unique registry ids; never reused, so a CounterSite binding to a
-// destroyed registry can never match a new one at the same address.
-std::atomic<uint64_t> g_next_registry_id{1};
-
 size_t Log2Bucket(double duration_ns) {
   if (!(duration_ns >= 1.0)) return 0;
   const double l = std::log2(duration_ns);
@@ -116,27 +106,6 @@ size_t Log2Bucket(double duration_ns) {
 }  // namespace
 
 // --- Snapshot value helpers ----------------------------------------------
-
-double HistogramValue::Quantile(double q) const {
-  if (count == 0) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  const double target = q * static_cast<double>(count);
-  uint64_t seen = 0;
-  for (size_t i = 0; i < counts.size(); ++i) {
-    const uint64_t in_bucket = counts[i];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(seen + in_bucket) >= target) {
-      const double lo = i == 0 ? 0.0 : bounds[i - 1];
-      if (i >= bounds.size()) return lo;  // Open overflow bucket.
-      const double hi = bounds[i];
-      const double frac =
-          (target - static_cast<double>(seen)) / static_cast<double>(in_bucket);
-      return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
-    }
-    seen += in_bucket;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
 
 double SpanStats::Quantile(double q) const {
   if (count == 0) return 0.0;
@@ -174,14 +143,6 @@ const double* MetricsSnapshot::FindGauge(std::string_view name) const {
   return nullptr;
 }
 
-const HistogramValue* MetricsSnapshot::FindHistogram(
-    std::string_view name) const {
-  for (const auto& h : histograms) {
-    if (h.name == name) return &h;
-  }
-  return nullptr;
-}
-
 const SpanStats* MetricsSnapshot::FindSpan(std::string_view name) const {
   for (const auto& s : spans) {
     if (s.name == name) return &s;
@@ -200,19 +161,6 @@ std::string MetricsSnapshot::ToPrometheusText() const {
     const std::string n = PrometheusName(g.name);
     out += "# TYPE " + n + " gauge\n";
     out += n + " " + FormatDouble(g.value) + "\n";
-  }
-  for (const auto& h : histograms) {
-    const std::string n = PrometheusName(h.name);
-    out += "# TYPE " + n + " histogram\n";
-    uint64_t cumulative = 0;
-    for (size_t i = 0; i < h.bounds.size(); ++i) {
-      cumulative += h.counts[i];
-      out += n + "_bucket{le=\"" + FormatDouble(h.bounds[i]) + "\"} " +
-             std::to_string(cumulative) + "\n";
-    }
-    out += n + "_bucket{le=\"+Inf\"} " + std::to_string(h.count) + "\n";
-    out += n + "_sum " + FormatDouble(h.sum) + "\n";
-    out += n + "_count " + std::to_string(h.count) + "\n";
   }
   for (const auto& s : spans) {
     const std::string n = PrometheusName(s.name) + "_seconds";
@@ -246,25 +194,6 @@ std::string MetricsSnapshot::ToJson() const {
     out += "\":";
     out += FormatDouble(g.value);
   }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& h : histograms) {
-    if (!first) out += ",";
-    first = false;
-    out += "\"";
-    out += JsonEscape(h.name);
-    out += "\":{\"count\":";
-    out += std::to_string(h.count);
-    out += ",\"sum\":";
-    out += FormatDouble(h.sum);
-    out += ",\"mean\":";
-    out += FormatDouble(h.mean());
-    out += ",\"p50\":";
-    out += FormatDouble(h.Quantile(0.50));
-    out += ",\"p99\":";
-    out += FormatDouble(h.Quantile(0.99));
-    out += "}";
-  }
   out += "},\"spans\":{";
   first = true;
   for (const auto& s : spans) {
@@ -294,64 +223,21 @@ std::string MetricsSnapshot::ToJson() const {
 
 // --- Registry ------------------------------------------------------------
 
-std::span<const double> DefaultHistogramBounds() {
-  // Roughly 1-2.5-5 per decade over 1e-3 .. 1e3 — wide enough for seconds,
-  // ratios, and watt-scale residuals alike.
-  static constexpr double kBounds[] = {
-      0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5,
-      1.0,   2.5,    5.0,   10.0, 25.0,  50.0, 100.0, 250.0, 500.0, 1000.0};
-  return std::span<const double>(kBounds);
-}
-
-MetricsRegistry::MetricsRegistry()
-    : id_(g_next_registry_id.fetch_add(1, std::memory_order_relaxed)),
-      owner_(std::this_thread::get_id()) {}
+MetricsRegistry::MetricsRegistry() : owner_(std::this_thread::get_id()) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
 void MetricsRegistry::CheckOwner() const {
   AMPERE_CHECK(std::this_thread::get_id() == owner_)
-      << "metrics registry " << id_
-      << " used off the thread that constructed it";
+      << "metrics registry used off the thread that constructed it";
 }
 
 void MetricsRegistry::CounterAdd(std::string_view name, uint64_t delta) {
   FindOrInsert(counters_, name) += delta;
 }
 
-uint64_t* MetricsRegistry::CounterCell(std::string_view name) {
-  return &FindOrInsert(counters_, name);
-}
-
-void CounterSite::Rebind(MetricsRegistry& registry, Binding& binding) {
-  // The cell is resolved under the *current domain's* prefixed name; the
-  // registry copies the name into its map, so no prefixed storage needs to
-  // outlive this call.
-  binding.cell = registry.CounterCell(ApplyDomain(name_));
-  binding.registry_id = registry.id();
-  binding.domain = internal::t_current_domain;
-  ++rebinds_;
-}
-
 void MetricsRegistry::GaugeSet(std::string_view name, double value) {
   FindOrInsert(gauges_, name) = value;
-}
-
-void MetricsRegistry::HistogramObserve(std::string_view name, double value,
-                                       std::span<const double> bounds) {
-  HistogramCell& cell = FindOrInsert(histograms_, name);
-  if (cell.counts.empty()) {
-    cell.bounds.assign(bounds.begin(), bounds.end());
-    cell.counts.assign(bounds.size() + 1, 0);
-  } else {
-    AMPERE_CHECK(cell.bounds.size() == bounds.size())
-        << "histogram '" << name << "' observed with a different bucket count";
-  }
-  const auto it =
-      std::lower_bound(cell.bounds.begin(), cell.bounds.end(), value);
-  cell.counts[static_cast<size_t>(it - cell.bounds.begin())] += 1;
-  cell.count += 1;
-  cell.sum += value;
 }
 
 void MetricsRegistry::SpanRecord(std::string_view name, double duration_ns) {
@@ -379,11 +265,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   for (const auto& [name, value] : gauges_) {
     snapshot.gauges.push_back(GaugeValue{name, value});
   }
-  snapshot.histograms.reserve(histograms_.size());
-  for (const auto& [name, cell] : histograms_) {
-    snapshot.histograms.push_back(
-        HistogramValue{name, cell.bounds, cell.counts, cell.count, cell.sum});
-  }
   snapshot.spans.reserve(spans_.size());
   for (const auto& [name, cell] : spans_) {
     snapshot.spans.push_back(SpanStats{
@@ -393,7 +274,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   auto by_name = [](const auto& a, const auto& b) { return a.name < b.name; };
   std::sort(snapshot.counters.begin(), snapshot.counters.end(), by_name);
   std::sort(snapshot.gauges.begin(), snapshot.gauges.end(), by_name);
-  std::sort(snapshot.histograms.begin(), snapshot.histograms.end(), by_name);
   std::sort(snapshot.spans.begin(), snapshot.spans.end(), by_name);
   return snapshot;
 }
@@ -424,27 +304,18 @@ ScopedMetricsRegistry::~ScopedMetricsRegistry() {
   t_current_registry = previous_;
 }
 
-// --- Domain-aware free functions -----------------------------------------
+// --- Domain-prefixed free functions --------------------------------------
 
-void CounterAdd(std::string_view name, uint64_t delta) {
-  CurrentMetrics()->CounterAdd(ApplyDomain(name), delta);
+void CounterAdd(DomainId domain, std::string_view name, uint64_t delta) {
+  CurrentMetrics()->CounterAdd(ApplyDomain(domain, name), delta);
 }
 
-void GaugeSet(std::string_view name, double value) {
-  CurrentMetrics()->GaugeSet(ApplyDomain(name), value);
+void GaugeSet(DomainId domain, std::string_view name, double value) {
+  CurrentMetrics()->GaugeSet(ApplyDomain(domain, name), value);
 }
 
-void HistogramObserve(std::string_view name, double value) {
-  CurrentMetrics()->HistogramObserve(ApplyDomain(name), value);
-}
-
-void HistogramObserve(std::string_view name, double value,
-                      std::span<const double> bounds) {
-  CurrentMetrics()->HistogramObserve(ApplyDomain(name), value, bounds);
-}
-
-void SpanRecord(std::string_view name, double duration_ns) {
-  CurrentMetrics()->SpanRecord(ApplyDomain(name), duration_ns);
+void SpanRecord(DomainId domain, std::string_view name, double duration_ns) {
+  CurrentMetrics()->SpanRecord(ApplyDomain(domain, name), duration_ns);
 }
 
 }  // namespace obs

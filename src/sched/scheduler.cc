@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/obs/metrics.h"
-#include "src/obs/span.h"
 
 namespace ampere {
 
@@ -19,17 +19,14 @@ Scheduler::Scheduler(DataCenter* dc, const SchedulerConfig& config, Rng rng)
 }
 
 void Scheduler::Submit(const JobSpec& job) {
-  AMPERE_METRICS_DOMAIN(obs_domain_);
   ++jobs_submitted_;
-  AMPERE_COUNTER_ADD("sched.jobs_submitted", 1);
   if (!TryPlace(job)) {
     pending_.push_back(job);
-    AMPERE_COUNTER_ADD("sched.jobs_queued", 1);
+    ++jobs_queued_;
   }
 }
 
 std::vector<JobSpec> Scheduler::TakePending(size_t max_jobs) {
-  AMPERE_METRICS_DOMAIN(obs_domain_);
   std::vector<JobSpec> taken;
   if (max_jobs == 0 || pending_.empty()) {
     return taken;
@@ -52,9 +49,23 @@ std::vector<JobSpec> Scheduler::TakePending(size_t max_jobs) {
                  pending_.begin() + static_cast<std::ptrdiff_t>(scanned));
   jobs_spilled_out_ += taken.size();
   if (!taken.empty()) {
-    AMPERE_COUNTER_ADD("sched.jobs_spilled_out", taken.size());
+    obs::CounterAdd(obs_domain_, "sched.jobs_spilled_out", taken.size());
   }
   return taken;
+}
+
+void Scheduler::PublishJobCounters() const {
+  // A counter that was never incremented has no entry, so zeros are skipped.
+  const std::pair<const char*, uint64_t> counts[] = {
+      {"sched.jobs_submitted", jobs_submitted_},
+      {"sched.jobs_queued", jobs_queued_},
+      {"sched.placements", jobs_placed_},
+  };
+  for (const auto& [name, count] : counts) {
+    if (count > 0) {
+      obs::CounterAdd(obs_domain_, name, count);
+    }
+  }
 }
 
 void Scheduler::Freeze(ServerId id) { rm_.Freeze(id); }
@@ -79,15 +90,15 @@ RpcResult Scheduler::RunRpc() {
       result.ok = true;
       return result;
     }
-    AMPERE_COUNTER_ADD("faults.rpc_failed_attempts", 1);
+    obs::CounterAdd(obs_domain_, "faults.rpc_failed_attempts");
     // Exponential backoff before the next attempt (accounted latency only).
     if (attempt + 1 < max_attempts) {
       result.latency += injector_->rpc_backoff_base() * std::pow(2.0, attempt);
-      AMPERE_COUNTER_ADD("faults.rpc_retries", 1);
+      obs::CounterAdd(obs_domain_, "faults.rpc_retries");
     }
   }
   result.ok = false;
-  AMPERE_COUNTER_ADD("faults.rpc_exhausted", 1);
+  obs::CounterAdd(obs_domain_, "faults.rpc_exhausted");
   return result;
 }
 
@@ -214,16 +225,14 @@ ServerId Scheduler::PickServer(const JobSpec& job) {
 }
 
 bool Scheduler::TryPlace(const JobSpec& job) {
-  // No span here: placement runs once per job event, which is far too hot
-  // for per-call wall-clock instrumentation (the same rationale as the
-  // event loop in Simulation::RunUntil, which spans the drain rather than
-  // each event). The sched.placements counter below remains the per-call
-  // signal; tick-level latency is covered by controller.tick/sim.run_until.
+  // No metric here: placement runs once per job event, which is far too
+  // hot for registry writes (the same rationale as the event loop in
+  // Simulation::RunUntil, which spans the drain rather than each event).
+  // jobs_placed_ counts it for PublishJobCounters.
   ServerId id = PickServer(job);
   if (!id.valid()) {
     return false;
   }
-  AMPERE_COUNTER_ADD("sched.placements", 1);
   TaskSpec spec{job.id, job.demand, job.duration};
   bool placed = rm_.ClaimContainer(id, spec);
   AMPERE_CHECK(placed) << "picked server could not host the container";
@@ -252,7 +261,6 @@ void Scheduler::DrainQueue() {
 }
 
 void Scheduler::OnTaskCompleted(ServerId server, JobId job) {
-  AMPERE_METRICS_DOMAIN(obs_domain_);
   // Resident service tasks carry negative ids and are not scheduler jobs.
   if (job.value() >= 0) {
     ++jobs_completed_;

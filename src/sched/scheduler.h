@@ -92,8 +92,8 @@ class Scheduler : public JobSink {
   uint64_t jobs_spilled_out() const { return jobs_spilled_out_; }
 
   // Metrics domain this scheduler's counters are scoped under ("dc0/" in a
-  // campus; root, 0, standalone). Controller-driven freeze/unfreeze RPCs
-  // inherit the controller's scope instead. Observation-only.
+  // campus; root, 0, standalone), RPC fault counters included, whoever
+  // calls. Observation-only.
   void SetObsDomain(obs::DomainId domain) { obs_domain_ = domain; }
   obs::DomainId obs_domain() const { return obs_domain_; }
 
@@ -126,6 +126,12 @@ class Scheduler : public JobSink {
   // --- Introspection / metrics ---
   uint64_t jobs_submitted() const { return jobs_submitted_; }
   uint64_t jobs_placed() const { return jobs_placed_; }
+  // Adds the job counts to the current metrics registry as
+  // sched.jobs_submitted / sched.jobs_queued (submits that found no server)
+  // / sched.placements under this scheduler's domain, skipping zeros. The
+  // per-job path writes no metric; DcRuntime::FillResult and
+  // RunFleetToResult call this once, at the end of a run.
+  void PublishJobCounters() const;
   uint64_t jobs_completed() const { return jobs_completed_; }
   size_t queue_length() const { return pending_.size(); }
   uint64_t placements_in_row(RowId row) const {
@@ -168,6 +174,7 @@ class Scheduler : public JobSink {
   bool saturated_ = false;
   uint64_t jobs_submitted_ = 0;
   uint64_t jobs_placed_ = 0;
+  uint64_t jobs_queued_ = 0;
   uint64_t jobs_completed_ = 0;
   uint64_t jobs_spilled_out_ = 0;
   std::vector<uint64_t> row_placements_;

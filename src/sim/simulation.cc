@@ -147,7 +147,7 @@ void Simulation::RunUntil(SimTime until) {
   // One span per drain, not per event: the event loop is far too hot for
   // per-event instrumentation, so RunUntil reports the wall time of the
   // whole drain plus a delta counter of events processed inside it.
-  AMPERE_SPAN("sim.run_until");
+  AMPERE_SPAN(0, "sim.run_until");
   const uint64_t processed_before = processed_events_;
   // NextSource() discards stale heap heads before the boundary test: a
   // stale head may lie before `until` while the next live event lies
@@ -158,7 +158,7 @@ void Simulation::RunUntil(SimTime until) {
     Fire(source);
   }
   now_ = until;
-  AMPERE_COUNTER_ADD("sim.events", processed_events_ - processed_before);
+  obs::CounterAdd(0, "sim.events", processed_events_ - processed_before);
 }
 
 void Simulation::RunToCompletion() {

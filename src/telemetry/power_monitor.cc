@@ -157,10 +157,9 @@ void PowerMonitor::BuildFrame() {
 }
 
 void PowerMonitor::SampleOnce(SimTime stamp) {
-  AMPERE_METRICS_DOMAIN(obs_domain_);
   // Covers the whole ingest + aggregate pass: per-server "IPMI" reads,
   // rack/row/group rollups, and the TimeSeriesDb frame appends.
-  AMPERE_SPAN("telemetry.sample");
+  AMPERE_SPAN(obs_domain_, "telemetry.sample");
   if (!framed_) {
     BuildFrame();
   }
@@ -168,10 +167,10 @@ void PowerMonitor::SampleOnce(SimTime stamp) {
     // The aggregation pipeline is stalled: no sample lands anywhere, every
     // consumer keeps aging data. latest_sample_time_ deliberately stays old.
     ++samples_stalled_;
-    AMPERE_COUNTER_ADD("faults.telemetry_stalls", 1);
-    AMPERE_TIMELINE_D(obs_domain_, stamp,
-                      obs::TimelineEventType::kTelemetryStall,
-                      static_cast<double>(samples_stalled_));
+    obs::CounterAdd(obs_domain_, "faults.telemetry_stalls");
+    AMPERE_TIMELINE(obs_domain_, stamp,
+                    obs::TimelineEventType::kTelemetryStall,
+                    static_cast<double>(samples_stalled_));
     return;
   }
   // Noise tick: the index of this non-stalled sample. A pure function of
@@ -179,7 +178,7 @@ void PowerMonitor::SampleOnce(SimTime stamp) {
   // faults dropping other readings.
   const uint64_t tick = samples_taken_;
   ++samples_taken_;
-  AMPERE_COUNTER_ADD("telemetry.samples", 1);
+  obs::CounterAdd(obs_domain_, "telemetry.samples");
   latest_sample_time_ = stamp;
 
   // With no injector, or one that cannot touch this pass (zero per-reading
@@ -208,7 +207,7 @@ void PowerMonitor::ReadServersClean(uint64_t tick) {
     const size_t fallbacks = ReadWholeWatts(
         truth, config_.noise_sigma_watts,
         counter_rng::TickBase(noise_seed_, tick), latest_server_watts_);
-    AMPERE_COUNTER_ADD("telemetry.noise_fallbacks", fallbacks);
+    obs::CounterAdd(obs_domain_, "telemetry.noise_fallbacks", fallbacks);
     return;
   }
   for (size_t s = 0; s < truth.size(); ++s) {
@@ -290,7 +289,7 @@ void PowerMonitor::ReadServersFaulted(SimTime stamp, uint64_t tick) {
     row_dark_[static_cast<size_t>(r)] = dark ? 1 : 0;
     if (dark) {
       any_dark = true;
-      AMPERE_COUNTER_ADD("faults.blackout_rows", 1);
+      obs::CounterAdd(obs_domain_, "faults.blackout_rows");
     }
   }
   std::fill(frame_absent_.begin(), frame_absent_.end(), 0);
@@ -313,7 +312,7 @@ void PowerMonitor::ReadServersFaulted(SimTime stamp, uint64_t tick) {
     }
     if (injector_->DropServerSample()) {
       // Reading never arrived; the pipeline keeps the last-known value.
-      AMPERE_COUNTER_ADD("faults.dropped_samples", 1);
+      obs::CounterAdd(obs_domain_, "faults.dropped_samples");
       if (config_.record_servers) {
         absent[column] = 1;
       }
@@ -398,10 +397,10 @@ void PowerMonitor::RecordRowTimeline(SimTime stamp, bool faulted) {
     // refresh every feed, so any previously-dark row has recovered.
     const bool dark = faulted && row_dark_[r] != 0;
     if (dark != (row_was_dark_[r] != 0)) {
-      AMPERE_TIMELINE_D(obs_domain_, stamp,
-                        dark ? obs::TimelineEventType::kFaultWindowBegin
-                             : obs::TimelineEventType::kFaultWindowEnd,
-                        0.0, 0.0, static_cast<uint64_t>(r));
+      AMPERE_TIMELINE(obs_domain_, stamp,
+                      dark ? obs::TimelineEventType::kFaultWindowBegin
+                           : obs::TimelineEventType::kFaultWindowEnd,
+                      0.0, 0.0, static_cast<uint64_t>(r));
       row_was_dark_[r] = dark ? 1 : 0;
     }
     // Breaker-margin crossings on the sampled (noisy) row draw — the same
@@ -413,11 +412,10 @@ void PowerMonitor::RecordRowTimeline(SimTime stamp, bool faulted) {
     const double watts = latest_row_watts_[r];
     const bool in_margin = watts >= fraction * budget;
     if (in_margin != (row_in_margin_[r] != 0)) {
-      AMPERE_TIMELINE_D(obs_domain_, stamp,
-                        in_margin
-                            ? obs::TimelineEventType::kBreakerMarginEnter
-                            : obs::TimelineEventType::kBreakerMarginExit,
-                        watts, budget, static_cast<uint64_t>(r));
+      AMPERE_TIMELINE(obs_domain_, stamp,
+                      in_margin ? obs::TimelineEventType::kBreakerMarginEnter
+                                : obs::TimelineEventType::kBreakerMarginExit,
+                      watts, budget, static_cast<uint64_t>(r));
       row_in_margin_[r] = in_margin ? 1 : 0;
     }
   }

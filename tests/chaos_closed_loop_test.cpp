@@ -306,7 +306,7 @@ TEST(ChaosPostmortemTest, PostmortemMetricsArePerRunAtAnyJobCount) {
       const std::string json = ReadFileOrEmpty(entry.path());
       // Spans are wall time; the counters and gauges come before them.
       const std::string section =
-          Between(json, "\"metrics\":{", ",\"histograms\":");
+          Between(json, "\"metrics\":{", ",\"spans\":");
       metrics[jobs][entry.path().filename()] = section;
       // The controller ticks once a minute, so by the trigger its run has
       // ticked at most once per started minute.

@@ -17,6 +17,7 @@
 #include "src/common/check.h"
 #include "src/core/controller.h"
 #include "src/core/experiment.h"
+#include "src/obs/metrics.h"
 
 namespace ampere {
 namespace {
@@ -130,6 +131,33 @@ TEST(CampusExperimentTest, SpilloverAccountingBalancesAcrossTheCampus) {
   EXPECT_GT(result.spillover_jobs, 0u);
   EXPECT_GT(result.dcs[0].jobs_spilled_out, 0u);
   EXPECT_EQ(result.dcs[0].jobs_spilled_in, 0u);
+}
+
+// The scheduler counts its jobs off the registry and the campus publishes
+// them once per DC at the end of the run, under that DC's domain, next to
+// the counters its controller wrote live.
+TEST(CampusExperimentTest, EndOfRunSnapshotFilesEachDcUnderItsDomain) {
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  CampusExperiment experiment(SmallCampusConfig());
+  const CampusResult result = experiment.Run();
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  ASSERT_EQ(result.dcs.size(), 2u);
+  for (size_t k = 0; k < result.dcs.size(); ++k) {
+    const std::string prefix = "dc" + std::to_string(k) + "/";
+    const uint64_t* submitted =
+        snapshot.FindCounter(prefix + "sched.jobs_submitted");
+    ASSERT_NE(submitted, nullptr) << prefix;
+    EXPECT_GT(*submitted, 0u);
+    EXPECT_EQ(*submitted, result.dcs[k].jobs_submitted);
+    const uint64_t* ticks = snapshot.FindCounter(prefix + "controller.ticks");
+    ASSERT_NE(ticks, nullptr) << prefix;
+    EXPECT_EQ(*ticks,
+              experiment.controller(DataCenterId(static_cast<int32_t>(k)))
+                  .ticks());
+  }
+  EXPECT_EQ(snapshot.FindCounter("sched.jobs_submitted"), nullptr);
+  EXPECT_EQ(snapshot.FindCounter("controller.ticks"), nullptr);
 }
 
 TEST(CampusExperimentTest, SpilloverOffMovesNothing) {

@@ -6,6 +6,8 @@
 
 #include "src/faults/fault_injector.h"
 #include "src/faults/fault_plan.h"
+#include "src/obs/flight_recorder.h"
+#include "src/obs/metrics.h"
 
 namespace ampere {
 namespace {
@@ -393,6 +395,62 @@ TEST(ControllerDegradedTest, UnfreezeRpcFailureKeepsServerInFrozenSet) {
   controller.Tick(SimTime::Minutes(12));
   EXPECT_EQ(f.FrozenCount(), 0u);
   EXPECT_EQ(controller.frozen_count(0), 0u);
+}
+
+// A controller scoped under its own domain over a scheduler in another (the
+// fleet_observatory shape: one controller per row over the fleet's one
+// scheduler). Each write is filed under the domain of the component that
+// makes it: the scheduler's RPC retry counters under the scheduler's
+// prefix even while the controller's tick drives them, and the
+// controller's RPC accounting and freeze-RPC events under its own.
+TEST(ControllerObsDomainTest, RpcFaultsLandUnderEachComponentsOwnDomain) {
+  ControllerFixture f;
+  for (int32_t s = 0; s < 8; ++s) {
+    f.Load(s, 16.0);
+  }
+  faults::FaultPlanConfig chaos;
+  chaos.rpc_failure_prob = 1.0;
+  faults::FaultInjector injector(
+      faults::FaultPlan::Generate(chaos, SimTime::Hours(1)));
+  f.scheduler.AttachFaultInjector(&injector);
+  const obs::DomainId sched_domain = obs::InternDomain("fleet_sched/");
+  const obs::DomainId row_domain = obs::InternDomain("row_ctl/");
+  f.scheduler.SetObsDomain(sched_domain);
+  AmpereController controller(&f.scheduler, &f.monitor, f.Config(0.05, 0.02));
+  controller.SetObsDomain(row_domain);
+  controller.AddDomain({"row", f.AllServers(), 1600.0});
+
+  obs::MetricsRegistry registry;
+  obs::ScopedMetricsRegistry scope(&registry);
+  obs::FlightRecorder recorder(1024);
+  obs::ScopedFlightRecorder recording(&recorder);
+  f.monitor.SampleOnce(SimTime::Minutes(1));
+  controller.Tick(SimTime::Minutes(1));
+  ASSERT_GT(controller.rpc_failures(), 0u);
+
+  const obs::MetricsSnapshot snapshot = registry.Snapshot();
+  const uint64_t* failed =
+      snapshot.FindCounter("fleet_sched/faults.rpc_failed_attempts");
+  ASSERT_NE(failed, nullptr);
+  EXPECT_EQ(*failed, injector.counts().rpc_failures);
+  EXPECT_EQ(snapshot.FindCounter("row_ctl/faults.rpc_failed_attempts"),
+            nullptr);
+  const uint64_t* controller_failures =
+      snapshot.FindCounter("row_ctl/faults.controller_rpc_failures");
+  ASSERT_NE(controller_failures, nullptr);
+  EXPECT_EQ(*controller_failures, controller.rpc_failures());
+  EXPECT_EQ(
+      snapshot.FindCounter("fleet_sched/faults.controller_rpc_failures"),
+      nullptr);
+
+  size_t freeze_rpcs = 0;
+  recorder.ForEach([&](const obs::TimelineEvent& event) {
+    if (event.type == obs::TimelineEventType::kFreezeRpc) {
+      ++freeze_rpcs;
+      EXPECT_EQ(event.domain, row_domain);
+    }
+  });
+  EXPECT_GT(freeze_rpcs, 0u);
 }
 
 }  // namespace

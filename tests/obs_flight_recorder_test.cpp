@@ -77,7 +77,7 @@ TEST(FlightRecorderTest, RingKeepsMostRecentEventsAfterEviction) {
   FlightRecorder recorder(4);
   EXPECT_TRUE(recorder.empty());
   for (int i = 0; i < 6; ++i) {
-    recorder.Append(SimTime::Minutes(i), Type::kTickBegin,
+    recorder.Append(0, SimTime::Minutes(i), Type::kTickBegin,
                     static_cast<double>(i));
   }
   EXPECT_EQ(recorder.total_appended(), 6u);
@@ -95,7 +95,7 @@ TEST(FlightRecorderTest, RingKeepsMostRecentEventsAfterEviction) {
 TEST(FlightRecorderTest, TailAndWindowSelectSubranges) {
   FlightRecorder recorder(16);
   for (int i = 0; i < 10; ++i) {
-    recorder.Append(SimTime::Minutes(i), Type::kTickEnd);
+    recorder.Append(0, SimTime::Minutes(i), Type::kTickEnd);
   }
   const std::vector<TimelineEvent> tail = recorder.Tail(3);
   ASSERT_EQ(tail.size(), 3u);
@@ -109,20 +109,21 @@ TEST(FlightRecorderTest, TailAndWindowSelectSubranges) {
 TEST(FlightRecorderTest, MacroGatesOnScopeAndRuntimeSwitch) {
   FlightRecorder recorder(8);
   // No recorder installed: the macro is a null-check no-op.
-  AMPERE_TIMELINE(SimTime::Minutes(1), Type::kTickBegin, 1.0);
+  AMPERE_TIMELINE(0, SimTime::Minutes(1), Type::kTickBegin, 1.0);
   EXPECT_TRUE(recorder.empty());
   {
     ScopedFlightRecorder scope(&recorder);
-    AMPERE_TIMELINE(SimTime::Minutes(1), Type::kTickBegin, 1.0, 2.0,
+    AMPERE_TIMELINE(0, SimTime::Minutes(1), Type::kTickBegin, 1.0, 2.0,
                     uint64_t{3});
     {
       // Nested null scope suspends recording, then restores.
       ScopedFlightRecorder suspend(nullptr);
-      AMPERE_TIMELINE(SimTime::Minutes(3), Type::kTickEnd);
+      AMPERE_TIMELINE(0, SimTime::Minutes(3), Type::kTickEnd);
     }
-    AMPERE_TIMELINE_D(0, SimTime::Minutes(4), Type::kTickEnd);
+    AMPERE_TIMELINE(InternDomain("dc5/"), SimTime::Minutes(4),
+                    Type::kTickEnd);
   }
-  AMPERE_TIMELINE(SimTime::Minutes(5), Type::kTickEnd);
+  AMPERE_TIMELINE(0, SimTime::Minutes(5), Type::kTickEnd);
 
   const std::vector<TimelineEvent> all = recorder.Tail(recorder.capacity());
   ASSERT_EQ(all.size(), 2u);
@@ -131,6 +132,8 @@ TEST(FlightRecorderTest, MacroGatesOnScopeAndRuntimeSwitch) {
   EXPECT_DOUBLE_EQ(all[0].b, 2.0);
   EXPECT_EQ(all[0].c, 3u);
   EXPECT_EQ(all[1].time, SimTime::Minutes(4));
+  EXPECT_EQ(all[0].domain, 0u);
+  EXPECT_EQ(all[1].domain, InternDomain("dc5/"));
 }
 
 TEST(FlightRecorderTest, AnomalySinkHonorsPolicyCooldownAndCap) {
@@ -146,13 +149,13 @@ TEST(FlightRecorderTest, AnomalySinkHonorsPolicyCooldownAndCap) {
   recorder.SetAnomalySink(
       [&fired](const TimelineEvent& trigger) { fired.push_back(trigger); });
 
-  recorder.Append(SimTime::Minutes(1), Type::kTickBegin);     // Not a trigger.
-  recorder.Append(SimTime::Minutes(2), Type::kDegradedEnter); // Disabled.
-  recorder.Append(SimTime::Minutes(3), Type::kBreakerTrip);   // Fires.
-  recorder.Append(SimTime::Minutes(4), Type::kCapacityViolation);  // Cooling.
-  recorder.Append(SimTime::Minutes(13), Type::kCapacityViolation);  // Fires.
-  recorder.Append(SimTime::Minutes(30), Type::kBreakerTrip);  // Fires (3rd).
-  recorder.Append(SimTime::Minutes(60), Type::kBreakerTrip);  // Over the cap.
+  recorder.Append(0, SimTime::Minutes(1), Type::kTickBegin);      // No trigger.
+  recorder.Append(0, SimTime::Minutes(2), Type::kDegradedEnter);  // Disabled.
+  recorder.Append(0, SimTime::Minutes(3), Type::kBreakerTrip);    // Fires.
+  recorder.Append(0, SimTime::Minutes(4), Type::kCapacityViolation);  // Cools.
+  recorder.Append(0, SimTime::Minutes(13), Type::kCapacityViolation);  // Fires.
+  recorder.Append(0, SimTime::Minutes(30), Type::kBreakerTrip);  // Fires (3rd).
+  recorder.Append(0, SimTime::Minutes(60), Type::kBreakerTrip);  // Over cap.
 
   ASSERT_EQ(fired.size(), 3u);
   EXPECT_EQ(recorder.anomalies_fired(), 3u);
@@ -184,12 +187,12 @@ TEST(FlightRecorderTest, EventJsonCarriesAllFields) {
 
 TEST(FlightRecorderTest, PostmortemJsonWindowsEventsAndTailsJournal) {
   FlightRecorder recorder(64);
-  recorder.Append(SimTime::Minutes(1), Type::kTickBegin);   // Before window.
-  recorder.Append(SimTime::Minutes(12), Type::kTickBegin);  // In window.
-  recorder.Append(SimTime::Minutes(15), Type::kCapacityViolation, 1.02);
+  recorder.Append(0, SimTime::Minutes(1), Type::kTickBegin);   // Before window.
+  recorder.Append(0, SimTime::Minutes(12), Type::kTickBegin);  // In window.
+  recorder.Append(0, SimTime::Minutes(15), Type::kCapacityViolation, 1.02);
   const TimelineEvent trigger = recorder.Tail(1).front();
-  recorder.Append(SimTime::Minutes(15), Type::kTickEnd);    // After trigger.
-  recorder.Append(SimTime::Minutes(16), Type::kTickBegin);
+  recorder.Append(0, SimTime::Minutes(15), Type::kTickEnd);    // After trigger.
+  recorder.Append(0, SimTime::Minutes(16), Type::kTickBegin);
 
   MetricsRegistry registry;
   registry.CounterAdd("controller.ticks", 5);
@@ -244,12 +247,13 @@ TEST(TraceExportTest, ChromeTraceSchemaTracksAndPhases) {
   FlightRecorder recorder(64);
   const DomainId dc0 = InternDomain("dc0/");
   const DomainId dc1 = InternDomain("dc1/");
-  recorder.AppendWithDomain(dc0, SimTime::Minutes(1), Type::kTickBegin, 10.0);
-  recorder.AppendWithDomain(dc0, SimTime::Minutes(1), Type::kTickEnd);
-  recorder.AppendWithDomain(dc1, SimTime::Minutes(1), Type::kTickBegin);
-  recorder.AppendWithDomain(dc0, SimTime::Minutes(2), Type::kBreakerMarginEnter,
-                            95.0, 100.0, 3);
-  recorder.Append(SimTime::Minutes(3), Type::kCampusReplan, 500.0, 480.0, 1);
+  recorder.Append(dc0, SimTime::Minutes(1), Type::kTickBegin, 10.0);
+  recorder.Append(dc0, SimTime::Minutes(1), Type::kTickEnd);
+  recorder.Append(dc1, SimTime::Minutes(1), Type::kTickBegin);
+  recorder.Append(dc0, SimTime::Minutes(2), Type::kBreakerMarginEnter, 95.0,
+                  100.0, 3);
+  recorder.Append(0, SimTime::Minutes(3), Type::kCampusReplan, 500.0, 480.0,
+                  1);
 
   const std::string json = BuildChromeTraceJson(recorder, "trace-test");
   EXPECT_TRUE(JsonBalanced(json));
@@ -465,7 +469,7 @@ TEST(PostmortemArtifactTest, CampusRunWritesTraceThenPostmortems) {
 
 TEST(JsonEscapeArtifactTest, TabInRunLabelIsEscapedInTraceAndPostmortem) {
   FlightRecorder recorder(8);
-  recorder.Append(SimTime::Minutes(1), Type::kCapacityViolation, 1.02);
+  recorder.Append(0, SimTime::Minutes(1), Type::kCapacityViolation, 1.02);
   const std::string label = "run\tone\x01";
   const std::string trace = BuildChromeTraceJson(recorder, label);
   EXPECT_NE(trace.find("\"run\":\"run\\tone\\u0001\""), std::string::npos)

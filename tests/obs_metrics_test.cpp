@@ -1,7 +1,7 @@
-// MetricsRegistry semantics: counter/gauge/histogram behavior, the
-// single-writer contract (per-thread default registries, owner-thread
-// checks), span aggregation, exposition formats, and snapshot isolation
-// between concurrent harness runs (jobs=1 must equal jobs=4).
+// MetricsRegistry semantics: counter/gauge behavior, the single-writer
+// contract (per-thread default registries, owner-thread checks), span
+// aggregation, exposition formats, domain-prefixed writes, and snapshot
+// isolation between concurrent harness runs (jobs=1 must equal jobs=4).
 
 #include <gtest/gtest.h>
 
@@ -47,30 +47,6 @@ TEST(MetricsRegistryTest, GaugeKeepsLatestValue) {
   EXPECT_DOUBLE_EQ(*level, -0.5);
 }
 
-TEST(MetricsRegistryTest, HistogramBucketsCountAndSum) {
-  MetricsRegistry registry;
-  std::vector<double> bounds{1.0, 10.0, 100.0};
-  registry.HistogramObserve("h", 0.5, bounds);
-  registry.HistogramObserve("h", 5.0, bounds);
-  registry.HistogramObserve("h", 50.0, bounds);
-  registry.HistogramObserve("h", 500.0, bounds);  // Overflow bucket.
-
-  MetricsSnapshot snapshot = registry.Snapshot();
-  const HistogramValue* h = snapshot.FindHistogram("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count, 4u);
-  EXPECT_DOUBLE_EQ(h->sum, 555.5);
-  ASSERT_EQ(h->counts.size(), 4u);
-  EXPECT_EQ(h->counts[0], 1u);
-  EXPECT_EQ(h->counts[1], 1u);
-  EXPECT_EQ(h->counts[2], 1u);
-  EXPECT_EQ(h->counts[3], 1u);
-  EXPECT_DOUBLE_EQ(h->mean(), 555.5 / 4.0);
-  // p50 lies in the (1, 10] bucket, interpolated.
-  EXPECT_GT(h->Quantile(0.5), 1.0);
-  EXPECT_LE(h->Quantile(0.5), 10.0);
-}
-
 TEST(MetricsRegistryTest, DefaultRegistryIsPerThread) {
   // Threads that install no registry each write their own Default(), which
   // holds exactly that thread's writes.
@@ -78,7 +54,7 @@ TEST(MetricsRegistryTest, DefaultRegistryIsPerThread) {
   std::vector<std::thread> threads;
   for (uint64_t t = 0; t < counted.size(); ++t) {
     threads.emplace_back([t, &counted] {
-      for (int i = 0; i < 1000; ++i) CounterAdd("per_thread.writes", t + 1);
+      for (int i = 0; i < 1000; ++i) CounterAdd(0, "per_thread.writes", t + 1);
       const MetricsSnapshot mine = MetricsRegistry::Default().Snapshot();
       const uint64_t* writes = mine.FindCounter("per_thread.writes");
       counted[t] = writes != nullptr ? *writes : 0;
@@ -122,7 +98,7 @@ TEST(MetricsRegistryTest, ScopedSpanRecordsIntoCurrentRegistry) {
   MetricsRegistry registry;
   ScopedMetricsRegistry scope(&registry);
   {
-    AMPERE_SPAN("scoped.work");
+    AMPERE_SPAN(0, "scoped.work");
   }
   MetricsSnapshot snapshot = registry.Snapshot();
   const SpanStats* span = snapshot.FindSpan("scoped.work");
@@ -135,12 +111,12 @@ TEST(MetricsRegistryTest, ScopedRegistryIsolatesWrites) {
   MetricsRegistry outer;
   MetricsRegistry inner;
   ScopedMetricsRegistry outer_scope(&outer);
-  CounterAdd("c", 1);
+  CounterAdd(0, "c", 1);
   {
     ScopedMetricsRegistry inner_scope(&inner);
-    CounterAdd("c", 10);
+    CounterAdd(0, "c", 10);
   }
-  CounterAdd("c", 2);
+  CounterAdd(0, "c", 2);
 
   const MetricsSnapshot outer_snapshot = outer.Snapshot();
   const uint64_t* outer_c = outer_snapshot.FindCounter("c");
@@ -156,16 +132,12 @@ TEST(MetricsRegistryTest, PrometheusTextAndJsonExposition) {
   MetricsRegistry registry;
   registry.CounterAdd("controller.ticks", 3);
   registry.GaugeSet("fleet.queue_length", 4.0);
-  registry.HistogramObserve("sample.watts", 2.0, std::vector<double>{1.0, 5.0});
   registry.SpanRecord("controller.tick", 1500.0);
 
   MetricsSnapshot snapshot = registry.Snapshot();
   std::string prom = snapshot.ToPrometheusText();
   EXPECT_NE(prom.find("ampere_controller_ticks 3"), std::string::npos);
   EXPECT_NE(prom.find("ampere_fleet_queue_length 4"), std::string::npos);
-  EXPECT_NE(prom.find("ampere_sample_watts_bucket{le=\"5\"} 1"),
-            std::string::npos);
-  EXPECT_NE(prom.find("ampere_sample_watts_count 1"), std::string::npos);
   EXPECT_NE(prom.find("ampere_controller_tick_seconds{quantile=\"0.99\"}"),
             std::string::npos);
 
@@ -173,6 +145,10 @@ TEST(MetricsRegistryTest, PrometheusTextAndJsonExposition) {
   EXPECT_NE(json.find("\"controller.ticks\":3"), std::string::npos);
   EXPECT_NE(json.find("\"fleet.queue_length\":4"), std::string::npos);
   EXPECT_NE(json.find("\"spans\""), std::string::npos);
+  // Three kinds, in a fixed order.
+  EXPECT_EQ(json.find("{\"counters\":{"), 0u);
+  EXPECT_NE(json.find("},\"gauges\":{"), std::string::npos);
+  EXPECT_NE(json.find("},\"spans\":{"), std::string::npos);
 }
 
 // --- Snapshot isolation through the harness ------------------------------
@@ -189,8 +165,8 @@ TEST(MetricsHarnessTest, PerRunSnapshotsAreIsolatedAcrossJobs) {
     s.name = "run" + std::to_string(i);
     s.seed = i;
     s.body = [i](harness::RunContext& context) {
-      CounterAdd("run.writes", i + 1);
-      GaugeSet("run.id", static_cast<double>(i));
+      CounterAdd(0, "run.writes", i + 1);
+      GaugeSet(0, "run.id", static_cast<double>(i));
       context.Metric("id", static_cast<double>(i));
     };
     scenarios.push_back(std::move(s));
@@ -246,30 +222,6 @@ TEST(MetricsExpositionTest, EmptyRegistrySnapshotExposesCleanly) {
   EXPECT_NE(json.find("\"gauges\":{}"), std::string::npos);
 }
 
-TEST(MetricsExpositionTest, HistogramOverflowAndUnderflowBuckets) {
-  MetricsRegistry registry;
-  std::vector<double> bounds{12.5, 99.5};
-  registry.HistogramObserve("h", -5.0, bounds);     // Below every bound.
-  registry.HistogramObserve("h", 12.5, bounds);     // On the boundary (<=).
-  registry.HistogramObserve("h", 1e18, bounds);     // +Inf bucket.
-
-  MetricsSnapshot snapshot = registry.Snapshot();
-  const HistogramValue* h = snapshot.FindHistogram("h");
-  ASSERT_NE(h, nullptr);
-  ASSERT_EQ(h->counts.size(), 3u);
-  EXPECT_EQ(h->counts[0], 2u);  // -5 and the boundary 12.5 both land here.
-  EXPECT_EQ(h->counts[1], 0u);
-  EXPECT_EQ(h->counts[2], 1u);  // The implicit +Inf overflow bucket.
-
-  std::string prom = snapshot.ToPrometheusText();
-  // Cumulative le buckets: 2 at le=12.5, 2 at le=99.5, all 3 at +Inf; the
-  // +Inf bucket always equals _count.
-  EXPECT_NE(prom.find("ampere_h_bucket{le=\"12.5\"} 2"), std::string::npos);
-  EXPECT_NE(prom.find("ampere_h_bucket{le=\"99.5\"} 2"), std::string::npos);
-  EXPECT_NE(prom.find("ampere_h_bucket{le=\"+Inf\"} 3"), std::string::npos);
-  EXPECT_NE(prom.find("ampere_h_count 3"), std::string::npos);
-}
-
 TEST(MetricsExpositionTest, SnapshotSortsEveryKindByName) {
   // Names written in reverse order come out name-sorted in every kind, so
   // both exposition formats are deterministic whatever the write order.
@@ -277,7 +229,6 @@ TEST(MetricsExpositionTest, SnapshotSortsEveryKindByName) {
   for (const char* name : {"z", "m", "a"}) {
     registry.CounterAdd(name, 1);
     registry.GaugeSet(name, 1.0);
-    registry.HistogramObserve(name, 1.0);
     registry.SpanRecord(name, 10.0);
   }
   auto names = [](const auto& items) {
@@ -289,75 +240,34 @@ TEST(MetricsExpositionTest, SnapshotSortsEveryKindByName) {
   const MetricsSnapshot snapshot = registry.Snapshot();
   EXPECT_EQ(names(snapshot.counters), sorted);
   EXPECT_EQ(names(snapshot.gauges), sorted);
-  EXPECT_EQ(names(snapshot.histograms), sorted);
   EXPECT_EQ(names(snapshot.spans), sorted);
 }
 
 // --- Domain scoping -------------------------------------------------------
 
 TEST(MetricsDomainTest, ScopedDomainPrefixesInstrumentation) {
+  // Each write is filed under the domain it names, whatever the previous
+  // write used: alternating domains never leak a prefix.
   MetricsRegistry registry;
   ScopedMetricsRegistry scope(&registry);
   const DomainId dc1 = InternDomain("dc1/");
-  AMPERE_COUNTER_ADD("controller.ticks", 1);  // Root domain: bare name.
-  {
-    ScopedMetricsDomain domain(dc1);
-    AMPERE_COUNTER_ADD("controller.ticks", 1);  // Same site, rebinds.
-    AMPERE_GAUGE_SET("queue", 4.0);
-    AMPERE_HISTOGRAM_OBSERVE("watts", 2.0);
+  const DomainId dc2 = InternDomain("dc2/");
+  for (int i = 0; i < 10; ++i) {
+    CounterAdd(0, "controller.ticks");  // Root domain: bare name.
+    CounterAdd(dc1, "controller.ticks");
+    CounterAdd(dc2, "controller.ticks", 3);
   }
-  AMPERE_COUNTER_ADD("controller.ticks", 1);  // Back to root.
+  GaugeSet(dc1, "queue", 4.0);
+  SpanRecord(dc2, "controller.tick", 100.0);
 
   MetricsSnapshot snapshot = registry.Snapshot();
-  EXPECT_EQ(*snapshot.FindCounter("controller.ticks"), 2u);
-  EXPECT_EQ(*snapshot.FindCounter("dc1/controller.ticks"), 1u);
+  EXPECT_EQ(*snapshot.FindCounter("controller.ticks"), 10u);
+  EXPECT_EQ(*snapshot.FindCounter("dc1/controller.ticks"), 10u);
+  EXPECT_EQ(*snapshot.FindCounter("dc2/controller.ticks"), 30u);
   EXPECT_DOUBLE_EQ(*snapshot.FindGauge("dc1/queue"), 4.0);
-  EXPECT_EQ(snapshot.FindHistogram("dc1/watts")->count, 1u);
   EXPECT_EQ(snapshot.FindGauge("queue"), nullptr);
-}
-
-TEST(MetricsDomainTest, CounterSiteKeepsOneBindingPerDomain) {
-  // A campus alternates DCs at one site on nearly every event. Each domain
-  // keeps its own cached cell, so after one bind per domain the site never
-  // takes the hashing lookup again, and each prefixed counter holds exactly
-  // its own count.
-  MetricsRegistry registry;
-  ScopedMetricsRegistry scope(&registry);
-  // Freshly interned, so consecutive ids and distinct table slots.
-  const DomainId a = InternDomain("site_alternation_a/");
-  const DomainId b = InternDomain("site_alternation_b/");
-  ASSERT_EQ(b, a + 1);
-  CounterSite site("sched.placements");
-  for (int i = 0; i < 1000; ++i) {
-    ScopedMetricsDomain domain(i % 2 == 0 ? a : b);
-    site.Add(i % 2 == 0 ? 1 : 3);
-  }
-  EXPECT_EQ(site.rebinds(), 2u);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  ASSERT_NE(snapshot.FindCounter("site_alternation_a/sched.placements"),
-            nullptr);
-  EXPECT_EQ(*snapshot.FindCounter("site_alternation_a/sched.placements"),
-            500u);
-  ASSERT_NE(snapshot.FindCounter("site_alternation_b/sched.placements"),
-            nullptr);
-  EXPECT_EQ(*snapshot.FindCounter("site_alternation_b/sched.placements"),
-            1500u);
-  EXPECT_EQ(snapshot.FindCounter("sched.placements"), nullptr);
-
-  // A registry switch invalidates every binding: one rebind per domain
-  // again, and the new registry's cells start from zero.
-  MetricsRegistry next;
-  ScopedMetricsRegistry next_scope(&next);
-  for (int i = 0; i < 10; ++i) {
-    ScopedMetricsDomain domain(i % 2 == 0 ? a : b);
-    site.Add(1);
-  }
-  EXPECT_EQ(site.rebinds(), 4u);
-  const MetricsSnapshot next_snapshot = next.Snapshot();
-  const uint64_t* a_count =
-      next_snapshot.FindCounter("site_alternation_a/sched.placements");
-  ASSERT_NE(a_count, nullptr);
-  EXPECT_EQ(*a_count, 5u);
+  ASSERT_NE(snapshot.FindSpan("dc2/controller.tick"), nullptr);
+  EXPECT_EQ(snapshot.FindSpan("dc2/controller.tick")->count, 1u);
 }
 
 TEST(MetricsDomainTest, InternDomainIsIdempotentAndRootIsUnprefixed) {
@@ -368,13 +278,10 @@ TEST(MetricsDomainTest, InternDomainIsIdempotentAndRootIsUnprefixed) {
   EXPECT_EQ(a, b);
   EXPECT_NE(a, 0u);
   EXPECT_EQ(DomainPrefix(a), "dcX/");
-  // The macro with domain 0 writes bare names.
+  // A write under domain 0 uses the bare name.
   MetricsRegistry registry;
   ScopedMetricsRegistry scope(&registry);
-  {
-    AMPERE_METRICS_DOMAIN(0);
-    AMPERE_COUNTER_ADD("root.counter", 1);
-  }
+  CounterAdd(0, "root.counter");
   EXPECT_NE(registry.Snapshot().FindCounter("root.counter"), nullptr);
 }
 
